@@ -378,6 +378,9 @@ def main(argv: list[str] | None = None) -> int:
     except DOMAIN_ERRORS as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
+    except RecursionError:
+        print("error: ordinal descent exceeds the recursion limit", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -1,20 +1,27 @@
 """The Schreier system A_xi over finite subsets of the positive integers.
 
-Membership follows the five-case recursion on Cantor normal forms.  The
-composite cases parse a candidate set into constituent blocks left to
-right; thinness of the families makes at most one prefix of any set a
-member, so the parse never needs to backtrack.
+Membership follows the case recursion on Cantor normal forms, written
+once as a left-to-right parse.  A successor xi takes as many elements as
+its finite tail; a limit xi reads its constituent blocks in order, each
+block a smaller family parsed the same way.  The families are thin, so at
+most one prefix of a set is a member and the parse never backtracks.  It
+has exactly two outcomes: it completes at the end of the unique member
+prefix, or the set runs out first (OPEN), which makes the set a proper
+initial segment of a member.  Membership, initial segments and canonical
+decomposition all read off this one parse.
+
+The parse recurses once per nested block, so its depth follows the
+ordinal descent below xi at the set's elements; deep towers such as
+w^(w^w) can exceed Python's recursion limit and raise RecursionError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator
 
 from .ordinals import (
-    ZERO,
     Ordinal,
     fundamental_sequence,
     omega_power,
@@ -25,6 +32,7 @@ from .ordinals import (
 FiniteSet = tuple[int, ...]
 
 DEFAULT_CAP = 20
+OPEN = -1  # _prefix_end: the set ran out before the parse completed
 
 
 class SchreierError(ValueError):
@@ -40,83 +48,41 @@ def as_finite_set(elements: Iterable[int]) -> FiniteSet:
     return s
 
 
-def _block_plan(xi: Ordinal) -> tuple[tuple[Ordinal, int], ...]:
-    """Constituent (family, count) segments of case (3iii), smallest
-    exponent first, so members parse left to right."""
-    return tuple((omega_power(exp), coeff) for exp, coeff in reversed(xi.terms))
+def _blocks(xi: Ordinal, n: int) -> list[Ordinal]:
+    """The block families of the limit xi at minimum n, in parse order:
+    n copies of w^e for w^(e+1), the terms smallest exponent first for a
+    sum, and w^(e_n) resolved first for a limit exponent e."""
+    while len(xi.terms) == 1 and xi.terms[0][1] == 1:
+        exp = xi.terms[0][0]
+        if exp.is_successor:
+            return [omega_power(successor_pred(exp))] * n
+        xi = omega_power(fundamental_sequence(exp, n))
+    return [omega_power(exp) for exp, coeff in reversed(xi.terms) for _ in range(coeff)]
 
 
-@lru_cache(maxsize=None)
+def _prefix_end(s: FiniteSet, i: int, xi: Ordinal) -> int:
+    """End j of the unique prefix s[i:j] in A_xi, or OPEN if s runs out
+    before the parse completes."""
+    if xi.is_successor:
+        i += xi.terms[-1][1]
+        if i > len(s):
+            return OPEN
+        if len(xi.terms) == 1:
+            return i
+        xi = Ordinal(xi.terms[:-1])
+    elif xi.is_zero:
+        return i
+    if i == len(s):
+        return OPEN
+    for block in _blocks(xi, s[i]):
+        i = _prefix_end(s, i, block)
+        if i == OPEN:
+            return OPEN
+    return i
+
+
 def _member(s: FiniteSet, xi: Ordinal) -> bool:
-    if not s:
-        return xi.is_zero
-    if xi.is_zero:
-        return False
-    if xi.is_successor:
-        return _member(s[1:], successor_pred(xi))
-    if len(xi.terms) == 1 and xi.terms[0][1] == 1:
-        exp = xi.terms[0][0]
-        if exp.is_successor:
-            family = omega_power(successor_pred(exp))
-            return _consume_blocks(s, ((family, s[0]),)) == ()
-        return _member(s, omega_power(fundamental_sequence(exp, s[0])))
-    return _consume_blocks(s, _block_plan(xi)) == ()
-
-
-def _unique_prefix(s: FiniteSet, xi: Ordinal) -> int | None:
-    """Length of the unique prefix of s in A_xi, or None.  Thinness of
-    A_xi guarantees at most one prefix is a member."""
-    for j in range(1, len(s) + 1):
-        if _member(s[:j], xi):
-            return j
-    return None
-
-
-def _consume_blocks(s: FiniteSet, plan: tuple[tuple[Ordinal, int], ...]) -> FiniteSet | None:
-    """Peel the planned blocks off s; return the unparsed rest, or None
-    if some block is missing."""
-    rest = s
-    for family, count in plan:
-        for _ in range(count):
-            if not rest:
-                return None
-            j = _unique_prefix(rest, family)
-            if j is None:
-                return None
-            rest = rest[j:]
-    return rest
-
-
-@lru_cache(maxsize=None)
-def _is_initial(s: FiniteSet, xi: Ordinal) -> bool:
-    """True iff s is an initial segment (possibly improper or empty) of
-    some member of A_xi."""
-    if not s:
-        return True
-    if xi.is_zero:
-        return False
-    if xi.is_successor:
-        return _is_initial(s[1:], successor_pred(xi))
-    if len(xi.terms) == 1 and xi.terms[0][1] == 1:
-        exp = xi.terms[0][0]
-        if exp.is_successor:
-            family = omega_power(successor_pred(exp))
-            return _initial_blocks(s, ((family, s[0]),))
-        return _is_initial(s, omega_power(fundamental_sequence(exp, s[0])))
-    return _initial_blocks(s, _block_plan(xi))
-
-
-def _initial_blocks(s: FiniteSet, plan: tuple[tuple[Ordinal, int], ...]) -> bool:
-    rest = s
-    for family, count in plan:
-        for _ in range(count):
-            if not rest:
-                return True
-            j = _unique_prefix(rest, family)
-            if j is None:
-                return _is_initial(rest, family)
-            rest = rest[j:]
-    return not rest
+    return _prefix_end(s, 0, xi) == len(s)
 
 
 def is_member(s: Iterable[int], xi: Ordinal) -> bool:
@@ -126,8 +92,7 @@ def is_member(s: Iterable[int], xi: Ordinal) -> bool:
 
 def is_proper_initial(s: Iterable[int], xi: Ordinal) -> bool:
     """Decide s in A_xi* \\ A_xi (a proper initial segment of a member)."""
-    t = as_finite_set(s)
-    return _is_initial(t, xi) and not _member(t, xi)
+    return _prefix_end(as_finite_set(s), 0, xi) == OPEN
 
 
 @dataclass(frozen=True)
@@ -161,17 +126,14 @@ def canonical_decompose(s: Iterable[int], xi: Ordinal) -> CanonicalDecomposition
     if xi.is_zero:
         raise SchreierError("decomposition needs xi >= 1")
     blocks = []
-    rest = seq
-    while rest:
-        j = _unique_prefix(rest, xi)
-        if j is None:
+    i = 0
+    while i < len(seq):
+        j = _prefix_end(seq, i, xi)
+        if j == OPEN:
             break
-        blocks.append(rest[:j])
-        rest = rest[j:]
-    if rest and not _is_initial(rest, xi):
-        raise SchreierError(
-            "remainder %r is not extendable to an A_%s member" % (rest, xi))
-    return CanonicalDecomposition(tuple(blocks), rest or None)
+        blocks.append(seq[i:j])
+        i = j
+    return CanonicalDecomposition(tuple(blocks), seq[i:] or None)
 
 
 def _with_min(xi: Ordinal, n: int, n_max: int) -> Iterator[FiniteSet]:
@@ -187,24 +149,13 @@ def _with_min(xi: Ordinal, n: int, n_max: int) -> Iterator[FiniteSet]:
             for t in _with_min(zeta, m, n_max):
                 yield (n,) + t
         return
-    if len(xi.terms) == 1 and xi.terms[0][1] == 1:
-        exp = xi.terms[0][0]
-        if exp.is_successor:
-            family = omega_power(successor_pred(exp))
-            plan = [family] * n
-        else:
-            yield from _with_min(omega_power(fundamental_sequence(exp, n)), n, n_max)
-            return
-    else:
-        plan = []
-        for family, count in _block_plan(xi):
-            plan.extend([family] * count)
+    plan = _blocks(xi, n)
     for first in _with_min(plan[0], n, n_max):
-        for rest in _chain_rest(tuple(plan[1:]), first[-1] + 1, n_max):
+        for rest in _chain_rest(plan[1:], first[-1] + 1, n_max):
             yield first + rest
 
 
-def _chain_rest(plan: tuple[Ordinal, ...], lo: int, n_max: int) -> Iterator[FiniteSet]:
+def _chain_rest(plan: list[Ordinal], lo: int, n_max: int) -> Iterator[FiniteSet]:
     if not plan:
         yield ()
         return

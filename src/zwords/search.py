@@ -250,6 +250,8 @@ def hj_witness_search(coloring: Coloring, m: int, bounds: Sequence[int], n: int,
     color.  Exhaustive within the window."""
     if len(bounds) != m:
         raise SearchError("need one grid index per tuple slot")
+    if n < 1:
+        raise SearchError("total length must be >= 1")
     start = time.perf_counter()
     candidates = _witness_candidates(m, n, window)
     grid = _substitution_grid(bounds, window.profile)
@@ -335,6 +337,8 @@ def xi_witness_search(coloring: Coloring, xi: Ordinal, l: int, n0: int,
     """Search for an l-tuple of variable words whose extracted-constant
     tuples of total length n0 inside the xi-indexed family are
     monochromatic under a tuple coloring."""
+    if l < 1:
+        raise SearchError("tuple length must be >= 1")
     start = time.perf_counter()
     candidates: list[tuple[LocatedWord, ...]] = []
     for total in range(2 * l, 2 * window.radius + 1):

@@ -133,6 +133,24 @@ def test_exit_codes(capsys):
     assert code == 1
 
 
+def test_deep_ordinal_descent_is_a_domain_error(capsys):
+    for argv in (("member", "--xi", "w^(w^w)", "--set", "5,6"),
+                 ("enum", "--xi", "w^(w^w)", "--n", "6"),
+                 ("canon", "--xi", "w^(w^w)", "--set", "6,7,8")):
+        code, out, err = run(capsys, "schreier", *argv)
+        assert code == 1 and out == ""
+        assert err == "error: ordinal descent exceeds the recursion limit\n"
+
+
+def test_search_rejects_empty_lengths(capsys):
+    code, _, err = run(capsys, "search", "hj", "--r", "2", "--seed", "1", "--bounds", "2",
+                       "--n", "0", "--window", "3")
+    assert code == 1 and err.startswith("error:") and err.count("\n") == 1
+    code, _, err = run(capsys, "search", "xi", "--r", "2", "--seed", "1", "--xi", "2",
+                       "--l", "0", "--n0", "2", "--window", "3")
+    assert code == 1 and err.startswith("error:") and err.count("\n") == 1
+
+
 def test_zw_caps_env(capsys, monkeypatch):
     monkeypatch.setenv("ZW_CAPS", "25")
     code, out, _ = run(capsys, "schreier", "enum", "--xi", "1", "--n", "22")

@@ -23,6 +23,7 @@ from _oracles import (
 
 XI_SAMPLE = [ONE, from_int(2), from_int(3), OMEGA, parse_ordinal("w+1"),
              parse_ordinal("w*2"), omega_power(from_int(2))]
+TOWER_AND_SUM = [parse_ordinal(t) for t in ("w^w", "w^3", "w^2+w", "w^(w+1)*2+w^3")]
 
 
 def test_membership_examples():
@@ -32,9 +33,13 @@ def test_membership_examples():
 
 
 def test_membership_agrees_with_reference_on_small_ground():
-    for xi in XI_SAMPLE:
-        for s in powerset(range(1, 11)):
-            assert is_member(s, xi) == reference_member(s, xi), (s, xi)
+    for xi in XI_SAMPLE + TOWER_AND_SUM:
+        reference = {s: reference_member(s, xi) for s in powerset(range(1, 11))}
+        for s, member in reference.items():
+            assert is_member(s, xi) == member, (s, xi)
+            # a set with no member prefix is a proper initial segment
+            no_member_prefix = not any(reference[s[:j]] for j in range(len(s) + 1))
+            assert is_proper_initial(s, xi) == no_member_prefix, (s, xi)
 
 
 def test_finite_families_are_exactly_the_m_subsets():
