@@ -379,6 +379,10 @@ def main(argv: list[str] | None = None) -> int:
         print("error: %s" % exc, file=sys.stderr)
         return 1
     except RecursionError:
+        # only the Schreier recursion descends along the ordinal; elsewhere
+        # it is a bug and keeps its traceback
+        if args.command != "schreier":
+            raise
         print("error: ordinal descent exceeds the recursion limit", file=sys.stderr)
         return 1
     return 0

@@ -18,7 +18,7 @@ w^(w^w) can exceed Python's recursion limit and raise RecursionError.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, islice, repeat
 from typing import Iterable, Iterator
 
 from .ordinals import (
@@ -48,16 +48,19 @@ def as_finite_set(elements: Iterable[int]) -> FiniteSet:
     return s
 
 
-def _blocks(xi: Ordinal, n: int) -> list[Ordinal]:
+def _blocks(xi: Ordinal, n: int) -> Iterator[Ordinal]:
     """The block families of the limit xi at minimum n, in parse order:
     n copies of w^e for w^(e+1), the terms smallest exponent first for a
-    sum, and w^(e_n) resolved first for a limit exponent e."""
-    while len(xi.terms) == 1 and xi.terms[0][1] == 1:
+    sum.  A limit exponent e is first resolved to e_n, which
+    fundamental_sequence always makes a successor.  The blocks come
+    lazily, so a large n or coefficient costs no memory of its own."""
+    if len(xi.terms) == 1 and xi.terms[0][1] == 1:
         exp = xi.terms[0][0]
-        if exp.is_successor:
-            return [omega_power(successor_pred(exp))] * n
-        xi = omega_power(fundamental_sequence(exp, n))
-    return [omega_power(exp) for exp, coeff in reversed(xi.terms) for _ in range(coeff)]
+        if exp.is_limit:
+            exp = fundamental_sequence(exp, n)
+        return repeat(omega_power(successor_pred(exp)), n)
+    return chain.from_iterable(repeat(omega_power(exp), coeff)
+                               for exp, coeff in reversed(xi.terms))
 
 
 def _prefix_end(s: FiniteSet, i: int, xi: Ordinal) -> int:
@@ -149,7 +152,11 @@ def _with_min(xi: Ordinal, n: int, n_max: int) -> Iterator[FiniteSet]:
             for t in _with_min(zeta, m, n_max):
                 yield (n,) + t
         return
-    plan = _blocks(xi, n)
+    # every block takes at least one element of {n..n_max}
+    room = n_max - n + 1
+    plan = list(islice(_blocks(xi, n), room + 1))
+    if len(plan) > room:
+        return
     for first in _with_min(plan[0], n, n_max):
         for rest in _chain_rest(plan[1:], first[-1] + 1, n_max):
             yield first + rest

@@ -134,8 +134,10 @@ def test_exit_codes(capsys):
 
 
 def test_deep_ordinal_descent_is_a_domain_error(capsys):
+    # Pins today's limit: the Schreier parse recurses once per nested block.
+    # A parse on an explicit stack would answer these and change this test.
     for argv in (("member", "--xi", "w^(w^w)", "--set", "5,6"),
-                 ("enum", "--xi", "w^(w^w)", "--n", "6"),
+                 ("enum", "--xi", "w^(w^w)", "--n", "10"),
                  ("canon", "--xi", "w^(w^w)", "--set", "6,7,8")):
         code, out, err = run(capsys, "schreier", *argv)
         assert code == 1 and out == ""

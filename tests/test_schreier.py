@@ -42,6 +42,18 @@ def test_membership_agrees_with_reference_on_small_ground():
             assert is_proper_initial(s, xi) == no_member_prefix, (s, xi)
 
 
+def test_large_elements_and_coefficients_cost_no_memory():
+    # a minimum of 10**12 asks for 10**12 blocks; they must come lazily
+    big = 10**12
+    for xi in (parse_ordinal("w^2"), parse_ordinal("w^3"), parse_ordinal("w*%d" % big)):
+        assert not is_member((big,), xi)
+        assert is_proper_initial((big, big + 1), xi)
+        assert str(canonical_decompose((big,), xi)) == "|%d" % big
+    assert enumerate_members(parse_ordinal("w*%d" % big), 10) == []
+    # more blocks than elements left: no descent into w^(w^w) beyond {1}
+    assert enumerate_members(parse_ordinal("w^(w^w)"), 8) == [(1,)]
+
+
 def test_finite_families_are_exactly_the_m_subsets():
     for m in range(0, 5):
         members = enumerate_members(from_int(m), 8)
