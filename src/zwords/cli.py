@@ -366,8 +366,16 @@ def _merge_flag_values(argv: list[str]) -> list[str]:
     return out
 
 
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        # built on the first call, not at import, and reused: parsing keeps
+        # no state in the parser, and importing the CLI stays cheap
+        _parser = build_parser()
+    parser = _parser
     argv = _merge_flag_values(sys.argv[1:] if argv is None else list(argv))
     try:
         args = parser.parse_args(argv)

@@ -17,7 +17,7 @@ fractional digits by mixed-radix extraction from the top position down.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, floor
+from math import factorial, floor, perm
 from typing import Sequence
 
 from .ordinals import Ordinal
@@ -27,6 +27,7 @@ from .words import (
     VARIABLE,
     LocatedWord,
     concat,
+    first_clamp,
     make_word,
     rel_r1,
     substitute,
@@ -43,20 +44,40 @@ def _require_abs_profile(w: LocatedWord) -> None:
 
 
 def evaluate(w: LocatedWord) -> Fraction:
-    """The exact rational value of a word; variables contribute digit 0."""
+    """The exact rational value of a word; variables contribute digit 0.
+
+    Both parts are Horner sums over the nonzero digits, a gap bridged by
+    one falling factorial: the integer part over r! from the top position
+    down, the fractional part as one numerator over (top+1)! from s = 1
+    up, top the largest s with a digit at -s."""
     _require_abs_profile(w)
-    total = Fraction(0)
-    for pos, letter in w.entries:
-        digit = abs(letter)
+    whole = num = 0
+    r_last = s_last = 1
+    for pos, letter in reversed(w.entries):
+        if letter == VARIABLE:
+            continue
         if pos > 0:
-            total += digit * (-1) ** (pos + 1) * factorial(pos)
+            if whole:
+                whole *= perm(r_last, r_last - pos)
+            whole += letter if pos % 2 else -letter
+            r_last = pos
         else:
             s = -pos
-            total += Fraction(digit * (-1) ** s, factorial(s + 1))
-    return total
+            if num:
+                num *= perm(s + 1, s - s_last)
+            num += letter if s % 2 else -letter
+            s_last = s
+    den = factorial(s_last + 1)
+    return Fraction(whole * factorial(r_last) * den + num, den)
 
 
-decode = evaluate
+def decode(w: LocatedWord) -> Fraction:
+    """The value of a constant word, the inverse of encode; a variable
+    letter is no digit."""
+    for pos, letter in w.entries:
+        if letter == VARIABLE:
+            raise RationalCodecError("cannot decode a variable word: variable at %d" % pos)
+    return evaluate(w)
 
 
 def integer_alt_factorial(value: int) -> tuple[int, ...]:
@@ -76,6 +97,41 @@ def integer_alt_factorial(value: int) -> tuple[int, ...]:
     return tuple(digits)
 
 
+# The codec accepts a denominator den when S(den), the least n with
+# den | n!, is at most this; the largest accepted prime is 9973.
+KEMPNER_CAP = 10001
+
+
+def _kempner(den: int) -> int | None:
+    """Kempner's S(den), the least n with den | n!, or None when it exceeds
+    KEMPNER_CAP.  Trial division stops at the first prime above the cap,
+    so refusing a denominator takes at most about 5000 divisions."""
+    result, rest, p = 1, den, 2
+    while rest > 1:
+        if p * p > rest:
+            p = rest  # rest is prime
+        if p > KEMPNER_CAP:
+            return None
+        if rest % p == 0:
+            e = 0
+            while rest % p == 0:
+                rest //= p
+                e += 1
+            # S(p^e): the least multiple n of p with v_p(n!) >= e
+            n = 0
+            while e > 0:
+                n += p
+                if n > KEMPNER_CAP:
+                    return None
+                k = n
+                while k % p == 0:
+                    k //= p
+                    e -= 1
+            result = max(result, n)
+        p += 1 if p == 2 else 2
+    return result
+
+
 def _fractional_digits(x: Fraction) -> tuple[int, ...] | None:
     """Digits (q_{-1}, q_{-2}, ...) with x = sum q_{-s} (-1)^s / (s+1)!,
     or None when x admits no in-bound expansion."""
@@ -84,13 +140,11 @@ def _fractional_digits(x: Fraction) -> tuple[int, ...] | None:
     if abs(x) >= 1:
         return None
     den = x.denominator
-    top = 1
-    fact = 2  # (top+1)!
-    while fact % den:
-        top += 1
-        fact *= top + 1
-        if top > 10 ** 4:
-            raise RationalCodecError("denominator %d too large" % den)
+    s_den = _kempner(den)
+    if s_den is None:
+        raise RationalCodecError("denominator %d too large" % den)
+    top = max(s_den, 2) - 1
+    fact = factorial(top + 1)
     m = x.numerator * (fact // den)
     digits = [0] * top
     for s in range(top, 0, -1):
@@ -156,17 +210,6 @@ def q_xi_member(qs: Sequence[Fraction | int], xi: Ordinal) -> bool:
     return is_member(tuple(w.min_dom_pos for w in words), xi)
 
 
-def _check_no_clamp(w: LocatedWord, p: int, q: int) -> None:
-    for pos, letter in w.entries:
-        if letter != VARIABLE:
-            continue
-        k = w.profile.bound(pos)
-        if pos > 0 and p > k:
-            raise RationalCodecError("index %d clamps at position %d" % (p, pos))
-        if pos < 0 and q > k:
-            raise RationalCodecError("index %d clamps at position %d" % (q, pos))
-
-
 def rational_pattern(ws: Sequence[LocatedWord], n: int, i: int, j: int) -> Fraction:
     """The n-th pattern value: the middle word of the n-th triple takes
     the substitution (j, i), the closing word (1, 1), the leading word
@@ -180,7 +223,9 @@ def rational_pattern(ws: Sequence[LocatedWord], n: int, i: int, j: int) -> Fract
             raise RationalCodecError("word list is not increasing")
     lead, mid, last = ws[3 * n - 3], ws[3 * n - 2], ws[3 * n - 1]
     if (i, j) != (0, 0):
-        _check_no_clamp(mid, j, i)
+        clamp = first_clamp(mid, j, i)
+        if clamp:
+            raise RationalCodecError("index %d clamps at position %d" % clamp)
     return evaluate(concat(concat(lead, substitute(mid, j, i)), substitute(last, 1, 1)))
 
 

@@ -24,6 +24,7 @@ from .words import (
     LocatedWord,
     WordError,
     concat_all,
+    first_clamp,
     format_word,
     make_word,
     rel_r1,
@@ -450,17 +451,6 @@ class PatternResult:
     i_positions: tuple[int, ...]
 
 
-def _check_no_clamp(w: LocatedWord, p: int, q: int) -> None:
-    for pos, letter in w.entries:
-        if letter != VARIABLE:
-            continue
-        k = w.profile.bound(pos)
-        if pos > 0 and p > k:
-            raise SearchError("index %d clamps at position %d" % (p, pos))
-        if pos < 0 and q > k:
-            raise SearchError("index %d clamps at position %d" % (q, pos))
-
-
 def semigroup_pattern(ws: Sequence[LocatedWord], spec: SemigroupSpec, n: int,
                       i: int, j: int) -> PatternResult:
     """The n-th pattern element over the n-th quadruple of ws: first and
@@ -477,7 +467,9 @@ def semigroup_pattern(ws: Sequence[LocatedWord], spec: SemigroupSpec, n: int,
             raise SearchError("word list is not increasing")
     first, second, third, fourth = ws[4 * n - 4:4 * n]
     if (i, j) != (0, 0):
-        _check_no_clamp(second, i, j)
+        clamp = first_clamp(second, i, j)
+        if clamp:
+            raise SearchError("index %d clamps at position %d" % clamp)
     built = concat_all([substitute(first, 1, 1), substitute(second, i, j),
                         third, substitute(fourth, 1, 1)])
     j_positions = tuple(p for p, l in second.entries if l == VARIABLE and p < 0)

@@ -260,6 +260,18 @@ def substitute(w: LocatedWord, p: int, q: int) -> LocatedWord:
     return LocatedWord(tuple(out), w.profile)
 
 
+def first_clamp(w: LocatedWord, p: int, q: int) -> tuple[int, int] | None:
+    """The first (index, position) at which substitute(w, p, q) would cut
+    an index down to the bound k_n of a variable position, or None."""
+    for pos, letter in w.entries:
+        if letter != VARIABLE:
+            continue
+        index = p if pos > 0 else q
+        if index > w.profile.bound(pos):
+            return index, pos
+    return None
+
+
 def substitute_nat(w: LocatedWord, p: int) -> LocatedWord:
     """T_p, the one-sided substitution for words supported on the
     positive axis."""

@@ -102,6 +102,19 @@ def reference_decompositions(seq: tuple[int, ...], xi: Ordinal):
     return results
 
 
+def reference_value(entries) -> Fraction:
+    """The codec value of (position, letter) entries as a direct sum of
+    one Fraction per digit; the variable letter 0 is digit 0."""
+    value = Fraction(0)
+    for pos, letter in entries:
+        digit = abs(letter)
+        if pos > 0:
+            value += digit * (-1) ** (pos + 1) * factorial(pos)
+        else:
+            value += Fraction(digit * (-1) ** -pos, factorial(-pos + 1))
+    return value
+
+
 def brute_digit_words(span: int):
     """All digit vectors supported in {-span..span} with the codec
     bounds, as (entries, value) pairs evaluated by a direct sum."""

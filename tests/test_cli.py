@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from zwords import cli
 from zwords.cli import main
 from zwords.ordinals import format_ordinal
 from zwords.schreier import format_set
@@ -23,6 +24,36 @@ def test_rat_encode(capsys):
 def test_rat_decode_and_json(capsys):
     code, out, _ = run(capsys, "--json", "rat", "decode", "--word", "2:2,3:1")
     assert code == 0 and json.loads(out) == {"value": "2"}
+
+
+def test_rat_decode_rejects_variable_words(capsys):
+    code, out, err = run(capsys, "rat", "decode", "--word", "-1:v,1:v")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_parser_reuse_matches_fresh_parser(capsys, monkeypatch):
+    calls = [
+        ("rat", "encode", "--", "-3/7"),
+        ("nonsense",),
+        ("--json", "rat", "decode", "--word", "2:2,3:1"),
+        ("rat", "encode", "0"),
+        ("word", "check", "--word", "-1:v,1:v"),
+        ("schreier", "member", "--xi", "w"),
+        ("--json", "schreier", "canon", "--xi", "2", "--set", "1,2,3,4,5"),
+        ("rat", "decode", "--word", "-1:v,1:v"),
+        ("word", "subst", "--p", "2", "--q", "1", "--word", "-2:v,1:v"),
+        ("schreier", "enum", "--xi", "2", "--n", "3"),
+        ("--json", "rat", "qxi", "--xi", "2", "--values", "1/2,143/24"),
+        ("rat", "precedes", "--a", "1/2", "--b", "143/24"),
+    ]
+    shared = [run(capsys, *argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        monkeypatch.setattr(cli, "_parser", None)
+        fresh.append(run(capsys, *argv))
+    assert shared == fresh
+    assert {code for code, _, _ in shared} == {0, 1, 2}
 
 
 def test_schreier_member(capsys):

@@ -6,7 +6,10 @@ import pytest
 
 from zwords.ordinals import OMEGA, ONE, from_int
 from zwords.rationals import (
+    KEMPNER_CAP,
     RationalCodecError,
+    _fractional_digits,
+    _kempner,
     decode,
     encode,
     evaluate,
@@ -17,9 +20,9 @@ from zwords.rationals import (
     rational_pattern,
     rational_precedes,
 )
-from zwords.words import VARIABLE, make_word, rel_r1
+from zwords.words import ABS, VARIABLE, DominationProfile, make_word, rel_r1
 
-from _oracles import brute_digit_words
+from _oracles import brute_digit_words, reference_value
 
 
 def test_evaluate_examples():
@@ -29,7 +32,6 @@ def test_evaluate_examples():
 
 
 def test_evaluate_wrong_profile():
-    from zwords.words import DominationProfile
     w = make_word({1: 1}, DominationProfile("const", 2))
     with pytest.raises(RationalCodecError):
         evaluate(w)
@@ -38,6 +40,67 @@ def test_evaluate_wrong_profile():
 def test_variable_digits_are_zero():
     w = make_word({-1: VARIABLE, 1: 1})
     assert evaluate(w) == 1
+
+
+def test_evaluate_matches_direct_sum_on_brute_words():
+    for entries, value in brute_digit_words(4):
+        if entries:
+            assert evaluate(make_word(entries)) == reference_value(entries) == value
+
+
+def test_evaluate_matches_direct_sum_on_random_words():
+    rng = random.Random(4401)
+    for _ in range(300):
+        span = rng.randint(1, 80)
+        dom = rng.sample([p for p in range(-span, span + 1) if p],
+                         rng.randint(1, min(2 * span, 60)))
+        letters = {}
+        for p in dom:
+            if rng.random() < 0.2:
+                letters[p] = VARIABLE
+            else:
+                d = rng.randint(1, abs(p))
+                letters[p] = d if p > 0 else -d
+        w = make_word(letters)
+        assert evaluate(w) == reference_value(w.entries)
+
+
+def _incremental_top(den):
+    """The search for the top fractional position that the Kempner
+    bound replaced: grow (top+1)! mod den until den divides it."""
+    top, fact = 1, 2 % den
+    while fact:
+        top += 1
+        fact = fact * (top + 1) % den
+        if top > 10 ** 4:
+            return None
+    return top
+
+
+def test_kempner_top_matches_incremental_search():
+    for den in (*range(2, 3001), 9973, 10001, 2 ** 200, 3 ** 50 * 7):
+        assert _incremental_top(den) == max(_kempner(den), 2) - 1, den
+    assert _kempner(10007) is None and _incremental_top(10007) is None
+
+
+def test_codec_denominator_cap():
+    assert KEMPNER_CAP == 10001
+    q = Fraction(1, 9973)
+    assert decode(encode(q)) == q
+    # the factorization stops at the cap, so (10^9+7)(10^9+9) costs no
+    # trial division up to its square root
+    for den in (10007, 2 * 10007, 10 ** 12 + 39, (10 ** 9 + 7) * (10 ** 9 + 9)):
+        with pytest.raises(RationalCodecError, match="^denominator %d too large$" % den):
+            encode(Fraction(1, den))
+
+
+def test_decode_rejects_variable_words():
+    w = make_word({-1: VARIABLE, 1: VARIABLE})
+    assert evaluate(w) == 0
+    with pytest.raises(RationalCodecError, match="variable"):
+        decode(w)
+    with pytest.raises(RationalCodecError):
+        decode(make_word({-2: -1, 1: VARIABLE}))
 
 
 def test_encode_examples():
@@ -99,7 +162,6 @@ def test_uniqueness_by_brute_force():
 
 
 def test_integer_part_candidate_is_unique():
-    from zwords.rationals import _fractional_digits
     for num in range(-60, 61):
         for den in (1, 2, 3, 5, 8, 24):
             q = Fraction(num, den)
@@ -155,9 +217,9 @@ def test_q_xi_member():
         q_xi_member([outer, inner], from_int(2))
 
 
-def pattern_words(n_triples=4):
+def pattern_words(n_triples=4, profile=ABS):
     return [make_word({-(2 * s): VARIABLE, -(2 * s - 1): -1, 2 * s - 1: 1,
-                       2 * s: VARIABLE})
+                       2 * s: VARIABLE}, profile)
             for s in range(1, 3 * n_triples + 1)]
 
 
@@ -200,6 +262,10 @@ def test_pattern_bounds():
         rational_pattern(ws, 2, 3, 1)
     with pytest.raises(RationalCodecError):
         rational_pattern(ws[:3], 2, 1, 1)
+    # under k = 1 the middle word's variable at -10 would clamp i = 2
+    ws = pattern_words(profile=DominationProfile("const", 1))
+    with pytest.raises(RationalCodecError, match="^index 2 clamps at position -10$"):
+        rational_pattern(ws, 2, 2, 1)
 
 
 def test_rational_text():

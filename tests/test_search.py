@@ -26,7 +26,7 @@ from zwords.search import (
     z_fin_set_less,
 )
 from zwords.search import _witness_candidates
-from zwords.words import VARIABLE, format_word, make_word
+from zwords.words import VARIABLE, DominationProfile, format_word, make_word
 
 
 class DomainParity(Coloring):
@@ -267,6 +267,12 @@ def test_semigroup_pattern_bounds():
         semigroup_pattern(ws, INT_LINEAR, 1, 2, 1)  # above k_1
     with pytest.raises(SearchError):
         semigroup_pattern(ws[:3], INT_LINEAR, 1, 0, 0)
+    # k_{+-1} = 3 admits i = 2, which the variable at 2 (k_2 = 1) would clamp
+    table = DominationProfile("table", table=tuple((p, 3 if abs(p) == 1 else 1)
+                                                   for p in range(-4, 5) if p))
+    ws = [make_word({-s: VARIABLE, s: VARIABLE}, table) for s in range(1, 5)]
+    with pytest.raises(SearchError, match="^index 2 clamps at position 2$"):
+        semigroup_pattern(ws, INT_LINEAR, 1, 2, 1)
 
 
 def test_cor_5_4_instantiation():

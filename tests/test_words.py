@@ -11,6 +11,7 @@ from zwords.words import (
     bound_pair_index,
     concat,
     extracted_sets,
+    first_clamp,
     format_profile,
     format_word,
     h_map,
@@ -145,6 +146,15 @@ def test_substitute():
         substitute(w, 1, 0)
     with pytest.raises(WordError):
         substitute(w, 0, 3)
+
+
+def test_first_clamp():
+    w = make_word({-3: VARIABLE, -1: -1, 2: VARIABLE, 5: VARIABLE})
+    assert first_clamp(w, 2, 3) is None
+    assert first_clamp(w, 3, 3) == (3, 2)
+    assert first_clamp(w, 2, 4) == (4, -3)
+    assert first_clamp(w, 6, 4) == (4, -3)
+    assert first_clamp(make_word({-1: -1, 1: 1}), 9, 9) is None
 
 
 def test_substitute_nat():
