@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from . import families, rationals, schreier, search, words
@@ -353,17 +354,31 @@ _STICKY_FLAGS = {"--word", "--a", "--b", "--tuple", "--set", "--values",
                  "--xs", "--zs", "--family", "--pool", "--coloring", "--lambda"}
 
 
+# a bare negative rational such as -3/7, which argparse would read as an
+# option; in the `rat encode` value slot it is moved behind "--"
+_NEGATIVE_VALUE = re.compile(r"-[0-9.]")
+
+
 def _merge_flag_values(argv: list[str]) -> list[str]:
     out = []
+    values = []
+    positionals = []
     i = 0
     while i < len(argv):
-        if argv[i] in _STICKY_FLAGS and i + 1 < len(argv):
-            out.append(argv[i] + "=" + argv[i + 1])
+        arg = argv[i]
+        if arg in _STICKY_FLAGS and i + 1 < len(argv):
+            out.append(arg + "=" + argv[i + 1])
             i += 2
+            continue
+        if (positionals == ["rat", "encode"] and "--" not in out
+                and _NEGATIVE_VALUE.match(arg)):
+            values.append(arg)
         else:
-            out.append(argv[i])
-            i += 1
-    return out
+            out.append(arg)
+            if not arg.startswith("-"):
+                positionals.append(arg)
+        i += 1
+    return out + ["--"] + values if values else out
 
 
 _parser: argparse.ArgumentParser | None = None

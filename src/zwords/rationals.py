@@ -10,8 +10,8 @@ Every nonzero rational has exactly one such digit expansion with
 0 <= q_{-s} <= s and 0 <= q_r <= r, which makes the evaluation map a
 bijection onto the nonzero rationals.  Encoding works purely in exact
 arithmetic: integer digits by alternating mixed-radix division, the
-integer/fraction split by validating the two nearby integer candidates,
-fractional digits by mixed-radix extraction from the top position down.
+integer/fraction split by an exact comparison of the fractional part with
+1/e, fractional digits by mixed-radix extraction from the top position down.
 """
 
 from __future__ import annotations
@@ -159,21 +159,47 @@ def _fractional_digits(x: Fraction) -> tuple[int, ...] | None:
     return tuple(digits)
 
 
+def _below_inv_e(x: Fraction) -> bool:
+    """Whether x < 1/e, for 0 <= x < 1, in exact arithmetic.
+
+    For even n, n!/e = u + r with u = sum_{k<=n} (-1)^k n!/k! an integer
+    and -1/(n+1) < r < 0.  With d = num*n! - den*u, x < 1/e iff d < den*r:
+    false when d >= 0, true when d*(n+1) <= -den.  Once den divides n!, d
+    is a multiple of den and one of the two holds, so n >= S(den) decides;
+    n doubles to past KEMPNER_CAP, and a denominator still undecided
+    there is over the cap."""
+    num, den = x.numerator, x.denominator
+    n = 16
+    while True:
+        u = fact = 1
+        for k in range(1, n + 1):
+            u = u * k + (1 if k % 2 == 0 else -1)
+            fact *= k
+        d = num * fact - den * u
+        if d >= 0:
+            return False
+        if d * (n + 1) <= -den:
+            return True
+        if n > KEMPNER_CAP:
+            raise RationalCodecError("denominator %d too large" % den)
+        n *= 2
+
+
 def encode(q: Fraction | int) -> LocatedWord:
     """The unique word with evaluate(encode(q)) == q; zero digits are
-    dropped from the domain, so q = 0 has no word."""
+    dropped from the domain, so q = 0 has no word.
+
+    A finite expansion's fractional part lies strictly between 1/e - 1
+    and 1/e, so exactly one of floor(q) and floor(q) + 1 can be its
+    integer part, and only that one is expanded."""
     q = Fraction(q)
     if q == 0:
         raise RationalCodecError("0 is outside the codec range")
     base = floor(q)
-    solutions = []
-    for whole in (base, base + 1):
-        frac_digits = _fractional_digits(q - whole)
-        if frac_digits is not None:
-            solutions.append((whole, frac_digits))
-    if len(solutions) != 1:
+    whole = base if _below_inv_e(q - base) else base + 1
+    frac_digits = _fractional_digits(q - whole)
+    if frac_digits is None:
         raise RationalCodecError("expansion of %s is not unique" % q)
-    whole, frac_digits = solutions[0]
     entries = []
     for s, d in enumerate(frac_digits, 1):
         if d:

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import chain, combinations, product
+from math import prod
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .ordinals import Ordinal
@@ -197,36 +199,70 @@ def _annuli(dom: Sequence[int], m: int) -> Iterator[list[tuple[int, ...]]]:
                 yield rest + [outer]
 
 
-def _core_variable_words(dom: Sequence[int], profile: DominationProfile) -> Iterator[LocatedWord]:
-    """All two-sided variable words on the given domain: the variable
-    occurs on both sides, other letters range over their bounds."""
-    options = [_letter_options(p, profile, True) for p in dom]
-    for letters in product(*options):
-        if not any(l == VARIABLE for p, l in zip(dom, letters) if p < 0):
+def _core_variable_words(dom: Sequence[int], profile: DominationProfile) -> Iterator[tuple[str, LocatedWord]]:
+    """All two-sided variable words on the given domain, each with its
+    serialization: the variable occurs on both sides, other letters
+    range over their bounds."""
+    sides = []
+    for side in (-1, 1):
+        options = [[(p, l) for l in _letter_options(p, profile, True)]
+                   for p in dom if p * side > 0]
+        sides.append([(format_word(LocatedWord(entries, profile)), entries)
+                      for entries in product(*options)
+                      if any(l == VARIABLE for _, l in entries)])
+    for (neg_text, neg), (pos_text, pos) in product(*sides):
+        yield neg_text + "," + pos_text, LocatedWord(neg + pos, profile)
+
+
+def _core_count(dom: Sequence[int], profile: DominationProfile) -> int:
+    """The number of words _core_variable_words yields on dom: on each
+    side, every letter choice with the variable minus those without it."""
+    count = 1
+    for side in (-1, 1):
+        bounds = [profile.bound(p) for p in dom if p * side > 0]
+        count *= prod(k + 1 for k in bounds) - prod(bounds)
+    return count
+
+
+def _candidate_plan(m: int, total: int, window: SearchWindow) -> tuple[int, list[list]]:
+    """Count the candidates of _witness_candidates in closed form and
+    group their annulus splits by shell, the outermost |position|,
+    innermost shell first.  Raises SearchCapExceeded, with the count at
+    which materializing them would stop, before any word is built."""
+    count = 0
+    shells: dict[int, list] = {}
+    for dom in combinations(window.positions(), total):
+        if not (dom[0] < 0 < dom[-1]):
             continue
-        if not any(l == VARIABLE for p, l in zip(dom, letters) if p > 0):
-            continue
-        yield make_word(tuple(zip(dom, letters)), profile)
+        for layers in _annuli(dom, m):
+            count += prod(_core_count(layer, window.profile) for layer in layers)
+            if count > window.max_candidates:
+                over = window.max_candidates + 1
+                raise SearchCapExceeded(
+                    "witness candidates exceed cap after %d tuples" % over, over)
+            shells.setdefault(max(-dom[0], dom[-1]), []).append(layers)
+    return count, [shells[s] for s in sorted(shells)]
+
+
+def _stream_candidates(plan: list[list], profile: DominationProfile) -> Iterator[tuple[LocatedWord, ...]]:
+    """The tuples of a candidate plan in canonical order, built and
+    sorted by serialization one shell at a time."""
+    for splits in plan:
+        batch = []
+        for layers in splits:
+            pools = [list(_core_variable_words(layer, profile)) for layer in layers]
+            for combo in product(*pools):
+                batch.append((";".join(text for text, _ in combo),
+                              tuple(w for _, w in combo)))
+        batch.sort(key=itemgetter(0))
+        for _, ws in batch:
+            yield ws
 
 
 def _witness_candidates(m: int, total: int, window: SearchWindow) -> list[tuple[LocatedWord, ...]]:
     """All <R1-increasing m-tuples of two-sided variable words with total
     domain size `total` inside the window, canonically ordered."""
-    out = []
-    for dom in combinations(window.positions(), total):
-        if not (dom[0] < 0 < dom[-1]):
-            continue
-        for layers in _annuli(dom, m):
-            pools = [list(_core_variable_words(layer, window.profile)) for layer in layers]
-            for ws in product(*pools):
-                out.append(ws)
-                if len(out) > window.max_candidates:
-                    raise SearchCapExceeded(
-                        "witness candidates exceed cap after %d tuples" % len(out),
-                        len(out))
-    key = lambda ws: (max(abs(p) for w in ws for p in w.dom),
-                      ";".join(format_word(w) for w in ws))
-    return sorted(out, key=key)
+    return list(_stream_candidates(_candidate_plan(m, total, window)[1], window.profile))
 
 
 @dataclass
@@ -254,10 +290,10 @@ def hj_witness_search(coloring: Coloring, m: int, bounds: Sequence[int], n: int,
     if n < 1:
         raise SearchError("total length must be >= 1")
     start = time.perf_counter()
-    candidates = _witness_candidates(m, n, window)
+    count, plan = _candidate_plan(m, n, window)
     grid = _substitution_grid(bounds, window.profile)
     nodes = 0
-    for ws in candidates:
+    for ws in _stream_candidates(plan, window.profile):
         nodes += 1
         seen = set()
         for pairs in grid:
@@ -266,10 +302,10 @@ def hj_witness_search(coloring: Coloring, m: int, bounds: Sequence[int], n: int,
             if len(seen) > 1:
                 break
         if len(seen) == 1:
-            return SearchReport(ws, seen.pop(), len(grid), nodes, len(candidates),
+            return SearchReport(ws, seen.pop(), len(grid), nodes, count,
                                 (time.perf_counter() - start) * 1000.0,
                                 vacuous=not grid)
-    return SearchReport(None, None, len(grid), nodes, len(candidates),
+    return SearchReport(None, None, len(grid), nodes, count,
                         (time.perf_counter() - start) * 1000.0)
 
 
@@ -311,9 +347,9 @@ def _xi_slices(ws: Sequence[LocatedWord], xi: Ordinal, total: int,
                profile: DominationProfile) -> list[tuple[LocatedWord, ...]]:
     """All increasing tuples of extracted constants of ws whose anchor
     set lies in A_xi and whose domain sizes sum to `total`."""
-    from .words import extracted_sets, make_tuple
+    from .words import extracted_constants, make_tuple
 
-    constants = sorted(extracted_sets(make_tuple(ws)).constants, key=word_sort_key)
+    constants = sorted(extracted_constants(make_tuple(ws)), key=word_sort_key)
     out = []
 
     def grow(prefix: tuple[LocatedWord, ...], size: int) -> None:
@@ -341,27 +377,26 @@ def xi_witness_search(coloring: Coloring, xi: Ordinal, l: int, n0: int,
     if l < 1:
         raise SearchError("tuple length must be >= 1")
     start = time.perf_counter()
-    candidates: list[tuple[LocatedWord, ...]] = []
-    for total in range(2 * l, 2 * window.radius + 1):
-        candidates.extend(_witness_candidates(l, total, window))
+    plans = [_candidate_plan(l, total, window) for total in range(2 * l, 2 * window.radius + 1)]
+    count = sum(c for c, _ in plans)
     nodes = 0
     best_vacuous = None
-    for ws in candidates:
+    for ws in chain.from_iterable(_stream_candidates(plan, window.profile) for _, plan in plans):
         nodes += 1
         slices = _xi_slices(ws, xi, n0, window.profile)
         if not slices:
             if best_vacuous is None:
-                best_vacuous = SearchReport(ws, None, 0, nodes, len(candidates), 0.0,
+                best_vacuous = SearchReport(ws, None, 0, nodes, count, 0.0,
                                             vacuous=True)
             continue
         colors = {coloring.color_tuple(s) for s in slices}
         if len(colors) == 1:
-            return SearchReport(ws, colors.pop(), len(slices), nodes, len(candidates),
+            return SearchReport(ws, colors.pop(), len(slices), nodes, count,
                                 (time.perf_counter() - start) * 1000.0)
     if allow_vacuous and best_vacuous is not None:
         best_vacuous.elapsed_ms = (time.perf_counter() - start) * 1000.0
         return best_vacuous
-    return SearchReport(None, None, 0, nodes, len(candidates),
+    return SearchReport(None, None, 0, nodes, count,
                         (time.perf_counter() - start) * 1000.0)
 
 

@@ -12,7 +12,6 @@ layers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 VARIABLE = 0
@@ -348,18 +347,13 @@ def _grid(profile: DominationProfile, index: int) -> list[tuple[int, int]]:
     return [(p, q) for p in range(1, kp + 1) for q in range(1, kq + 1)]
 
 
-def extracted_sets(bw: OrderlyTuple, indices: Sequence[int] | None = None) -> ExtractedSets:
-    """All star products of substituted members over nonempty
-    subtuples.  Constants use the full substitution grids; variables
-    additionally allow (0,0), at least once.
-
-    The grid at member i is bounded by k at ``indices[i]`` (1-based tuple
-    positions by default; pass explicit indices for sequence prefixes).
-    """
+def _constant_images(bw: OrderlyTuple, indices: Sequence[int] | None) -> list[list[LocatedWord]]:
+    """Check that bw can be extracted from and list, per member, its
+    distinct substitution images over the grid at its index."""
     if bw.mode != "zstar":
         raise WordError("extraction needs a two-sided tuple")
     if len(bw) == 0:
-        return ExtractedSets(frozenset(), frozenset())
+        return []
     if any(not w.is_variable_word for w in bw):
         raise WordError("extraction needs variable words")
     profile = bw[0].profile
@@ -370,19 +364,44 @@ def extracted_sets(bw: OrderlyTuple, indices: Sequence[int] | None = None) -> Ex
     indices = tuple(indices)
     if len(indices) != len(bw):
         raise WordError("need one grid index per member")
-    constants = set()
-    variables = set()
-    for size in range(1, len(bw) + 1):
-        for subset in combinations(range(len(bw)), size):
-            options = [[(0, 0)] + _grid(profile, indices[i]) for i in subset]
-            for pairs in product(*options):
-                word = concat_all([substitute(bw[i], *pq)
-                                   for i, pq in zip(subset, pairs)])
-                if any(pq == (0, 0) for pq in pairs):
-                    variables.add(word)
-                else:
-                    constants.add(word)
-    return ExtractedSets(frozenset(constants), frozenset(variables))
+    return [list(dict.fromkeys(substitute(w, p, q) for p, q in _grid(profile, index)))
+            for w, index in zip(bw, indices)]
+
+
+def _star_products(options: Sequence[Sequence[LocatedWord]]) -> set[LocatedWord]:
+    """All star products taking one word of options[i] for each i of a
+    nonempty subtuple; each product extends a shorter one by one word."""
+    out = set()
+
+    def grow(start: int, prefix: LocatedWord | None) -> None:
+        for i in range(start, len(options)):
+            for w in options[i]:
+                word = w if prefix is None else concat(prefix, w)
+                out.add(word)
+                grow(i + 1, word)
+
+    grow(0, None)
+    return out
+
+
+def extracted_sets(bw: OrderlyTuple, indices: Sequence[int] | None = None) -> ExtractedSets:
+    """All star products of substituted members over nonempty
+    subtuples.  Constants use the full substitution grids; variables
+    additionally allow (0,0), at least once.
+
+    The grid at member i is bounded by k at ``indices[i]`` (1-based tuple
+    positions by default; pass explicit indices for sequence prefixes).
+    """
+    images = _constant_images(bw, indices)
+    products = _star_products([[w] + ws for w, ws in zip(bw, images)])
+    variables = frozenset(w for w in products if w.is_variable_word)
+    return ExtractedSets(frozenset(products - variables), variables)
+
+
+def extracted_constants(bw: OrderlyTuple, indices: Sequence[int] | None = None) -> frozenset[LocatedWord]:
+    """The constants of extracted_sets(bw, indices), built without the
+    variables."""
+    return frozenset(_star_products(_constant_images(bw, indices)))
 
 
 def is_extraction(u: OrderlyTuple, w: OrderlyTuple) -> bool:

@@ -20,6 +20,7 @@ from zwords.ordinals import (
     omega_power,
     successor_pred,
 )
+from zwords.words import VARIABLE, LocatedWord, format_word, make_word
 
 
 def compositions(seq: tuple[int, ...], parts: int):
@@ -142,3 +143,73 @@ def powerset(universe):
     items = tuple(universe)
     for size in range(len(items) + 1):
         yield from combinations(items, size)
+
+
+def _letters(pos, profile):
+    k = profile.bound(pos)
+    return [VARIABLE] + (list(range(1, k + 1)) if pos > 0 else list(range(-k, 0)))
+
+
+def _surrounds(inner, outer):
+    """dom(outer) has positions strictly below and strictly above the
+    span of inner, and none inside it."""
+    return (any(p < inner[0] for p in outer) and any(p > inner[-1] for p in outer)
+            and not any(inner[0] <= p <= inner[-1] for p in outer))
+
+
+def reference_candidates(m, total, window):
+    """Every m-tuple of two-sided variable words, each surrounding the one
+    before, with `total` positions in all inside the window, sorted by
+    (outermost |position|, serialization).  Each chosen set of positions
+    is dealt out to the m words in every way; each word takes every letter
+    choice with the variable on both sides."""
+    profile = window.profile
+    positions = [p for p in range(-window.radius, window.radius + 1) if p]
+    out = []
+    for used in combinations(positions, total):
+        for owner in product(range(1, m + 1), repeat=total):
+            doms = [[p for p, o in zip(used, owner) if o == i] for i in range(1, m + 1)]
+            if not all(d and d[0] < 0 < d[-1] for d in doms):
+                continue
+            if not all(_surrounds(a, b) for a, b in zip(doms, doms[1:])):
+                continue
+            shell = max(-used[0], used[-1])
+            pools = []
+            for dom in doms:
+                pool = []
+                for letters in product(*[_letters(p, profile) for p in dom]):
+                    sides = {p > 0 for p, l in zip(dom, letters) if l == VARIABLE}
+                    if sides == {False, True}:
+                        w = LocatedWord(tuple(zip(dom, letters)), profile)
+                        pool.append((format_word(w), w))
+                pools.append(pool)
+            for combo in product(*pools):
+                out.append(((shell, ";".join(text for text, _ in combo)),
+                            tuple(w for _, w in combo)))
+    return [ws for _, ws in sorted(out, key=lambda item: item[0])]
+
+def reference_extracted(ws):
+    """The extracted words of an increasing tuple by definition: for every
+    nonempty subset of members and every choice of one pair per member,
+    (0,0) or (p,q) in its grid at its 1-based index, the union of the
+    substituted members.  Returns (constants, variables)."""
+    profile = ws[0].profile
+    constants, variables = set(), set()
+    for size in range(1, len(ws) + 1):
+        for subset in combinations(range(len(ws)), size):
+            grids = []
+            for i in subset:
+                kp, kq = profile.bound(i + 1), profile.bound(-(i + 1))
+                grids.append([(0, 0)] + [(p, q) for p in range(1, kp + 1)
+                                         for q in range(1, kq + 1)])
+            for pairs in product(*grids):
+                entries = {}
+                for i, (p, q) in zip(subset, pairs):
+                    for pos, letter in ws[i].entries:
+                        if letter == VARIABLE and (p, q) != (0, 0):
+                            k = profile.bound(pos)
+                            letter = min(p, k) if pos > 0 else -min(q, k)
+                        entries[pos] = letter
+                word = make_word(entries, profile)
+                (variables if (0, 0) in pairs else constants).add(word)
+    return frozenset(constants), frozenset(variables)

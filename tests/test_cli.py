@@ -21,6 +21,26 @@ def test_rat_encode(capsys):
     assert code == 0 and out == "2:2,3:1\n"
 
 
+def test_rat_encode_bare_negative_value(capsys):
+    for value in ("-3/7", "-2", "-0.5"):
+        behind_dashes = run(capsys, "rat", "encode", "--", value)
+        assert behind_dashes[0] == 0 and behind_dashes[1]
+        assert run(capsys, "rat", "encode", value) == behind_dashes
+        assert run(capsys, "--json", "rat", "encode", value) \
+            == run(capsys, "--json", "rat", "encode", "--", value)
+    assert run(capsys, "rat", "encode", "-3/7")[1] == "-6:-3,-5:-3,-4:-4,-3:-3,-2:-1,-1:-1\n"
+    # flags stay flags: help, unknown options and a second value
+    code, out, _ = run(capsys, "rat", "encode", "-h")
+    assert code == 0 and out.startswith("usage:")
+    for argv in (("rat", "encode", "-x"), ("rat", "encode", "--bogus", "1"),
+                 ("rat", "encode", "-3/7", "-1/2"), ("rat", "encode", "1", "-3/7")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and "usage:" in err
+    # elsewhere a negative number after a flag stays that flag's value
+    code, _, err = run(capsys, "word", "subst", "--p", "-1", "--q", "1", "--word", "-1:v,1:v")
+    assert code == 1 and err.startswith("error: substitution pair")
+
+
 def test_rat_decode_and_json(capsys):
     code, out, _ = run(capsys, "--json", "rat", "decode", "--word", "2:2,3:1")
     assert code == 0 and json.loads(out) == {"value": "2"}

@@ -8,6 +8,7 @@ from zwords.ordinals import OMEGA, ONE, from_int
 from zwords.rationals import (
     KEMPNER_CAP,
     RationalCodecError,
+    _below_inv_e,
     _fractional_digits,
     _kempner,
     decode,
@@ -161,17 +162,27 @@ def test_uniqueness_by_brute_force():
             assert encode(value).entries == next(iter(reps))
 
 
+def _inv_e_approximants(count):
+    """The partial sums u/n! of sum (-1)^k/k!, which bracket 1/e ever
+    more tightly, with their neighbours (u -+ 1)/n!."""
+    u = fact = 1
+    for n in range(1, count + 1):
+        u, fact = u * n + (1 if n % 2 == 0 else -1), fact * n
+        yield from (Fraction(u + d, fact) for d in (-1, 0, 1))
+
+
 def test_integer_part_candidate_is_unique():
-    for num in range(-60, 61):
-        for den in (1, 2, 3, 5, 8, 24):
-            q = Fraction(num, den)
-            if q == 0:
-                continue
-            base = q.numerator // q.denominator
-            valid = [whole for whole in range(base - 1, base + 3)
-                     if _fractional_digits(q - whole) is not None]
-            assert len(valid) == 1
-            assert valid[0] in (base, base + 1)
+    near = [x + whole for x in _inv_e_approximants(40) if 0 <= x < 1 for whole in (-2, 0, 3)]
+    grid = [Fraction(num, den) for num in range(-60, 61) for den in (1, 2, 3, 5, 8, 24)]
+    for q in grid + near:
+        if q == 0:
+            continue
+        base = q.numerator // q.denominator
+        valid = [whole for whole in range(base - 1, base + 3)
+                 if _fractional_digits(q - whole) is not None]
+        assert len(valid) == 1
+        # encode expands only the candidate the 1/e comparison picks
+        assert valid[0] == (base if _below_inv_e(q - base) else base + 1), q
 
 
 def test_additivity_on_separated_pairs():

@@ -25,8 +25,10 @@ from zwords.search import (
     xi_witness_search,
     z_fin_set_less,
 )
-from zwords.search import _witness_candidates
-from zwords.words import VARIABLE, DominationProfile, format_word, make_word
+from zwords.search import _candidate_plan, _witness_candidates
+from zwords.words import VARIABLE, DominationProfile, format_word, make_word, parse_profile
+
+from _oracles import reference_candidates
 
 
 class DomainParity(Coloring):
@@ -100,8 +102,8 @@ def test_hj_trivial_single_color():
     coloring = Coloring(arity=1, seed=1)
     rep = hj_witness_search(coloring, 1, [1], 2, SearchWindow(2))
     assert rep.found and rep.color == 0
-    assert rep.witness == _witness_candidates(1, 2, SearchWindow(2))[0:len(rep.witness)] or True
     assert rep.nodes_expanded == 1
+    assert rep.witness == _witness_candidates(1, 2, SearchWindow(2))[0]
     assert verify_witness(rep.witness, coloring, [1]).monochromatic
 
 
@@ -147,8 +149,56 @@ def test_hj_pair_witness():
 
 def test_hj_cap():
     tiny = SearchWindow(4, max_candidates=5)
-    with pytest.raises(SearchCapExceeded):
+    with pytest.raises(SearchCapExceeded) as exc:
         hj_witness_search(Coloring(arity=1, seed=0), 1, [1], 4, tiny)
+    # the count jumps past the cap; the error names the sixth tuple, where
+    # building the candidates one by one would stop
+    assert str(exc.value) == "witness candidates exceed cap after 6 tuples"
+    assert exc.value.candidates == 6
+
+
+def test_candidate_stream_and_count_match_reference():
+    # every (profile, radius <= 4, m <= 3, total) cell, except the three
+    # largest totals of abs+1 at radius 4 with m = 1 (206,224 of the 373,077
+    # tuples), which would add about 4.5 s
+    for text in ("abs", "abs+1", "const:1"):
+        for radius in (1, 2, 3, 4):
+            window = SearchWindow(radius, parse_profile(text))
+            for m in (1, 2, 3):
+                for total in range(1, 2 * radius + 1):
+                    if (text, radius, m) == ("abs+1", 4, 1) and total > 5:
+                        continue
+                    reference = reference_candidates(m, total, window)
+                    assert _witness_candidates(m, total, window) == reference
+                    assert _candidate_plan(m, total, window)[0] == len(reference)
+
+
+def test_cap_boundary():
+    for m, n, radius in ((1, 2, 2), (1, 4, 3), (2, 5, 3)):
+        count = len(reference_candidates(m, n, SearchWindow(radius)))
+        rep = hj_witness_search(Coloring(arity=2, seed=3), m, [1] * m, n,
+                                SearchWindow(radius, max_candidates=count))
+        assert rep.candidates == count
+        with pytest.raises(SearchCapExceeded) as exc:
+            hj_witness_search(Coloring(arity=2, seed=3), m, [1] * m, n,
+                              SearchWindow(radius, max_candidates=count - 1))
+        assert str(exc.value) == "witness candidates exceed cap after %d tuples" % count
+        assert exc.value.candidates == count
+
+
+def test_xi_cap_on_a_later_total_raises_before_any_candidate():
+    # one color: the first candidate is a witness, yet the largest total
+    # is over the cap, and every total is counted before the scan
+    counts = [len(reference_candidates(1, total, SearchWindow(3))) for total in range(2, 7)]
+    cap = max(counts)
+    assert counts[0] < cap
+    with pytest.raises(SearchCapExceeded) as exc:
+        xi_witness_search(Coloring(arity=1, seed=0), ONE, 1, 2,
+                          SearchWindow(3, max_candidates=cap - 1))
+    assert exc.value.candidates == cap
+    rep = xi_witness_search(Coloring(arity=1, seed=0), ONE, 1, 2,
+                            SearchWindow(3, max_candidates=cap))
+    assert rep.found and rep.nodes_expanded == 1 and rep.candidates == sum(counts)
 
 
 def test_verify_vacuous_flag():
