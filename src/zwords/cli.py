@@ -402,10 +402,8 @@ def main(argv: list[str] | None = None) -> int:
         print("error: %s" % exc, file=sys.stderr)
         return 1
     except RecursionError:
-        # only the Schreier recursion descends along the ordinal; elsewhere
-        # it is a bug and keeps its traceback
-        if args.command != "schreier":
-            raise
+        # ordinal parsing, comparison and the Schreier parse recurse once
+        # per nesting level of the ordinal
         print("error: ordinal descent exceeds the recursion limit", file=sys.stderr)
         return 1
     return 0

@@ -1,11 +1,10 @@
 """Families of orderly word tuples: Schreier-indexed slices, tree and
 hereditary closures, and strong Cantor-Bendixson indices at finite scale.
 
-A family is stored as a trie over canonically serialized tuples, which
-makes initial-segment queries and thinness checks direct.  "Contains an
-infinite orderly sequence" is approximated by a chain-length threshold
-tau; all derivative results are relative to a finite pool of variable
-words (typically the extracted-variable set of a base tuple).
+A family is a frozenset of tuples.  "Contains an infinite orderly
+sequence" is approximated by a chain-length threshold tau; all derivative
+results are relative to a finite pool of variable words (typically the
+extracted-variable set of a base tuple).
 """
 
 from __future__ import annotations
@@ -16,6 +15,7 @@ from typing import Iterable, Iterator
 from .ordinals import Ordinal
 from .schreier import is_member
 from .words import (
+    ABS,
     EMPTY_TUPLE,
     LocatedWord,
     OrderlyTuple,
@@ -38,7 +38,6 @@ def serialize_tuple(bw: OrderlyTuple) -> str:
 
 
 def parse_tuple(text: str, profile=None) -> OrderlyTuple:
-    from .words import ABS
     profile = ABS if profile is None else profile
     text = text.strip()
     if not text:
@@ -50,14 +49,6 @@ def tuple_sort_key(bw: OrderlyTuple) -> tuple:
     return (len(bw), tuple(word_sort_key(w) for w in bw))
 
 
-class _TrieNode:
-    __slots__ = ("children", "member")
-
-    def __init__(self) -> None:
-        self.children: dict[str, _TrieNode] = {}
-        self.member = False
-
-
 class WordFamily:
     """An immutable family of orderly tuples of variable words."""
 
@@ -66,13 +57,6 @@ class WordFamily:
         for bw in self._members:
             if not isinstance(bw, OrderlyTuple) or bw.mode != "zstar":
                 raise FamilyError("family members must be two-sided orderly tuples")
-        self._root = _TrieNode()
-        for bw in self._members:
-            node = self._root
-            for w in bw:
-                key = format_word(w)
-                node = node.children.setdefault(key, _TrieNode())
-            node.member = True
 
     @property
     def members(self) -> frozenset[OrderlyTuple]:
@@ -96,42 +80,11 @@ class WordFamily:
     def sorted_members(self) -> list[OrderlyTuple]:
         return sorted(self._members, key=tuple_sort_key)
 
-    def _node(self, bw: OrderlyTuple) -> _TrieNode | None:
-        node = self._root
-        for w in bw:
-            node = node.children.get(format_word(w))
-            if node is None:
-                return None
-        return node
-
-    def has_member_extending(self, bw: OrderlyTuple) -> bool:
-        """True iff some member has bw as an initial segment."""
-        node = self._node(bw)
-        if node is None:
-            return False
-        stack = [node]
-        while stack:
-            n = stack.pop()
-            if n.member:
-                return True
-            stack.extend(n.children.values())
-        return False
-
-    def has_proper_extension(self, bw: OrderlyTuple) -> bool:
-        node = self._node(bw)
-        if node is None:
-            return False
-        stack = list(node.children.values())
-        while stack:
-            n = stack.pop()
-            if n.member:
-                return True
-            stack.extend(n.children.values())
-        return False
-
     @property
     def is_thin(self) -> bool:
-        return not any(self.has_proper_extension(bw) for bw in self._members)
+        """No member is a proper initial segment of another."""
+        prefixes = {bw.words[:cut] for bw in self._members for cut in range(len(bw))}
+        return not any(bw.words in prefixes for bw in self._members)
 
     @property
     def is_tree(self) -> bool:
@@ -163,11 +116,8 @@ def l_xi_member(bw: OrderlyTuple, xi: Ordinal, side: str = "positive") -> bool:
 
 def tree_closure(family: WordFamily) -> WordFamily:
     """Close under initial segments (the empty tuple included)."""
-    closed = {EMPTY_TUPLE}
-    for bw in family.members:
-        for cut in range(1, len(bw) + 1):
-            closed.add(make_tuple(bw.words[:cut]))
-    return WordFamily(closed)
+    return WordFamily({EMPTY_TUPLE} | {make_tuple(bw.words[:cut]) for bw in family.members
+                                       for cut in range(1, len(bw) + 1)})
 
 
 def _extraction_tuples(bw: OrderlyTuple, pool: frozenset[LocatedWord]) -> set[OrderlyTuple]:
@@ -175,19 +125,13 @@ def _extraction_tuples(bw: OrderlyTuple, pool: frozenset[LocatedWord]) -> set[Or
     words of bw, the empty tuple included."""
     if len(bw) == 0:
         return {EMPTY_TUPLE}
-    ev = sorted(extracted_sets(bw).variables & pool, key=word_sort_key)
+    words, _, succ = _r1_table(extracted_sets(bw).variables & pool)
     out = {EMPTY_TUPLE}
-
-    def grow(last: LocatedWord, prefix: tuple[LocatedWord, ...]) -> None:
-        for w in ev:
-            if rel_r1(last, w):
-                ext = prefix + (w,)
-                out.add(OrderlyTuple(ext))
-                grow(w, ext)
-
-    for w in ev:
-        out.add(OrderlyTuple((w,)))
-        grow(w, (w,))
+    stack = [(i,) for i in range(len(words))]
+    while stack:
+        key = stack.pop()
+        out.add(OrderlyTuple(tuple(words[i] for i in key)))
+        stack.extend(key + (j,) for j in succ[key[-1]])
     return out
 
 
@@ -211,96 +155,98 @@ def hereditary_closure(family: WordFamily, pool: Iterable[LocatedWord]) -> WordF
     """Close under pool-relative extraction tuples of members."""
     pool = _as_pool(pool)
     _check_pool(family, pool)
-    closed: set[OrderlyTuple] = {EMPTY_TUPLE}
-    for bw in family.members:
-        closed |= _extraction_tuples(bw, pool)
-    return WordFamily(closed)
+    return WordFamily({EMPTY_TUPLE}.union(*(_extraction_tuples(bw, pool)
+                                            for bw in family.members)))
 
 
 def largest_hereditary(family: WordFamily, pool: Iterable[LocatedWord]) -> WordFamily:
     """The largest hereditary subfamily of family plus the empty tuple."""
     pool = _as_pool(pool)
     _check_pool(family, pool)
-    kept = {EMPTY_TUPLE}
-    for bw in family.members:
-        if _extraction_tuples(bw, pool) <= family.members:
-            kept.add(bw)
-    return WordFamily(kept)
+    return WordFamily({EMPTY_TUPLE} | {bw for bw in family.members
+                                       if _extraction_tuples(bw, pool) <= family.members})
 
 
 def family_at(family: WordFamily, t: LocatedWord) -> WordFamily:
     """F(t): tails of members starting with t; the empty tuple stands in
     for the member (t) itself."""
-    out = set()
-    for bw in family.members:
-        if len(bw) >= 1 and bw[0] == t:
-            out.add(make_tuple(bw.words[1:]))
-    return WordFamily(out)
+    return WordFamily(make_tuple(bw.words[1:]) for bw in family.members
+                      if len(bw) >= 1 and bw[0] == t)
 
 
 def family_minus(family: WordFamily, t: LocatedWord) -> WordFamily:
     """F - t: members beginning strictly beyond t, the empty tuple kept."""
-    out = set()
-    for bw in family.members:
-        if len(bw) == 0 or rel_r1(t, bw[0]):
-            out.add(bw)
-    return WordFamily(out)
+    return WordFamily(bw for bw in family.members if len(bw) == 0 or rel_r1(t, bw[0]))
 
 
-def _longest_chain(ws: list[LocatedWord]) -> int:
-    """Length of the longest rel_r1-increasing chain among ws."""
-    order = sorted(ws, key=word_sort_key)
-    best: dict[int, int] = {}
-
-    def depth(i: int) -> int:
-        if i in best:
-            return best[i]
-        d = 1 + max((depth(j) for j in range(len(order))
-                     if rel_r1(order[i], order[j])), default=0)
-        best[i] = d
-        return d
-
-    return max((depth(i) for i in range(len(order))), default=0)
+def _r1_table(pool: frozenset[LocatedWord]) -> tuple[list, dict, list]:
+    """The pool in order of span width, its index, and each word's R1
+    successors as a list of indices.  R1 strictly widens the span, so
+    every successor comes later in that order."""
+    words = sorted(pool, key=lambda w: (w.dom[-1] - w.dom[0], word_sort_key(w)))
+    succ = [[j for j in range(i + 1, len(words)) if rel_r1(w, words[j])]
+            for i, w in enumerate(words)]
+    return words, {w: i for i, w in enumerate(words)}, succ
 
 
-def cb_derivative(family: WordFamily, pool: Iterable[LocatedWord], tau: int,
-                  _trusted: bool = False) -> WordFamily:
+def _derive(members: frozenset[OrderlyTuple], table: tuple[list, dict, list],
+            tau: int) -> frozenset[OrderlyTuple]:
+    """The members whose blocked pool words hold no R1-chain of length
+    tau.  A pool word t is open at bw when bw followed by t is a member,
+    and blocked otherwise; one reverse pass over the width order gives
+    each blocked word the longest blocked chain it starts."""
+    words, index, succ = table
+    keys = {bw: tuple(index[w] for w in bw) for bw in members}
+    present = set(keys.values())
+    kept = []
+    for bw, key in keys.items():
+        nexts = succ[key[-1]] if key else range(len(words))
+        # words of two profiles make no orderly tuple
+        if key and any(words[t].profile != bw[-1].profile for t in nexts):
+            raise WordError("profile mismatch inside tuple")
+        open_ = {t for t in nexts if key + (t,) in present}
+        depth = [0] * len(words)
+        for i in reversed(range(len(words))):
+            if i not in open_:
+                depth[i] = 1 + max((depth[j] for j in succ[i]), default=0)
+                if depth[i] >= tau:
+                    break
+        else:
+            kept.append(bw)
+    return frozenset(kept)
+
+
+def cb_derivative(family: WordFamily, pool: Iterable[LocatedWord], tau: int) -> WordFamily:
     """Drop every tuple whose non-extending pool words contain a
     rel_r1-chain of length >= tau."""
     if tau < 1:
         raise FamilyError("tau must be >= 1")
     pool = _as_pool(pool)
-    if not _trusted:
-        _check_pool(family, pool)
-        if not family.is_hereditary(pool):
-            raise FamilyError("derivative needs a hereditary family")
-    pool_sorted = sorted(pool, key=word_sort_key)
-    kept = set()
-    for bw in family.members:
-        blocked = []
-        for t in pool_sorted:
-            if len(bw) and not rel_r1(bw[-1], t):
-                blocked.append(t)
-            elif make_tuple(bw.words + (t,)) not in family.members:
-                blocked.append(t)
-        if _longest_chain(blocked) < tau:
-            kept.add(bw)
-    return WordFamily(kept)
+    _check_pool(family, pool)
+    if not family.is_hereditary(pool):
+        raise FamilyError("derivative needs a hereditary family")
+    return WordFamily(_derive(family.members, _r1_table(pool), tau))
 
 
 def cb_index(family: WordFamily, pool: Iterable[LocatedWord], tau: int) -> int:
     """Number of derivative iterations until the family is empty."""
     pool = _as_pool(pool)
     _check_pool(family, pool)
-    if family.members and not family.is_hereditary(pool):
+    members = family.members
+    if not members:
+        return 0
+    if not family.is_hereditary(pool):
         raise FamilyError("index needs a hereditary family")
+    if tau < 1:
+        raise FamilyError("tau must be >= 1")
+    table = _r1_table(pool)
     steps = 0
-    while family.members:
-        derived = cb_derivative(family, pool, tau, _trusted=True)
-        if derived.members == family.members:
+    while members:
+        derived = _derive(members, table, tau)
+        if derived == members:
             raise FamilyError("derivative reached a fixed point; the pool has "
                               "no chain of length %d" % tau)
-        family = derived
+        members = derived
         steps += 1
     return steps
 
@@ -317,11 +263,8 @@ def set_family_cb_index(m: int, n_max: int, tau: int) -> int:
     fam = {frozenset(c) for size in range(m + 1) for c in combinations(ground, size)}
     steps = 0
     while fam:
-        kept = set()
-        for s in fam:
-            blocked = sum(1 for x in ground if x not in s and (s | {x}) not in fam)
-            if blocked < tau:
-                kept.add(s)
+        kept = {s for s in fam
+                if sum(1 for x in ground if x not in s and (s | {x}) not in fam) < tau}
         if kept == fam:
             raise FamilyError("derivative reached a fixed point; tau too large")
         fam = kept
@@ -336,15 +279,8 @@ def set_family_cb_index(m: int, n_max: int, tau: int) -> int:
 
 
 def parse_family(text: str, profile=None) -> WordFamily:
-    members = []
-    for line in text.splitlines():
-        line = line.strip()
-        if line.startswith("#"):
-            continue
-        members.append(parse_tuple(line, profile))
-    if not members:
-        return WordFamily(())
-    return WordFamily(members)
+    lines = (line.strip() for line in text.splitlines())
+    return WordFamily(parse_tuple(line, profile) for line in lines if not line.startswith("#"))
 
 
 def format_family(family: WordFamily) -> str:
@@ -352,12 +288,7 @@ def format_family(family: WordFamily) -> str:
 
 
 def parse_pool(text: str, profile=None) -> frozenset[LocatedWord]:
-    from .words import ABS
     profile = ABS if profile is None else profile
-    words = set()
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        words.add(parse_word(line, profile))
-    return frozenset(words)
+    lines = (line.strip() for line in text.splitlines())
+    return frozenset(parse_word(line, profile) for line in lines
+                     if line and not line.startswith("#"))

@@ -38,6 +38,16 @@ class RationalCodecError(ValueError):
     pass
 
 
+def _too_large(den: int) -> RationalCodecError:
+    """The refusal of a denominator over the cap.  A denominator past
+    Python's limit on int-to-str conversion is named by its bit length."""
+    try:
+        text = str(den)
+    except ValueError:
+        text = "of %d bits" % den.bit_length()
+    return RationalCodecError("denominator %s too large" % text)
+
+
 def _require_abs_profile(w: LocatedWord) -> None:
     if w.profile != ABS:
         raise RationalCodecError("codec words use the profile k_n = |n|")
@@ -142,7 +152,7 @@ def _fractional_digits(x: Fraction) -> tuple[int, ...] | None:
     den = x.denominator
     s_den = _kempner(den)
     if s_den is None:
-        raise RationalCodecError("denominator %d too large" % den)
+        raise _too_large(den)
     top = max(s_den, 2) - 1
     fact = factorial(top + 1)
     m = x.numerator * (fact // den)
@@ -181,7 +191,7 @@ def _below_inv_e(x: Fraction) -> bool:
         if d * (n + 1) <= -den:
             return True
         if n > KEMPNER_CAP:
-            raise RationalCodecError("denominator %d too large" % den)
+            raise _too_large(den)
         n *= 2
 
 

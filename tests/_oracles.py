@@ -20,7 +20,8 @@ from zwords.ordinals import (
     omega_power,
     successor_pred,
 )
-from zwords.words import VARIABLE, LocatedWord, format_word, make_word
+from zwords.families import FamilyError, WordFamily
+from zwords.words import VARIABLE, LocatedWord, format_word, make_tuple, make_word, rel_r1
 
 
 def compositions(seq: tuple[int, ...], parts: int):
@@ -213,3 +214,44 @@ def reference_extracted(ws):
                 word = make_word(entries, profile)
                 (variables if (0, 0) in pairs else constants).add(word)
     return frozenset(constants), frozenset(variables)
+
+
+def _reference_longest_chain(ws) -> int:
+    """Length of the longest rel_r1-increasing chain among ws, by a
+    memoized recursion that tests every pair."""
+    best: dict[int, int] = {}
+
+    def depth(i: int) -> int:
+        if i not in best:
+            best[i] = 1 + max((depth(j) for j in range(len(ws)) if rel_r1(ws[i], ws[j])),
+                              default=0)
+        return best[i]
+
+    return max((depth(i) for i in range(len(ws))), default=0)
+
+
+def reference_cb_derivative(family, pool, tau):
+    """The derivative by definition, with the library's checks and error
+    messages: a pool word t is blocked at a member bw unless it surrounds
+    bw's last word and the tuple bw followed by t is a member; bw stays
+    when its blocked words hold no rel_r1-chain of length tau."""
+    if tau < 1:
+        raise FamilyError("tau must be >= 1")
+    pool = frozenset(pool)
+    for w in pool:
+        if not (w.is_variable_word and w.is_core):
+            raise FamilyError("pool word %s is not a two-sided variable word"
+                              % format_word(w))
+    for bw in family.members:
+        for w in bw:
+            if w not in pool:
+                raise FamilyError("pool is missing the word %s" % format_word(w))
+    if not family.is_hereditary(pool):
+        raise FamilyError("derivative needs a hereditary family")
+    kept = set()
+    for bw in family.members:
+        blocked = [t for t in pool if (len(bw) and not rel_r1(bw[-1], t))
+                   or make_tuple(bw.words + (t,)) not in family.members]
+        if _reference_longest_chain(blocked) < tau:
+            kept.add(bw)
+    return WordFamily(kept)

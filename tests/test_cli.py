@@ -195,6 +195,16 @@ def test_deep_ordinal_descent_is_a_domain_error(capsys):
         assert err == "error: ordinal descent exceeds the recursion limit\n"
 
 
+def test_deep_ordinal_nesting_is_a_domain_error(capsys):
+    deep = "w^(" * 400 + "1" + ")" * 400
+    for argv in (("ordinal", "cmp", "--a", deep, "--b", "1"),
+                 ("ordinal", "classify", "--xi", deep),
+                 ("rat", "qxi", "--xi", deep, "--values", "1/2")):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err == "error: ordinal descent exceeds the recursion limit\n"
+
+
 def test_search_rejects_empty_lengths(capsys):
     code, _, err = run(capsys, "search", "hj", "--r", "2", "--seed", "1", "--bounds", "2",
                        "--n", "0", "--window", "3")

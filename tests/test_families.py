@@ -2,6 +2,7 @@ from itertools import combinations
 
 import pytest
 
+from _oracles import reference_cb_derivative
 from zwords.ordinals import OMEGA, ONE, from_int
 from zwords.families import (
     FamilyError,
@@ -23,9 +24,12 @@ from zwords.families import (
 from zwords.words import (
     EMPTY_TUPLE,
     VARIABLE,
+    WordError,
     concat,
+    extracted_sets,
     make_tuple,
     make_word,
+    parse_profile,
     rel_r1,
     word_sort_key,
 )
@@ -164,19 +168,24 @@ def test_cb_derivative_monotone():
         assert d_small.members <= d_large.members
 
 
+def chain3_sweep():
+    """Every family of at most four CHAIN3 tuples plus the empty tuple."""
+    tuples = all_tuples(CHAIN3, 3)
+    for size in range(0, 5):
+        for combo in combinations(tuples, size):
+            yield family_of(set(combo) | {EMPTY_TUPLE})
+
+
 def test_cb_derivative_of_hereditary_is_hereditary():
     pool = CHAIN3
-    tuples = all_tuples(pool, 3)
-    import itertools
     seen = 0
-    for size in range(0, 5):
-        for combo in itertools.combinations(tuples, size):
-            fam = hereditary_closure(family_of(set(combo) | {EMPTY_TUPLE}), pool)
-            for tau in (2, 3):
-                derived = cb_derivative(fam, pool, tau)
-                if derived.members:
-                    assert derived.is_hereditary(pool), (combo, tau)
-                seen += 1
+    for raw in chain3_sweep():
+        fam = hereditary_closure(raw, pool)
+        for tau in (2, 3):
+            derived = cb_derivative(fam, pool, tau)
+            if derived.members:
+                assert derived.is_hereditary(pool), (raw, tau)
+            seen += 1
     assert seen > 0
 
 
@@ -282,6 +291,96 @@ def test_cb_index_over_extracted_variable_pool():
     pool = ev_pool()
     fam = hereditary_closure(family_of([make_tuple([w]) for w in pool]), pool)
     assert cb_index(fam, pool, 4) == 2
+
+
+def test_cb_index_over_three_word_extracted_pool():
+    # the variable on +-{1,2}, +-{3,4} and +-{5,6}
+    base = make_tuple([make_word({-b: VARIABLE, -a: VARIABLE, a: VARIABLE, b: VARIABLE})
+                       for a, b in ((1, 2), (3, 4), (5, 6))])
+    pool = extracted_sets(base).variables
+    fam = hereditary_closure(family_of([base]), pool)
+    assert (len(pool), len(fam)) == (98, 123)
+    assert cb_index(fam, pool, 2) == 2
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (FamilyError, WordError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def assert_matches_reference(fam, pool):
+    """For tau 0 to 4: cb_derivative equals reference_cb_derivative along
+    the reference's derivative sequence of the hereditary family fam, and
+    cb_index equals that sequence's length, errors included."""
+    for tau in range(5):
+        family, steps, error = fam, 0, None
+        while family.members and error is None:
+            want = _outcome(reference_cb_derivative, family, pool, tau)
+            assert _outcome(cb_derivative, family, pool, tau) == want, (family, tau)
+            if not isinstance(want, WordFamily):
+                error = want
+            elif want == family:
+                error = ("FamilyError", "derivative reached a fixed point; the pool "
+                         "has no chain of length %d" % tau)
+            else:
+                family, steps = want, steps + 1
+        assert _outcome(cb_index, fam, pool, tau) == (error or steps), (fam, tau)
+
+
+def test_cb_derivative_matches_reference_on_chain3_sweep():
+    closures = set()
+    for raw in chain3_sweep():
+        for tau in range(5):
+            assert (_outcome(cb_derivative, raw, CHAIN3, tau)
+                    == _outcome(reference_cb_derivative, raw, CHAIN3, tau)), (raw, tau)
+        closures.add(hereditary_closure(raw, CHAIN3))
+    for fam in closures:
+        assert_matches_reference(fam, CHAIN3)
+
+
+def test_cb_derivative_matches_reference_on_nested_pool():
+    pool = nested_pool(3, 2)
+    for m in (0, 1, 2):
+        assert_matches_reference(hereditary_closure(family_of(full_tuples(pool, m)), pool), pool)
+
+
+def test_cb_derivative_matches_reference_on_extracted_pool():
+    pool = ev_pool()
+    assert_matches_reference(hereditary_closure(family_of([make_tuple([w]) for w in pool]),
+                                                pool), pool)
+
+
+def test_cb_derivative_errors():
+    pool = CHAIN3
+    raw = family_of([make_tuple([W1, W2])])
+    with pytest.raises(FamilyError, match="^index needs a hereditary family$"):
+        cb_index(raw, pool, 3)
+    with pytest.raises(FamilyError, match="^pool is missing the word -5:v,5:v$"):
+        cb_index(family_of([make_tuple([W3])]), frozenset([W1]), 3)
+    for tau in (-1, 0, 1, 5):
+        assert cb_index(family_of([]), pool, tau) == 0
+    # a pool word of another profile that surrounds a member's last word
+    other = make_word({-3: VARIABLE, 3: VARIABLE}, parse_profile("const:1"))
+    mixed = frozenset([W1, other])
+    fam = family_of([EMPTY_TUPLE, make_tuple([W1])])
+    for fn in (cb_derivative, reference_cb_derivative):
+        with pytest.raises(WordError, match="^profile mismatch inside tuple$"):
+            fn(fam, mixed, 2)
+    with pytest.raises(WordError, match="^profile mismatch inside tuple$"):
+        cb_index(fam, mixed, 2)
+
+
+def test_is_thin():
+    assert family_of([make_tuple([W1]), make_tuple([W2, W3])]).is_thin
+    assert family_of([EMPTY_TUPLE]).is_thin
+    assert family_of([]).is_thin
+    # one member a proper initial segment of another
+    assert not family_of([make_tuple([W1]), make_tuple([W1, W2, W3])]).is_thin
+    assert not family_of([make_tuple([W1, W2]), make_tuple([W1, W2, W3])]).is_thin
+    # the empty tuple is an initial segment of every nonempty member
+    assert not family_of([EMPTY_TUPLE, make_tuple([W2])]).is_thin
 
 
 def test_family_text_round_trip():

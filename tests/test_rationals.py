@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations, product
+from math import factorial
 
 import pytest
 
@@ -93,6 +94,24 @@ def test_codec_denominator_cap():
     for den in (10007, 2 * 10007, 10 ** 12 + 39, (10 ** 9 + 7) * (10 ** 9 + 9)):
         with pytest.raises(RationalCodecError, match="^denominator %d too large$" % den):
             encode(Fraction(1, den))
+
+
+def test_codec_refuses_denominators_of_any_size():
+    # past Python's limit on int-to-str conversion (4300 digits) the
+    # refusal names the denominator by its bit length
+    den = 10007 ** 1100
+    with pytest.raises(RationalCodecError,
+                       match="^denominator of %d bits too large$" % den.bit_length()):
+        encode(Fraction(1, den))
+    # u/N! agrees with 1/e to far past the cap, so the integer-part test
+    # refuses it before any digit is expanded
+    n, u = 16400, 1
+    for k in range(1, n + 1):
+        u = u * k + (1 if k % 2 == 0 else -1)
+    x = Fraction(u, factorial(n))
+    with pytest.raises(RationalCodecError,
+                       match="^denominator of %d bits too large$" % x.denominator.bit_length()):
+        encode(x)
 
 
 def test_decode_rejects_variable_words():
