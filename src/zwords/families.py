@@ -137,18 +137,18 @@ def _extraction_tuples(bw: OrderlyTuple, pool: frozenset[LocatedWord]) -> set[Or
 
 def _as_pool(pool: Iterable[LocatedWord]) -> frozenset[LocatedWord]:
     pool = frozenset(pool)
-    for w in pool:
-        if not (w.is_variable_word and w.is_core):
-            raise FamilyError("pool word %s is not a two-sided variable word"
-                              % format_word(w))
+    bad = [w for w in pool if not (w.is_variable_word and w.is_core)]
+    if bad:
+        raise FamilyError("pool word %s is not a two-sided variable word"
+                          % format_word(min(bad, key=word_sort_key)))
     return pool
 
 
 def _check_pool(family: WordFamily, pool: frozenset[LocatedWord]) -> None:
-    for bw in family.members:
-        for w in bw:
-            if w not in pool:
-                raise FamilyError("pool is missing the word %s" % format_word(w))
+    missing = [w for bw in family.members for w in bw if w not in pool]
+    if missing:
+        raise FamilyError("pool is missing the word %s"
+                          % format_word(min(missing, key=word_sort_key)))
 
 
 def hereditary_closure(family: WordFamily, pool: Iterable[LocatedWord]) -> WordFamily:

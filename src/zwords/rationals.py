@@ -9,15 +9,15 @@ is
 Every nonzero rational has exactly one such digit expansion with
 0 <= q_{-s} <= s and 0 <= q_r <= r, which makes the evaluation map a
 bijection onto the nonzero rationals.  Encoding works purely in exact
-arithmetic: integer digits by alternating mixed-radix division, the
-integer/fraction split by an exact comparison of the fractional part with
-1/e, fractional digits by mixed-radix extraction from the top position down.
+arithmetic, in one mixed-radix pass: fractional digits are extracted from
+q * (top+1)! from the top position down, what the extraction leaves is the
+integer part, and its digits come by alternating mixed-radix division.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, floor, perm
+from math import factorial, perm
 from typing import Sequence
 
 from .ordinals import Ordinal
@@ -115,106 +115,62 @@ KEMPNER_CAP = 10001
 def _kempner(den: int) -> int | None:
     """Kempner's S(den), the least n with den | n!, or None when it exceeds
     KEMPNER_CAP.  Trial division stops at the first prime above the cap,
-    so refusing a denominator takes at most about 5000 divisions."""
+    and dividing out a prime p stops once S(p^e) passes it, so a refusal
+    takes at most about 5000 trial divisions and v_p(cap!) + 1
+    divide-outs by each p.  Every divisor of cap! is below cap^cap, so a
+    denominator of more bits than cap^cap can have is refused at once."""
+    if den.bit_length() > KEMPNER_CAP * KEMPNER_CAP.bit_length():
+        return None
     result, rest, p = 1, den, 2
     while rest > 1:
         if p * p > rest:
             p = rest  # rest is prime
         if p > KEMPNER_CAP:
             return None
-        if rest % p == 0:
-            e = 0
-            while rest % p == 0:
-                rest //= p
-                e += 1
-            # S(p^e): the least multiple n of p with v_p(n!) >= e
-            n = 0
-            while e > 0:
+        # S(p^e): n runs over the multiples of p, and spare is v_p(n!)
+        # less the factors p divided out of rest so far
+        n = spare = 0
+        while rest % p == 0:
+            rest //= p
+            if not spare:
                 n += p
                 if n > KEMPNER_CAP:
                     return None
                 k = n
                 while k % p == 0:
                     k //= p
-                    e -= 1
-            result = max(result, n)
+                    spare += 1
+            spare -= 1
+        result = max(result, n)
         p += 1 if p == 2 else 2
     return result
-
-
-def _fractional_digits(x: Fraction) -> tuple[int, ...] | None:
-    """Digits (q_{-1}, q_{-2}, ...) with x = sum q_{-s} (-1)^s / (s+1)!,
-    or None when x admits no in-bound expansion."""
-    if x == 0:
-        return ()
-    if abs(x) >= 1:
-        return None
-    den = x.denominator
-    s_den = _kempner(den)
-    if s_den is None:
-        raise _too_large(den)
-    top = max(s_den, 2) - 1
-    fact = factorial(top + 1)
-    m = x.numerator * (fact // den)
-    digits = [0] * top
-    for s in range(top, 0, -1):
-        sign = 1 if s % 2 == 0 else -1
-        d = (m * sign) % (s + 1)
-        digits[s - 1] = d
-        m = (m - sign * d) // (s + 1)
-    if m != 0:
-        return None
-    while digits and digits[-1] == 0:
-        digits.pop()
-    return tuple(digits)
-
-
-def _below_inv_e(x: Fraction) -> bool:
-    """Whether x < 1/e, for 0 <= x < 1, in exact arithmetic.
-
-    For even n, n!/e = u + r with u = sum_{k<=n} (-1)^k n!/k! an integer
-    and -1/(n+1) < r < 0.  With d = num*n! - den*u, x < 1/e iff d < den*r:
-    false when d >= 0, true when d*(n+1) <= -den.  Once den divides n!, d
-    is a multiple of den and one of the two holds, so n >= S(den) decides;
-    n doubles to past KEMPNER_CAP, and a denominator still undecided
-    there is over the cap."""
-    num, den = x.numerator, x.denominator
-    n = 16
-    while True:
-        u = fact = 1
-        for k in range(1, n + 1):
-            u = u * k + (1 if k % 2 == 0 else -1)
-            fact *= k
-        d = num * fact - den * u
-        if d >= 0:
-            return False
-        if d * (n + 1) <= -den:
-            return True
-        if n > KEMPNER_CAP:
-            raise _too_large(den)
-        n *= 2
 
 
 def encode(q: Fraction | int) -> LocatedWord:
     """The unique word with evaluate(encode(q)) == q; zero digits are
     dropped from the domain, so q = 0 has no word.
 
-    A finite expansion's fractional part lies strictly between 1/e - 1
-    and 1/e, so exactly one of floor(q) and floor(q) + 1 can be its
-    integer part, and only that one is expanded."""
+    One mixed-radix pass over m = q * (top+1)!, where top + 1 is
+    max(S(den), 2): from s = top down to 1 the digit q_{-s} is the one
+    residue of +-m mod s+1 in 0..s, and the m left after s = 1 is the
+    integer part."""
     q = Fraction(q)
     if q == 0:
         raise RationalCodecError("0 is outside the codec range")
-    base = floor(q)
-    whole = base if _below_inv_e(q - base) else base + 1
-    frac_digits = _fractional_digits(q - whole)
-    if frac_digits is None:
-        raise RationalCodecError("expansion of %s is not unique" % q)
+    den = q.denominator
+    s_den = _kempner(den)
+    if s_den is None:
+        raise _too_large(den)
+    top = max(s_den, 2) - 1
+    m = q.numerator * (factorial(top + 1) // den)
     entries = []
-    for s, d in enumerate(frac_digits, 1):
+    for s in range(top, 0, -1):
+        sign = 1 if s % 2 == 0 else -1
+        d = (m * sign) % (s + 1)
         if d:
             entries.append((-s, -d))
-    for r, d in enumerate(integer_alt_factorial(whole), 1):
+        m = (m - sign * d) // (s + 1)
+    for r, d in enumerate(integer_alt_factorial(m), 1):
         if d:
             entries.append((r, d))
     return make_word(entries, ABS)

@@ -26,8 +26,10 @@ from .words import (
     LocatedWord,
     WordError,
     concat_all,
+    extracted_constants,
     first_clamp,
     format_word,
+    make_tuple,
     make_word,
     rel_r1,
     substitute,
@@ -303,8 +305,7 @@ def hj_witness_search(coloring: Coloring, m: int, bounds: Sequence[int], n: int,
                 break
         if len(seen) == 1:
             return SearchReport(ws, seen.pop(), len(grid), nodes, count,
-                                (time.perf_counter() - start) * 1000.0,
-                                vacuous=not grid)
+                                (time.perf_counter() - start) * 1000.0)
     return SearchReport(None, None, len(grid), nodes, count,
                         (time.perf_counter() - start) * 1000.0)
 
@@ -343,12 +344,10 @@ def verify_witness(witness: Sequence[LocatedWord], coloring: Coloring,
     return VerifyReport(len(colors) == 1, instances, colors.pop() if len(colors) == 1 else None)
 
 
-def _xi_slices(ws: Sequence[LocatedWord], xi: Ordinal, total: int,
-               profile: DominationProfile) -> list[tuple[LocatedWord, ...]]:
+def _xi_slices(ws: Sequence[LocatedWord], xi: Ordinal,
+               total: int) -> list[tuple[LocatedWord, ...]]:
     """All increasing tuples of extracted constants of ws whose anchor
     set lies in A_xi and whose domain sizes sum to `total`."""
-    from .words import extracted_constants, make_tuple
-
     constants = sorted(extracted_constants(make_tuple(ws)), key=word_sort_key)
     out = []
 
@@ -370,7 +369,7 @@ def _xi_slices(ws: Sequence[LocatedWord], xi: Ordinal, total: int,
 
 
 def xi_witness_search(coloring: Coloring, xi: Ordinal, l: int, n0: int,
-                      window: SearchWindow, allow_vacuous: bool = False) -> SearchReport:
+                      window: SearchWindow) -> SearchReport:
     """Search for an l-tuple of variable words whose extracted-constant
     tuples of total length n0 inside the xi-indexed family are
     monochromatic under a tuple coloring."""
@@ -380,22 +379,13 @@ def xi_witness_search(coloring: Coloring, xi: Ordinal, l: int, n0: int,
     plans = [_candidate_plan(l, total, window) for total in range(2 * l, 2 * window.radius + 1)]
     count = sum(c for c, _ in plans)
     nodes = 0
-    best_vacuous = None
     for ws in chain.from_iterable(_stream_candidates(plan, window.profile) for _, plan in plans):
         nodes += 1
-        slices = _xi_slices(ws, xi, n0, window.profile)
-        if not slices:
-            if best_vacuous is None:
-                best_vacuous = SearchReport(ws, None, 0, nodes, count, 0.0,
-                                            vacuous=True)
-            continue
+        slices = _xi_slices(ws, xi, n0)
         colors = {coloring.color_tuple(s) for s in slices}
         if len(colors) == 1:
             return SearchReport(ws, colors.pop(), len(slices), nodes, count,
                                 (time.perf_counter() - start) * 1000.0)
-    if allow_vacuous and best_vacuous is not None:
-        best_vacuous.elapsed_ms = (time.perf_counter() - start) * 1000.0
-        return best_vacuous
     return SearchReport(None, None, 0, nodes, count,
                         (time.perf_counter() - start) * 1000.0)
 
@@ -404,7 +394,7 @@ def verify_xi_witness(witness: Sequence[LocatedWord], coloring: Coloring, xi: Or
                       n0: int) -> VerifyReport:
     """Re-enumerate the xi-indexed extracted tuples of a witness and
     check monochromaticity."""
-    slices = _xi_slices(witness, xi, n0, witness[0].profile)
+    slices = _xi_slices(witness, xi, n0)
     if not slices:
         return VerifyReport(True, 0, None)
     colors = {coloring.color_tuple(s) for s in slices}

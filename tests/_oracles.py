@@ -21,7 +21,15 @@ from zwords.ordinals import (
     successor_pred,
 )
 from zwords.families import FamilyError, WordFamily
-from zwords.words import VARIABLE, LocatedWord, format_word, make_tuple, make_word, rel_r1
+from zwords.words import (
+    VARIABLE,
+    LocatedWord,
+    format_word,
+    make_tuple,
+    make_word,
+    rel_r1,
+    word_sort_key,
+)
 
 
 def compositions(seq: tuple[int, ...], parts: int):
@@ -238,14 +246,14 @@ def reference_cb_derivative(family, pool, tau):
     if tau < 1:
         raise FamilyError("tau must be >= 1")
     pool = frozenset(pool)
-    for w in pool:
+    # offending words are named least first by word_sort_key
+    for w in sorted(pool, key=word_sort_key):
         if not (w.is_variable_word and w.is_core):
             raise FamilyError("pool word %s is not a two-sided variable word"
                               % format_word(w))
-    for bw in family.members:
-        for w in bw:
-            if w not in pool:
-                raise FamilyError("pool is missing the word %s" % format_word(w))
+    for w in sorted({w for bw in family.members for w in bw}, key=word_sort_key):
+        if w not in pool:
+            raise FamilyError("pool is missing the word %s" % format_word(w))
     if not family.is_hereditary(pool):
         raise FamilyError("derivative needs a hereditary family")
     kept = set()

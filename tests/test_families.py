@@ -1,7 +1,11 @@
+import os
+import subprocess
+import sys
 from itertools import combinations
 
 import pytest
 
+import zwords
 from _oracles import reference_cb_derivative
 from zwords.ordinals import OMEGA, ONE, from_int
 from zwords.families import (
@@ -370,6 +374,31 @@ def test_cb_derivative_errors():
             fn(fam, mixed, 2)
     with pytest.raises(WordError, match="^profile mismatch inside tuple$"):
         cb_index(fam, mixed, 2)
+
+
+_POOL_ERRORS = """
+from zwords.families import FamilyError, family_of, hereditary_closure
+from zwords.words import make_tuple, parse_word
+singletons = family_of([make_tuple([parse_word(t)])
+                        for t in ("-1:v,1:v", "-3:v,3:v", "-5:v,5:v")])
+for pool in (["-7:v,7:v"], ["-1:-1,1:1", "-3:-1,3:1", "-5:-1,5:1"]):
+    try:
+        hereditary_closure(singletons, [parse_word(t) for t in pool])
+    except FamilyError as exc:
+        print(exc)
+"""
+
+
+def test_pool_errors_do_not_depend_on_the_hash_seed():
+    # a frozenset iterates in hash order, which follows PYTHONHASHSEED;
+    # the least offending word by word_sort_key is named instead
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(zwords.__file__)))
+    outputs = {subprocess.run([sys.executable, "-c", _POOL_ERRORS], capture_output=True,
+                              text=True, check=True, timeout=60,
+                              env=dict(env, PYTHONHASHSEED=seed)).stdout
+               for seed in ("1", "3")}
+    assert outputs == {"pool is missing the word -5:v,5:v\n"
+                       "pool word -5:-1,5:1 is not a two-sided variable word\n"}
 
 
 def test_is_thin():

@@ -4,13 +4,12 @@ from itertools import combinations, product
 from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zwords.ordinals import OMEGA, ONE, from_int
 from zwords.rationals import (
     KEMPNER_CAP,
     RationalCodecError,
-    _below_inv_e,
-    _fractional_digits,
     _kempner,
     decode,
     encode,
@@ -80,9 +79,13 @@ def _incremental_top(den):
 
 
 def test_kempner_top_matches_incremental_search():
-    for den in (*range(2, 3001), 9973, 10001, 2 ** 200, 3 ** 50 * 7):
+    for den in (*range(2, 3001), 9973, 10001, 2 ** 200, 3 ** 50 * 7,
+                2 ** 9995, 3 ** 4996, 5 ** 2499, 4999 ** 2):
         assert _incremental_top(den) == max(_kempner(den), 2) - 1, den
-    assert _kempner(10007) is None and _incremental_top(10007) is None
+    # prime powers just past the cap: dividing out p stops once S(p^e)
+    # passes it
+    for den in (10007, 2 ** 9996, 2 ** 9997, 3 ** 4997, 5 ** 2500, 5003 ** 2):
+        assert _kempner(den) is None and _incremental_top(den) is None, den
 
 
 def test_codec_denominator_cap():
@@ -103,8 +106,8 @@ def test_codec_refuses_denominators_of_any_size():
     with pytest.raises(RationalCodecError,
                        match="^denominator of %d bits too large$" % den.bit_length()):
         encode(Fraction(1, den))
-    # u/N! agrees with 1/e to far past the cap, so the integer-part test
-    # refuses it before any digit is expanded
+    # u/N! has more bits than any divisor of cap! can have, so _kempner
+    # refuses it before any trial division
     n, u = 16400, 1
     for k in range(1, n + 1):
         u = u * k + (1 if k % 2 == 0 else -1)
@@ -154,6 +157,25 @@ def test_round_trip_dense():
             assert decode(encode(q)) == q
 
 
+# constant words on +-40: a magnitude m at position p becomes a letter
+# in 1..|p|, negative on the fractional side
+_constant_words = st.dictionaries(
+    st.integers(-40, 40).filter(bool), st.integers(1, 40), min_size=1, max_size=12,
+).map(lambda d: make_word({p: (1 + (m - 1) % abs(p)) * (1 if p > 0 else -1)
+                           for p, m in d.items()}))
+
+
+@settings(database=None, derandomize=True, deadline=None)
+@given(st.one_of(st.integers(), st.integers(-10 ** 300, 10 ** 300)).filter(bool),
+       st.integers(1, 2000), _constant_words)
+def test_codec_properties(num, den, w):
+    q = Fraction(num, den)
+    word = encode(q)
+    assert decode(word) == q
+    assert all(1 <= abs(letter) <= abs(pos) for pos, letter in word.entries)
+    assert encode(evaluate(w)) == w
+
+
 def test_encode_evaluate_identity_window_4():
     # encode is a left inverse of evaluate on all constant words in +-4
     positions = [-4, -3, -2, -1, 1, 2, 3, 4]
@@ -190,6 +212,22 @@ def _inv_e_approximants(count):
         yield from (Fraction(u + d, fact) for d in (-1, 0, 1))
 
 
+def _has_fractional_expansion(x):
+    """Whether x = sum q_{-s} (-1)^s / (s+1)! with 0 <= q_{-s} <= s,
+    decided on x alone, so that it can judge the integer part encode's
+    single pass leaves."""
+    if x == 0:
+        return True
+    if abs(x) >= 1:
+        return False
+    top = max(_kempner(x.denominator), 2) - 1
+    m = x.numerator * (factorial(top + 1) // x.denominator)
+    for s in range(top, 0, -1):
+        sign = 1 if s % 2 == 0 else -1
+        m = (m - sign * ((m * sign) % (s + 1))) // (s + 1)
+    return m == 0
+
+
 def test_integer_part_candidate_is_unique():
     near = [x + whole for x in _inv_e_approximants(40) if 0 <= x < 1 for whole in (-2, 0, 3)]
     grid = [Fraction(num, den) for num in range(-60, 61) for den in (1, 2, 3, 5, 8, 24)]
@@ -198,10 +236,12 @@ def test_integer_part_candidate_is_unique():
             continue
         base = q.numerator // q.denominator
         valid = [whole for whole in range(base - 1, base + 3)
-                 if _fractional_digits(q - whole) is not None]
+                 if _has_fractional_expansion(q - whole)]
         assert len(valid) == 1
-        # encode expands only the candidate the 1/e comparison picks
-        assert valid[0] == (base if _below_inv_e(q - base) else base + 1), q
+        # what encode's one pass leaves is that candidate
+        whole = sum(abs(letter) * (-1) ** (pos + 1) * factorial(pos)
+                    for pos, letter in encode(q).entries if pos > 0)
+        assert whole == valid[0], q
 
 
 def test_additivity_on_separated_pairs():

@@ -211,13 +211,14 @@ def test_verify_vacuous_flag():
 
 def test_xi_search_reduces_to_hj_for_rank_one():
     window = SearchWindow(2)
-    for seed in (0, 1, 2, 3):
+    for seed in range(8):
         tuple_coloring = Coloring(arity=2, seed=seed)
         rep = xi_witness_search(tuple_coloring, ONE, 1, 2, window)
         word_coloring = Coloring(arity=2, seed=seed)
         hj = hj_witness_search(word_coloring, 1, [1], 2, window)
         # a singleton tuple over one word colors like the word itself
-        assert rep.found == hj.found or rep.found
+        assert (rep.witness, rep.color, rep.nodes_expanded) \
+            == (hj.witness, hj.color, hj.nodes_expanded), seed
         if rep.found:
             assert verify_xi_witness(rep.witness, tuple_coloring, ONE, 2).monochromatic
 
