@@ -5,12 +5,24 @@ A family is a frozenset of tuples.  "Contains an infinite orderly
 sequence" is approximated by a chain-length threshold tau; all derivative
 results are relative to a finite pool of variable words (typically the
 extracted-variable set of a base tuple).
+
+Each operation indexes the pool once: by span width, with each word's R1
+successors and the words on each domain.  Heredity is tested on that
+index without building star products.  The members of a tuple have
+disjoint domains, so a pool word u is an extracted variable word of bw
+exactly when its domain is the union of the domains of a nonempty
+subtuple, its profile is bw's, and on each chosen member's domain u reads
+that member or one of its grid images; the images are constants, so
+some member is read as itself.  That is 2^len(bw) - 1 domain lookups per
+member.  The extraction tuples are the R1-chains over those pool words,
+compared with the family as tuples of pool indices.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterable, Iterator
+from operator import itemgetter
+from typing import Iterable, Iterator, NamedTuple
 
 from .ordinals import Ordinal
 from .schreier import is_member
@@ -20,7 +32,7 @@ from .words import (
     LocatedWord,
     OrderlyTuple,
     WordError,
-    extracted_sets,
+    _constant_images,
     format_word,
     make_tuple,
     parse_word,
@@ -91,7 +103,7 @@ class WordFamily:
         return self._members == tree_closure(self)._members
 
     def is_hereditary(self, pool: Iterable[LocatedWord]) -> bool:
-        return self._members == hereditary_closure(self, pool)._members
+        return _is_hereditary(self._members, _pool_table(self, pool))
 
 
 def family_of(tuples: Iterable[OrderlyTuple]) -> WordFamily:
@@ -120,21 +132,6 @@ def tree_closure(family: WordFamily) -> WordFamily:
                                        for cut in range(1, len(bw) + 1)})
 
 
-def _extraction_tuples(bw: OrderlyTuple, pool: frozenset[LocatedWord]) -> set[OrderlyTuple]:
-    """All orderly tuples over the pool-restricted extracted-variable
-    words of bw, the empty tuple included."""
-    if len(bw) == 0:
-        return {EMPTY_TUPLE}
-    words, _, succ = _r1_table(extracted_sets(bw).variables & pool)
-    out = {EMPTY_TUPLE}
-    stack = [(i,) for i in range(len(words))]
-    while stack:
-        key = stack.pop()
-        out.add(OrderlyTuple(tuple(words[i] for i in key)))
-        stack.extend(key + (j,) for j in succ[key[-1]])
-    return out
-
-
 def _as_pool(pool: Iterable[LocatedWord]) -> frozenset[LocatedWord]:
     pool = frozenset(pool)
     bad = [w for w in pool if not (w.is_variable_word and w.is_core)]
@@ -151,20 +148,95 @@ def _check_pool(family: WordFamily, pool: frozenset[LocatedWord]) -> None:
                           % format_word(min(missing, key=word_sort_key)))
 
 
-def hereditary_closure(family: WordFamily, pool: Iterable[LocatedWord]) -> WordFamily:
-    """Close under pool-relative extraction tuples of members."""
+class _R1Table(NamedTuple):
+    """A pool indexed once per call: its words in order of span width,
+    each word's index, each word's R1 successors as a list of indices,
+    and the indices of the words on each domain."""
+
+    words: list[LocatedWord]
+    index: dict[LocatedWord, int]
+    succ: list[list[int]]
+    by_dom: dict[tuple[int, ...], list[int]]
+
+
+def _r1_table(pool: frozenset[LocatedWord]) -> _R1Table:
+    """R1 strictly widens the span, so every successor comes later in the
+    width order."""
+    words = sorted(pool, key=lambda w: (w.dom[-1] - w.dom[0], word_sort_key(w)))
+    succ = [[j for j in range(i + 1, len(words)) if rel_r1(w, words[j])]
+            for i, w in enumerate(words)]
+    by_dom: dict[tuple[int, ...], list[int]] = {}
+    for i, w in enumerate(words):
+        by_dom.setdefault(w.dom, []).append(i)
+    return _R1Table(words, {w: i for i, w in enumerate(words)}, succ, by_dom)
+
+
+def _pool_table(family: WordFamily, pool: Iterable[LocatedWord]) -> _R1Table:
     pool = _as_pool(pool)
     _check_pool(family, pool)
-    return WordFamily({EMPTY_TUPLE}.union(*(_extraction_tuples(bw, pool)
-                                            for bw in family.members)))
+    return _r1_table(pool)
+
+
+def _extractions(bw: OrderlyTuple, table: _R1Table) -> set[int]:
+    """The pool indices of the extracted variable words of bw, found by
+    the domain test of the module docstring."""
+    options = [{w.entries} | {v.entries for v in ws}
+               for w, ws in zip(bw, _constant_images(bw, None))]
+    profile = bw[0].profile if len(bw) else None
+    found = set()
+    for size in range(1, len(bw) + 1):
+        for chosen in combinations(zip(bw.words, options), size):
+            dom = sorted(p for w, _ in chosen for p in w.dom)
+            rank = {p: k for k, p in enumerate(dom)}
+            # a core variable word has positions on both sides, so each
+            # getter picks at least two entries and returns a tuple
+            pieces = [(itemgetter(*map(rank.get, w.dom)), allowed) for w, allowed in chosen]
+            for t in table.by_dom.get(tuple(dom), ()):
+                u = table.words[t]
+                if u.profile == profile and all(get(u.entries) in allowed
+                                                for get, allowed in pieces):
+                    found.add(t)
+    return found
+
+
+def _extraction_chains(bw: OrderlyTuple, table: _R1Table) -> Iterator[tuple[int, ...]]:
+    """The R1-chains over the pool extractions of bw as index tuples, the
+    empty chain first and every chain after its prefixes."""
+    allowed = _extractions(bw, table)
+    yield ()
+    stack = [(i,) for i in allowed]
+    while stack:
+        key = stack.pop()
+        yield key
+        stack.extend(key + (j,) for j in table.succ[key[-1]] if j in allowed)
+
+
+def _hereditary_part(members: frozenset[OrderlyTuple], table: _R1Table) -> set[OrderlyTuple]:
+    """The members whose extraction chains are all members (none when the
+    empty tuple is not one)."""
+    present = {tuple(table.index[w] for w in bw) for bw in members}
+    return {bw for bw in members
+            if all(key in present for key in _extraction_chains(bw, table))}
+
+
+def _is_hereditary(members: frozenset[OrderlyTuple], table: _R1Table) -> bool:
+    # every member is visited first, so extraction errors come out as
+    # they do from the closure
+    return _hereditary_part(members, table) == members and EMPTY_TUPLE in members
+
+
+def hereditary_closure(family: WordFamily, pool: Iterable[LocatedWord]) -> WordFamily:
+    """Close under pool-relative extraction tuples of members."""
+    table = _pool_table(family, pool)
+    keys = set().union(*(_extraction_chains(bw, table) for bw in family.members))
+    return WordFamily(OrderlyTuple(tuple(table.words[i] for i in key))
+                      for key in keys | {()})
 
 
 def largest_hereditary(family: WordFamily, pool: Iterable[LocatedWord]) -> WordFamily:
     """The largest hereditary subfamily of family plus the empty tuple."""
-    pool = _as_pool(pool)
-    _check_pool(family, pool)
-    return WordFamily({EMPTY_TUPLE} | {bw for bw in family.members
-                                       if _extraction_tuples(bw, pool) <= family.members})
+    return WordFamily({EMPTY_TUPLE} | _hereditary_part(family.members,
+                                                       _pool_table(family, pool)))
 
 
 def family_at(family: WordFamily, t: LocatedWord) -> WordFamily:
@@ -179,23 +251,13 @@ def family_minus(family: WordFamily, t: LocatedWord) -> WordFamily:
     return WordFamily(bw for bw in family.members if len(bw) == 0 or rel_r1(t, bw[0]))
 
 
-def _r1_table(pool: frozenset[LocatedWord]) -> tuple[list, dict, list]:
-    """The pool in order of span width, its index, and each word's R1
-    successors as a list of indices.  R1 strictly widens the span, so
-    every successor comes later in that order."""
-    words = sorted(pool, key=lambda w: (w.dom[-1] - w.dom[0], word_sort_key(w)))
-    succ = [[j for j in range(i + 1, len(words)) if rel_r1(w, words[j])]
-            for i, w in enumerate(words)]
-    return words, {w: i for i, w in enumerate(words)}, succ
-
-
-def _derive(members: frozenset[OrderlyTuple], table: tuple[list, dict, list],
+def _derive(members: frozenset[OrderlyTuple], table: _R1Table,
             tau: int) -> frozenset[OrderlyTuple]:
     """The members whose blocked pool words hold no R1-chain of length
     tau.  A pool word t is open at bw when bw followed by t is a member,
     and blocked otherwise; one reverse pass over the width order gives
     each blocked word the longest blocked chain it starts."""
-    words, index, succ = table
+    words, index, succ, _ = table
     keys = {bw: tuple(index[w] for w in bw) for bw in members}
     present = set(keys.values())
     kept = []
@@ -221,25 +283,22 @@ def cb_derivative(family: WordFamily, pool: Iterable[LocatedWord], tau: int) -> 
     rel_r1-chain of length >= tau."""
     if tau < 1:
         raise FamilyError("tau must be >= 1")
-    pool = _as_pool(pool)
-    _check_pool(family, pool)
-    if not family.is_hereditary(pool):
+    table = _pool_table(family, pool)
+    if not _is_hereditary(family.members, table):
         raise FamilyError("derivative needs a hereditary family")
-    return WordFamily(_derive(family.members, _r1_table(pool), tau))
+    return WordFamily(_derive(family.members, table, tau))
 
 
 def cb_index(family: WordFamily, pool: Iterable[LocatedWord], tau: int) -> int:
     """Number of derivative iterations until the family is empty."""
-    pool = _as_pool(pool)
-    _check_pool(family, pool)
+    table = _pool_table(family, pool)
     members = family.members
     if not members:
         return 0
-    if not family.is_hereditary(pool):
+    if not _is_hereditary(members, table):
         raise FamilyError("index needs a hereditary family")
     if tau < 1:
         raise FamilyError("tau must be >= 1")
-    table = _r1_table(pool)
     steps = 0
     while members:
         derived = _derive(members, table, tau)

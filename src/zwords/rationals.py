@@ -112,13 +112,33 @@ def integer_alt_factorial(value: int) -> tuple[int, ...]:
 KEMPNER_CAP = 10001
 
 
+def _valuation(n: int, p: int, limit: int) -> tuple[int, int] | None:
+    """(e, n // p^e) for e = v_p(n), or None once e is seen to pass limit:
+    p^(2^k) is divided out for growing k while it divides, then for
+    shrinking k."""
+    e, powers = 0, [p]
+    while n % powers[-1] == 0:
+        n //= powers[-1]
+        e += 1 << (len(powers) - 1)
+        if e > limit:
+            return None
+        powers.append(powers[-1] * powers[-1])
+    for k in reversed(range(len(powers) - 1)):
+        if n % powers[k] == 0:
+            n //= powers[k]
+            e += 1 << k
+    return (e, n) if e <= limit else None
+
+
 def _kempner(den: int) -> int | None:
     """Kempner's S(den), the least n with den | n!, or None when it exceeds
-    KEMPNER_CAP.  Trial division stops at the first prime above the cap,
-    and dividing out a prime p stops once S(p^e) passes it, so a refusal
-    takes at most about 5000 trial divisions and v_p(cap!) + 1
-    divide-outs by each p.  Every divisor of cap! is below cap^cap, so a
-    denominator of more bits than cap^cap can have is refused at once."""
+    KEMPNER_CAP.  Trial division stops at the first prime above the cap.
+    S(p^e) is at most the cap exactly when e <= v_p(cap!), which Legendre's
+    formula gives, and v_p(den) comes by repeated squaring that stops once
+    it passes v_p(cap!), so a refusal takes at most about 5000 trial
+    divisions and a few dozen divisions by powers of each p.  Every
+    divisor of cap! is below cap^cap, so a denominator of more bits than
+    cap^cap can have is refused at once."""
     if den.bit_length() > KEMPNER_CAP * KEMPNER_CAP.bit_length():
         return None
     result, rest, p = 1, den, 2
@@ -127,21 +147,24 @@ def _kempner(den: int) -> int | None:
             p = rest  # rest is prime
         if p > KEMPNER_CAP:
             return None
-        # S(p^e): n runs over the multiples of p, and spare is v_p(n!)
-        # less the factors p divided out of rest so far
-        n = spare = 0
-        while rest % p == 0:
-            rest //= p
-            if not spare:
+        if rest % p == 0:
+            limit, k = 0, KEMPNER_CAP
+            while k:
+                k //= p
+                limit += k
+            split = _valuation(rest, p, limit)
+            if split is None:
+                return None
+            e, rest = split
+            # S(p^e): n runs over the multiples of p until v_p(n!) >= e
+            n = v = 0
+            while v < e:
                 n += p
-                if n > KEMPNER_CAP:
-                    return None
                 k = n
                 while k % p == 0:
                     k //= p
-                    spare += 1
-            spare -= 1
-        result = max(result, n)
+                    v += 1
+            result = max(result, n)
         p += 1 if p == 2 else 2
     return result
 

@@ -12,6 +12,7 @@ layers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 VARIABLE = 0
@@ -105,7 +106,7 @@ class LocatedWord:
     entries: tuple[tuple[int, int], ...]
     profile: DominationProfile = ABS
 
-    @property
+    @cached_property
     def dom(self) -> tuple[int, ...]:
         return tuple(pos for pos, _ in self.entries)
 

@@ -22,8 +22,10 @@ from zwords.ordinals import (
 )
 from zwords.families import FamilyError, WordFamily
 from zwords.words import (
+    EMPTY_TUPLE,
     VARIABLE,
     LocatedWord,
+    extracted_sets,
     format_word,
     make_tuple,
     make_word,
@@ -238,15 +240,10 @@ def _reference_longest_chain(ws) -> int:
     return max((depth(i) for i in range(len(ws))), default=0)
 
 
-def reference_cb_derivative(family, pool, tau):
-    """The derivative by definition, with the library's checks and error
-    messages: a pool word t is blocked at a member bw unless it surrounds
-    bw's last word and the tuple bw followed by t is a member; bw stays
-    when its blocked words hold no rel_r1-chain of length tau."""
-    if tau < 1:
-        raise FamilyError("tau must be >= 1")
+def _reference_pool(family, pool):
+    """The library's pool checks and error messages; offending words are
+    named least first by word_sort_key."""
     pool = frozenset(pool)
-    # offending words are named least first by word_sort_key
     for w in sorted(pool, key=word_sort_key):
         if not (w.is_variable_word and w.is_core):
             raise FamilyError("pool word %s is not a two-sided variable word"
@@ -254,7 +251,48 @@ def reference_cb_derivative(family, pool, tau):
     for w in sorted({w for bw in family.members for w in bw}, key=word_sort_key):
         if w not in pool:
             raise FamilyError("pool is missing the word %s" % format_word(w))
-    if not family.is_hereditary(pool):
+    return pool
+
+
+def _reference_extraction_tuples(bw, pool):
+    """Every rel_r1-increasing tuple, the empty one included, over the
+    extracted variable words of bw that lie in the pool; the extracted
+    words are built as star products and chains grow by testing every
+    pair of words."""
+    ws = sorted(extracted_sets(bw).variables & pool, key=word_sort_key)
+    out, frontier = {EMPTY_TUPLE}, [()]
+    while frontier:
+        frontier = [c + (w,) for c in frontier for w in ws if not c or rel_r1(c[-1], w)]
+        out.update(make_tuple(c) for c in frontier)
+    return out
+
+
+def reference_hereditary_closure(family, pool):
+    """The family closed under pool-relative extraction tuples of its
+    members, the empty tuple included."""
+    pool = _reference_pool(family, pool)
+    return WordFamily({EMPTY_TUPLE}.union(*(_reference_extraction_tuples(bw, pool)
+                                            for bw in family.members)))
+
+
+def reference_largest_hereditary(family, pool):
+    """The members all of whose pool-relative extraction tuples are
+    members (the empty tuple among them), plus the empty tuple."""
+    pool = _reference_pool(family, pool)
+    return WordFamily({EMPTY_TUPLE} | {bw for bw in family.members
+                                       if _reference_extraction_tuples(bw, pool)
+                                       <= family.members})
+
+
+def reference_cb_derivative(family, pool, tau):
+    """The derivative by definition, with the library's checks and error
+    messages: a pool word t is blocked at a member bw unless it surrounds
+    bw's last word and the tuple bw followed by t is a member; bw stays
+    when its blocked words hold no rel_r1-chain of length tau."""
+    if tau < 1:
+        raise FamilyError("tau must be >= 1")
+    pool = _reference_pool(family, pool)
+    if reference_hereditary_closure(family, pool) != family:
         raise FamilyError("derivative needs a hereditary family")
     kept = set()
     for bw in family.members:

@@ -6,7 +6,11 @@ from itertools import combinations
 import pytest
 
 import zwords
-from _oracles import reference_cb_derivative
+from _oracles import (
+    reference_cb_derivative,
+    reference_hereditary_closure,
+    reference_largest_hereditary,
+)
 from zwords.ordinals import OMEGA, ONE, from_int
 from zwords.families import (
     FamilyError,
@@ -24,10 +28,12 @@ from zwords.families import (
     serialize_tuple,
     set_family_cb_index,
     tree_closure,
+    tuple_sort_key,
 )
 from zwords.words import (
     EMPTY_TUPLE,
     VARIABLE,
+    LocatedWord,
     WordError,
     concat,
     extracted_sets,
@@ -354,6 +360,97 @@ def test_cb_derivative_matches_reference_on_extracted_pool():
     pool = ev_pool()
     assert_matches_reference(hereditary_closure(family_of([make_tuple([w]) for w in pool]),
                                                 pool), pool)
+
+
+def assert_closures_match_reference(fam, pool):
+    """hereditary_closure, largest_hereditary and is_hereditary agree with
+    the references on fam, errors included."""
+    closure = _outcome(reference_hereditary_closure, fam, pool)
+    assert _outcome(hereditary_closure, fam, pool) == closure, fam
+    assert (_outcome(largest_hereditary, fam, pool)
+            == _outcome(reference_largest_hereditary, fam, pool)), fam
+    want = closure == fam if isinstance(closure, WordFamily) else closure
+    assert _outcome(fam.is_hereditary, pool) == want, fam
+
+
+def test_closures_match_reference_on_chain3_sweep():
+    # W1 with W2 substituted at (2, 2) is an extraction of (W1, W2); the
+    # same word with the variable kept at +3 is none
+    rich = CHAIN3 | {make_word({-3: -2, -1: VARIABLE, 1: VARIABLE, 3: 2}),
+                     make_word({-3: -2, -1: VARIABLE, 1: VARIABLE, 3: VARIABLE})}
+    for pool in (CHAIN3, rich):
+        families = set()
+        for raw in chain3_sweep():
+            families |= {raw, family_of(raw.members - {EMPTY_TUPLE}),
+                         hereditary_closure(raw, pool)}
+        for fam in families:
+            assert_closures_match_reference(fam, pool)
+    # pool errors
+    assert_closures_match_reference(family_of([make_tuple([W1])]), frozenset([W2]))
+    assert_closures_match_reference(family_of([make_tuple([W1])]),
+                                    CHAIN3 | {make_word({-7: -1, 7: VARIABLE})})
+
+
+def test_closures_match_reference_on_nested_pool():
+    pool = nested_pool(3, 2)
+    for m in (0, 1, 2):
+        raw = family_of(full_tuples(pool, m))
+        closed = hereditary_closure(raw, pool)
+        assert_closures_match_reference(raw, pool)
+        # a hereditary family less one member keeps only what avoids it
+        for bw in closed.members:
+            assert_closures_match_reference(family_of(closed.members - {bw}), pool)
+
+
+def test_closures_match_reference_on_extracted_pool():
+    pool = ev_pool()
+    ordered = sorted(pool, key=word_sort_key)
+    pairs = family_of([make_tuple([a, b]) for a in ordered[:12] for b in ordered
+                       if rel_r1(a, b)][:40])
+    singles = hereditary_closure(family_of([make_tuple([w]) for w in pool]), pool)
+    for fam in (pairs, singles, family_of(singles.members | pairs.members),
+                hereditary_closure(pairs, pool)):
+        assert_closures_match_reference(fam, pool)
+
+
+def test_closures_match_reference_on_three_word_extracted_pool():
+    base = make_tuple([make_word({-b: VARIABLE, -a: VARIABLE, a: VARIABLE, b: VARIABLE})
+                       for a, b in ((1, 2), (3, 4), (5, 6))])
+    pool = extracted_sets(base).variables
+    closed = hereditary_closure(family_of([base]), pool)
+    assert_closures_match_reference(family_of([base]), pool)
+    assert_closures_match_reference(closed, pool)
+    # every R1-chain over this pool is an extraction tuple of base, so
+    # largest_hereditary is exercised by removing members instead
+    pair = max((bw for bw in closed.members if len(bw) == 2), key=tuple_sort_key)
+    for bw in (EMPTY_TUPLE, make_tuple([base[0]]), pair, base):
+        assert_closures_match_reference(family_of(closed.members - {bw}), pool)
+
+
+def test_closures_need_a_sidedly_monotone_profile():
+    prof = parse_profile("table:-3=1,-1=2,1=2,3=1")
+    pool = frozenset([make_word({-1: VARIABLE, 1: VARIABLE}, prof),
+                      make_word({-3: VARIABLE, 3: VARIABLE}, prof)])
+    fam = family_of([make_tuple([w]) for w in pool])
+    with pytest.raises(WordError, match="^profile must be sidedly monotone$"):
+        hereditary_closure(fam, pool)
+    assert_closures_match_reference(fam, pool)
+
+
+def test_extraction_compares_profiles():
+    # W1's entries under another profile share W1's domain but are no
+    # extraction of a tuple over the profile k_n = |n|
+    pool = CHAIN3 | {LocatedWord(W1.entries, parse_profile("abs+1"))}
+    raw = family_of([make_tuple([W1, W2])])
+    closed = hereditary_closure(raw, pool)
+    assert closed.members == {EMPTY_TUPLE, make_tuple([W1]), make_tuple([W2]),
+                              make_tuple([W1, W2])}
+    bigger = family_of(closed.members | {make_tuple([W2, W3])})
+    assert largest_hereditary(bigger, pool) == closed
+    assert [_outcome(cb_index, closed, pool, tau) for tau in (1, 2, 3)] == [1, 1, 2]
+    for fam in (raw, closed, bigger):
+        assert_closures_match_reference(fam, pool)
+    assert_matches_reference(closed, pool)
 
 
 def test_cb_derivative_errors():

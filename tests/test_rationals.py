@@ -11,6 +11,7 @@ from zwords.rationals import (
     KEMPNER_CAP,
     RationalCodecError,
     _kempner,
+    _valuation,
     decode,
     encode,
     evaluate,
@@ -88,6 +89,16 @@ def test_kempner_top_matches_incremental_search():
         assert _kempner(den) is None and _incremental_top(den) is None, den
 
 
+def test_valuation_matches_repeated_division():
+    for p in (2, 3, 7, 9973):
+        for e in (0, 1, 2, 3, 5, 8, 13, 64, 100):
+            for cofactor in (1, p - 1, p + 1, 10007 * (p + 1)):
+                n = p ** e * cofactor
+                for limit in range(max(e - 1, 0), e + 2):
+                    want = (e, cofactor) if e <= limit else None
+                    assert _valuation(n, p, limit) == want, (p, e, cofactor, limit)
+
+
 def test_codec_denominator_cap():
     assert KEMPNER_CAP == 10001
     q = Fraction(1, 9973)
@@ -106,6 +117,11 @@ def test_codec_refuses_denominators_of_any_size():
     with pytest.raises(RationalCodecError,
                        match="^denominator of %d bits too large$" % den.bit_length()):
         encode(Fraction(1, den))
+    # v_p(den) comes by repeated squaring, which stops once it passes
+    # v_p(cap!) (Legendre's formula), so these take a few divisions
+    for den, bits in ((2 ** 60000, 60001), (3 ** 30000, 47549)):
+        with pytest.raises(RationalCodecError, match="^denominator of %d bits too large$" % bits):
+            encode(Fraction(1, den))
     # u/N! has more bits than any divisor of cap! can have, so _kempner
     # refuses it before any trial division
     n, u = 16400, 1
