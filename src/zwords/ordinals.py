@@ -76,6 +76,14 @@ class Ordinal:
         return "Ordinal(%r)" % format_ordinal(self)
 
 
+def _cnf(terms: tuple[tuple[Ordinal, int], ...]) -> Ordinal:
+    """An Ordinal from terms this module already knows are in Cantor
+    normal form; skips the checks of the public constructor."""
+    a = object.__new__(Ordinal)
+    object.__setattr__(a, "terms", terms)
+    return a
+
+
 ZERO = Ordinal()
 ONE = Ordinal(((ZERO, 1),))
 OMEGA = Ordinal(((ONE, 1),))
@@ -114,22 +122,21 @@ def classify(a: Ordinal) -> str:
 def successor(a: Ordinal) -> Ordinal:
     if a.is_successor:
         head, (exp, coeff) = a.terms[:-1], a.terms[-1]
-        return Ordinal(head + ((exp, coeff + 1),))
-    return Ordinal(a.terms + ((ZERO, 1),))
+        return _cnf(head + ((exp, coeff + 1),))
+    return _cnf(a.terms + ((ZERO, 1),))
 
 
 def successor_pred(a: Ordinal) -> Ordinal:
     """The predecessor of a successor ordinal."""
     if not a.is_successor:
         raise OrdinalError("%s is not a successor" % a)
-    head, (exp, coeff) = a.terms[:-1], a.terms[-1]
-    return Ordinal(head + ((exp, coeff - 1),)) if coeff > 1 else Ordinal(head)
+    return _drop_last_unit(a)[0]
 
 
 def _drop_last_unit(a: Ordinal) -> tuple[Ordinal, Ordinal]:
     """Split a into (rest, w^e) where w^e is one copy of the last CNF term."""
     head, (exp, coeff) = a.terms[:-1], a.terms[-1]
-    rest = Ordinal(head + ((exp, coeff - 1),)) if coeff > 1 else Ordinal(head)
+    rest = _cnf(head + ((exp, coeff - 1),)) if coeff > 1 else _cnf(head)
     return rest, exp
 
 
@@ -138,7 +145,14 @@ def _append(prefix: Ordinal, tail: Ordinal) -> Ordinal:
     the last exponent of prefix."""
     if prefix.is_zero:
         return tail
-    return Ordinal(prefix.terms + tail.terms)
+    return _cnf(prefix.terms + tail.terms)
+
+
+def _check_index(n: int) -> None:
+    if not isinstance(n, int):
+        raise OrdinalError("index must be an integer: %r" % (n,))
+    if n < 1:
+        raise OrdinalError("index must be >= 1")
 
 
 def fundamental_sequence(lam: Ordinal, n: int) -> Ordinal:
@@ -148,15 +162,14 @@ def fundamental_sequence(lam: Ordinal, n: int) -> Ordinal:
     not already a successor, so every member is a successor ordinal, the
     sequence is strictly increasing and its supremum is lam.
     """
-    if n < 1:
-        raise OrdinalError("index must be >= 1")
+    _check_index(n)
     if not lam.is_limit:
         raise OrdinalError("fundamental sequence undefined for %s" % lam)
     prefix, exp = _drop_last_unit(lam)
     if exp.is_successor:
-        tail = omega_power(successor_pred(exp), n)
+        tail = _cnf(((successor_pred(exp), n),))
     else:
-        tail = omega_power(fundamental_sequence(exp, n))
+        tail = _cnf(((fundamental_sequence(exp, n), 1),))
     raw = _append(prefix, tail)
     return raw if raw.is_successor else successor(raw)
 
@@ -168,8 +181,7 @@ def predecessor_sequence(xi: Ordinal, n: int) -> Ordinal:
     supremum xi for limits, mirroring the case split of the Schreier
     recursion.
     """
-    if n < 1:
-        raise OrdinalError("index must be >= 1")
+    _check_index(n)
     if xi.is_zero:
         raise OrdinalError("predecessor sequence undefined for 0")
     if xi.is_successor:
@@ -179,12 +191,12 @@ def predecessor_sequence(xi: Ordinal, n: int) -> Ordinal:
         # xi = w^exp
         if exp.is_successor:
             beta = successor_pred(exp)
-            tail = predecessor_sequence(omega_power(beta), n)
+            tail = predecessor_sequence(_cnf(((beta, 1),)), n)
             if n == 1:
                 return tail
-            return _append(omega_power(beta, n - 1), tail)
-        return predecessor_sequence(omega_power(fundamental_sequence(exp, n)), n)
-    return _append(prefix, predecessor_sequence(omega_power(exp), n))
+            return _append(_cnf(((beta, n - 1),)), tail)
+        return predecessor_sequence(_cnf(((fundamental_sequence(exp, n), 1),)), n)
+    return _append(prefix, predecessor_sequence(_cnf(((exp, 1),)), n))
 
 
 # --- text grammar (shared with the CLI) ---------------------------------

@@ -10,9 +10,14 @@ prefix, or the set runs out first (OPEN), which makes the set a proper
 initial segment of a member.  Membership, initial segments and canonical
 decomposition all read off this one parse.
 
-The parse recurses once per nested block, so its depth follows the
-ordinal descent below xi at the set's elements; deep towers such as
+The parse reads xi as its tuple of CNF terms and builds no Ordinal for a
+block beyond the block's exponent.  Once the finite tail is taken, xi is
+a limit, and a member of a limit family with minimum n has at least n
+elements; a set with fewer left is OPEN at once, however deep xi is.
+Otherwise the parse recurses once per nested block, so its depth follows
+the ordinal descent below xi at the set's elements; deep towers such as
 w^(w^w) can exceed Python's recursion limit and raise RecursionError.
+Enumeration recurses the same way.
 """
 
 from __future__ import annotations
@@ -24,12 +29,12 @@ from typing import Iterable, Iterator
 from .ordinals import (
     Ordinal,
     fundamental_sequence,
-    omega_power,
     predecessor_sequence,
     successor_pred,
 )
 
 FiniteSet = tuple[int, ...]
+Terms = tuple[tuple[Ordinal, int], ...]
 
 DEFAULT_CAP = 20
 OPEN = -1  # _prefix_end: the set ran out before the parse completed
@@ -48,36 +53,39 @@ def as_finite_set(elements: Iterable[int]) -> FiniteSet:
     return s
 
 
-def _blocks(xi: Ordinal, n: int) -> Iterator[Ordinal]:
-    """The block families of the limit xi at minimum n, in parse order:
-    n copies of w^e for w^(e+1), the terms smallest exponent first for a
-    sum.  A limit exponent e is first resolved to e_n, which
-    fundamental_sequence always makes a successor.  The blocks come
-    lazily, so a large n or coefficient costs no memory of its own."""
-    if len(xi.terms) == 1 and xi.terms[0][1] == 1:
-        exp = xi.terms[0][0]
-        if exp.is_limit:
+def _blocks(terms: Terms, n: int) -> Iterator[Terms]:
+    """The block families of the limit with CNF terms `terms` at minimum
+    n, as term tuples in parse order: n copies of w^e for w^(e+1), the
+    terms smallest exponent first for a sum.  A limit exponent e is first
+    resolved to e_n, which fundamental_sequence always makes a successor.
+    The blocks come lazily, so a large n or coefficient costs no memory
+    of its own."""
+    if len(terms) == 1 and terms[0][1] == 1:
+        exp = terms[0][0]
+        if exp.terms[-1][0].terms:  # a limit exponent
             exp = fundamental_sequence(exp, n)
-        return repeat(omega_power(successor_pred(exp)), n)
-    return chain.from_iterable(repeat(omega_power(exp), coeff)
-                               for exp, coeff in reversed(xi.terms))
+        return repeat(((successor_pred(exp), 1),), n)
+    return chain.from_iterable(repeat(((exp, 1),), coeff) for exp, coeff in reversed(terms))
 
 
-def _prefix_end(s: FiniteSet, i: int, xi: Ordinal) -> int:
-    """End j of the unique prefix s[i:j] in A_xi, or OPEN if s runs out
-    before the parse completes."""
-    if xi.is_successor:
-        i += xi.terms[-1][1]
+def _prefix_end(s: FiniteSet, i: int, terms: Terms) -> int:
+    """End j of the unique prefix s[i:j] in A_xi, xi given by its CNF
+    terms, or OPEN if s runs out before the parse completes."""
+    if not terms:
+        return i
+    exp, coeff = terms[-1]
+    if not exp.terms:
+        # a successor takes its finite tail first
+        i += coeff
         if i > len(s):
             return OPEN
-        if len(xi.terms) == 1:
+        terms = terms[:-1]
+        if not terms:
             return i
-        xi = Ordinal(xi.terms[:-1])
-    elif xi.is_zero:
-        return i
-    if i == len(s):
+    # a limit member with minimum n has at least n elements
+    if i == len(s) or len(s) - i < s[i]:
         return OPEN
-    for block in _blocks(xi, s[i]):
+    for block in _blocks(terms, s[i]):
         i = _prefix_end(s, i, block)
         if i == OPEN:
             return OPEN
@@ -85,7 +93,7 @@ def _prefix_end(s: FiniteSet, i: int, xi: Ordinal) -> int:
 
 
 def _member(s: FiniteSet, xi: Ordinal) -> bool:
-    return _prefix_end(s, 0, xi) == len(s)
+    return _prefix_end(s, 0, xi.terms) == len(s)
 
 
 def is_member(s: Iterable[int], xi: Ordinal) -> bool:
@@ -95,7 +103,7 @@ def is_member(s: Iterable[int], xi: Ordinal) -> bool:
 
 def is_proper_initial(s: Iterable[int], xi: Ordinal) -> bool:
     """Decide s in A_xi* \\ A_xi (a proper initial segment of a member)."""
-    return _prefix_end(as_finite_set(s), 0, xi) == OPEN
+    return _prefix_end(as_finite_set(s), 0, xi.terms) == OPEN
 
 
 @dataclass(frozen=True)
@@ -131,7 +139,7 @@ def canonical_decompose(s: Iterable[int], xi: Ordinal) -> CanonicalDecomposition
     blocks = []
     i = 0
     while i < len(seq):
-        j = _prefix_end(seq, i, xi)
+        j = _prefix_end(seq, i, xi.terms)
         if j == OPEN:
             break
         blocks.append(seq[i:j])
@@ -139,13 +147,15 @@ def canonical_decompose(s: Iterable[int], xi: Ordinal) -> CanonicalDecomposition
     return CanonicalDecomposition(tuple(blocks), seq[i:] or None)
 
 
-def _with_min(xi: Ordinal, n: int, n_max: int) -> Iterator[FiniteSet]:
-    """All members of A_xi with minimum exactly n inside {1..n_max}."""
-    if xi.is_zero or n > n_max:
+def _with_min(terms: Terms, n: int, n_max: int) -> Iterator[FiniteSet]:
+    """All members of A_xi, xi given by its CNF terms, with minimum
+    exactly n inside {1..n_max}."""
+    if not terms or n > n_max:
         return
-    if xi.is_successor:
-        zeta = successor_pred(xi)
-        if zeta.is_zero:
+    exp, coeff = terms[-1]
+    if not exp.terms:
+        zeta = terms[:-1] + ((exp, coeff - 1),) if coeff > 1 else terms[:-1]
+        if not zeta:
             yield (n,)
             return
         for m in range(n + 1, n_max + 1):
@@ -154,7 +164,7 @@ def _with_min(xi: Ordinal, n: int, n_max: int) -> Iterator[FiniteSet]:
         return
     # every block takes at least one element of {n..n_max}
     room = n_max - n + 1
-    plan = list(islice(_blocks(xi, n), room + 1))
+    plan = list(islice(_blocks(terms, n), room + 1))
     if len(plan) > room:
         return
     for first in _with_min(plan[0], n, n_max):
@@ -162,7 +172,7 @@ def _with_min(xi: Ordinal, n: int, n_max: int) -> Iterator[FiniteSet]:
             yield first + rest
 
 
-def _chain_rest(plan: list[Ordinal], lo: int, n_max: int) -> Iterator[FiniteSet]:
+def _chain_rest(plan: list[Terms], lo: int, n_max: int) -> Iterator[FiniteSet]:
     if not plan:
         yield ()
         return
@@ -181,7 +191,7 @@ def enumerate_members(xi: Ordinal, n_max: int, cap: int | None = None) -> list[F
         return [()]
     out: list[FiniteSet] = []
     for n in range(1, n_max + 1):
-        out.extend(_with_min(xi, n, n_max))
+        out.extend(_with_min(xi.terms, n, n_max))
     return sorted(out)
 
 

@@ -17,6 +17,7 @@ from zwords.ordinals import (
     parse_ordinal,
     predecessor_sequence,
     successor,
+    successor_pred,
 )
 
 
@@ -166,3 +167,50 @@ def test_parser_rejects_bad_input():
     for bad in ["w+w^2", "w*0", "w^2*0", "1+1", "w^", "5+w", ""]:
         with pytest.raises(OrdinalError):
             parse_ordinal(bad)
+
+
+def _rebuilt(o):
+    """o rebuilt through the public constructor at every level."""
+    return Ordinal(tuple((_rebuilt(e), c) for e, c in o.terms))
+
+
+def test_internal_results_pass_the_public_checks():
+    rng = random.Random(20240711)
+    sample = (limit_ordinals_upto_omega_cubed()
+              + [parse_ordinal(t) for t in ("1", "w+1", "w^w", "w^(w^w)", "w^(w+1)*2+w^3+4")]
+              + [random_cnf(rng) for _ in range(200)])
+    checked = 0
+    for o in sample:
+        calls = [(successor, o)]
+        if o.is_successor:
+            calls.append((successor_pred, o))
+        for n in range(1, 7):
+            if o.is_limit:
+                calls.append((fundamental_sequence, o, n))
+            if not o.is_zero:
+                calls.append((predecessor_sequence, o, n))
+        for f, *args in calls:
+            try:
+                r = f(*args)
+            except RecursionError:
+                # predecessor_sequence recurses once per step of the descent
+                # below a tower, which can pass the limit; no result to check
+                continue
+            assert _rebuilt(r) == r, (f.__name__, args, r)
+            checked += 1
+    assert checked >= 2000
+
+
+def test_public_constructors_reject_malformed_terms():
+    for terms in [((ONE, 1), (OMEGA, 1)), ((ONE, 1), (ONE, 2)), ((ONE, 0),),
+                  ((1, 1),), ((ONE, 1.0),), ((ONE, "1"),)]:
+        with pytest.raises(OrdinalError):
+            Ordinal(terms)
+    for exp, coeff in [(ONE, 0), (3, 1), (ONE, 2.0)]:
+        with pytest.raises(OrdinalError):
+            omega_power(exp, coeff)
+    for n in (0, 2.0, "2"):
+        with pytest.raises(OrdinalError):
+            fundamental_sequence(OMEGA, n)
+        with pytest.raises(OrdinalError):
+            predecessor_sequence(from_int(3), n)

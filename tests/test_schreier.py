@@ -24,6 +24,7 @@ from _oracles import (
 XI_SAMPLE = [ONE, from_int(2), from_int(3), OMEGA, parse_ordinal("w+1"),
              parse_ordinal("w*2"), omega_power(from_int(2))]
 TOWER_AND_SUM = [parse_ordinal(t) for t in ("w^w", "w^3", "w^2+w", "w^(w+1)*2+w^3")]
+DEEP_TOWERS = [parse_ordinal(t) for t in ("w^(w^w)", "w^(w^(w^w))")]
 
 
 def test_membership_examples():
@@ -40,6 +41,24 @@ def test_membership_agrees_with_reference_on_small_ground():
             # a set with no member prefix is a proper initial segment
             no_member_prefix = not any(reference[s[:j]] for j in range(len(s) + 1))
             assert is_proper_initial(s, xi) == no_member_prefix, (s, xi)
+
+
+def test_sets_shorter_than_their_minimum_are_open():
+    # a limit member with minimum n has at least n elements; so has a
+    # member of xi + m, whose limit part starts above n.  A finite xi = m
+    # takes m elements whatever they are, so it has no such bound.
+    infinite = [xi for xi in XI_SAMPLE + TOWER_AND_SUM + DEEP_TOWERS if not xi.is_finite]
+    assert len(infinite) == 10
+    for xi in infinite:
+        for s in powerset(range(1, 11)):
+            if not s or s[0] <= len(s):
+                continue
+            assert not is_member(s, xi) and not reference_member(s, xi), (s, xi)
+            assert is_proper_initial(s, xi), (s, xi)
+            dec = canonical_decompose(s, xi)
+            assert dec.blocks == () and dec.remainder == s, (s, xi)
+    # without the cut the parse recursed past limit 200000 here, for 33 s
+    assert not is_member((3, 4), DEEP_TOWERS[1])
 
 
 def test_large_elements_and_coefficients_cost_no_memory():
