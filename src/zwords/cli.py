@@ -21,7 +21,7 @@ from .words import WordError
 
 DOMAIN_ERRORS = (OrdinalError, SchreierError, WordError, families.FamilyError,
                  rationals.RationalCodecError, search.SearchError,
-                 search.SearchCapExceeded, ValueError)
+                 search.SearchCapExceeded, ValueError, OSError)
 
 
 def _caps() -> int | None:
@@ -160,12 +160,10 @@ def _cmd_family_closure(args) -> None:
         if pool is None:
             raise families.FamilyError("hereditary closure needs --pool")
         out = families.hereditary_closure(fam, pool)
-    elif args.op == "largest":
+    else:
         if pool is None:
             raise families.FamilyError("largest hereditary subfamily needs --pool")
         out = families.largest_hereditary(fam, pool)
-    else:
-        raise families.FamilyError("unknown closure op %r" % args.op)
     lines = [families.serialize_tuple(bw) for bw in out.sorted_members()]
     _emit(args, {"members": lines}, lines)
 
@@ -349,36 +347,26 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-# flags whose values may start with '-' (word texts, stdin paths)
-_STICKY_FLAGS = {"--word", "--a", "--b", "--tuple", "--set", "--values",
-                 "--xs", "--zs", "--family", "--pool", "--coloring", "--lambda"}
+# a value that starts like a negative number (-3/7, -1:v,1:v, -.5), which
+# argparse would read as an option
+_DASH_VALUE = re.compile(r"-[0-9.]")
 
 
-# a bare negative rational such as -3/7, which argparse would read as an
-# option; in the `rat encode` value slot it is moved behind "--"
-_NEGATIVE_VALUE = re.compile(r"-[0-9.]")
-
-
-def _merge_flag_values(argv: list[str]) -> list[str]:
+def _dash_values(argv: list[str]) -> list[str]:
+    """Join each dash value to the --flag just before it, if that flag has
+    no "=" yet; otherwise put "--" in front of it, so that it and the rest
+    are positional."""
     out = []
-    values = []
-    positionals = []
-    i = 0
-    while i < len(argv):
-        arg = argv[i]
-        if arg in _STICKY_FLAGS and i + 1 < len(argv):
-            out.append(arg + "=" + argv[i + 1])
-            i += 2
-            continue
-        if (positionals == ["rat", "encode"] and "--" not in out
-                and _NEGATIVE_VALUE.match(arg)):
-            values.append(arg)
-        else:
-            out.append(arg)
-            if not arg.startswith("-"):
-                positionals.append(arg)
-        i += 1
-    return out + ["--"] + values if values else out
+    for i, arg in enumerate(argv):
+        if arg == "--":
+            return out + argv[i:]
+        if _DASH_VALUE.match(arg):
+            if out and out[-1].startswith("--") and "=" not in out[-1]:
+                out[-1] += "=" + arg
+                continue
+            return out + ["--"] + argv[i:]
+        out.append(arg)
+    return out
 
 
 _parser: argparse.ArgumentParser | None = None
@@ -391,7 +379,7 @@ def main(argv: list[str] | None = None) -> int:
         # no state in the parser, and importing the CLI stays cheap
         _parser = build_parser()
     parser = _parser
-    argv = _merge_flag_values(sys.argv[1:] if argv is None else list(argv))
+    argv = _dash_values(sys.argv[1:] if argv is None else list(argv))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -11,6 +11,7 @@ position, serialization), so results are reproducible.
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain, combinations, product
 from math import prod
@@ -25,6 +26,7 @@ from .words import (
     DominationProfile,
     LocatedWord,
     WordError,
+    _grid,
     concat_all,
     extracted_constants,
     first_clamp,
@@ -166,39 +168,20 @@ def length_slice(n: int, window: SearchWindow, variable: bool = False) -> list[L
     return sorted(out, key=word_sort_key)
 
 
-def _substitution_grid(bounds: Sequence[int], profile: DominationProfile) -> list[tuple[tuple[int, int], ...]]:
-    """The full grid of substitution pairs for the given sequence
-    indices: 1 <= p_i <= k_{n_i}, 1 <= q_i <= k_{-n_i}."""
-    per_slot = []
-    for idx in bounds:
-        kp, kq = profile.bound(idx), profile.bound(-idx)
-        per_slot.append([(p, q) for p in range(1, kp + 1) for q in range(1, kq + 1)])
-    return list(product(*per_slot))
-
-
-def _annuli(dom: Sequence[int], m: int) -> Iterator[list[tuple[int, ...]]]:
+def _splits(dom: tuple[int, ...], m: int) -> Iterator[list[tuple[int, ...]]]:
     """Partitions of a sorted position set into m nested annuli, listed
     innermost first; every annulus keeps at least one negative and one
-    positive position."""
-    if m == 1:
-        if dom and dom[0] < 0 < dom[-1]:
-            yield [tuple(dom)]
+    positive position.  The annuli are cut at m - 1 points among the
+    negatives and m - 1 among the positives, both taken from the inside
+    out."""
+    zero = bisect_left(dom, 0)
+    if zero < m or len(dom) - zero < m:
         return
-    # peel the outermost annulus: a >= 1 from the left, b >= 1 from the right
-    for a in range(1, len(dom) - 1):
-        if dom[a - 1] > 0:
-            break
-        for b in range(1, len(dom) - a):
-            if dom[len(dom) - b] < 0:
-                break
-            outer = tuple(dom[:a]) + tuple(dom[len(dom) - b:])
-            if not (outer[0] < 0 < outer[-1]):
-                continue
-            inner = dom[a:len(dom) - b]
-            if not inner:
-                continue
-            for rest in _annuli(inner, m - 1):
-                yield rest + [outer]
+    for neg in combinations(range(zero - 1, 0, -1), m - 1):
+        left = (zero,) + neg + (0,)
+        for pos in combinations(range(zero + 1, len(dom)), m - 1):
+            right = (zero,) + pos + (len(dom),)
+            yield [dom[left[i + 1]:left[i]] + dom[right[i]:right[i + 1]] for i in range(m)]
 
 
 def _core_variable_words(dom: Sequence[int], profile: DominationProfile) -> Iterator[tuple[str, LocatedWord]]:
@@ -234,9 +217,7 @@ def _candidate_plan(m: int, total: int, window: SearchWindow) -> tuple[int, list
     count = 0
     shells: dict[int, list] = {}
     for dom in combinations(window.positions(), total):
-        if not (dom[0] < 0 < dom[-1]):
-            continue
-        for layers in _annuli(dom, m):
+        for layers in _splits(dom, m):
             count += prod(_core_count(layer, window.profile) for layer in layers)
             if count > window.max_candidates:
                 over = window.max_candidates + 1
@@ -287,13 +268,15 @@ def hj_witness_search(coloring: Coloring, m: int, bounds: Sequence[int], n: int,
     """Search for m variable words, increasing and of total length n,
     all of whose substitution instances over the bounds' grids share one
     color.  Exhaustive within the window."""
+    if m < 1:
+        raise SearchError("tuple length must be >= 1")
     if len(bounds) != m:
         raise SearchError("need one grid index per tuple slot")
     if n < 1:
         raise SearchError("total length must be >= 1")
     start = time.perf_counter()
     count, plan = _candidate_plan(m, n, window)
-    grid = _substitution_grid(bounds, window.profile)
+    grid = list(product(*[_grid(window.profile, index) for index in bounds]))
     nodes = 0
     for ws in _stream_candidates(plan, window.profile):
         nodes += 1
@@ -335,12 +318,10 @@ def verify_witness(witness: Sequence[LocatedWord], coloring: Coloring,
     profile = witness[0].profile
     colors = set()
     instances = 0
-    for pairs in _substitution_grid(bounds, profile):
+    for pairs in product(*[_grid(profile, index) for index in bounds]):
         instance = concat_all([substitute(w, *pq) for w, pq in zip(witness, pairs)])
         colors.add(coloring.color_word(instance))
         instances += 1
-    if not instances:
-        return VerifyReport(True, 0, None)
     return VerifyReport(len(colors) == 1, instances, colors.pop() if len(colors) == 1 else None)
 
 
@@ -375,6 +356,8 @@ def xi_witness_search(coloring: Coloring, xi: Ordinal, l: int, n0: int,
     monochromatic under a tuple coloring."""
     if l < 1:
         raise SearchError("tuple length must be >= 1")
+    if n0 < 1:
+        raise SearchError("total length must be >= 1")
     start = time.perf_counter()
     plans = [_candidate_plan(l, total, window) for total in range(2 * l, 2 * window.radius + 1)]
     count = sum(c for c, _ in plans)
@@ -445,23 +428,25 @@ def psi_map(w: LocatedWord, spec: SemigroupSpec):
 
 
 def fs_enumerate(xs: Sequence[X], spec: SemigroupSpec) -> set[X]:
-    """All finite sums of subsequences, indices ascending."""
-    out = set()
-    for size in range(1, len(xs) + 1):
-        for idxs in combinations(range(len(xs)), size):
-            out.add(spec.fold([xs[i] for i in idxs]))
+    """All finite sums of subsequences, indices ascending.  The sums whose
+    largest index is k are x_k and s + x_k for every earlier sum s."""
+    out: set[X] = set()
+    for x in xs:
+        out |= {spec.op(s, x) for s in out}
+        out.add(x)
     return out
 
 
 def fs_two_sided(xs: Sequence[X], zs: Sequence[X], spec: SemigroupSpec) -> set[X]:
-    """All sums x_{n_l} + ... + x_{n_1} + z_{n_1} + ... + z_{n_l}."""
+    """All sums x_{n_l} + ... + x_{n_1} + z_{n_1} + ... + z_{n_l}.  The
+    sums whose largest index is k are x_k + z_k and x_k + s + z_k for
+    every earlier sum s."""
     if len(xs) != len(zs):
         raise SearchError("sequences must have equal length")
-    out = set()
-    for size in range(1, len(xs) + 1):
-        for idxs in combinations(range(len(xs)), size):
-            parts = [xs[i] for i in reversed(idxs)] + [zs[i] for i in idxs]
-            out.add(spec.fold(parts))
+    out: set[X] = set()
+    for x, z in zip(xs, zs):
+        out |= {spec.op(spec.op(x, s), z) for s in out}
+        out.add(spec.op(x, z))
     return out
 
 

@@ -199,6 +199,27 @@ def reference_candidates(m, total, window):
                             tuple(w for _, w in combo)))
     return [ws for _, ws in sorted(out, key=lambda item: item[0])]
 
+
+def reference_fs_enumerate(xs, spec):
+    """Every finite sum by definition: one fold per nonempty index
+    subset, indices ascending."""
+    out = set()
+    for size in range(1, len(xs) + 1):
+        for idxs in combinations(range(len(xs)), size):
+            out.add(spec.fold([xs[i] for i in idxs]))
+    return out
+
+
+def reference_fs_two_sided(xs, zs, spec):
+    """Every sum x_{n_l} + ... + x_{n_1} + z_{n_1} + ... + z_{n_l} by
+    definition: one fold per nonempty index subset."""
+    out = set()
+    for size in range(1, len(xs) + 1):
+        for idxs in combinations(range(len(xs)), size):
+            out.add(spec.fold([xs[i] for i in reversed(idxs)] + [zs[i] for i in idxs]))
+    return out
+
+
 def reference_extracted(ws):
     """The extracted words of an increasing tuple by definition: for every
     nonempty subset of members and every choice of one pair per member,

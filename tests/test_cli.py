@@ -41,6 +41,17 @@ def test_rat_encode_bare_negative_value(capsys):
     assert code == 1 and err.startswith("error: substitution pair")
 
 
+def test_flag_followed_by_dashes_is_a_usage_error(capsys):
+    # "--" ends the options; it is never a flag's value
+    for argv in (("word", "check", "--word", "--"),
+                 ("rat", "decode", "--word", "--"),
+                 ("rat", "precedes", "--a", "1", "--b", "--"),
+                 ("search", "fs", "--xs", "1,2", "--zs", "--")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.endswith(": expected one argument\n")
+
+
 def test_rat_decode_and_json(capsys):
     code, out, _ = run(capsys, "--json", "rat", "decode", "--word", "2:2,3:1")
     assert code == 0 and json.loads(out) == {"value": "2"}
@@ -159,6 +170,21 @@ def test_search_commands(capsys):
     assert code == 0 and out.startswith("witness: ")
 
 
+def test_unreadable_input_file_is_a_domain_error(tmp_path, capsys):
+    fam = tmp_path / "family.txt"
+    fam.write_text("-1:v,1:v\n")
+    missing = str(tmp_path / "missing.txt")
+    for argv in (("family", "closure", "--op", "tree", "--family", missing),
+                 ("family", "closure", "--op", "tree", "--family", str(tmp_path)),
+                 ("family", "closure", "--op", "hereditary", "--family", str(fam),
+                  "--pool", missing),
+                 ("search", "hj", "--r", "2", "--coloring", missing, "--bounds", "1",
+                  "--n", "2", "--window", "2")):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: [Errno ") and err.count("\n") == 1
+
+
 def test_search_with_coloring_file(tmp_path, capsys):
     coloring = tmp_path / "coloring.txt"
     coloring.write_text("seed:42:2\n")
@@ -214,6 +240,10 @@ def test_search_rejects_empty_lengths(capsys):
     code, _, err = run(capsys, "search", "xi", "--r", "2", "--seed", "1", "--xi", "2",
                        "--l", "0", "--n0", "2", "--window", "3")
     assert code == 1 and err.startswith("error:") and err.count("\n") == 1
+    # no nonempty slice has total 0, so such a search could find nothing
+    code, out, err = run(capsys, "search", "xi", "--r", "2", "--seed", "1", "--xi", "w",
+                         "--l", "1", "--n0", "0", "--window", "3")
+    assert (code, out, err) == (1, "", "error: total length must be >= 1\n")
 
 
 def test_zw_caps_env(capsys, monkeypatch):

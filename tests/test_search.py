@@ -28,7 +28,7 @@ from zwords.search import (
 from zwords.search import _candidate_plan, _witness_candidates
 from zwords.words import VARIABLE, DominationProfile, format_word, make_word, parse_profile
 
-from _oracles import reference_candidates
+from _oracles import reference_candidates, reference_fs_enumerate, reference_fs_two_sided
 
 
 class DomainParity(Coloring):
@@ -145,6 +145,15 @@ def test_hj_pair_witness():
     from zwords.words import rel_r1
     assert rel_r1(w1, w2)
     assert verify_witness(rep.witness, coloring, [1, 2]).monochromatic
+
+
+def test_searches_reject_empty_tuples_and_slices():
+    # every annulus split needs a word, and every xi slice a position
+    coloring = Coloring(arity=2, seed=0)
+    with pytest.raises(SearchError, match="^tuple length must be >= 1$"):
+        hj_witness_search(coloring, 0, [], 2, SearchWindow(2))
+    with pytest.raises(SearchError, match="^total length must be >= 1$"):
+        xi_witness_search(coloring, ONE, 1, 0, SearchWindow(3))
 
 
 def test_hj_cap():
@@ -271,13 +280,53 @@ def test_fs_enumerate():
     xs = [10 ** i for i in range(6)]
     values = fs_enumerate(xs, INT_LINEAR)
     assert len(values) == 2 ** 6 - 1  # digit-disjoint sums are distinct
+    # 2^64 - 1 index subsets, 64 distinct sums
+    assert fs_enumerate([1] * 64, INT_LINEAR) == set(range(1, 65))
 
 
 def test_fs_two_sided():
     assert fs_two_sided(["a1", "a2"], ["b1", "b2"], STRING_CONCAT) \
         == {"a1b1", "a2b2", "a2a1b1b2"}
+    assert fs_two_sided([1] * 64, [2] * 64, INT_LINEAR) == set(range(3, 3 * 64 + 1, 3))
     with pytest.raises(SearchError):
         fs_two_sided([1], [1, 2], INT_LINEAR)
+
+
+LEFT_ZERO = SemigroupSpec(op=lambda a, b: a, y=lambda l, n: (l, n))
+
+
+def _mat_mul_mod3(a, b):
+    return ((a[0] * b[0] + a[1] * b[2]) % 3, (a[0] * b[1] + a[1] * b[3]) % 3,
+            (a[2] * b[0] + a[3] * b[2]) % 3, (a[2] * b[1] + a[3] * b[3]) % 3)
+
+
+MAT_MOD3 = SemigroupSpec(op=_mat_mul_mod3, y=lambda l, n: (l % 3, n % 3, 0, 1))
+
+
+def test_fs_matches_the_subset_fold():
+    rng = random.Random(4242)
+    cases = []
+    for _ in range(40):
+        n = rng.randint(0, 12)
+        cases.append((INT_LINEAR, [rng.randint(-4, 6) for _ in range(n)],
+                      [rng.randint(-4, 6) for _ in range(n)]))
+    for _ in range(30):
+        n = rng.randint(0, 8)
+        cases.append((STRING_CONCAT, [rng.choice("ab") * rng.randint(1, 2) for _ in range(n)],
+                      [rng.choice(["", "b", "ba"]) for _ in range(n)]))
+    def matrix():
+        return tuple(rng.randrange(3) for _ in range(4))
+    for spec in (LEFT_ZERO, MAT_MOD3):
+        for _ in range(30):
+            n = rng.randint(0, 10)
+            cases.append((spec, [matrix() for _ in range(n)], [matrix() for _ in range(n)]))
+    for spec, xs, zs in cases:
+        assert fs_enumerate(xs, spec) == reference_fs_enumerate(xs, spec)
+        assert fs_two_sided(xs, zs, spec) == reference_fs_two_sided(xs, zs, spec)
+    # left zero: a sum is its first summand, read left to right
+    xs, zs = [(0,), (1,), (0,)], [(2,), (3,), (4,)]
+    assert fs_enumerate(xs, LEFT_ZERO) == {(0,), (1,)}
+    assert fs_two_sided(xs, zs, LEFT_ZERO) == set(xs)
 
 
 def test_semigroup_spot_check():
