@@ -37,11 +37,11 @@ def _read_text(path: str) -> str:
 
 
 def _emit(args, fields: dict, lines: list[str]) -> None:
+    """Write the fields as one JSON line, or the lines, in one write."""
     if args.json:
-        print(json.dumps(fields, sort_keys=True))
-    else:
-        for line in lines:
-            print(line)
+        sys.stdout.write(json.dumps(fields, sort_keys=True) + "\n")
+    elif lines:
+        sys.stdout.write("\n".join(lines) + "\n")
 
 
 def _profile(args) -> words.DominationProfile:
@@ -261,8 +261,8 @@ def _cmd_search_fs(args) -> None:
         values = search.fs_two_sided(xs, zs, search.INT_LINEAR)
     else:
         values = search.fs_enumerate(xs, search.INT_LINEAR)
-    lines = [str(v) for v in sorted(values)]
-    _emit(args, {"values": sorted(values)}, lines)
+    values = sorted(values)
+    _emit(args, {"values": values}, [str(v) for v in values])
 
 
 def _cmd_search_psi(args) -> None:

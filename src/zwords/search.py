@@ -26,9 +26,10 @@ from .words import (
     DominationProfile,
     LocatedWord,
     WordError,
+    _extraction_grids,
     _grid,
+    _images,
     concat_all,
-    extracted_constants,
     first_clamp,
     format_word,
     make_tuple,
@@ -325,28 +326,43 @@ def verify_witness(witness: Sequence[LocatedWord], coloring: Coloring,
     return VerifyReport(len(colors) == 1, instances, colors.pop() if len(colors) == 1 else None)
 
 
+def _block_plans(chosen: tuple[int, ...]) -> Iterator[list[tuple[int, ...]]]:
+    """Every cut of a sorted member subset into consecutive runs."""
+    n = len(chosen)
+    for k in range(n):
+        for cuts in combinations(range(1, n), k):
+            edges = (0,) + cuts + (n,)
+            yield [chosen[a:b] for a, b in zip(edges, edges[1:])]
+
+
 def _xi_slices(ws: Sequence[LocatedWord], xi: Ordinal,
                total: int) -> list[tuple[LocatedWord, ...]]:
     """All increasing tuples of extracted constants of ws whose anchor
-    set lies in A_xi and whose domain sizes sum to `total`."""
-    constants = sorted(extracted_constants(make_tuple(ws)), key=word_sort_key)
-    out = []
+    set lies in A_xi and whose domain sizes sum to `total`.
 
-    def grow(prefix: tuple[LocatedWord, ...], size: int) -> None:
-        if prefix and size == total:
-            anchors = tuple(w.min_dom_pos for w in prefix)
-            if is_member(anchors, xi):
-                out.append(prefix)
-        for w in constants:
-            extra = len(w.entries)
-            if size + extra > total:
-                continue
-            if prefix and not rel_r1(prefix[-1], w):
-                continue
-            grow(prefix + (w,), size + extra)
-
-    grow((), 0)
-    return out
+    The members of ws are nested annuli, innermost first, so a constant's
+    domain names the member subset it is built from, and one constant
+    precedes another exactly when its members all lie inside the other's.
+    A slice is therefore a block plan, a nonempty member subset cut into
+    consecutive runs, times one image per chosen member.  The plan alone
+    fixes the total and the anchors (each block's innermost member's
+    least positive position), so each plan is tested once, and images are
+    built only for the blocks of plans that pass."""
+    bw = make_tuple(ws)
+    grids = _extraction_grids(bw, None)
+    sizes = [len(w.entries) for w in bw]
+    anchors = [w.min_dom_pos for w in bw]
+    plans = []
+    for size in range(1, len(bw) + 1):
+        for chosen in combinations(range(len(bw)), size):
+            if sum(sizes[i] for i in chosen) == total:
+                plans += [plan for plan in _block_plans(chosen)
+                          if is_member(tuple(anchors[run[0]] for run in plan), xi)]
+    runs = {run for plan in plans for run in plan}
+    images = {i: _images(bw[i], grids[i]) for i in {i for run in runs for i in run}}
+    blocks = {run: [concat_all(combo) for combo in product(*map(images.get, run))]
+              for run in runs}
+    return [s for plan in plans for s in product(*map(blocks.get, plan))]
 
 
 def xi_witness_search(coloring: Coloring, xi: Ordinal, l: int, n0: int,

@@ -348,9 +348,10 @@ def _grid(profile: DominationProfile, index: int) -> list[tuple[int, int]]:
     return [(p, q) for p in range(1, kp + 1) for q in range(1, kq + 1)]
 
 
-def _constant_images(bw: OrderlyTuple, indices: Sequence[int] | None) -> list[list[LocatedWord]]:
-    """Check that bw can be extracted from and list, per member, its
-    distinct substitution images over the grid at its index."""
+def _extraction_grids(bw: OrderlyTuple, indices: Sequence[int] | None) -> list[list[tuple[int, int]]]:
+    """Check that bw can be extracted from and give each member its
+    substitution grid.  Every error that building the images could raise
+    is raised here, so images can be built later or not at all."""
     if bw.mode != "zstar":
         raise WordError("extraction needs a two-sided tuple")
     if len(bw) == 0:
@@ -365,8 +366,27 @@ def _constant_images(bw: OrderlyTuple, indices: Sequence[int] | None) -> list[li
     indices = tuple(indices)
     if len(indices) != len(bw):
         raise WordError("need one grid index per member")
-    return [list(dict.fromkeys(substitute(w, p, q) for p, q in _grid(profile, index)))
-            for w, index in zip(bw, indices)]
+    grids = []
+    for w, index in zip(bw, indices):
+        grids.append(_grid(profile, index))
+        # a table is the one kind whose k can be undefined, and
+        # substitution reads k at every variable position
+        if profile.kind == "table":
+            for pos, letter in w.entries:
+                if letter == VARIABLE:
+                    profile.bound(pos)
+    return grids
+
+
+def _images(w: LocatedWord, grid: Sequence[tuple[int, int]]) -> list[LocatedWord]:
+    """The distinct substitution images of w over a grid, in grid order."""
+    return list(dict.fromkeys(substitute(w, p, q) for p, q in grid))
+
+
+def _constant_images(bw: OrderlyTuple, indices: Sequence[int] | None) -> list[list[LocatedWord]]:
+    """Check that bw can be extracted from and list, per member, its
+    distinct substitution images over the grid at its index."""
+    return [_images(w, grid) for w, grid in zip(bw, _extraction_grids(bw, indices))]
 
 
 def _star_products(options: Sequence[Sequence[LocatedWord]]) -> set[LocatedWord]:
@@ -397,12 +417,6 @@ def extracted_sets(bw: OrderlyTuple, indices: Sequence[int] | None = None) -> Ex
     products = _star_products([[w] + ws for w, ws in zip(bw, images)])
     variables = frozenset(w for w in products if w.is_variable_word)
     return ExtractedSets(frozenset(products - variables), variables)
-
-
-def extracted_constants(bw: OrderlyTuple, indices: Sequence[int] | None = None) -> frozenset[LocatedWord]:
-    """The constants of extracted_sets(bw, indices), built without the
-    variables."""
-    return frozenset(_star_products(_constant_images(bw, indices)))
 
 
 def is_extraction(u: OrderlyTuple, w: OrderlyTuple) -> bool:

@@ -29,6 +29,7 @@ from zwords.words import (
     format_word,
     make_tuple,
     make_word,
+    parse_profile,
     rel_r1,
     word_sort_key,
 )
@@ -200,6 +201,22 @@ def reference_candidates(m, total, window):
     return [ws for _, ws in sorted(out, key=lambda item: item[0])]
 
 
+def sampled_candidates(radius, per_cell=25):
+    """Every 7th tuple of reference_candidates, at most per_cell of them,
+    from each (profile, m <= 3) cell at the radius, over every total.  At
+    radius 4 the m <= 2 cells stop at total 5: their larger totals hold
+    327,270 tuples."""
+    from zwords.search import SearchWindow
+
+    for text in ("abs", "abs+1", "const:1"):
+        window = SearchWindow(radius, parse_profile(text))
+        for m in (1, 2, 3):
+            top = 5 if radius == 4 and m < 3 else 2 * radius
+            cell = [ws for total in range(2 * m, top + 1)
+                    for ws in reference_candidates(m, total, window)]
+            yield from cell[::max(7, -(-len(cell) // per_cell))]
+
+
 def reference_fs_enumerate(xs, spec):
     """Every finite sum by definition: one fold per nonempty index
     subset, indices ascending."""
@@ -245,6 +262,34 @@ def reference_extracted(ws):
                 word = make_word(entries, profile)
                 (variables if (0, 0) in pairs else constants).add(word)
     return frozenset(constants), frozenset(variables)
+
+
+def reference_xi_slices(ws, xi, total, constants=None):
+    """Every rel_r1-increasing tuple of extracted constants of ws whose
+    domain sizes sum to `total` and whose anchors (least positive
+    positions) form a member of A_xi: chains grow one constant at a time
+    over all the constants of reference_extracted, testing each pair.
+    A caller that has those constants already may pass them."""
+    if not ws:
+        return []
+    if constants is None:
+        constants = reference_extracted(ws)[0]
+    constants = sorted(constants, key=word_sort_key)
+    out = []
+
+    def grow(prefix, size):
+        if prefix and size == total:
+            if reference_member(tuple(w.min_dom_pos for w in prefix), xi):
+                out.append(prefix)
+        for w in constants:
+            extra = len(w.entries)
+            if size + extra > total:
+                break  # constants are sorted by length
+            if not prefix or rel_r1(prefix[-1], w):
+                grow(prefix + (w,), size + extra)
+
+    grow((), 0)
+    return out
 
 
 def _reference_longest_chain(ws) -> int:

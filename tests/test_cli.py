@@ -170,6 +170,44 @@ def test_search_commands(capsys):
     assert code == 0 and out.startswith("witness: ")
 
 
+class CountingStdout:
+    """Stands in for sys.stdout and keeps every write."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_output_bytes_and_one_write_per_command(monkeypatch):
+    powers = ",".join(str(2 ** k) for k in range(20))
+    xi_argv = ("search", "xi", "--r", "2", "--seed", "7", "--xi", "w", "--l", "2",
+               "--n0", "4", "--window", "3")
+    cases = [
+        (("search", "fs", "--xs", powers), "".join("%d\n" % v for v in range(1, 2 ** 20))),
+        (("--json", "search", "fs", "--xs", "1,10,100"),
+         '{"values": [1, 10, 11, 100, 101, 110, 111]}\n'),
+        (("--json",) + xi_argv, '{"color": 1, "grid": 4, "nodes": 6, "vacuous": false, '
+                                '"witness": "-1:v,2:v;-3:v,3:v"}\n'),
+        (xi_argv, "witness: -1:v,2:v;-3:v,3:v\ncolor: 1\ngrid: 4\nnodes: 6\n"),
+        (("--json", "schreier", "enum", "--xi", "1", "--n", "0"), '{"members": []}\n'),
+        # the empty set is one empty line; no members is no output at all
+        (("schreier", "enum", "--xi", "0", "--n", "3"), "\n"),
+        (("schreier", "enum", "--xi", "1", "--n", "0"), ""),
+    ]
+    for argv, expected in cases:
+        out = CountingStdout()
+        monkeypatch.setattr("sys.stdout", out)
+        assert main(list(argv)) == 0
+        assert "".join(out.writes) == expected, argv
+        assert len(out.writes) == (1 if expected else 0), argv
+
+
 def test_unreadable_input_file_is_a_domain_error(tmp_path, capsys):
     fam = tmp_path / "family.txt"
     fam.write_text("-1:v,1:v\n")

@@ -25,10 +25,25 @@ from zwords.search import (
     xi_witness_search,
     z_fin_set_less,
 )
-from zwords.search import _candidate_plan, _witness_candidates
-from zwords.words import VARIABLE, DominationProfile, format_word, make_word, parse_profile
+from zwords.ordinals import parse_ordinal
+from zwords.search import _candidate_plan, _witness_candidates, _xi_slices
+from zwords.words import (
+    VARIABLE,
+    DominationProfile,
+    WordError,
+    format_word,
+    make_word,
+    parse_profile,
+)
 
-from _oracles import reference_candidates, reference_fs_enumerate, reference_fs_two_sided
+from _oracles import (
+    reference_candidates,
+    reference_extracted,
+    reference_fs_enumerate,
+    reference_fs_two_sided,
+    reference_xi_slices,
+    sampled_candidates,
+)
 
 
 class DomainParity(Coloring):
@@ -238,6 +253,51 @@ def test_xi_search_rank_two():
     assert rep.found
     assert verify_xi_witness(rep.witness, coloring, from_int(2), 4).monochromatic
     assert rep.grid_size > 0
+
+
+def test_xi_slices_match_reference():
+    # sampled cells of every profile at radius <= 4 and l <= 3, fewer
+    # tuples per radius-4 cell, under every xi and every n0 the radius allows
+    xis = [parse_ordinal(text) for text in ("1", "2", "3", "w", "w+1", "w*2")]
+    cases = slices = 0
+    for radius, per_cell in ((1, 25), (2, 25), (3, 25), (4, 3)):
+        for ws in sampled_candidates(radius, per_cell):
+            constants = reference_extracted(ws)[0]
+            for xi in xis:
+                for n0 in range(2, 2 * radius + 1):
+                    got = _xi_slices(ws, xi, n0)
+                    want = reference_xi_slices(ws, xi, n0, constants)
+                    assert len(got) == len(set(got)) == len(want), (ws, xi, n0)
+                    assert set(got) == set(want), (ws, xi, n0)
+                    cases += 1
+                    slices += len(got)
+    assert cases > 5000 and slices > 10000
+
+
+def test_verify_xi_checks_the_witness_when_no_plan_meets_n0():
+    # no block plan of these one-word witnesses has 99 positions, yet the
+    # extraction checks run before any plan is tested
+    coloring = Coloring(arity=2, seed=0)
+    with pytest.raises(WordError, match="^extraction needs variable words$"):
+        verify_xi_witness([make_word({-1: -1, 1: 1})], coloring, ONE, 99)
+    falling = parse_profile("table:-2=1,-1=2,1=1,2=1")
+    with pytest.raises(WordError, match="^profile must be sidedly monotone$"):
+        verify_xi_witness([make_word({-1: VARIABLE, 1: VARIABLE}, falling)], coloring, ONE, 99)
+    short = parse_profile("table:-1=1,1=1")
+    with pytest.raises(WordError, match="^profile table has no bound at -2$"):
+        verify_xi_witness([make_word({-2: VARIABLE, -1: VARIABLE, 1: VARIABLE}, short)],
+                          coloring, ONE, 99)
+    report = verify_xi_witness([], coloring, ONE, 2)
+    assert report.monochromatic and report.vacuous and report.color is None
+
+
+def test_xi_grid_is_the_full_slice_count():
+    coloring = DomainParity(arity=2, seed=0)
+    for xi, l, n0 in ((ONE, 1, 2), (from_int(2), 2, 4), (parse_ordinal("w"), 2, 5)):
+        rep = xi_witness_search(coloring, xi, l, n0, SearchWindow(4))
+        assert rep.found, (xi, l, n0)
+        assert rep.grid_size == len(reference_xi_slices(rep.witness, xi, n0)) > 0
+        assert verify_xi_witness(rep.witness, coloring, xi, n0).instances == rep.grid_size
 
 
 def test_xi_search_single_color_accepts_first_nonvacuous():

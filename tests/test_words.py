@@ -10,7 +10,6 @@ from zwords.words import (
     WordError,
     bound_pair_index,
     concat,
-    extracted_constants,
     extracted_sets,
     first_clamp,
     format_profile,
@@ -279,27 +278,14 @@ def test_extracted_sets_contains_members_and_is_finite():
         extracted_sets(make_tuple([make_word({-1: -1, 1: 1})]))
 
 
-def test_extracted_constants_match_reference():
-    from zwords.search import SearchWindow
-
-    from _oracles import reference_candidates, reference_extracted
+def test_extracted_sets_match_reference():
+    from _oracles import reference_extracted, sampled_candidates
 
     checked = 0
-    for text in ("abs", "abs+1", "const:1"):
-        for radius in (1, 2, 3, 4):
-            window = SearchWindow(radius, parse_profile(text))
-            for m in (1, 2, 3):
-                # at radius 4 the m <= 2 cells stop at total 5: their larger
-                # totals hold 327,270 tuples
-                top = 5 if radius == 4 and m < 3 else 2 * radius
-                cell = [ws for total in range(2 * m, top + 1)
-                        for ws in reference_candidates(m, total, window)]
-                # every 7th tuple, at most 25 per cell
-                for ws in cell[::max(7, -(-len(cell) // 25))]:
-                    constants, variables = reference_extracted(ws)
-                    assert extracted_sets(make_tuple(ws)) == (constants, variables)
-                    assert extracted_constants(make_tuple(ws)) == constants
-                    checked += 1
+    for radius in (1, 2, 3, 4):
+        for ws in sampled_candidates(radius):
+            assert extracted_sets(make_tuple(ws)) == reference_extracted(ws)
+            checked += 1
     assert checked > 300
 
 
