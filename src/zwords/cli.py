@@ -2,7 +2,8 @@
 
 Data output is line-oriented plain text on stdout (or the same fields as
 JSON with --json); timings go to stderr.  Exit codes: 0 success, 1 domain
-error, 2 usage error.  The env var ZW_CAPS overrides enumeration caps.
+error, 2 usage error.  The env var ZW_CAPS, a positive integer, overrides
+enumeration caps.
 """
 
 from __future__ import annotations
@@ -24,9 +25,19 @@ DOMAIN_ERRORS = (OrdinalError, SchreierError, WordError, families.FamilyError,
                  search.SearchCapExceeded, ValueError, OSError)
 
 
-def _caps() -> int | None:
+def _caps(default: int | None = None) -> int | None:
+    """The positive integer in ZW_CAPS, or the default when it is unset
+    or empty."""
     raw = os.environ.get("ZW_CAPS")
-    return int(raw) if raw else None
+    if not raw:
+        return default
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError("ZW_CAPS must be a positive integer: %r" % raw)
+    return cap
 
 
 def _read_text(path: str) -> str:
@@ -216,10 +227,8 @@ def _coloring(args) -> search.Coloring:
 
 
 def _window(args) -> search.SearchWindow:
-    cap = _caps()
-    if cap:
-        return search.SearchWindow(args.window, _profile(args), max_candidates=cap)
-    return search.SearchWindow(args.window, _profile(args))
+    return search.SearchWindow(args.window, _profile(args),
+                               max_candidates=_caps(search.SearchWindow.max_candidates))
 
 
 def _report_lines(rep: search.SearchReport) -> tuple[dict, list[str]]:

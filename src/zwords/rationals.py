@@ -108,39 +108,32 @@ def integer_alt_factorial(value: int) -> tuple[int, ...]:
 
 
 # The codec accepts a denominator den when S(den), the least n with
-# den | n!, is at most this; the largest accepted prime is 9973.
+# den | n!, is at most this, that is when den divides KEMPNER_CAP!; the
+# largest accepted prime is 9973.
 KEMPNER_CAP = 10001
 
 
-def _valuation(n: int, p: int, limit: int) -> tuple[int, int] | None:
-    """(e, n // p^e) for e = v_p(n), or None once e is seen to pass limit:
-    p^(2^k) is divided out for growing k while it divides, then for
-    shrinking k."""
-    e, powers = 0, [p]
-    while n % powers[-1] == 0:
-        n //= powers[-1]
-        e += 1 << (len(powers) - 1)
-        if e > limit:
-            return None
-        powers.append(powers[-1] * powers[-1])
-    for k in reversed(range(len(powers) - 1)):
-        if n % powers[k] == 0:
-            n //= powers[k]
-            e += 1 << k
-    return (e, n) if e <= limit else None
-
-
 def _kempner(den: int) -> int | None:
-    """Kempner's S(den), the least n with den | n!, or None when it exceeds
-    KEMPNER_CAP.  Trial division stops at the first prime above the cap.
-    S(p^e) is at most the cap exactly when e <= v_p(cap!), which Legendre's
-    formula gives, and v_p(den) comes by repeated squaring that stops once
-    it passes v_p(cap!), so a refusal takes at most about 5000 trial
-    divisions and a few dozen divisions by powers of each p.  Every
-    divisor of cap! is below cap^cap, so a denominator of more bits than
-    cap^cap can have is refused at once."""
-    if den.bit_length() > KEMPNER_CAP * KEMPNER_CAP.bit_length():
-        return None
+    """Kempner's S(den), or None when den does not divide KEMPNER_CAP!.
+
+    S(den) <= n exactly when den | n!.  A denominator of more bits than
+    the cap is decided by that test: one division refuses it or bounds
+    S(den) by the cap, and bisection on n finds S(den) below.  Any other
+    is trial-divided, which stops at the first prime above the cap, and at
+    the square root of the rest once the rest is prime; S(p^e) is the
+    first multiple n of p at which v_p(n!) reaches e, and an n above the
+    cap is a refusal."""
+    if den.bit_length() > KEMPNER_CAP:
+        if factorial(KEMPNER_CAP) % den:
+            return None
+        lo, hi = 1, KEMPNER_CAP
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if factorial(mid) % den:
+                lo = mid + 1
+            else:
+                hi = mid
+        return lo
     result, rest, p = 1, den, 2
     while rest > 1:
         if p * p > rest:
@@ -148,15 +141,10 @@ def _kempner(den: int) -> int | None:
         if p > KEMPNER_CAP:
             return None
         if rest % p == 0:
-            limit, k = 0, KEMPNER_CAP
-            while k:
-                k //= p
-                limit += k
-            split = _valuation(rest, p, limit)
-            if split is None:
-                return None
-            e, rest = split
-            # S(p^e): n runs over the multiples of p until v_p(n!) >= e
+            e = 0
+            while rest % p == 0:
+                rest //= p
+                e += 1
             n = v = 0
             while v < e:
                 n += p
@@ -164,6 +152,8 @@ def _kempner(den: int) -> int | None:
                 while k % p == 0:
                     k //= p
                     v += 1
+            if n > KEMPNER_CAP:
+                return None
             result = max(result, n)
         p += 1 if p == 2 else 2
     return result

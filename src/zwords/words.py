@@ -120,15 +120,17 @@ class LocatedWord:
 
     @property
     def min_dom_pos(self) -> int:
-        if not self.dom_pos:
-            raise WordError("empty positive domain")
-        return self.dom_pos[0]
+        for pos, _ in self.entries:
+            if pos > 0:
+                return pos
+        raise WordError("empty positive domain")
 
     @property
     def max_dom_neg(self) -> int:
-        if not self.dom_neg:
-            raise WordError("empty negative domain")
-        return self.dom_neg[-1]
+        for pos, _ in reversed(self.entries):
+            if pos < 0:
+                return pos
+        raise WordError("empty negative domain")
 
     @property
     def is_variable_word(self) -> bool:

@@ -1,5 +1,7 @@
 import json
 import random
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -291,6 +293,26 @@ def test_zw_caps_env(capsys, monkeypatch):
     monkeypatch.setenv("ZW_CAPS", "10")
     code, _, err = run(capsys, "schreier", "enum", "--xi", "1", "--n", "22")
     assert code == 1
+    # only a positive integer is a cap, for enumeration and search alike
+    for raw in ("0", "-3", "abc"):
+        monkeypatch.setenv("ZW_CAPS", raw)
+        for argv in (("schreier", "enum", "--xi", "1", "--n", "3"),
+                     ("search", "hj", "--r", "2", "--seed", "7", "--bounds", "2",
+                      "--n", "2", "--window", "4")):
+            assert run(capsys, *argv) \
+                == (1, "", "error: ZW_CAPS must be a positive integer: '%s'\n" % raw)
+
+
+def test_readme_cli_examples(capsys):
+    """Every `zwords ... # -> expected` line of the README holds: the
+    command's stdout lines, joined with ' / ', are the expected text."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    examples = [line.partition("# ->") for line in readme.read_text(encoding="utf-8").splitlines()
+                if line.startswith("zwords ") and "# ->" in line]
+    assert len(examples) == 11
+    for command, _, expected in examples:
+        code, out, _ = run(capsys, *shlex.split(command)[1:])
+        assert (code, " / ".join(out.splitlines())) == (0, expected.strip()), command
 
 
 def test_stdin_input(capsys, monkeypatch):

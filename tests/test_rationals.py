@@ -11,7 +11,6 @@ from zwords.rationals import (
     KEMPNER_CAP,
     RationalCodecError,
     _kempner,
-    _valuation,
     decode,
     encode,
     evaluate,
@@ -83,20 +82,21 @@ def test_kempner_top_matches_incremental_search():
     for den in (*range(2, 3001), 9973, 10001, 2 ** 200, 3 ** 50 * 7,
                 2 ** 9995, 3 ** 4996, 5 ** 2499, 4999 ** 2):
         assert _incremental_top(den) == max(_kempner(den), 2) - 1, den
-    # prime powers just past the cap: dividing out p stops once S(p^e)
-    # passes it
+    # prime powers just past the cap: S(p^e) passes it
     for den in (10007, 2 ** 9996, 2 ** 9997, 3 ** 4997, 5 ** 2500, 5003 ** 2):
         assert _kempner(den) is None and _incremental_top(den) is None, den
-
-
-def test_valuation_matches_repeated_division():
-    for p in (2, 3, 7, 9973):
-        for e in (0, 1, 2, 3, 5, 8, 13, 64, 100):
-            for cofactor in (1, p - 1, p + 1, 10007 * (p + 1)):
-                n = p ** e * cofactor
-                for limit in range(max(e - 1, 0), e + 2):
-                    want = (e, cofactor) if e <= limit else None
-                    assert _valuation(n, p, limit) == want, (p, e, cofactor, limit)
+    # more bits than the cap: refused unless den divides 10001!, and
+    # S(den) found below it by bisection; v_2(10001!) = 9995
+    primorial = 1
+    for p in range(2, 10001):
+        if all(p % d for d in range(2, int(p ** 0.5) + 1)):
+            primorial *= p
+    for den, s in ((primorial, 9973), (primorial * 10007, None),
+                   (2 ** 9000 * 3 ** 2000, 9008), (2 ** 9995 * 3 ** 10, 10000),
+                   (2 ** 9996 * 3 ** 10, None), (factorial(1200), 1200),
+                   (factorial(KEMPNER_CAP), KEMPNER_CAP)):
+        assert den.bit_length() > KEMPNER_CAP and _kempner(den) == s, den.bit_length()
+        assert _incremental_top(den) == (None if s is None else s - 1), den.bit_length()
 
 
 def test_codec_denominator_cap():
@@ -117,13 +117,13 @@ def test_codec_refuses_denominators_of_any_size():
     with pytest.raises(RationalCodecError,
                        match="^denominator of %d bits too large$" % den.bit_length()):
         encode(Fraction(1, den))
-    # v_p(den) comes by repeated squaring, which stops once it passes
-    # v_p(cap!) (Legendre's formula), so these take a few divisions
+    # more bits than the cap, so one division by den, which does not
+    # divide 10001!, refuses these
     for den, bits in ((2 ** 60000, 60001), (3 ** 30000, 47549)):
         with pytest.raises(RationalCodecError, match="^denominator of %d bits too large$" % bits):
             encode(Fraction(1, den))
-    # u/N! has more bits than any divisor of cap! can have, so _kempner
-    # refuses it before any trial division
+    # u/N! has more bits than any divisor of cap! can have, so the same
+    # one division refuses it before any trial division
     n, u = 16400, 1
     for k in range(1, n + 1):
         u = u * k + (1 if k % 2 == 0 else -1)
