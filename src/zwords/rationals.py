@@ -234,11 +234,20 @@ def rational_pattern(ws: Sequence[LocatedWord], n: int, i: int, j: int) -> Fract
     return evaluate(concat(concat(lead, substitute(mid, j, i)), substitute(last, 1, 1)))
 
 
+ECHO_LIMIT = 160  # characters of a bad input, and of the reason, that an error quotes
+
+
 def parse_rational(text: str) -> Fraction:
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
-        raise RationalCodecError("bad rational %r: %s" % (text, exc)) from None
+        if len(text) <= ECHO_LIMIT:
+            raise RationalCodecError("bad rational %r: %s" % (text, exc)) from None
+        reason = str(exc)
+        if len(reason) > ECHO_LIMIT:
+            reason = reason[:ECHO_LIMIT] + "..."
+        raise RationalCodecError("bad rational %r... (%d characters): %s"
+                                 % (text[:ECHO_LIMIT], len(text), reason)) from None
 
 
 def format_rational(q: Fraction) -> str:

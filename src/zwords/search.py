@@ -14,7 +14,6 @@ import time
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain, combinations, product
-from math import prod
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
@@ -200,42 +199,62 @@ def _core_variable_words(dom: Sequence[int], profile: DominationProfile) -> Iter
         yield neg_text + "," + pos_text, LocatedWord(neg + pos, profile)
 
 
-def _core_count(dom: Sequence[int], profile: DominationProfile) -> int:
-    """The number of words _core_variable_words yields on dom: on each
-    side, every letter choice with the variable minus those without it."""
-    count = 1
-    for side in (-1, 1):
-        bounds = [profile.bound(p) for p in dom if p * side > 0]
-        count *= prod(k + 1 for k in bounds) - prod(bounds)
-    return count
+def _side_counts(bounds: Sequence[int], m: int) -> list[int]:
+    """N(a), a = 0..len(bounds): over the a-subsets of one side cut into m
+    consecutive nonempty runs, the sum of the product over the runs of
+    prod(k+1) - prod(k).  A state is (runs begun, size) with two sums for
+    the open run, weighted by prod(k+1) and by prod(k); closing the run
+    adds their difference."""
+    n = len(bounds)
+    grown, plain = ([[0] * (n + 1) for _ in range(m + 1)] for _ in range(2))
+    grown[0][0] = 1
+    for k in bounds:
+        for s in range(n - 1, -1, -1):
+            for j in range(m, 0, -1):
+                closed = grown[j - 1][s] - plain[j - 1][s]
+                grown[j][s + 1] += (grown[j][s] + closed) * (k + 1)
+                plain[j][s + 1] += (plain[j][s] + closed) * k
+    return [a - b for a, b in zip(grown[m], plain[m])]
 
 
-def _candidate_plan(m: int, total: int, window: SearchWindow) -> tuple[int, list[list]]:
-    """Count the candidates of _witness_candidates in closed form and
-    group their annulus splits by shell, the outermost |position|,
-    innermost shell first.  Raises SearchCapExceeded, with the count at
-    which materializing them would stop, before any word is built."""
-    count = 0
-    shells: dict[int, list] = {}
-    for dom in combinations(window.positions(), total):
-        for layers in _splits(dom, m):
-            count += prod(_core_count(layer, window.profile) for layer in layers)
-            if count > window.max_candidates:
-                over = window.max_candidates + 1
-                raise SearchCapExceeded(
-                    "witness candidates exceed cap after %d tuples" % over, over)
-            shells.setdefault(max(-dom[0], dom[-1]), []).append(layers)
-    return count, [shells[s] for s in sorted(shells)]
+def _candidate_counts(m: int, totals: range, window: SearchWindow) -> list[int]:
+    """The candidate count per total: a split cuts each side on its own, so
+    count(total) = sum over a of N(a) P(total - a).  A window with
+    candidates reads all its bounds first (a table names its least missing
+    position); a total over the cap raises before any word is built."""
+    radius = window.radius
+    if not any(2 * m <= total <= 2 * radius for total in totals):
+        return [0] * len(totals)
+    bounds = [window.profile.bound(p) for p in window.positions()]
+    neg, pos = _side_counts(bounds[radius - 1::-1], m), _side_counts(bounds[radius:], m)
+    counts = [sum(neg[a] * pos[total - a]
+                  for a in range(max(0, total - radius), min(total, radius) + 1))
+              for total in totals]
+    if max(counts) > window.max_candidates:
+        over = window.max_candidates + 1
+        raise SearchCapExceeded("witness candidates exceed cap after %d tuples" % over, over)
+    return counts
 
 
-def _stream_candidates(plan: list[list], profile: DominationProfile) -> Iterator[tuple[LocatedWord, ...]]:
-    """The tuples of a candidate plan in canonical order, built and
-    sorted by serialization one shell at a time."""
-    for splits in plan:
+def _shell_splits(m: int, total: int, shell: int) -> Iterator[list[tuple[int, ...]]]:
+    """The annulus splits of the `total`-position domains in a shell."""
+    for dom in combinations([p for p in range(-shell, shell + 1) if p], total):
+        if shell in (-dom[0], dom[-1]):
+            yield from _splits(dom, m)
+
+
+def _stream_candidates(m: int, total: int, window: SearchWindow) -> Iterator[tuple[LocatedWord, ...]]:
+    """The candidates in canonical order.  A shell's splits are enumerated
+    when the stream reaches it, each distinct layer's words are built once
+    per shell, and the shell's tuples are sorted by serialization."""
+    for shell in range(1, window.radius + 1):
         batch = []
-        for layers in splits:
-            pools = [list(_core_variable_words(layer, profile)) for layer in layers]
-            for combo in product(*pools):
+        pools: dict[tuple[int, ...], list] = {}
+        for layers in _shell_splits(m, total, shell):
+            for layer in layers:
+                if layer not in pools:
+                    pools[layer] = list(_core_variable_words(layer, window.profile))
+            for combo in product(*map(pools.get, layers)):
                 batch.append((";".join(text for text, _ in combo),
                               tuple(w for _, w in combo)))
         batch.sort(key=itemgetter(0))
@@ -246,7 +265,7 @@ def _stream_candidates(plan: list[list], profile: DominationProfile) -> Iterator
 def _witness_candidates(m: int, total: int, window: SearchWindow) -> list[tuple[LocatedWord, ...]]:
     """All <R1-increasing m-tuples of two-sided variable words with total
     domain size `total` inside the window, canonically ordered."""
-    return list(_stream_candidates(_candidate_plan(m, total, window)[1], window.profile))
+    return list(_stream_candidates(m, total, window))
 
 
 @dataclass
@@ -276,10 +295,10 @@ def hj_witness_search(coloring: Coloring, m: int, bounds: Sequence[int], n: int,
     if n < 1:
         raise SearchError("total length must be >= 1")
     start = time.perf_counter()
-    count, plan = _candidate_plan(m, n, window)
+    count, = _candidate_counts(m, range(n, n + 1), window)
     grid = list(product(*[_grid(window.profile, index) for index in bounds]))
     nodes = 0
-    for ws in _stream_candidates(plan, window.profile):
+    for ws in _stream_candidates(m, n, window):
         nodes += 1
         seen = set()
         for pairs in grid:
@@ -335,6 +354,30 @@ def _block_plans(chosen: tuple[int, ...]) -> Iterator[list[tuple[int, ...]]]:
             yield [chosen[a:b] for a, b in zip(edges, edges[1:])]
 
 
+def _xi_plans(sizes: Sequence[int], anchors: Sequence[int], xi: Ordinal,
+              total: int) -> list[list[tuple[int, ...]]]:
+    """The block plans whose sizes sum to `total` and whose anchors, one
+    per run from its innermost member, form a member of A_xi."""
+    plans = []
+    for size in range(1, len(sizes) + 1):
+        for chosen in combinations(range(len(sizes)), size):
+            if sum(sizes[i] for i in chosen) == total:
+                plans += [plan for plan in _block_plans(chosen)
+                          if is_member(tuple(anchors[run[0]] for run in plan), xi)]
+    return plans
+
+
+def _plan_slices(ws: Sequence[LocatedWord], grids: Sequence[Sequence[tuple[int, int]]],
+                 plans: list[list[tuple[int, ...]]]) -> list[tuple[LocatedWord, ...]]:
+    """One image per chosen member, a run's images joined into one
+    constant; only members that some plan chooses get images."""
+    runs = {run for plan in plans for run in plan}
+    images = {i: _images(ws[i], grids[i]) for i in {i for run in runs for i in run}}
+    blocks = {run: [concat_all(combo) for combo in product(*map(images.get, run))]
+              for run in runs}
+    return [s for plan in plans for s in product(*map(blocks.get, plan))]
+
+
 def _xi_slices(ws: Sequence[LocatedWord], xi: Ordinal,
                total: int) -> list[tuple[LocatedWord, ...]]:
     """All increasing tuples of extracted constants of ws whose anchor
@@ -343,44 +386,41 @@ def _xi_slices(ws: Sequence[LocatedWord], xi: Ordinal,
     The members of ws are nested annuli, innermost first, so a constant's
     domain names the member subset it is built from, and one constant
     precedes another exactly when its members all lie inside the other's.
-    A slice is therefore a block plan, a nonempty member subset cut into
-    consecutive runs, times one image per chosen member.  The plan alone
-    fixes the total and the anchors (each block's innermost member's
-    least positive position), so each plan is tested once, and images are
-    built only for the blocks of plans that pass."""
+    A slice is therefore a block plan times one image per chosen member.
+    The plan alone fixes the total and the anchors (least positive
+    positions), so each plan is tested once, and images are built only
+    for the blocks of plans that pass.  The extraction checks run first."""
     bw = make_tuple(ws)
-    grids = _extraction_grids(bw, None)
-    sizes = [len(w.entries) for w in bw]
-    anchors = [w.min_dom_pos for w in bw]
-    plans = []
-    for size in range(1, len(bw) + 1):
-        for chosen in combinations(range(len(bw)), size):
-            if sum(sizes[i] for i in chosen) == total:
-                plans += [plan for plan in _block_plans(chosen)
-                          if is_member(tuple(anchors[run[0]] for run in plan), xi)]
-    runs = {run for plan in plans for run in plan}
-    images = {i: _images(bw[i], grids[i]) for i in {i for run in runs for i in run}}
-    blocks = {run: [concat_all(combo) for combo in product(*map(images.get, run))]
-              for run in runs}
-    return [s for plan in plans for s in product(*map(blocks.get, plan))]
+    return _plan_slices(bw, _extraction_grids(bw, None), _xi_plans(
+        [len(w.entries) for w in bw], [w.min_dom_pos for w in bw], xi, total))
 
 
 def xi_witness_search(coloring: Coloring, xi: Ordinal, l: int, n0: int,
                       window: SearchWindow) -> SearchReport:
     """Search for an l-tuple of variable words whose extracted-constant
     tuples of total length n0 inside the xi-indexed family are
-    monochromatic under a tuple coloring."""
+    monochromatic under a tuple coloring.  The extraction checks run once,
+    at the first candidate, and plans once per split (they depend only on
+    the members' sizes and anchors)."""
     if l < 1:
         raise SearchError("tuple length must be >= 1")
     if n0 < 1:
         raise SearchError("total length must be >= 1")
     start = time.perf_counter()
-    plans = [_candidate_plan(l, total, window) for total in range(2 * l, 2 * window.radius + 1)]
-    count = sum(c for c, _ in plans)
-    nodes = 0
-    for ws in chain.from_iterable(_stream_candidates(plan, window.profile) for _, plan in plans):
+    totals = range(2 * l, 2 * window.radius + 1)
+    count = sum(_candidate_counts(l, totals, window))
+    nodes, grids = 0, None
+    plans_at: dict[tuple, list] = {}
+    for ws in chain.from_iterable(_stream_candidates(l, total, window) for total in totals):
         nodes += 1
-        slices = _xi_slices(ws, xi, n0)
+        if grids is None:
+            grids = _extraction_grids(make_tuple(ws), None)
+        shape = tuple((len(w.entries), w.min_dom_pos) for w in ws)
+        if shape not in plans_at:
+            plans_at[shape] = _xi_plans(*zip(*shape), xi, n0)
+        if not plans_at[shape]:
+            continue
+        slices = _plan_slices(ws, grids, plans_at[shape])
         colors = {coloring.color_tuple(s) for s in slices}
         if len(colors) == 1:
             return SearchReport(ws, colors.pop(), len(slices), nodes, count,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import factorial
+from math import factorial, prod
 
 from zwords.ordinals import (
     ONE,
@@ -201,6 +201,35 @@ def reference_candidates(m, total, window):
     return [ws for _, ws in sorted(out, key=lambda item: item[0])]
 
 
+def reference_candidate_count(m, total, window):
+    """The candidate count and per-shell annulus splits of
+    _witness_candidates, by enumeration: every domain, every split of it
+    into annuli, and per annulus and side prod(k_p + 1) - prod(k_p), the
+    letter choices with the variable minus those without.  Bounds are read
+    as the enumeration meets them, and the cap is checked after every
+    split.  Returns (count, {shell: [split, ...]})."""
+    from zwords.search import SearchCapExceeded, _splits
+
+    def core_count(dom):
+        count = 1
+        for side in (-1, 1):
+            bounds = [window.profile.bound(p) for p in dom if p * side > 0]
+            count *= prod(k + 1 for k in bounds) - prod(bounds)
+        return count
+
+    count = 0
+    shells = {}
+    for dom in combinations(window.positions(), total):
+        for layers in _splits(dom, m):
+            count += prod(core_count(layer) for layer in layers)
+            if count > window.max_candidates:
+                over = window.max_candidates + 1
+                raise SearchCapExceeded(
+                    "witness candidates exceed cap after %d tuples" % over, over)
+            shells.setdefault(max(-dom[0], dom[-1]), []).append(layers)
+    return count, shells
+
+
 def sampled_candidates(radius, per_cell=25):
     """Every 7th tuple of reference_candidates, at most per_cell of them,
     from each (profile, m <= 3) cell at the radius, over every total.  At
@@ -290,6 +319,32 @@ def reference_xi_slices(ws, xi, total, constants=None):
 
     grow((), 0)
     return out
+
+
+def reference_xi_search(coloring, xi, l, n0, window, memo):
+    """The xi search by definition: walk the candidates of
+    _witness_candidates, colour each one's reference_xi_slices, and stop at
+    the first whose slices take one colour.  Returns the SearchReport
+    fields (witness, color, grid_size, nodes_expanded, candidates,
+    vacuous).  `memo` keeps candidates, constants and slices, by candidate
+    index, between calls."""
+    from zwords.search import _witness_candidates
+
+    if (l, window) not in memo:
+        candidates = [ws for total in range(2 * l, 2 * window.radius + 1)
+                      for ws in _witness_candidates(l, total, window)]
+        memo[l, window] = candidates, [None] * len(candidates)
+    candidates, constants = memo[l, window]
+    slices_at = memo.setdefault((l, window, xi, n0), [None] * len(candidates))
+    for i, ws in enumerate(candidates):
+        if slices_at[i] is None:
+            if constants[i] is None:
+                constants[i] = reference_extracted(ws)[0]
+            slices_at[i] = reference_xi_slices(ws, xi, n0, constants[i])
+        colors = {coloring.color_tuple(s) for s in slices_at[i]}
+        if len(colors) == 1:
+            return ws, colors.pop(), len(slices_at[i]), i + 1, len(candidates), False
+    return None, None, 0, len(candidates), len(candidates), False
 
 
 def _reference_longest_chain(ws) -> int:

@@ -65,6 +65,30 @@ def test_rat_decode_rejects_variable_words(capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_bad_rational_echo_is_bounded(capsys):
+    from zwords.rationals import ECHO_LIMIT
+
+    # an input up to the limit is quoted whole, as it always was
+    for value in ("1/x", "1/0", "7/" + "x" * (ECHO_LIMIT - 2)):
+        code, out, err = run(capsys, "rat", "encode", value)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: bad rational %r: " % value) and err.count("\n") == 1
+    assert run(capsys, "rat", "encode", "1/x") \
+        == (1, "", "error: bad rational '1/x': Invalid literal for Fraction: '1/x'\n")
+    # a longer one by its first ECHO_LIMIT characters and its length; a
+    # denominator of 35,660 digits, as long as 10001!, is past Python's
+    # int-to-str limit, and a long bad literal keeps its reason short too
+    for value, reason in (("1/" + "7" * 35660, "Exceeds the limit (4300 digits) for integer "
+                           "string conversion: value has 35660 digits"),
+                          ("1/" + "x" * 50000, "Invalid literal for Fraction: '1/xxx")):
+        for argv in (("rat", "encode", value), ("rat", "precedes", "--a", value, "--b", "1")):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (1, "")
+            assert err.startswith("error: bad rational %r... (%d characters): %s"
+                                  % (value[:ECHO_LIMIT], len(value), reason))
+            assert err.count("\n") == 1 and len(err) < 3 * ECHO_LIMIT
+
+
 def test_parser_reuse_matches_fresh_parser(capsys, monkeypatch):
     calls = [
         ("rat", "encode", "--", "-3/7"),

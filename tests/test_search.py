@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -26,7 +26,7 @@ from zwords.search import (
     z_fin_set_less,
 )
 from zwords.ordinals import parse_ordinal
-from zwords.search import _candidate_plan, _witness_candidates, _xi_slices
+from zwords.search import _candidate_counts, _shell_splits, _witness_candidates, _xi_slices
 from zwords.words import (
     VARIABLE,
     DominationProfile,
@@ -37,10 +37,12 @@ from zwords.words import (
 )
 
 from _oracles import (
+    reference_candidate_count,
     reference_candidates,
     reference_extracted,
     reference_fs_enumerate,
     reference_fs_two_sided,
+    reference_xi_search,
     reference_xi_slices,
     sampled_candidates,
 )
@@ -194,7 +196,50 @@ def test_candidate_stream_and_count_match_reference():
                         continue
                     reference = reference_candidates(m, total, window)
                     assert _witness_candidates(m, total, window) == reference
-                    assert _candidate_plan(m, total, window)[0] == len(reference)
+                    assert _candidate_counts(m, range(total, total + 1), window) \
+                        == [len(reference)]
+
+
+def test_candidate_counts_match_the_enumeration():
+    # the side-factored count against the per-domain, per-split count on
+    # every cell with radius <= 5 and m <= 3, cap error included
+    cells = 0
+    for text in ("abs", "abs+1", "const:1", "const:2"):
+        for radius in range(1, 6):
+            window = SearchWindow(radius, parse_profile(text), max_candidates=10 ** 30)
+            for m in (1, 2, 3):
+                counts = _candidate_counts(m, range(1, 2 * radius + 1), window)
+                for total, count in enumerate(counts, 1):
+                    assert count == reference_candidate_count(m, total, window)[0]
+                    cells += 1
+                    if not count:
+                        continue
+                    tight = SearchWindow(radius, window.profile, max_candidates=count - 1)
+                    with pytest.raises(SearchCapExceeded) as got:
+                        _candidate_counts(m, range(total, total + 1), tight)
+                    with pytest.raises(SearchCapExceeded) as want:
+                        reference_candidate_count(m, total, tight)
+                    assert (str(got.value), got.value.candidates) \
+                        == (str(want.value), want.value.candidates) \
+                        == ("witness candidates exceed cap after %d tuples" % count, count)
+    assert cells == 360
+    # xi with l = 2 counts every total from 4 to 2 * radius
+    for radius, total in ((6, 275427216), (8, 5975795367936)):
+        window = SearchWindow(radius, max_candidates=10 ** 30)
+        assert sum(_candidate_counts(2, range(4, 2 * radius + 1), window)) == total
+
+
+def test_lazy_shells_match_the_grouping():
+    # each shell's splits, enumerated on their own, are the splits that
+    # grouping every domain of the window by its outermost |position| gives
+    for radius in range(1, 6):
+        window = SearchWindow(radius, max_candidates=10 ** 30)
+        for m in (1, 2, 3):
+            for total in range(1, 2 * radius + 1):
+                shells = reference_candidate_count(m, total, window)[1]
+                for shell in range(1, radius + 1):
+                    assert sorted(_shell_splits(m, total, shell)) \
+                        == sorted(shells.get(shell, [])), (radius, m, total, shell)
 
 
 def test_cap_boundary():
@@ -223,6 +268,50 @@ def test_xi_cap_on_a_later_total_raises_before_any_candidate():
     rep = xi_witness_search(Coloring(arity=1, seed=0), ONE, 1, 2,
                             SearchWindow(3, max_candidates=cap))
     assert rep.found and rep.nodes_expanded == 1 and rep.candidates == sum(counts)
+
+
+def test_table_profiles_with_missing_bounds():
+    coloring = Coloring(arity=2, seed=5)
+    xi = parse_ordinal("w")
+
+    def table(radius, missing):
+        return parse_profile("table:" + ",".join("%d=%d" % (p, abs(p))
+                                                 for p in range(-radius, radius + 1)
+                                                 if p and p not in missing))
+
+    # a window without candidates reads no bound: here only +-1 have one
+    window = SearchWindow(3, parse_profile("table:-1=1,1=1"))
+    rep = hj_witness_search(coloring, 2, [1, 1], 3, window)
+    assert (rep.found, rep.nodes_expanded, rep.candidates, rep.grid_size) == (False, 0, 0, 1)
+    rep = xi_witness_search(coloring, xi, 2, 2, SearchWindow(1, window.profile))
+    assert (rep.found, rep.nodes_expanded, rep.candidates, rep.grid_size) == (False, 0, 0, 0)
+    # one missing bound in the window is named, before any cap test
+    for missing in (-3, 2):
+        window = SearchWindow(3, table(3, {missing}), max_candidates=1)
+        for search in (lambda: hj_witness_search(coloring, 1, [1], 2, window),
+                       lambda: xi_witness_search(coloring, xi, 2, 4, window)):
+            with pytest.raises(WordError, match="^profile table has no bound at %d$" % missing):
+                search()
+    # of several, the least missing position is named
+    for missing, named in (({-2, -1, 3}, -2), ({1, 3}, 1), ({-3, 2}, -3)):
+        window = SearchWindow(3, table(3, missing))
+        for search in (lambda: hj_witness_search(coloring, 1, [1], 2, window),
+                       lambda: xi_witness_search(coloring, xi, 1, 2, window)):
+            with pytest.raises(WordError, match="^profile table has no bound at %d$" % named):
+                search()
+
+
+def test_xi_search_on_a_non_monotone_table():
+    # the extraction checks run at the first candidate; with no candidate
+    # there is nothing to check
+    coloring = Coloring(arity=2, seed=0)
+    falling = parse_profile("table:-2=1,-1=2,1=1,2=1")
+    for radius, l in ((1, 1), (2, 1), (2, 2)):
+        with pytest.raises(WordError, match="^profile must be sidedly monotone$"):
+            xi_witness_search(coloring, ONE, l, 2, SearchWindow(radius, falling))
+    rep = xi_witness_search(coloring, ONE, 2, 2, SearchWindow(1, falling))
+    assert (rep.found, rep.nodes_expanded, rep.candidates) == (False, 0, 0)
+    assert hj_witness_search(coloring, 1, [1], 2, SearchWindow(2, falling)).found
 
 
 def test_verify_vacuous_flag():
@@ -272,6 +361,27 @@ def test_xi_slices_match_reference():
                     cases += 1
                     slices += len(got)
     assert cases > 5000 and slices > 10000
+
+
+def test_xi_search_matches_reference_search():
+    # every report field on every cell with radius <= 3, l <= 2, xi in
+    # {1, 2, 3, w} and every n0, under seeded colourings of arity 2 and 3
+    memo = {}
+    exhausted = found = 0
+    for radius in (1, 2, 3):
+        window = SearchWindow(radius)
+        for l in (1, 2):
+            for xi in map(parse_ordinal, ("1", "2", "3", "w")):
+                for n0 in range(1, 2 * radius + 1):
+                    for arity, seed in product((2, 3), range(2)):
+                        coloring = Coloring(arity=arity, seed=1000 * radius + 10 * n0 + seed)
+                        rep = xi_witness_search(coloring, xi, l, n0, window)
+                        assert (rep.witness, rep.color, rep.grid_size, rep.nodes_expanded,
+                                rep.candidates, rep.vacuous) \
+                            == reference_xi_search(coloring, xi, l, n0, window, memo)
+                        found += rep.found
+                        exhausted += rep.candidates > 0 and rep.nodes_expanded == rep.candidates
+    assert found > 100 and exhausted > 200
 
 
 def test_verify_xi_checks_the_witness_when_no_plan_meets_n0():
