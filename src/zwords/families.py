@@ -13,9 +13,18 @@ disjoint domains, so a pool word u is an extracted variable word of bw
 exactly when its domain is the union of the domains of a nonempty
 subtuple, its profile is bw's, and on each chosen member's domain u reads
 that member or one of its grid images; the images are constants, so
-some member is read as itself.  That is 2^len(bw) - 1 domain lookups per
-member.  The extraction tuples are the R1-chains over those pool words,
-compared with the family as tuples of pool indices.
+some member is read as itself.  The extraction tuples are the R1-chains
+over those pool words, compared with the family as tuples of pool
+indices.
+
+A word's images depend only on the word and its tuple index (a slot),
+and a subtuple's matching pool words only on its slots, so members that
+share them share the work.  Each call keeps a memo keyed by pool indices
+and drops it when it returns: every distinct slot is checked and its
+images built once, least first by grid index and word_sort_key so that
+errors do not follow the hash seed, and every distinct subtuple is
+matched against the pool once.  A member costs 2^len(bw) - 1 memo
+lookups.
 """
 
 from __future__ import annotations
@@ -32,11 +41,12 @@ from .words import (
     LocatedWord,
     OrderlyTuple,
     WordError,
-    _constant_images,
+    _extraction_grids,
     format_word,
     make_tuple,
     parse_word,
     rel_r1,
+    substitute,
     word_sort_key,
 )
 
@@ -177,32 +187,70 @@ def _pool_table(family: WordFamily, pool: Iterable[LocatedWord]) -> _R1Table:
     return _r1_table(pool)
 
 
-def _extractions(bw: OrderlyTuple, table: _R1Table) -> set[int]:
+class _Memo(NamedTuple):
+    """Extraction work shared by the members of one call, keyed by pool
+    indices.  A slot is a (pool index, 1-based grid index) pair; its
+    allowed entry tuples are the word's own and its grid images', which
+    depend on the word and the index alone.  A subtuple, a tuple of
+    slots, keeps its matches: the pool indices found for it by the domain
+    test of the module docstring."""
+
+    allowed: dict[tuple[int, int], set[tuple]]
+    matches: dict[tuple[tuple[int, int], ...], list[int]]
+
+
+def _extraction_memo(members: Iterable[OrderlyTuple], table: _R1Table) -> _Memo:
+    """Check every slot of the members and list its allowed entry tuples.
+    Slots are checked least first by grid index, then word_sort_key (then
+    profile, for equal entries), so the error raised does not follow the
+    hash seed."""
+    words, index = table.words, table.index
+    slots = {(index[w], i) for bw in members for i, w in enumerate(bw, 1)}
+    allowed = {}
+    for t, i in sorted(slots, key=lambda s: (s[1], word_sort_key(words[s[0]]),
+                                             repr(words[s[0]].profile))):
+        w = words[t]
+        (grid,) = _extraction_grids(make_tuple((w,)), (i,))
+        allowed[t, i] = {w.entries} | {substitute(w, p, q).entries for p, q in grid}
+    return _Memo(allowed, {})
+
+
+def _matches(chosen: tuple[tuple[int, int], ...], table: _R1Table,
+             allowed: dict[tuple[int, int], set[tuple]]) -> list[int]:
+    """The pool words on the union of the chosen slots' domains, of their
+    profile, that read an allowed entry tuple on each slot's domain."""
+    words = table.words
+    dom = sorted(p for t, _ in chosen for p in words[t].dom)
+    rank = {p: k for k, p in enumerate(dom)}
+    # a core variable word has positions on both sides, so each getter
+    # picks at least two entries and returns a tuple
+    pieces = [(itemgetter(*map(rank.get, words[t].dom)), allowed[t, i]) for t, i in chosen]
+    profile = words[chosen[0][0]].profile
+    return [u for u in table.by_dom.get(tuple(dom), ())
+            if words[u].profile == profile
+            and all(get(words[u].entries) in ok for get, ok in pieces)]
+
+
+def _extractions(bw: OrderlyTuple, table: _R1Table, memo: _Memo) -> set[int]:
     """The pool indices of the extracted variable words of bw, found by
-    the domain test of the module docstring."""
-    options = [{w.entries} | {v.entries for v in ws}
-               for w, ws in zip(bw, _constant_images(bw, None))]
-    profile = bw[0].profile if len(bw) else None
+    the domain test of the module docstring, once per subtuple of slots
+    in the memo of the call."""
+    slots = [(table.index[w], i) for i, w in enumerate(bw, 1)]
     found = set()
     for size in range(1, len(bw) + 1):
-        for chosen in combinations(zip(bw.words, options), size):
-            dom = sorted(p for w, _ in chosen for p in w.dom)
-            rank = {p: k for k, p in enumerate(dom)}
-            # a core variable word has positions on both sides, so each
-            # getter picks at least two entries and returns a tuple
-            pieces = [(itemgetter(*map(rank.get, w.dom)), allowed) for w, allowed in chosen]
-            for t in table.by_dom.get(tuple(dom), ()):
-                u = table.words[t]
-                if u.profile == profile and all(get(u.entries) in allowed
-                                                for get, allowed in pieces):
-                    found.add(t)
+        for chosen in combinations(slots, size):
+            hits = memo.matches.get(chosen)
+            if hits is None:
+                hits = memo.matches[chosen] = _matches(chosen, table, memo.allowed)
+            found.update(hits)
     return found
 
 
-def _extraction_chains(bw: OrderlyTuple, table: _R1Table) -> Iterator[tuple[int, ...]]:
+def _extraction_chains(bw: OrderlyTuple, table: _R1Table,
+                       memo: _Memo) -> Iterator[tuple[int, ...]]:
     """The R1-chains over the pool extractions of bw as index tuples, the
     empty chain first and every chain after its prefixes."""
-    allowed = _extractions(bw, table)
+    allowed = _extractions(bw, table, memo)
     yield ()
     stack = [(i,) for i in allowed]
     while stack:
@@ -215,8 +263,9 @@ def _hereditary_part(members: frozenset[OrderlyTuple], table: _R1Table) -> set[O
     """The members whose extraction chains are all members (none when the
     empty tuple is not one)."""
     present = {tuple(table.index[w] for w in bw) for bw in members}
+    memo = _extraction_memo(members, table)
     return {bw for bw in members
-            if all(key in present for key in _extraction_chains(bw, table))}
+            if all(key in present for key in _extraction_chains(bw, table, memo))}
 
 
 def _is_hereditary(members: frozenset[OrderlyTuple], table: _R1Table) -> bool:
@@ -228,7 +277,8 @@ def _is_hereditary(members: frozenset[OrderlyTuple], table: _R1Table) -> bool:
 def hereditary_closure(family: WordFamily, pool: Iterable[LocatedWord]) -> WordFamily:
     """Close under pool-relative extraction tuples of members."""
     table = _pool_table(family, pool)
-    keys = set().union(*(_extraction_chains(bw, table) for bw in family.members))
+    memo = _extraction_memo(family.members, table)
+    keys = set().union(*(_extraction_chains(bw, table, memo) for bw in family.members))
     return WordFamily(OrderlyTuple(tuple(table.words[i] for i in key))
                       for key in keys | {()})
 
@@ -310,14 +360,29 @@ def cb_index(family: WordFamily, pool: Iterable[LocatedWord], tau: int) -> int:
     return steps
 
 
-def set_family_cb_index(m: int, n_max: int, tau: int) -> int:
+SET_FAMILY_CAP = 200000
+
+
+def set_family_cb_index(m: int, n_max: int, tau: int,
+                        max_members: int = SET_FAMILY_CAP) -> int:
     """Cantor-Bendixson index of the downward closure of the m-element
-    subsets of {1..n_max}; 'large' means >= tau failing extensions."""
+    subsets of {1..n_max}; 'large' means >= tau failing extensions.  A
+    closure of more than max_members sets, sum over k <= m of
+    C(n_max, k), is refused before anything is built."""
     if m < 0 or tau < 1:
         raise FamilyError("need m >= 0 and tau >= 1")
     if n_max < m + tau:
         raise FamilyError("ground set {1..%d} is too small to certify m=%d, tau=%d"
                           % (n_max, m, tau))
+    # the sum stops at the first partial sum over the cap, so a large m
+    # costs a few steps, not m big-integer products
+    size, binom = 0, 1
+    for k in range(m + 1):
+        size += binom
+        if size > max_members:
+            raise FamilyError("set family would have %s%d members, over the cap of %d"
+                              % ("at least " if k < m else "", size, max_members))
+        binom = binom * (n_max - k) // (k + 1)
     ground = range(1, n_max + 1)
     fam = {frozenset(c) for size in range(m + 1) for c in combinations(ground, size)}
     steps = 0

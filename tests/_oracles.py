@@ -375,12 +375,17 @@ def _reference_pool(family, pool):
     return pool
 
 
+def reference_pool_extractions(bw, pool):
+    """The extracted variable words of bw that lie in the pool, built as
+    star products of bw's members alone."""
+    return extracted_sets(bw).variables & frozenset(pool)
+
+
 def _reference_extraction_tuples(bw, pool):
     """Every rel_r1-increasing tuple, the empty one included, over the
-    extracted variable words of bw that lie in the pool; the extracted
-    words are built as star products and chains grow by testing every
-    pair of words."""
-    ws = sorted(extracted_sets(bw).variables & pool, key=word_sort_key)
+    extracted variable words of bw that lie in the pool; chains grow by
+    testing every pair of words."""
+    ws = sorted(reference_pool_extractions(bw, pool), key=word_sort_key)
     out, frontier = {EMPTY_TUPLE}, [()]
     while frontier:
         frontier = [c + (w,) for c in frontier for w in ws if not c or rel_r1(c[-1], w)]

@@ -1,6 +1,7 @@
 import json
 import random
 import shlex
+import time
 from pathlib import Path
 
 import pytest
@@ -163,6 +164,25 @@ def test_family_commands(tmp_path, capsys):
     code, out, _ = run(capsys, "family", "cbindex", "--set-m", "2",
                        "--ground", "12", "--tau", "3")
     assert code == 0 and out == "3\n"
+
+
+def test_family_cbindex_set_family_cap(capsys, monkeypatch):
+    # 1 + 100000 + C(100000, 2) sets: refused at once, before any is built
+    start = time.perf_counter()
+    code, out, err = run(capsys, "family", "cbindex", "--set-m", "2",
+                         "--ground", "100000", "--tau", "3")
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (1, "", "error: set family would have 5000050001 members, "
+                                       "over the cap of 200000\n")
+    # ZW_CAPS moves the cap both ways: {1..12} with m = 2 has 79 sets
+    monkeypatch.setenv("ZW_CAPS", "78")
+    code, _, err = run(capsys, "family", "cbindex", "--set-m", "2", "--ground", "12",
+                       "--tau", "3")
+    assert (code, err) == (1, "error: set family would have 79 members, "
+                              "over the cap of 78\n")
+    monkeypatch.setenv("ZW_CAPS", "79")
+    assert run(capsys, "family", "cbindex", "--set-m", "2", "--ground", "12",
+               "--tau", "3") == (0, "3\n", "")
 
 
 def test_family_cbindex_word_level(tmp_path, capsys):

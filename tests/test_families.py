@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from itertools import combinations
@@ -10,9 +11,11 @@ from _oracles import (
     reference_cb_derivative,
     reference_hereditary_closure,
     reference_largest_hereditary,
+    reference_pool_extractions,
 )
 from zwords.ordinals import OMEGA, ONE, from_int
 from zwords.families import (
+    SET_FAMILY_CAP,
     FamilyError,
     WordFamily,
     cb_derivative,
@@ -29,6 +32,9 @@ from zwords.families import (
     set_family_cb_index,
     tree_closure,
     tuple_sort_key,
+    _extraction_memo,
+    _extractions,
+    _pool_table,
 )
 from zwords.words import (
     EMPTY_TUPLE,
@@ -231,6 +237,21 @@ def test_set_family_cb_index():
         set_family_cb_index(3, 5, 3)
 
 
+def test_set_family_cb_index_is_capped_by_family_size():
+    # 1 + 12 + 66 = 79 sets, refused before any is built
+    assert set_family_cb_index(2, 12, 3, max_members=79) == 3
+    with pytest.raises(FamilyError, match="^set family would have 79 members, "
+                                          "over the cap of 78$"):
+        set_family_cb_index(2, 12, 3, max_members=78)
+    with pytest.raises(FamilyError, match="^set family would have 5000050001 members, "
+                                          "over the cap of %d$" % SET_FAMILY_CAP):
+        set_family_cb_index(2, 100000, 3)
+    # the size is summed only until it passes the cap
+    with pytest.raises(FamilyError, match="^set family would have at least "
+                                          "5000050001 members, over the cap"):
+        set_family_cb_index(50000, 100000, 3)
+
+
 def test_word_level_thinness_of_xi_slices():
     # tuples over a 10-word chain pool whose anchor sets are Schreier
     # members form thin families
@@ -284,6 +305,12 @@ def ev_pool():
     return extracted_sets(base).variables
 
 
+def three_word_base():
+    """The variable on +-{1,2}, +-{3,4} and +-{5,6}."""
+    return make_tuple([make_word({-b: VARIABLE, -a: VARIABLE, a: VARIABLE, b: VARIABLE})
+                       for a, b in ((1, 2), (3, 4), (5, 6))])
+
+
 def test_extracted_variable_pools_are_extraction_closed():
     # extraction sets of tuples drawn from an extracted-variable pool
     # stay inside the pool, so pool-relative closures lose nothing
@@ -304,9 +331,7 @@ def test_cb_index_over_extracted_variable_pool():
 
 
 def test_cb_index_over_three_word_extracted_pool():
-    # the variable on +-{1,2}, +-{3,4} and +-{5,6}
-    base = make_tuple([make_word({-b: VARIABLE, -a: VARIABLE, a: VARIABLE, b: VARIABLE})
-                       for a, b in ((1, 2), (3, 4), (5, 6))])
+    base = three_word_base()
     pool = extracted_sets(base).variables
     fam = hereditary_closure(family_of([base]), pool)
     assert (len(pool), len(fam)) == (98, 123)
@@ -414,8 +439,7 @@ def test_closures_match_reference_on_extracted_pool():
 
 
 def test_closures_match_reference_on_three_word_extracted_pool():
-    base = make_tuple([make_word({-b: VARIABLE, -a: VARIABLE, a: VARIABLE, b: VARIABLE})
-                       for a, b in ((1, 2), (3, 4), (5, 6))])
+    base = three_word_base()
     pool = extracted_sets(base).variables
     closed = hereditary_closure(family_of([base]), pool)
     assert_closures_match_reference(family_of([base]), pool)
@@ -496,6 +520,59 @@ def test_pool_errors_do_not_depend_on_the_hash_seed():
                for seed in ("1", "3")}
     assert outputs == {"pool is missing the word -5:v,5:v\n"
                        "pool word -5:-1,5:1 is not a two-sided variable word\n"}
+
+
+_TABLE_ERRORS = """
+from zwords.families import cb_index, family_of, hereditary_closure, largest_hereditary
+from zwords.words import WordError, make_tuple, parse_profile, parse_word
+prof = parse_profile("table:-1=1,1=1")
+pool = [parse_word("-%d:v,%d:v" % (n, n), prof) for n in (3, 5, 7, 9)]
+singletons = family_of([make_tuple([w]) for w in pool])
+for fn in (hereditary_closure, largest_hereditary, lambda f, p: cb_index(f, p, 2),
+           lambda f, p: f.is_hereditary(p)):
+    try:
+        fn(singletons, pool)
+    except WordError as exc:
+        print(exc)
+"""
+
+
+def test_extraction_errors_do_not_depend_on_the_hash_seed():
+    # every singleton's grid reads k at its variable positions, which the
+    # table lacks; slots are checked least first by grid index and
+    # word_sort_key, so -9:v,9:v is named under every hash seed
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(zwords.__file__)))
+    outputs = {subprocess.run([sys.executable, "-c", _TABLE_ERRORS], capture_output=True,
+                              text=True, check=True, timeout=60,
+                              env=dict(env, PYTHONHASHSEED=seed)).stdout
+               for seed in ("1", "3", "5")}
+    assert outputs == {"profile table has no bound at -9\n" * 4}
+
+
+def test_shared_memo_extractions_match_star_products():
+    # one memo serves every member of a call; whichever member fills a
+    # slot or a subtuple first, each member's set is its own
+    nested = nested_pool(3, 2)
+    ev = ev_pool()
+    ordered = sorted(ev, key=word_sort_key)
+    ev_pairs = [make_tuple([a, b]) for a in ordered[:12] for b in ordered if rel_r1(a, b)][:40]
+    three = extracted_sets(three_word_base()).variables
+    cases = [(nested, hereditary_closure(family_of(full_tuples(nested, 2)), nested)),
+             (nested_pool(), hereditary_closure(family_of(full_tuples(nested_pool(), 2)),
+                                                nested_pool())),
+             (ev, family_of(ev_pairs + [make_tuple([w]) for w in ordered])),
+             (three, hereditary_closure(family_of([three_word_base()]), three))]
+    for pool, fam in cases:
+        want = {bw: reference_pool_extractions(bw, pool) for bw in fam.members}
+        for seed in (1, 2, 3):
+            members = sorted(fam.members, key=tuple_sort_key)
+            random.Random(seed).shuffle(members)
+            table = _pool_table(fam, pool)
+            memo = _extraction_memo(members, table)
+            for bw in members:
+                got = {table.words[t] for t in _extractions(bw, table, memo)}
+                assert got == want[bw], (bw, seed)
+            assert memo.matches
 
 
 def test_is_thin():
