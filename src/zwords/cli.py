@@ -200,8 +200,8 @@ def _cmd_rat_encode(args) -> None:
 
 
 def _cmd_rat_decode(args) -> None:
-    q = rationals.decode(words.parse_word(args.word))
-    _emit(args, {"value": str(q)}, [rationals.format_rational(q)])
+    text = rationals.format_rational(rationals.decode(words.parse_word(args.word)))
+    _emit(args, {"value": text}, [text])
 
 
 def _cmd_rat_precedes(args) -> None:

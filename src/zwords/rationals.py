@@ -8,16 +8,25 @@ is
 
 Every nonzero rational has exactly one such digit expansion with
 0 <= q_{-s} <= s and 0 <= q_r <= r, which makes the evaluation map a
-bijection onto the nonzero rationals.  Encoding works purely in exact
-arithmetic, in one mixed-radix pass: fractional digits are extracted from
-q * (top+1)! from the top position down, what the extraction leaves is the
-integer part, and its digits come by alternating mixed-radix division.
+bijection onto the nonzero rationals.
+
+Both directions are exact mixed-radix conversions, done by divide and
+conquer.  Multiplied by (top+1)!, the fractional digits are the digits of
+an integer in which position s has radix s+1, s = top the least
+significant; the integer digits are factorial-base digits, position r
+with radix r+1 and weight r!.  `_mixed_value` and `_mixed_digits` split a
+run of positions at its middle and join or separate the halves with one
+multiply or one divmod by the falling factorial of the less significant
+half's radices, so one big-integer step spans half the number instead of
+one digit.  The alternating signs are folded into a constant: a digit d
+at a negative position of radix s+1 is the plain digit s - d less s.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
-from math import factorial, perm
+from math import factorial, log2, perm
 from typing import Sequence
 
 from .ordinals import Ordinal
@@ -53,32 +62,76 @@ def _require_abs_profile(w: LocatedWord) -> None:
         raise RationalCodecError("codec words use the profile k_n = |n|")
 
 
+# A run of at most this many digit positions is converted by a plain loop.
+_LEAF = 48
+
+
+def _radix_product(a: int, b: int) -> int:
+    """The product of the radices t+1 over the positions t from a to b,
+    in either order: a falling factorial."""
+    lo, hi = min(a, b), max(a, b)
+    return perm(hi + 1, hi - lo + 1)
+
+
+def _mixed_value(digits: Sequence[int], last: int, first: int) -> int:
+    """The integer whose digit at position s is digits[s], reading the
+    positions from first, the most significant, to last, the least;
+    position s has radix s+1.  `first` lies on either side of `last`.
+
+    The value is linear in the digits, so they may take any sign.  The
+    more significant half is multiplied by the falling factorial of the
+    less significant half's radices, and skipped when it is zero."""
+    step = 1 if last >= first else -1
+    if abs(last - first) < _LEAF:
+        value = 0
+        for s in range(first, last + step, step):
+            value = value * (s + 1) + digits[s]
+        return value
+    mid = (first + last) // 2
+    high = _mixed_value(digits, mid, first)
+    low = _mixed_value(digits, last, mid + step)
+    if high:
+        high *= _radix_product(mid + step, last)
+    return high + low
+
+
+def _mixed_digits(m: int, last: int, first: int, out: list[int]) -> int:
+    """The inverse of `_mixed_value`: writes the digits of m at the
+    positions from last, the least significant, to first into out, each
+    in 0..s, and returns what is left above `first`."""
+    step = 1 if last >= first else -1
+    if abs(last - first) < _LEAF:
+        for s in range(last, first - step, -step):
+            m, out[s] = divmod(m, s + 1)
+        return m
+    mid = (first + last) // 2
+    m, low = divmod(m, _radix_product(mid + step, last))
+    _mixed_digits(low, last, mid + step, out)
+    return _mixed_digits(m, mid, first, out)
+
+
 def evaluate(w: LocatedWord) -> Fraction:
     """The exact rational value of a word; variables contribute digit 0.
 
-    Both parts are Horner sums over the nonzero digits, a gap bridged by
-    one falling factorial: the integer part over r! from the top position
-    down, the fractional part as one numerator over (top+1)! from s = 1
-    up, top the largest s with a digit at -s."""
+    The signed digits (-1)^(r+1) q_r and (-1)^s q_{-s} are evaluated by
+    `_mixed_value`: the integer part in factorial base, the fractional
+    part as one numerator over (top+1)!, -top the outermost negative
+    position (top = 1 when there is none)."""
     _require_abs_profile(w)
-    whole = num = 0
-    r_last = s_last = 1
-    for pos, letter in reversed(w.entries):
-        if letter == VARIABLE:
-            continue
+    entries = w.entries
+    top, r_top = max(-entries[0][0], 1), max(entries[-1][0], 0)
+    frac, whole = [0] * (top + 1), [0] * (r_top + 1)
+    for pos, letter in entries:
+        signed = letter if pos % 2 else -letter  # VARIABLE is 0, digit 0
         if pos > 0:
-            if whole:
-                whole *= perm(r_last, r_last - pos)
-            whole += letter if pos % 2 else -letter
-            r_last = pos
+            whole[pos] = signed
         else:
-            s = -pos
-            if num:
-                num *= perm(s + 1, s - s_last)
-            num += letter if s % 2 else -letter
-            s_last = s
-    den = factorial(s_last + 1)
-    return Fraction(whole * factorial(r_last) * den + num, den)
+            frac[-pos] = signed
+    den = factorial(top + 1)
+    num = _mixed_value(frac, top, 1)
+    if r_top:
+        num += _mixed_value(whole, 1, r_top) * den
+    return Fraction(num, den)
 
 
 def decode(w: LocatedWord) -> Fraction:
@@ -92,19 +145,24 @@ def decode(w: LocatedWord) -> Fraction:
 
 def integer_alt_factorial(value: int) -> tuple[int, ...]:
     """Digits (q_1, q_2, ...) with value = sum q_r * (-1)^(r+1) * r! and
-    0 <= q_r <= r; the expansion is unique and the zero value is empty."""
-    digits = []
-    rest = value
-    r = 1
-    while rest != 0:
-        sign = 1 if r % 2 else -1
-        d = (rest * sign) % (r + 1)
-        digits.append(d)
-        rest = (rest - sign * d) // (r + 1)
-        r += 1
-        if r > 10 ** 6:
-            raise RationalCodecError("integer digit extraction diverged")
-    return tuple(digits)
+    0 <= q_r <= r; the expansion is unique and the zero value is empty.
+
+    With R! > 2|value|, value + sum over even r <= R of r * r! lies in
+    0..(R+1)! - 1, so its factorial-base digits e_r are the q_r at odd r
+    and r - q_r at even r."""
+    if not value:
+        return ()
+    bits, top, log_fact = abs(value).bit_length() + 2, 1, 0.0
+    while log_fact < bits:
+        top += 1
+        log_fact += log2(top)
+    digits = [0 if r % 2 else r for r in range(top + 1)]
+    _mixed_digits(value + _mixed_value(digits, 1, top), 1, top, digits)
+    for r in range(2, top + 1, 2):
+        digits[r] = r - digits[r]
+    while not digits[top]:
+        top -= 1
+    return tuple(digits[1:top + 1])
 
 
 # The codec accepts a denominator den when S(den), the least n with
@@ -163,10 +221,11 @@ def encode(q: Fraction | int) -> LocatedWord:
     """The unique word with evaluate(encode(q)) == q; zero digits are
     dropped from the domain, so q = 0 has no word.
 
-    One mixed-radix pass over m = q * (top+1)!, where top + 1 is
-    max(S(den), 2): from s = top down to 1 the digit q_{-s} is the one
-    residue of +-m mod s+1 in 0..s, and the m left after s = 1 is the
-    integer part."""
+    The digits are those of m = q * (top+1)!, where top + 1 is
+    max(S(den), 2): q_{-s} carries the sign (-1)^s, so m plus the sum of
+    s * (top+1)!/(s+1)! over odd s has plain digits q_{-s} at even s and
+    s - q_{-s} at odd s, and what `_mixed_digits` leaves above s = 1 is
+    the integer part."""
     q = Fraction(q)
     if q == 0:
         raise RationalCodecError("0 is outside the codec range")
@@ -176,14 +235,15 @@ def encode(q: Fraction | int) -> LocatedWord:
         raise _too_large(den)
     top = max(s_den, 2) - 1
     m = q.numerator * (factorial(top + 1) // den)
+    odd = [s if s % 2 else 0 for s in range(top + 1)]
+    out = [0] * (top + 1)
+    whole = _mixed_digits(m + _mixed_value(odd, top, 1), top, 1, out)
     entries = []
     for s in range(top, 0, -1):
-        sign = 1 if s % 2 == 0 else -1
-        d = (m * sign) % (s + 1)
+        d = out[s] - s if s % 2 else -out[s]
         if d:
-            entries.append((-s, -d))
-        m = (m - sign * d) // (s + 1)
-    for r, d in enumerate(integer_alt_factorial(m), 1):
+            entries.append((-s, d))
+    for r, d in enumerate(integer_alt_factorial(whole), 1):
         if d:
             entries.append((r, d))
     return make_word(entries, ABS)
@@ -237,9 +297,48 @@ def rational_pattern(ws: Sequence[LocatedWord], n: int, i: int, j: int) -> Fract
 ECHO_LIMIT = 160  # characters of a bad input, and of the reason, that an error quotes
 
 
+# Decimal runs of at most this many digits go through int and str, below
+# every int-to-str limit Python allows (640 digits at least).
+_DECIMAL_LEAF = 512
+
+_PLAIN_RATIONAL = re.compile(r"([+-]?)(\d+)(?:/(\d+))?")
+
+
+def _int_from_decimal(digits: str) -> int:
+    """The int of a decimal digit string of any length, split at a power
+    of ten."""
+    if len(digits) <= _DECIMAL_LEAF:
+        return int(digits)
+    k = len(digits) // 2
+    return _int_from_decimal(digits[:-k]) * 10 ** k + _int_from_decimal(digits[-k:])
+
+
+def _decimal(n: int) -> str:
+    """The decimal text of n >= 0 of any length, split at a power of ten."""
+    if n.bit_length() <= 3 * _DECIMAL_LEAF:
+        return str(n)
+    k = n.bit_length() * 3 // 20  # about half the decimal digits
+    high, low = divmod(n, 10 ** k)
+    return _decimal(high) + _decimal(low).zfill(k)
+
+
+def _read_rational(text: str) -> Fraction:
+    """Fraction(text); an integer or a/b that Fraction refuses for its
+    digit count is read by `_int_from_decimal`."""
+    try:
+        return Fraction(text)
+    except ValueError:
+        plain = _PLAIN_RATIONAL.fullmatch(text)
+        if plain is None:
+            raise
+        sign, num, den = plain.groups()
+        num = _int_from_decimal(num)
+        return Fraction(-num if sign == "-" else num, _int_from_decimal(den or "1"))
+
+
 def parse_rational(text: str) -> Fraction:
     try:
-        return Fraction(text.strip())
+        return _read_rational(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         if len(text) <= ECHO_LIMIT:
             raise RationalCodecError("bad rational %r: %s" % (text, exc)) from None
@@ -251,4 +350,10 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(q: Fraction) -> str:
-    return str(q)
+    """str(q); a value str refuses for its digit count is written by
+    `_decimal`."""
+    try:
+        return str(q)
+    except ValueError:
+        text = ("-" if q < 0 else "") + _decimal(abs(q.numerator))
+        return text if q.denominator == 1 else text + "/" + _decimal(q.denominator)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import factorial, prod
+from math import factorial, perm, prod
 
 from zwords.ordinals import (
     ONE,
@@ -21,6 +21,7 @@ from zwords.ordinals import (
     successor_pred,
 )
 from zwords.families import FamilyError, WordFamily
+from zwords.rationals import _kempner
 from zwords.words import (
     EMPTY_TUPLE,
     VARIABLE,
@@ -126,6 +127,65 @@ def reference_value(entries) -> Fraction:
         else:
             value += Fraction(digit * (-1) ** -pos, factorial(-pos + 1))
     return value
+
+
+def reference_evaluate(w: LocatedWord) -> Fraction:
+    """The codec value of a word by one multiply-add per nonzero digit:
+    the integer part by Horner over r! from the top position down, the
+    fractional part as one numerator over (top+1)! from s = 1 up, a gap
+    between digits bridged by a falling factorial."""
+    whole = num = 0
+    r_last = s_last = 1
+    for pos, letter in reversed(w.entries):
+        if letter == VARIABLE:
+            continue
+        if pos > 0:
+            if whole:
+                whole *= perm(r_last, r_last - pos)
+            whole += letter if pos % 2 else -letter
+            r_last = pos
+        else:
+            s = -pos
+            if num:
+                num *= perm(s + 1, s - s_last)
+            num += letter if s % 2 else -letter
+            s_last = s
+    den = factorial(s_last + 1)
+    return Fraction(whole * factorial(r_last) * den + num, den)
+
+
+def reference_integer_alt_factorial(value: int) -> tuple[int, ...]:
+    """The digits q_r of value = sum q_r (-1)^(r+1) r!, 0 <= q_r <= r, by
+    alternating division, one position at a time from r = 1."""
+    digits = []
+    rest, r = value, 1
+    while rest != 0:
+        sign = 1 if r % 2 else -1
+        d = (rest * sign) % (r + 1)
+        digits.append(d)
+        rest = (rest - sign * d) // (r + 1)
+        r += 1
+    return tuple(digits)
+
+
+def reference_encode(q: Fraction) -> LocatedWord:
+    """The codec word of q by one division of the full numerator per
+    position: q_{-s} is the residue of +-m mod s+1 in 0..s, from s = top
+    down, m = q * (top+1)!; the m left after s = 1 is the integer part.
+    The top position comes from `_kempner`, the codec's cap."""
+    top = max(_kempner(q.denominator), 2) - 1
+    m = q.numerator * (factorial(top + 1) // q.denominator)
+    entries = []
+    for s in range(top, 0, -1):
+        sign = 1 if s % 2 == 0 else -1
+        d = (m * sign) % (s + 1)
+        if d:
+            entries.append((-s, -d))
+        m = (m - sign * d) // (s + 1)
+    for r, d in enumerate(reference_integer_alt_factorial(m), 1):
+        if d:
+            entries.append((r, d))
+    return make_word(entries)
 
 
 def brute_digit_words(span: int):

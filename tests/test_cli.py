@@ -2,6 +2,8 @@ import json
 import random
 import shlex
 import time
+from decimal import Decimal
+from math import factorial
 from pathlib import Path
 
 import pytest
@@ -77,9 +79,9 @@ def test_bad_rational_echo_is_bounded(capsys):
     assert run(capsys, "rat", "encode", "1/x") \
         == (1, "", "error: bad rational '1/x': Invalid literal for Fraction: '1/x'\n")
     # a longer one by its first ECHO_LIMIT characters and its length; a
-    # denominator of 35,660 digits, as long as 10001!, is past Python's
-    # int-to-str limit, and a long bad literal keeps its reason short too
-    for value, reason in (("1/" + "7" * 35660, "Exceeds the limit (4300 digits) for integer "
+    # decimal of 35,660 digits is past Python's int-to-str limit, and a
+    # long bad literal keeps its reason short too
+    for value, reason in (("0." + "7" * 35660, "Exceeds the limit (4300 digits) for integer "
                            "string conversion: value has 35660 digits"),
                           ("1/" + "x" * 50000, "Invalid literal for Fraction: '1/xxx")):
         for argv in (("rat", "encode", value), ("rat", "precedes", "--a", value, "--b", "1")):
@@ -88,6 +90,30 @@ def test_bad_rational_echo_is_bounded(capsys):
             assert err.startswith("error: bad rational %r... (%d characters): %s"
                                   % (value[:ECHO_LIMIT], len(value), reason))
             assert err.count("\n") == 1 and len(err) < 3 * ECHO_LIMIT
+    # a plain a/b of that length is read, and the codec refuses it
+    den = Decimal("7" * 35660)
+    code, out, err = run(capsys, "rat", "encode", "1/%s" % den)
+    assert (code, out) == (1, "")
+    assert err == "error: denominator of %d bits too large\n" % int(den).bit_length()
+
+
+def test_rat_values_past_the_int_to_str_limit(capsys):
+    # 1/1701! has 4,760 digits and 1/10001! 35,664, past Python's limit
+    # of 4,300 on int-str conversion; Decimal writes them independently
+    for word, den in (("-1700:-1", factorial(1701)), ("-10000:-1", factorial(10001))):
+        text = "1/%s" % Decimal(den)
+        assert run(capsys, "rat", "decode", "--word", word) == (0, text + "\n", "")
+        code, out, _ = run(capsys, "--json", "rat", "decode", "--word", word)
+        assert code == 0 and json.loads(out) == {"value": text}
+        for value in (text, "  %s\n" % text, "+" + text):
+            assert run(capsys, "rat", "encode", value) == (0, word + "\n", "")
+        code, out, _ = run(capsys, "rat", "encode", "-" + text)
+        assert code == 0 and run(capsys, "rat", "decode", "--word", out.strip()) \
+            == (0, "-%s\n" % text, "")
+    # a denominator over the cap keeps the refusal by bit length
+    den = 10007 * factorial(10001)
+    assert run(capsys, "rat", "encode", "1/%s" % Decimal(den)) \
+        == (1, "", "error: denominator of %d bits too large\n" % den.bit_length())
 
 
 def test_parser_reuse_matches_fresh_parser(capsys, monkeypatch):

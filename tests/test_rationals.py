@@ -1,16 +1,20 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations, product
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from zwords.ordinals import OMEGA, ONE, from_int
 from zwords.rationals import (
+    _LEAF,
     KEMPNER_CAP,
     RationalCodecError,
     _kempner,
+    _mixed_digits,
+    _mixed_value,
     decode,
     encode,
     evaluate,
@@ -23,7 +27,13 @@ from zwords.rationals import (
 )
 from zwords.words import ABS, VARIABLE, DominationProfile, make_word, rel_r1
 
-from _oracles import brute_digit_words, reference_value
+from _oracles import (
+    brute_digit_words,
+    reference_encode,
+    reference_evaluate,
+    reference_integer_alt_factorial,
+    reference_value,
+)
 
 
 def test_evaluate_examples():
@@ -183,7 +193,7 @@ _constant_words = st.dictionaries(
 
 @settings(database=None, derandomize=True, deadline=None)
 @given(st.one_of(st.integers(), st.integers(-10 ** 300, 10 ** 300)).filter(bool),
-       st.integers(1, 2000), _constant_words)
+       st.integers(1, 10 ** 4), _constant_words)
 def test_codec_properties(num, den, w):
     q = Fraction(num, den)
     word = encode(q)
@@ -359,3 +369,120 @@ def test_rational_text():
     assert format_rational(Fraction(4, 2)) == "2"
     with pytest.raises(RationalCodecError):
         parse_rational("1/0")
+
+
+def _random_constant_word(rng, span, density):
+    """A constant word on +-span with a digit at -span and at span and
+    each other position filled with the given probability."""
+    letters = {}
+    for p in range(1, span + 1):
+        for sign in (-1, 1):
+            if p == span or rng.random() < density:
+                letters[sign * p] = sign * rng.randint(1, p)
+    return make_word(letters)
+
+
+def test_kernels_invert_each_other_on_every_split_shape():
+    # runs of leaf-1 .. 4*leaf+3 positions reach a leaf alone, one split
+    # and splits of unequal halves, in both orders of significance
+    rng = random.Random(8123)
+    for length in (_LEAF - 1, _LEAF, _LEAF + 1, 2 * _LEAF, 4 * _LEAF + 3):
+        for lo in (1, 2, 7):
+            hi = lo + length - 1
+            for last, first in ((hi, lo), (lo, hi)):
+                digits = [0] * (hi + 1)
+                for s in range(lo, hi + 1):
+                    digits[s] = rng.randint(0, s)
+                step = 1 if first > last else -1
+                weight, expected = 1, 0
+                for s in range(last, first + step, step):
+                    expected += digits[s] * weight
+                    weight *= s + 1
+                assert _mixed_value(digits, last, first) == expected
+                out = [0] * (hi + 1)
+                assert _mixed_digits(expected + 5 * weight, last, first, out) == 5
+                assert out == digits
+                assert _mixed_digits(expected - weight, last, first, out) == -1
+                assert out == digits
+
+
+def test_codec_matches_reference_on_split_shapes():
+    rng = random.Random(8124)
+    for length in (_LEAF - 1, _LEAF, _LEAF + 1, 2 * _LEAF, 4 * _LEAF + 3):
+        for density in (0.0, 0.5, 1.0):
+            w = _random_constant_word(rng, length, density)
+            q = evaluate(w)
+            assert q == reference_evaluate(w)
+            assert encode(q) == reference_encode(q) == w
+
+
+def test_encode_matches_reference_on_small_denominators():
+    # every n/d with d <= 200 and 0 < |n| <= 3d, words of up to 198
+    # fractional digits.  n/d and n/d + k share their fractional digits,
+    # so the reference extracts them once per residue n mod d and the
+    # integer part, that of n/d + k, by its own alternating division.
+    for den in range(1, 201):
+        for rest in range(den):
+            if gcd(rest, den) != 1:
+                continue
+            base = reference_encode(Fraction(rest, den)).entries if rest else ()
+            fractional = tuple(e for e in base if e[0] < 0)
+            whole = sum(letter * (-1) ** (pos + 1) * factorial(pos)
+                        for pos, letter in base if pos > 0)
+            for k in range(-3, 4):
+                num = rest + k * den
+                if num and abs(num) <= 3 * den:
+                    digits = reference_integer_alt_factorial(whole + k)
+                    expected = fractional + tuple((r, d) for r, d in enumerate(digits, 1) if d)
+                    assert encode(Fraction(num, den)).entries == expected, (num, den)
+
+
+def test_codec_matches_reference_on_brute_words_and_inv_e():
+    for entries, value in brute_digit_words(4):
+        if entries:
+            w = make_word(entries)
+            assert evaluate(w) == reference_evaluate(w) == value
+            assert encode(value) == reference_encode(value) == w
+    for q in _inv_e_approximants(120):
+        if not q:
+            continue
+        w = encode(q)
+        assert w == reference_encode(q)
+        assert evaluate(w) == reference_evaluate(w) == q
+
+
+def test_integer_digits_match_reference_on_powers_of_ten():
+    for k in (*range(0, 60), *range(60, 3001, 97), 3000):
+        for value in (10 ** k, -10 ** k):
+            digits = integer_alt_factorial(value)
+            assert digits == reference_integer_alt_factorial(value), (k, value > 0)
+            assert digits[-1] != 0
+    assert encode(10 ** 3000) == reference_encode(Fraction(10 ** 3000))
+
+
+def test_codec_at_scale():
+    # the largest accepted prime, 9,972 fractional digits
+    rng = random.Random(9973)
+    for _ in range(3):
+        q = Fraction(rng.randint(1, 10 ** 9), 9973) * rng.choice((-1, 1))
+        assert decode(encode(q)) == q
+    for span in (500, 1000, 2000):
+        w = _random_constant_word(rng, span, 0.7)
+        assert evaluate(w) == reference_evaluate(w)
+
+
+def test_rational_text_past_the_digit_limit():
+    # Decimal converts without Python's 4,300-digit int-str limit
+    rng = random.Random(4300)
+    for digits in (4299, 4300, 4301, 9000, 35664):
+        num = rng.randrange(10 ** (digits - 1), 10 ** digits) * rng.choice((-1, 1))
+        den = rng.randrange(1, 10 ** digits)
+        q = Fraction(num, den)
+        assert parse_rational("%s/%s" % (Decimal(num), Decimal(den))) == q
+        assert parse_rational(str(Decimal(num))) == num
+        assert format_rational(q) == ("%s/%s" % (Decimal(q.numerator), Decimal(q.denominator))
+                                      if q.denominator > 1 else str(Decimal(num)))
+    # other forms go through Fraction alone, and it refuses them
+    for text in ("1_0/" + "1" * 5000, "0." + "1" * 5000, "1" * 5000 + "e3"):
+        with pytest.raises(RationalCodecError, match="Exceeds the limit"):
+            parse_rational(text)
