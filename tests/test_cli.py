@@ -110,6 +110,17 @@ def test_rat_values_past_the_int_to_str_limit(capsys):
         code, out, _ = run(capsys, "rat", "encode", "-" + text)
         assert code == 0 and run(capsys, "rat", "decode", "--word", out.strip()) \
             == (0, "-%s\n" % text, "")
+    # a refusal names a short value as it always did, and a long one by
+    # its first ECHO_LIMIT characters and its length
+    from zwords.rationals import ECHO_LIMIT
+    text = "1/%s" % Decimal(factorial(1701))
+    quoted = "%s... (%d characters)" % (text[:ECHO_LIMIT], len(text))
+    for value, name in (("1", "1"), (text, quoted)):
+        assert run(capsys, "rat", "precedes", "--a", value, "--b", "1") \
+            == (1, "", "error: %s is outside the two-sided range\n" % name)
+    for value, name in (("1/6", "1/6"), (text, quoted)):
+        assert run(capsys, "rat", "qxi", "--xi", "w", "--values", value) \
+            == (1, "", "error: %s has no positive digits\n" % name)
     # a denominator over the cap keeps the refusal by bit length
     den = 10007 * factorial(10001)
     assert run(capsys, "rat", "encode", "1/%s" % Decimal(den)) \

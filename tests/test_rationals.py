@@ -486,3 +486,9 @@ def test_rational_text_past_the_digit_limit():
     for text in ("1_0/" + "1" * 5000, "0." + "1" * 5000, "1" * 5000 + "e3"):
         with pytest.raises(RationalCodecError, match="Exceeds the limit"):
             parse_rational(text)
+    # below the limit the text is str's, on both sides of the split width
+    for bits in (0, 1, 1535, 1536, 1537, 3072, 3073, 14000):
+        for _ in range(5):
+            num = rng.getrandbits(bits) * rng.choice((-1, 1))
+            for q in (num, Fraction(num, rng.getrandbits(bits) | 1)):
+                assert format_rational(q) == str(q)
