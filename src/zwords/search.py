@@ -10,10 +10,12 @@ position, serialization), so results are reproducible.
 
 from __future__ import annotations
 
+import heapq
 import time
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain, combinations, product
+from itertools import combinations, product
+from math import prod
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
@@ -28,6 +30,7 @@ from .words import (
     _extraction_grids,
     _grid,
     _images,
+    _require_sided_monotone,
     concat_all,
     first_clamp,
     format_word,
@@ -39,6 +42,8 @@ from .words import (
 )
 
 X = TypeVar("X")
+T = TypeVar("T")
+Entries = tuple[tuple[int, int], ...]
 
 
 class SearchError(ValueError):
@@ -184,21 +189,6 @@ def _splits(dom: tuple[int, ...], m: int) -> Iterator[list[tuple[int, ...]]]:
             yield [dom[left[i + 1]:left[i]] + dom[right[i]:right[i + 1]] for i in range(m)]
 
 
-def _core_variable_words(dom: Sequence[int], profile: DominationProfile) -> Iterator[tuple[str, LocatedWord]]:
-    """All two-sided variable words on the given domain, each with its
-    serialization: the variable occurs on both sides, other letters
-    range over their bounds."""
-    sides = []
-    for side in (-1, 1):
-        options = [[(p, l) for l in _letter_options(p, profile, True)]
-                   for p in dom if p * side > 0]
-        sides.append([(format_word(LocatedWord(entries, profile)), entries)
-                      for entries in product(*options)
-                      if any(l == VARIABLE for _, l in entries)])
-    for (neg_text, neg), (pos_text, pos) in product(*sides):
-        yield neg_text + "," + pos_text, LocatedWord(neg + pos, profile)
-
-
 def _side_counts(bounds: Sequence[int], m: int) -> list[int]:
     """N(a), a = 0..len(bounds): over the a-subsets of one side cut into m
     consecutive nonempty runs, the sum of the product over the runs of
@@ -243,29 +233,172 @@ def _shell_splits(m: int, total: int, shell: int) -> Iterator[list[tuple[int, ..
             yield from _splits(dom, m)
 
 
-def _stream_candidates(m: int, total: int, window: SearchWindow) -> Iterator[tuple[LocatedWord, ...]]:
-    """The candidates in canonical order.  A shell's splits are enumerated
-    when the stream reaches it, each distinct layer's words are built once
-    per shell, and the shell's tuples are sorted by serialization."""
+def _side_pool(positions: tuple[int, ...], suffix: str, profile: DominationProfile,
+               pools: dict) -> list[tuple[str, Entries]]:
+    """One side of an annulus: its letter choices that carry the variable,
+    as (text + suffix, entries), sorted.  The pools live in a dict local to
+    the search."""
+    if (positions, suffix) not in pools:
+        options = [[(p, l) for l in _letter_options(p, profile, True)] for p in positions]
+        pools[positions, suffix] = sorted(
+            (format_word(LocatedWord(entries, profile)) + suffix, entries)
+            for entries in product(*options) if any(l == VARIABLE for _, l in entries))
+    return pools[positions, suffix]
+
+
+def _split_pools(layers: Sequence[tuple[int, ...]], profile: DominationProfile,
+                 pools: dict) -> list[list[tuple[str, Entries]]]:
+    """A split's side pools, innermost annulus first and each annulus's
+    negative side before its positive side.  A key ends in the separator
+    that follows it in a candidate's serialization: ',' after a negative
+    side, ';' after a positive side but the last, nothing after the last.
+    So the serialization is the keys' concatenation, and the product of the
+    pools runs in its order: a side's texts have equally many entries, a
+    separator ends each key and no text contains ';', so no key of a pool
+    but the last is a prefix of another, and the first pool whose keys
+    differ decides.  (A bare key on an inner annulus
+    would put 2:1 before 2:10, and a ';' on the last would put 2:10
+    first.)"""
+    out = []
+    for i, layer in enumerate(layers):
+        cut = bisect_left(layer, 0)
+        out.append(_side_pool(layer[:cut], ",", profile, pools))
+        out.append(_side_pool(layer[cut:], ";" if i + 1 < len(layers) else "", profile, pools))
+    return out
+
+
+def _split_stream(pools: Sequence[Sequence[tuple[str, Entries]]],
+                  tag: T) -> Iterator[tuple[str, tuple, T]]:
+    """One split's candidates as (serialization, side choices, tag), in
+    serialization order; each is built when it is asked for."""
+    for combo in product(*pools):
+        yield "".join([key for key, _ in combo]), combo, tag
+
+
+def _shell_candidates(splits: Iterable[tuple[Sequence[tuple[int, ...]], T]],
+                      profile: DominationProfile, pools: dict) -> Iterator[tuple[str, tuple, T]]:
+    """The candidates of some (split, tag) pairs of one shell, merged into
+    serialization order."""
+    return heapq.merge(*[_split_stream(_split_pools(layers, profile, pools), tag)
+                         for layers, tag in splits], key=itemgetter(0))
+
+
+def _candidate_stream(m: int, total: int,
+                      window: SearchWindow) -> Iterator[tuple[str, tuple, None]]:
+    """The candidates in canonical order: shell by shell (outermost
+    |position|), each shell's splits enumerated when the stream reaches it
+    and merged by serialization."""
+    pools: dict = {}
     for shell in range(1, window.radius + 1):
-        batch = []
-        pools: dict[tuple[int, ...], list] = {}
-        for layers in _shell_splits(m, total, shell):
-            for layer in layers:
-                if layer not in pools:
-                    pools[layer] = list(_core_variable_words(layer, window.profile))
-            for combo in product(*map(pools.get, layers)):
-                batch.append((";".join(text for text, _ in combo),
-                              tuple(w for _, w in combo)))
-        batch.sort(key=itemgetter(0))
-        for _, ws in batch:
-            yield ws
+        yield from _shell_candidates([(layers, None) for layers in _shell_splits(m, total, shell)],
+                                     window.profile, pools)
+
+
+def _words(combo: Sequence[tuple[str, Entries]],
+           profile: DominationProfile) -> tuple[LocatedWord, ...]:
+    return tuple(LocatedWord(neg + pos, profile)
+                 for (_, neg), (_, pos) in zip(combo[::2], combo[1::2]))
 
 
 def _witness_candidates(m: int, total: int, window: SearchWindow) -> list[tuple[LocatedWord, ...]]:
     """All <R1-increasing m-tuples of two-sided variable words with total
     domain size `total` inside the window, canonically ordered."""
-    return list(_stream_candidates(m, total, window))
+    return [_words(combo, window.profile) for _, combo, _ in _candidate_stream(m, total, window)]
+
+
+def _split_count(layers: Sequence[tuple[int, ...]], profile: DominationProfile,
+                 counts: dict[tuple[int, ...], int]) -> int:
+    """A split's candidate count: per annulus and side, prod(k+1) - prod(k)
+    letter choices carry the variable.  Annulus counts are kept in
+    `counts`, a dict local to the search."""
+    total = 1
+    for layer in layers:
+        if layer not in counts:
+            counts[layer] = 1
+            for side in (-1, 1):
+                bounds = [profile.bound(p) for p in layer if p * side > 0]
+                counts[layer] *= prod(k + 1 for k in bounds) - prod(bounds)
+        total *= counts[layer]
+    return total
+
+
+def _rank(text: str, pools: Sequence[Sequence[tuple[str, Entries]]]) -> int:
+    """How many candidates of a split serialize before `text`, which is no
+    candidate of it: one bisect per pool.  The keys below the rest of the
+    text precede it with every choice of the later pools, except one that
+    is a prefix of it, which compares on the next pool."""
+    rank, rest = 0, text
+    for i, pool in enumerate(pools):
+        below = bisect_left(pool, rest, key=itemgetter(0))
+        later = prod(map(len, pools[i + 1:]))
+        if i + 1 < len(pools) and below and rest.startswith(pool[below - 1][0]):
+            rank += (below - 1) * later
+            rest = rest[len(pool[below - 1][0]):]
+        else:
+            return rank + below * later
+    return rank
+
+
+def _side_slots(profile: DominationProfile, indices: Iterable[int]) -> list[tuple[int, int]]:
+    """Per member, its negative and its positive side, each with the top
+    index its grid substitutes there: k at -index and at index, read in
+    _grid's order."""
+    slots = []
+    for index in indices:
+        kp, kq = profile.bound(index), profile.bound(-index)
+        slots += [(-1, kq), (1, kp)]
+    return slots
+
+
+def _side_texts(entries: Entries, side: int, top: int, profile: DominationProfile) -> list[str]:
+    """The distinct texts of one side's entries under the indices 1..top,
+    in index order: substitution turns the variable at position n into
+    side * min(index, k_n)."""
+    return list(dict.fromkeys(
+        ",".join(["%d:%d" % (pos, letter or side * min(index, profile.bound(pos)))
+                  for pos, letter in entries])
+        for index in range(1, top + 1)))
+
+
+def _candidate_sides(combo: Sequence[tuple[str, Entries]], slots: Sequence[tuple[int, int]],
+                     memos: Sequence[dict[str, list[str]]],
+                     profile: DominationProfile) -> list[list[str]]:
+    """The side texts of a candidate's side choices, memoised per slot by
+    key in dicts local to the search."""
+    sides = []
+    for memo, (key, entries), (side, top) in zip(memos, combo, slots):
+        if key not in memo:
+            memo[key] = _side_texts(entries, side, top, profile)
+        sides.append(memo[key])
+    return sides
+
+
+def _instance_texts(sides: Sequence[Sequence[str]]) -> Iterator[str]:
+    """The distinct texts of concat_all of one substitution image per
+    member, in grid order.  `sides` holds, member by member and innermost
+    first, the distinct texts of the negative side by q and of the
+    positive side by p.  A grid is p-major, so the product of the positive
+    and then the negative texts runs in grid order, and dropping repeated
+    side texts drops exactly the repeated images.  The members are nested
+    annuli, so the outer members' negative sides come first and their
+    positive sides last."""
+    grid_order = []
+    for neg, pos in zip(sides[::2], sides[1::2]):
+        grid_order += [pos, neg]
+    for parts in product(*grid_order):
+        yield ",".join(parts[-1::-2] + parts[::2])
+
+
+def _one_color(coloring: Coloring, texts: Iterable[str]) -> int | None:
+    """The color shared by all the texts, or None from the second color on."""
+    color = None
+    for text in texts:
+        c = coloring.color_key(text)
+        if color is None:
+            color = c
+        elif c != color:
+            return None
+    return color
 
 
 @dataclass
@@ -296,20 +429,19 @@ def hj_witness_search(coloring: Coloring, m: int, bounds: Sequence[int], n: int,
         raise SearchError("total length must be >= 1")
     start = time.perf_counter()
     count, = _candidate_counts(m, range(n, n + 1), window)
-    grid = list(product(*[_grid(window.profile, index) for index in bounds]))
+    profile = window.profile
+    slots = _side_slots(profile, bounds)
+    grid_size = prod(top for _, top in slots)
+    memos: list[dict[str, list[str]]] = [{} for _ in slots]
     nodes = 0
-    for ws in _stream_candidates(m, n, window):
+    for _, combo, _ in _candidate_stream(m, n, window):
         nodes += 1
-        seen = set()
-        for pairs in grid:
-            instance = concat_all([substitute(w, *pq) for w, pq in zip(ws, pairs)])
-            seen.add(coloring.color_word(instance))
-            if len(seen) > 1:
-                break
-        if len(seen) == 1:
-            return SearchReport(ws, seen.pop(), len(grid), nodes, count,
+        sides = _candidate_sides(combo, slots, memos, profile)
+        color = _one_color(coloring, _instance_texts(sides))
+        if color is not None:
+            return SearchReport(_words(combo, profile), color, grid_size, nodes, count,
                                 (time.perf_counter() - start) * 1000.0)
-    return SearchReport(None, None, len(grid), nodes, count,
+    return SearchReport(None, None, grid_size, nodes, count,
                         (time.perf_counter() - start) * 1000.0)
 
 
@@ -395,13 +527,33 @@ def _xi_slices(ws: Sequence[LocatedWord], xi: Ordinal,
         [len(w.entries) for w in bw], [w.min_dom_pos for w in bw], xi, total))
 
 
+def _slice_texts(sides: Sequence[Sequence[str]],
+                 plans: list[list[tuple[int, ...]]]) -> Iterator[str]:
+    """The text of each slice of _plan_slices, in its order, from the
+    members' distinct side texts (as for _instance_texts): a run's blocks
+    are the instance texts of its members."""
+    blocks: dict[tuple[int, ...], list[str]] = {}
+    for plan in plans:
+        for run in plan:
+            if run not in blocks:
+                members = [t for i in run for t in sides[2 * i:2 * i + 2]]
+                blocks[run] = list(_instance_texts(members))
+        for texts in product(*map(blocks.get, plan)):
+            yield ";".join(texts)
+
+
 def xi_witness_search(coloring: Coloring, xi: Ordinal, l: int, n0: int,
                       window: SearchWindow) -> SearchReport:
     """Search for an l-tuple of variable words whose extracted-constant
     tuples of total length n0 inside the xi-indexed family are
-    monochromatic under a tuple coloring.  The extraction checks run once,
-    at the first candidate, and plans once per split (they depend only on
-    the members' sizes and anchors)."""
+    monochromatic under a tuple coloring.
+
+    The block plans depend only on the members' sizes and anchors, which
+    the annulus split fixes, so each split's shape is planned once, and a
+    split with no plan is counted without building any word: in full, or,
+    in the shell of a witness, up to the witness's serialization.  The
+    extraction checks depend only on the profile and l, so they run once,
+    when the window has a candidate."""
     if l < 1:
         raise SearchError("tuple length must be >= 1")
     if n0 < 1:
@@ -409,22 +561,40 @@ def xi_witness_search(coloring: Coloring, xi: Ordinal, l: int, n0: int,
     start = time.perf_counter()
     totals = range(2 * l, 2 * window.radius + 1)
     count = sum(_candidate_counts(l, totals, window))
-    nodes, grids = 0, None
+    profile = window.profile
+    slots: list[tuple[int, int]] = []
+    if count:
+        _require_sided_monotone(profile)
+        slots = _side_slots(profile, range(1, l + 1))
+    memos: list[dict[str, list[str]]] = [{} for _ in slots]
     plans_at: dict[tuple, list] = {}
-    for ws in chain.from_iterable(_stream_candidates(l, total, window) for total in totals):
-        nodes += 1
-        if grids is None:
-            grids = _extraction_grids(make_tuple(ws), None)
-        shape = tuple((len(w.entries), w.min_dom_pos) for w in ws)
-        if shape not in plans_at:
-            plans_at[shape] = _xi_plans(*zip(*shape), xi, n0)
-        if not plans_at[shape]:
-            continue
-        slices = _plan_slices(ws, grids, plans_at[shape])
-        colors = {coloring.color_tuple(s) for s in slices}
-        if len(colors) == 1:
-            return SearchReport(ws, colors.pop(), len(slices), nodes, count,
-                                (time.perf_counter() - start) * 1000.0)
+    pools: dict = {}
+    counts: dict[tuple[int, ...], int] = {}
+    nodes = 0
+    for total in totals:
+        for shell in range(1, window.radius + 1):
+            planned, skipped = [], []
+            for layers in _shell_splits(l, total, shell):
+                shape = tuple((len(layer), layer[bisect_left(layer, 0)]) for layer in layers)
+                if shape not in plans_at:
+                    plans_at[shape] = _xi_plans(*zip(*shape), xi, n0)
+                if plans_at[shape]:
+                    planned.append((layers, plans_at[shape]))
+                else:
+                    skipped.append(layers)
+            for text, combo, plans in _shell_candidates(planned, profile, pools):
+                nodes += 1
+                sides = _candidate_sides(combo, slots, memos, profile)
+                color = _one_color(coloring, _slice_texts(sides, plans))
+                if color is not None:
+                    nodes += sum(_rank(text, _split_pools(layers, profile, pools))
+                                 for layers in skipped)
+                    grid_size = sum(prod(len(sides[2 * i]) * len(sides[2 * i + 1])
+                                         for run in plan for i in run)
+                                    for plan in plans)
+                    return SearchReport(_words(combo, profile), color, grid_size, nodes, count,
+                                        (time.perf_counter() - start) * 1000.0)
+            nodes += sum(_split_count(layers, profile, counts) for layers in skipped)
     return SearchReport(None, None, 0, nodes, count,
                         (time.perf_counter() - start) * 1000.0)
 

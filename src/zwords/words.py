@@ -350,6 +350,11 @@ def _grid(profile: DominationProfile, index: int) -> list[tuple[int, int]]:
     return [(p, q) for p in range(1, kp + 1) for q in range(1, kq + 1)]
 
 
+def _require_sided_monotone(profile: DominationProfile) -> None:
+    if not profile.sided_monotone:
+        raise WordError("profile must be sidedly monotone")
+
+
 def _extraction_grids(bw: OrderlyTuple, indices: Sequence[int] | None) -> list[list[tuple[int, int]]]:
     """Check that bw can be extracted from and give each member its
     substitution grid.  Every error that building the images could raise
@@ -361,8 +366,7 @@ def _extraction_grids(bw: OrderlyTuple, indices: Sequence[int] | None) -> list[l
     if any(not w.is_variable_word for w in bw):
         raise WordError("extraction needs variable words")
     profile = bw[0].profile
-    if not profile.sided_monotone:
-        raise WordError("profile must be sidedly monotone")
+    _require_sided_monotone(profile)
     if indices is None:
         indices = range(1, len(bw) + 1)
     indices = tuple(indices)
@@ -436,8 +440,7 @@ def pair_enumeration(profile: DominationProfile, count: int) -> list[tuple[int, 
     Pairs are ranked by max(i(q), p) and then lexicographically by
     (i(q), p, q), where i(q) is the least n with q <= k_-n.
     """
-    if not profile.sided_monotone:
-        raise WordError("profile must be sidedly monotone")
+    _require_sided_monotone(profile)
     out: list[tuple[int, int]] = []
     thresholds = [0]  # thresholds[j] = k_{-j}
     m = 0

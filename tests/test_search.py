@@ -1,9 +1,12 @@
+import hashlib
 import random
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
 
+from zwords import search
 from zwords.ordinals import ONE, from_int
 from zwords.search import (
     Coloring,
@@ -26,14 +29,33 @@ from zwords.search import (
     z_fin_set_less,
 )
 from zwords.ordinals import parse_ordinal
-from zwords.search import _candidate_counts, _shell_splits, _witness_candidates, _xi_slices
+from zwords.search import (
+    _candidate_counts,
+    _candidate_sides,
+    _candidate_stream,
+    _instance_texts,
+    _plan_slices,
+    _rank,
+    _shell_splits,
+    _side_slots,
+    _slice_texts,
+    _split_pools,
+    _split_stream,
+    _witness_candidates,
+    _words,
+    _xi_plans,
+    _xi_slices,
+)
 from zwords.words import (
     VARIABLE,
     DominationProfile,
     WordError,
+    _grid,
+    concat_all,
     format_word,
     make_word,
     parse_profile,
+    substitute,
 )
 
 from _oracles import (
@@ -186,18 +208,47 @@ def test_hj_cap():
 def test_candidate_stream_and_count_match_reference():
     # every (profile, radius <= 4, m <= 3, total) cell, except the three
     # largest totals of abs+1 at radius 4 with m = 1 (206,224 of the 373,077
-    # tuples), which would add about 4.5 s
-    for text in ("abs", "abs+1", "const:1"):
-        for radius in (1, 2, 3, 4):
-            window = SearchWindow(radius, parse_profile(text))
-            for m in (1, 2, 3):
-                for total in range(1, 2 * radius + 1):
-                    if (text, radius, m) == ("abs+1", 4, 1) and total > 5:
-                        continue
-                    reference = reference_candidates(m, total, window)
-                    assert _witness_candidates(m, total, window) == reference
-                    assert _candidate_counts(m, range(total, total + 1), window) \
-                        == [len(reference)]
+    # tuples), which would add about 4.5 s; and the two-digit letters of
+    # const:10 and abs+9 at radius <= 3 and m <= 2, except their m = 1
+    # totals over 4 at radius 3 (150,000 tuples or more each).  Where one
+    # letter's text extends another's (2:1, 2:10), a pool sorted by bare
+    # text on an inner annulus, or by text + ';' on the outermost, misorders
+    # the candidates.
+    cells = [(text, radius, m, total)
+             for text in ("abs", "abs+1", "const:1") for radius in (1, 2, 3, 4)
+             for m in (1, 2, 3) for total in range(1, 2 * radius + 1)
+             if (text, radius, m) != ("abs+1", 4, 1) or total <= 5]
+    cells += [(text, radius, m, total)
+              for text in ("const:10", "abs+9") for radius in (1, 2, 3)
+              for m in (1, 2) for total in range(1, 2 * radius + 1)
+              if (radius, m) != (3, 1) or total <= 4]
+    for text, radius, m, total in cells:
+        window = SearchWindow(radius, parse_profile(text))
+        reference = reference_candidates(m, total, window)
+        assert _witness_candidates(m, total, window) == reference, (text, radius, m, total)
+        assert _candidate_counts(m, range(total, total + 1), window) == [len(reference)]
+
+
+def test_ranks_count_the_preceding_candidates():
+    # every candidate of a shell against every other split of the shell:
+    # the rank is the number of that split's candidates serialized before it
+    ranked = 0
+    for text, radius, m in (("abs", 3, 2), ("abs+1", 3, 2), ("const:10", 2, 1), ("const:10", 3, 2),
+                            ("abs+9", 2, 1), ("abs+9", 3, 2)):
+        profile = parse_profile(text)
+        for total in range(2 * m, 2 * radius + 1):
+            for shell in range(1, radius + 1):
+                pools = [_split_pools(layers, profile, {})
+                         for layers in _shell_splits(m, total, shell)]
+                texts = [[t for t, _, _ in _split_stream(split, None)] for split in pools]
+                for split, own in zip(pools, texts):
+                    assert own == sorted(own)
+                    for other in texts:
+                        if other is not own:
+                            for t in other:
+                                assert _rank(t, split) == bisect_left(own, t), (t, own)
+                                ranked += 1
+    assert ranked > 20000
 
 
 def test_candidate_counts_match_the_enumeration():
@@ -420,6 +471,122 @@ def test_xi_search_digit_parity_sound():
     rep = xi_witness_search(coloring, from_int(2), 2, 4, SearchWindow(4))
     if rep.found:
         assert verify_xi_witness(rep.witness, coloring, from_int(2), 4).monochromatic
+
+
+# substitution clamps at +-1 under the grids of indices 2 and 3
+CLAMPING_TABLE = "table:-3=2,-2=2,-1=1,1=1,2=3,3=3"
+
+
+def test_instance_and_slice_texts_match_the_word_path():
+    # every candidate of small windows: for every grid, the instance texts
+    # are the distinct serializations of concat_all(substitute(...)) in grid
+    # order, and for every xi plan the slice texts are color_tuple's keys
+    # over _plan_slices, in order
+    xis = [parse_ordinal(text) for text in ("1", "2", "w")]
+    instances = slices = 0
+    for text, radius, top in (("const:1", 3, 4), (CLAMPING_TABLE, 3, 4), ("const:10", 2, 3)):
+        profile = parse_profile(text)
+        window = SearchWindow(radius, profile)
+        for m in (1, 2):
+            cells = list(product(range(1, radius + 1), repeat=m))
+            xi_slots = _side_slots(profile, range(1, m + 1))
+            xi_grids = [_grid(profile, index) for index in range(1, m + 1)]
+            for total in range(2 * m, top + 1):
+                for _, combo, _ in _candidate_stream(m, total, window):
+                    ws = _words(combo, profile)
+                    for bounds in cells:
+                        slots = _side_slots(profile, bounds)
+                        memos = [{} for _ in slots]
+                        got = list(_instance_texts(_candidate_sides(combo, slots, memos, profile)))
+                        want = [format_word(concat_all([substitute(w, *pq)
+                                                        for w, pq in zip(ws, pairs)]))
+                                for pairs in product(*[_grid(profile, b) for b in bounds])]
+                        assert got == list(dict.fromkeys(want)), (ws, bounds)
+                        instances += len(want)
+                    sides = _candidate_sides(combo, xi_slots, [{} for _ in xi_slots], profile)
+                    for xi in xis:
+                        for n0 in range(2, total + 1):
+                            plans = _xi_plans([len(w.entries) for w in ws],
+                                              [w.min_dom_pos for w in ws], xi, n0)
+                            want = [";".join(map(format_word, s))
+                                    for s in _plan_slices(ws, xi_grids, plans)]
+                            assert list(_slice_texts(sides, plans)) == want, (ws, xi, n0)
+                            slices += len(want)
+    assert instances > 20000 and slices > 10000
+
+
+def test_a_planless_xi_search_builds_no_word(monkeypatch):
+    # xi = 3 and n0 = 4: no split of an l = 2 window has a block plan, so
+    # the search counts every candidate and builds no pool and no word
+    def refuse(*args):
+        raise AssertionError("a word was built")
+
+    monkeypatch.setattr(search, "_side_pool", refuse)
+    monkeypatch.setattr(search, "LocatedWord", refuse)
+    for radius, count in ((3, 169), (5, 2232036)):
+        rep = xi_witness_search(Coloring(arity=2, seed=1), from_int(3), 2, 4,
+                                SearchWindow(radius, max_candidates=count))
+        assert (rep.found, rep.grid_size, rep.nodes_expanded, rep.candidates) \
+            == (False, 0, count, count)
+
+
+def test_an_early_hj_search_builds_only_what_it_visits(monkeypatch):
+    # the split streams are merged, so a search stops after building its
+    # visited candidates and at most one more per split of its last shell
+    split_stream = search._split_stream
+    built = []
+
+    def counted(pools, tag):
+        for item in split_stream(pools, tag):
+            built.append(item)
+            yield item
+
+    monkeypatch.setattr(search, "_split_stream", counted)
+    found = 0
+    for m, bounds, n in ((1, [2], 3), (2, [1, 2], 4), (2, [1, 2], 5)):
+        for seed in range(10):
+            built.clear()
+            rep = hj_witness_search(Coloring(arity=2, seed=seed), m, bounds, n, SearchWindow(4))
+            if rep.found:
+                shell = max(max(-w.dom[0], w.dom[-1]) for w in rep.witness)
+                heads = len(list(_shell_splits(m, n, shell)))
+                assert rep.nodes_expanded <= len(built) <= rep.nodes_expanded + heads
+                found += 1
+            else:
+                assert len(built) == rep.nodes_expanded == rep.candidates
+    assert found > 15
+
+
+def test_report_sweep_digest():
+    # hj and xi reports on abs, abs+1, const:2 and const:10 under seeded
+    # colourings: witnesses early and late, xi witnesses found after splits
+    # with no plan, and exhausts.  The digest was taken from the search that
+    # built and sorted every candidate of a shell and coloured instances as
+    # words; nodes_expanded pins the ranks of the splits skipped by shape.
+    lines = []
+    for text, radii in (("abs", (2, 3)), ("abs+1", (2, 3)), ("const:2", (2, 3)),
+                        ("const:10", (2,))):
+        for radius in radii:
+            window = SearchWindow(radius, parse_profile(text))
+            for arity, seed in product((2, 3), range(2)):
+                coloring = Coloring(arity=arity, seed=7919 * radius + 31 * arity + seed)
+                reports = []
+                cell = "%s r%d a%d s%d" % (text, radius, arity, seed)
+                for bounds in ([1], [2], [1, 2]):
+                    for n in range(2 * len(bounds), 2 * radius + 1):
+                        reports.append(("hj %s b%s n%d" % (cell, bounds, n), hj_witness_search(
+                            coloring, len(bounds), bounds, n, window)))
+                for xi, l in product(("1", "2", "3", "w"), (1, 2)):
+                    for n0 in range(2, 2 * radius + 1):
+                        reports.append(("xi %s %s l%d n%d" % (cell, xi, l, n0), xi_witness_search(
+                            coloring, parse_ordinal(xi), l, n0, window)))
+                for tag, rep in reports:
+                    witness = ";".join(map(format_word, rep.witness)) if rep.witness else "none"
+                    lines.append("%s %s %s %d %d %d" % (tag, witness, rep.color, rep.grid_size,
+                                                        rep.nodes_expanded, rep.candidates))
+    assert len(lines) == 1132
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() \
+        == "9d218a6716057078beb0a76a7cfb7b0cfb3b007d7f9e918e0a02b5161dfb893a"
 
 
 def test_psi_map():
