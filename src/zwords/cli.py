@@ -3,7 +3,7 @@
 Data output is line-oriented plain text on stdout (or the same fields as
 JSON with --json); timings go to stderr.  Exit codes: 0 success, 1 domain
 error, 2 usage error.  The env var ZW_CAPS, a positive integer, overrides
-the enumeration, search and set-family caps.
+the enumeration and search caps.
 """
 
 from __future__ import annotations
@@ -181,8 +181,7 @@ def _cmd_family_closure(args) -> None:
 
 def _cmd_family_cbindex(args) -> None:
     if args.set_m is not None:
-        idx = families.set_family_cb_index(args.set_m, args.ground, args.tau,
-                                           _caps(families.SET_FAMILY_CAP))
+        idx = families.set_family_cb_index(args.set_m, args.ground, args.tau)
     else:
         if not args.family or not args.pool:
             raise families.FamilyError("word-level index needs --family and --pool")

@@ -19,19 +19,25 @@ indices.
 
 A word's images depend only on the word and its tuple index (a slot),
 and a subtuple's matching pool words only on its slots, so members that
-share them share the work.  Each call keeps a memo keyed by pool indices
-and drops it when it returns: every distinct slot is checked and its
-images built once, least first by grid index and word_sort_key so that
-errors do not follow the hash seed, and every distinct subtuple is
-matched against the pool once.  A member costs 2^len(bw) - 1 memo
-lookups.
+share them share the work.  Each pool is compiled once: its words are
+validated and indexed, and the compiled pool keeps every slot's images
+and every subtuple's matches, keyed by pool indices and filled as calls
+reach them.  Every distinct slot is checked and its images built once,
+least first by grid index and word_sort_key so that errors do not follow
+the hash seed, and every distinct subtuple is matched against the pool
+once.  A member costs 2^len(bw) - 1 lookups.  The last 8 pools compiled
+are kept, keyed by their frozensets, so the calls made on one pool (a
+closure, then its largest hereditary part and index) share one
+compilation; memory is bounded by 8 pools times the slots and subtuples
+each one has.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 from operator import itemgetter
-from typing import Iterable, Iterator, NamedTuple
+from typing import Container, Iterable, Iterator, NamedTuple
 
 from .ordinals import Ordinal
 from .schreier import is_member
@@ -142,84 +148,77 @@ def tree_closure(family: WordFamily) -> WordFamily:
                                        for cut in range(1, len(bw) + 1)})
 
 
-def _as_pool(pool: Iterable[LocatedWord]) -> frozenset[LocatedWord]:
-    pool = frozenset(pool)
-    bad = [w for w in pool if not (w.is_variable_word and w.is_core)]
-    if bad:
-        raise FamilyError("pool word %s is not a two-sided variable word"
-                          % format_word(min(bad, key=word_sort_key)))
-    return pool
-
-
-def _check_pool(family: WordFamily, pool: frozenset[LocatedWord]) -> None:
+def _check_pool(family: WordFamily, pool: Container[LocatedWord]) -> None:
     missing = [w for bw in family.members for w in bw if w not in pool]
     if missing:
         raise FamilyError("pool is missing the word %s"
                           % format_word(min(missing, key=word_sort_key)))
 
 
-class _R1Table(NamedTuple):
-    """A pool indexed once per call: its words in order of span width,
-    each word's index, each word's R1 successors as a list of indices,
-    and the indices of the words on each domain."""
+class _Pool(NamedTuple):
+    """A compiled pool: its words in order of span width, each word's
+    index, each word's R1 successors as a list of indices, the indices of
+    the words on each domain, and the extraction work of the calls made
+    on it so far, keyed by pool indices.  A slot is a (pool index, 1-based
+    grid index) pair; `allowed` holds the entry tuples of each checked
+    slot, the word's own and its grid images', which depend on the word
+    and the index alone.  A subtuple, a tuple of slots, keeps in
+    `matches` the pool indices found for it by the domain test of the
+    module docstring."""
 
     words: list[LocatedWord]
     index: dict[LocatedWord, int]
     succ: list[list[int]]
     by_dom: dict[tuple[int, ...], list[int]]
+    allowed: dict[tuple[int, int], set[tuple]]
+    matches: dict[tuple[tuple[int, int], ...], list[int]]
 
 
-def _r1_table(pool: frozenset[LocatedWord]) -> _R1Table:
-    """R1 strictly widens the span, so every successor comes later in the
-    width order."""
+@lru_cache(maxsize=8)
+def _compile(pool: frozenset[LocatedWord]) -> _Pool:
+    """The pool validated and indexed.  R1 strictly widens the span, so
+    every successor comes later in the width order.  lru_cache keeps no
+    call that raised, so an invalid pool is never kept."""
+    bad = [w for w in pool if not (w.is_variable_word and w.is_core)]
+    if bad:
+        raise FamilyError("pool word %s is not a two-sided variable word"
+                          % format_word(min(bad, key=word_sort_key)))
     words = sorted(pool, key=lambda w: (w.dom[-1] - w.dom[0], word_sort_key(w)))
     succ = [[j for j in range(i + 1, len(words)) if rel_r1(w, words[j])]
             for i, w in enumerate(words)]
     by_dom: dict[tuple[int, ...], list[int]] = {}
     for i, w in enumerate(words):
         by_dom.setdefault(w.dom, []).append(i)
-    return _R1Table(words, {w: i for i, w in enumerate(words)}, succ, by_dom)
+    return _Pool(words, {w: i for i, w in enumerate(words)}, succ, by_dom, {}, {})
 
 
-def _pool_table(family: WordFamily, pool: Iterable[LocatedWord]) -> _R1Table:
-    pool = _as_pool(pool)
-    _check_pool(family, pool)
-    return _r1_table(pool)
+def _pool_table(family: WordFamily, pool: Iterable[LocatedWord]) -> _Pool:
+    table = _compile(frozenset(pool))
+    _check_pool(family, table.index)
+    return table
 
 
-class _Memo(NamedTuple):
-    """Extraction work shared by the members of one call, keyed by pool
-    indices.  A slot is a (pool index, 1-based grid index) pair; its
-    allowed entry tuples are the word's own and its grid images', which
-    depend on the word and the index alone.  A subtuple, a tuple of
-    slots, keeps its matches: the pool indices found for it by the domain
-    test of the module docstring."""
-
-    allowed: dict[tuple[int, int], set[tuple]]
-    matches: dict[tuple[tuple[int, int], ...], list[int]]
-
-
-def _extraction_memo(members: Iterable[OrderlyTuple], table: _R1Table) -> _Memo:
-    """Check every slot of the members and list its allowed entry tuples.
-    Slots are checked least first by grid index, then word_sort_key (then
-    profile, for equal entries), so the error raised does not follow the
-    hash seed."""
-    words, index = table.words, table.index
+def _check_slots(members: Iterable[OrderlyTuple], table: _Pool) -> None:
+    """Check the slots of the members that the pool has not checked yet
+    and keep their allowed entry tuples.  They are checked least first by
+    grid index, then word_sort_key (then profile, for equal entries), and
+    a slot is kept only once its check passes; the kept slots passed, so
+    the error raised is the least failing slot's and does not follow the
+    hash seed or the calls made before."""
+    words, index, allowed = table.words, table.index, table.allowed
     slots = {(index[w], i) for bw in members for i, w in enumerate(bw, 1)}
-    allowed = {}
-    for t, i in sorted(slots, key=lambda s: (s[1], word_sort_key(words[s[0]]),
-                                             repr(words[s[0]].profile))):
+    for t, i in sorted(slots - allowed.keys(),
+                       key=lambda s: (s[1], word_sort_key(words[s[0]]),
+                                      repr(words[s[0]].profile))):
         w = words[t]
         (grid,) = _extraction_grids(make_tuple((w,)), (i,))
         allowed[t, i] = {w.entries} | {substitute(w, p, q).entries for p, q in grid}
-    return _Memo(allowed, {})
 
 
-def _matches(chosen: tuple[tuple[int, int], ...], table: _R1Table,
-             allowed: dict[tuple[int, int], set[tuple]]) -> list[int]:
+def _matches(chosen: tuple[tuple[int, int], ...], table: _Pool) -> list[int]:
     """The pool words on the union of the chosen slots' domains, of their
     profile, that read an allowed entry tuple on each slot's domain."""
-    words = table.words
+    words, allowed = table.words, table.allowed
     dom = sorted(p for t, _ in chosen for p in words[t].dom)
     rank = {p: k for k, p in enumerate(dom)}
     # a core variable word has positions on both sides, so each getter
@@ -231,26 +230,26 @@ def _matches(chosen: tuple[tuple[int, int], ...], table: _R1Table,
             and all(get(words[u].entries) in ok for get, ok in pieces)]
 
 
-def _extractions(bw: OrderlyTuple, table: _R1Table, memo: _Memo) -> set[int]:
+def _extractions(bw: OrderlyTuple, table: _Pool) -> set[int]:
     """The pool indices of the extracted variable words of bw, found by
     the domain test of the module docstring, once per subtuple of slots
-    in the memo of the call."""
+    in the compiled pool; bw's slots must have been checked."""
     slots = [(table.index[w], i) for i, w in enumerate(bw, 1)]
+    matches = table.matches
     found = set()
     for size in range(1, len(bw) + 1):
         for chosen in combinations(slots, size):
-            hits = memo.matches.get(chosen)
+            hits = matches.get(chosen)
             if hits is None:
-                hits = memo.matches[chosen] = _matches(chosen, table, memo.allowed)
+                hits = matches[chosen] = _matches(chosen, table)
             found.update(hits)
     return found
 
 
-def _extraction_chains(bw: OrderlyTuple, table: _R1Table,
-                       memo: _Memo) -> Iterator[tuple[int, ...]]:
+def _extraction_chains(bw: OrderlyTuple, table: _Pool) -> Iterator[tuple[int, ...]]:
     """The R1-chains over the pool extractions of bw as index tuples, the
     empty chain first and every chain after its prefixes."""
-    allowed = _extractions(bw, table, memo)
+    allowed = _extractions(bw, table)
     yield ()
     stack = [(i,) for i in allowed]
     while stack:
@@ -259,16 +258,16 @@ def _extraction_chains(bw: OrderlyTuple, table: _R1Table,
         stack.extend(key + (j,) for j in table.succ[key[-1]] if j in allowed)
 
 
-def _hereditary_part(members: frozenset[OrderlyTuple], table: _R1Table) -> set[OrderlyTuple]:
+def _hereditary_part(members: frozenset[OrderlyTuple], table: _Pool) -> set[OrderlyTuple]:
     """The members whose extraction chains are all members (none when the
     empty tuple is not one)."""
     present = {tuple(table.index[w] for w in bw) for bw in members}
-    memo = _extraction_memo(members, table)
+    _check_slots(members, table)
     return {bw for bw in members
-            if all(key in present for key in _extraction_chains(bw, table, memo))}
+            if all(key in present for key in _extraction_chains(bw, table))}
 
 
-def _is_hereditary(members: frozenset[OrderlyTuple], table: _R1Table) -> bool:
+def _is_hereditary(members: frozenset[OrderlyTuple], table: _Pool) -> bool:
     # every member is visited first, so extraction errors come out as
     # they do from the closure
     return _hereditary_part(members, table) == members and EMPTY_TUPLE in members
@@ -277,8 +276,8 @@ def _is_hereditary(members: frozenset[OrderlyTuple], table: _R1Table) -> bool:
 def hereditary_closure(family: WordFamily, pool: Iterable[LocatedWord]) -> WordFamily:
     """Close under pool-relative extraction tuples of members."""
     table = _pool_table(family, pool)
-    memo = _extraction_memo(family.members, table)
-    keys = set().union(*(_extraction_chains(bw, table, memo) for bw in family.members))
+    _check_slots(family.members, table)
+    keys = set().union(*(_extraction_chains(bw, table) for bw in family.members))
     return WordFamily(OrderlyTuple(tuple(table.words[i] for i in key))
                       for key in keys | {()})
 
@@ -301,13 +300,13 @@ def family_minus(family: WordFamily, t: LocatedWord) -> WordFamily:
     return WordFamily(bw for bw in family.members if len(bw) == 0 or rel_r1(t, bw[0]))
 
 
-def _derive(members: frozenset[OrderlyTuple], table: _R1Table,
+def _derive(members: frozenset[OrderlyTuple], table: _Pool,
             tau: int) -> frozenset[OrderlyTuple]:
     """The members whose blocked pool words hold no R1-chain of length
     tau.  A pool word t is open at bw when bw followed by t is a member,
     and blocked otherwise; one reverse pass over the width order gives
     each blocked word the longest blocked chain it starts."""
-    words, index, succ, _ = table
+    words, index, succ = table.words, table.index, table.succ
     keys = {bw: tuple(index[w] for w in bw) for bw in members}
     present = set(keys.values())
     kept = []
@@ -360,40 +359,23 @@ def cb_index(family: WordFamily, pool: Iterable[LocatedWord], tau: int) -> int:
     return steps
 
 
-SET_FAMILY_CAP = 200000
-
-
-def set_family_cb_index(m: int, n_max: int, tau: int,
-                        max_members: int = SET_FAMILY_CAP) -> int:
+def set_family_cb_index(m: int, n_max: int, tau: int) -> int:
     """Cantor-Bendixson index of the downward closure of the m-element
-    subsets of {1..n_max}; 'large' means >= tau failing extensions.  A
-    closure of more than max_members sets, sum over k <= m of
-    C(n_max, k), is refused before anything is built."""
+    subsets of {1..n_max}; 'large' means >= tau failing extensions."""
     if m < 0 or tau < 1:
         raise FamilyError("need m >= 0 and tau >= 1")
     if n_max < m + tau:
         raise FamilyError("ground set {1..%d} is too small to certify m=%d, tau=%d"
                           % (n_max, m, tau))
-    # the sum stops at the first partial sum over the cap, so a large m
-    # costs a few steps, not m big-integer products
-    size, binom = 0, 1
-    for k in range(m + 1):
-        size += binom
-        if size > max_members:
-            raise FamilyError("set family would have %s%d members, over the cap of %d"
-                              % ("at least " if k < m else "", size, max_members))
-        binom = binom * (n_max - k) // (k + 1)
-    ground = range(1, n_max + 1)
-    fam = {frozenset(c) for size in range(m + 1) for c in combinations(ground, size)}
-    steps = 0
-    while fam:
-        kept = {s for s in fam
-                if sum(1 for x in ground if x not in s and (s | {x}) not in fam) < tau}
-        if kept == fam:
-            raise FamilyError("derivative reached a fixed point; tau too large")
-        fam = kept
-        steps += 1
-    return steps
+    # The closure and each of its derivatives are invariant under the
+    # permutations of {1..n_max}, so each keeps or drops whole size
+    # layers; by induction the j-th is the sets of at most m - j elements.
+    # Such a family of the sets of at most k elements keeps every smaller
+    # set, which has no failing extension, and drops every k-set, which
+    # has n_max - k >= n_max - m >= tau of them.  So m + 1 steps empty it,
+    # each dropping one layer, and no step reaches a fixed point.  This is
+    # the finite form of [N]^{<=m} having index m + 1.
+    return m + 1
 
 
 # --- family file format --------------------------------------------------

@@ -389,11 +389,16 @@ def _instance_texts(sides: Sequence[Sequence[str]]) -> Iterator[str]:
         yield ",".join(parts[-1::-2] + parts[::2])
 
 
-def _one_color(coloring: Coloring, texts: Iterable[str]) -> int | None:
-    """The color shared by all the texts, or None from the second color on."""
+def _one_color(coloring: Coloring, texts: Iterable[str],
+               colors: dict[str, int]) -> int | None:
+    """The color shared by all the texts, or None from the second color on.
+    `colors` keeps the color of each text seen in the search, as candidates
+    share instances."""
     color = None
     for text in texts:
-        c = coloring.color_key(text)
+        c = colors.get(text)
+        if c is None:
+            c = colors[text] = coloring.color_key(text)
         if color is None:
             color = c
         elif c != color:
@@ -433,11 +438,12 @@ def hj_witness_search(coloring: Coloring, m: int, bounds: Sequence[int], n: int,
     slots = _side_slots(profile, bounds)
     grid_size = prod(top for _, top in slots)
     memos: list[dict[str, list[str]]] = [{} for _ in slots]
+    colors: dict[str, int] = {}
     nodes = 0
     for _, combo, _ in _candidate_stream(m, n, window):
         nodes += 1
         sides = _candidate_sides(combo, slots, memos, profile)
-        color = _one_color(coloring, _instance_texts(sides))
+        color = _one_color(coloring, _instance_texts(sides), colors)
         if color is not None:
             return SearchReport(_words(combo, profile), color, grid_size, nodes, count,
                                 (time.perf_counter() - start) * 1000.0)
@@ -567,6 +573,7 @@ def xi_witness_search(coloring: Coloring, xi: Ordinal, l: int, n0: int,
         _require_sided_monotone(profile)
         slots = _side_slots(profile, range(1, l + 1))
     memos: list[dict[str, list[str]]] = [{} for _ in slots]
+    colors: dict[str, int] = {}
     plans_at: dict[tuple, list] = {}
     pools: dict = {}
     counts: dict[tuple[int, ...], int] = {}
@@ -585,7 +592,7 @@ def xi_witness_search(coloring: Coloring, xi: Ordinal, l: int, n0: int,
             for text, combo, plans in _shell_candidates(planned, profile, pools):
                 nodes += 1
                 sides = _candidate_sides(combo, slots, memos, profile)
-                color = _one_color(coloring, _slice_texts(sides, plans))
+                color = _one_color(coloring, _slice_texts(sides, plans), colors)
                 if color is not None:
                     nodes += sum(_rank(text, _split_pools(layers, profile, pools))
                                  for layers in skipped)

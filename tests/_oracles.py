@@ -487,3 +487,26 @@ def reference_cb_derivative(family, pool, tau):
         if _reference_longest_chain(blocked) < tau:
             kept.add(bw)
     return WordFamily(kept)
+
+
+def reference_set_family_cb_index(m, n_max, tau):
+    """The Cantor-Bendixson index of the downward closure of the m-subsets
+    of {1..n_max} by definition, with the library's argument checks: every
+    set is built, and each derivative tests every set against every ground
+    element for failing extensions."""
+    if m < 0 or tau < 1:
+        raise FamilyError("need m >= 0 and tau >= 1")
+    if n_max < m + tau:
+        raise FamilyError("ground set {1..%d} is too small to certify m=%d, tau=%d"
+                          % (n_max, m, tau))
+    ground = range(1, n_max + 1)
+    fam = {frozenset(c) for size in range(m + 1) for c in combinations(ground, size)}
+    steps = 0
+    while fam:
+        kept = {s for s in fam
+                if sum(1 for x in ground if x not in s and (s | {x}) not in fam) < tau}
+        if kept == fam:
+            raise FamilyError("derivative reached a fixed point; tau too large")
+        fam = kept
+        steps += 1
+    return steps

@@ -203,23 +203,19 @@ def test_family_commands(tmp_path, capsys):
     assert code == 0 and out == "3\n"
 
 
-def test_family_cbindex_set_family_cap(capsys, monkeypatch):
-    # 1 + 100000 + C(100000, 2) sets: refused at once, before any is built
+def test_family_cbindex_set_family_answers_at_once(capsys, monkeypatch):
+    # the index is M + 1 by the sizes alone: no set is built, so there is
+    # no cap for ZW_CAPS to move
     start = time.perf_counter()
-    code, out, err = run(capsys, "family", "cbindex", "--set-m", "2",
-                         "--ground", "100000", "--tau", "3")
+    assert run(capsys, "family", "cbindex", "--set-m", "2", "--ground", "100000",
+               "--tau", "3") == (0, "3\n", "")
     assert time.perf_counter() - start < 1
-    assert (code, out, err) == (1, "", "error: set family would have 5000050001 members, "
-                                       "over the cap of 200000\n")
-    # ZW_CAPS moves the cap both ways: {1..12} with m = 2 has 79 sets
-    monkeypatch.setenv("ZW_CAPS", "78")
-    code, _, err = run(capsys, "family", "cbindex", "--set-m", "2", "--ground", "12",
-                       "--tau", "3")
-    assert (code, err) == (1, "error: set family would have 79 members, "
-                              "over the cap of 78\n")
-    monkeypatch.setenv("ZW_CAPS", "79")
+    monkeypatch.setenv("ZW_CAPS", "1")
     assert run(capsys, "family", "cbindex", "--set-m", "2", "--ground", "12",
                "--tau", "3") == (0, "3\n", "")
+    assert run(capsys, "family", "cbindex", "--set-m", "3", "--ground", "5",
+               "--tau", "3") == (1, "", "error: ground set {1..5} is too small to certify "
+                                        "m=3, tau=3\n")
 
 
 def test_family_cbindex_word_level(tmp_path, capsys):

@@ -12,10 +12,10 @@ from _oracles import (
     reference_hereditary_closure,
     reference_largest_hereditary,
     reference_pool_extractions,
+    reference_set_family_cb_index,
 )
 from zwords.ordinals import OMEGA, ONE, from_int
 from zwords.families import (
-    SET_FAMILY_CAP,
     FamilyError,
     WordFamily,
     cb_derivative,
@@ -32,7 +32,8 @@ from zwords.families import (
     set_family_cb_index,
     tree_closure,
     tuple_sort_key,
-    _extraction_memo,
+    _check_slots,
+    _compile,
     _extractions,
     _pool_table,
 )
@@ -237,19 +238,24 @@ def test_set_family_cb_index():
         set_family_cb_index(3, 5, 3)
 
 
-def test_set_family_cb_index_is_capped_by_family_size():
-    # 1 + 12 + 66 = 79 sets, refused before any is built
-    assert set_family_cb_index(2, 12, 3, max_members=79) == 3
-    with pytest.raises(FamilyError, match="^set family would have 79 members, "
-                                          "over the cap of 78$"):
-        set_family_cb_index(2, 12, 3, max_members=78)
-    with pytest.raises(FamilyError, match="^set family would have 5000050001 members, "
-                                          "over the cap of %d$" % SET_FAMILY_CAP):
-        set_family_cb_index(2, 100000, 3)
-    # the size is summed only until it passes the cap
-    with pytest.raises(FamilyError, match="^set family would have at least "
-                                          "5000050001 members, over the cap"):
-        set_family_cb_index(50000, 100000, 3)
+def test_set_family_cb_index_matches_reference():
+    # every cell with m <= 4, n <= 10 and tau <= 7, refusals included
+    cells = 0
+    for m in range(-1, 5):
+        for n_max in range(11):
+            for tau in range(8):
+                assert (_outcome(set_family_cb_index, m, n_max, tau)
+                        == _outcome(reference_set_family_cb_index, m, n_max, tau)), \
+                    (m, n_max, tau)
+                cells += isinstance(_outcome(set_family_cb_index, m, n_max, tau), int)
+    assert cells == 175
+
+
+def test_set_family_cb_index_needs_no_cap():
+    # the index follows from the sizes, so no set is built at any scale
+    assert set_family_cb_index(2, 100000, 3) == 3
+    assert set_family_cb_index(50000, 100000, 3) == 50001
+    assert set_family_cb_index(50, 10 ** 9, 7) == 51
 
 
 def test_word_level_thinness_of_xi_slices():
@@ -526,8 +532,10 @@ _TABLE_ERRORS = """
 from zwords.families import cb_index, family_of, hereditary_closure, largest_hereditary
 from zwords.words import WordError, make_tuple, parse_profile, parse_word
 prof = parse_profile("table:-1=1,1=1")
-pool = [parse_word("-%d:v,%d:v" % (n, n), prof) for n in (3, 5, 7, 9)]
+pool = [parse_word("-%d:v,%d:v" % (n, n), prof) for n in (1, 3, 5, 7, 9)]
 singletons = family_of([make_tuple([w]) for w in pool])
+# only the slot of -1:v,1:v is checked, and it passes and is kept
+hereditary_closure(family_of([make_tuple(pool[:1])]), pool)
 for fn in (hereditary_closure, largest_hereditary, lambda f, p: cb_index(f, p, 2),
            lambda f, p: f.is_hereditary(p)):
     try:
@@ -538,9 +546,11 @@ for fn in (hereditary_closure, largest_hereditary, lambda f, p: cb_index(f, p, 2
 
 
 def test_extraction_errors_do_not_depend_on_the_hash_seed():
-    # every singleton's grid reads k at its variable positions, which the
-    # table lacks; slots are checked least first by grid index and
-    # word_sort_key, so -9:v,9:v is named under every hash seed
+    # every singleton's grid but -1:v,1:v's reads k at its variable
+    # positions, which the table lacks; slots are checked least first by
+    # grid index and word_sort_key, and kept only once they pass, so
+    # -9:v,9:v is named under every hash seed and after a call that checked
+    # another slot
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(zwords.__file__)))
     outputs = {subprocess.run([sys.executable, "-c", _TABLE_ERRORS], capture_output=True,
                               text=True, check=True, timeout=60,
@@ -549,30 +559,97 @@ def test_extraction_errors_do_not_depend_on_the_hash_seed():
     assert outputs == {"profile table has no bound at -9\n" * 4}
 
 
-def test_shared_memo_extractions_match_star_products():
-    # one memo serves every member of a call; whichever member fills a
-    # slot or a subtuple first, each member's set is its own
+def _memo_cases():
     nested = nested_pool(3, 2)
     ev = ev_pool()
     ordered = sorted(ev, key=word_sort_key)
     ev_pairs = [make_tuple([a, b]) for a in ordered[:12] for b in ordered if rel_r1(a, b)][:40]
     three = extracted_sets(three_word_base()).variables
-    cases = [(nested, hereditary_closure(family_of(full_tuples(nested, 2)), nested)),
-             (nested_pool(), hereditary_closure(family_of(full_tuples(nested_pool(), 2)),
-                                                nested_pool())),
-             (ev, family_of(ev_pairs + [make_tuple([w]) for w in ordered])),
-             (three, hereditary_closure(family_of([three_word_base()]), three))]
-    for pool, fam in cases:
+    return [(nested, hereditary_closure(family_of(full_tuples(nested, 2)), nested)),
+            (nested_pool(), hereditary_closure(family_of(full_tuples(nested_pool(), 2)),
+                                               nested_pool())),
+            (ev, family_of(ev_pairs + [make_tuple([w]) for w in ordered])),
+            (three, hereditary_closure(family_of([three_word_base()]), three))]
+
+
+def test_shared_memo_extractions_match_star_products():
+    # one compiled pool serves every member of every call; whichever member
+    # or call fills a slot or a subtuple first, each member's set is its own
+    for pool, fam in _memo_cases():
         want = {bw: reference_pool_extractions(bw, pool) for bw in fam.members}
+        members = sorted(fam.members, key=tuple_sort_key)
         for seed in (1, 2, 3):
-            members = sorted(fam.members, key=tuple_sort_key)
+            _compile.cache_clear()
             random.Random(seed).shuffle(members)
             table = _pool_table(fam, pool)
-            memo = _extraction_memo(members, table)
-            for bw in members:
-                got = {table.words[t] for t in _extractions(bw, table, memo)}
-                assert got == want[bw], (bw, seed)
-            assert memo.matches
+            # calls of a few members each share the table
+            for start in range(0, len(members), 7):
+                part = members[start:start + 7]
+                _check_slots(part, table)
+                for bw in part:
+                    got = {table.words[t] for t in _extractions(bw, table)}
+                    assert got == want[bw], (bw, seed)
+            assert _pool_table(fam, frozenset(pool)) is table
+            assert table.matches
+
+
+def test_family_calls_on_one_pool_match_a_cold_cache():
+    # the operations on a pool, run in shuffled orders on one compiled
+    # pool, give what each gives on a freshly compiled pool
+    nested = nested_pool(3, 2)
+    three = extracted_sets(three_word_base()).variables
+    for pool, raw, tau in [(nested, family_of(full_tuples(nested, 2)), 3),
+                           (three, family_of([three_word_base()]), 2)]:
+        closed = hereditary_closure(raw, pool)
+        # one singleton less leaves every member above it unhereditary
+        less = family_of(closed.members - {min(closed.members - {EMPTY_TUPLE},
+                                                 key=tuple_sort_key)})
+        calls = [(hereditary_closure, raw), (largest_hereditary, raw),
+                 (largest_hereditary, less), (WordFamily.is_hereditary, less),
+                 (cb_index, closed, tau), (cb_derivative, closed, tau),
+                 (cb_index, less, tau), (cb_derivative, raw, tau)]
+        cold = []
+        for fn, *args in calls:
+            _compile.cache_clear()
+            cold.append(_outcome(fn, args[0], pool, *args[1:]))
+        for seed in (1, 2):
+            order = list(range(len(calls)))
+            random.Random(seed).shuffle(order)
+            _compile.cache_clear()
+            for i in order:
+                fn, *args = calls[i]
+                assert _outcome(fn, args[0], pool, *args[1:]) == cold[i], (i, seed)
+            assert _compile.cache_info().currsize == 1
+
+
+def test_pool_cache_keeps_eight_pools():
+    _compile.cache_clear()
+    empty = family_of([EMPTY_TUPLE])
+    for n in range(1, 21):
+        pool = [make_word({-n: VARIABLE, n: VARIABLE})]
+        assert hereditary_closure(empty, pool) == empty
+    info = _compile.cache_info()
+    assert (info.misses, info.currsize, info.maxsize) == (20, 8, 8)
+    # the least recently used pools went first
+    hereditary_closure(empty, [make_word({-20: VARIABLE, 20: VARIABLE})])
+    hereditary_closure(empty, [make_word({-1: VARIABLE, 1: VARIABLE})])
+    assert _compile.cache_info()[:2] == (1, 21)
+
+
+def test_invalid_pool_is_never_kept():
+    _compile.cache_clear()
+    fam = family_of([make_tuple([W1])])
+    bad = CHAIN3 | {make_word({-7: -1, 7: VARIABLE})}
+    for _ in range(2):
+        with pytest.raises(FamilyError, match="^pool word -7:-1,7:v is not a two-sided "
+                                              "variable word$"):
+            hereditary_closure(fam, bad)
+    assert _compile.cache_info().currsize == 0
+    # a valid pool is kept, and the family is checked against it each call
+    for _ in range(2):
+        with pytest.raises(FamilyError, match="^pool is missing the word -1:v,1:v$"):
+            largest_hereditary(fam, frozenset([W2]))
+    assert _compile.cache_info().currsize == 1
 
 
 def test_is_thin():
