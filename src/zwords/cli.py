@@ -15,14 +15,11 @@ import re
 import sys
 
 from . import families, rationals, schreier, search, words
-from .ordinals import OrdinalError, classify, compare, format_ordinal, parse_ordinal
+from .ordinals import classify, compare, format_ordinal, parse_ordinal
 from .ordinals import fundamental_sequence, predecessor_sequence
-from .schreier import SchreierError
-from .words import WordError
 
-DOMAIN_ERRORS = (OrdinalError, SchreierError, WordError, families.FamilyError,
-                 rationals.RationalCodecError, search.SearchError,
-                 search.SearchCapExceeded, ValueError, OSError)
+# every domain error of the modules subclasses ValueError
+DOMAIN_ERRORS = (ValueError, OSError, search.SearchCapExceeded)
 
 
 def _caps(default: int | None = None) -> int | None:
@@ -231,7 +228,7 @@ def _window(args) -> search.SearchWindow:
                                max_candidates=_caps(search.SearchWindow.max_candidates))
 
 
-def _report_lines(rep: search.SearchReport) -> tuple[dict, list[str]]:
+def _emit_report(args, rep: search.SearchReport) -> None:
     if rep.witness is None:
         fields = {"witness": None, "candidates": rep.candidates, "nodes": rep.nodes_expanded}
         lines = ["witness: none", "candidates: %d" % rep.candidates,
@@ -242,25 +239,19 @@ def _report_lines(rep: search.SearchReport) -> tuple[dict, list[str]]:
                   "nodes": rep.nodes_expanded, "vacuous": rep.vacuous}
         lines = ["witness: %s" % text, "color: %s" % rep.color,
                  "grid: %d" % rep.grid_size, "nodes: %d" % rep.nodes_expanded]
-        if rep.vacuous:
-            lines.append("vacuous: true")
-    return fields, lines
+    _emit(args, fields, lines)
+    print("time_ms: %.1f" % rep.elapsed_ms, file=sys.stderr)
 
 
 def _cmd_search_hj(args) -> None:
     bounds = [int(x) for x in args.bounds.split(",")]
-    rep = search.hj_witness_search(_coloring(args), len(bounds), bounds, args.n, _window(args))
-    fields, lines = _report_lines(rep)
-    _emit(args, fields, lines)
-    print("time_ms: %.1f" % rep.elapsed_ms, file=sys.stderr)
+    _emit_report(args, search.hj_witness_search(_coloring(args), len(bounds), bounds, args.n,
+                                                _window(args)))
 
 
 def _cmd_search_xi(args) -> None:
-    rep = search.xi_witness_search(_coloring(args), parse_ordinal(args.xi),
-                                   args.l, args.n0, _window(args))
-    fields, lines = _report_lines(rep)
-    _emit(args, fields, lines)
-    print("time_ms: %.1f" % rep.elapsed_ms, file=sys.stderr)
+    _emit_report(args, search.xi_witness_search(_coloring(args), parse_ordinal(args.xi),
+                                                args.l, args.n0, _window(args)))
 
 
 def _cmd_search_fs(args) -> None:

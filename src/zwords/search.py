@@ -14,6 +14,7 @@ import heapq
 import time
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, product
 from math import prod
 from operator import itemgetter
@@ -44,6 +45,7 @@ from .words import (
 X = TypeVar("X")
 T = TypeVar("T")
 Entries = tuple[tuple[int, int], ...]
+Plans = list[list[tuple[int, ...]]]
 
 
 class SearchError(ValueError):
@@ -189,12 +191,14 @@ def _splits(dom: tuple[int, ...], m: int) -> Iterator[list[tuple[int, ...]]]:
             yield [dom[left[i + 1]:left[i]] + dom[right[i]:right[i + 1]] for i in range(m)]
 
 
-def _side_counts(bounds: Sequence[int], m: int) -> list[int]:
+@lru_cache(maxsize=128)
+def _side_counts(bounds: tuple[int, ...], m: int) -> tuple[int, ...]:
     """N(a), a = 0..len(bounds): over the a-subsets of one side cut into m
     consecutive nonempty runs, the sum of the product over the runs of
     prod(k+1) - prod(k).  A state is (runs begun, size) with two sums for
     the open run, weighted by prod(k+1) and by prod(k); closing the run
-    adds their difference."""
+    adds their difference.  The last 128 (bounds, m) are kept, so repeated
+    searches, and a search's count of its inner window, count once."""
     n = len(bounds)
     grown, plain = ([[0] * (n + 1) for _ in range(m + 1)] for _ in range(2))
     grown[0][0] = 1
@@ -204,7 +208,7 @@ def _side_counts(bounds: Sequence[int], m: int) -> list[int]:
                 closed = grown[j - 1][s] - plain[j - 1][s]
                 grown[j][s + 1] += (grown[j][s] + closed) * (k + 1)
                 plain[j][s + 1] += (plain[j][s] + closed) * k
-    return [a - b for a, b in zip(grown[m], plain[m])]
+    return tuple(a - b for a, b in zip(grown[m], plain[m]))
 
 
 def _candidate_counts(m: int, totals: range, window: SearchWindow) -> list[int]:
@@ -215,7 +219,7 @@ def _candidate_counts(m: int, totals: range, window: SearchWindow) -> list[int]:
     radius = window.radius
     if not any(2 * m <= total <= 2 * radius for total in totals):
         return [0] * len(totals)
-    bounds = [window.profile.bound(p) for p in window.positions()]
+    bounds = tuple(window.profile.bound(p) for p in window.positions())
     neg, pos = _side_counts(bounds[radius - 1::-1], m), _side_counts(bounds[radius:], m)
     counts = [sum(neg[a] * pos[total - a]
                   for a in range(max(0, total - radius), min(total, radius) + 1))
@@ -283,17 +287,6 @@ def _shell_candidates(splits: Iterable[tuple[Sequence[tuple[int, ...]], T]],
                          for layers, tag in splits], key=itemgetter(0))
 
 
-def _candidate_stream(m: int, total: int,
-                      window: SearchWindow) -> Iterator[tuple[str, tuple, None]]:
-    """The candidates in canonical order: shell by shell (outermost
-    |position|), each shell's splits enumerated when the stream reaches it
-    and merged by serialization."""
-    pools: dict = {}
-    for shell in range(1, window.radius + 1):
-        yield from _shell_candidates([(layers, None) for layers in _shell_splits(m, total, shell)],
-                                     window.profile, pools)
-
-
 def _words(combo: Sequence[tuple[str, Entries]],
            profile: DominationProfile) -> tuple[LocatedWord, ...]:
     return tuple(LocatedWord(neg + pos, profile)
@@ -302,24 +295,15 @@ def _words(combo: Sequence[tuple[str, Entries]],
 
 def _witness_candidates(m: int, total: int, window: SearchWindow) -> list[tuple[LocatedWord, ...]]:
     """All <R1-increasing m-tuples of two-sided variable words with total
-    domain size `total` inside the window, canonically ordered."""
-    return [_words(combo, window.profile) for _, combo, _ in _candidate_stream(m, total, window)]
-
-
-def _split_count(layers: Sequence[tuple[int, ...]], profile: DominationProfile,
-                 counts: dict[tuple[int, ...], int]) -> int:
-    """A split's candidate count: per annulus and side, prod(k+1) - prod(k)
-    letter choices carry the variable.  Annulus counts are kept in
-    `counts`, a dict local to the search."""
-    total = 1
-    for layer in layers:
-        if layer not in counts:
-            counts[layer] = 1
-            for side in (-1, 1):
-                bounds = [profile.bound(p) for p in layer if p * side > 0]
-                counts[layer] *= prod(k + 1 for k in bounds) - prod(bounds)
-        total *= counts[layer]
-    return total
+    domain size `total` inside the window, in canonical order: shell by
+    shell (outermost |position|), each shell's splits merged by
+    serialization."""
+    pools: dict = {}
+    return [_words(combo, window.profile)
+            for shell in range(1, window.radius + 1)
+            for _, combo, _ in _shell_candidates(
+                [(layers, None) for layers in _shell_splits(m, total, shell)],
+                window.profile, pools)]
 
 
 def _rank(text: str, pools: Sequence[Sequence[tuple[str, Entries]]]) -> int:
@@ -373,20 +357,37 @@ def _candidate_sides(combo: Sequence[tuple[str, Entries]], slots: Sequence[tuple
     return sides
 
 
-def _instance_texts(sides: Sequence[Sequence[str]]) -> Iterator[str]:
+def _instance_texts(sides: Sequence[Sequence[str]], run: Iterable[int]) -> Iterator[str]:
     """The distinct texts of concat_all of one substitution image per
-    member, in grid order.  `sides` holds, member by member and innermost
-    first, the distinct texts of the negative side by q and of the
-    positive side by p.  A grid is p-major, so the product of the positive
-    and then the negative texts runs in grid order, and dropping repeated
-    side texts drops exactly the repeated images.  The members are nested
-    annuli, so the outer members' negative sides come first and their
-    positive sides last."""
+    member of the run, in grid order.  `sides` holds, member by member and
+    innermost first, the distinct texts of the negative side by q and of
+    the positive side by p.  A grid is p-major, so the product of the
+    positive and then the negative texts runs in grid order, and dropping
+    repeated side texts drops exactly the repeated images.  The members
+    are nested annuli, so the outer members' negative sides come first and
+    their positive sides last."""
     grid_order = []
-    for neg, pos in zip(sides[::2], sides[1::2]):
-        grid_order += [pos, neg]
+    for i in run:
+        grid_order += [sides[2 * i + 1], sides[2 * i]]
     for parts in product(*grid_order):
         yield ",".join(parts[-1::-2] + parts[::2])
+
+
+def _slice_texts(sides: Sequence[Sequence[str]], plans: Plans) -> Iterator[str]:
+    """The text of each slice of _plan_slices, in its order, from the
+    members' distinct side texts: a run's blocks are the instance texts of
+    its members.  A plan's last run is streamed, so a candidate that stops
+    at its second color builds few texts.  Under the one plan of a single
+    run of every member, the slices are the candidate's instances."""
+    blocks: dict[tuple[int, ...], list[str]] = {}
+    for plan in plans:
+        for run in plan[:-1]:
+            if run not in blocks:
+                blocks[run] = [text + ";" for text in _instance_texts(sides, run)]
+        for texts in product(*map(blocks.get, plan[:-1])):
+            prefix = "".join(texts)
+            for text in _instance_texts(sides, plan[-1]):
+                yield prefix + text
 
 
 def _one_color(coloring: Coloring, texts: Iterable[str],
@@ -421,11 +422,48 @@ class SearchReport:
         return self.witness is not None
 
 
+def _first_one_color(coloring: Coloring, m: int, totals: range, counts: Sequence[int],
+                     window: SearchWindow, slots: Sequence[tuple[int, int]],
+                     plans_of: Callable[[list[tuple[int, ...]]], Plans]) -> tuple:
+    """The first candidate over the totals, in canonical order, whose slice
+    texts under its block plans share one color, as (nodes, witness, color,
+    sides, plans); with none, (candidates, None, None, [], []).
+
+    Shell by shell (outermost |position|), the splits with plans are merged
+    by serialization and visited, and the others are never built.  `nodes`
+    is the witness's place in the canonical order, read from the counts:
+    the earlier totals', this total's in the window one shell smaller, the
+    candidates visited in this shell and the witness's rank in each split
+    of it without plans."""
+    profile = window.profile
+    memos: list[dict[str, list[str]]] = [{} for _ in slots]
+    colors: dict[str, int] = {}
+    pools: dict = {}
+    for t, total in enumerate(totals):
+        for shell in range(1, window.radius + 1):
+            splits = [(layers, plans_of(layers)) for layers in _shell_splits(m, total, shell)]
+            kept = [(layers, plans) for layers, plans in splits if plans]
+            for visited, (text, combo, plans) in enumerate(
+                    _shell_candidates(kept, profile, pools), 1):
+                sides = _candidate_sides(combo, slots, memos, profile)
+                color = _one_color(coloring, _slice_texts(sides, plans), colors)
+                if color is not None:
+                    inner = sum(_candidate_counts(m, range(total, total + 1), SearchWindow(
+                        shell - 1, profile, window.max_candidates))) if shell > 1 else 0
+                    nodes = sum(counts[:t]) + inner + visited + sum(
+                        _rank(text, _split_pools(layers, profile, pools))
+                        for layers, own in splits if not own)
+                    return nodes, _words(combo, profile), color, sides, plans
+    return sum(counts), None, None, [], []
+
+
 def hj_witness_search(coloring: Coloring, m: int, bounds: Sequence[int], n: int,
                       window: SearchWindow) -> SearchReport:
     """Search for m variable words, increasing and of total length n,
     all of whose substitution instances over the bounds' grids share one
-    color.  Exhaustive within the window."""
+    color.  Exhaustive within the window.  The instances are the slices of
+    one block plan, a single run of every member, so the search is the xi
+    search's visit with that plan for every split."""
     if m < 1:
         raise SearchError("tuple length must be >= 1")
     if len(bounds) != m:
@@ -433,21 +471,13 @@ def hj_witness_search(coloring: Coloring, m: int, bounds: Sequence[int], n: int,
     if n < 1:
         raise SearchError("total length must be >= 1")
     start = time.perf_counter()
-    count, = _candidate_counts(m, range(n, n + 1), window)
-    profile = window.profile
-    slots = _side_slots(profile, bounds)
-    grid_size = prod(top for _, top in slots)
-    memos: list[dict[str, list[str]]] = [{} for _ in slots]
-    colors: dict[str, int] = {}
-    nodes = 0
-    for _, combo, _ in _candidate_stream(m, n, window):
-        nodes += 1
-        sides = _candidate_sides(combo, slots, memos, profile)
-        color = _one_color(coloring, _instance_texts(sides), colors)
-        if color is not None:
-            return SearchReport(_words(combo, profile), color, grid_size, nodes, count,
-                                (time.perf_counter() - start) * 1000.0)
-    return SearchReport(None, None, grid_size, nodes, count,
+    totals = range(n, n + 1)
+    counts = _candidate_counts(m, totals, window)
+    slots = _side_slots(window.profile, bounds)
+    plans = [[tuple(range(m))]]
+    nodes, witness, color, _, _ = _first_one_color(coloring, m, totals, counts, window, slots,
+                                                   lambda layers: plans)
+    return SearchReport(witness, color, prod(top for _, top in slots), nodes, counts[0],
                         (time.perf_counter() - start) * 1000.0)
 
 
@@ -492,8 +522,7 @@ def _block_plans(chosen: tuple[int, ...]) -> Iterator[list[tuple[int, ...]]]:
             yield [chosen[a:b] for a, b in zip(edges, edges[1:])]
 
 
-def _xi_plans(sizes: Sequence[int], anchors: Sequence[int], xi: Ordinal,
-              total: int) -> list[list[tuple[int, ...]]]:
+def _xi_plans(sizes: Sequence[int], anchors: Sequence[int], xi: Ordinal, total: int) -> Plans:
     """The block plans whose sizes sum to `total` and whose anchors, one
     per run from its innermost member, form a member of A_xi."""
     plans = []
@@ -506,7 +535,7 @@ def _xi_plans(sizes: Sequence[int], anchors: Sequence[int], xi: Ordinal,
 
 
 def _plan_slices(ws: Sequence[LocatedWord], grids: Sequence[Sequence[tuple[int, int]]],
-                 plans: list[list[tuple[int, ...]]]) -> list[tuple[LocatedWord, ...]]:
+                 plans: Plans) -> list[tuple[LocatedWord, ...]]:
     """One image per chosen member, a run's images joined into one
     constant; only members that some plan chooses get images."""
     runs = {run for plan in plans for run in plan}
@@ -533,21 +562,6 @@ def _xi_slices(ws: Sequence[LocatedWord], xi: Ordinal,
         [len(w.entries) for w in bw], [w.min_dom_pos for w in bw], xi, total))
 
 
-def _slice_texts(sides: Sequence[Sequence[str]],
-                 plans: list[list[tuple[int, ...]]]) -> Iterator[str]:
-    """The text of each slice of _plan_slices, in its order, from the
-    members' distinct side texts (as for _instance_texts): a run's blocks
-    are the instance texts of its members."""
-    blocks: dict[tuple[int, ...], list[str]] = {}
-    for plan in plans:
-        for run in plan:
-            if run not in blocks:
-                members = [t for i in run for t in sides[2 * i:2 * i + 2]]
-                blocks[run] = list(_instance_texts(members))
-        for texts in product(*map(blocks.get, plan)):
-            yield ";".join(texts)
-
-
 def xi_witness_search(coloring: Coloring, xi: Ordinal, l: int, n0: int,
                       window: SearchWindow) -> SearchReport:
     """Search for an l-tuple of variable words whose extracted-constant
@@ -556,53 +570,33 @@ def xi_witness_search(coloring: Coloring, xi: Ordinal, l: int, n0: int,
 
     The block plans depend only on the members' sizes and anchors, which
     the annulus split fixes, so each split's shape is planned once, and a
-    split with no plan is counted without building any word: in full, or,
-    in the shell of a witness, up to the witness's serialization.  The
-    extraction checks depend only on the profile and l, so they run once,
-    when the window has a candidate."""
+    split with no plan is never built.  The extraction checks depend only
+    on the profile and l, so they run once, when the window has a
+    candidate."""
     if l < 1:
         raise SearchError("tuple length must be >= 1")
     if n0 < 1:
         raise SearchError("total length must be >= 1")
     start = time.perf_counter()
     totals = range(2 * l, 2 * window.radius + 1)
-    count = sum(_candidate_counts(l, totals, window))
-    profile = window.profile
+    counts = _candidate_counts(l, totals, window)
     slots: list[tuple[int, int]] = []
-    if count:
-        _require_sided_monotone(profile)
-        slots = _side_slots(profile, range(1, l + 1))
-    memos: list[dict[str, list[str]]] = [{} for _ in slots]
-    colors: dict[str, int] = {}
+    if sum(counts):
+        _require_sided_monotone(window.profile)
+        slots = _side_slots(window.profile, range(1, l + 1))
     plans_at: dict[tuple, list] = {}
-    pools: dict = {}
-    counts: dict[tuple[int, ...], int] = {}
-    nodes = 0
-    for total in totals:
-        for shell in range(1, window.radius + 1):
-            planned, skipped = [], []
-            for layers in _shell_splits(l, total, shell):
-                shape = tuple((len(layer), layer[bisect_left(layer, 0)]) for layer in layers)
-                if shape not in plans_at:
-                    plans_at[shape] = _xi_plans(*zip(*shape), xi, n0)
-                if plans_at[shape]:
-                    planned.append((layers, plans_at[shape]))
-                else:
-                    skipped.append(layers)
-            for text, combo, plans in _shell_candidates(planned, profile, pools):
-                nodes += 1
-                sides = _candidate_sides(combo, slots, memos, profile)
-                color = _one_color(coloring, _slice_texts(sides, plans), colors)
-                if color is not None:
-                    nodes += sum(_rank(text, _split_pools(layers, profile, pools))
-                                 for layers in skipped)
-                    grid_size = sum(prod(len(sides[2 * i]) * len(sides[2 * i + 1])
-                                         for run in plan for i in run)
-                                    for plan in plans)
-                    return SearchReport(_words(combo, profile), color, grid_size, nodes, count,
-                                        (time.perf_counter() - start) * 1000.0)
-            nodes += sum(_split_count(layers, profile, counts) for layers in skipped)
-    return SearchReport(None, None, 0, nodes, count,
+
+    def plans_of(layers: list[tuple[int, ...]]) -> Plans:
+        shape = tuple((len(layer), layer[bisect_left(layer, 0)]) for layer in layers)
+        if shape not in plans_at:
+            plans_at[shape] = _xi_plans(*zip(*shape), xi, n0)
+        return plans_at[shape]
+
+    nodes, witness, color, sides, plans = _first_one_color(coloring, l, totals, counts, window,
+                                                           slots, plans_of)
+    grid_size = sum(prod(len(sides[2 * i]) * len(sides[2 * i + 1]) for run in plan for i in run)
+                    for plan in plans)
+    return SearchReport(witness, color, grid_size, nodes, sum(counts),
                         (time.perf_counter() - start) * 1000.0)
 
 

@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from zwords import cli
+from zwords import (FamilyError, OrdinalError, RationalCodecError, SchreierError, SearchError,
+                    WordError, cli)
 from zwords.cli import main
 from zwords.ordinals import format_ordinal
 from zwords.schreier import format_set
@@ -325,6 +326,10 @@ def test_exit_codes(capsys):
     code, _, _ = run(capsys, "word", "subst", "--p", "1", "--q", "0",
                      "--word", "-1:v,1:v")
     assert code == 1
+    # the CLI catches ValueError for every module's domain error
+    for error in (OrdinalError, SchreierError, WordError, FamilyError, RationalCodecError,
+                  SearchError):
+        assert issubclass(error, cli.DOMAIN_ERRORS), error
 
 
 def test_deep_ordinal_descent_is_a_domain_error(capsys):

@@ -32,10 +32,10 @@ from zwords.ordinals import parse_ordinal
 from zwords.search import (
     _candidate_counts,
     _candidate_sides,
-    _candidate_stream,
     _instance_texts,
     _plan_slices,
     _rank,
+    _shell_candidates,
     _shell_splits,
     _side_slots,
     _slice_texts,
@@ -477,6 +477,14 @@ def test_xi_search_digit_parity_sound():
 CLAMPING_TABLE = "table:-3=2,-2=2,-1=1,1=1,2=3,3=3"
 
 
+def candidate_choices(m, total, window):
+    # the side choices of _witness_candidates' tuples, in its order
+    for shell in range(1, window.radius + 1):
+        splits = [(layers, None) for layers in _shell_splits(m, total, shell)]
+        for _, combo, _ in _shell_candidates(splits, window.profile, {}):
+            yield combo
+
+
 def test_instance_and_slice_texts_match_the_word_path():
     # every candidate of small windows: for every grid, the instance texts
     # are the distinct serializations of concat_all(substitute(...)) in grid
@@ -492,12 +500,13 @@ def test_instance_and_slice_texts_match_the_word_path():
             xi_slots = _side_slots(profile, range(1, m + 1))
             xi_grids = [_grid(profile, index) for index in range(1, m + 1)]
             for total in range(2 * m, top + 1):
-                for _, combo, _ in _candidate_stream(m, total, window):
+                for combo in candidate_choices(m, total, window):
                     ws = _words(combo, profile)
                     for bounds in cells:
                         slots = _side_slots(profile, bounds)
                         memos = [{} for _ in slots]
-                        got = list(_instance_texts(_candidate_sides(combo, slots, memos, profile)))
+                        sides = _candidate_sides(combo, slots, memos, profile)
+                        got = list(_instance_texts(sides, range(m)))
                         want = [format_word(concat_all([substitute(w, *pq)
                                                         for w, pq in zip(ws, pairs)]))
                                 for pairs in product(*[_grid(profile, b) for b in bounds])]
@@ -555,6 +564,47 @@ def test_an_early_hj_search_builds_only_what_it_visits(monkeypatch):
             else:
                 assert len(built) == rep.nodes_expanded == rep.candidates
     assert found > 15
+
+
+def test_nodes_is_the_witness_place_in_the_candidate_lists():
+    # nodes_expanded, read from the counts, against its definition: the
+    # witness's 1-based index in _witness_candidates over the search's totals
+    found = 0
+    for text, radii in (("abs", (2, 3)), ("abs+1", (2, 3)), ("const:2", (2, 3)),
+                        ("const:10", (2,))):
+        for radius in radii:
+            window = SearchWindow(radius, parse_profile(text))
+            for m in (1, 2):
+                totals = range(2 * m, 2 * radius + 1)
+                lists = {total: _witness_candidates(m, total, window) for total in totals}
+                places = {total: {ws: i for i, ws in enumerate(lists[total], 1)}
+                          for total in totals}
+                # hj has the one total n, xi every total from 2m up
+                before = {total: sum(len(lists[t]) for t in totals if t < total)
+                          for total in totals}
+                reports = [({n: 0}, hj_witness_search(Coloring(arity=2, seed=seed), m, bounds,
+                                                      n, window))
+                           for bounds in ([1] * m, [2] * m) for n in totals for seed in (0, 1)]
+                reports += [(before, xi_witness_search(Coloring(arity=2, seed=seed),
+                                                       parse_ordinal(xi), m, n0, window))
+                            for xi in ("1", "2", "w") for n0 in range(2, 2 * radius + 1)
+                            for seed in (0, 1)]
+                for offsets, rep in reports:
+                    if rep.found:
+                        total = sum(map(word_length, rep.witness))
+                        assert rep.nodes_expanded == offsets[total] + places[total][rep.witness]
+                        found += 1
+    assert found > 200
+
+
+def test_a_witness_in_an_outer_shell_under_a_raised_cap():
+    # no split of totals 4 to 9 has a plan for n0 = 10, so nodes adds their
+    # counts, far over the default cap, to the candidates visited in shell 5
+    # of total 10, where the witness lies
+    rep = xi_witness_search(Coloring(arity=2, seed=1), parse_ordinal("w"), 2, 10,
+                            SearchWindow(6, max_candidates=300_000_000))
+    assert (rep.nodes_expanded, rep.color, rep.grid_size) == (48_072_922, 1, 4)
+    assert max(max(-w.dom[0], w.dom[-1]) for w in rep.witness) == 5
 
 
 def test_report_sweep_digest():
