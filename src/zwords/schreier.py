@@ -17,7 +17,8 @@ elements; a set with fewer left is OPEN at once, however deep xi is.
 Otherwise the parse recurses once per nested block, so its depth follows
 the ordinal descent below xi at the set's elements; deep towers such as
 w^(w^w) can exceed Python's recursion limit and raise RecursionError.
-Enumeration recurses the same way.
+Enumeration walks the same cases on an explicit stack, so it has no such
+limit.
 """
 
 from __future__ import annotations
@@ -147,52 +148,49 @@ def canonical_decompose(s: Iterable[int], xi: Ordinal) -> CanonicalDecomposition
     return CanonicalDecomposition(tuple(blocks), seq[i:] or None)
 
 
-def _with_min(terms: Terms, n: int, n_max: int) -> Iterator[FiniteSet]:
-    """All members of A_xi, xi given by its CNF terms, with minimum
-    exactly n inside {1..n_max}."""
-    if not terms or n > n_max:
-        return
-    exp, coeff = terms[-1]
-    if not exp.terms:
-        zeta = terms[:-1] + ((exp, coeff - 1),) if coeff > 1 else terms[:-1]
-        if not zeta:
-            yield (n,)
-            return
-        for m in range(n + 1, n_max + 1):
-            for t in _with_min(zeta, m, n_max):
-                yield (n,) + t
-        return
-    # every block takes at least one element of {n..n_max}
-    room = n_max - n + 1
-    plan = list(islice(_blocks(terms, n), room + 1))
-    if len(plan) > room:
-        return
-    for first in _with_min(plan[0], n, n_max):
-        for rest in _chain_rest(plan[1:], first[-1] + 1, n_max):
-            yield first + rest
-
-
-def _chain_rest(plan: list[Terms], lo: int, n_max: int) -> Iterator[FiniteSet]:
-    if not plan:
-        yield ()
-        return
-    for m in range(lo, n_max + 1):
-        for b in _with_min(plan[0], m, n_max):
-            for rest in _chain_rest(plan[1:], b[-1] + 1, n_max):
-                yield b + rest
-
-
 def enumerate_members(xi: Ordinal, n_max: int, cap: int | None = None) -> list[FiniteSet]:
-    """All members of A_xi contained in {1..n_max}, lexicographic."""
+    """All members of A_xi contained in {1..n_max}, lexicographic.
+
+    A depth-first walk over the parse's cases on an explicit stack.  A
+    state is (set so far, families still to parse with the next one first,
+    element already chosen as the next family's minimum or 0).  Choices
+    are pushed largest first, so members come out in lexicographic order.
+    A state is dropped when its families need more elements than remain."""
     cap = DEFAULT_CAP if cap is None else cap
     if n_max > cap:
         raise SchreierError("ground set {1..%d} exceeds cap %d" % (n_max, cap))
     if xi.is_zero:
         return [()]
     out: list[FiniteSet] = []
-    for n in range(1, n_max + 1):
-        out.extend(_with_min(xi.terms, n, n_max))
-    return sorted(out)
+    stack: list[tuple[FiniteSet, tuple[Terms, ...], int]] = [((), (xi.terms,), 0)]
+    while stack:
+        s, families, m = stack.pop()
+        if not families:
+            out.append(s)
+            continue
+        lo = m or (s[-1] + 1 if s else 1)
+        room = n_max - lo + 1
+        # a finite family needs its coefficient, any other at least one
+        need = sum(f[0][1] if not f[0][0].terms else 1 for f in families)
+        terms = families[0]
+        exp, coeff = terms[-1]
+        if m and exp.terms:
+            need += m - 1  # a limit with minimum m has at least m elements
+        if need > room:
+            continue
+        # the elements after the next one must hold the other needs
+        choices = (m,) if m else range(n_max - need + 1, lo - 1, -1)
+        if not exp.terms:
+            # a successor takes one element and leaves its tail
+            tail = terms[:-1] + ((exp, coeff - 1),) if coeff > 1 else terms[:-1]
+            rest = (tail,) + families[1:] if tail else families[1:]
+            stack.extend((s + (x,), rest, 0) for x in choices)
+        elif m:
+            # a limit with minimum m is replaced by its blocks at m
+            stack.append((s, tuple(islice(_blocks(terms, m), room + 1)) + families[1:], m))
+        else:
+            stack.extend((s, families, x) for x in choices)
+    return out
 
 
 def restriction_check(xi: Ordinal, n: int, n_max: int, cap: int | None = None) -> bool:

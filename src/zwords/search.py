@@ -30,6 +30,7 @@ from .words import (
     WordError,
     _extraction_grids,
     _grid,
+    _grid_tops,
     _images,
     _require_sided_monotone,
     concat_all,
@@ -329,7 +330,7 @@ def _side_slots(profile: DominationProfile, indices: Iterable[int]) -> list[tupl
     _grid's order."""
     slots = []
     for index in indices:
-        kp, kq = profile.bound(index), profile.bound(-index)
+        kp, kq = _grid_tops(profile, index)
         slots += [(-1, kq), (1, kp)]
     return slots
 

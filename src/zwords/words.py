@@ -345,8 +345,16 @@ class ExtractedSets(NamedTuple):
     variables: frozenset[LocatedWord]
 
 
+def _grid_tops(profile: DominationProfile, index: int) -> tuple[int, int]:
+    """The top indices of the grid at a 1-based tuple position: k at
+    index and at -index."""
+    if index < 1:
+        raise WordError("grid index must be >= 1")
+    return profile.bound(index), profile.bound(-index)
+
+
 def _grid(profile: DominationProfile, index: int) -> list[tuple[int, int]]:
-    kp, kq = profile.bound(index), profile.bound(-index)
+    kp, kq = _grid_tops(profile, index)
     return [(p, q) for p in range(1, kp + 1) for q in range(1, kq + 1)]
 
 
@@ -361,17 +369,17 @@ def _extraction_grids(bw: OrderlyTuple, indices: Sequence[int] | None) -> list[l
     is raised here, so images can be built later or not at all."""
     if bw.mode != "zstar":
         raise WordError("extraction needs a two-sided tuple")
+    if indices is None:
+        indices = range(1, len(bw) + 1)
+    indices = tuple(indices)
+    if len(indices) != len(bw):
+        raise WordError("need one grid index per member")
     if len(bw) == 0:
         return []
     if any(not w.is_variable_word for w in bw):
         raise WordError("extraction needs variable words")
     profile = bw[0].profile
     _require_sided_monotone(profile)
-    if indices is None:
-        indices = range(1, len(bw) + 1)
-    indices = tuple(indices)
-    if len(indices) != len(bw):
-        raise WordError("need one grid index per member")
     grids = []
     for w, index in zip(bw, indices):
         grids.append(_grid(profile, index))

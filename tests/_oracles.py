@@ -9,7 +9,7 @@ paths.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, islice, product
 from math import factorial, perm, prod
 
 from zwords.ordinals import (
@@ -22,6 +22,7 @@ from zwords.ordinals import (
 )
 from zwords.families import FamilyError, WordFamily
 from zwords.rationals import _kempner
+from zwords.schreier import _blocks
 from zwords.words import (
     EMPTY_TUPLE,
     VARIABLE,
@@ -114,6 +115,52 @@ def reference_decompositions(seq: tuple[int, ...], xi: Ordinal):
 
     rec(seq, [])
     return results
+
+
+def _with_min(terms, n: int, n_max: int):
+    """All members of A_xi, xi given by its CNF terms, with minimum
+    exactly n inside {1..n_max}."""
+    if not terms or n > n_max:
+        return
+    exp, coeff = terms[-1]
+    if not exp.terms:
+        zeta = terms[:-1] + ((exp, coeff - 1),) if coeff > 1 else terms[:-1]
+        if not zeta:
+            yield (n,)
+            return
+        for m in range(n + 1, n_max + 1):
+            for t in _with_min(zeta, m, n_max):
+                yield (n,) + t
+        return
+    # every block takes at least one element of {n..n_max}
+    room = n_max - n + 1
+    plan = list(islice(_blocks(terms, n), room + 1))
+    if len(plan) > room:
+        return
+    for first in _with_min(plan[0], n, n_max):
+        for rest in _chain_rest(plan[1:], first[-1] + 1, n_max):
+            yield first + rest
+
+
+def _chain_rest(plan, lo: int, n_max: int):
+    if not plan:
+        yield ()
+        return
+    for m in range(lo, n_max + 1):
+        for b in _with_min(plan[0], m, n_max):
+            for rest in _chain_rest(plan[1:], b[-1] + 1, n_max):
+                yield b + rest
+
+
+def reference_enumerate_members(xi: Ordinal, n_max: int) -> list[tuple[int, ...]]:
+    """All members of A_xi inside {1..n_max}, lexicographic: one
+    recursive generator per minimum, then sorted."""
+    if xi.is_zero:
+        return [()]
+    out = []
+    for n in range(1, n_max + 1):
+        out.extend(_with_min(xi.terms, n, n_max))
+    return sorted(out)
 
 
 def reference_value(entries) -> Fraction:

@@ -339,10 +339,15 @@ def test_deep_ordinal_descent_is_a_domain_error(capsys):
                        (("canon", "--xi", "w^(w^w)", "--set", "6,7,8"), "|6,7,8\n")):
         code, out, err = run(capsys, "schreier", *argv)
         assert (code, out, err) == (0, want, "")
-    # Pins today's limit: enumeration recurses once per nested block.
-    code, out, err = run(capsys, "schreier", "enum", "--xi", "w^(w^w)", "--n", "10")
+    # Pins today's limit: a long set makes the membership parse recurse
+    # once per nested block.
+    code, out, err = run(capsys, "schreier", "member", "--xi", "w^(w^w)",
+                         "--set", "5,6,7,8,9,10,11,12,13,14")
     assert code == 1 and out == ""
     assert err == "error: ordinal descent exceeds the recursion limit\n"
+    # enumeration walks an explicit stack, so it answers up to the cap
+    code, out, err = run(capsys, "schreier", "enum", "--xi", "w^(w^w)", "--n", "20")
+    assert (code, out, err) == (0, "1\n", "")
 
 
 def test_deep_ordinal_nesting_is_a_domain_error(capsys):
@@ -353,6 +358,19 @@ def test_deep_ordinal_nesting_is_a_domain_error(capsys):
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == ""
         assert err == "error: ordinal descent exceeds the recursion limit\n"
+
+
+def test_grid_indices_below_one_are_refused(capsys):
+    # at -1 the grid would read k at 1 and at -1 swapped; at 0 it has no k
+    for index in ("-1", "0"):
+        for argv in (("search", "hj", "--r", "2", "--seed", "1", "--bounds", index,
+                      "--n", "1", "--window", "3"),
+                     ("word", "ev", "--tuple", "-1:v,1:v;-3:v,3:v", "--indices", "1," + index)):
+            code, out, err = run(capsys, *argv)
+            assert (code, out, err) == (1, "", "error: grid index must be >= 1\n"), argv
+    # the empty tuple takes no index
+    code, out, err = run(capsys, "word", "ev", "--tuple", "", "--indices", "1,-5")
+    assert (code, out, err) == (1, "", "error: need one grid index per member\n")
 
 
 def test_search_rejects_empty_lengths(capsys):

@@ -17,6 +17,7 @@ from zwords.schreier import (
 from _oracles import (
     powerset,
     reference_decompositions,
+    reference_enumerate_members,
     reference_initial,
     reference_member,
 )
@@ -93,6 +94,20 @@ def test_enumerate_matches_membership_filter():
         members = set(enumerate_members(xi, 10))
         expected = {s for s in powerset(range(1, 11)) if is_member(s, xi)}
         assert members == expected
+
+
+def test_enumerate_matches_recursive_reference_in_order():
+    for xi in XI_SAMPLE + TOWER_AND_SUM:
+        for n in range(0, 13):
+            assert enumerate_members(xi, n) == reference_enumerate_members(xi, n), (xi, n)
+
+
+def test_enumerate_deep_towers():
+    # a minimum m >= 2 asks for more nested blocks than elements left, so
+    # only {1} is a member; the walk finds that without recursing
+    for xi in DEEP_TOWERS:
+        for n in (9, 12, 20):
+            assert enumerate_members(xi, n) == [(1,)], (xi, n)
 
 
 def test_enumerate_cap():
