@@ -10,22 +10,21 @@ prefix, or the set runs out first (OPEN), which makes the set a proper
 initial segment of a member.  Membership, initial segments and canonical
 decomposition all read off this one parse.
 
-The parse reads xi as its tuple of CNF terms and builds no Ordinal for a
-block beyond the block's exponent.  Once the finite tail is taken, xi is
-a limit, and a member of a limit family with minimum n has at least n
-elements; a set with fewer left is OPEN at once, however deep xi is.
-Otherwise the parse recurses once per nested block, so its depth follows
-the ordinal descent below xi at the set's elements; deep towers such as
-w^(w^w) can exceed Python's recursion limit and raise RecursionError.
-Enumeration walks the same cases on an explicit stack, so it has no such
-limit.
+The families still to parse are one stack of runs (exponent e, copies),
+the next one last; it starts as xi's CNF terms.  A run with e = 0 takes
+its copies as elements.  A run with e > 0 at minimum m gives one copy
+back and pushes the run that copy expands to, m copies of w^(e - 1), a
+limit e read as e_m first.  Every copy takes at least one element, so a
+stack whose copies outnumber the elements left is OPEN at once, however
+deep xi is.  Membership and enumeration both walk this stack, so neither
+has a recursion limit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations, islice, repeat
-from typing import Iterable, Iterator
+from itertools import combinations
+from typing import Iterable
 
 from .ordinals import (
     Ordinal,
@@ -35,7 +34,8 @@ from .ordinals import (
 )
 
 FiniteSet = tuple[int, ...]
-Terms = tuple[tuple[Ordinal, int], ...]
+Run = tuple[Ordinal, int]  # (exponent e, copies): that many copies of w^e
+Terms = tuple[Run, ...]
 
 DEFAULT_CAP = 20
 OPEN = -1  # _prefix_end: the set ran out before the parse completed
@@ -54,42 +54,36 @@ def as_finite_set(elements: Iterable[int]) -> FiniteSet:
     return s
 
 
-def _blocks(terms: Terms, n: int) -> Iterator[Terms]:
-    """The block families of the limit with CNF terms `terms` at minimum
-    n, as term tuples in parse order: n copies of w^e for w^(e+1), the
-    terms smallest exponent first for a sum.  A limit exponent e is first
-    resolved to e_n, which fundamental_sequence always makes a successor.
-    The blocks come lazily, so a large n or coefficient costs no memory
-    of its own."""
-    if len(terms) == 1 and terms[0][1] == 1:
-        exp = terms[0][0]
-        if exp.terms[-1][0].terms:  # a limit exponent
-            exp = fundamental_sequence(exp, n)
-        return repeat(((successor_pred(exp), 1),), n)
-    return chain.from_iterable(repeat(((exp, 1),), coeff) for exp, coeff in reversed(terms))
+def _expand(exp: Ordinal, m: int) -> Run:
+    """The run that w^exp at minimum m parses as: m copies of w^(exp - 1).
+    A limit exponent is first resolved to exp_m, which
+    fundamental_sequence always makes a successor."""
+    if exp.terms[-1][0].terms:  # a limit exponent
+        exp = fundamental_sequence(exp, m)
+    return successor_pred(exp), m
 
 
 def _prefix_end(s: FiniteSet, i: int, terms: Terms) -> int:
     """End j of the unique prefix s[i:j] in A_xi, xi given by its CNF
     terms, or OPEN if s runs out before the parse completes."""
-    if not terms:
-        return i
-    exp, coeff = terms[-1]
-    if not exp.terms:
-        # a successor takes its finite tail first
-        i += coeff
-        if i > len(s):
-            return OPEN
-        terms = terms[:-1]
-        if not terms:
-            return i
-    # a limit member with minimum n has at least n elements
-    if i == len(s) or len(s) - i < s[i]:
+    runs = list(terms)
+    # every copy takes an element: need stays at most what is left
+    need = sum(copies for _, copies in runs)
+    if need > len(s) - i:
         return OPEN
-    for block in _blocks(terms, s[i]):
-        i = _prefix_end(s, i, block)
-        if i == OPEN:
+    while runs:
+        exp, copies = runs.pop()
+        if not exp.terms:
+            i += copies
+            need -= copies
+            continue
+        m = s[i]
+        need += m - 1
+        if need > len(s) - i:
             return OPEN
+        if copies > 1:
+            runs.append((exp, copies - 1))
+        runs.append(_expand(exp, m))
     return i
 
 
@@ -152,44 +146,40 @@ def enumerate_members(xi: Ordinal, n_max: int, cap: int | None = None) -> list[F
     """All members of A_xi contained in {1..n_max}, lexicographic.
 
     A depth-first walk over the parse's cases on an explicit stack.  A
-    state is (set so far, families still to parse with the next one first,
-    element already chosen as the next family's minimum or 0).  Choices
-    are pushed largest first, so members come out in lexicographic order.
-    A state is dropped when its families need more elements than remain."""
+    state is (set so far, runs still to parse with the next one last,
+    element already chosen as the next run's minimum or 0).  Choices are
+    pushed largest first, so members come out in lexicographic order.  A
+    state is dropped when its runs need more elements than remain."""
     cap = DEFAULT_CAP if cap is None else cap
     if n_max > cap:
         raise SchreierError("ground set {1..%d} exceeds cap %d" % (n_max, cap))
     if xi.is_zero:
         return [()]
     out: list[FiniteSet] = []
-    stack: list[tuple[FiniteSet, tuple[Terms, ...], int]] = [((), (xi.terms,), 0)]
+    stack: list[tuple[FiniteSet, Terms, int]] = [((), xi.terms, 0)]
     while stack:
-        s, families, m = stack.pop()
-        if not families:
+        s, runs, m = stack.pop()
+        if not runs:
             out.append(s)
             continue
         lo = m or (s[-1] + 1 if s else 1)
         room = n_max - lo + 1
-        # a finite family needs its coefficient, any other at least one
-        need = sum(f[0][1] if not f[0][0].terms else 1 for f in families)
-        terms = families[0]
-        exp, coeff = terms[-1]
+        need = sum(copies for _, copies in runs)
+        exp, copies = runs[-1]
         if m and exp.terms:
-            need += m - 1  # a limit with minimum m has at least m elements
+            need += m - 1  # the run's next copy at m expands to m copies
         if need > room:
             continue
         # the elements after the next one must hold the other needs
         choices = (m,) if m else range(n_max - need + 1, lo - 1, -1)
+        rest = runs[:-1] + ((exp, copies - 1),) if copies > 1 else runs[:-1]
         if not exp.terms:
-            # a successor takes one element and leaves its tail
-            tail = terms[:-1] + ((exp, coeff - 1),) if coeff > 1 else terms[:-1]
-            rest = (tail,) + families[1:] if tail else families[1:]
+            # a copy of w^0 takes one element
             stack.extend((s + (x,), rest, 0) for x in choices)
         elif m:
-            # a limit with minimum m is replaced by its blocks at m
-            stack.append((s, tuple(islice(_blocks(terms, m), room + 1)) + families[1:], m))
+            stack.append((s, rest + (_expand(exp, m),), m))
         else:
-            stack.extend((s, families, x) for x in choices)
+            stack.extend((s, runs, x) for x in choices)
     return out
 
 

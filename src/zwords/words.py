@@ -41,9 +41,13 @@ class DominationProfile:
             raise WordError("constant bound must be >= 1")
         if self.kind == "abs" and self.param < 0:
             raise WordError("abs offset must be >= 0")
+        seen = set()
         for pos, k in self.table:
             if pos == 0 or k < 1:
                 raise WordError("table bounds need nonzero positions and k >= 1")
+            if pos in seen:
+                raise WordError("profile table bounds position %d twice" % pos)
+            seen.add(pos)
 
     def bound(self, n: int) -> int:
         if n == 0:

@@ -9,7 +9,7 @@ paths.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, islice, product
+from itertools import combinations, product
 from math import factorial, perm, prod
 
 from zwords.ordinals import (
@@ -22,7 +22,6 @@ from zwords.ordinals import (
 )
 from zwords.families import FamilyError, WordFamily
 from zwords.rationals import _kempner
-from zwords.schreier import _blocks
 from zwords.words import (
     EMPTY_TUPLE,
     VARIABLE,
@@ -49,29 +48,31 @@ def compositions(seq: tuple[int, ...], parts: int):
             yield (head,) + rest
 
 
+def _reference_plan(xi: Ordinal, n: int) -> list[Ordinal]:
+    """The block families of the limit xi at minimum n, read off the
+    definition: n copies of w^e for w^(e+1), w^(e_n) for a limit exponent
+    e, and each term's coeff copies, smallest exponent first, for a sum."""
+    if len(xi.terms) == 1 and xi.terms[0][1] == 1:
+        exp = xi.terms[0][0]
+        if exp.is_successor:
+            return [omega_power(successor_pred(exp))] * n
+        return _reference_plan(omega_power(fundamental_sequence(exp, n)), n)
+    plan = []
+    for exponent, coeff in reversed(xi.terms):
+        plan.extend([omega_power(exponent)] * coeff)
+    return plan
+
+
 def reference_member(s: tuple[int, ...], xi: Ordinal) -> bool:
-    """Naive membership in A_xi: tries every splitting in the composite
-    cases instead of the unique-prefix parse."""
+    """Naive membership in A_xi: tries every splitting into the block
+    families instead of the unique-prefix parse."""
     if xi.is_zero:
         return s == ()
     if not s:
         return False
     if xi.is_successor:
         return reference_member(s[1:], successor_pred(xi))
-    if len(xi.terms) == 1 and xi.terms[0][1] == 1:
-        exp = xi.terms[0][0]
-        if exp.is_successor:
-            family = omega_power(successor_pred(exp))
-            n = s[0]
-            if n > len(s):
-                return False
-            return any(all(reference_member(b, family) for b in split)
-                       for split in compositions(s, n))
-        return reference_member(s, omega_power(fundamental_sequence(exp, s[0])))
-    # composite: blocks from the smallest exponent upward
-    plan = []
-    for exponent, coeff in reversed(xi.terms):
-        plan.extend([omega_power(exponent)] * coeff)
+    plan = _reference_plan(xi, s[0])
     if len(plan) > len(s):
         return False
     return any(all(reference_member(b, f) for b, f in zip(split, plan))
@@ -117,15 +118,13 @@ def reference_decompositions(seq: tuple[int, ...], xi: Ordinal):
     return results
 
 
-def _with_min(terms, n: int, n_max: int):
-    """All members of A_xi, xi given by its CNF terms, with minimum
-    exactly n inside {1..n_max}."""
-    if not terms or n > n_max:
+def _with_min(xi: Ordinal, n: int, n_max: int):
+    """All members of A_xi with minimum exactly n inside {1..n_max}."""
+    if xi.is_zero or n > n_max:
         return
-    exp, coeff = terms[-1]
-    if not exp.terms:
-        zeta = terms[:-1] + ((exp, coeff - 1),) if coeff > 1 else terms[:-1]
-        if not zeta:
+    if xi.is_successor:
+        zeta = successor_pred(xi)
+        if zeta.is_zero:
             yield (n,)
             return
         for m in range(n + 1, n_max + 1):
@@ -133,9 +132,8 @@ def _with_min(terms, n: int, n_max: int):
                 yield (n,) + t
         return
     # every block takes at least one element of {n..n_max}
-    room = n_max - n + 1
-    plan = list(islice(_blocks(terms, n), room + 1))
-    if len(plan) > room:
+    plan = _reference_plan(xi, n)
+    if len(plan) > n_max - n + 1:
         return
     for first in _with_min(plan[0], n, n_max):
         for rest in _chain_rest(plan[1:], first[-1] + 1, n_max):
@@ -159,7 +157,7 @@ def reference_enumerate_members(xi: Ordinal, n_max: int) -> list[tuple[int, ...]
         return [()]
     out = []
     for n in range(1, n_max + 1):
-        out.extend(_with_min(xi.terms, n, n_max))
+        out.extend(_with_min(xi, n, n_max))
     return sorted(out)
 
 

@@ -339,12 +339,18 @@ def test_deep_ordinal_descent_is_a_domain_error(capsys):
                        (("canon", "--xi", "w^(w^w)", "--set", "6,7,8"), "|6,7,8\n")):
         code, out, err = run(capsys, "schreier", *argv)
         assert (code, out, err) == (0, want, "")
-    # Pins today's limit: a long set makes the membership parse recurse
-    # once per nested block.
+    # membership parses on one stack of runs, so a long set answers too
     code, out, err = run(capsys, "schreier", "member", "--xi", "w^(w^w)",
                          "--set", "5,6,7,8,9,10,11,12,13,14")
-    assert code == 1 and out == ""
-    assert err == "error: ordinal descent exceeds the recursion limit\n"
+    assert (code, out, err) == (0, "false\n", "")
+    # Pins today's limit: the predecessor sequence still recurses once per
+    # nested term of its result.
+    for argv in (("ordinal", "pred", "--xi", "w^(w^w)", "--n", "5"),
+                 ("schreier", "check-restriction", "--xi", "w^(w^w)", "--n", "5",
+                  "--max", "12")):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err == "error: ordinal descent exceeds the recursion limit\n"
     # enumeration walks an explicit stack, so it answers up to the cap
     code, out, err = run(capsys, "schreier", "enum", "--xi", "w^(w^w)", "--n", "20")
     assert (code, out, err) == (0, "1\n", "")
@@ -371,6 +377,12 @@ def test_grid_indices_below_one_are_refused(capsys):
     # the empty tuple takes no index
     code, out, err = run(capsys, "word", "ev", "--tuple", "", "--indices", "1,-5")
     assert (code, out, err) == (1, "", "error: need one grid index per member\n")
+
+
+def test_profile_table_naming_a_position_twice_is_refused(capsys):
+    code, out, err = run(capsys, "word", "check", "--word", "-1:v,1:3",
+                         "--profile", "table:1=3,1=2,-1=1")
+    assert (code, out, err) == (1, "", "error: profile table bounds position 1 twice\n")
 
 
 def test_search_rejects_empty_lengths(capsys):

@@ -35,7 +35,7 @@ def test_membership_examples():
 
 
 def test_membership_agrees_with_reference_on_small_ground():
-    for xi in XI_SAMPLE + TOWER_AND_SUM:
+    for xi in XI_SAMPLE + TOWER_AND_SUM + DEEP_TOWERS:
         reference = {s: reference_member(s, xi) for s in powerset(range(1, 11))}
         for s, member in reference.items():
             assert is_member(s, xi) == member, (s, xi)
@@ -60,10 +60,14 @@ def test_sets_shorter_than_their_minimum_are_open():
             assert dec.blocks == () and dec.remainder == s, (s, xi)
     # without the cut the parse recursed past limit 200000 here, for 33 s
     assert not is_member((3, 4), DEEP_TOWERS[1])
+    # a long set runs out of elements before the runs it expands to
+    ten = tuple(range(5, 15))
+    assert str(canonical_decompose(ten, DEEP_TOWERS[0])) == "|5,6,7,8,9,10,11,12,13,14"
+    assert not is_member(tuple(range(2, 201)), DEEP_TOWERS[1])
 
 
 def test_large_elements_and_coefficients_cost_no_memory():
-    # a minimum of 10**12 asks for 10**12 blocks; they must come lazily
+    # a minimum of 10**12 asks for 10**12 blocks, which are one run
     big = 10**12
     for xi in (parse_ordinal("w^2"), parse_ordinal("w^3"), parse_ordinal("w*%d" % big)):
         assert not is_member((big,), xi)

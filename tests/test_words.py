@@ -389,6 +389,15 @@ def test_profile_text_round_trip():
     assert not parse_profile("table:-2=1,-1=5,1=1,2=2").sided_monotone
 
 
+def test_profile_table_naming_a_position_twice_is_refused():
+    # bound would read whichever pair sorts first
+    for text, pos in (("table:1=3,1=2,-1=1", "1"), ("table:-1=1,1=2,-1=1", "-1")):
+        with pytest.raises(WordError, match="position %s twice" % pos):
+            parse_profile(text)
+    with pytest.raises(WordError, match="position 2 twice"):
+        DominationProfile("table", 0, ((2, 1), (1, 1), (2, 1)))
+
+
 def test_word_text_round_trip_random():
     rng = random.Random(11)
     for _ in range(1000):
