@@ -390,7 +390,7 @@ def main(argv: list[str] | None = None) -> int:
         print("error: %s" % exc, file=sys.stderr)
         return 1
     except RecursionError:
-        # ordinal parsing, comparison and the Schreier parse recurse once
+        # ordinal parsing, compare and predecessor_sequence recurse once
         # per nesting level of the ordinal
         print("error: ordinal descent exceeds the recursion limit", file=sys.stderr)
         return 1

@@ -18,13 +18,19 @@ limit e read as e_m first.  Every copy takes at least one element, so a
 stack whose copies outnumber the elements left is OPEN at once, however
 deep xi is.  Membership and enumeration both walk this stack, so neither
 has a recursion limit.
+
+The restriction check walks the same stack twice in lock step: the
+members of A_xi inside {n..N} that start at n, and the members of
+A_{xi_n} inside {n+1..N}.  Both come out in lexicographic order, so the
+check stops at the first difference, and its cost follows the number of
+members rather than the 2^(N - n) subsets of {n+1..N}.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterable
+from itertools import takewhile, zip_longest
+from typing import Iterable, Iterator
 
 from .ordinals import (
     Ordinal,
@@ -87,13 +93,10 @@ def _prefix_end(s: FiniteSet, i: int, terms: Terms) -> int:
     return i
 
 
-def _member(s: FiniteSet, xi: Ordinal) -> bool:
-    return _prefix_end(s, 0, xi.terms) == len(s)
-
-
 def is_member(s: Iterable[int], xi: Ordinal) -> bool:
     """Decide s in A_xi."""
-    return _member(as_finite_set(s), xi)
+    seq = as_finite_set(s)
+    return _prefix_end(seq, 0, xi.terms) == len(seq)
 
 
 def is_proper_initial(s: Iterable[int], xi: Ordinal) -> bool:
@@ -142,28 +145,29 @@ def canonical_decompose(s: Iterable[int], xi: Ordinal) -> CanonicalDecomposition
     return CanonicalDecomposition(tuple(blocks), seq[i:] or None)
 
 
-def enumerate_members(xi: Ordinal, n_max: int, cap: int | None = None) -> list[FiniteSet]:
-    """All members of A_xi contained in {1..n_max}, lexicographic.
+def _check_ground(n_max: int, cap: int | None) -> None:
+    cap = DEFAULT_CAP if cap is None else cap
+    if n_max > cap:
+        raise SchreierError("ground set {1..%d} exceeds cap %d" % (n_max, cap))
+
+
+def _walk(terms: Terms, lo: int, n_max: int) -> Iterator[FiniteSet]:
+    """The members of A_xi, xi given by its CNF terms, contained in
+    {lo..n_max}, lexicographic.
 
     A depth-first walk over the parse's cases on an explicit stack.  A
     state is (set so far, runs still to parse with the next one last,
     element already chosen as the next run's minimum or 0).  Choices are
     pushed largest first, so members come out in lexicographic order.  A
     state is dropped when its runs need more elements than remain."""
-    cap = DEFAULT_CAP if cap is None else cap
-    if n_max > cap:
-        raise SchreierError("ground set {1..%d} exceeds cap %d" % (n_max, cap))
-    if xi.is_zero:
-        return [()]
-    out: list[FiniteSet] = []
-    stack: list[tuple[FiniteSet, Terms, int]] = [((), xi.terms, 0)]
+    stack: list[tuple[FiniteSet, Terms, int]] = [((), terms, 0)]
     while stack:
         s, runs, m = stack.pop()
         if not runs:
-            out.append(s)
+            yield s
             continue
-        lo = m or (s[-1] + 1 if s else 1)
-        room = n_max - lo + 1
+        least = m or (s[-1] + 1 if s else lo)
+        room = n_max - least + 1
         need = sum(copies for _, copies in runs)
         exp, copies = runs[-1]
         if m and exp.terms:
@@ -171,7 +175,7 @@ def enumerate_members(xi: Ordinal, n_max: int, cap: int | None = None) -> list[F
         if need > room:
             continue
         # the elements after the next one must hold the other needs
-        choices = (m,) if m else range(n_max - need + 1, lo - 1, -1)
+        choices = (m,) if m else range(n_max - need + 1, least - 1, -1)
         rest = runs[:-1] + ((exp, copies - 1),) if copies > 1 else runs[:-1]
         if not exp.terms:
             # a copy of w^0 takes one element
@@ -180,23 +184,30 @@ def enumerate_members(xi: Ordinal, n_max: int, cap: int | None = None) -> list[F
             stack.append((s, rest + (_expand(exp, m),), m))
         else:
             stack.extend((s, runs, x) for x in choices)
-    return out
+
+
+def enumerate_members(xi: Ordinal, n_max: int, cap: int | None = None) -> list[FiniteSet]:
+    """All members of A_xi contained in {1..n_max}, lexicographic."""
+    _check_ground(n_max, cap)
+    return list(_walk(xi.terms, 1, n_max))
+
+
+def _same_restriction(xi: Ordinal, xi_n: Ordinal, n: int, n_max: int) -> bool:
+    """Whether the members of A_xi with minimum n, n taken off, are the
+    members of A_{xi_n} inside {n+1..n_max}.  The two walks run in lock
+    step and stop at the first difference; the members with minimum n
+    come first among those inside {n..n_max}."""
+    with_n = (s[1:] for s in takewhile(lambda s: s[0] == n, _walk(xi.terms, n, n_max)))
+    above_n = _walk(xi_n.terms, n + 1, n_max)
+    return all(a == b for a, b in zip_longest(with_n, above_n))
 
 
 def restriction_check(xi: Ordinal, n: int, n_max: int, cap: int | None = None) -> bool:
     """Exhaustively verify A_xi(n) = A_{xi_n} on subsets of {n+1..n_max}."""
-    cap = DEFAULT_CAP if cap is None else cap
     if not 1 <= n < n_max:
         raise SchreierError("need 1 <= n < N")
-    if n_max > cap:
-        raise SchreierError("ground set {1..%d} exceeds cap %d" % (n_max, cap))
-    xi_n = predecessor_sequence(xi, n)
-    universe = range(n + 1, n_max + 1)
-    for size in range(0, n_max - n + 1):
-        for s in combinations(universe, size):
-            if _member((n,) + s, xi) != _member(s, xi_n):
-                return False
-    return True
+    _check_ground(n_max, cap)
+    return _same_restriction(xi, predecessor_sequence(xi, n), n, n_max)
 
 
 def parse_set(text: str) -> FiniteSet:

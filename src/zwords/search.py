@@ -294,19 +294,6 @@ def _words(combo: Sequence[tuple[str, Entries]],
                  for (_, neg), (_, pos) in zip(combo[::2], combo[1::2]))
 
 
-def _witness_candidates(m: int, total: int, window: SearchWindow) -> list[tuple[LocatedWord, ...]]:
-    """All <R1-increasing m-tuples of two-sided variable words with total
-    domain size `total` inside the window, in canonical order: shell by
-    shell (outermost |position|), each shell's splits merged by
-    serialization."""
-    pools: dict = {}
-    return [_words(combo, window.profile)
-            for shell in range(1, window.radius + 1)
-            for _, combo, _ in _shell_candidates(
-                [(layers, None) for layers in _shell_splits(m, total, shell)],
-                window.profile, pools)]
-
-
 def _rank(text: str, pools: Sequence[Sequence[tuple[str, Entries]]]) -> int:
     """How many candidates of a split serialize before `text`, which is no
     candidate of it: one bisect per pool.  The keys below the rest of the

@@ -283,16 +283,9 @@ def substitute_nat(w: LocatedWord, p: int) -> LocatedWord:
     positive axis."""
     if w.dom_neg:
         raise WordError("negative positions present")
-    if p == 0:
-        return w
     if p < 0:
         raise WordError("substitution index must be >= 0")
-    out = []
-    for pos, letter in w.entries:
-        if letter == VARIABLE:
-            letter = min(p, w.profile.bound(pos))
-        out.append((pos, letter))
-    return LocatedWord(tuple(out), w.profile)
+    return substitute(w, p, p)
 
 
 def project_positive(w: LocatedWord) -> LocatedWord:

@@ -3,7 +3,8 @@
 Everything here re-walks the defining recursions naively (full
 backtracking over splittings, no memoization, no thinness shortcut), so
 the fast implementations are checked against genuinely separate code
-paths.
+paths.  The exception is witness_candidates, which lists what the search
+visits from the search's own code, for tests that need that order.
 """
 
 from __future__ import annotations
@@ -22,6 +23,15 @@ from zwords.ordinals import (
 )
 from zwords.families import FamilyError, WordFamily
 from zwords.rationals import _kempner
+from zwords.schreier import is_member
+from zwords.search import (
+    SearchCapExceeded,
+    SearchWindow,
+    _shell_candidates,
+    _shell_splits,
+    _splits,
+    _words,
+)
 from zwords.words import (
     EMPTY_TUPLE,
     VARIABLE,
@@ -161,6 +171,13 @@ def reference_enumerate_members(xi: Ordinal, n_max: int) -> list[tuple[int, ...]
     return sorted(out)
 
 
+def reference_restriction_check(xi: Ordinal, xi_n: Ordinal, n: int, n_max: int) -> bool:
+    """A_xi(n) = A_{xi_n} by definition on {n+1..n_max}: every subset s
+    is tested twice, (n,) + s in A_xi against s in A_{xi_n}."""
+    return all(is_member((n,) + s, xi) == is_member(s, xi_n)
+               for s in powerset(range(n + 1, n_max + 1)))
+
+
 def reference_value(entries) -> Fraction:
     """The codec value of (position, letter) entries as a direct sum of
     one Fraction per digit; the variable letter 0 is digit 0."""
@@ -274,6 +291,20 @@ def _surrounds(inner, outer):
             and not any(inner[0] <= p <= inner[-1] for p in outer))
 
 
+def witness_candidates(m, total, window):
+    """The candidates hj and xi search visit, as one list: all
+    <R1-increasing m-tuples of two-sided variable words with total domain
+    size `total` inside the window, shell by shell (outermost |position|),
+    each shell's splits merged by serialization.  Built from the search's
+    own split and pool code, so reference_candidates checks it."""
+    pools: dict = {}
+    return [_words(combo, window.profile)
+            for shell in range(1, window.radius + 1)
+            for _, combo, _ in _shell_candidates(
+                [(layers, None) for layers in _shell_splits(m, total, shell)],
+                window.profile, pools)]
+
+
 def reference_candidates(m, total, window):
     """Every m-tuple of two-sided variable words, each surrounding the one
     before, with `total` positions in all inside the window, sorted by
@@ -308,13 +339,11 @@ def reference_candidates(m, total, window):
 
 def reference_candidate_count(m, total, window):
     """The candidate count and per-shell annulus splits of
-    _witness_candidates, by enumeration: every domain, every split of it
+    witness_candidates, by enumeration: every domain, every split of it
     into annuli, and per annulus and side prod(k_p + 1) - prod(k_p), the
     letter choices with the variable minus those without.  Bounds are read
     as the enumeration meets them, and the cap is checked after every
     split.  Returns (count, {shell: [split, ...]})."""
-    from zwords.search import SearchCapExceeded, _splits
-
     def core_count(dom):
         count = 1
         for side in (-1, 1):
@@ -340,8 +369,6 @@ def sampled_candidates(radius, per_cell=25):
     from each (profile, m <= 3) cell at the radius, over every total.  At
     radius 4 the m <= 2 cells stop at total 5: their larger totals hold
     327,270 tuples."""
-    from zwords.search import SearchWindow
-
     for text in ("abs", "abs+1", "const:1"):
         window = SearchWindow(radius, parse_profile(text))
         for m in (1, 2, 3):
@@ -428,16 +455,14 @@ def reference_xi_slices(ws, xi, total, constants=None):
 
 def reference_xi_search(coloring, xi, l, n0, window, memo):
     """The xi search by definition: walk the candidates of
-    _witness_candidates, colour each one's reference_xi_slices, and stop at
+    witness_candidates, colour each one's reference_xi_slices, and stop at
     the first whose slices take one colour.  Returns the SearchReport
     fields (witness, color, grid_size, nodes_expanded, candidates,
     vacuous).  `memo` keeps candidates, constants and slices, by candidate
     index, between calls."""
-    from zwords.search import _witness_candidates
-
     if (l, window) not in memo:
         candidates = [ws for total in range(2 * l, 2 * window.radius + 1)
-                      for ws in _witness_candidates(l, total, window)]
+                      for ws in witness_candidates(l, total, window)]
         memo[l, window] = candidates, [None] * len(candidates)
     candidates, constants = memo[l, window]
     slices_at = memo.setdefault((l, window, xi, n0), [None] * len(candidates))

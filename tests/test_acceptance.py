@@ -30,9 +30,13 @@ from zwords.search import (
     semigroup_pattern,
     verify_witness,
 )
-from zwords.search import _witness_candidates
-
-from _oracles import brute_digit_words, powerset, reference_decompositions, reference_member
+from _oracles import (
+    brute_digit_words,
+    powerset,
+    reference_decompositions,
+    reference_member,
+    witness_candidates,
+)
 
 
 def report(number, name, passed):
@@ -259,7 +263,7 @@ def test_criterion_9_witness_soundness():
         if result.found:
             found += 1
             ok = ok and verify_witness(result.witness, coloring, [2]).monochromatic
-        candidates = _witness_candidates(1, 2, window)
+        candidates = witness_candidates(1, 2, window)
         verdicts = [verify_witness(ws, coloring, [2]).monochromatic
                     for ws in candidates]
         ok = ok and result.found == any(verdicts)

@@ -2,9 +2,18 @@ from itertools import combinations
 
 import pytest
 
-from zwords.ordinals import OMEGA, ONE, from_int, omega_power, parse_ordinal
+from zwords.ordinals import (
+    OMEGA,
+    ONE,
+    OrdinalError,
+    from_int,
+    omega_power,
+    parse_ordinal,
+    predecessor_sequence,
+)
 from zwords.schreier import (
     SchreierError,
+    _same_restriction,
     canonical_decompose,
     enumerate_members,
     format_set,
@@ -20,6 +29,7 @@ from _oracles import (
     reference_enumerate_members,
     reference_initial,
     reference_member,
+    reference_restriction_check,
 )
 
 XI_SAMPLE = [ONE, from_int(2), from_int(3), OMEGA, parse_ordinal("w+1"),
@@ -195,6 +205,41 @@ def test_restriction_composite_and_tower_ordinals():
         xi = parse_ordinal(text)
         for n in range(1, n_top + 1):
             assert restriction_check(xi, n, ground), (text, n)
+
+
+def test_lock_step_restriction_matches_subset_reference():
+    # the right xi_n and wrong ones: the two walks must also tell a
+    # family that differs from A_xi(n) apart
+    texts = ("1", "2", "3", "w", "w+1", "w*2", "w^2", "w^2+w", "w^w",
+             "w^(w+1)*2+w^3", "w^3", "w^w+w")
+    cases = falses = 0
+    for xi in map(parse_ordinal, texts):
+        for n in range(1, 5):
+            right = predecessor_sequence(xi, n)
+            wrong = [xi, OMEGA, predecessor_sequence(xi, n + 1)]
+            if n > 1:
+                wrong.append(predecessor_sequence(xi, n - 1))
+            for n_max in range(n + 1, 12):
+                assert _same_restriction(xi, right, n, n_max), (xi, n, n_max)
+                assert restriction_check(xi, n, n_max), (xi, n, n_max)
+                for xi_n in [right] + wrong:
+                    same = _same_restriction(xi, xi_n, n, n_max)
+                    assert same == reference_restriction_check(xi, xi_n, n, n_max), \
+                        (xi, xi_n, n, n_max)
+                    cases += 1
+                    falses += not same
+    assert (cases, falses) == (1920, 670)
+
+
+def test_restriction_argument_checks():
+    # n is checked before the cap, and both before the predecessor
+    with pytest.raises(SchreierError, match="need 1 <= n < N"):
+        restriction_check(from_int(0), 30, 30)
+    with pytest.raises(SchreierError, match="exceeds cap 20"):
+        restriction_check(from_int(0), 2, 30)
+    with pytest.raises(OrdinalError, match="undefined for 0"):
+        restriction_check(from_int(0), 2, 10)
+    assert restriction_check(ONE, 2, 30, cap=30)
 
 
 def test_set_text_round_trip():

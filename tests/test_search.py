@@ -41,7 +41,6 @@ from zwords.search import (
     _slice_texts,
     _split_pools,
     _split_stream,
-    _witness_candidates,
     _words,
     _xi_plans,
     _xi_slices,
@@ -67,6 +66,7 @@ from _oracles import (
     reference_xi_search,
     reference_xi_slices,
     sampled_candidates,
+    witness_candidates,
 )
 
 
@@ -142,7 +142,7 @@ def test_hj_trivial_single_color():
     rep = hj_witness_search(coloring, 1, [1], 2, SearchWindow(2))
     assert rep.found and rep.color == 0
     assert rep.nodes_expanded == 1
-    assert rep.witness == _witness_candidates(1, 2, SearchWindow(2))[0]
+    assert rep.witness == witness_candidates(1, 2, SearchWindow(2))[0]
     assert verify_witness(rep.witness, coloring, [1]).monochromatic
 
 
@@ -159,7 +159,7 @@ def test_hj_agrees_with_brute_force():
     for seed in range(25):
         coloring = Coloring(arity=2, seed=seed)
         rep = hj_witness_search(coloring, 1, [2], 2, window)
-        brute = [ws for ws in _witness_candidates(1, 2, window)
+        brute = [ws for ws in witness_candidates(1, 2, window)
                  if verify_witness(ws, coloring, [2]).monochromatic]
         assert rep.found == bool(brute)
         if rep.found:
@@ -225,7 +225,7 @@ def test_candidate_stream_and_count_match_reference():
     for text, radius, m, total in cells:
         window = SearchWindow(radius, parse_profile(text))
         reference = reference_candidates(m, total, window)
-        assert _witness_candidates(m, total, window) == reference, (text, radius, m, total)
+        assert witness_candidates(m, total, window) == reference, (text, radius, m, total)
         assert _candidate_counts(m, range(total, total + 1), window) == [len(reference)]
 
 
@@ -478,7 +478,7 @@ CLAMPING_TABLE = "table:-3=2,-2=2,-1=1,1=1,2=3,3=3"
 
 
 def candidate_choices(m, total, window):
-    # the side choices of _witness_candidates' tuples, in its order
+    # the side choices of witness_candidates' tuples, in its order
     for shell in range(1, window.radius + 1):
         splits = [(layers, None) for layers in _shell_splits(m, total, shell)]
         for _, combo, _ in _shell_candidates(splits, window.profile, {}):
@@ -568,7 +568,7 @@ def test_an_early_hj_search_builds_only_what_it_visits(monkeypatch):
 
 def test_nodes_is_the_witness_place_in_the_candidate_lists():
     # nodes_expanded, read from the counts, against its definition: the
-    # witness's 1-based index in _witness_candidates over the search's totals
+    # witness's 1-based index in witness_candidates over the search's totals
     found = 0
     for text, radii in (("abs", (2, 3)), ("abs+1", (2, 3)), ("const:2", (2, 3)),
                         ("const:10", (2,))):
@@ -576,7 +576,7 @@ def test_nodes_is_the_witness_place_in_the_candidate_lists():
             window = SearchWindow(radius, parse_profile(text))
             for m in (1, 2):
                 totals = range(2 * m, 2 * radius + 1)
-                lists = {total: _witness_candidates(m, total, window) for total in totals}
+                lists = {total: witness_candidates(m, total, window) for total in totals}
                 places = {total: {ws: i for i, ws in enumerate(lists[total], 1)}
                           for total in totals}
                 # hj has the one total n, xi every total from 2m up
