@@ -389,11 +389,6 @@ def main(argv: list[str] | None = None) -> int:
     except DOMAIN_ERRORS as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
-    except RecursionError:
-        # ordinal parsing, compare and predecessor_sequence recurse once
-        # per nesting level of the ordinal
-        print("error: ordinal descent exceeds the recursion limit", file=sys.stderr)
-        return 1
     return 0
 
 

@@ -340,14 +340,14 @@ def cb_derivative(family: WordFamily, pool: Iterable[LocatedWord], tau: int) -> 
 
 def cb_index(family: WordFamily, pool: Iterable[LocatedWord], tau: int) -> int:
     """Number of derivative iterations until the family is empty."""
+    if tau < 1:
+        raise FamilyError("tau must be >= 1")
     table = _pool_table(family, pool)
     members = family.members
     if not members:
         return 0
     if not _is_hereditary(members, table):
         raise FamilyError("index needs a hereditary family")
-    if tau < 1:
-        raise FamilyError("tau must be >= 1")
     steps = 0
     while members:
         derived = _derive(members, table, tau)

@@ -12,6 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
+DESCENT_CAP = 10_000  # the most steps predecessor_sequence takes
+# the deepest exponent nesting parse_ordinal reads; compare,
+# fundamental_sequence and format_ordinal recurse once per level
+MAX_NESTING = 100
+
+
 class OrdinalError(ValueError):
     pass
 
@@ -140,14 +146,6 @@ def _drop_last_unit(a: Ordinal) -> tuple[Ordinal, Ordinal]:
     return rest, exp
 
 
-def _append(prefix: Ordinal, tail: Ordinal) -> Ordinal:
-    """Concatenate CNF term lists; every exponent of tail must be below
-    the last exponent of prefix."""
-    if prefix.is_zero:
-        return tail
-    return _cnf(prefix.terms + tail.terms)
-
-
 def _check_index(n: int) -> None:
     if not isinstance(n, int):
         raise OrdinalError("index must be an integer: %r" % (n,))
@@ -167,10 +165,10 @@ def fundamental_sequence(lam: Ordinal, n: int) -> Ordinal:
         raise OrdinalError("fundamental sequence undefined for %s" % lam)
     prefix, exp = _drop_last_unit(lam)
     if exp.is_successor:
-        tail = _cnf(((successor_pred(exp), n),))
+        last = (successor_pred(exp), n)
     else:
-        tail = _cnf(((fundamental_sequence(exp, n), 1),))
-    raw = _append(prefix, tail)
+        last = (fundamental_sequence(exp, n), 1)
+    raw = _cnf(prefix.terms + (last,))
     return raw if raw.is_successor else successor(raw)
 
 
@@ -179,24 +177,28 @@ def predecessor_sequence(xi: Ordinal, n: int) -> Ordinal:
 
     Constant (= xi - 1) for successors; strictly increasing with
     supremum xi for limits, mirroring the case split of the Schreier
-    recursion.
+    recursion: xi less one copy of its last term w^e, then w^b*(n - 1)
+    for each b + 1 met on the descent from e, a limit going on at e_n.
     """
     _check_index(n)
     if xi.is_zero:
         raise OrdinalError("predecessor sequence undefined for 0")
-    if xi.is_successor:
-        return successor_pred(xi)
-    prefix, exp = _drop_last_unit(xi)
-    if prefix.is_zero:
-        # xi = w^exp
+    rest, exp = _drop_last_unit(xi)
+    if n == 1:  # every step would add w^b*0: nothing
+        return rest
+    terms = list(rest.terms)
+    steps = 0
+    while not exp.is_zero:
+        steps += 1
+        if steps > DESCENT_CAP:
+            raise OrdinalError("predecessor sequence at n = %d takes more than %d steps"
+                               % (n, DESCENT_CAP))
         if exp.is_successor:
-            beta = successor_pred(exp)
-            tail = predecessor_sequence(_cnf(((beta, 1),)), n)
-            if n == 1:
-                return tail
-            return _append(_cnf(((beta, n - 1),)), tail)
-        return predecessor_sequence(_cnf(((fundamental_sequence(exp, n), 1),)), n)
-    return _append(prefix, predecessor_sequence(_cnf(((exp, 1),)), n))
+            exp = successor_pred(exp)
+            terms.append((exp, n - 1))
+        else:
+            exp = fundamental_sequence(exp, n)
+    return _cnf(tuple(terms))
 
 
 # --- text grammar (shared with the CLI) ---------------------------------
@@ -256,11 +258,11 @@ class _Parser:
             raise OrdinalError("expected number at %d in %r" % (self.pos, self.text))
         return int(self.text[start:self.pos])
 
-    def ordinal(self) -> Ordinal:
-        terms = [self.term()]
+    def ordinal(self, depth: int = 0) -> Ordinal:
+        terms = [self.term(depth)]
         while self.peek() == "+":
             self.take("+")
-            terms.append(self.term())
+            terms.append(self.term(depth))
         flat: list[tuple[Ordinal, int]] = []
         for t in terms:
             if t.is_zero:
@@ -271,14 +273,14 @@ class _Parser:
         except OrdinalError as exc:
             raise OrdinalError("%s in %r" % (exc, self.text)) from None
 
-    def term(self) -> Ordinal:
+    def term(self, depth: int) -> Ordinal:
         if self.peek().isdigit():
             return from_int(self.nat())
         self.take("w")
         exp = ONE
         if self.peek() == "^":
             self.take("^")
-            exp = self.exponent()
+            exp = self.exponent(depth + 1)
         coeff = 1
         if self.peek() == "*":
             self.take("*")
@@ -287,10 +289,12 @@ class _Parser:
             raise OrdinalError("zero coefficient in %r" % self.text)
         return omega_power(exp, coeff)
 
-    def exponent(self) -> Ordinal:
+    def exponent(self, depth: int) -> Ordinal:
+        if depth > MAX_NESTING:
+            raise OrdinalError("exponents nested more than %d deep" % MAX_NESTING)
         if self.peek() == "(":
             self.take("(")
-            inner = self.ordinal()
+            inner = self.ordinal(depth)
             self.take(")")
             return inner
         if self.peek().isdigit():
@@ -298,7 +302,7 @@ class _Parser:
         self.take("w")
         if self.peek() == "^":
             self.take("^")
-            return omega_power(self.exponent())
+            return omega_power(self.exponent(depth + 1))
         return OMEGA
 
 

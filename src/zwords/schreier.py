@@ -33,6 +33,7 @@ from itertools import takewhile, zip_longest
 from typing import Iterable, Iterator
 
 from .ordinals import (
+    ZERO,
     Ordinal,
     fundamental_sequence,
     predecessor_sequence,
@@ -63,7 +64,10 @@ def as_finite_set(elements: Iterable[int]) -> FiniteSet:
 def _expand(exp: Ordinal, m: int) -> Run:
     """The run that w^exp at minimum m parses as: m copies of w^(exp - 1).
     A limit exponent is first resolved to exp_m, which
-    fundamental_sequence always makes a successor."""
+    fundamental_sequence always makes a successor.  At minimum 1 that is
+    one element, a copy of w^0, however deep exp is."""
+    if m == 1:
+        return ZERO, 1
     if exp.terms[-1][0].terms:  # a limit exponent
         exp = fundamental_sequence(exp, m)
     return successor_pred(exp), m

@@ -13,9 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import prod
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 VARIABLE = 0
+# the most star products extracted_sets builds: each member is left out,
+# kept, or replaced by one of its substitution images
+MAX_PRODUCTS = 200_000
 
 
 class WordError(ValueError):
@@ -402,17 +406,13 @@ def _constant_images(bw: OrderlyTuple, indices: Sequence[int] | None) -> list[li
 
 def _star_products(options: Sequence[Sequence[LocatedWord]]) -> set[LocatedWord]:
     """All star products taking one word of options[i] for each i of a
-    nonempty subtuple; each product extends a shorter one by one word."""
-    out = set()
-
-    def grow(start: int, prefix: LocatedWord | None) -> None:
-        for i in range(start, len(options)):
-            for w in options[i]:
-                word = w if prefix is None else concat(prefix, w)
-                out.add(word)
-                grow(i + 1, word)
-
-    grow(0, None)
+    nonempty subtuple.  The products whose last word comes from
+    options[i] are those words and every earlier product extended by
+    one of them."""
+    out: set[LocatedWord] = set()
+    for ws in options:
+        out |= {concat(p, w) for p in out for w in ws}
+        out.update(ws)
     return out
 
 
@@ -423,8 +423,12 @@ def extracted_sets(bw: OrderlyTuple, indices: Sequence[int] | None = None) -> Ex
 
     The grid at member i is bounded by k at ``indices[i]`` (1-based tuple
     positions by default; pass explicit indices for sequence prefixes).
+    Refuses a tuple with more than MAX_PRODUCTS products, counted before
+    any is built.
     """
     images = _constant_images(bw, indices)
+    if prod(len(ws) + 2 for ws in images) - 1 > MAX_PRODUCTS:
+        raise WordError("extraction would build more than %d star products" % MAX_PRODUCTS)
     products = _star_products([[w] + ws for w, ws in zip(bw, images)])
     variables = frozenset(w for w in products if w.is_variable_word)
     return ExtractedSets(frozenset(products - variables), variables)

@@ -171,6 +171,30 @@ def reference_enumerate_members(xi: Ordinal, n_max: int) -> list[tuple[int, ...]
     return sorted(out)
 
 
+def _reference_predecessor_terms(xi: Ordinal, n: int) -> tuple:
+    if xi.is_successor:
+        return successor_pred(xi).terms
+    head, (exp, coeff) = xi.terms[:-1], xi.terms[-1]
+    if coeff > 1 or head:
+        prefix = head + (((exp, coeff - 1),) if coeff > 1 else ())
+        return prefix + _reference_predecessor_terms(omega_power(exp), n)
+    if exp.is_successor:
+        beta = successor_pred(exp)
+        tail = _reference_predecessor_terms(omega_power(beta), n)
+        return tail if n == 1 else ((beta, n - 1),) + tail
+    return _reference_predecessor_terms(omega_power(fundamental_sequence(exp, n)), n)
+
+
+def reference_predecessor_sequence(xi: Ordinal, n: int) -> Ordinal:
+    """xi_n by the case recursion, one call per step of the descent, so
+    a long descent passes the recursion limit: xi - 1 for a successor;
+    for a sum, the prefix followed by the sequence of its last copy of
+    w^e; for w^(b+1), w^b*(n - 1) followed by the sequence of w^b; for
+    w^e with e a limit, the sequence of w^(e_n).  The result goes
+    through the public constructor once."""
+    return Ordinal(_reference_predecessor_terms(xi, n))
+
+
 def reference_restriction_check(xi: Ordinal, xi_n: Ordinal, n: int, n_max: int) -> bool:
     """A_xi(n) = A_{xi_n} by definition on {n+1..n_max}: every subset s
     is tested twice, (n,) + s in A_xi against s in A_{xi_n}."""

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import shlex
@@ -343,14 +344,23 @@ def test_deep_ordinal_descent_is_a_domain_error(capsys):
     code, out, err = run(capsys, "schreier", "member", "--xi", "w^(w^w)",
                          "--set", "5,6,7,8,9,10,11,12,13,14")
     assert (code, out, err) == (0, "false\n", "")
-    # Pins today's limit: the predecessor sequence still recurses once per
-    # nested term of its result.
-    for argv in (("ordinal", "pred", "--xi", "w^(w^w)", "--n", "5"),
-                 ("schreier", "check-restriction", "--xi", "w^(w^w)", "--n", "5",
+    # the predecessor sequence is one loop: w^(w^w) at n = 5 takes 4,064
+    # steps, and the line is the recursive reference's (computed once
+    # under a raised recursion limit)
+    code, out, err = run(capsys, "ordinal", "pred", "--xi", "w^(w^w)", "--n", "5")
+    assert code == 0 and err == "" and len(out) == 77249 + 1
+    assert hashlib.sha256(out[:-1].encode()).hexdigest() \
+        == "af3f3b51e1347827e8a71c821f68b316325dce49b87a87ff140206773c889a56"
+    code, out, err = run(capsys, "schreier", "check-restriction", "--xi", "w^(w^w)", "--n", "5",
+                         "--max", "12")
+    assert (code, out, err) == (0, "true\n", "")
+    # at n = 6 it would take 57,544 steps, past the cap
+    for argv in (("ordinal", "pred", "--xi", "w^(w^w)", "--n", "6"),
+                 ("schreier", "check-restriction", "--xi", "w^(w^w)", "--n", "6",
                   "--max", "12")):
         code, out, err = run(capsys, *argv)
-        assert code == 1 and out == ""
-        assert err == "error: ordinal descent exceeds the recursion limit\n"
+        assert (code, out) == (1, "")
+        assert err == "error: predecessor sequence at n = 6 takes more than 10000 steps\n"
     # enumeration walks an explicit stack, so it answers up to the cap
     code, out, err = run(capsys, "schreier", "enum", "--xi", "w^(w^w)", "--n", "20")
     assert (code, out, err) == (0, "1\n", "")
@@ -363,7 +373,47 @@ def test_deep_ordinal_nesting_is_a_domain_error(capsys):
                  ("rat", "qxi", "--xi", deep, "--values", "1/2")):
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == ""
-        assert err == "error: ordinal descent exceeds the recursion limit\n"
+        assert err == "error: exponents nested more than 100 deep\n"
+
+
+def test_every_ordinal_command_answers_at_the_nesting_cap(capsys):
+    # 100 nested exponents is the deepest the parser reads; every command
+    # that takes an ordinal answers or refuses it in one line, and quickly
+    deep = "w^(" * 100 + "1" + ")" * 100
+    window = ("--l", "2", "--n0", "2", "--window", "3", "--r", "2", "--seed", "1")
+    for argv, want in (
+            (("schreier", "member", "--xi", deep, "--set", "1"), "true\n"),
+            (("schreier", "member", "--xi", deep, "--set", "2,3,4,5,6,7,8"), "false\n"),
+            (("schreier", "enum", "--xi", deep, "--n", "12"), "1\n"),
+            (("schreier", "canon", "--xi", deep, "--set", "1,2,3"), "[1]|2,3\n"),
+            (("schreier", "check-restriction", "--xi", deep, "--n", "1", "--max", "8"), "true\n"),
+            (("schreier", "check-restriction", "--xi", deep, "--n", "2", "--max", "8"), None),
+            (("ordinal", "cmp", "--a", deep, "--b", deep), "equal\n"),
+            (("ordinal", "fund", "--lambda", deep, "--n", "3"), "w^(w^(w^("),
+            (("ordinal", "pred", "--xi", deep, "--n", "1"), "0\n"),
+            (("ordinal", "pred", "--xi", deep, "--n", "3"), None),
+            (("ordinal", "classify", "--xi", deep), "limit\n"),
+            (("rat", "qxi", "--xi", deep, "--values", "1/2"), "true\n"),
+            (("search", "xi", "--xi", deep) + window, "witness: -1:v,1:v;-2:v,2:v\n")):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 2, argv
+        if want is None:
+            assert (code, out) == (1, "") and err.count("\n") == 1, argv
+            assert err.endswith("takes more than 10000 steps\n"), argv
+        else:
+            assert code == 0 and out.startswith(want), argv
+
+
+def test_word_ev_refuses_past_the_product_cap(capsys):
+    # 3^n - 1 star products under const:1, counted before any is built
+    for n in (30, 1000):
+        tuple_text = ";".join("-%d:v,%d:v" % (i, i) for i in range(1, n + 1))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "word", "ev", "--profile", "const:1", "--tuple", tuple_text)
+        assert time.perf_counter() - start < 2
+        assert (code, out, err) == (1, "", "error: extraction would build more than 200000 "
+                                           "star products\n")
 
 
 def test_grid_indices_below_one_are_refused(capsys):

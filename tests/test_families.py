@@ -490,8 +490,13 @@ def test_cb_derivative_errors():
         cb_index(raw, pool, 3)
     with pytest.raises(FamilyError, match="^pool is missing the word -5:v,5:v$"):
         cb_index(family_of([make_tuple([W3])]), frozenset([W1]), 3)
-    for tau in (-1, 0, 1, 5):
+    for tau in (1, 5):
         assert cb_index(family_of([]), pool, tau) == 0
+    # tau is checked first, as in cb_derivative
+    for fam in (family_of([]), family_of([EMPTY_TUPLE])):
+        for tau in (-1, 0):
+            with pytest.raises(FamilyError, match="^tau must be >= 1$"):
+                cb_index(fam, pool, tau)
     # a pool word of another profile that surrounds a member's last word
     other = make_word({-3: VARIABLE, 3: VARIABLE}, parse_profile("const:1"))
     mixed = frozenset([W1, other])

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from zwords.ordinals import (
+    MAX_NESTING,
     OMEGA,
     ONE,
     ZERO,
@@ -19,6 +20,8 @@ from zwords.ordinals import (
     successor,
     successor_pred,
 )
+
+from _oracles import reference_predecessor_sequence
 
 
 def cnf3(a, b, c):
@@ -139,6 +142,45 @@ def test_predecessor_sequence_examples():
         predecessor_sequence(ZERO, 1)
 
 
+def test_predecessor_sequence_matches_recursive_reference():
+    rng = random.Random(20240711)
+    tower = parse_ordinal("w^(" * MAX_NESTING + "1" + ")" * MAX_NESTING)
+    sample = (limit_ordinals_upto_omega_cubed()
+              + [parse_ordinal(t) for t in ("1", "w+1", "w^w", "w^(w^w)", "w^(w+1)*2+w^3+4",
+                                            "w^(w^(w^w))", "w^(w^w+w)*3+w^(w*2)")]
+              + [random_cnf(rng) for _ in range(300)] + [tower, successor(tower)])
+    compared = 0
+    for xi in sample:
+        if xi.is_zero:
+            continue
+        # a copy of w^e at minimum 1 is one element, so xi_1 is xi less that copy
+        head, (exp, coeff) = xi.terms[:-1], xi.terms[-1]
+        assert predecessor_sequence(xi, 1) == Ordinal(head + (((exp, coeff - 1),) if coeff > 1
+                                                               else ())), xi
+        for n in range(1, 7):
+            try:
+                want = reference_predecessor_sequence(xi, n)
+            except RecursionError:
+                # the recursion takes one frame per step of the descent
+                continue
+            assert predecessor_sequence(xi, n) == want, (xi, n)
+            compared += 1
+    assert compared >= 1400
+
+
+def test_parser_nesting_cap():
+    for nest in ("w^(%s)", "w^%s"):
+        text = "1"
+        for _ in range(MAX_NESTING):
+            text = nest % text
+        deep = parse_ordinal(text)
+        assert parse_ordinal(format_ordinal(deep)) == deep
+        assert compare(deep, successor(deep)) == -1
+        assert fundamental_sequence(deep, 3) < deep
+        with pytest.raises(OrdinalError, match="^exponents nested more than %d deep$" % MAX_NESTING):
+            parse_ordinal(nest % text)
+
+
 def test_predecessor_sequence_increases_to_limit():
     for xi in [OMEGA, parse_ordinal("w*2"), omega_power(from_int(2)),
                parse_ordinal("w^2+w"), omega_power(OMEGA)]:
@@ -192,9 +234,9 @@ def test_internal_results_pass_the_public_checks():
         for f, *args in calls:
             try:
                 r = f(*args)
-            except RecursionError:
-                # predecessor_sequence recurses once per step of the descent
-                # below a tower, which can pass the limit; no result to check
+            except OrdinalError:
+                # predecessor_sequence refuses a descent of more than
+                # DESCENT_CAP steps below a tower; no result to check
                 continue
             assert _rebuilt(r) == r, (f.__name__, args, r)
             checked += 1

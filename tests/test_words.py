@@ -3,6 +3,7 @@ from itertools import combinations, product
 
 import pytest
 
+from zwords import words
 from zwords.words import (
     ABS,
     VARIABLE,
@@ -276,6 +277,20 @@ def test_extracted_sets_contains_members_and_is_finite():
     assert all(v.is_variable_word for v in es.variables)
     with pytest.raises(WordError):
         extracted_sets(make_tuple([make_word({-1: -1, 1: 1})]))
+
+
+def test_extracted_sets_product_cap(monkeypatch):
+    # each member is left out, kept or one of its images: at index 1 the
+    # grid has one pair, at index 2 four, so 3 * 6 - 1 = 17 products
+    w1 = make_word({-1: VARIABLE, 1: VARIABLE})
+    w2 = make_word({-3: VARIABLE, -2: -1, 2: 1, 3: VARIABLE})
+    bw = make_tuple([w1, w2])
+    es = extracted_sets(bw)
+    monkeypatch.setattr(words, "MAX_PRODUCTS", 17)
+    assert extracted_sets(bw) == es
+    monkeypatch.setattr(words, "MAX_PRODUCTS", 16)
+    with pytest.raises(WordError, match="more than 16 star products"):
+        extracted_sets(bw)
 
 
 def test_extracted_sets_match_reference():
