@@ -234,7 +234,7 @@ def _emit_report(args, rep: search.SearchReport) -> None:
         lines = ["witness: none", "candidates: %d" % rep.candidates,
                  "nodes: %d" % rep.nodes_expanded]
     else:
-        text = ";".join(words.format_word(w) for w in rep.witness)
+        text = words.serialize_tuple(rep.witness)
         fields = {"witness": text, "color": rep.color, "grid": rep.grid_size,
                   "nodes": rep.nodes_expanded, "vacuous": rep.vacuous}
         lines = ["witness: %s" % text, "color: %s" % rep.color,

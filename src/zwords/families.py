@@ -47,22 +47,20 @@ from .words import (
     LocatedWord,
     OrderlyTuple,
     WordError,
-    _extraction_grids,
+    _image_ranges,
+    _images,
+    _require_sided_monotone,
     format_word,
     make_tuple,
     parse_word,
     rel_r1,
-    substitute,
+    serialize_tuple,
     word_sort_key,
 )
 
 
 class FamilyError(ValueError):
     pass
-
-
-def serialize_tuple(bw: OrderlyTuple) -> str:
-    return ";".join(format_word(w) for w in bw)
 
 
 def parse_tuple(text: str, profile=None) -> OrderlyTuple:
@@ -83,7 +81,7 @@ class WordFamily:
     def __init__(self, members: Iterable[OrderlyTuple]):
         self._members = frozenset(members)
         for bw in self._members:
-            if not isinstance(bw, OrderlyTuple) or bw.mode != "zstar":
+            if not isinstance(bw, OrderlyTuple):
                 raise FamilyError("family members must be two-sided orderly tuples")
 
     @property
@@ -211,8 +209,8 @@ def _check_slots(members: Iterable[OrderlyTuple], table: _Pool) -> None:
                        key=lambda s: (s[1], word_sort_key(words[s[0]]),
                                       repr(words[s[0]].profile))):
         w = words[t]
-        (grid,) = _extraction_grids(make_tuple((w,)), (i,))
-        allowed[t, i] = {w.entries} | {substitute(w, p, q).entries for p, q in grid}
+        _require_sided_monotone(w.profile)
+        allowed[t, i] = {w.entries} | {u.entries for u in _images(w, _image_ranges(w, i))}
 
 
 def _matches(chosen: tuple[tuple[int, int], ...], table: _Pool) -> list[int]:

@@ -28,17 +28,19 @@ from .words import (
     DominationProfile,
     LocatedWord,
     WordError,
-    _extraction_grids,
+    _extraction_ranges,
     _grid,
     _grid_tops,
     _images,
     _require_sided_monotone,
+    _side_top,
     concat_all,
     first_clamp,
     format_word,
     make_tuple,
     make_word,
     rel_r1,
+    serialize_tuple,
     substitute,
     word_sort_key,
 )
@@ -124,7 +126,7 @@ class Coloring:
         return self.color_key(format_word(w))
 
     def color_tuple(self, ws: Sequence[LocatedWord]) -> int:
-        return self.color_key(";".join(format_word(w) for w in ws))
+        return self.color_key(serialize_tuple(ws))
 
     @classmethod
     def from_text(cls, text: str, arity: int | None = None) -> "Coloring":
@@ -314,7 +316,7 @@ def _rank(text: str, pools: Sequence[Sequence[tuple[str, Entries]]]) -> int:
 def _side_slots(profile: DominationProfile, indices: Iterable[int]) -> list[tuple[int, int]]:
     """Per member, its negative and its positive side, each with the top
     index its grid substitutes there: k at -index and at index, read in
-    _grid's order."""
+    _grid_tops's order."""
     slots = []
     for index in indices:
         kp, kq = _grid_tops(profile, index)
@@ -326,10 +328,9 @@ def _side_texts(entries: Entries, side: int, top: int, profile: DominationProfil
     """The distinct texts of one side's entries under the indices 1..top,
     in index order: substitution turns the variable at position n into
     side * min(index, k_n)."""
-    return list(dict.fromkeys(
-        ",".join(["%d:%d" % (pos, letter or side * min(index, profile.bound(pos)))
-                  for pos, letter in entries])
-        for index in range(1, top + 1)))
+    return [",".join(["%d:%d" % (pos, letter or side * min(index, profile.bound(pos)))
+                      for pos, letter in entries])
+            for index in range(1, _side_top(entries, top, profile) + 1)]
 
 
 def _candidate_sides(combo: Sequence[tuple[str, Entries]], slots: Sequence[tuple[int, int]],
@@ -350,10 +351,10 @@ def _instance_texts(sides: Sequence[Sequence[str]], run: Iterable[int]) -> Itera
     member of the run, in grid order.  `sides` holds, member by member and
     innermost first, the distinct texts of the negative side by q and of
     the positive side by p.  A grid is p-major, so the product of the
-    positive and then the negative texts runs in grid order, and dropping
-    repeated side texts drops exactly the repeated images.  The members
-    are nested annuli, so the outer members' negative sides come first and
-    their positive sides last."""
+    positive and then the negative texts runs in grid order, and distinct
+    side texts make distinct images.  The members are nested annuli, so
+    the outer members' negative sides come first and their positive sides
+    last."""
     grid_order = []
     for i in run:
         grid_order += [sides[2 * i + 1], sides[2 * i]]
@@ -522,12 +523,12 @@ def _xi_plans(sizes: Sequence[int], anchors: Sequence[int], xi: Ordinal, total: 
     return plans
 
 
-def _plan_slices(ws: Sequence[LocatedWord], grids: Sequence[Sequence[tuple[int, int]]],
+def _plan_slices(ws: Sequence[LocatedWord], ranges: Sequence[tuple[int, int]],
                  plans: Plans) -> list[tuple[LocatedWord, ...]]:
     """One image per chosen member, a run's images joined into one
     constant; only members that some plan chooses get images."""
     runs = {run for plan in plans for run in plan}
-    images = {i: _images(ws[i], grids[i]) for i in {i for run in runs for i in run}}
+    images = {i: _images(ws[i], ranges[i]) for i in {i for run in runs for i in run}}
     blocks = {run: [concat_all(combo) for combo in product(*map(images.get, run))]
               for run in runs}
     return [s for plan in plans for s in product(*map(blocks.get, plan))]
@@ -546,7 +547,7 @@ def _xi_slices(ws: Sequence[LocatedWord], xi: Ordinal,
     positions), so each plan is tested once, and images are built only
     for the blocks of plans that pass.  The extraction checks run first."""
     bw = make_tuple(ws)
-    return _plan_slices(bw, _extraction_grids(bw, None), _xi_plans(
+    return _plan_slices(bw, _extraction_ranges(bw, None), _xi_plans(
         [len(w.entries) for w in bw], [w.min_dom_pos for w in bw], xi, total))
 
 

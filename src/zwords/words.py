@@ -301,25 +301,19 @@ def project_positive(w: LocatedWord) -> LocatedWord:
 
 @dataclass(frozen=True)
 class OrderlyTuple:
-    """A finite tuple of words increasing under the mode's order; in
-    two-sided mode every member must lie in the core class."""
+    """A finite tuple of core-class words, each R1-below the next."""
 
     words: tuple[LocatedWord, ...]
-    mode: str = "zstar"
 
     def __post_init__(self) -> None:
-        if self.mode not in ("zstar", "nat"):
-            raise WordError("unknown tuple mode %r" % self.mode)
-        rel = rel_r1 if self.mode == "zstar" else rel_r2
         for a, b in zip(self.words, self.words[1:]):
             if a.profile != b.profile:
                 raise WordError("profile mismatch inside tuple")
-            if not rel(a, b):
+            if not rel_r1(a, b):
                 raise WordError("tuple not increasing: %s then %s" % (a, b))
-        if self.mode == "zstar":
-            for w in self.words:
-                if not w.is_core:
-                    raise WordError("%s is outside the core class" % w)
+        for w in self.words:
+            if not w.is_core:
+                raise WordError("%s is outside the core class" % w)
 
     def __len__(self) -> int:
         return len(self.words)
@@ -331,11 +325,11 @@ class OrderlyTuple:
         return self.words[i]
 
     def __str__(self) -> str:
-        return ";".join(format_word(w) for w in self.words)
+        return serialize_tuple(self)
 
 
-def make_tuple(ws: Iterable[LocatedWord], mode: str = "zstar") -> OrderlyTuple:
-    return OrderlyTuple(tuple(ws), mode)
+def make_tuple(ws: Iterable[LocatedWord]) -> OrderlyTuple:
+    return OrderlyTuple(tuple(ws))
 
 
 EMPTY_TUPLE = OrderlyTuple(())
@@ -364,12 +358,27 @@ def _require_sided_monotone(profile: DominationProfile) -> None:
         raise WordError("profile must be sidedly monotone")
 
 
-def _extraction_grids(bw: OrderlyTuple, indices: Sequence[int] | None) -> list[list[tuple[int, int]]]:
-    """Check that bw can be extracted from and give each member its
-    substitution grid.  Every error that building the images could raise
-    is raised here, so images can be built later or not at all."""
-    if bw.mode != "zstar":
-        raise WordError("extraction needs a two-sided tuple")
+def _side_top(entries: Sequence[tuple[int, int]], top: int, profile: DominationProfile) -> int:
+    """The last of the indices 1..top that changes one side's entries
+    under substitution: a variable at n reads min(index, k_n), so every
+    index past the largest such k_n gives the same side."""
+    return min(top, max(profile.bound(pos) for pos, letter in entries if letter == VARIABLE))
+
+
+def _image_ranges(w: LocatedWord, index: int) -> tuple[int, int]:
+    """The ranges 1..a of p and 1..b of q whose pairs give the distinct
+    images of the core variable word w over the grid at index.  k is read
+    at index, at -index, then at the variable positions in entry order."""
+    kp, kq = _grid_tops(w.profile, index)
+    cut = len(w.dom_neg)
+    b = _side_top(w.entries[:cut], kq, w.profile)
+    return _side_top(w.entries[cut:], kp, w.profile), b
+
+
+def _extraction_ranges(bw: OrderlyTuple, indices: Sequence[int] | None) -> list[tuple[int, int]]:
+    """Check that bw can be extracted from and give each member its image
+    ranges.  Every error that building the images could raise is raised
+    here, so images can be built later or not at all."""
     if indices is None:
         indices = range(1, len(bw) + 1)
     indices = tuple(indices)
@@ -379,29 +388,15 @@ def _extraction_grids(bw: OrderlyTuple, indices: Sequence[int] | None) -> list[l
         return []
     if any(not w.is_variable_word for w in bw):
         raise WordError("extraction needs variable words")
-    profile = bw[0].profile
-    _require_sided_monotone(profile)
-    grids = []
-    for w, index in zip(bw, indices):
-        grids.append(_grid(profile, index))
-        # a table is the one kind whose k can be undefined, and
-        # substitution reads k at every variable position
-        if profile.kind == "table":
-            for pos, letter in w.entries:
-                if letter == VARIABLE:
-                    profile.bound(pos)
-    return grids
+    _require_sided_monotone(bw[0].profile)
+    return [_image_ranges(w, index) for w, index in zip(bw, indices)]
 
 
-def _images(w: LocatedWord, grid: Sequence[tuple[int, int]]) -> list[LocatedWord]:
-    """The distinct substitution images of w over a grid, in grid order."""
-    return list(dict.fromkeys(substitute(w, p, q) for p, q in grid))
-
-
-def _constant_images(bw: OrderlyTuple, indices: Sequence[int] | None) -> list[list[LocatedWord]]:
-    """Check that bw can be extracted from and list, per member, its
-    distinct substitution images over the grid at its index."""
-    return [_images(w, grid) for w, grid in zip(bw, _extraction_grids(bw, indices))]
+def _images(w: LocatedWord, ranges: tuple[int, int]) -> list[LocatedWord]:
+    """The distinct substitution images of w over its grid, in grid
+    order: one per pair of its ranges, p-major."""
+    a, b = ranges
+    return [substitute(w, p, q) for p in range(1, a + 1) for q in range(1, b + 1)]
 
 
 def _star_products(options: Sequence[Sequence[LocatedWord]]) -> set[LocatedWord]:
@@ -426,10 +421,10 @@ def extracted_sets(bw: OrderlyTuple, indices: Sequence[int] | None = None) -> Ex
     Refuses a tuple with more than MAX_PRODUCTS products, counted before
     any is built.
     """
-    images = _constant_images(bw, indices)
-    if prod(len(ws) + 2 for ws in images) - 1 > MAX_PRODUCTS:
+    ranges = _extraction_ranges(bw, indices)
+    if prod(a * b + 2 for a, b in ranges) - 1 > MAX_PRODUCTS:
         raise WordError("extraction would build more than %d star products" % MAX_PRODUCTS)
-    products = _star_products([[w] + ws for w, ws in zip(bw, images)])
+    products = _star_products([[w] + _images(w, r) for w, r in zip(bw, ranges)])
     variables = frozenset(w for w in products if w.is_variable_word)
     return ExtractedSets(frozenset(products - variables), variables)
 
@@ -535,6 +530,10 @@ def parse_word(text: str, profile: DominationProfile = ABS) -> LocatedWord:
     if any(a[0] >= b[0] for a, b in zip(entries, entries[1:])):
         raise WordError("positions must be ascending in %r" % text)
     return make_word(entries, profile)
+
+
+def serialize_tuple(ws: Iterable[LocatedWord]) -> str:
+    return ";".join(format_word(w) for w in ws)
 
 
 def word_sort_key(w: LocatedWord) -> tuple:

@@ -36,14 +36,19 @@ from zwords.words import (
     EMPTY_TUPLE,
     VARIABLE,
     LocatedWord,
+    _grid,
     extracted_sets,
     format_word,
     make_tuple,
     make_word,
     parse_profile,
     rel_r1,
+    substitute,
     word_sort_key,
 )
+
+# substitution clamps at +-1 under the grids of indices 2 and 3
+CLAMPING_TABLE = "table:-3=2,-2=2,-1=1,1=1,2=3,3=3"
 
 
 def compositions(seq: tuple[int, ...], parts: int):
@@ -420,6 +425,13 @@ def reference_fs_two_sided(xs, zs, spec):
         for idxs in combinations(range(len(xs)), size):
             out.add(spec.fold([xs[i] for i in reversed(idxs)] + [zs[i] for i in idxs]))
     return out
+
+
+def reference_images(w, index):
+    """The distinct substitution images of w over the whole grid at
+    `index`, in grid order: every pair is substituted and the repeats
+    dropped."""
+    return list(dict.fromkeys(substitute(w, p, q) for p, q in _grid(w.profile, index)))
 
 
 def reference_extracted(ws):

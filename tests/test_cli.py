@@ -406,14 +406,27 @@ def test_every_ordinal_command_answers_at_the_nesting_cap(capsys):
 
 
 def test_word_ev_refuses_past_the_product_cap(capsys):
-    # 3^n - 1 star products under const:1, counted before any is built
-    for n in (30, 1000):
+    # 3^n - 1 star products under const:1, counted before any is built;
+    # under abs the 1,000-word tuple's grids hold about 3.3e8 pairs, and
+    # its products are counted from the image ranges without listing them
+    for n, profile in ((30, "const:1"), (1000, "const:1"), (1000, "abs")):
         tuple_text = ";".join("-%d:v,%d:v" % (i, i) for i in range(1, n + 1))
         start = time.perf_counter()
-        code, out, err = run(capsys, "word", "ev", "--profile", "const:1", "--tuple", tuple_text)
-        assert time.perf_counter() - start < 2
+        code, out, err = run(capsys, "word", "ev", "--profile", profile, "--tuple", tuple_text)
+        assert time.perf_counter() - start < 2, (n, profile)
         assert (code, out, err) == (1, "", "error: extraction would build more than 200000 "
                                            "star products\n")
+
+
+def test_word_ev_images_stop_at_the_word_bounds(capsys):
+    # the grid at 100000 has 10^10 pairs, but past k = 3 at the second
+    # word's variable positions every index gives the image it gives at 3
+    tuple_text = "-1:v,1:v;-3:v,3:v"
+    start = time.perf_counter()
+    far = run(capsys, "word", "ev", "--tuple", tuple_text, "--indices", "1,100000")
+    assert time.perf_counter() - start < 2
+    near = run(capsys, "word", "ev", "--tuple", tuple_text, "--indices", "1,3")
+    assert far == near and near[0] == 0 and near[1].count("\n") == 32, near
 
 
 def test_grid_indices_below_one_are_refused(capsys):

@@ -33,7 +33,6 @@ from zwords.search import (
     _candidate_counts,
     _candidate_sides,
     _instance_texts,
-    _plan_slices,
     _rank,
     _shell_candidates,
     _shell_splits,
@@ -58,11 +57,13 @@ from zwords.words import (
 )
 
 from _oracles import (
+    CLAMPING_TABLE,
     reference_candidate_count,
     reference_candidates,
     reference_extracted,
     reference_fs_enumerate,
     reference_fs_two_sided,
+    reference_images,
     reference_xi_search,
     reference_xi_slices,
     sampled_candidates,
@@ -473,10 +474,6 @@ def test_xi_search_digit_parity_sound():
         assert verify_xi_witness(rep.witness, coloring, from_int(2), 4).monochromatic
 
 
-# substitution clamps at +-1 under the grids of indices 2 and 3
-CLAMPING_TABLE = "table:-3=2,-2=2,-1=1,1=1,2=3,3=3"
-
-
 def candidate_choices(m, total, window):
     # the side choices of witness_candidates' tuples, in its order
     for shell in range(1, window.radius + 1):
@@ -485,11 +482,22 @@ def candidate_choices(m, total, window):
             yield combo
 
 
+def reference_plan_slice_texts(images, plans):
+    # _plan_slices' order over the given per-member images: plan by plan,
+    # one block per run, a block's constants in the product order of its
+    # members' images
+    for plan in plans:
+        blocks = [[format_word(concat_all(combo)) for combo in product(*[images[i] for i in run])]
+                  for run in plan]
+        for texts in product(*blocks):
+            yield ";".join(texts)
+
+
 def test_instance_and_slice_texts_match_the_word_path():
     # every candidate of small windows: for every grid, the instance texts
     # are the distinct serializations of concat_all(substitute(...)) in grid
     # order, and for every xi plan the slice texts are color_tuple's keys
-    # over _plan_slices, in order
+    # over the plan's slices of the members' whole-grid images, in order
     xis = [parse_ordinal(text) for text in ("1", "2", "w")]
     instances = slices = 0
     for text, radius, top in (("const:1", 3, 4), (CLAMPING_TABLE, 3, 4), ("const:10", 2, 3)):
@@ -498,7 +506,6 @@ def test_instance_and_slice_texts_match_the_word_path():
         for m in (1, 2):
             cells = list(product(range(1, radius + 1), repeat=m))
             xi_slots = _side_slots(profile, range(1, m + 1))
-            xi_grids = [_grid(profile, index) for index in range(1, m + 1)]
             for total in range(2 * m, top + 1):
                 for combo in candidate_choices(m, total, window):
                     ws = _words(combo, profile)
@@ -513,12 +520,12 @@ def test_instance_and_slice_texts_match_the_word_path():
                         assert got == list(dict.fromkeys(want)), (ws, bounds)
                         instances += len(want)
                     sides = _candidate_sides(combo, xi_slots, [{} for _ in xi_slots], profile)
+                    images = [reference_images(w, index) for index, w in enumerate(ws, 1)]
                     for xi in xis:
                         for n0 in range(2, total + 1):
                             plans = _xi_plans([len(w.entries) for w in ws],
                                               [w.min_dom_pos for w in ws], xi, n0)
-                            want = [";".join(map(format_word, s))
-                                    for s in _plan_slices(ws, xi_grids, plans)]
+                            want = list(reference_plan_slice_texts(images, plans))
                             assert list(_slice_texts(sides, plans)) == want, (ws, xi, n0)
                             slices += len(want)
     assert instances > 20000 and slices > 10000

@@ -9,6 +9,8 @@ from zwords.words import (
     VARIABLE,
     DominationProfile,
     WordError,
+    _image_ranges,
+    _images,
     bound_pair_index,
     concat,
     extracted_sets,
@@ -302,6 +304,37 @@ def test_extracted_sets_match_reference():
             assert extracted_sets(make_tuple(ws)) == reference_extracted(ws)
             checked += 1
     assert checked > 300
+
+
+def test_images_match_the_whole_grid():
+    # the two index ranges give the whole grid's distinct images in grid
+    # order, list for list, for every word of the sampled candidates under
+    # each profile whose bounds hold its letters; where the grid reads a
+    # missing bound, both raise the same error
+    from _oracles import CLAMPING_TABLE, reference_images, sampled_candidates
+
+    entries = sorted({w.entries for radius in (1, 2, 3)
+                      for ws in sampled_candidates(radius) for w in ws})
+    checked = clipped = refused = 0
+    for text in ("abs", "abs+1", "const:2", "const:10", CLAMPING_TABLE):
+        profile = parse_profile(text)
+        for e in entries:
+            try:
+                w = make_word(e, profile)
+            except WordError:
+                continue
+            for index in (1, 2, 3, 4):
+                try:
+                    want = reference_images(w, index)
+                except WordError as exc:
+                    with pytest.raises(WordError, match="^%s$" % exc):
+                        _image_ranges(w, index)
+                    refused += 1
+                    continue
+                assert _images(w, _image_ranges(w, index)) == want, (w, index)
+                checked += 1
+                clipped += len(want) < profile.bound(index) * profile.bound(-index)
+    assert checked > 2000 and clipped > 500 and refused > 0, (checked, clipped, refused)
 
 
 def test_is_extraction():
