@@ -14,8 +14,8 @@ exactly when its domain is the union of the domains of a nonempty
 subtuple, its profile is bw's, and on each chosen member's domain u reads
 that member or one of its grid images; the images are constants, so
 some member is read as itself.  The extraction tuples are the R1-chains
-over those pool words, compared with the family as tuples of pool
-indices.
+over those pool words.  Each call keys the family's members once, by
+their tuples of pool indices, and the kernels work on those keys alone.
 
 A word's images depend only on the word and its tuple index (a slot),
 and a subtuple's matching pool words only on its slots, so members that
@@ -37,7 +37,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 from operator import itemgetter
-from typing import Container, Iterable, Iterator, NamedTuple
+from typing import Collection, Iterable, Iterator, NamedTuple
 
 from .ordinals import Ordinal
 from .schreier import is_member
@@ -57,6 +57,8 @@ from .words import (
     serialize_tuple,
     word_sort_key,
 )
+
+Key = tuple[int, ...]  # a member as its words' pool indices
 
 
 class FamilyError(ValueError):
@@ -117,7 +119,7 @@ class WordFamily:
         return self._members == tree_closure(self)._members
 
     def is_hereditary(self, pool: Iterable[LocatedWord]) -> bool:
-        return _is_hereditary(self._members, _pool_table(self, pool))
+        return _is_hereditary(*_pool_keys(self, pool))
 
 
 def family_of(tuples: Iterable[OrderlyTuple]) -> WordFamily:
@@ -144,13 +146,6 @@ def tree_closure(family: WordFamily) -> WordFamily:
     """Close under initial segments (the empty tuple included)."""
     return WordFamily({EMPTY_TUPLE} | {make_tuple(bw.words[:cut]) for bw in family.members
                                        for cut in range(1, len(bw) + 1)})
-
-
-def _check_pool(family: WordFamily, pool: Container[LocatedWord]) -> None:
-    missing = [w for bw in family.members for w in bw if w not in pool]
-    if missing:
-        raise FamilyError("pool is missing the word %s"
-                          % format_word(min(missing, key=word_sort_key)))
 
 
 class _Pool(NamedTuple):
@@ -190,21 +185,29 @@ def _compile(pool: frozenset[LocatedWord]) -> _Pool:
     return _Pool(words, {w: i for i, w in enumerate(words)}, succ, by_dom, {}, {})
 
 
-def _pool_table(family: WordFamily, pool: Iterable[LocatedWord]) -> _Pool:
+def _pool_keys(family: WordFamily,
+               pool: Iterable[LocatedWord]) -> tuple[dict[Key, OrderlyTuple], _Pool]:
+    """Each member keyed by the pool indices of its words, and the
+    compiled pool; the least word missing from the pool is refused."""
     table = _compile(frozenset(pool))
-    _check_pool(family, table.index)
-    return table
+    index = table.index
+    keys = {tuple(map(index.get, bw.words)): bw for bw in family.members}
+    if any(None in key for key in keys):
+        missing = [w for bw in family.members for w in bw if w not in index]
+        raise FamilyError("pool is missing the word %s"
+                          % format_word(min(missing, key=word_sort_key)))
+    return keys, table
 
 
-def _check_slots(members: Iterable[OrderlyTuple], table: _Pool) -> None:
-    """Check the slots of the members that the pool has not checked yet
+def _check_slots(keys: Iterable[Key], table: _Pool) -> None:
+    """Check the slots of the keys that the pool has not checked yet
     and keep their allowed entry tuples.  They are checked least first by
     grid index, then word_sort_key (then profile, for equal entries), and
     a slot is kept only once its check passes; the kept slots passed, so
     the error raised is the least failing slot's and does not follow the
     hash seed or the calls made before."""
-    words, index, allowed = table.words, table.index, table.allowed
-    slots = {(index[w], i) for bw in members for i, w in enumerate(bw, 1)}
+    words, allowed = table.words, table.allowed
+    slots = {(t, i) for key in keys for i, t in enumerate(key, 1)}
     for t, i in sorted(slots - allowed.keys(),
                        key=lambda s: (s[1], word_sort_key(words[s[0]]),
                                       repr(words[s[0]].profile))):
@@ -228,14 +231,14 @@ def _matches(chosen: tuple[tuple[int, int], ...], table: _Pool) -> list[int]:
             and all(get(words[u].entries) in ok for get, ok in pieces)]
 
 
-def _extractions(bw: OrderlyTuple, table: _Pool) -> set[int]:
-    """The pool indices of the extracted variable words of bw, found by
-    the domain test of the module docstring, once per subtuple of slots
-    in the compiled pool; bw's slots must have been checked."""
-    slots = [(table.index[w], i) for i, w in enumerate(bw, 1)]
+def _extractions(key: Key, table: _Pool) -> set[int]:
+    """The pool indices of the extracted variable words of the member
+    keyed by key, by the domain test of the module docstring, once per
+    subtuple of slots in the compiled pool; its slots must be checked."""
+    slots = [(t, i) for i, t in enumerate(key, 1)]
     matches = table.matches
     found = set()
-    for size in range(1, len(bw) + 1):
+    for size in range(1, len(key) + 1):
         for chosen in combinations(slots, size):
             hits = matches.get(chosen)
             if hits is None:
@@ -244,46 +247,45 @@ def _extractions(bw: OrderlyTuple, table: _Pool) -> set[int]:
     return found
 
 
-def _extraction_chains(bw: OrderlyTuple, table: _Pool) -> Iterator[tuple[int, ...]]:
-    """The R1-chains over the pool extractions of bw as index tuples, the
-    empty chain first and every chain after its prefixes."""
-    allowed = _extractions(bw, table)
+def _extraction_chains(key: Key, table: _Pool) -> Iterator[Key]:
+    """The R1-chains over the pool extractions of the keyed member as
+    index tuples, the empty chain first and every chain after its prefixes."""
+    allowed = _extractions(key, table)
     yield ()
     stack = [(i,) for i in allowed]
     while stack:
-        key = stack.pop()
-        yield key
-        stack.extend(key + (j,) for j in table.succ[key[-1]] if j in allowed)
+        chain = stack.pop()
+        yield chain
+        stack.extend(chain + (j,) for j in table.succ[chain[-1]] if j in allowed)
 
 
-def _hereditary_part(members: frozenset[OrderlyTuple], table: _Pool) -> set[OrderlyTuple]:
-    """The members whose extraction chains are all members (none when the
-    empty tuple is not one)."""
-    present = {tuple(table.index[w] for w in bw) for bw in members}
-    _check_slots(members, table)
-    return {bw for bw in members
-            if all(key in present for key in _extraction_chains(bw, table))}
+def _hereditary_part(keys: Collection[Key], table: _Pool) -> set[Key]:
+    """The keys whose extraction chains are all keys (none when the empty
+    tuple is not one)."""
+    _check_slots(keys, table)
+    return {key for key in keys
+            if all(chain in keys for chain in _extraction_chains(key, table))}
 
 
-def _is_hereditary(members: frozenset[OrderlyTuple], table: _Pool) -> bool:
+def _is_hereditary(keys: dict[Key, OrderlyTuple], table: _Pool) -> bool:
     # every member is visited first, so extraction errors come out as
     # they do from the closure
-    return _hereditary_part(members, table) == members and EMPTY_TUPLE in members
+    return _hereditary_part(keys, table) == keys.keys() and () in keys
 
 
 def hereditary_closure(family: WordFamily, pool: Iterable[LocatedWord]) -> WordFamily:
     """Close under pool-relative extraction tuples of members."""
-    table = _pool_table(family, pool)
-    _check_slots(family.members, table)
-    keys = set().union(*(_extraction_chains(bw, table) for bw in family.members))
-    return WordFamily(OrderlyTuple(tuple(table.words[i] for i in key))
-                      for key in keys | {()})
+    keys, table = _pool_keys(family, pool)
+    _check_slots(keys, table)
+    chains = set().union(*(_extraction_chains(key, table) for key in keys))
+    return WordFamily(OrderlyTuple(tuple(table.words[i] for i in chain))
+                      for chain in chains | {()})
 
 
 def largest_hereditary(family: WordFamily, pool: Iterable[LocatedWord]) -> WordFamily:
     """The largest hereditary subfamily of family plus the empty tuple."""
-    return WordFamily({EMPTY_TUPLE} | _hereditary_part(family.members,
-                                                       _pool_table(family, pool)))
+    keys, table = _pool_keys(family, pool)
+    return WordFamily({EMPTY_TUPLE} | {keys[key] for key in _hereditary_part(keys, table)})
 
 
 def family_at(family: WordFamily, t: LocatedWord) -> WordFamily:
@@ -298,22 +300,19 @@ def family_minus(family: WordFamily, t: LocatedWord) -> WordFamily:
     return WordFamily(bw for bw in family.members if len(bw) == 0 or rel_r1(t, bw[0]))
 
 
-def _derive(members: frozenset[OrderlyTuple], table: _Pool,
-            tau: int) -> frozenset[OrderlyTuple]:
-    """The members whose blocked pool words hold no R1-chain of length
-    tau.  A pool word t is open at bw when bw followed by t is a member,
+def _derive(keys: Collection[Key], table: _Pool, tau: int) -> set[Key]:
+    """The keys whose blocked pool words hold no R1-chain of length tau.
+    A pool word t is open at a key when the key followed by t is a key,
     and blocked otherwise; one reverse pass over the width order gives
     each blocked word the longest blocked chain it starts."""
-    words, index, succ = table.words, table.index, table.succ
-    keys = {bw: tuple(index[w] for w in bw) for bw in members}
-    present = set(keys.values())
-    kept = []
-    for bw, key in keys.items():
+    words, succ = table.words, table.succ
+    kept = set()
+    for key in keys:
         nexts = succ[key[-1]] if key else range(len(words))
         # words of two profiles make no orderly tuple
-        if key and any(words[t].profile != bw[-1].profile for t in nexts):
+        if key and any(words[t].profile != words[key[-1]].profile for t in nexts):
             raise WordError("profile mismatch inside tuple")
-        open_ = {t for t in nexts if key + (t,) in present}
+        open_ = {t for t in nexts if key + (t,) in keys}
         depth = [0] * len(words)
         for i in reversed(range(len(words))):
             if i not in open_:
@@ -321,8 +320,8 @@ def _derive(members: frozenset[OrderlyTuple], table: _Pool,
                 if depth[i] >= tau:
                     break
         else:
-            kept.append(bw)
-    return frozenset(kept)
+            kept.add(key)
+    return kept
 
 
 def cb_derivative(family: WordFamily, pool: Iterable[LocatedWord], tau: int) -> WordFamily:
@@ -330,22 +329,22 @@ def cb_derivative(family: WordFamily, pool: Iterable[LocatedWord], tau: int) -> 
     rel_r1-chain of length >= tau."""
     if tau < 1:
         raise FamilyError("tau must be >= 1")
-    table = _pool_table(family, pool)
-    if not _is_hereditary(family.members, table):
+    keys, table = _pool_keys(family, pool)
+    if not _is_hereditary(keys, table):
         raise FamilyError("derivative needs a hereditary family")
-    return WordFamily(_derive(family.members, table, tau))
+    return WordFamily(keys[key] for key in _derive(keys, table, tau))
 
 
 def cb_index(family: WordFamily, pool: Iterable[LocatedWord], tau: int) -> int:
     """Number of derivative iterations until the family is empty."""
     if tau < 1:
         raise FamilyError("tau must be >= 1")
-    table = _pool_table(family, pool)
-    members = family.members
-    if not members:
+    keys, table = _pool_keys(family, pool)
+    if not keys:
         return 0
-    if not _is_hereditary(members, table):
+    if not _is_hereditary(keys, table):
         raise FamilyError("index needs a hereditary family")
+    members = set(keys)
     steps = 0
     while members:
         derived = _derive(members, table, tau)

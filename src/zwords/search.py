@@ -29,8 +29,8 @@ from .words import (
     LocatedWord,
     WordError,
     _extraction_ranges,
-    _grid,
     _grid_tops,
+    _image_ranges,
     _images,
     _require_sided_monotone,
     _side_top,
@@ -121,9 +121,6 @@ class Coloring:
         if self.seed is None:
             raise SearchError("coloring is not total: no entry for %r" % key)
         return _mix64(self.seed, key.encode("utf-8")) % self.arity
-
-    def color_word(self, w: LocatedWord) -> int:
-        return self.color_key(format_word(w))
 
     def color_tuple(self, ws: Sequence[LocatedWord]) -> int:
         return self.color_key(serialize_tuple(ws))
@@ -484,22 +481,30 @@ class VerifyReport:
         return self.monochromatic
 
 
+def _verify(coloring: Coloring, slices: Iterable[Sequence[LocatedWord]],
+            instances: int) -> VerifyReport:
+    """Whether the slices share one color (none share it vacuously),
+    reported with `instances` as the instance count."""
+    colors = {coloring.color_tuple(s) for s in slices}
+    return VerifyReport(len(colors) < 2, instances, colors.pop() if len(colors) == 1 else None)
+
+
 def verify_witness(witness: Sequence[LocatedWord], coloring: Coloring,
                    bounds: Sequence[int]) -> VerifyReport:
-    """Independently re-enumerate the substitution grid of a witness and
-    check monochromaticity."""
+    """Re-check that the substitution instances of a witness over the
+    bounds' grids share one color.  Each member's distinct images come
+    from two index ranges, so only the distinct instances are built and
+    colored, as the slices of the one-run plan; `instances` is the number
+    of grid pairs, prod(k_i * k_-i)."""
     if len(bounds) != len(witness):
         raise SearchError("need one grid index per tuple slot")
     if not witness:
         return VerifyReport(True, 0, None)
-    profile = witness[0].profile
-    colors = set()
-    instances = 0
-    for pairs in product(*[_grid(profile, index) for index in bounds]):
-        instance = concat_all([substitute(w, *pq) for w, pq in zip(witness, pairs)])
-        colors.add(coloring.color_word(instance))
-        instances += 1
-    return VerifyReport(len(colors) == 1, instances, colors.pop() if len(colors) == 1 else None)
+    instances = prod(kp * kq for kp, kq in (_grid_tops(witness[0].profile, index)
+                                            for index in bounds))
+    ranges = [_image_ranges(w, index) for w, index in zip(witness, bounds)]
+    return _verify(coloring, _plan_slices(witness, ranges, [[tuple(range(len(witness)))]]),
+                   instances)
 
 
 def _block_plans(chosen: tuple[int, ...]) -> Iterator[list[tuple[int, ...]]]:
@@ -594,11 +599,7 @@ def verify_xi_witness(witness: Sequence[LocatedWord], coloring: Coloring, xi: Or
     """Re-enumerate the xi-indexed extracted tuples of a witness and
     check monochromaticity."""
     slices = _xi_slices(witness, xi, n0)
-    if not slices:
-        return VerifyReport(True, 0, None)
-    colors = {coloring.color_tuple(s) for s in slices}
-    return VerifyReport(len(colors) == 1, len(slices),
-                        colors.pop() if len(colors) == 1 else None)
+    return _verify(coloring, slices, len(slices))
 
 
 # --- semigroup layer ------------------------------------------------------

@@ -11,6 +11,7 @@ layers.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from math import prod
@@ -20,6 +21,8 @@ VARIABLE = 0
 # the most star products extracted_sets builds: each member is left out,
 # kept, or replaced by one of its substitution images
 MAX_PRODUCTS = 200_000
+# the last rank bound_pair_index answers
+MAX_PAIR_RANK = 100_000
 
 
 class WordError(ValueError):
@@ -348,11 +351,6 @@ def _grid_tops(profile: DominationProfile, index: int) -> tuple[int, int]:
     return profile.bound(index), profile.bound(-index)
 
 
-def _grid(profile: DominationProfile, index: int) -> list[tuple[int, int]]:
-    kp, kq = _grid_tops(profile, index)
-    return [(p, q) for p in range(1, kp + 1) for q in range(1, kq + 1)]
-
-
 def _require_sided_monotone(profile: DominationProfile) -> None:
     if not profile.sided_monotone:
         raise WordError("profile must be sidedly monotone")
@@ -361,8 +359,10 @@ def _require_sided_monotone(profile: DominationProfile) -> None:
 def _side_top(entries: Sequence[tuple[int, int]], top: int, profile: DominationProfile) -> int:
     """The last of the indices 1..top that changes one side's entries
     under substitution: a variable at n reads min(index, k_n), so every
-    index past the largest such k_n gives the same side."""
-    return min(top, max(profile.bound(pos) for pos, letter in entries if letter == VARIABLE))
+    index past the largest such k_n gives the same side, and a side with
+    no variable has one text."""
+    return min(top, max((profile.bound(pos) for pos, letter in entries if letter == VARIABLE),
+                        default=1))
 
 
 def _image_ranges(w: LocatedWord, index: int) -> tuple[int, int]:
@@ -447,15 +447,11 @@ def pair_enumeration(profile: DominationProfile, count: int) -> list[tuple[int, 
     _require_sided_monotone(profile)
     out: list[tuple[int, int]] = []
     thresholds = [0]  # thresholds[j] = k_{-j}
+    ks = _thresholds(profile)
     m = 0
     while len(out) < count:
         m += 1
-        while len(thresholds) <= m:
-            j = len(thresholds)
-            k = profile.bound(-j)
-            if k <= thresholds[-1]:
-                raise WordError("negative-side bounds must increase strictly")
-            thresholds.append(k)
+        thresholds.append(next(ks))
         block = []
         for j in range(1, m + 1):
             qs = range(thresholds[j - 1] + 1, thresholds[j] + 1)
@@ -466,16 +462,45 @@ def pair_enumeration(profile: DominationProfile, count: int) -> list[tuple[int, 
     return out[:count]
 
 
-def bound_pair_index(profile: DominationProfile, n: int, cap: int = 100000) -> int:
+def _thresholds(profile: DominationProfile) -> Iterator[int]:
+    """k_-1, k_-2, ... in turn, refused once one fails to increase."""
+    j, last = 1, 0
+    while True:
+        k = profile.bound(-j)
+        if k <= last:
+            raise WordError("negative-side bounds must increase strictly")
+        yield k
+        j, last = j + 1, k
+
+
+def _pair_rank(profile: DominationProfile, p: int, q: int) -> int | None:
+    """The 1-based position of (p, q) in pair_enumeration, or None past
+    MAX_PAIR_RANK.  With t_j = k_-j, block m holds the pairs with
+    max(i(q), p) = m, and the blocks before it (m - 1) * t_(m-1) pairs.
+    In block m, the pairs with i(q) < m have p = m and come first, one
+    per q; then come those with i(q) = m, p-major."""
+    t = [0]  # t[j] = k_-j
+    ks = _thresholds(profile)
+    while t[-1] < q or len(t) <= p:
+        if (len(t) - 1) * t[-1] >= MAX_PAIR_RANK:
+            return None
+        t.append(next(ks))
+    m = len(t) - 1
+    rank = (m - 1) * t[m - 1] + q
+    if bisect_left(t, q) == m:
+        rank += (p - 1) * (t[m] - t[m - 1])
+    return rank if rank <= MAX_PAIR_RANK else None
+
+
+def bound_pair_index(profile: DominationProfile, n: int) -> int:
     """The position of the bound pair (k_n, k_-n) in the enumeration."""
-    target = (profile.bound(n), profile.bound(-n))
-    count = 64
-    while count <= cap:
-        pairs = pair_enumeration(profile, count)
-        if target in pairs:
-            return pairs.index(target) + 1
-        count *= 4
-    raise WordError("bound pair for %d not within the first %d pairs" % (n, cap))
+    p, q = profile.bound(n), profile.bound(-n)
+    _require_sided_monotone(profile)
+    rank = _pair_rank(profile, p, q)
+    if rank is None:
+        raise WordError("bound pair for %d not within the first %d pairs"
+                        % (n, MAX_PAIR_RANK))
+    return rank
 
 
 def h_map(t: LocatedWord, ws: Sequence[LocatedWord]) -> LocatedWord:

@@ -26,7 +26,9 @@ from zwords.rationals import _kempner
 from zwords.schreier import is_member
 from zwords.search import (
     SearchCapExceeded,
+    SearchError,
     SearchWindow,
+    VerifyReport,
     _shell_candidates,
     _shell_splits,
     _splits,
@@ -36,7 +38,8 @@ from zwords.words import (
     EMPTY_TUPLE,
     VARIABLE,
     LocatedWord,
-    _grid,
+    WordError,
+    concat_all,
     extracted_sets,
     format_word,
     make_tuple,
@@ -427,6 +430,15 @@ def reference_fs_two_sided(xs, zs, spec):
     return out
 
 
+def _grid(profile, index):
+    """Every substitution pair of the grid at a 1-based tuple index,
+    p-major: p up to k at index, q up to k at -index."""
+    if index < 1:
+        raise WordError("grid index must be >= 1")
+    return [(p, q) for p in range(1, profile.bound(index) + 1)
+            for q in range(1, profile.bound(-index) + 1)]
+
+
 def reference_images(w, index):
     """The distinct substitution images of w over the whole grid at
     `index`, in grid order: every pair is substituted and the repeats
@@ -511,6 +523,24 @@ def reference_xi_search(coloring, xi, l, n0, window, memo):
         if len(colors) == 1:
             return ws, colors.pop(), len(slices_at[i]), i + 1, len(candidates), False
     return None, None, 0, len(candidates), len(candidates), False
+
+
+def reference_verify_witness(witness, coloring, bounds):
+    """verify_witness by definition: every pair of the whole grids under
+    the first member's profile is substituted, the images joined and the
+    instance coloured; `instances` counts the pairs."""
+    if len(bounds) != len(witness):
+        raise SearchError("need one grid index per tuple slot")
+    if not witness:
+        return VerifyReport(True, 0, None)
+    profile = witness[0].profile
+    colors = set()
+    instances = 0
+    for pairs in product(*[_grid(profile, index) for index in bounds]):
+        instance = concat_all([substitute(w, *pq) for w, pq in zip(witness, pairs)])
+        colors.add(coloring.color_key(format_word(instance)))
+        instances += 1
+    return VerifyReport(len(colors) == 1, instances, colors.pop() if len(colors) == 1 else None)
 
 
 def _reference_longest_chain(ws) -> int:

@@ -35,7 +35,7 @@ from zwords.families import (
     _check_slots,
     _compile,
     _extractions,
-    _pool_table,
+    _pool_keys,
 )
 from zwords.words import (
     EMPTY_TUPLE,
@@ -586,15 +586,20 @@ def test_shared_memo_extractions_match_star_products():
         for seed in (1, 2, 3):
             _compile.cache_clear()
             random.Random(seed).shuffle(members)
-            table = _pool_table(fam, pool)
+            keys, table = _pool_keys(fam, pool)
+            # each member is keyed by its words' pool indices
+            assert len(keys) == len(members)
+            assert all(tuple(table.words[t] for t in key) == bw.words
+                       for key, bw in keys.items())
+            key_of = {bw: key for key, bw in keys.items()}
             # calls of a few members each share the table
             for start in range(0, len(members), 7):
-                part = members[start:start + 7]
+                part = [key_of[bw] for bw in members[start:start + 7]]
                 _check_slots(part, table)
-                for bw in part:
-                    got = {table.words[t] for t in _extractions(bw, table)}
-                    assert got == want[bw], (bw, seed)
-            assert _pool_table(fam, frozenset(pool)) is table
+                for key in part:
+                    got = {table.words[t] for t in _extractions(key, table)}
+                    assert got == want[keys[key]], (keys[key], seed)
+            assert _pool_keys(fam, frozenset(pool))[1] is table
             assert table.matches
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import time
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations, product
@@ -48,7 +49,6 @@ from zwords.words import (
     VARIABLE,
     DominationProfile,
     WordError,
-    _grid,
     concat_all,
     format_word,
     make_word,
@@ -58,12 +58,14 @@ from zwords.words import (
 
 from _oracles import (
     CLAMPING_TABLE,
+    _grid,
     reference_candidate_count,
     reference_candidates,
     reference_extracted,
     reference_fs_enumerate,
     reference_fs_two_sided,
     reference_images,
+    reference_verify_witness,
     reference_xi_search,
     reference_xi_slices,
     sampled_candidates,
@@ -76,6 +78,18 @@ class DomainParity(Coloring):
 
     def color_key(self, key):
         return key.count(":") % 2
+
+
+class Recording(Coloring):
+    """Colors every key 0 and keeps the keys it was asked for, in order."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        self.texts = []
+
+    def color_key(self, key):
+        self.texts.append(key)
+        return 0
 
 
 def digit_sum_coloring(arity=2):
@@ -185,6 +199,82 @@ def test_hj_pair_witness():
     from zwords.words import rel_r1
     assert rel_r1(w1, w2)
     assert verify_witness(rep.witness, coloring, [1, 2]).monochromatic
+
+
+def _verify_outcome(verify, witness, coloring, bounds):
+    try:
+        return verify(witness, coloring, bounds)
+    except (SearchError, WordError) as e:
+        return type(e), str(e)
+
+
+def test_verify_witness_matches_the_whole_grid():
+    # random witnesses, some constant on a side and some invalid, against
+    # the loop over every grid pair; a table coloring may miss instances
+    rng = random.Random(24)
+    profiles = [parse_profile(text) for text in ("abs", "abs+1", "const:2", CLAMPING_TABLE)]
+    errors = 0
+    for trial in range(700):
+        profile = rng.choice(profiles)
+        m = rng.randint(1, 3)
+        positions = [p for p in range(-3, 4) if p]
+        rng.shuffle(positions)
+        doms = [sorted(positions[i::m]) for i in range(m)]
+        if rng.random() < 0.1:
+            doms[-1] = sorted(set(doms[-1]) | {doms[0][0]})
+        witness = []
+        for dom in doms:
+            entries = {pos: VARIABLE if rng.random() < 0.5
+                       else (1 if pos > 0 else -1) * rng.randint(1, profile.bound(pos))
+                       for pos in dom}
+            witness.append(make_word(entries, profile))
+        mixed = m > 1 and rng.random() < 0.1
+        if mixed:
+            i = rng.randrange(m)
+            witness[i] = make_word(dict(witness[i].entries), parse_profile("abs+2"))
+        bounds = [rng.randint(1, 3 if m < 3 else 2) for _ in range(m)]
+        coloring = rng.choice([Coloring(arity=rng.randint(1, 3), seed=rng.randrange(99)),
+                               DomainParity(arity=2, seed=0), digit_sum_coloring()])
+        if rng.random() < 0.2:
+            seen = Recording(arity=1, seed=0)
+            if not isinstance(_verify_outcome(reference_verify_witness, witness, seen,
+                                              bounds), tuple):
+                table = {text: rng.randrange(2) for text in seen.texts}
+                for text in rng.sample(sorted(table), min(len(table), rng.randint(0, 2))):
+                    del table[text]
+                coloring = Coloring(arity=2, table=table)
+        got = _verify_outcome(verify_witness, witness, coloring, bounds)
+        want = _verify_outcome(reference_verify_witness, witness, coloring, bounds)
+        if mixed:
+            # a witness of two profiles is refused, in words of its own
+            assert isinstance(want, tuple) and isinstance(got, tuple), (witness, want, got)
+            assert got[0] is want[0] is WordError, (witness, want, got)
+        else:
+            assert got == want, (witness, bounds, coloring)
+        errors += isinstance(want, tuple)
+    assert 50 < errors < 350
+    # a side with no variable has one text
+    for witness in ([make_word({-1: -1, 1: VARIABLE})], [make_word({-2: VARIABLE, 2: 2})],
+                    [make_word({-1: -1, 1: 1}), make_word({-3: VARIABLE, 3: VARIABLE})]):
+        for seed in range(4):
+            coloring = Coloring(arity=2, seed=seed)
+            bounds = [2] * len(witness)
+            assert (verify_witness(witness, coloring, bounds)
+                    == reference_verify_witness(witness, coloring, bounds))
+
+
+def test_verify_witness_colors_distinct_instances_only():
+    # 10^8 grid pairs at bounds 100, 100, but 9 distinct instances: the
+    # same ones as at bounds 3, 3
+    ws = [make_word({-1: VARIABLE, 1: VARIABLE}), make_word({-3: VARIABLE, 3: VARIABLE})]
+    for seed in range(6):
+        coloring = Coloring(arity=2, seed=seed)
+        start = time.perf_counter()
+        report = verify_witness(ws, coloring, [100, 100])
+        assert time.perf_counter() - start < 2
+        near = reference_verify_witness(ws, coloring, [3, 3])
+        assert report.instances == 100_000_000 and near.instances == 81
+        assert (report.monochromatic, report.color) == (near.monochromatic, near.color)
 
 
 def test_searches_reject_empty_tuples_and_slices():

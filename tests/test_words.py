@@ -11,6 +11,7 @@ from zwords.words import (
     WordError,
     _image_ranges,
     _images,
+    _pair_rank,
     bound_pair_index,
     concat,
     extracted_sets,
@@ -391,6 +392,29 @@ def test_pair_enumeration():
     assert ranks == sorted(ranks) and len(set(ranks)) == len(ranks)
     with pytest.raises(WordError):
         pair_enumeration(DominationProfile("const", 3), 5)
+
+
+def test_pair_ranks_by_closed_form():
+    # every rank of the first pairs, read back from the closed form
+    increasing = DominationProfile("table", 0, tuple((pos, 2 * abs(pos) + (pos < 0))
+                                                     for pos in range(-40, 41) if pos))
+    for profile, count in ((ABS, 3000), (parse_profile("abs+1"), 3000),
+                           (parse_profile("abs+3"), 3000), (increasing, 2000)):
+        pairs = pair_enumeration(profile, count)
+        assert [_pair_rank(profile, p, q) for p, q in pairs] == list(range(1, count + 1))
+        for n in range(1, 20):
+            bound = (profile.bound(n), profile.bound(-n))
+            rank = bound_pair_index(profile, n)
+            assert pairs[rank - 1] == bound if rank <= count else bound not in pairs, n
+    # ranks past 65,536 answer up to the cap, which a far n reaches at once
+    assert bound_pair_index(ABS, 300) == 90_000
+    assert bound_pair_index(ABS, 316) == 99_856
+    for n in (317, 10**9):
+        with pytest.raises(WordError, match="^bound pair for %d not within the first "
+                                            "100000 pairs$" % n):
+            bound_pair_index(ABS, n)
+    with pytest.raises(WordError, match="^negative-side bounds must increase strictly$"):
+        bound_pair_index(DominationProfile("const", 3), 1)
 
 
 def test_h_map_identity_and_substitution():
