@@ -137,7 +137,12 @@ def evaluate(w: LocatedWord) -> Fraction:
 
 def decode(w: LocatedWord) -> Fraction:
     """The value of a constant word, the inverse of encode; a variable
-    letter is no digit."""
+    letter is no digit.  A position below -(KEMPNER_CAP - 1), which encode
+    never writes, is refused before any factorial is built."""
+    lowest = w.entries[0][0]
+    if lowest < 1 - KEMPNER_CAP:
+        raise RationalCodecError("position %d is below %d, the lowest a codec word reaches"
+                                 % (lowest, 1 - KEMPNER_CAP))
     for pos, letter in w.entries:
         if letter == VARIABLE:
             raise RationalCodecError("cannot decode a variable word: variable at %d" % pos)

@@ -17,7 +17,9 @@ back and pushes the run that copy expands to, m copies of w^(e - 1), a
 limit e read as e_m first.  Every copy takes at least one element, so a
 stack whose copies outnumber the elements left is OPEN at once, however
 deep xi is.  Membership and enumeration both walk this stack, so neither
-has a recursion limit.
+has a recursion limit.  The run a copy expands to depends only on
+(exponent, minimum), and the same few pairs recur across calls, so
+expansions are memoised in a fixed 256-entry cache keyed by that pair.
 
 The restriction check walks the same stack twice in lock step: the
 members of A_xi inside {n..N} that start at n, and the members of
@@ -28,8 +30,10 @@ members rather than the 2^(N - n) subsets of {n+1..N}.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from itertools import takewhile, zip_longest
+from functools import lru_cache
+from itertools import repeat, takewhile, zip_longest
 from typing import Iterable, Iterator
 
 from .ordinals import (
@@ -54,13 +58,14 @@ class SchreierError(ValueError):
 
 def as_finite_set(elements: Iterable[int]) -> FiniteSet:
     s = tuple(elements)
-    if any(not isinstance(x, int) or x < 1 for x in s):
+    if not all(map(isinstance, s, repeat(int))) or min(s, default=1) < 1:
         raise SchreierError("elements must be positive integers: %r" % (s,))
-    if any(a >= b for a, b in zip(s, s[1:])):
+    if not all(map(operator.lt, s, s[1:])):
         raise SchreierError("elements must be strictly increasing: %r" % (s,))
     return s
 
 
+@lru_cache(maxsize=256)
 def _expand(exp: Ordinal, m: int) -> Run:
     """The run that w^exp at minimum m parses as: m copies of w^(exp - 1).
     A limit exponent is first resolved to exp_m, which

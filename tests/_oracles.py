@@ -23,7 +23,7 @@ from zwords.ordinals import (
 )
 from zwords.families import FamilyError, WordFamily
 from zwords.rationals import _kempner
-from zwords.schreier import is_member
+from zwords.schreier import SchreierError, is_member
 from zwords.search import (
     SearchCapExceeded,
     SearchError,
@@ -79,6 +79,17 @@ def _reference_plan(xi: Ordinal, n: int) -> list[Ordinal]:
     for exponent, coeff in reversed(xi.terms):
         plan.extend([omega_power(exponent)] * coeff)
     return plan
+
+
+def reference_as_finite_set(elements) -> tuple[int, ...]:
+    """The set check as two generator passes: every element a positive
+    int, then every neighbouring pair increasing."""
+    s = tuple(elements)
+    if any(not isinstance(x, int) or x < 1 for x in s):
+        raise SchreierError("elements must be positive integers: %r" % (s,))
+    if any(a >= b for a, b in zip(s, s[1:])):
+        raise SchreierError("elements must be strictly increasing: %r" % (s,))
+    return s
 
 
 def reference_member(s: tuple[int, ...], xi: Ordinal) -> bool:

@@ -70,6 +70,17 @@ def test_rat_decode_rejects_variable_words(capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_rat_decode_refuses_positions_below_the_codec_bound(capsys):
+    for pos in (-10001, -1000000):
+        start = time.perf_counter()
+        assert run(capsys, "rat", "decode", "--word", "%d:-1" % pos) \
+            == (1, "", "error: position %d is below -10000, the lowest a codec word "
+                "reaches\n" % pos)
+        assert time.perf_counter() - start < 0.5
+    code, out, err = run(capsys, "rat", "decode", "--word", "-10000:-1")
+    assert (code, err) == (0, "") and out == "1/%s\n" % Decimal(factorial(10001))
+
+
 def test_bad_rational_echo_is_bounded(capsys):
     from zwords.rationals import ECHO_LIMIT
 

@@ -1,4 +1,5 @@
 import random
+import time
 from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations, product
@@ -150,6 +151,26 @@ def test_decode_rejects_variable_words():
         decode(w)
     with pytest.raises(RationalCodecError):
         decode(make_word({-2: -1, 1: VARIABLE}))
+
+
+def test_decode_refuses_positions_encode_never_writes():
+    # encode's deepest position is -(KEMPNER_CAP - 1), for 1/KEMPNER_CAP!
+    lowest = 1 - KEMPNER_CAP
+    word = make_word({lowest: -1})
+    assert encode(decode(word)) == word
+    assert decode(word) == Fraction(1, factorial(KEMPNER_CAP))
+    for pos in (lowest - 1, -1000000):
+        start = time.perf_counter()
+        with pytest.raises(RationalCodecError,
+                           match="^position %d is below %d, " % (pos, lowest)):
+            decode(make_word({pos: -1, 1: 1}))
+        assert time.perf_counter() - start < 0.5
+    # a variable letter further in does not change which error is given
+    with pytest.raises(RationalCodecError, match="^position"):
+        decode(make_word({lowest - 1: -1, -1: VARIABLE}))
+    # the word one position deeper has a value, and encode refuses it
+    with pytest.raises(RationalCodecError, match="too large"):
+        encode(evaluate(make_word({lowest - 1: -1})))
 
 
 def test_encode_examples():

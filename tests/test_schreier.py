@@ -1,19 +1,23 @@
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
 from zwords.ordinals import (
     OMEGA,
     ONE,
+    ZERO,
     OrdinalError,
     from_int,
     omega_power,
     parse_ordinal,
     predecessor_sequence,
 )
+from zwords import schreier
 from zwords.schreier import (
     SchreierError,
+    _expand,
     _same_restriction,
+    as_finite_set,
     canonical_decompose,
     enumerate_members,
     format_set,
@@ -24,7 +28,9 @@ from zwords.schreier import (
 )
 
 from _oracles import (
+    _reference_plan,
     powerset,
+    reference_as_finite_set,
     reference_decompositions,
     reference_enumerate_members,
     reference_initial,
@@ -255,3 +261,84 @@ def test_set_text_round_trip():
 def test_decomposition_format():
     dec = canonical_decompose((1, 2, 3, 4, 5), from_int(2))
     assert str(dec) == "[1,2][3,4]|5"
+
+
+def _walk_all_families(n_max):
+    """Every family's members up to n_max, with the sets of {1..8} read
+    through membership, initial segments and decomposition."""
+    results = []
+    for xi in XI_SAMPLE + TOWER_AND_SUM + DEEP_TOWERS:
+        results.append(enumerate_members(xi, n_max))
+        for s in powerset(range(1, 9)):
+            results.append((is_member(s, xi), is_proper_initial(s, xi),
+                            str(canonical_decompose(s, xi)) if s and not xi.is_zero else None))
+    return results
+
+
+def test_expand_memo_matches_the_uncached_function_and_the_reference_plan(monkeypatch):
+    met = set()
+
+    def record(exp, m):
+        met.add((exp, m))
+        return _expand(exp, m)
+
+    monkeypatch.setattr(schreier, "_expand", record)
+    _walk_all_families(20)
+    assert len(met) > 100 and any(m == 1 for _, m in met)
+    for exp, m in met:
+        run = _expand(exp, m)
+        assert run == _expand.__wrapped__(exp, m), (exp, m)
+        plan = _reference_plan(omega_power(exp), m)
+        if m == 1:
+            # a copy at minimum 1 is that one element, however deep exp is
+            assert run == (ZERO, 1) and len(plan) == 1, (exp, m)
+        else:
+            assert plan == [omega_power(run[0])] * run[1], (exp, m)
+
+
+def test_results_are_the_same_cold_warm_and_uncached(monkeypatch):
+    _expand.cache_clear()
+    cold = _walk_all_families(12)
+    assert _expand.cache_info().hits > 0
+    assert _walk_all_families(12) == cold
+    monkeypatch.setattr(schreier, "_expand", _expand.__wrapped__)
+    assert _walk_all_families(12) == cold
+
+
+def test_expand_cache_stays_bounded():
+    assert _expand.cache_info().maxsize is not None
+    for xi in DEEP_TOWERS:
+        assert enumerate_members(xi, 20) == [(1,)]
+        assert not is_member(tuple(range(2, 201)), xi)
+    assert _expand.cache_info().currsize <= _expand.cache_info().maxsize
+    # more distinct (exponent, minimum) pairs than the cache holds evict
+    # older entries, and the answers do not change
+    w2 = parse_ordinal("w^2")
+    for m in range(2, 2 * _expand.cache_info().maxsize):
+        assert is_proper_initial((m, m + 1), w2)
+        assert not is_member((m,) + tuple(range(m + 1, 2 * m)), w2)
+    info = _expand.cache_info()
+    assert info.currsize == info.maxsize
+    assert is_member((2, 3, 4, 5, 6, 7), w2) and is_member((1,), w2)
+
+
+def test_set_check_matches_the_generator_reference():
+    values = (1, 2, 3, 7, 0, -1, -4, 1.0, 2.5, "2", None, True, False, 2**70)
+    cases = [()] + [c for size in (1, 2, 3) for c in product(values, repeat=size)]
+    cases += [(3, 2, 1), (1, 2, 2, 3), (5, 4, 0), (2, 1, "x"), (4, 3, -1), (1, 1.0)]
+    refused = 0
+    for case in cases:
+        try:
+            expected = reference_as_finite_set(case)
+        except SchreierError as exc:
+            refused += 1
+            with pytest.raises(SchreierError) as info:
+                as_finite_set(iter(case))
+            assert str(info.value) == str(exc), case
+        else:
+            assert as_finite_set(iter(case)) == expected, case
+    assert 0 < refused < len(cases)
+    # a set that breaks both rules is refused for its elements first
+    for case in ((3, 0), (2, 1, "x"), (5, 5, -1), (4, 2.0)):
+        with pytest.raises(SchreierError, match="positive integers"):
+            as_finite_set(case)
