@@ -32,6 +32,15 @@ class Ordinal:
 
     terms: tuple[tuple["Ordinal", int], ...] = ()
 
+    def __hash__(self) -> int:
+        # computed on first use and kept, so a hash does not re-hash the
+        # nested terms; the value is the one the dataclass would give
+        try:
+            return self._hash
+        except AttributeError:
+            object.__setattr__(self, "_hash", hash((self.terms,)))
+            return self._hash
+
     def __post_init__(self) -> None:
         for exp, coeff in self.terms:
             if not isinstance(exp, Ordinal) or not isinstance(coeff, int):

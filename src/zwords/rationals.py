@@ -38,7 +38,6 @@ from .words import (
     LocatedWord,
     concat,
     first_clamp,
-    make_word,
     rel_r1,
     substitute,
 )
@@ -252,7 +251,7 @@ def encode(q: Fraction | int) -> LocatedWord:
     for r, d in enumerate(integer_alt_factorial(whole), 1):
         if d:
             entries.append((r, d))
-    return make_word(entries, ABS)
+    return LocatedWord(tuple(entries), ABS)
 
 
 def rational_precedes(q1: Fraction | int, q2: Fraction | int) -> bool:

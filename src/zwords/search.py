@@ -28,6 +28,7 @@ from .words import (
     DominationProfile,
     LocatedWord,
     WordError,
+    _entries_text,
     _extraction_ranges,
     _grid_tops,
     _image_ranges,
@@ -36,9 +37,7 @@ from .words import (
     _side_top,
     concat_all,
     first_clamp,
-    format_word,
     make_tuple,
-    make_word,
     rel_r1,
     serialize_tuple,
     substitute,
@@ -168,7 +167,7 @@ def length_slice(n: int, window: SearchWindow, variable: bool = False) -> list[L
         for letters in product(*options):
             if variable and all(l != VARIABLE for l in letters):
                 continue
-            out.append(make_word(tuple(zip(dom, letters)), window.profile))
+            out.append(LocatedWord(tuple(zip(dom, letters)), window.profile))
             if len(out) > window.max_candidates:
                 raise SearchCapExceeded(
                     "length slice exceeds cap after %d words" % len(out), len(out))
@@ -245,7 +244,7 @@ def _side_pool(positions: tuple[int, ...], suffix: str, profile: DominationProfi
     if (positions, suffix) not in pools:
         options = [[(p, l) for l in _letter_options(p, profile, True)] for p in positions]
         pools[positions, suffix] = sorted(
-            (format_word(LocatedWord(entries, profile)) + suffix, entries)
+            (_entries_text(entries) + suffix, entries)
             for entries in product(*options) if any(l == VARIABLE for _, l in entries))
     return pools[positions, suffix]
 

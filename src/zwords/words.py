@@ -7,17 +7,28 @@ domination profile.  The module provides the concatenation, merge and
 substitution operators, the two orderings, extracted-word sets and the
 projection and pairing embeddings between the two-sided and one-sided
 layers.
+
+A `LocatedWord` is an immutable value whose hash and `dom` are computed
+on first use and kept.  `make_word` validates words from outside: it
+sorts the entries and refuses an empty domain, position 0, a repeated
+position and a letter out of range.  `parse_word` reads text in one pass
+and builds a word that ascends and fits an abs or const profile
+directly; other text goes through `make_word`.  Kernels whose words are
+valid by construction build them directly: `concat`, `merge`,
+`substitute`, `project_positive`, `rationals.encode`,
+`search.length_slice` and the search's candidates.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import FrozenInstanceError, dataclass
 from math import prod
+from operator import lt
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 VARIABLE = 0
+_set = object.__setattr__  # LocatedWord fills its slots past its __setattr__
 # the most star products extracted_sets builds: each member is left out,
 # kept, or replaced by one of its substitution images
 MAX_PRODUCTS = 200_000
@@ -110,16 +121,51 @@ def format_profile(p: DominationProfile) -> str:
     return "table:" + ",".join("%d=%d" % pair for pair in p.table)
 
 
-@dataclass(frozen=True)
 class LocatedWord:
-    """A finite map from nonzero positions to letters under a profile."""
+    """A finite map from nonzero positions to letters under a profile.
 
-    entries: tuple[tuple[int, int], ...]
-    profile: DominationProfile = ABS
+    An immutable value: two words are equal when both are LocatedWords
+    with equal entries and equal profiles.  The hash and `dom` are
+    computed on first use and kept, not at construction, since search
+    builds many words it never hashes.
+    """
 
-    @cached_property
+    __slots__ = ("entries", "profile", "_dom", "_hash")
+
+    def __init__(self, entries: tuple[tuple[int, int], ...],
+                 profile: DominationProfile = ABS) -> None:
+        _set(self, "entries", entries)
+        _set(self, "profile", profile)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError("cannot delete field %r" % name)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.entries == other.entries and self.profile == other.profile
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            _set(self, "_hash", hash((self.entries, self.profile)))
+            return self._hash
+
+    def __reduce__(self) -> tuple:
+        # the kept hash follows the hash seed, so a copy hashes afresh
+        return LocatedWord, (self.entries, self.profile)
+
+    @property
     def dom(self) -> tuple[int, ...]:
-        return tuple(pos for pos, _ in self.entries)
+        try:
+            return self._dom
+        except AttributeError:
+            _set(self, "_dom", tuple(pos for pos, _ in self.entries))
+            return self._dom
 
     @property
     def dom_neg(self) -> tuple[int, ...]:
@@ -535,26 +581,57 @@ def h_map(t: LocatedWord, ws: Sequence[LocatedWord]) -> LocatedWord:
 # entry := pos ':' (int | 'v')      positions ascending, letters signed
 
 
+def _entries_text(entries: Iterable[tuple[int, int]]) -> str:
+    """The text of a word's entries, which need not form a word yet."""
+    return ",".join(["%d:%d" % (pos, letter) if letter != VARIABLE else "%d:v" % pos
+                     for pos, letter in entries])
+
+
 def format_word(w: LocatedWord) -> str:
-    return ",".join("%d:%s" % (pos, "v" if letter == VARIABLE else str(letter))
-                    for pos, letter in w.entries)
+    return _entries_text(w.entries)
 
 
 def parse_word(text: str, profile: DominationProfile = ABS) -> LocatedWord:
-    entries = []
-    for item in text.strip().split(","):
-        pos_text, sep, letter_text = item.partition(":")
-        if not sep:
-            raise WordError("bad entry %r in %r" % (item, text))
-        try:
-            pos = int(pos_text)
-            letter = VARIABLE if letter_text == "v" else int(letter_text)
-        except ValueError:
-            raise WordError("bad entry %r in %r" % (item, text)) from None
-        entries.append((pos, letter))
-    if any(a[0] >= b[0] for a, b in zip(entries, entries[1:])):
+    """The word a text names under a profile.  Refused, in this order:
+    the first entry that is not two integers (or an integer and v) around
+    a colon, a descent, then what make_word refuses, in entry order.  Text
+    that ascends, avoids 0 and fits an abs or const profile becomes the
+    word directly; under a table profile make_word checks it."""
+    parts = [item.partition(":") for item in text.strip().split(",")]
+    try:
+        positions = [int(pos) for pos, _, _ in parts]
+        letters = [VARIABLE if letter == "v" else int(letter) for _, _, letter in parts]
+    except ValueError:
+        raise WordError("bad entry %r in %r" % (_first_bad_entry(parts), text)) from None
+    if not all(map(lt, positions, positions[1:])):
         raise WordError("positions must be ascending in %r" % text)
-    return make_word(entries, profile)
+    if profile.kind == "table" or 0 in positions or not _in_bounds(positions, letters, profile):
+        return make_word(zip(positions, letters), profile)
+    return LocatedWord(tuple(zip(positions, letters)), profile)
+
+
+def _first_bad_entry(parts: list[tuple[str, str, str]]) -> str:
+    """The first entry, as written, whose position or letter int()
+    refuses; an entry with no colon has the empty letter."""
+    for pos, sep, letter in parts:
+        try:
+            int(pos)
+            if letter != "v":
+                int(letter)
+        except ValueError:
+            return pos + sep + letter
+    raise AssertionError("every entry reads")
+
+
+def _in_bounds(positions: list[int], letters: list[int], profile: DominationProfile) -> bool:
+    """Whether each letter is the variable or in range at its nonzero
+    position, under an abs profile (k_n = |n| + param) or a const one
+    (k_n = param)."""
+    a = profile.param
+    pairs = zip(positions, letters)
+    if profile.kind == "abs":
+        return all(0 <= l <= p + a if p > 0 else p - a <= l <= 0 for p, l in pairs)
+    return all(0 <= l <= a if p > 0 else -a <= l <= 0 for p, l in pairs)
 
 
 def serialize_tuple(ws: Iterable[LocatedWord]) -> str:

@@ -35,6 +35,7 @@ from zwords.search import (
     _words,
 )
 from zwords.words import (
+    ABS,
     EMPTY_TUPLE,
     VARIABLE,
     LocatedWord,
@@ -291,6 +292,26 @@ def reference_encode(q: Fraction) -> LocatedWord:
         if d:
             entries.append((r, d))
     return make_word(entries)
+
+
+def reference_parse_word(text: str, profile=ABS) -> LocatedWord:
+    """Word text read one entry at a time: the first entry that is not
+    two integers (or an integer and v) around one colon is refused, then
+    the first descent, then whatever make_word refuses, in entry order."""
+    entries = []
+    for item in text.strip().split(","):
+        pos_text, sep, letter_text = item.partition(":")
+        if not sep:
+            raise WordError("bad entry %r in %r" % (item, text))
+        try:
+            pos = int(pos_text)
+            letter = VARIABLE if letter_text == "v" else int(letter_text)
+        except ValueError:
+            raise WordError("bad entry %r in %r" % (item, text)) from None
+        entries.append((pos, letter))
+    if any(a[0] >= b[0] for a, b in zip(entries, entries[1:])):
+        raise WordError("positions must be ascending in %r" % text)
+    return make_word(entries, profile)
 
 
 def brute_digit_words(span: int):

@@ -9,6 +9,7 @@ from zwords.ordinals import (
     ZERO,
     Ordinal,
     OrdinalError,
+    _cnf,
     classify,
     compare,
     format_ordinal,
@@ -241,6 +242,26 @@ def test_internal_results_pass_the_public_checks():
             assert _rebuilt(r) == r, (f.__name__, args, r)
             checked += 1
     assert checked >= 2000
+
+
+def test_equal_ordinals_hash_equal_from_every_builder():
+    # the parser, _cnf and fundamental_sequence each give the same value
+    # the same hash, before and after the hash is kept
+    rng = random.Random(3)
+    sample = limit_ordinals_upto_omega_cubed() + [random_cnf(rng, depth=3) for _ in range(200)]
+    built = 0
+    for o in sample:
+        results = [o] + [fundamental_sequence(o, n) for n in (1, 4) if o.is_limit]
+        for r in results:
+            copies = [parse_ordinal(format_ordinal(r)), _cnf(r.terms), _rebuilt(r), r]
+            for c in copies:
+                assert compare(c, r) == 0 and c == r
+                assert hash(c) == hash(r) == hash(c)
+            assert len(set(copies)) == 1
+            built += 1
+    assert fundamental_sequence(OMEGA, 7) in {from_int(7)}
+    assert hash(fundamental_sequence(omega_power(from_int(2)), 3)) == hash(parse_ordinal("w*3+1"))
+    assert built > 400
 
 
 def test_public_constructors_reject_malformed_terms():

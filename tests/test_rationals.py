@@ -195,13 +195,23 @@ def test_integer_alt_factorial():
             assert digits[-1] != 0
 
 
-def test_round_trip_dense():
+def _dense_sample():
     for den in (1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 16, 20, 24, 45, 48, 120, 720):
         for num in range(-200, 201):
-            if num == 0:
-                continue
-            q = Fraction(num, den)
-            assert decode(encode(q)) == q
+            if num:
+                yield Fraction(num, den)
+
+
+def test_round_trip_dense():
+    for q in _dense_sample():
+        assert decode(encode(q)) == q
+
+
+def test_encode_builds_words_make_word_accepts():
+    # encode builds its word without make_word's checks
+    for q in [Fraction(1, p) for p in range(1, 3001)] + list(_dense_sample()):
+        w = encode(q)
+        assert w == make_word(w.entries, ABS), q
 
 
 # constant words on +-40: a magnitude m at position p becomes a letter

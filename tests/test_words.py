@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
@@ -475,3 +476,96 @@ def test_word_text_round_trip_random():
     for _ in range(1000):
         w = random_word(rng)
         assert parse_word(format_word(w)) == w
+
+
+# entries for the word text sweep: every malformed shape, a trailing
+# comma (the empty item after another), letters in and out of range on
+# each side, the variable as v and as 0, and position 0
+_TEXT_ITEMS = ("", "1", "1:", ":1", "1:2:3", "1:v5", "a:1", " 1:1", "+1:1", "1_0:1",
+               "-3:-4", "-3:-3", "-2:v", "-2:0", "-1:1", "0:1", "0:v", "1:1", "1:v",
+               "2:-1", "2:2", "3:4", "5:3", "5:4")
+# the shapes a three-entry text combines: ascending, descending and
+# duplicate positions, position 0 between them, and an item that is refused
+_TEXT_CORE = ("-3:-4", "-2:v", "-1:1", "0:1", "1:1", "1:v", "2:2", "3:4", "5:4", "1:", " 1:1")
+# abs, an offset, a constant bound, and a table with no bound past +-2
+_TEXT_PROFILES = ("abs", "abs+2", "const:3", "table:-2=2,-1=1,1=1,2=2")
+
+
+def _parsed(parse, text, profile):
+    try:
+        return parse(text, profile)
+    except WordError as exc:
+        return "error: %s" % exc
+
+
+def test_parse_word_matches_reference_on_a_sweep():
+    from _oracles import reference_parse_word
+
+    texts = ([",".join(items) for n in (1, 2) for items in product(_TEXT_ITEMS, repeat=n)]
+             + [",".join(items) for items in product(_TEXT_CORE, repeat=3)])
+    words_read = errors = 0
+    for profile in map(parse_profile, _TEXT_PROFILES):
+        for text in texts:
+            got = _parsed(parse_word, text, profile)
+            assert got == _parsed(reference_parse_word, text, profile), (text, profile)
+            if isinstance(got, str):
+                errors += 1
+            else:
+                words_read += 1
+                assert got.entries == tuple(sorted(got.entries))
+    assert words_read > 200 and errors > 7000
+
+
+def test_parse_word_builds_in_range_text_without_make_word(monkeypatch):
+    from _oracles import reference_parse_word
+    from zwords.rationals import encode
+
+    def refuse(*args):
+        raise AssertionError("make_word called")
+
+    cases = [(format_word(encode(Fraction(517, 1049) + 3)), ABS), ("-3:v,-1:-1,2:2,5:v", ABS),
+             ("-1:-3,1:v,2:4", parse_profile("abs+2")), ("-2:-3,1:0,4:3", parse_profile("const:3"))]
+    expected = [reference_parse_word(text, profile) for text, profile in cases]
+    monkeypatch.setattr(words, "make_word", refuse)
+    assert [parse_word(text, profile) for text, profile in cases] == expected
+
+
+def test_words_from_every_builder_are_one_value():
+    import copy
+    import pickle
+
+    from zwords.rationals import encode
+
+    w = encode(Fraction(-5, 7) + 2)
+    built = [w, make_word(dict(w.entries)), make_word(w.entries, ABS), parse_word(format_word(w)),
+             words.LocatedWord(w.entries), words.LocatedWord(tuple(list(w.entries)), ABS),
+             copy.copy(w), pickle.loads(pickle.dumps(w))]
+    for u in built:
+        assert u == w and hash(u) == hash(w) and str(u) == str(w) and repr(u) == repr(w)
+    assert len(set(built)) == 1
+    c = parse_word("-2:v,1:1", CONST2)
+    assert c == make_word({-2: VARIABLE, 1: 1}, CONST2) == words.LocatedWord(c.entries, CONST2)
+    assert c != words.LocatedWord(c.entries) and hash(c) == hash(words.LocatedWord(c.entries, CONST2))
+    assert w != w.entries and w.entries != w
+
+
+def test_word_dom_matches_its_entries():
+    rng = random.Random(5)
+    for _ in range(200):
+        w = random_word(rng, span=7)
+        assert w.dom == tuple(pos for pos, _ in w.entries)
+        assert w.dom is w.dom
+        assert w.dom_neg + w.dom_pos == w.dom
+
+
+def test_words_refuse_attribute_assignment():
+    w = parse_word("-1:v,1:1")
+    for name in ("entries", "profile", "dom", "other"):
+        with pytest.raises(AttributeError):
+            setattr(w, name, ())
+        with pytest.raises(AttributeError):
+            delattr(w, name)
+    hash(w)
+    with pytest.raises(AttributeError):
+        w._hash = 0
+    assert w == make_word({-1: VARIABLE, 1: 1})
