@@ -44,108 +44,110 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
-def _emit(args, fields: dict, lines: list[str]) -> None:
-    """Write the fields as one JSON line, or the lines, in one write."""
+def _emit(args, answer: tuple) -> None:
+    """Write a command's answer to stdout in one write.  A (name, value)
+    pair is {name: value} as JSON; as text a list is one line per item, a
+    boolean true or false, and anything else str(value).  A (fields,
+    lines) pair is the fields as JSON or the lines.  A third item, a
+    search's time line, goes to stderr after the answer."""
+    head, body, *notes = answer
+    if isinstance(head, dict):
+        fields, lines = head, body
+    else:
+        fields = {head: body}
+        if isinstance(body, list):
+            lines = [str(item) for item in body]
+        else:
+            lines = [("true" if body else "false") if isinstance(body, bool) else str(body)]
     if args.json:
         sys.stdout.write(json.dumps(fields, sort_keys=True) + "\n")
     elif lines:
         sys.stdout.write("\n".join(lines) + "\n")
+    for note in notes:
+        print(note, file=sys.stderr)
 
 
 def _profile(args) -> words.DominationProfile:
-    return words.parse_profile(getattr(args, "profile", "abs") or "abs")
+    return words.parse_profile(args.profile or "abs")
 
 
 # --- word ------------------------------------------------------------------
 
 
-def _cmd_word_check(args) -> None:
+def _cmd_word_check(args) -> tuple:
     w = words.parse_word(args.word, _profile(args))
     cls = "variable" if w.is_variable_word else "constant"
     core = "true" if w.is_core else "false"
-    _emit(args, {"class": cls, "core": w.is_core, "length": len(w.entries)},
-          ["class=%s core=%s length=%d" % (cls, core, len(w.entries))])
+    return ({"class": cls, "core": w.is_core, "length": len(w.entries)},
+            ["class=%s core=%s length=%d" % (cls, core, len(w.entries))])
 
 
-def _cmd_word_concat(args) -> None:
+def _cmd_word_pair(args) -> tuple:
+    """concat or merge, whichever the subcommand binds as `combine`."""
     p = _profile(args)
-    out = words.concat(words.parse_word(args.a, p), words.parse_word(args.b, p))
-    _emit(args, {"word": words.format_word(out)}, [words.format_word(out)])
+    return "word", words.format_word(args.combine(words.parse_word(args.a, p),
+                                                  words.parse_word(args.b, p)))
 
 
-def _cmd_word_subst(args) -> None:
+def _cmd_word_subst(args) -> tuple:
     w = words.parse_word(args.word, _profile(args))
-    out = words.substitute(w, args.p, args.q)
-    _emit(args, {"word": words.format_word(out)}, [words.format_word(out)])
+    return "word", words.format_word(words.substitute(w, args.p, args.q))
 
 
-def _cmd_word_merge(args) -> None:
-    p = _profile(args)
-    out = words.merge(words.parse_word(args.a, p), words.parse_word(args.b, p))
-    _emit(args, {"word": words.format_word(out)}, [words.format_word(out)])
-
-
-def _cmd_word_ev(args) -> None:
+def _cmd_word_ev(args) -> tuple:
     p = _profile(args)
     bw = families.parse_tuple(args.tuple, p)
     indices = [int(x) for x in args.indices.split(",")] if args.indices else None
     es = words.extracted_sets(bw, indices)
-    constants = sorted(es.constants, key=words.word_sort_key)
-    variables = sorted(es.variables, key=words.word_sort_key)
-    lines = ["E\t%s" % words.format_word(w) for w in constants]
-    lines += ["V\t%s" % words.format_word(w) for w in variables]
-    _emit(args, {"constants": [words.format_word(w) for w in constants],
-                 "variables": [words.format_word(w) for w in variables]}, lines)
+    constants = [words.format_word(w) for w in sorted(es.constants, key=words.word_sort_key)]
+    variables = [words.format_word(w) for w in sorted(es.variables, key=words.word_sort_key)]
+    return ({"constants": constants, "variables": variables},
+            ["E\t" + w for w in constants] + ["V\t" + w for w in variables])
 
 
 # --- schreier ---------------------------------------------------------------
 
 
-def _cmd_schreier_member(args) -> None:
-    ok = schreier.is_member(schreier.parse_set(args.set), parse_ordinal(args.xi))
-    _emit(args, {"member": ok}, ["true" if ok else "false"])
+def _cmd_schreier_member(args) -> tuple:
+    return "member", schreier.is_member(schreier.parse_set(args.set), parse_ordinal(args.xi))
 
 
-def _cmd_schreier_enum(args) -> None:
+def _cmd_schreier_enum(args) -> tuple:
     members = schreier.enumerate_members(parse_ordinal(args.xi), args.n, cap=_caps())
-    lines = [schreier.format_set(s) for s in members]
-    _emit(args, {"members": lines}, lines)
+    return "members", [schreier.format_set(s) for s in members]
 
 
-def _cmd_schreier_canon(args) -> None:
+def _cmd_schreier_canon(args) -> tuple:
     dec = schreier.canonical_decompose(schreier.parse_set(args.set), parse_ordinal(args.xi))
-    _emit(args, {"blocks": [schreier.format_set(b) for b in dec.blocks],
-                 "remainder": schreier.format_set(dec.remainder) if dec.remainder else None},
-          [str(dec)])
+    return ({"blocks": [schreier.format_set(b) for b in dec.blocks],
+             "remainder": schreier.format_set(dec.remainder) if dec.remainder else None},
+            [str(dec)])
 
 
-def _cmd_schreier_restriction(args) -> None:
-    ok = schreier.restriction_check(parse_ordinal(args.xi), args.n, args.max, cap=_caps())
-    _emit(args, {"holds": ok}, ["true" if ok else "false"])
+def _cmd_schreier_restriction(args) -> tuple:
+    return "holds", schreier.restriction_check(parse_ordinal(args.xi), args.n, args.max,
+                                               cap=_caps())
 
 
 # --- ordinal ----------------------------------------------------------------
 
 
-def _cmd_ordinal_cmp(args) -> None:
+def _cmd_ordinal_cmp(args) -> tuple:
     c = compare(parse_ordinal(args.a), parse_ordinal(args.b))
-    text = {-1: "less", 0: "equal", 1: "greater"}[c]
-    _emit(args, {"order": text}, [text])
+    return "order", {-1: "less", 0: "equal", 1: "greater"}[c]
 
 
-def _cmd_ordinal_fund(args) -> None:
-    out = fundamental_sequence(parse_ordinal(getattr(args, "lambda")), args.n)
-    _emit(args, {"ordinal": format_ordinal(out)}, [format_ordinal(out)])
+def _cmd_ordinal_fund(args) -> tuple:
+    return "ordinal", format_ordinal(fundamental_sequence(parse_ordinal(getattr(args, "lambda")),
+                                                          args.n))
 
 
-def _cmd_ordinal_pred(args) -> None:
-    out = predecessor_sequence(parse_ordinal(args.xi), args.n)
-    _emit(args, {"ordinal": format_ordinal(out)}, [format_ordinal(out)])
+def _cmd_ordinal_pred(args) -> tuple:
+    return "ordinal", format_ordinal(predecessor_sequence(parse_ordinal(args.xi), args.n))
 
 
-def _cmd_ordinal_classify(args) -> None:
-    kind = classify(parse_ordinal(args.xi))
-    _emit(args, {"kind": kind}, [kind])
+def _cmd_ordinal_classify(args) -> tuple:
+    return "kind", classify(parse_ordinal(args.xi))
 
 
 # --- family -----------------------------------------------------------------
@@ -155,70 +157,66 @@ def _load_family(args):
     profile = _profile(args)
     fam = families.parse_family(_read_text(args.family), profile)
     pool = None
-    if getattr(args, "pool", None):
+    if args.pool:
         pool = families.parse_pool(_read_text(args.pool), profile)
     return fam, pool
 
 
-def _cmd_family_closure(args) -> None:
+# the closure operations that need a pool, by --op, with the names their
+# refusals use
+_POOL_OPS = {"hereditary": (families.hereditary_closure, "hereditary closure"),
+             "largest": (families.largest_hereditary, "largest hereditary subfamily")}
+
+
+def _cmd_family_closure(args) -> tuple:
     fam, pool = _load_family(args)
     if args.op == "tree":
         out = families.tree_closure(fam)
-    elif args.op == "hereditary":
-        if pool is None:
-            raise families.FamilyError("hereditary closure needs --pool")
-        out = families.hereditary_closure(fam, pool)
     else:
+        op, name = _POOL_OPS[args.op]
         if pool is None:
-            raise families.FamilyError("largest hereditary subfamily needs --pool")
-        out = families.largest_hereditary(fam, pool)
-    lines = [families.serialize_tuple(bw) for bw in out.sorted_members()]
-    _emit(args, {"members": lines}, lines)
+            raise families.FamilyError("%s needs --pool" % name)
+        out = op(fam, pool)
+    return "members", [families.serialize_tuple(bw) for bw in out.sorted_members()]
 
 
-def _cmd_family_cbindex(args) -> None:
+def _cmd_family_cbindex(args) -> tuple:
     if args.set_m is not None:
-        idx = families.set_family_cb_index(args.set_m, args.ground, args.tau)
-    else:
-        if not args.family or not args.pool:
-            raise families.FamilyError("word-level index needs --family and --pool")
-        fam, pool = _load_family(args)
-        idx = families.cb_index(fam, pool, args.tau)
-    _emit(args, {"index": idx}, [str(idx)])
+        return "index", families.set_family_cb_index(args.set_m, args.ground, args.tau)
+    if not args.family or not args.pool:
+        raise families.FamilyError("word-level index needs --family and --pool")
+    fam, pool = _load_family(args)
+    return "index", families.cb_index(fam, pool, args.tau)
 
 
 # --- rat --------------------------------------------------------------------
 
 
-def _cmd_rat_encode(args) -> None:
-    w = rationals.encode(rationals.parse_rational(args.value))
-    _emit(args, {"word": words.format_word(w)}, [words.format_word(w)])
+def _cmd_rat_encode(args) -> tuple:
+    return "word", words.format_word(rationals.encode(rationals.parse_rational(args.value)))
 
 
-def _cmd_rat_decode(args) -> None:
-    text = rationals.format_rational(rationals.decode(words.parse_word(args.word)))
-    _emit(args, {"value": text}, [text])
+def _cmd_rat_decode(args) -> tuple:
+    return "value", rationals.format_rational(rationals.decode(words.parse_word(args.word)))
 
 
-def _cmd_rat_precedes(args) -> None:
-    ok = rationals.rational_precedes(rationals.parse_rational(args.a),
-                                     rationals.parse_rational(args.b))
-    _emit(args, {"precedes": ok}, ["true" if ok else "false"])
+def _cmd_rat_precedes(args) -> tuple:
+    return "precedes", rationals.rational_precedes(rationals.parse_rational(args.a),
+                                                   rationals.parse_rational(args.b))
 
 
-def _cmd_rat_qxi(args) -> None:
+def _cmd_rat_qxi(args) -> tuple:
     values = [rationals.parse_rational(v) for v in args.values.split(",")]
-    ok = rationals.q_xi_member(values, parse_ordinal(args.xi))
-    _emit(args, {"member": ok}, ["true" if ok else "false"])
+    return "member", rationals.q_xi_member(values, parse_ordinal(args.xi))
 
 
 # --- search -----------------------------------------------------------------
 
 
 def _coloring(args) -> search.Coloring:
-    if getattr(args, "coloring", None):
+    if args.coloring:
         return search.Coloring.from_text(_read_text(args.coloring), args.r)
-    if getattr(args, "seed", None) is None:
+    if args.seed is None:
         raise search.SearchError("need --seed or --coloring")
     return search.Coloring(arity=args.r, seed=args.seed)
 
@@ -228,7 +226,7 @@ def _window(args) -> search.SearchWindow:
                                max_candidates=_caps(search.SearchWindow.max_candidates))
 
 
-def _emit_report(args, rep: search.SearchReport) -> None:
+def _report(rep: search.SearchReport) -> tuple:
     if rep.witness is None:
         fields = {"witness": None, "candidates": rep.candidates, "nodes": rep.nodes_expanded}
         lines = ["witness: none", "candidates: %d" % rep.candidates,
@@ -239,36 +237,32 @@ def _emit_report(args, rep: search.SearchReport) -> None:
                   "nodes": rep.nodes_expanded, "vacuous": rep.vacuous}
         lines = ["witness: %s" % text, "color: %s" % rep.color,
                  "grid: %d" % rep.grid_size, "nodes: %d" % rep.nodes_expanded]
-    _emit(args, fields, lines)
-    print("time_ms: %.1f" % rep.elapsed_ms, file=sys.stderr)
+    return fields, lines, "time_ms: %.1f" % rep.elapsed_ms
 
 
-def _cmd_search_hj(args) -> None:
+def _cmd_search_hj(args) -> tuple:
     bounds = [int(x) for x in args.bounds.split(",")]
-    _emit_report(args, search.hj_witness_search(_coloring(args), len(bounds), bounds, args.n,
-                                                _window(args)))
+    return _report(search.hj_witness_search(_coloring(args), len(bounds), bounds, args.n,
+                                            _window(args)))
 
 
-def _cmd_search_xi(args) -> None:
-    _emit_report(args, search.xi_witness_search(_coloring(args), parse_ordinal(args.xi),
-                                                args.l, args.n0, _window(args)))
+def _cmd_search_xi(args) -> tuple:
+    return _report(search.xi_witness_search(_coloring(args), parse_ordinal(args.xi),
+                                            args.l, args.n0, _window(args)))
 
 
-def _cmd_search_fs(args) -> None:
+def _cmd_search_fs(args) -> tuple:
     xs = [int(x) for x in args.xs.split(",")]
     if args.zs:
-        zs = [int(x) for x in args.zs.split(",")]
-        values = search.fs_two_sided(xs, zs, search.INT_LINEAR)
+        values = search.fs_two_sided(xs, [int(x) for x in args.zs.split(",")], search.INT_LINEAR)
     else:
         values = search.fs_enumerate(xs, search.INT_LINEAR)
-    values = sorted(values)
-    _emit(args, {"values": values}, [str(v) for v in values])
+    return "values", sorted(values)
 
 
-def _cmd_search_psi(args) -> None:
+def _cmd_search_psi(args) -> tuple:
     spec = {"int-linear": search.INT_LINEAR, "strings": search.STRING_CONCAT}[args.semigroup]
-    value = search.psi_map(words.parse_word(args.word, _profile(args)), spec)
-    _emit(args, {"value": value if isinstance(value, (int, str)) else str(value)}, [str(value)])
+    return "value", search.psi_map(words.parse_word(args.word, _profile(args)), spec)
 
 
 # --- parser -----------------------------------------------------------------
@@ -288,13 +282,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     word = sub.add_parser("word").add_subparsers(dest="subcommand", required=True)
     add(word, "check", _cmd_word_check, word={"required": True}, profile={"default": "abs"})
-    add(word, "concat", _cmd_word_concat, a={"required": True}, b={"required": True},
-        profile={"default": "abs"})
+    add(word, "concat", _cmd_word_pair, a={"required": True}, b={"required": True},
+        profile={"default": "abs"}).set_defaults(combine=words.concat)
     add(word, "subst", _cmd_word_subst, word={"required": True},
         p={"type": int, "required": True}, q={"type": int, "required": True},
         profile={"default": "abs"})
-    add(word, "merge", _cmd_word_merge, a={"required": True}, b={"required": True},
-        profile={"default": "abs"})
+    add(word, "merge", _cmd_word_pair, a={"required": True}, b={"required": True},
+        profile={"default": "abs"}).set_defaults(combine=words.merge)
     add(word, "ev", _cmd_word_ev, tuple={"required": True}, indices={"default": None},
         profile={"default": "abs"})
 
@@ -307,16 +301,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     ordn = sub.add_parser("ordinal").add_subparsers(dest="subcommand", required=True)
     add(ordn, "cmp", _cmd_ordinal_cmp, a={"required": True}, b={"required": True})
-    p_fund = ordn.add_parser("fund")
-    p_fund.add_argument("--lambda", dest="lambda", required=True)
-    p_fund.add_argument("--n", type=int, required=True)
-    p_fund.set_defaults(func=_cmd_ordinal_fund)
+    # "lambda" is a keyword, so its flag comes in a dict, declared before --n
+    add(ordn, "fund", _cmd_ordinal_fund, **{"lambda": {"required": True}},
+        n={"type": int, "required": True})
     add(ordn, "pred", _cmd_ordinal_pred, xi={"required": True}, n={"type": int, "required": True})
     add(ordn, "classify", _cmd_ordinal_classify, xi={"required": True})
 
     fam = sub.add_parser("family").add_subparsers(dest="subcommand", required=True)
     add(fam, "closure", _cmd_family_closure, op={"required": True,
-        "choices": ["tree", "hereditary", "largest"]},
+        "choices": ["tree", *_POOL_OPS]},
         family={"required": True}, pool={"default": None}, profile={"default": "abs"})
     add(fam, "cbindex", _cmd_family_cbindex, family={"default": None}, pool={"default": None},
         tau={"type": int, "required": True}, set_m={"type": int, "default": None},
@@ -385,7 +378,9 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        args.func(args)
+        # the answer is written inside the guard: text of an int past
+        # Python's int-to-str limit is a ValueError
+        _emit(args, args.func(args))
     except DOMAIN_ERRORS as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1

@@ -191,14 +191,16 @@ def _splits(dom: tuple[int, ...], m: int) -> Iterator[list[tuple[int, ...]]]:
 
 
 @lru_cache(maxsize=128)
-def _side_counts(bounds: tuple[int, ...], m: int) -> tuple[int, ...]:
-    """N(a), a = 0..len(bounds): over the a-subsets of one side cut into m
-    consecutive nonempty runs, the sum of the product over the runs of
-    prod(k+1) - prod(k).  A state is (runs begun, size) with two sums for
-    the open run, weighted by prod(k+1) and by prod(k); closing the run
-    adds their difference.  The last 128 (bounds, m) are kept, so repeated
-    searches, and a search's count of its inner window, count once."""
-    n = len(bounds)
+def _side_counts(bounds: tuple[int, ...], m: int, top: int) -> tuple[int, ...]:
+    """N(a), a = 0..min(top, len(bounds)): over the a-subsets of one side
+    cut into m consecutive nonempty runs, the sum of the product over the
+    runs of prod(k+1) - prod(k).  A state is (runs begun, size) with two
+    sums for the open run, weighted by prod(k+1) and by prod(k); closing
+    the run adds their difference.  A size-s state reads only size s - 1
+    states, so the table stops at `top`, the largest size asked for.  The
+    last 128 (bounds, m, top) are kept, so repeated searches, and a
+    search's count of its inner window, count once."""
+    n = min(top, len(bounds))
     grown, plain = ([[0] * (n + 1) for _ in range(m + 1)] for _ in range(2))
     grown[0][0] = 1
     for k in bounds:
@@ -219,7 +221,9 @@ def _candidate_counts(m: int, totals: range, window: SearchWindow) -> list[int]:
     if not any(2 * m <= total <= 2 * radius for total in totals):
         return [0] * len(totals)
     bounds = tuple(window.profile.bound(p) for p in window.positions())
-    neg, pos = _side_counts(bounds[radius - 1::-1], m), _side_counts(bounds[radius:], m)
+    top = max(totals)
+    neg, pos = (_side_counts(bounds[radius - 1::-1], m, top),
+                _side_counts(bounds[radius:], m, top))
     counts = [sum(neg[a] * pos[total - a]
                   for a in range(max(0, total - radius), min(total, radius) + 1))
               for total in totals]
@@ -425,6 +429,8 @@ def _first_one_color(coloring: Coloring, m: int, totals: range, counts: Sequence
     colors: dict[str, int] = {}
     pools: dict = {}
     for t, total in enumerate(totals):
+        if not counts[t]:
+            continue  # no split to visit, however large the total
         for shell in range(1, window.radius + 1):
             splits = [(layers, plans_of(layers)) for layers in _shell_splits(m, total, shell)]
             kept = [(layers, plans) for layers, plans in splits if plans]

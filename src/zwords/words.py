@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import FrozenInstanceError, dataclass
+from itertools import islice
 from math import prod
 from operator import lt
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -488,24 +489,23 @@ def pair_enumeration(profile: DominationProfile, count: int) -> list[tuple[int, 
     bound pairs (k_n, k_-n) occur at strictly increasing positions.
 
     Pairs are ranked by max(i(q), p) and then lexicographically by
-    (i(q), p, q), where i(q) is the least n with q <= k_-n.
+    (i(q), p, q), where i(q) is the least n with q <= k_-n.  The first
+    `count` are listed, and no threshold past the block holding the last
+    of them is read.
     """
     _require_sided_monotone(profile)
-    out: list[tuple[int, int]] = []
-    thresholds = [0]  # thresholds[j] = k_{-j}
-    ks = _thresholds(profile)
-    m = 0
-    while len(out) < count:
-        m += 1
-        thresholds.append(next(ks))
-        block = []
-        for j in range(1, m + 1):
-            qs = range(thresholds[j - 1] + 1, thresholds[j] + 1)
-            ps = range(1, m + 1) if j == m else (m,)
-            block.extend((j, p, q) for p in ps for q in qs)
-        block.sort()
-        out.extend((p, q) for _, p, q in block)
-    return out[:count]
+    return list(islice(_pair_blocks(profile), max(count, 0)))
+
+
+def _pair_blocks(profile: DominationProfile) -> Iterator[tuple[int, int]]:
+    """The enumeration lazily, block by block.  With t_j = k_-j, block m
+    is the pairs (m, q) with i(q) < m, q ascending, then those with
+    i(q) = m, p-major; t_m is read when block m is first asked for."""
+    last = 0
+    for m, t in enumerate(_thresholds(profile), 1):
+        yield from ((m, q) for q in range(1, last + 1))
+        yield from ((p, q) for p in range(1, m + 1) for q in range(last + 1, t + 1))
+        last = t
 
 
 def _thresholds(profile: DominationProfile) -> Iterator[int]:
@@ -562,8 +562,9 @@ def h_map(t: LocatedWord, ws: Sequence[LocatedWord]) -> LocatedWord:
         raise WordError("position %d exceeds the %d available words"
                         % (t.dom[-1], len(ws)))
     profile = ws[0].profile
+    # no letter past MAX_PAIR_RANK passes bound_pair_index
     max_letter = max((l for _, l in t.entries), default=0)
-    pairs = pair_enumeration(profile, max_letter) if max_letter else []
+    pairs = pair_enumeration(profile, min(max_letter, MAX_PAIR_RANK)) if max_letter else []
     parts = []
     for pos, letter in t.entries:
         if letter < 0:

@@ -40,6 +40,8 @@ from zwords.words import (
     VARIABLE,
     LocatedWord,
     WordError,
+    _require_sided_monotone,
+    _thresholds,
     concat_all,
     extracted_sets,
     format_word,
@@ -476,6 +478,29 @@ def reference_images(w, index):
     `index`, in grid order: every pair is substituted and the repeats
     dropped."""
     return list(dict.fromkeys(substitute(w, p, q) for p, q in _grid(w.profile, index)))
+
+
+def reference_pair_enumeration(profile, count):
+    """The first `count` pairs of the pair enumeration, each block built
+    whole as sorted (i(q), p, q) triples before the count is checked; block
+    m holds the pairs with max(i(q), p) = m, where i(q) is the least n with
+    q <= k_-n."""
+    _require_sided_monotone(profile)
+    out = []
+    thresholds = [0]  # thresholds[j] = k_{-j}
+    ks = _thresholds(profile)
+    m = 0
+    while len(out) < count:
+        m += 1
+        thresholds.append(next(ks))
+        block = []
+        for j in range(1, m + 1):
+            qs = range(thresholds[j - 1] + 1, thresholds[j] + 1)
+            ps = range(1, m + 1) if j == m else (m,)
+            block.extend((j, p, q) for p in ps for q in qs)
+        block.sort()
+        out.extend((p, q) for _, p, q in block)
+    return out[:count]
 
 
 def reference_extracted(ws):

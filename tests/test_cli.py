@@ -300,6 +300,171 @@ def test_output_bytes_and_one_write_per_command(monkeypatch):
         assert len(out.writes) == (1 if expected else 0), argv
 
 
+# Every subcommand with its argument lists: (argv, exit code, text stdout,
+# --json stdout, stderr with the time_ms value masked).  A refusal writes the
+# same stderr and no stdout in both modes.  "-" reads the family
+# -1:v,1:v;-3:v,3:v from stdin, and {tmp} is a folder holding it as
+# family.txt and its two words as pool.txt.
+CLI_PINS = {
+    ("word", "check"): [
+        (("--word", "-1:v,1:v"), 0, "class=variable core=true length=2\n",
+         '{"class": "variable", "core": true, "length": 2}\n', ""),
+        (("--word", "1:1", "--profile", "const:2"), 0, "class=constant core=false length=1\n",
+         '{"class": "constant", "core": false, "length": 1}\n', ""),
+        (("--word", "-1:v,1:3"), 1, "", "", "error: letter 3 out of range 1..1 at 1\n")],
+    ("word", "concat"): [
+        (("--a", "-1:v,1:v", "--b", "-3:v,3:v"), 0, "-3:v,-1:v,1:v,3:v\n",
+         '{"word": "-3:v,-1:v,1:v,3:v"}\n', ""),
+        (("--a", "-1:v,1:v", "--b", "1:1"), 1, "", "",
+         "error: overlapping domains (-1, 1) and (1,)\n")],
+    ("word", "subst"): [
+        (("--word", "-1:v,2:v", "--p", "1", "--q", "2"), 0, "-1:-1,2:1\n",
+         '{"word": "-1:-1,2:1"}\n', ""),
+        (("--word", "-1:v,1:v", "--p", "1", "--q", "0"), 1, "", "",
+         "error: substitution pair must be (0,0) or positive: (1,0)\n")],
+    ("word", "merge"): [
+        (("--a", "-1:v,1:v", "--b", "1:1"), 0, "-1:v,1:v\n", '{"word": "-1:v,1:v"}\n', ""),
+        (("--a", "-1:v,1:v", "--b", "-1:-2"), 1, "", "",
+         "error: letter -2 out of range -1..-1 at -1\n")],
+    ("word", "ev"): [
+        (("--tuple", "-1:v,1:v"), 0, "E\t-1:-1,1:1\nV\t-1:v,1:v\n",
+         '{"constants": ["-1:-1,1:1"], "variables": ["-1:v,1:v"]}\n', ""),
+        (("--tuple", "-1:v,1:v", "--indices", "1,2"), 1, "", "",
+         "error: need one grid index per member\n")],
+    ("schreier", "member"): [
+        (("--xi", "w", "--set", "3,5,9"), 0, "true\n", '{"member": true}\n', ""),
+        (("--xi", "w", "--set", "3,2"), 1, "", "",
+         "error: bad set '3,2': elements must be strictly increasing: (3, 2)\n")],
+    ("schreier", "enum"): [
+        (("--xi", "2", "--n", "3"), 0, "1,2\n1,3\n2,3\n", '{"members": ["1,2", "1,3", "2,3"]}\n',
+         ""),
+        (("--xi", "2", "--n", "-1"), 0, "", '{"members": []}\n', ""),
+        (("--xi", "q", "--n", "3"), 1, "", "", "error: expected 'w' at 0 in 'q'\n")],
+    ("schreier", "canon"): [
+        (("--xi", "2", "--set", "1,2,3,4,5"), 0, "[1,2][3,4]|5\n",
+         '{"blocks": ["1,2", "3,4"], "remainder": "5"}\n', ""),
+        (("--xi", "2", "--set", "1,2,3,4"), 0, "[1,2][3,4]\n",
+         '{"blocks": ["1,2", "3,4"], "remainder": null}\n', ""),
+        (("--xi", "2", "--set", "1,1"), 1, "", "",
+         "error: bad set '1,1': elements must be strictly increasing: (1, 1)\n")],
+    ("schreier", "check-restriction"): [
+        (("--xi", "w", "--n", "2", "--max", "10"), 0, "true\n", '{"holds": true}\n', ""),
+        (("--xi", "q", "--n", "2", "--max", "10"), 1, "", "",
+         "error: expected 'w' at 0 in 'q'\n")],
+    ("ordinal", "cmp"): [
+        (("--a", "w^2", "--b", "w*7+3"), 0, "greater\n", '{"order": "greater"}\n', ""),
+        (("--a", "w^", "--b", "1"), 1, "", "", "error: expected 'w' at 2 in 'w^'\n")],
+    ("ordinal", "fund"): [
+        (("--lambda", "w^2", "--n", "3"), 0, "w*3+1\n", '{"ordinal": "w*3+1"}\n', ""),
+        (("--lambda", "w+1", "--n", "3"), 1, "", "",
+         "error: fundamental sequence undefined for w+1\n"),
+        (("--lambda", "w"), 2, "", "", "usage: zwords ordinal fund [-h] --lambda LAMBDA --n N\n"
+         "zwords ordinal fund: error: the following arguments are required: --n\n")],
+    ("ordinal", "pred"): [
+        (("--xi", "w+1", "--n", "5"), 0, "w\n", '{"ordinal": "w"}\n', ""),
+        (("--xi", "w", "--n", "0"), 1, "", "", "error: index must be >= 1\n")],
+    ("ordinal", "classify"): [
+        (("--xi", "w+1"), 0, "successor\n", '{"kind": "successor"}\n', ""),
+        (("--xi", "("), 1, "", "", "error: expected 'w' at 0 in '('\n")],
+    ("family", "closure"): [
+        (("--op", "tree", "--family", "-"), 0, "\n-1:v,1:v\n-1:v,1:v;-3:v,3:v\n",
+         '{"members": ["", "-1:v,1:v", "-1:v,1:v;-3:v,3:v"]}\n', ""),
+        (("--op", "hereditary", "--family", "{tmp}/family.txt", "--pool", "{tmp}/pool.txt"), 0,
+         "\n-3:v,3:v\n-1:v,1:v\n-1:v,1:v;-3:v,3:v\n",
+         '{"members": ["", "-3:v,3:v", "-1:v,1:v", "-1:v,1:v;-3:v,3:v"]}\n', ""),
+        (("--op", "largest", "--family", "{tmp}/family.txt", "--pool", "{tmp}/pool.txt"), 0,
+         "\n", '{"members": [""]}\n', ""),
+        (("--op", "hereditary", "--family", "-"), 1, "", "",
+         "error: hereditary closure needs --pool\n"),
+        (("--op", "largest", "--family", "-"), 1, "", "",
+         "error: largest hereditary subfamily needs --pool\n")],
+    ("family", "cbindex"): [
+        (("--set-m", "2", "--ground", "12", "--tau", "3"), 0, "3\n", '{"index": 3}\n', ""),
+        (("--tau", "3"), 1, "", "", "error: word-level index needs --family and --pool\n"),
+        (("--family", "{tmp}/family.txt", "--pool", "{tmp}/pool.txt", "--tau", "3"), 1, "", "",
+         "error: index needs a hereditary family\n")],
+    ("rat", "encode"): [
+        (("2",), 0, "2:2,3:1\n", '{"word": "2:2,3:1"}\n', ""),
+        (("0",), 1, "", "", "error: 0 is outside the codec range\n")],
+    ("rat", "decode"): [
+        (("--word", "2:2,3:1"), 0, "2\n", '{"value": "2"}\n', ""),
+        (("--word", "-1:v,1:v"), 1, "", "",
+         "error: cannot decode a variable word: variable at -1\n")],
+    ("rat", "precedes"): [
+        (("--a", "1/2", "--b", "143/24"), 0, "true\n", '{"precedes": true}\n', ""),
+        (("--a", "1", "--b", "2"), 1, "", "", "error: 1 is outside the two-sided range\n")],
+    ("rat", "qxi"): [
+        (("--xi", "2", "--values", "1/2,143/24"), 0, "true\n", '{"member": true}\n', ""),
+        (("--xi", "w", "--values", "1/6"), 1, "", "", "error: 1/6 has no positive digits\n")],
+    ("search", "hj"): [
+        (("--r", "1", "--seed", "1", "--bounds", "1", "--n", "2", "--window", "2"), 0,
+         "witness: -1:v,1:v\ncolor: 0\ngrid: 1\nnodes: 1\n",
+         '{"color": 0, "grid": 1, "nodes": 1, "vacuous": false, "witness": "-1:v,1:v"}\n',
+         "time_ms: *\n"),
+        (("--r", "2", "--seed", "1", "--bounds", "1,2", "--n", "6", "--window", "2"), 0,
+         "witness: none\ncandidates: 0\nnodes: 0\n",
+         '{"candidates": 0, "nodes": 0, "witness": null}\n', "time_ms: *\n"),
+        (("--r", "2", "--seed", "1", "--bounds", "2", "--n", "0", "--window", "3"), 1, "", "",
+         "error: total length must be >= 1\n")],
+    ("search", "xi"): [
+        (("--r", "2", "--seed", "7", "--xi", "w", "--l", "2", "--n0", "4", "--window", "3"), 0,
+         "witness: -1:v,2:v;-3:v,3:v\ncolor: 1\ngrid: 4\nnodes: 6\n",
+         '{"color": 1, "grid": 4, "nodes": 6, "vacuous": false, '
+         '"witness": "-1:v,2:v;-3:v,3:v"}\n', "time_ms: *\n"),
+        (("--r", "2", "--seed", "1", "--xi", "w", "--l", "1", "--n0", "0", "--window", "3"), 1,
+         "", "", "error: total length must be >= 1\n")],
+    ("search", "fs"): [
+        (("--xs", "1,10,100"), 0, "1\n10\n11\n100\n101\n110\n111\n",
+         '{"values": [1, 10, 11, 100, 101, 110, 111]}\n', ""),
+        (("--xs", "1,2", "--zs", "10,20"), 0, "11\n22\n33\n", '{"values": [11, 22, 33]}\n', ""),
+        (("--xs", "1,2", "--zs", "10"), 1, "", "", "error: sequences must have equal length\n")],
+    ("search", "psi"): [
+        (("--word", "-1:-1,2:2"), 0, "5\n", '{"value": 5}\n', ""),
+        (("--word", "-1:v,2:2", "--semigroup", "strings"), 0, "y(0,-1)y(2,2)\n",
+         '{"value": "y(0,-1)y(2,2)"}\n', ""),
+        (("--word", "0:1"), 1, "", "", "error: position 0 is not allowed\n")],
+}
+
+
+def test_every_subcommand_pinned_in_text_and_json(tmp_path, monkeypatch):
+    import argparse
+    import io
+    import re
+
+    def names(parser):
+        action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        return action.choices
+
+    subcommands = {(group, name) for group, parser in names(cli.build_parser()).items()
+                   for name in names(parser)}
+    assert set(CLI_PINS) == subcommands and len(subcommands) == 23
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage lines to the terminal
+    (tmp_path / "family.txt").write_text("-1:v,1:v;-3:v,3:v\n")
+    (tmp_path / "pool.txt").write_text("-1:v,1:v\n-3:v,3:v\n")
+    for command, cases in CLI_PINS.items():
+        assert {case[1] for case in cases} >= {0, 1}, command
+        for argv, code, text, as_json, err in cases:
+            argv = command + tuple(a.replace("{tmp}", str(tmp_path)) for a in argv)
+            for mode, want in (((), text), (("--json",), as_json)):
+                out, errors = CountingStdout(), CountingStdout()
+                monkeypatch.setattr("sys.stdout", out)
+                monkeypatch.setattr("sys.stderr", errors)
+                monkeypatch.setattr("sys.stdin", io.StringIO("-1:v,1:v;-3:v,3:v\n"))
+                got = main(list(mode + argv))
+                masked = re.sub(r"time_ms: [0-9.]+", "time_ms: *", "".join(errors.writes))
+                assert (got, "".join(out.writes), masked) == (code, want, err), mode + argv
+                assert len(out.writes) == (1 if want else 0), mode + argv
+
+
+def test_ordinal_fund_usage_names_lambda_first(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    out = CountingStdout()
+    monkeypatch.setattr("sys.stdout", out)
+    assert main(["ordinal", "fund", "-h"]) == 0
+    assert "".join(out.writes).startswith(
+        "usage: zwords ordinal fund [-h] --lambda LAMBDA --n N\n\n")
+
+
 def test_unreadable_input_file_is_a_domain_error(tmp_path, capsys):
     fam = tmp_path / "family.txt"
     fam.write_text("-1:v,1:v\n")
@@ -328,6 +493,25 @@ def test_search_no_witness_report(capsys):
                        "--bounds", "1,2", "--n", "6", "--window", "2")
     assert code == 0
     assert out.splitlines()[0] == "witness: none"
+
+
+def test_search_arguments_past_the_window_answer_at_once(capsys):
+    # a total past the window has no candidates, so none of its splits is
+    # visited, however large the total
+    argv = ("search", "hj", "--r", "2", "--seed", "1", "--bounds", "1", "--window", "3", "--n")
+    code, out, err = run(capsys, *argv, "100")
+    assert (code, out) == (0, "witness: none\ncandidates: 0\nnodes: 0\n")
+    for n in ("9223372036854775807", "9223372036854775808"):
+        start = time.perf_counter()
+        assert run(capsys, *argv, n)[:2] == (code, out), n
+        assert time.perf_counter() - start < 1, n
+    # the count table stops at the largest total, so a wide window is
+    # refused at the cap without counting the sizes past it
+    start = time.perf_counter()
+    assert run(capsys, "search", "hj", "--r", "2", "--seed", "1", "--bounds", "1", "--n", "2",
+               "--window", "4000") \
+        == (1, "", "error: witness candidates exceed cap after 200001 tuples\n")
+    assert time.perf_counter() - start < 3
 
 
 def test_exit_codes(capsys):
@@ -495,7 +679,7 @@ def test_readme_cli_examples(capsys):
     readme = Path(__file__).resolve().parent.parent / "README.md"
     examples = [line.partition("# ->") for line in readme.read_text(encoding="utf-8").splitlines()
                 if line.startswith("zwords ") and "# ->" in line]
-    assert len(examples) == 11
+    assert len(examples) == 19
     for command, _, expected in examples:
         code, out, _ = run(capsys, *shlex.split(command)[1:])
         assert (code, " / ".join(out.splitlines())) == (0, expected.strip()), command

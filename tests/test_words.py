@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -416,6 +417,45 @@ def test_pair_ranks_by_closed_form():
             bound_pair_index(ABS, n)
     with pytest.raises(WordError, match="^negative-side bounds must increase strictly$"):
         bound_pair_index(DominationProfile("const", 3), 1)
+
+
+def test_pair_enumeration_matches_the_reference():
+    from _oracles import reference_pair_enumeration
+
+    def listed(enumerate_pairs, profile, count):
+        try:
+            return enumerate_pairs(profile, count)
+        except WordError as exc:
+            return str(exc)
+
+    # the table bounds 40 positions a side, so its 40 blocks hold 40 * 81
+    # pairs and a count past them reads the missing k_-41
+    increasing = DominationProfile("table", 0, tuple((pos, 2 * abs(pos) + (pos < 0))
+                                                     for pos in range(-40, 41) if pos))
+    counts = list(range(-2, 120)) + [1000, 2999, 3000, 3239, 3240, 3241, 4000]
+    for profile in (ABS, parse_profile("abs+1"), parse_profile("abs+3"), increasing,
+                    DominationProfile("const", 3)):
+        for count in counts:
+            want = listed(reference_pair_enumeration, profile, count)
+            assert listed(pair_enumeration, profile, count) == want, (profile, count)
+    assert listed(pair_enumeration, increasing, 3241) == "profile table has no bound at -41"
+    assert listed(pair_enumeration, DominationProfile("const", 3), 4) \
+        == "negative-side bounds must increase strictly"
+
+
+def test_pair_alphabet_stops_at_the_count():
+    # the first block under these profiles holds 10^8 pairs; only the
+    # pairs asked for are made
+    start = time.perf_counter()
+    for text in ("abs+100000000", "const:100000000"):
+        assert pair_enumeration(parse_profile(text), 1) == [(1, 1)]
+    # no letter past MAX_PAIR_RANK passes the bound check, so h_map asks
+    # for no more pairs than that
+    t = parse_word("1:50000000", parse_profile("const:100000000"))
+    ws = [parse_word("-1:v,1:v"), parse_word("-3:v,3:v")]
+    with pytest.raises(WordError, match="^letter 50000000 exceeds the alphabet bound at 1$"):
+        h_map(t, ws)
+    assert time.perf_counter() - start < 1
 
 
 def test_h_map_identity_and_substitution():
