@@ -3,13 +3,15 @@
 Ordinals are represented as sums w^a1*c1 + ... + w^am*cm with strictly
 decreasing exponents (themselves ordinals) and positive integer
 coefficients.  Besides comparison and classification, the module fixes the
-fundamental sequences for limit ordinals and the predecessor sequences that
-drive the Schreier recursion.
+fundamental sequences for limit ordinals, the one descent step (an exponent
+lowered by one, a limit read at a fundamental member first) and the
+predecessor sequences that drive the Schreier recursion.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import total_ordering
 
 
 DESCENT_CAP = 10_000  # the most steps predecessor_sequence takes
@@ -22,6 +24,7 @@ class OrdinalError(ValueError):
     pass
 
 
+@total_ordering
 @dataclass(frozen=True)
 class Ordinal:
     """An ordinal below epsilon_0 in Cantor normal form.
@@ -74,15 +77,6 @@ class Ordinal:
 
     def __lt__(self, other: "Ordinal") -> bool:
         return compare(self, other) < 0
-
-    def __le__(self, other: "Ordinal") -> bool:
-        return compare(self, other) <= 0
-
-    def __gt__(self, other: "Ordinal") -> bool:
-        return compare(self, other) > 0
-
-    def __ge__(self, other: "Ordinal") -> bool:
-        return compare(self, other) >= 0
 
     def __str__(self) -> str:
         return format_ordinal(self)
@@ -181,13 +175,22 @@ def fundamental_sequence(lam: Ordinal, n: int) -> Ordinal:
     return raw if raw.is_successor else successor(raw)
 
 
+def _lower(exp: Ordinal, n: int) -> Ordinal:
+    """The one descent step: exp less one, a limit exp read at its n-th
+    fundamental member first (which is always a successor)."""
+    if exp.is_limit:
+        exp = fundamental_sequence(exp, n)
+    return _drop_last_unit(exp)[0]
+
+
 def predecessor_sequence(xi: Ordinal, n: int) -> Ordinal:
     """The concrete xi_n with A_xi(n) = A_{xi_n} restricted above n.
 
     Constant (= xi - 1) for successors; strictly increasing with
     supremum xi for limits, mirroring the case split of the Schreier
     recursion: xi less one copy of its last term w^e, then w^b*(n - 1)
-    for each b + 1 met on the descent from e, a limit going on at e_n.
+    for each b that the descent from e lowers to, by _lower, the step
+    that the Schreier parse also expands a copy with.
     """
     _check_index(n)
     if xi.is_zero:
@@ -198,15 +201,12 @@ def predecessor_sequence(xi: Ordinal, n: int) -> Ordinal:
     terms = list(rest.terms)
     steps = 0
     while not exp.is_zero:
-        steps += 1
+        steps += 2 if exp.is_limit else 1  # reading e_n is a step of its own
         if steps > DESCENT_CAP:
             raise OrdinalError("predecessor sequence at n = %d takes more than %d steps"
                                % (n, DESCENT_CAP))
-        if exp.is_successor:
-            exp = successor_pred(exp)
-            terms.append((exp, n - 1))
-        else:
-            exp = fundamental_sequence(exp, n)
+        exp = _lower(exp, n)
+        terms.append((exp, n - 1))
     return _cnf(tuple(terms))
 
 
@@ -227,22 +227,21 @@ def format_ordinal(a: Ordinal) -> str:
         if exp.is_zero:
             parts.append(str(coeff))
             continue
-        if compare(exp, ONE) == 0:
-            base = "w"
-        else:
-            base = "w^" + _format_exponent(exp)
+        base = _format_power(exp)
         parts.append(base if coeff == 1 else "%s*%d" % (base, coeff))
     return "+".join(parts)
+
+
+def _format_power(exp: Ordinal) -> str:
+    """w^exp as the production 'w' ['^' exponent]."""
+    return "w" if compare(exp, ONE) == 0 else "w^" + _format_exponent(exp)
 
 
 def _format_exponent(e: Ordinal) -> str:
     if e.is_finite:
         return str(e.as_int())
     if len(e.terms) == 1 and e.terms[0][1] == 1:
-        inner = e.terms[0][0]
-        if compare(inner, ONE) == 0:
-            return "w"
-        return "w^" + _format_exponent(inner)
+        return _format_power(e.terms[0][0])
     return "(" + format_ordinal(e) + ")"
 
 
@@ -285,11 +284,7 @@ class _Parser:
     def term(self, depth: int) -> Ordinal:
         if self.peek().isdigit():
             return from_int(self.nat())
-        self.take("w")
-        exp = ONE
-        if self.peek() == "^":
-            self.take("^")
-            exp = self.exponent(depth + 1)
+        exp = self.power(depth)
         coeff = 1
         if self.peek() == "*":
             self.take("*")
@@ -298,9 +293,17 @@ class _Parser:
             raise OrdinalError("zero coefficient in %r" % self.text)
         return omega_power(exp, coeff)
 
-    def exponent(self, depth: int) -> Ordinal:
-        if depth > MAX_NESTING:
+    def power(self, depth: int) -> Ordinal:
+        """'w' ['^' exponent]: the exponent, 1 when there is no '^'."""
+        self.take("w")
+        if self.peek() != "^":
+            return ONE
+        self.take("^")
+        if depth >= MAX_NESTING:
             raise OrdinalError("exponents nested more than %d deep" % MAX_NESTING)
+        return self.exponent(depth + 1)
+
+    def exponent(self, depth: int) -> Ordinal:
         if self.peek() == "(":
             self.take("(")
             inner = self.ordinal(depth)
@@ -308,11 +311,7 @@ class _Parser:
             return inner
         if self.peek().isdigit():
             return from_int(self.nat())
-        self.take("w")
-        if self.peek() == "^":
-            self.take("^")
-            return omega_power(self.exponent(depth + 1))
-        return OMEGA
+        return omega_power(self.power(depth))
 
 
 def parse_ordinal(text: str) -> Ordinal:

@@ -39,9 +39,8 @@ from typing import Iterable, Iterator
 from .ordinals import (
     ZERO,
     Ordinal,
-    fundamental_sequence,
+    _lower,
     predecessor_sequence,
-    successor_pred,
 )
 
 FiniteSet = tuple[int, ...]
@@ -67,15 +66,11 @@ def as_finite_set(elements: Iterable[int]) -> FiniteSet:
 
 @lru_cache(maxsize=256)
 def _expand(exp: Ordinal, m: int) -> Run:
-    """The run that w^exp at minimum m parses as: m copies of w^(exp - 1).
-    A limit exponent is first resolved to exp_m, which
-    fundamental_sequence always makes a successor.  At minimum 1 that is
-    one element, a copy of w^0, however deep exp is."""
-    if m == 1:
-        return ZERO, 1
-    if exp.terms[-1][0].terms:  # a limit exponent
-        exp = fundamental_sequence(exp, m)
-    return successor_pred(exp), m
+    """The run that w^exp at minimum m parses as: m copies of w^(exp - 1),
+    lowered by the descent step of the predecessor sequence, so a limit
+    exp is read as exp_m first.  At minimum 1 that is one element, a copy
+    of w^0, however deep exp is."""
+    return (ZERO, 1) if m == 1 else (_lower(exp, m), m)
 
 
 def _prefix_end(s: FiniteSet, i: int, terms: Terms) -> int:

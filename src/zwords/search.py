@@ -13,7 +13,7 @@ from __future__ import annotations
 import heapq
 import time
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import combinations, product
 from math import prod
@@ -439,8 +439,8 @@ def _first_one_color(coloring: Coloring, m: int, totals: range, counts: Sequence
                 sides = _candidate_sides(combo, slots, memos, profile)
                 color = _one_color(coloring, _slice_texts(sides, plans), colors)
                 if color is not None:
-                    inner = sum(_candidate_counts(m, range(total, total + 1), SearchWindow(
-                        shell - 1, profile, window.max_candidates))) if shell > 1 else 0
+                    inner = sum(_candidate_counts(m, range(total, total + 1), replace(
+                        window, radius=shell - 1))) if shell > 1 else 0
                     nodes = sum(counts[:t]) + inner + visited + sum(
                         _rank(text, _split_pools(layers, profile, pools))
                         for layers, own in splits if not own)

@@ -14,6 +14,7 @@ from itertools import combinations, product
 from math import factorial, perm, prod
 
 from zwords.ordinals import (
+    DESCENT_CAP,
     ONE,
     ZERO,
     Ordinal,
@@ -215,6 +216,20 @@ def reference_predecessor_sequence(xi: Ordinal, n: int) -> Ordinal:
     w^e with e a limit, the sequence of w^(e_n).  The result goes
     through the public constructor once."""
     return Ordinal(_reference_predecessor_terms(xi, n))
+
+
+def reference_descent_steps(xi: Ordinal, n: int) -> int:
+    """The steps predecessor_sequence(xi, n) takes, n >= 2, counted by a
+    two-branch loop down the exponent e of xi's last term: one step lowers
+    a successor exponent by one, and one step reads a limit exponent at
+    its n-th fundamental member.  The count stops as soon as it passes
+    DESCENT_CAP, since some towers take astronomically many steps."""
+    exp = xi.terms[-1][0]
+    steps = 0
+    while not exp.is_zero and steps <= DESCENT_CAP:
+        steps += 1
+        exp = successor_pred(exp) if exp.is_successor else fundamental_sequence(exp, n)
+    return steps
 
 
 def reference_restriction_check(xi: Ordinal, xi_n: Ordinal, n: int, n_max: int) -> bool:

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from zwords.ordinals import (
+    DESCENT_CAP,
     MAX_NESTING,
     OMEGA,
     ONE,
@@ -22,7 +23,7 @@ from zwords.ordinals import (
     successor_pred,
 )
 
-from _oracles import reference_predecessor_sequence
+from _oracles import reference_descent_steps, reference_predecessor_sequence
 
 
 def cnf3(a, b, c):
@@ -50,6 +51,14 @@ def test_compare_against_triple_enumeration():
         for t2 in triples:
             want = (t1 > t2) - (t1 < t2)
             assert compare(cnf3(*t1), cnf3(*t2)) == want
+            assert_operators_agree(cnf3(*t1), cnf3(*t2))
+
+
+def assert_operators_agree(a, b):
+    """The comparison operators of Ordinal read the same order as compare."""
+    c = compare(a, b)
+    assert ((a < b), (a <= b), (a > b), (a >= b), (a == b)) == (
+        c < 0, c <= 0, c > 0, c >= 0, c == 0), (a, b)
 
 
 class _SortKey:
@@ -83,6 +92,8 @@ def test_compare_is_total_order_on_random_cnf():
         # transitivity
         if compare(a, b) <= 0 and compare(b, c) <= 0:
             assert compare(a, c) <= 0
+        for x, y in ((a, b), (b, a), (b, c), (a, c), (a, a)):
+            assert_operators_agree(x, y)
 
 
 def test_classify():
@@ -143,15 +154,20 @@ def test_predecessor_sequence_examples():
         predecessor_sequence(ZERO, 1)
 
 
-def test_predecessor_sequence_matches_recursive_reference():
+def predecessor_sample():
+    """Hand-picked and seeded random ordinals, and a tower nested
+    MAX_NESTING deep with its successor."""
     rng = random.Random(20240711)
     tower = parse_ordinal("w^(" * MAX_NESTING + "1" + ")" * MAX_NESTING)
-    sample = (limit_ordinals_upto_omega_cubed()
-              + [parse_ordinal(t) for t in ("1", "w+1", "w^w", "w^(w^w)", "w^(w+1)*2+w^3+4",
-                                            "w^(w^(w^w))", "w^(w^w+w)*3+w^(w*2)")]
-              + [random_cnf(rng) for _ in range(300)] + [tower, successor(tower)])
+    return (limit_ordinals_upto_omega_cubed()
+            + [parse_ordinal(t) for t in ("1", "w+1", "w^w", "w^(w^w)", "w^(w+1)*2+w^3+4",
+                                          "w^(w^(w^w))", "w^(w^w+w)*3+w^(w*2)")]
+            + [random_cnf(rng) for _ in range(300)] + [tower, successor(tower)])
+
+
+def test_predecessor_sequence_matches_recursive_reference():
     compared = 0
-    for xi in sample:
+    for xi in predecessor_sample():
         if xi.is_zero:
             continue
         # a copy of w^e at minimum 1 is one element, so xi_1 is xi less that copy
@@ -167,6 +183,36 @@ def test_predecessor_sequence_matches_recursive_reference():
             assert predecessor_sequence(xi, n) == want, (xi, n)
             compared += 1
     assert compared >= 1400
+
+
+def test_predecessor_sequence_refuses_exactly_past_the_step_cap():
+    # a refused call spends the whole budget, in the reference count as in
+    # predecessor_sequence, so each ordinal stops at its first refused n,
+    # and predecessor_sequence runs only a few of the refused calls
+    answered, refused = 0, []
+    for xi in predecessor_sample():
+        if xi.is_zero:
+            continue
+        for n in range(2, 7):
+            if reference_descent_steps(xi, n) > DESCENT_CAP:
+                refused.append((xi, n))
+                break
+            predecessor_sequence(xi, n)
+            answered += 1
+    assert answered >= 1200 and len(refused) >= 20
+    for xi, n in refused[::6]:
+        with pytest.raises(OrdinalError, match="takes more than %d steps" % DESCENT_CAP):
+            predecessor_sequence(xi, n)
+    # the boundary at n = 2: a successor exponent is one step, a limit two
+    for text in ("w^10000", "w^(w+9997)"):
+        assert reference_descent_steps(parse_ordinal(text), 2) == DESCENT_CAP
+        predecessor_sequence(parse_ordinal(text), 2)
+    assert predecessor_sequence(parse_ordinal("w^10000"), 2) == Ordinal(
+        tuple((from_int(b), 1) for b in range(DESCENT_CAP - 1, -1, -1)))
+    for text in ("w^10001", "w^(w+9998)", "w^(w+9999)"):  # the last refused on its limit step
+        assert reference_descent_steps(parse_ordinal(text), 2) == DESCENT_CAP + 1
+        with pytest.raises(OrdinalError, match="takes more than %d steps" % DESCENT_CAP):
+            predecessor_sequence(parse_ordinal(text), 2)
 
 
 def test_parser_nesting_cap():
