@@ -7,7 +7,10 @@ results are relative to a finite pool of variable words (typically the
 extracted-variable set of a base tuple).
 
 Each operation indexes the pool once: by span width, with each word's R1
-successors and the words on each domain.  Heredity is tested on that
+successors, the words on each domain and the words with each entry
+tuple.  R1 reads only the first word's span and the second word's
+domain, so it is tested once per (span, domain) class pair, and the
+words of one span share one successor list.  Heredity is tested on that
 index without building star products.  The members of a tuple have
 disjoint domains, so a pool word u is an extracted variable word of bw
 exactly when its domain is the union of the domains of a nonempty
@@ -25,17 +28,26 @@ and every subtuple's matches, keyed by pool indices and filled as calls
 reach them.  Every distinct slot is checked and its images built once,
 least first by grid index and word_sort_key so that errors do not follow
 the hash seed, and every distinct subtuple is matched against the pool
-once.  A member costs 2^len(bw) - 1 lookups.  The last 8 pools compiled
-are kept, keyed by their frozensets, so the calls made on one pool (a
-closure, then its largest hereditary part and index) share one
-compilation; memory is bounded by 8 pools times the slots and subtuples
-each one has.
+once: when its slots allow fewer combinations of entry tuples than the
+union domain has pool words, each combination is joined and looked up
+by entries, and otherwise the domain's words are scanned.  A member's
+extraction set, the union of its 2^len(bw) - 1 subtuples' matches, is
+kept by its key on its first visit, so later calls read it.  The last 8
+pools compiled are kept, keyed by their frozensets, so the calls made on
+one pool (a closure, then its largest hereditary part and index) share
+one compilation; memory is bounded by 8 pools times the slots, subtuples
+and member keys each one has.
+
+A derivative step's verdict on a key depends only on the set of pool
+words open at it, so each call works out the verdict once per distinct
+open set; the 2,540 members of the four-word closure have 5 of them.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
+from math import prod
 from operator import itemgetter
 from typing import Collection, Iterable, Iterator, NamedTuple
 
@@ -151,38 +163,50 @@ def tree_closure(family: WordFamily) -> WordFamily:
 class _Pool(NamedTuple):
     """A compiled pool: its words in order of span width, each word's
     index, each word's R1 successors as a list of indices, the indices of
-    the words on each domain, and the extraction work of the calls made
-    on it so far, keyed by pool indices.  A slot is a (pool index, 1-based
-    grid index) pair; `allowed` holds the entry tuples of each checked
-    slot, the word's own and its grid images', which depend on the word
-    and the index alone.  A subtuple, a tuple of slots, keeps in
-    `matches` the pool indices found for it by the domain test of the
-    module docstring."""
+    the words on each domain and with each entry tuple, and the extraction
+    work of the calls made on it so far, keyed by pool indices.  A slot is
+    a (pool index, 1-based grid index) pair; `allowed` holds the entry
+    tuples of each checked slot, the word's own and its grid images',
+    which depend on the word and the index alone.  A subtuple, a tuple of
+    slots, keeps in `matches` the pool indices found for it by the domain
+    test of the module docstring, and a member key keeps in `extractions`
+    the union of its subtuples' matches."""
 
     words: list[LocatedWord]
     index: dict[LocatedWord, int]
     succ: list[list[int]]
     by_dom: dict[tuple[int, ...], list[int]]
+    by_entries: dict[tuple, list[int]]
     allowed: dict[tuple[int, int], set[tuple]]
     matches: dict[tuple[tuple[int, int], ...], list[int]]
+    extractions: dict[Key, frozenset[int]]
 
 
 @lru_cache(maxsize=8)
 def _compile(pool: frozenset[LocatedWord]) -> _Pool:
-    """The pool validated and indexed.  R1 strictly widens the span, so
-    every successor comes later in the width order.  lru_cache keeps no
-    call that raised, so an invalid pool is never kept."""
+    """The pool validated and indexed.  R1 reads only the first word's
+    span and the second word's domain, so it is tested once per (span,
+    domain) pair, and the words of one span share one successor list.
+    R1 strictly widens the span, so every successor comes later in the
+    width order.  lru_cache keeps no call that raised, so an invalid pool
+    is never kept."""
     bad = [w for w in pool if not (w.is_variable_word and w.is_core)]
     if bad:
         raise FamilyError("pool word %s is not a two-sided variable word"
                           % format_word(min(bad, key=word_sort_key)))
     words = sorted(pool, key=lambda w: (w.dom[-1] - w.dom[0], word_sort_key(w)))
-    succ = [[j for j in range(i + 1, len(words)) if rel_r1(w, words[j])]
-            for i, w in enumerate(words)]
     by_dom: dict[tuple[int, ...], list[int]] = {}
+    by_entries: dict[tuple, list[int]] = {}
+    one_per_span: dict[tuple[int, int], LocatedWord] = {}
     for i, w in enumerate(words):
         by_dom.setdefault(w.dom, []).append(i)
-    return _Pool(words, {w: i for i, w in enumerate(words)}, succ, by_dom, {}, {})
+        by_entries.setdefault(w.entries, []).append(i)
+        one_per_span.setdefault((w.dom[0], w.dom[-1]), w)
+    nexts = {span: sorted(j for on in by_dom.values() if rel_r1(w, words[on[0]]) for j in on)
+             for span, w in one_per_span.items()}
+    succ = [nexts[w.dom[0], w.dom[-1]] for w in words]
+    return _Pool(words, {w: i for i, w in enumerate(words)}, succ, by_dom, by_entries,
+                 {}, {}, {})
 
 
 def _pool_keys(family: WordFamily,
@@ -218,32 +242,54 @@ def _check_slots(keys: Iterable[Key], table: _Pool) -> None:
 
 def _matches(chosen: tuple[tuple[int, int], ...], table: _Pool) -> list[int]:
     """The pool words on the union of the chosen slots' domains, of their
-    profile, that read an allowed entry tuple on each slot's domain."""
+    profile, that read an allowed entry tuple on each slot's domain.  When
+    the slots allow no more combinations than the union domain has words,
+    each combination's entry tuple is joined in position order and looked
+    up; otherwise the domain's words are scanned.  The slots' domains are
+    disjoint, so a joined tuple is a word's whole entry tuple; equal
+    entries can sit under two profiles, so the profile is still tested."""
     words, allowed = table.words, table.allowed
-    dom = sorted(p for t, _ in chosen for p in words[t].dom)
+    # the positions of the pieces concatenated, and in order
+    flat = [p for t, _ in chosen for p in words[t].dom]
+    dom = sorted(flat)
+    on_dom = table.by_dom.get(tuple(dom))
+    if on_dom is None:
+        return []
+    oks = [allowed[slot] for slot in chosen]
+    profile = words[chosen[0][0]].profile
+    if prod(map(len, oks)) <= len(on_dom):
+        get = itemgetter(*sorted(range(len(flat)), key=flat.__getitem__))
+        joined = (get(sum(combo, ())) for combo in product(*oks))
+        by_entries = table.by_entries
+        return [u for entries in joined for u in by_entries.get(entries, ())
+                if words[u].profile == profile]
     rank = {p: k for k, p in enumerate(dom)}
     # a core variable word has positions on both sides, so each getter
     # picks at least two entries and returns a tuple
-    pieces = [(itemgetter(*map(rank.get, words[t].dom)), allowed[t, i]) for t, i in chosen]
-    profile = words[chosen[0][0]].profile
-    return [u for u in table.by_dom.get(tuple(dom), ())
+    pieces = [(itemgetter(*map(rank.get, words[t].dom)), ok)
+              for (t, _), ok in zip(chosen, oks)]
+    return [u for u in on_dom
             if words[u].profile == profile
             and all(get(words[u].entries) in ok for get, ok in pieces)]
 
 
-def _extractions(key: Key, table: _Pool) -> set[int]:
+def _extractions(key: Key, table: _Pool) -> frozenset[int]:
     """The pool indices of the extracted variable words of the member
     keyed by key, by the domain test of the module docstring, once per
-    subtuple of slots in the compiled pool; its slots must be checked."""
-    slots = [(t, i) for i, t in enumerate(key, 1)]
-    matches = table.matches
-    found = set()
-    for size in range(1, len(key) + 1):
-        for chosen in combinations(slots, size):
-            hits = matches.get(chosen)
-            if hits is None:
-                hits = matches[chosen] = _matches(chosen, table)
-            found.update(hits)
+    subtuple of slots and once per key in the compiled pool; its slots
+    must be checked."""
+    found = table.extractions.get(key)
+    if found is None:
+        slots = [(t, i) for i, t in enumerate(key, 1)]
+        matches = table.matches
+        hits = []
+        for size in range(1, len(key) + 1):
+            for chosen in combinations(slots, size):
+                got = matches.get(chosen)
+                if got is None:
+                    got = matches[chosen] = _matches(chosen, table)
+                hits.append(got)
+        found = table.extractions[key] = frozenset().union(*hits)
     return found
 
 
@@ -304,24 +350,43 @@ def _derive(keys: Collection[Key], table: _Pool, tau: int) -> set[Key]:
     """The keys whose blocked pool words hold no R1-chain of length tau.
     A pool word t is open at a key when the key followed by t is a key,
     and blocked otherwise; one reverse pass over the width order gives
-    each blocked word the longest blocked chain it starts."""
+    each blocked word the longest blocked chain it starts.  The verdict
+    depends on the open set alone, so each distinct open set is passed
+    over once per call."""
     words, succ = table.words, table.succ
     kept = set()
+    verdicts: dict[frozenset[int], bool] = {}
+    checked = set()
     for key in keys:
-        nexts = succ[key[-1]] if key else range(len(words))
-        # words of two profiles make no orderly tuple
-        if key and any(words[t].profile != words[key[-1]].profile for t in nexts):
-            raise WordError("profile mismatch inside tuple")
-        open_ = {t for t in nexts if key + (t,) in keys}
-        depth = [0] * len(words)
-        for i in reversed(range(len(words))):
-            if i not in open_:
-                depth[i] = 1 + max((depth[j] for j in succ[i]), default=0)
-                if depth[i] >= tau:
-                    break
+        if key:
+            last = key[-1]
+            nexts = succ[last]
+            if last not in checked:
+                # words of two profiles make no orderly tuple
+                profile = words[last].profile
+                if any(words[t].profile != profile for t in nexts):
+                    raise WordError("profile mismatch inside tuple")
+                checked.add(last)
         else:
+            nexts = range(len(words))
+        open_ = frozenset(t for t in nexts if key + (t,) in keys)
+        verdict = verdicts.get(open_)
+        if verdict is None:
+            verdict = verdicts[open_] = _no_blocked_chain(open_, succ, tau)
+        if verdict:
             kept.add(key)
     return kept
+
+
+def _no_blocked_chain(open_: frozenset[int], succ: list[list[int]], tau: int) -> bool:
+    """No R1-chain of length tau among the pool words outside open_."""
+    depth = [0] * len(succ)
+    for i in reversed(range(len(succ))):
+        if i not in open_:
+            depth[i] = 1 + max((depth[j] for j in succ[i]), default=0)
+            if depth[i] >= tau:
+                return False
+    return True
 
 
 def cb_derivative(family: WordFamily, pool: Iterable[LocatedWord], tau: int) -> WordFamily:

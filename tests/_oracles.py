@@ -643,6 +643,26 @@ def _reference_pool(family, pool):
     return pool
 
 
+def reference_r1_successors(words):
+    """Each word's R1 successors among words, as ascending list indices,
+    by testing rel_r1 on every ordered pair."""
+    return [[j for j, u in enumerate(words) if rel_r1(w, u)] for w in words]
+
+
+def reference_matches(chosen, table):
+    """The pool indices of a compiled pool's words on the union of the
+    chosen slots' domains, of the first slot's profile, whose entries on
+    each slot's domain are one of that slot's allowed entry tuples, by a
+    scan of every pool word."""
+    words = table.words
+    dom = sorted(p for t, _ in chosen for p in words[t].dom)
+    profile = words[chosen[0][0]].profile
+    return [u for u, w in enumerate(words)
+            if list(w.dom) == dom and w.profile == profile
+            and all(tuple(e for e in w.entries if e[0] in words[t].dom) in table.allowed[t, i]
+                    for t, i in chosen)]
+
+
 def reference_pool_extractions(bw, pool):
     """The extracted variable words of bw that lie in the pool, built as
     star products of bw's members alone."""

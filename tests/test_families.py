@@ -2,7 +2,9 @@ import os
 import random
 import subprocess
 import sys
+import time
 from itertools import combinations
+from math import prod
 
 import pytest
 
@@ -11,7 +13,9 @@ from _oracles import (
     reference_cb_derivative,
     reference_hereditary_closure,
     reference_largest_hereditary,
+    reference_matches,
     reference_pool_extractions,
+    reference_r1_successors,
     reference_set_family_cb_index,
 )
 from zwords.ordinals import OMEGA, ONE, from_int
@@ -35,9 +39,11 @@ from zwords.families import (
     _check_slots,
     _compile,
     _extractions,
+    _matches,
     _pool_keys,
 )
 from zwords.words import (
+    ABS,
     EMPTY_TUPLE,
     VARIABLE,
     LocatedWord,
@@ -317,6 +323,33 @@ def three_word_base():
                        for a, b in ((1, 2), (3, 4), (5, 6))])
 
 
+def four_word_base():
+    """three_word_base and the variable on +-{7,8}."""
+    return make_tuple(three_word_base().words
+                      + (make_word({-8: VARIABLE, -7: VARIABLE, 7: VARIABLE, 8: VARIABLE}),))
+
+
+def shared_span_pool():
+    """Words under two profiles whose domains share spans but differ
+    inside them."""
+    domains = [(-1, 1), (-3, 3), (-3, -1, 1, 3), (-3, -2, -1, 1, 2, 3), (-4, 5),
+               (-5, 5), (-5, -4, 4, 5), (-5, -2, 2, 5), (-7, -6, 6, 7)]
+    return frozenset(make_word(dict.fromkeys(dom, VARIABLE), prof)
+                     for dom in domains for prof in (ABS, parse_profile("abs+1")))
+
+
+def test_r1_successors_match_pairwise_reference():
+    # successors are built once per (span, domain) class; they must be the
+    # lists that testing every pair gives, list for list
+    pools = [CHAIN3, nested_pool(), nested_pool(3, 2), nested_pool(4, 2), nested_pool(2, 1),
+             ev_pool(), extracted_sets(three_word_base()).variables,
+             extracted_sets(four_word_base()).variables, shared_span_pool()]
+    for pool in pools:
+        table = _compile(pool)
+        assert table.succ == reference_r1_successors(table.words), len(pool)
+    assert sum(map(len, _compile(shared_span_pool()).succ)) > 0
+
+
 def test_extracted_variable_pools_are_extraction_closed():
     # extraction sets of tuples drawn from an extracted-variable pool
     # stay inside the pool, so pool-relative closures lose nothing
@@ -385,6 +418,18 @@ def test_cb_derivative_matches_reference_on_nested_pool():
     pool = nested_pool(3, 2)
     for m in (0, 1, 2):
         assert_matches_reference(hereditary_closure(family_of(full_tuples(pool, m)), pool), pool)
+
+
+def test_cb_derivative_matches_reference_on_open_sets_of_one_size():
+    # two 3-chains over nested_pool(3, 2) whose closure has keys with open
+    # sets of one size but different verdicts at tau 3, so a verdict is
+    # kept per open set, not per size
+    pool = nested_pool(3, 2)
+    raw = parse_family("-2:v,-1:-1,1:1,2:v;-4:v,-3:v,3:v,4:v;-6:v,-5:-1,5:1,6:v\n"
+                       "-2:v,-1:v,1:v,2:v;-4:v,-3:v,3:v,4:v;-6:v,-5:v,5:v,6:v")
+    closed = hereditary_closure(raw, pool)
+    assert len(closed) == 14
+    assert_matches_reference(closed, pool)
 
 
 def test_cb_derivative_matches_reference_on_extracted_pool():
@@ -601,6 +646,72 @@ def test_shared_memo_extractions_match_star_products():
                     assert got == want[keys[key]], (keys[key], seed)
             assert _pool_keys(fam, frozenset(pool))[1] is table
             assert table.matches
+            # a member's set is kept once, and every later call reads it
+            for key in keys:
+                assert table.extractions[key] is _extractions(key, table)
+                assert isinstance(table.extractions[key], frozenset)
+    # the kept sets go with the compiled pool
+    pool, fam = _memo_cases()[0]
+    assert _pool_keys(fam, pool)[1].extractions
+    _compile.cache_clear()
+    assert not _pool_keys(fam, pool)[1].extractions
+
+
+def _check_subtuple_matches(pool, fam):
+    """_matches equals reference_matches on every subtuple of every
+    member; returns how many subtuples with pool words on their union
+    domain were looked up and scanned."""
+    keys, table = _pool_keys(fam, pool)
+    _check_slots(keys, table)
+    looked_up = scanned = 0
+    for key in keys:
+        slots = [(t, i) for i, t in enumerate(key, 1)]
+        for size in range(1, len(slots) + 1):
+            for chosen in combinations(slots, size):
+                got = _matches(chosen, table)
+                assert sorted(got) == reference_matches(chosen, table), chosen
+                dom = tuple(sorted(p for t, _ in chosen for p in table.words[t].dom))
+                if dom not in table.by_dom:
+                    continue
+                if prod(len(table.allowed[slot]) for slot in chosen) <= len(table.by_dom[dom]):
+                    looked_up += 1
+                else:
+                    scanned += 1
+    return looked_up, scanned
+
+
+def test_subtuple_matches_equal_the_scan():
+    counts = [_check_subtuple_matches(pool, fam) for pool, fam in _memo_cases()]
+    # both the entry lookup and the scan are exercised
+    assert sum(c[0] for c in counts) > 0 and sum(c[1] for c in counts) > 0
+
+
+def test_subtuple_matches_compare_profiles():
+    # the same entries under abs and abs+1: a lookup finds both words, and
+    # only the one of the slots' profile matches
+    three = extracted_sets(three_word_base()).variables
+    plus = parse_profile("abs+1")
+    pool = three | {LocatedWord(w.entries, plus) for w in three}
+    closed = hereditary_closure(family_of([three_word_base()]), three)
+    fam = family_of(closed.members | {make_tuple(LocatedWord(w.entries, plus) for w in bw)
+                                      for bw in closed.members})
+    looked_up, _ = _check_subtuple_matches(pool, fam)
+    assert looked_up > 0
+
+
+def test_four_word_pool():
+    # the variable on +-{1,2}, +-{3,4}, +-{5,6} and +-{7,8}: every answer
+    # as the pairwise kernels give it, in well under the seconds they took
+    start = time.perf_counter()
+    base = four_word_base()
+    pool = extracted_sets(base).variables
+    closed = hereditary_closure(family_of([base]), pool)
+    assert (len(pool), len(closed)) == (1864, 2540)
+    assert largest_hereditary(closed, pool) == closed
+    _compile.cache_clear()
+    assert cb_index(closed, pool, 2) == 2
+    assert cb_index(closed, pool, 3) == 3
+    assert time.perf_counter() - start < 10
 
 
 def test_family_calls_on_one_pool_match_a_cold_cache():
