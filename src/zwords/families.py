@@ -155,8 +155,9 @@ def l_xi_member(bw: OrderlyTuple, xi: Ordinal, side: str = "positive") -> bool:
 
 
 def tree_closure(family: WordFamily) -> WordFamily:
-    """Close under initial segments (the empty tuple included)."""
-    return WordFamily({EMPTY_TUPLE} | {make_tuple(bw.words[:cut]) for bw in family.members
+    """Close under initial segments (the empty tuple included).  A
+    prefix of an orderly tuple is orderly, so it is built directly."""
+    return WordFamily({EMPTY_TUPLE} | {OrderlyTuple(bw.words[:cut]) for bw in family.members
                                        for cut in range(1, len(bw) + 1)})
 
 
@@ -320,7 +321,10 @@ def _is_hereditary(keys: dict[Key, OrderlyTuple], table: _Pool) -> bool:
 
 
 def hereditary_closure(family: WordFamily, pool: Iterable[LocatedWord]) -> WordFamily:
-    """Close under pool-relative extraction tuples of members."""
+    """Close under pool-relative extraction tuples of members.  Each
+    chain steps along R1 successors through one member's extractions,
+    which are core words of that member's profile, so its tuple is built
+    directly."""
     keys, table = _pool_keys(family, pool)
     _check_slots(keys, table)
     chains = set().union(*(_extraction_chains(key, table) for key in keys))
@@ -336,8 +340,9 @@ def largest_hereditary(family: WordFamily, pool: Iterable[LocatedWord]) -> WordF
 
 def family_at(family: WordFamily, t: LocatedWord) -> WordFamily:
     """F(t): tails of members starting with t; the empty tuple stands in
-    for the member (t) itself."""
-    return WordFamily(make_tuple(bw.words[1:]) for bw in family.members
+    for the member (t) itself.  A suffix of an orderly tuple is orderly,
+    so it is built directly."""
+    return WordFamily(OrderlyTuple(bw.words[1:]) for bw in family.members
                       if len(bw) >= 1 and bw[0] == t)
 
 

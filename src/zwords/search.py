@@ -155,12 +155,31 @@ def _letter_options(pos: int, profile: DominationProfile, with_variable: bool) -
     return letters
 
 
+def _slice_count(n: int, bounds: Sequence[int], variable: bool) -> int:
+    """The number of words length_slice lists: e_n of the bounds, or with
+    the variable e_n(k + 1) - e_n(k), the words with a variable."""
+    grown, plain = [1] + [0] * n, [1] + [0] * n
+    for k in bounds:
+        for s in range(n, 0, -1):
+            grown[s] += grown[s - 1] * (k + 1)
+            plain[s] += plain[s - 1] * k
+    return grown[n] - plain[n] if variable else plain[n]
+
+
 def length_slice(n: int, window: SearchWindow, variable: bool = False) -> list[LocatedWord]:
     """All constant (or variable, by flag) words of domain size n inside
-    the window, canonically ordered."""
+    the window, canonically ordered.  A slice with words reads all its
+    bounds first (a table names its least missing position), and one
+    over the cap is refused before any word is built."""
     if n < 1:
         raise SearchError("length must be >= 1")
     positions = window.positions()
+    if n > len(positions):
+        return []
+    if _slice_count(n, [window.profile.bound(p) for p in positions],
+                    variable) > window.max_candidates:
+        over = window.max_candidates + 1
+        raise SearchCapExceeded("length slice exceeds cap after %d words" % over, over)
     out = []
     for dom in combinations(positions, n):
         options = [_letter_options(p, window.profile, variable) for p in dom]
@@ -168,9 +187,6 @@ def length_slice(n: int, window: SearchWindow, variable: bool = False) -> list[L
             if variable and all(l != VARIABLE for l in letters):
                 continue
             out.append(LocatedWord(tuple(zip(dom, letters)), window.profile))
-            if len(out) > window.max_candidates:
-                raise SearchCapExceeded(
-                    "length slice exceeds cap after %d words" % len(out), len(out))
     return sorted(out, key=word_sort_key)
 
 

@@ -17,6 +17,16 @@ directly; other text goes through `make_word`.  Kernels whose words are
 valid by construction build them directly: `concat`, `merge`,
 `substitute`, `project_positive`, `rationals.encode`,
 `search.length_slice` and the search's candidates.
+
+Tuples follow the same rule.  `make_tuple` validates tuples from
+outside: it refuses, pair by pair, a profile mismatch and then a pair
+not in R1, and then a word outside the core class; `families.parse_tuple`
+reads text through it.  `OrderlyTuple(words)` is a plain value that
+trusts its words, as `LocatedWord(entries, profile)` does, so a direct
+call refuses nothing.  The family kernels build their tuples directly
+from checked ones: `families.tree_closure` (prefixes),
+`families.family_at` (suffixes) and `families.hereditary_closure` (R1
+chains of one member's pool extractions).
 """
 
 from __future__ import annotations
@@ -204,12 +214,6 @@ class LocatedWord:
                     and any(l == VARIABLE for p, l in self.entries if p > 0))
         return bool(self.dom_neg) and bool(self.dom_pos)
 
-    def letter(self, pos: int) -> int:
-        for p, l in self.entries:
-            if p == pos:
-                return l
-        raise WordError("position %d not in domain" % pos)
-
     def __str__(self) -> str:
         return format_word(self)
 
@@ -351,19 +355,11 @@ def project_positive(w: LocatedWord) -> LocatedWord:
 
 @dataclass(frozen=True)
 class OrderlyTuple:
-    """A finite tuple of core-class words, each R1-below the next."""
+    """A finite tuple of core-class words of one profile, each R1-below
+    the next.  A plain value that trusts its words: make_tuple checks
+    them."""
 
     words: tuple[LocatedWord, ...]
-
-    def __post_init__(self) -> None:
-        for a, b in zip(self.words, self.words[1:]):
-            if a.profile != b.profile:
-                raise WordError("profile mismatch inside tuple")
-            if not rel_r1(a, b):
-                raise WordError("tuple not increasing: %s then %s" % (a, b))
-        for w in self.words:
-            if not w.is_core:
-                raise WordError("%s is outside the core class" % w)
 
     def __len__(self) -> int:
         return len(self.words)
@@ -379,7 +375,19 @@ class OrderlyTuple:
 
 
 def make_tuple(ws: Iterable[LocatedWord]) -> OrderlyTuple:
-    return OrderlyTuple(tuple(ws))
+    """Validate and build an orderly tuple.  Refused, in this order: for
+    each adjacent pair, a profile mismatch, then a pair not in R1; then a
+    word outside the core class, word by word."""
+    words = tuple(ws)
+    for a, b in zip(words, words[1:]):
+        if a.profile != b.profile:
+            raise WordError("profile mismatch inside tuple")
+        if not rel_r1(a, b):
+            raise WordError("tuple not increasing: %s then %s" % (a, b))
+    for w in words:
+        if not w.is_core:
+            raise WordError("%s is outside the core class" % w)
+    return OrderlyTuple(words)
 
 
 EMPTY_TUPLE = OrderlyTuple(())

@@ -714,6 +714,43 @@ def test_four_word_pool():
     assert time.perf_counter() - start < 10
 
 
+def assert_members_pass_make_tuple(fam):
+    """Every member equals, hash included, the tuple make_tuple checks
+    and builds from its words."""
+    for bw in fam.members:
+        checked = make_tuple(bw.words)
+        assert checked == bw and hash(checked) == hash(bw), bw
+
+
+def assert_kernel_tuples_pass_make_tuple(raw, pool):
+    """The members that hereditary_closure, tree_closure and family_at
+    build directly, from raw over pool, are all checked tuples."""
+    closed = hereditary_closure(raw, pool)
+    assert_members_pass_make_tuple(closed)
+    assert_members_pass_make_tuple(tree_closure(raw))
+    for t in {bw[0] for bw in closed.members if len(bw) >= 2}:
+        assert_members_pass_make_tuple(family_at(closed, t))
+
+
+def test_kernel_built_tuples_pass_make_tuple():
+    # OrderlyTuple trusts its words, so the kernels that build tuples
+    # directly must build only tuples that make_tuple accepts; the two
+    # profiles of shared_span_pool are R1-related, so a chain that left
+    # its member's extractions could cross them
+    for pool in (CHAIN3, nested_pool(), nested_pool(3, 2), nested_pool(2, 1), ev_pool(),
+                 shared_span_pool()):
+        singles = family_of([make_tuple([w]) for w in pool])
+        assert_kernel_tuples_pass_make_tuple(singles, pool)
+    for pool in (nested_pool(), nested_pool(3, 2)):
+        assert_kernel_tuples_pass_make_tuple(family_of(full_tuples(pool, 3)), pool)
+    for raw in chain3_sweep():
+        assert_kernel_tuples_pass_make_tuple(raw, CHAIN3)
+    for base in (three_word_base(), four_word_base()):
+        pool = extracted_sets(base).variables
+        assert_kernel_tuples_pass_make_tuple(family_of([base]), pool)
+    assert len(hereditary_closure(family_of([base]), pool)) == 2540
+
+
 def test_family_calls_on_one_pool_match_a_cold_cache():
     # the operations on a pool, run in shuffled orders on one compiled
     # pool, give what each gives on a freshly compiled pool

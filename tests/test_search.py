@@ -38,6 +38,7 @@ from zwords.search import (
     _shell_candidates,
     _shell_splits,
     _side_slots,
+    _slice_count,
     _slice_texts,
     _split_pools,
     _split_stream,
@@ -46,6 +47,7 @@ from zwords.search import (
     _xi_slices,
 )
 from zwords.words import (
+    ABS,
     VARIABLE,
     DominationProfile,
     WordError,
@@ -125,6 +127,35 @@ def test_length_slice_counting_identity():
             expected = sum(prod(abs(p) for p in dom)
                            for dom in combinations(window.positions(), n))
             assert len(length_slice(n, window)) == expected
+
+
+def test_length_slice_counts_before_it_builds():
+    # the count that guards the cap is the number of words listed
+    profiles = [ABS, parse_profile("const:2"), parse_profile("table:-3=1,-2=3,-1=2,1=1,2=2,3=1")]
+    for profile in profiles:
+        for radius in (1, 2, 3):
+            window = SearchWindow(radius, profile)
+            bounds = [profile.bound(p) for p in window.positions()]
+            for n in range(1, 2 * radius + 1):
+                for variable in (False, True):
+                    assert (_slice_count(n, bounds, variable)
+                            == len(length_slice(n, window, variable))), (profile, n, variable)
+    # one word past the cap is refused, with the count the cap gives
+    window = SearchWindow(2, max_candidates=len(length_slice(2, SearchWindow(2))) - 1)
+    with pytest.raises(SearchCapExceeded) as info:
+        length_slice(2, window)
+    assert info.value.candidates == window.max_candidates + 1
+    start = time.perf_counter()
+    with pytest.raises(SearchCapExceeded) as info:
+        length_slice(3, SearchWindow(12))
+    assert time.perf_counter() - start < 0.1
+    assert str(info.value) == "length slice exceeds cap after 200001 words"
+    assert info.value.candidates == 200001
+    # past the window's positions no bound is read
+    assert length_slice(5, SearchWindow(2, parse_profile("table:1=1"))) == []
+    # a table with words names its least missing bound, before the cap
+    with pytest.raises(WordError, match="no bound at -2"):
+        length_slice(2, SearchWindow(2, parse_profile("table:-1=1,1=1"), max_candidates=0))
 
 
 def test_length_slice_variable_words():

@@ -487,12 +487,28 @@ def test_h_map_injective_on_small_window():
 def test_orderly_tuple_validation():
     w1 = make_word({-1: VARIABLE, 1: VARIABLE})
     w2 = make_word({-3: VARIABLE, 3: VARIABLE})
-    make_tuple([w1, w2])
-    with pytest.raises(WordError):
-        make_tuple([w2, w1])
-    with pytest.raises(WordError):
-        make_tuple([make_word({1: VARIABLE})])  # outside the core class
+    w3 = make_word({-5: VARIABLE, 5: VARIABLE})
+    w1_plus = make_word({-1: VARIABLE, 1: VARIABLE}, parse_profile("abs+1"))
+    one_sided = make_word({1: VARIABLE})
+    assert make_tuple([w1, w2]).words == (w1, w2)
     assert len(make_tuple([])) == 0
+    refusals = [
+        ([w2, w1], "tuple not increasing: -3:v,3:v then -1:v,1:v"),
+        ([w1, w3, w2], "tuple not increasing: -5:v,5:v then -3:v,3:v"),
+        ([w1_plus, w2], "profile mismatch inside tuple"),
+        ([one_sided], "1:v is outside the core class"),
+        ([w1, w2, one_sided], "tuple not increasing: -3:v,3:v then 1:v"),
+        # the pairs come first: a mismatch before R1, both before the core
+        ([w2, w1_plus], "profile mismatch inside tuple"),
+        ([one_sided, w2, w1], "tuple not increasing: -3:v,3:v then -1:v,1:v"),
+        ([w1, w2, w1_plus, one_sided], "profile mismatch inside tuple"),
+    ]
+    for ws, message in refusals:
+        with pytest.raises(WordError) as info:
+            make_tuple(ws)
+        assert str(info.value) == message, ws
+        # the same words go into the value as they are
+        assert words.OrderlyTuple(tuple(ws)).words == tuple(ws)
 
 
 def test_profile_text_round_trip():
