@@ -3,7 +3,9 @@
 Data output is line-oriented plain text on stdout (or the same fields as
 JSON with --json); timings go to stderr.  Exit codes: 0 success, 1 domain
 error, 2 usage error.  The env var ZW_CAPS, a positive integer, overrides
-the enumeration and search caps.
+the enumeration and search caps.  Each command's parser is built the
+first time the command runs; the full parser tree is built only for help
+and usage errors.
 """
 
 from __future__ import annotations
@@ -265,78 +267,85 @@ def _cmd_search_psi(args) -> tuple:
     return "value", search.psi_map(words.parse_word(args.word, _profile(args)), spec)
 
 
-# --- parser -----------------------------------------------------------------
+# --- commands ---------------------------------------------------------------
+
+_REQUIRED = {"required": True}
+_INT = {"type": int, "required": True}
+_NONE = {"default": None}
+_INT_NONE = {"type": int, "default": None}
+_ABS = {"default": "abs"}
+
+# Every command by (group, name): its handler, its arguments in the order
+# of its usage line (argparse name -> keywords) and the defaults it binds
+# besides the handler.  The whole tree and each command's own parser are
+# both built from this table.
+COMMANDS = {
+    ("word", "check"): (_cmd_word_check, {"--word": _REQUIRED, "--profile": _ABS}, {}),
+    ("word", "concat"): (_cmd_word_pair, {"--a": _REQUIRED, "--b": _REQUIRED,
+                                          "--profile": _ABS}, {"combine": words.concat}),
+    ("word", "subst"): (_cmd_word_subst, {"--word": _REQUIRED, "--p": _INT, "--q": _INT,
+                                          "--profile": _ABS}, {}),
+    ("word", "merge"): (_cmd_word_pair, {"--a": _REQUIRED, "--b": _REQUIRED,
+                                         "--profile": _ABS}, {"combine": words.merge}),
+    ("word", "ev"): (_cmd_word_ev, {"--tuple": _REQUIRED, "--indices": _NONE,
+                                    "--profile": _ABS}, {}),
+    ("schreier", "member"): (_cmd_schreier_member, {"--xi": _REQUIRED, "--set": _REQUIRED}, {}),
+    ("schreier", "enum"): (_cmd_schreier_enum, {"--xi": _REQUIRED, "--n": _INT}, {}),
+    ("schreier", "canon"): (_cmd_schreier_canon, {"--xi": _REQUIRED, "--set": _REQUIRED}, {}),
+    ("schreier", "check-restriction"): (_cmd_schreier_restriction, {
+        "--xi": _REQUIRED, "--n": _INT, "--max": _INT}, {}),
+    ("ordinal", "cmp"): (_cmd_ordinal_cmp, {"--a": _REQUIRED, "--b": _REQUIRED}, {}),
+    ("ordinal", "fund"): (_cmd_ordinal_fund, {"--lambda": _REQUIRED, "--n": _INT}, {}),
+    ("ordinal", "pred"): (_cmd_ordinal_pred, {"--xi": _REQUIRED, "--n": _INT}, {}),
+    ("ordinal", "classify"): (_cmd_ordinal_classify, {"--xi": _REQUIRED}, {}),
+    ("family", "closure"): (_cmd_family_closure, {
+        "--op": {"required": True, "choices": ["tree", *_POOL_OPS]},
+        "--family": _REQUIRED, "--pool": _NONE, "--profile": _ABS}, {}),
+    ("family", "cbindex"): (_cmd_family_cbindex, {
+        "--family": _NONE, "--pool": _NONE, "--tau": _INT, "--set-m": _INT_NONE,
+        "--ground": {"type": int, "default": 12}, "--profile": _ABS}, {}),
+    ("rat", "encode"): (_cmd_rat_encode, {"value": {}}, {}),
+    ("rat", "decode"): (_cmd_rat_decode, {"--word": _REQUIRED}, {}),
+    ("rat", "precedes"): (_cmd_rat_precedes, {"--a": _REQUIRED, "--b": _REQUIRED}, {}),
+    ("rat", "qxi"): (_cmd_rat_qxi, {"--xi": _REQUIRED, "--values": _REQUIRED}, {}),
+    ("search", "hj"): (_cmd_search_hj, {
+        "--r": _INT, "--seed": _INT_NONE, "--coloring": _NONE, "--bounds": _REQUIRED,
+        "--n": _INT, "--window": _INT, "--profile": _ABS}, {}),
+    ("search", "xi"): (_cmd_search_xi, {
+        "--r": _INT, "--seed": _INT_NONE, "--coloring": _NONE, "--xi": _REQUIRED,
+        "--l": _INT, "--n0": _INT, "--window": _INT, "--profile": _ABS}, {}),
+    ("search", "fs"): (_cmd_search_fs, {"--xs": _REQUIRED, "--zs": _NONE}, {}),
+    ("search", "psi"): (_cmd_search_psi, {
+        "--word": _REQUIRED, "--semigroup": {"default": "int-linear",
+                                             "choices": ["int-linear", "strings"]},
+        "--profile": _ABS}, {}),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _fill(parser: argparse.ArgumentParser, command: tuple[str, str]) -> argparse.ArgumentParser:
+    """Declare one command's arguments and defaults on parser."""
+    func, arguments, defaults = COMMANDS[command]
+    for name, keywords in arguments.items():
+        parser.add_argument(name, **keywords)
+    parser.set_defaults(func=func, **defaults)
+    return parser
+
+
+def build_parser(command: tuple[str, str] | None = None) -> argparse.ArgumentParser:
+    """The parser of one command, (group, name), standalone under the prog
+    its place in the tree gives it, so that its usage, help and errors
+    read as the tree's; with no command, the whole tree."""
+    if command is not None:
+        return _fill(argparse.ArgumentParser(prog="zwords %s %s" % command), command)
     top = argparse.ArgumentParser(prog="zwords", description=__doc__)
     top.add_argument("--json", action="store_true", help="emit JSON instead of plain text")
     sub = top.add_subparsers(dest="command", required=True)
-
-    def add(parent, name, func, **arguments):
-        p = parent.add_parser(name)
-        for flag, kw in arguments.items():
-            p.add_argument("--" + flag.replace("_", "-"), **kw)
-        p.set_defaults(func=func)
-        return p
-
-    word = sub.add_parser("word").add_subparsers(dest="subcommand", required=True)
-    add(word, "check", _cmd_word_check, word={"required": True}, profile={"default": "abs"})
-    add(word, "concat", _cmd_word_pair, a={"required": True}, b={"required": True},
-        profile={"default": "abs"}).set_defaults(combine=words.concat)
-    add(word, "subst", _cmd_word_subst, word={"required": True},
-        p={"type": int, "required": True}, q={"type": int, "required": True},
-        profile={"default": "abs"})
-    add(word, "merge", _cmd_word_pair, a={"required": True}, b={"required": True},
-        profile={"default": "abs"}).set_defaults(combine=words.merge)
-    add(word, "ev", _cmd_word_ev, tuple={"required": True}, indices={"default": None},
-        profile={"default": "abs"})
-
-    sch = sub.add_parser("schreier").add_subparsers(dest="subcommand", required=True)
-    add(sch, "member", _cmd_schreier_member, xi={"required": True}, set={"required": True})
-    add(sch, "enum", _cmd_schreier_enum, xi={"required": True}, n={"type": int, "required": True})
-    add(sch, "canon", _cmd_schreier_canon, xi={"required": True}, set={"required": True})
-    add(sch, "check-restriction", _cmd_schreier_restriction, xi={"required": True},
-        n={"type": int, "required": True}, max={"type": int, "required": True})
-
-    ordn = sub.add_parser("ordinal").add_subparsers(dest="subcommand", required=True)
-    add(ordn, "cmp", _cmd_ordinal_cmp, a={"required": True}, b={"required": True})
-    # "lambda" is a keyword, so its flag comes in a dict, declared before --n
-    add(ordn, "fund", _cmd_ordinal_fund, **{"lambda": {"required": True}},
-        n={"type": int, "required": True})
-    add(ordn, "pred", _cmd_ordinal_pred, xi={"required": True}, n={"type": int, "required": True})
-    add(ordn, "classify", _cmd_ordinal_classify, xi={"required": True})
-
-    fam = sub.add_parser("family").add_subparsers(dest="subcommand", required=True)
-    add(fam, "closure", _cmd_family_closure, op={"required": True,
-        "choices": ["tree", *_POOL_OPS]},
-        family={"required": True}, pool={"default": None}, profile={"default": "abs"})
-    add(fam, "cbindex", _cmd_family_cbindex, family={"default": None}, pool={"default": None},
-        tau={"type": int, "required": True}, set_m={"type": int, "default": None},
-        ground={"type": int, "default": 12}, profile={"default": "abs"})
-
-    rat = sub.add_parser("rat").add_subparsers(dest="subcommand", required=True)
-    p_enc = rat.add_parser("encode")
-    p_enc.add_argument("value")
-    p_enc.set_defaults(func=_cmd_rat_encode)
-    add(rat, "decode", _cmd_rat_decode, word={"required": True})
-    add(rat, "precedes", _cmd_rat_precedes, a={"required": True}, b={"required": True})
-    add(rat, "qxi", _cmd_rat_qxi, xi={"required": True}, values={"required": True})
-
-    src = sub.add_parser("search").add_subparsers(dest="subcommand", required=True)
-    add(src, "hj", _cmd_search_hj, r={"type": int, "required": True},
-        seed={"type": int, "default": None}, coloring={"default": None},
-        bounds={"required": True}, n={"type": int, "required": True},
-        window={"type": int, "required": True}, profile={"default": "abs"})
-    add(src, "xi", _cmd_search_xi, r={"type": int, "required": True},
-        seed={"type": int, "default": None}, coloring={"default": None},
-        xi={"required": True}, l={"type": int, "required": True},
-        n0={"type": int, "required": True}, window={"type": int, "required": True},
-        profile={"default": "abs"})
-    add(src, "fs", _cmd_search_fs, xs={"required": True}, zs={"default": None})
-    add(src, "psi", _cmd_search_psi, word={"required": True},
-        semigroup={"default": "int-linear", "choices": ["int-linear", "strings"]},
-        profile={"default": "abs"})
+    groups = {}
+    for group, name in COMMANDS:
+        if group not in groups:
+            groups[group] = sub.add_parser(group).add_subparsers(dest="subcommand",
+                                                                 required=True)
+        _fill(groups[group].add_parser(name), (group, name))
     return top
 
 
@@ -362,21 +371,36 @@ def _dash_values(argv: list[str]) -> list[str]:
     return out
 
 
-_parser: argparse.ArgumentParser | None = None
+# built on first use, not at import, and reused: parsing keeps no state in
+# a parser, and importing the CLI stays cheap
+_parser: argparse.ArgumentParser | None = None  # the whole tree
+_leaves: dict[tuple[str, str], argparse.ArgumentParser] = {}  # one per COMMANDS row
 
 
-def main(argv: list[str] | None = None) -> int:
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The namespace of argv.  A command named right after an optional
+    leading --json is parsed by its own parser; the tree parses anything
+    else, and a command that leaves arguments over, so help at the top or
+    a group, and every usage error outside one command, read as before."""
     global _parser
+    start = 1 if argv[:1] == ["--json"] else 0
+    command = tuple(argv[start:start + 2])
+    if command in COMMANDS:
+        leaf = _leaves.get(command)
+        if leaf is None:
+            leaf = _leaves[command] = build_parser(command)
+        args, rest = leaf.parse_known_args(argv[start + 2:])
+        if not rest:
+            args.json, args.command, args.subcommand = bool(start), *command
+            return args
     if _parser is None:
-        # built on the first call, not at import, and reused: parsing keeps
-        # no state in the parser, and importing the CLI stays cheap
         _parser = build_parser()
-    parser = _parser
-    argv = _dash_values(sys.argv[1:] if argv is None else list(argv))
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+    return _parser.parse_args(argv)
+
+
+def _answer(args: argparse.Namespace) -> int:
+    """Run a parsed command and write its answer; a domain error is one
+    `error:` line on stderr and exit code 1."""
     try:
         # the answer is written inside the guard: text of an int past
         # Python's int-to-str limit is a ValueError
@@ -385,6 +409,14 @@ def main(argv: list[str] | None = None) -> int:
         print("error: %s" % exc, file=sys.stderr)
         return 1
     return 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    try:
+        args = _parse(_dash_values(sys.argv[1:] if argv is None else list(argv)))
+    except SystemExit as exc:
+        return exc.code if isinstance(exc.code, int) else 2
+    return _answer(args)
 
 
 if __name__ == "__main__":

@@ -27,7 +27,7 @@ from __future__ import annotations
 import re
 from decimal import MAX_EMAX, MAX_PREC, Decimal, Inexact, localcontext
 from fractions import Fraction
-from math import factorial, log2, perm
+from math import factorial, lgamma, log, log2, perm
 from typing import Sequence
 
 from .ordinals import Ordinal
@@ -136,12 +136,16 @@ def evaluate(w: LocatedWord) -> Fraction:
 
 def decode(w: LocatedWord) -> Fraction:
     """The value of a constant word, the inverse of encode; a variable
-    letter is no digit.  A position below -(KEMPNER_CAP - 1), which encode
-    never writes, is refused before any factorial is built."""
-    lowest = w.entries[0][0]
+    letter is no digit.  A position below -(KEMPNER_CAP - 1) or above
+    POSITION_CAP, which encode never writes, is refused before any
+    factorial is built."""
+    lowest, highest = w.entries[0][0], w.entries[-1][0]
     if lowest < 1 - KEMPNER_CAP:
         raise RationalCodecError("position %d is below %d, the lowest a codec word reaches"
                                  % (lowest, 1 - KEMPNER_CAP))
+    if highest > POSITION_CAP:
+        raise RationalCodecError("position %d is above %d, the highest a codec word reaches"
+                                 % (highest, POSITION_CAP))
     for pos, letter in w.entries:
         if letter == VARIABLE:
             raise RationalCodecError("cannot decode a variable word: variable at %d" % pos)
@@ -174,6 +178,13 @@ def integer_alt_factorial(value: int) -> tuple[int, ...]:
 # den | n!, is at most this, that is when den divides KEMPNER_CAP!; the
 # largest accepted prime is 9973.
 KEMPNER_CAP = 10001
+
+# The highest position a codec word may have, so an integer part below
+# (POSITION_CAP + 1)! in size.  The longest integer one command line
+# argument holds on Linux, 131,071 characters, reaches position 32,178.
+POSITION_CAP = 40000
+# at least the bit length of every integer part up to POSITION_CAP
+_POSITION_BITS = int(lgamma(POSITION_CAP + 2) / log(2)) + 2
 
 
 def _kempner(den: int) -> int | None:
@@ -243,12 +254,17 @@ def encode(q: Fraction | int) -> LocatedWord:
     odd = [s if s % 2 else 0 for s in range(top + 1)]
     out = [0] * (top + 1)
     whole = _mixed_digits(m + _mixed_value(odd, top, 1), top, 1, out)
+    # the bit length refuses a far larger integer part before its digits
+    if (whole.bit_length() > _POSITION_BITS
+            or len(digits := integer_alt_factorial(whole)) > POSITION_CAP):
+        raise RationalCodecError("%s needs a position above %d, the highest a codec word "
+                                 "reaches" % (_quote(q), POSITION_CAP))
     entries = []
     for s in range(top, 0, -1):
         d = out[s] - s if s % 2 else -out[s]
         if d:
             entries.append((-s, d))
-    for r, d in enumerate(integer_alt_factorial(whole), 1):
+    for r, d in enumerate(digits, 1):
         if d:
             entries.append((r, d))
     return LocatedWord(tuple(entries), ABS)

@@ -13,6 +13,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import factorial, perm, prod
 
+from zwords import cli
 from zwords.ordinals import (
     DESCENT_CAP,
     ONE,
@@ -329,6 +330,16 @@ def reference_parse_word(text: str, profile=ABS) -> LocatedWord:
     if any(a[0] >= b[0] for a, b in zip(entries, entries[1:])):
         raise WordError("positions must be ascending in %r" % text)
     return make_word(entries, profile)
+
+
+def reference_main(argv) -> int:
+    """cli.main parsing every argv with the whole parser tree, built
+    afresh, then answering through the same guard and writer."""
+    try:
+        args = cli.build_parser().parse_args(cli._dash_values(list(argv)))
+    except SystemExit as exc:
+        return exc.code if isinstance(exc.code, int) else 2
+    return cli._answer(args)
 
 
 def brute_digit_words(span: int):

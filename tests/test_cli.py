@@ -16,6 +16,8 @@ from zwords.ordinals import format_ordinal
 from zwords.schreier import format_set
 from zwords.words import format_word
 
+from _oracles import reference_main
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -79,6 +81,15 @@ def test_rat_decode_refuses_positions_below_the_codec_bound(capsys):
         assert time.perf_counter() - start < 0.5
     code, out, err = run(capsys, "rat", "decode", "--word", "-10000:-1")
     assert (code, err) == (0, "") and out == "1/%s\n" % Decimal(factorial(10001))
+
+
+def test_rat_decode_refuses_positions_above_the_codec_bound(capsys):
+    start = time.perf_counter()
+    for pos in ("40001", "99999999999999999999"):
+        assert run(capsys, "rat", "decode", "--word", "%s:1" % pos) \
+            == (1, "", "error: position %s is above 40000, the highest a codec word "
+                "reaches\n" % pos)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_bad_rational_echo_is_bounded(capsys):
@@ -159,6 +170,7 @@ def test_parser_reuse_matches_fresh_parser(capsys, monkeypatch):
     fresh = []
     for argv in calls:
         monkeypatch.setattr(cli, "_parser", None)
+        monkeypatch.setattr(cli, "_leaves", {})
         fresh.append(run(capsys, *argv))
     assert shared == fresh
     assert {code for code, _, _ in shared} == {0, 1, 2}
@@ -427,17 +439,19 @@ CLI_PINS = {
 
 
 def test_every_subcommand_pinned_in_text_and_json(tmp_path, monkeypatch):
-    import argparse
     import io
     import re
 
-    def names(parser):
-        action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-        return action.choices
+    def choices(*argv):
+        # the {a,b,...} of a help's usage line, as the tree prints it
+        out = CountingStdout()
+        monkeypatch.setattr("sys.stdout", out)
+        assert main([*argv, "-h"]) == 0
+        return re.search(r"\{([^}]*)\}", "".join(out.writes)).group(1).split(",")
 
-    subcommands = {(group, name) for group, parser in names(cli.build_parser()).items()
-                   for name in names(parser)}
-    assert set(CLI_PINS) == subcommands and len(subcommands) == 23
+    monkeypatch.setenv("COLUMNS", "200")
+    subcommands = {(group, name) for group in choices() for name in choices(group)}
+    assert set(cli.COMMANDS) == subcommands == set(CLI_PINS) and len(subcommands) == 23
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage lines to the terminal
     (tmp_path / "family.txt").write_text("-1:v,1:v;-3:v,3:v\n")
     (tmp_path / "pool.txt").write_text("-1:v,1:v\n-3:v,3:v\n")
@@ -454,6 +468,81 @@ def test_every_subcommand_pinned_in_text_and_json(tmp_path, monkeypatch):
                 masked = re.sub(r"time_ms: [0-9.]+", "time_ms: *", "".join(errors.writes))
                 assert (got, "".join(out.writes), masked) == (code, want, err), mode + argv
                 assert len(out.writes) == (1 if want else 0), mode + argv
+
+
+def _pinned_argvs(tmp_path):
+    """Every CLI_PINS argv by its command, with {tmp} holding the family
+    and pool files."""
+    (tmp_path / "family.txt").write_text("-1:v,1:v;-3:v,3:v\n")
+    (tmp_path / "pool.txt").write_text("-1:v,1:v\n-3:v,3:v\n")
+    return {command: [command + tuple(a.replace("{tmp}", str(tmp_path)) for a in case[0])
+                      for case in cases] for command, cases in CLI_PINS.items()}
+
+
+def _answer(entry, argv, monkeypatch):
+    """(exit code, stdout, stderr with the time_ms value masked) of one
+    call, stdin holding the family -1:v,1:v;-3:v,3:v."""
+    import io
+    import re
+
+    out, err = io.StringIO(), io.StringIO()
+    monkeypatch.setattr("sys.stdout", out)
+    monkeypatch.setattr("sys.stderr", err)
+    monkeypatch.setattr("sys.stdin", io.StringIO("-1:v,1:v;-3:v,3:v\n"))
+    code = entry(list(argv))
+    return code, out.getvalue(), re.sub(r"time_ms: [0-9.]+", "time_ms: *", err.getvalue())
+
+
+# argv that the tree answers, or that a command's parser answers as the
+# tree would: help, usage errors, and --json anywhere but first
+MALFORMED_ARGV = [
+    ("-h",), ("--help",), ("rat", "-h"), ("rat", "decode", "-h"), ("ordinal", "fund", "-h"),
+    (), ("--json",), ("rat",), ("nonsense",), ("rat", "nonsense"), ("rat", "decode"),
+    ("--js", "rat", "decode", "--word", "1:1"), ("--jso", "rat", "decode", "--word", "1:1"),
+    ("--json", "--json", "rat", "decode", "--word", "1:1"),
+    ("rat", "--json", "decode", "--word", "1:1"), ("rat", "decode", "--json", "--word", "1:1"),
+    ("rat", "decode", "--word", "1:1", "--json"), ("rat", "decode", "--word", "1:1", "extra"),
+    ("rat", "encode", "1", "-3/7"), ("rat", "encode", "-3/7"),
+    ("rat", "decode", "--word", "--"), ("rat", "decode", "--word=1:1"),
+    ("rat", "decode", "--wor", "1:1"), ("rat", "decode", "--word", "1:1", "--word", "2:2,3:1"),
+    ("rat", "decode", "--word", "1:1", "--", "x"), ("--", "rat", "decode", "--word", "1:1"),
+    ("schreier", "enum", "--xi", "2", "--n", "x"),
+    ("search", "psi", "--word", "1:1", "--semigroup", "bad"),
+    ("family", "closure", "--op", "bad", "--family", "-"),
+]
+
+
+def test_main_matches_the_whole_tree_parse(tmp_path, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    pinned = [mode + argv for argvs in _pinned_argvs(tmp_path).values() for argv in argvs
+              for mode in ((), ("--json",))]
+    codes = set()
+    for argv in pinned + MALFORMED_ARGV:
+        got = _answer(main, argv, monkeypatch)
+        assert got == _answer(reference_main, argv, monkeypatch), argv
+        codes.add(got[0])
+    assert codes == {0, 1, 2}
+
+
+def test_commands_parse_without_building_the_tree(tmp_path, monkeypatch):
+    built = []
+    build = cli.build_parser
+
+    def counting(command=None):
+        built.append(command)
+        return build(command)
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "_leaves", {})
+    argvs = _pinned_argvs(tmp_path)
+    for _ in range(2):
+        for argv, *_ in argvs.values():
+            assert _answer(main, argv, monkeypatch)[0] == 0, argv
+        assert built == list(CLI_PINS)
+    assert _answer(main, ("rat", "decode", "--word", "1:1", "extra"), monkeypatch)[0] == 2
+    assert _answer(main, ("nonsense",), monkeypatch)[0] == 2
+    assert built == list(CLI_PINS) + [None]
 
 
 def test_ordinal_fund_usage_names_lambda_first(monkeypatch):

@@ -12,6 +12,7 @@ from zwords.ordinals import OMEGA, ONE, from_int
 from zwords.rationals import (
     _LEAF,
     KEMPNER_CAP,
+    POSITION_CAP,
     RationalCodecError,
     _kempner,
     _mixed_digits,
@@ -26,7 +27,7 @@ from zwords.rationals import (
     rational_pattern,
     rational_precedes,
 )
-from zwords.words import ABS, VARIABLE, DominationProfile, make_word, rel_r1
+from zwords.words import ABS, VARIABLE, DominationProfile, LocatedWord, make_word, rel_r1
 
 from _oracles import (
     brute_digit_words,
@@ -523,3 +524,29 @@ def test_rational_text_past_the_digit_limit():
             num = rng.getrandbits(bits) * rng.choice((-1, 1))
             for q in (num, Fraction(num, rng.getrandbits(bits) | 1)):
                 assert format_rational(q) == str(q)
+
+
+def test_positions_above_the_cap_are_refused():
+    # decode answers at the cap and refuses one past it, at once
+    assert POSITION_CAP == 40000
+    assert decode(make_word({POSITION_CAP: 1})) == -factorial(POSITION_CAP)
+    for pos in (POSITION_CAP + 1, 10 ** 20):
+        start = time.perf_counter()
+        with pytest.raises(RationalCodecError, match="^position %d is above 40000, the highest "
+                           "a codec word reaches$" % pos):
+            decode(make_word({pos: 1}))
+        assert time.perf_counter() - start < 0.1
+    # the values of largest size under the cap, positive and negative:
+    # every digit at its bound on the positions of their sign; one step
+    # further needs position 40001 or 40002
+    for sign in (1, -1):
+        edge_word = LocatedWord(tuple((r, r) for r in range(1, POSITION_CAP + 1)
+                                      if r % 2 == (sign > 0)), ABS)
+        edge = decode(edge_word)
+        assert edge * sign > 0 and encode(edge) == edge_word
+        with pytest.raises(RationalCodecError, match=" needs a position above 40000, the "
+                           "highest a codec word reaches$"):
+            encode(edge + sign)
+    # an integer part far past the cap is refused by its size
+    with pytest.raises(RationalCodecError, match="needs a position above 40000"):
+        encode(Fraction(10) ** 300000 + Fraction(1, 7))
