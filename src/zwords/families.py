@@ -32,11 +32,11 @@ once: when its slots allow fewer combinations of entry tuples than the
 union domain has pool words, each combination is joined and looked up
 by entries, and otherwise the domain's words are scanned.  A member's
 extraction set, the union of its 2^len(bw) - 1 subtuples' matches, is
-kept by its key on its first visit, so later calls read it.  The last 8
-pools compiled are kept, keyed by their frozensets, so the calls made on
-one pool (a closure, then its largest hereditary part and index) share
-one compilation; memory is bounded by 8 pools times the slots, subtuples
-and member keys each one has.
+kept by its key on its first visit, so later calls read it.  Only the
+last pool compiled is kept: the calls on one pool (a closure, then its
+largest hereditary part and index) run back to back and share it and its
+memos, so memory is bounded by one pool plus the slots, subtuples and
+member keys that the calls on it reached.
 
 A derivative step's verdict on a key depends only on the set of pool
 words open at it, so each call works out the verdict once per distinct
@@ -183,14 +183,15 @@ class _Pool(NamedTuple):
     extractions: dict[Key, frozenset[int]]
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=1)
 def _compile(pool: frozenset[LocatedWord]) -> _Pool:
     """The pool validated and indexed.  R1 reads only the first word's
     span and the second word's domain, so it is tested once per (span,
     domain) pair, and the words of one span share one successor list.
     R1 strictly widens the span, so every successor comes later in the
-    width order.  lru_cache keeps no call that raised, so an invalid pool
-    is never kept."""
+    width order.  Only the last pool is kept, with the memos that the next
+    calls on it read; no caller returns to an older one.  lru_cache keeps
+    no call that raised, so an invalid pool is never kept."""
     bad = [w for w in pool if not (w.is_variable_word and w.is_core)]
     if bad:
         raise FamilyError("pool word %s is not a two-sided variable word"
@@ -212,8 +213,8 @@ def _compile(pool: frozenset[LocatedWord]) -> _Pool:
 
 def _pool_keys(family: WordFamily,
                pool: Iterable[LocatedWord]) -> tuple[dict[Key, OrderlyTuple], _Pool]:
-    """Each member keyed by the pool indices of its words, and the
-    compiled pool; the least word missing from the pool is refused."""
+    """Each member keyed by its words' pool indices, and the compiled
+    pool with the keys' slots checked; the least missing word is refused first."""
     table = _compile(frozenset(pool))
     index = table.index
     keys = {tuple(map(index.get, bw.words)): bw for bw in family.members}
@@ -221,6 +222,7 @@ def _pool_keys(family: WordFamily,
         missing = [w for bw in family.members for w in bw if w not in index]
         raise FamilyError("pool is missing the word %s"
                           % format_word(min(missing, key=word_sort_key)))
+    _check_slots(keys, table)
     return keys, table
 
 
@@ -277,8 +279,7 @@ def _matches(chosen: tuple[tuple[int, int], ...], table: _Pool) -> list[int]:
 def _extractions(key: Key, table: _Pool) -> frozenset[int]:
     """The pool indices of the extracted variable words of the member
     keyed by key, by the domain test of the module docstring, once per
-    subtuple of slots and once per key in the compiled pool; its slots
-    must be checked."""
+    subtuple of slots and once per key in the compiled pool."""
     found = table.extractions.get(key)
     if found is None:
         slots = [(t, i) for i, t in enumerate(key, 1)]
@@ -309,7 +310,6 @@ def _extraction_chains(key: Key, table: _Pool) -> Iterator[Key]:
 def _hereditary_part(keys: Collection[Key], table: _Pool) -> set[Key]:
     """The keys whose extraction chains are all keys (none when the empty
     tuple is not one)."""
-    _check_slots(keys, table)
     return {key for key in keys
             if all(chain in keys for chain in _extraction_chains(key, table))}
 
@@ -326,7 +326,6 @@ def hereditary_closure(family: WordFamily, pool: Iterable[LocatedWord]) -> WordF
     which are core words of that member's profile, so its tuple is built
     directly."""
     keys, table = _pool_keys(family, pool)
-    _check_slots(keys, table)
     chains = set().union(*(_extraction_chains(key, table) for key in keys))
     return WordFamily(OrderlyTuple(tuple(table.words[i] for i in chain))
                       for chain in chains | {()})

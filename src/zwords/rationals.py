@@ -323,6 +323,7 @@ ECHO_LIMIT = 160  # characters of a bad input, and of the reason, that an error 
 _DECIMAL_LEAF = 512
 
 _PLAIN_RATIONAL = re.compile(r"([+-]?)(\d+)(?:/(\d+))?")
+_EXPONENT = re.compile(r"[eE]([+-]?\d+(?:_\d+)*)\Z")
 
 
 def _int_from_decimal(digits: str) -> int:
@@ -363,7 +364,16 @@ def _decimal(n: int) -> str:
 
 def _read_rational(text: str) -> Fraction:
     """Fraction(text); an integer or a/b that Fraction refuses for its
-    digit count is read by `_int_from_decimal`."""
+    digit count is read by `_int_from_decimal`.  An exponent e is refused
+    before Fraction builds 10^|e| when |e| exceeds _POSITION_BITS plus the
+    length of the text: the digits before it are fewer than that length, so
+    a nonzero value has an integer part past 2^_POSITION_BITS or a
+    denominator with 2 or 5 to a power past it, and encode refuses both, as
+    it refuses 0."""
+    exponent = _EXPONENT.search(text)
+    if exponent and abs(int(exponent[1])) > _POSITION_BITS + len(text):
+        raise ValueError("exponent %s exceeds %d in size, outside the codec range"
+                         % (exponent[1], _POSITION_BITS + len(text)))
     try:
         return Fraction(text)
     except ValueError:

@@ -16,7 +16,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import combinations, product
-from math import prod
+from math import comb, prod
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
@@ -230,21 +230,34 @@ def _side_counts(bounds: tuple[int, ...], m: int, top: int) -> tuple[int, ...]:
 
 def _candidate_counts(m: int, totals: range, window: SearchWindow) -> list[int]:
     """The candidate count per total: a split cuts each side on its own, so
-    count(total) = sum over a of N(a) P(total - a).  A window with
-    candidates reads all its bounds first (a table names its least missing
-    position); a total over the cap raises before any word is built."""
-    radius = window.radius
-    if not any(2 * m <= total <= 2 * radius for total in totals):
+    count(total) = sum over a of N(a) P(total - a).  A table window with
+    candidates reads all its bounds first and names its least missing
+    position.  Every domain of the least total t with t // 2 negative
+    positions has a split, and every split a candidate, so that total has
+    at least comb(radius, t // 2) * comb(radius, t - t // 2); a window whose
+    bound passes the cap is refused before its counts are worked out, and a
+    total over the cap raises before any word is built."""
+    radius, profile, over = window.radius, window.profile, window.max_candidates + 1
+    least = next((total for total in totals if 2 * m <= total <= 2 * radius), None)
+    if least is None:
         return [0] * len(totals)
-    bounds = tuple(window.profile.bound(p) for p in window.positions())
+    bounds = (profile.bound(p) for p in range(-radius, radius + 1) if p)
+    if profile.kind == "table":
+        bounds = tuple(bounds)
+    # comb(radius, j) grows with j up to radius / 2 and passes 2^j there, so
+    # j is cut at the cap's bit length
+    cut = over.bit_length()
+    sides = (least // 2, least - least // 2)
+    if prod(comb(radius, min(a, radius - a, cut)) for a in sides) >= over:
+        raise SearchCapExceeded("witness candidates exceed cap after %d tuples" % over, over)
+    bounds = tuple(bounds)
     top = max(totals)
     neg, pos = (_side_counts(bounds[radius - 1::-1], m, top),
                 _side_counts(bounds[radius:], m, top))
     counts = [sum(neg[a] * pos[total - a]
                   for a in range(max(0, total - radius), min(total, radius) + 1))
               for total in totals]
-    if max(counts) > window.max_candidates:
-        over = window.max_candidates + 1
+    if max(counts) >= over:
         raise SearchCapExceeded("witness candidates exceed cap after %d tuples" % over, over)
     return counts
 

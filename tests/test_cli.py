@@ -603,6 +603,29 @@ def test_search_arguments_past_the_window_answer_at_once(capsys):
     assert time.perf_counter() - start < 3
 
 
+def test_refusals_before_work(capsys):
+    # a window whose least total's lower bound passes the cap is refused
+    # before its bounds are counted, a table window names its least missing
+    # bound from a lazy range, and an exponent past the codec range is
+    # refused before Fraction builds its power
+    search = ("search", "hj", "--r", "2", "--seed", "1", "--bounds", "1", "--n", "2")
+    huge = "99999999999999999999"
+    cap = "error: witness candidates exceed cap after 200001 tuples\n"
+    for argv, err in (
+            (("search", "xi", "--r", "2", "--seed", "1", "--xi", "w", "--l", "2", "--n0", "4",
+              "--window", "1000"), cap),
+            (search + ("--window", huge), cap),
+            (search + ("--window", huge, "--profile", "table:-1=1,1=1"),
+             "error: profile table has no bound at -%s\n" % huge),
+            (("rat", "encode", "1e10000000"), "error: bad rational '1e10000000': exponent "
+             "10000000 exceeds 553836 in size, outside the codec range\n"),
+            (("rat", "encode", "1e-10000000"), "error: bad rational '1e-10000000': exponent "
+             "-10000000 exceeds 553837 in size, outside the codec range\n")):
+        start = time.perf_counter()
+        assert run(capsys, *argv) == (1, "", err), argv
+        assert time.perf_counter() - start < 0.5, argv
+
+
 def test_exit_codes(capsys):
     code, _, err = run(capsys, "rat", "encode", "0")
     assert code == 1 and "error:" in err

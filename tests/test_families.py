@@ -36,7 +36,6 @@ from zwords.families import (
     set_family_cb_index,
     tree_closure,
     tuple_sort_key,
-    _check_slots,
     _compile,
     _extractions,
     _matches,
@@ -639,9 +638,7 @@ def test_shared_memo_extractions_match_star_products():
             key_of = {bw: key for key, bw in keys.items()}
             # calls of a few members each share the table
             for start in range(0, len(members), 7):
-                part = [key_of[bw] for bw in members[start:start + 7]]
-                _check_slots(part, table)
-                for key in part:
+                for key in (key_of[bw] for bw in members[start:start + 7]):
                     got = {table.words[t] for t in _extractions(key, table)}
                     assert got == want[keys[key]], (keys[key], seed)
             assert _pool_keys(fam, frozenset(pool))[1] is table
@@ -650,8 +647,7 @@ def test_shared_memo_extractions_match_star_products():
             for key in keys:
                 assert table.extractions[key] is _extractions(key, table)
                 assert isinstance(table.extractions[key], frozenset)
-    # the kept sets go with the compiled pool
-    pool, fam = _memo_cases()[0]
+    # the kept sets go with the compiled pool, the last case's
     assert _pool_keys(fam, pool)[1].extractions
     _compile.cache_clear()
     assert not _pool_keys(fam, pool)[1].extractions
@@ -662,7 +658,6 @@ def _check_subtuple_matches(pool, fam):
     member; returns how many subtuples with pool words on their union
     domain were looked up and scanned."""
     keys, table = _pool_keys(fam, pool)
-    _check_slots(keys, table)
     looked_up = scanned = 0
     for key in keys:
         slots = [(t, i) for i, t in enumerate(key, 1)]
@@ -780,18 +775,46 @@ def test_family_calls_on_one_pool_match_a_cold_cache():
             assert _compile.cache_info().currsize == 1
 
 
-def test_pool_cache_keeps_eight_pools():
+def test_pool_cache_keeps_the_last_pool():
     _compile.cache_clear()
     empty = family_of([EMPTY_TUPLE])
     for n in range(1, 21):
         pool = [make_word({-n: VARIABLE, n: VARIABLE})]
         assert hereditary_closure(empty, pool) == empty
     info = _compile.cache_info()
-    assert (info.misses, info.currsize, info.maxsize) == (20, 8, 8)
-    # the least recently used pools went first
+    assert (info.misses, info.currsize, info.maxsize) == (20, 1, 1)
+    # the last pool is read again, and only it
     hereditary_closure(empty, [make_word({-20: VARIABLE, 20: VARIABLE})])
+    assert _compile.cache_info()[:2] == (1, 20)
     hereditary_closure(empty, [make_word({-1: VARIABLE, 1: VARIABLE})])
     assert _compile.cache_info()[:2] == (1, 21)
+
+
+def _memo_sizes(table):
+    return (len(table.allowed), len(table.matches), len(table.extractions),
+            sum(map(len, table.extractions.values())))
+
+
+def test_retained_state_is_the_last_pool_alone():
+    # closure and largest hereditary part on several distinct pools leave
+    # one compiled pool, holding what a cold run on the last pool builds
+    def run(pool, base):
+        closed = hereditary_closure(family_of([base]), pool)
+        largest_hereditary(closed, pool)
+        return _compile(frozenset(pool))
+
+    bases = [make_tuple([make_word({-b: VARIABLE, -a: VARIABLE, a: VARIABLE, b: VARIABLE})
+                         for a, b in ((1 + s, 2 + s), (3 + s, 4 + s), (5 + s, 6 + s))])
+             for s in range(4)]
+    cases = [(extracted_sets(base).variables, base) for base in bases]
+    _compile.cache_clear()
+    for pool, base in cases:
+        table = run(pool, base)
+        assert _compile.cache_info().currsize == 1
+    _compile.cache_clear()
+    cold = run(*cases[-1])
+    assert cold is not table and _memo_sizes(cold) == _memo_sizes(table)
+    assert _memo_sizes(table)[2] > 0
 
 
 def test_invalid_pool_is_never_kept():

@@ -13,6 +13,7 @@ from zwords.rationals import (
     _LEAF,
     KEMPNER_CAP,
     POSITION_CAP,
+    _POSITION_BITS,
     RationalCodecError,
     _kempner,
     _mixed_digits,
@@ -524,6 +525,26 @@ def test_rational_text_past_the_digit_limit():
             num = rng.getrandbits(bits) * rng.choice((-1, 1))
             for q in (num, Fraction(num, rng.getrandbits(bits) | 1)):
                 assert format_rational(q) == str(q)
+
+
+def test_exponents_past_the_codec_range_are_refused_on_the_text():
+    # the mantissa has fewer digits than the text is long, so an exponent
+    # whose size passes _POSITION_BITS plus that length names only values
+    # that encode refuses; one at the bound is read as before
+    for sign, length in (("", 8), ("-", 9)):
+        at = _POSITION_BITS + length
+        assert parse_rational("1e%s%d" % (sign, at)) == Fraction(10) ** int(sign + str(at))
+        text = "1e%s%d" % (sign, at + 1)
+        with pytest.raises(RationalCodecError, match="^bad rational %r: exponent %s%d exceeds "
+                                                     "%d in size" % (text, sign, at + 1, at)):
+            parse_rational(text)
+    for text in ("1e10000000", "-2.5E-10000000", "0e99999999", "1e1_000_000_000"):
+        start = time.perf_counter()
+        with pytest.raises(RationalCodecError, match="exponent"):
+            parse_rational(text)
+        assert time.perf_counter() - start < 0.5, text
+    assert parse_rational("2.5e-3") == Fraction(1, 400)
+    assert parse_rational("1e" + "0" * 200 + "5") == 100000
 
 
 def test_positions_above_the_cap_are_refused():

@@ -4,6 +4,7 @@ import time
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations, product
+from math import comb
 
 import pytest
 
@@ -400,6 +401,28 @@ def test_candidate_counts_match_the_enumeration():
     for radius, total in ((6, 275427216), (8, 5975795367936)):
         window = SearchWindow(radius, max_candidates=10 ** 30)
         assert sum(_candidate_counts(2, range(4, 2 * radius + 1), window)) == total
+
+
+def test_candidate_lower_bound_holds():
+    # every domain of a total t with t // 2 negative positions has a split
+    # and a candidate, so comb(radius, t // 2) * comb(radius, t - t // 2)
+    # is at most the count, and a cap below it is refused as the count is
+    cells = 0
+    for text in ("abs", "abs+2", "const:1", "const:3"):
+        for radius in range(1, 7):
+            window = SearchWindow(radius, parse_profile(text), max_candidates=10 ** 30)
+            for m in (1, 2, 3):
+                for total in range(2 * m, 2 * radius + 1):
+                    bound = comb(radius, total // 2) * comb(radius, total - total // 2)
+                    count = _candidate_counts(m, range(total, total + 1), window)[0]
+                    assert bound <= count, (text, radius, m, total)
+                    tight = SearchWindow(radius, window.profile, max_candidates=bound - 1)
+                    with pytest.raises(SearchCapExceeded) as got:
+                        _candidate_counts(m, range(total, total + 1), tight)
+                    assert (str(got.value), got.value.candidates) \
+                        == ("witness candidates exceed cap after %d tuples" % bound, bound)
+                    cells += 1
+    assert cells == 308
 
 
 def test_lazy_shells_match_the_grouping():
