@@ -185,6 +185,9 @@ KEMPNER_CAP = 10001
 POSITION_CAP = 40000
 # at least the bit length of every integer part up to POSITION_CAP
 _POSITION_BITS = int(lgamma(POSITION_CAP + 2) / log(2)) + 2
+# at least _POSITION_BITS * log10(2) (0.30103 exceeds log10(2)), so an
+# integer of more decimal digits than this has more bits than that
+_POSITION_DIGITS = -(-_POSITION_BITS * 30103 // 100000)
 
 
 def _kempner(den: int) -> int | None:
@@ -365,15 +368,17 @@ def _decimal(n: int) -> str:
 def _read_rational(text: str) -> Fraction:
     """Fraction(text); an integer or a/b that Fraction refuses for its
     digit count is read by `_int_from_decimal`.  An exponent e is refused
-    before Fraction builds 10^|e| when |e| exceeds _POSITION_BITS plus the
-    length of the text: the digits before it are fewer than that length, so
-    a nonzero value has an integer part past 2^_POSITION_BITS or a
-    denominator with 2 or 5 to a power past it, and encode refuses both, as
-    it refuses 0."""
+    before Fraction builds 10^|e| when |e| exceeds _POSITION_DIGITS plus
+    the length of the text.  The digits before it are fewer than that
+    length, so a nonzero value has an integer part past
+    10^_POSITION_DIGITS >= 2^_POSITION_BITS, or a denominator of 2s and 5s
+    past 10^_POSITION_DIGITS, which cannot divide KEMPNER_CAP! (its 2s and
+    5s, 2^9995 * 5^2499, are below 10^4756).  encode refuses both, as it
+    refuses 0."""
     exponent = _EXPONENT.search(text)
-    if exponent and abs(int(exponent[1])) > _POSITION_BITS + len(text):
+    if exponent and abs(int(exponent[1])) > _POSITION_DIGITS + len(text):
         raise ValueError("exponent %s exceeds %d in size, outside the codec range"
-                         % (exponent[1], _POSITION_BITS + len(text)))
+                         % (exponent[1], _POSITION_DIGITS + len(text)))
     try:
         return Fraction(text)
     except ValueError:

@@ -6,6 +6,11 @@ Searches are window-relative: positions live in [-P..P] without 0, and a
 result only ever means "witness found / not found within this window".
 Candidates are visited in a canonical order (total domain size, outermost
 position, serialization), so results are reproducible.
+
+What a search lays out before it colors anything, its shells' splits, its
+side pools and its xi block plans, is kept across searches in bounded
+caches, each sized to hold one search of radius 6 whole; the side texts
+and colors of a search are kept for the call only.
 """
 
 from __future__ import annotations
@@ -47,7 +52,8 @@ from .words import (
 X = TypeVar("X")
 T = TypeVar("T")
 Entries = tuple[tuple[int, int], ...]
-Plans = list[list[tuple[int, ...]]]
+Split = tuple[tuple[int, ...], ...]
+Plans = tuple[tuple[tuple[int, ...], ...], ...]
 
 
 class SearchError(ValueError):
@@ -190,7 +196,7 @@ def length_slice(n: int, window: SearchWindow, variable: bool = False) -> list[L
     return sorted(out, key=word_sort_key)
 
 
-def _splits(dom: tuple[int, ...], m: int) -> Iterator[list[tuple[int, ...]]]:
+def _splits(dom: tuple[int, ...], m: int) -> Iterator[Split]:
     """Partitions of a sorted position set into m nested annuli, listed
     innermost first; every annulus keeps at least one negative and one
     positive position.  The annuli are cut at m - 1 points among the
@@ -203,7 +209,7 @@ def _splits(dom: tuple[int, ...], m: int) -> Iterator[list[tuple[int, ...]]]:
         left = (zero,) + neg + (0,)
         for pos in combinations(range(zero + 1, len(dom)), m - 1):
             right = (zero,) + pos + (len(dom),)
-            yield [dom[left[i + 1]:left[i]] + dom[right[i]:right[i + 1]] for i in range(m)]
+            yield tuple([dom[left[i + 1]:left[i]] + dom[right[i]:right[i + 1]] for i in range(m)])
 
 
 @lru_cache(maxsize=128)
@@ -262,28 +268,33 @@ def _candidate_counts(m: int, totals: range, window: SearchWindow) -> list[int]:
     return counts
 
 
-def _shell_splits(m: int, total: int, shell: int) -> Iterator[list[tuple[int, ...]]]:
-    """The annulus splits of the `total`-position domains in a shell."""
+@lru_cache(maxsize=64)
+def _shell_splits(m: int, total: int, shell: int) -> tuple[Split, ...]:
+    """The annulus splits of the `total`-position domains in a shell.  They
+    depend on no profile and no coloring, so the last 64 (m, total, shell)
+    are kept: a search reads one per total and shell, 54 at most for an xi
+    search of radius 6."""
+    splits: list[Split] = []
     for dom in combinations([p for p in range(-shell, shell + 1) if p], total):
         if shell in (-dom[0], dom[-1]):
-            yield from _splits(dom, m)
+            splits += _splits(dom, m)
+    return tuple(splits)
 
 
-def _side_pool(positions: tuple[int, ...], suffix: str, profile: DominationProfile,
-               pools: dict) -> list[tuple[str, Entries]]:
+@lru_cache(maxsize=128)
+def _side_pool(positions: tuple[int, ...], suffix: str,
+               profile: DominationProfile) -> tuple[tuple[str, Entries], ...]:
     """One side of an annulus: its letter choices that carry the variable,
-    as (text + suffix, entries), sorted.  The pools live in a dict local to
-    the search."""
-    if (positions, suffix) not in pools:
-        options = [[(p, l) for l in _letter_options(p, profile, True)] for p in positions]
-        pools[positions, suffix] = sorted(
-            (_entries_text(entries) + suffix, entries)
-            for entries in product(*options) if any(l == VARIABLE for _, l in entries))
-    return pools[positions, suffix]
+    as (text + suffix, entries), sorted.  The last 128 are kept, which
+    holds the 86 pools of an exhaustive hj search of radius 6 (m = 2,
+    n = 6)."""
+    options = [[(p, l) for l in _letter_options(p, profile, True)] for p in positions]
+    return tuple(sorted((_entries_text(entries) + suffix, entries) for entries in product(*options)
+                        if any(l == VARIABLE for _, l in entries)))
 
 
-def _split_pools(layers: Sequence[tuple[int, ...]], profile: DominationProfile,
-                 pools: dict) -> list[list[tuple[str, Entries]]]:
+def _split_pools(layers: Split,
+                 profile: DominationProfile) -> list[tuple[tuple[str, Entries], ...]]:
     """A split's side pools, innermost annulus first and each annulus's
     negative side before its positive side.  A key ends in the separator
     that follows it in a candidate's serialization: ',' after a negative
@@ -298,8 +309,8 @@ def _split_pools(layers: Sequence[tuple[int, ...]], profile: DominationProfile,
     out = []
     for i, layer in enumerate(layers):
         cut = bisect_left(layer, 0)
-        out.append(_side_pool(layer[:cut], ",", profile, pools))
-        out.append(_side_pool(layer[cut:], ";" if i + 1 < len(layers) else "", profile, pools))
+        out.append(_side_pool(layer[:cut], ",", profile))
+        out.append(_side_pool(layer[cut:], ";" if i + 1 < len(layers) else "", profile))
     return out
 
 
@@ -311,11 +322,11 @@ def _split_stream(pools: Sequence[Sequence[tuple[str, Entries]]],
         yield "".join([key for key, _ in combo]), combo, tag
 
 
-def _shell_candidates(splits: Iterable[tuple[Sequence[tuple[int, ...]], T]],
-                      profile: DominationProfile, pools: dict) -> Iterator[tuple[str, tuple, T]]:
+def _shell_candidates(splits: Iterable[tuple[Split, T]],
+                      profile: DominationProfile) -> Iterator[tuple[str, tuple, T]]:
     """The candidates of some (split, tag) pairs of one shell, merged into
     serialization order."""
-    return heapq.merge(*[_split_stream(_split_pools(layers, profile, pools), tag)
+    return heapq.merge(*[_split_stream(_split_pools(layers, profile), tag)
                          for layers, tag in splits], key=itemgetter(0))
 
 
@@ -440,41 +451,54 @@ class SearchReport:
         return self.witness is not None
 
 
+def _split_plans(layers: Split, xi: Ordinal | None, n0: int) -> Plans:
+    """A split's block plans: with no xi, the one plan of a single run of
+    every member; under xi, the plans _xi_plans gives for the members'
+    sizes and anchors (least positive positions), which the split fixes."""
+    if xi is None:
+        return ((tuple(range(len(layers))),),)
+    return _xi_plans(tuple(map(len, layers)),
+                     tuple([layer[bisect_left(layer, 0)] for layer in layers]), xi, n0)
+
+
 def _first_one_color(coloring: Coloring, m: int, totals: range, counts: Sequence[int],
                      window: SearchWindow, slots: Sequence[tuple[int, int]],
-                     plans_of: Callable[[list[tuple[int, ...]]], Plans]) -> tuple:
+                     xi: Ordinal | None, n0: int) -> tuple:
     """The first candidate over the totals, in canonical order, whose slice
-    texts under its block plans share one color, as (nodes, witness, color,
-    sides, plans); with none, (candidates, None, None, [], []).
+    texts under its block plans (_split_plans) share one color, as (nodes,
+    witness, color, sides, plans); with none, (candidates, None, None, [],
+    ()).
 
     Shell by shell (outermost |position|), the splits with plans are merged
     by serialization and visited, and the others are never built.  `nodes`
     is the witness's place in the canonical order, read from the counts:
     the earlier totals', this total's in the window one shell smaller, the
     candidates visited in this shell and the witness's rank in each split
-    of it without plans."""
+    of it without plans.  Splits, pools and plans come from the module
+    caches; the side texts and the colors depend on the profile's bounds
+    and on the coloring, and grow with them, so they are kept for the call
+    only."""
     profile = window.profile
     memos: list[dict[str, list[str]]] = [{} for _ in slots]
     colors: dict[str, int] = {}
-    pools: dict = {}
     for t, total in enumerate(totals):
         if not counts[t]:
             continue  # no split to visit, however large the total
         for shell in range(1, window.radius + 1):
-            splits = [(layers, plans_of(layers)) for layers in _shell_splits(m, total, shell)]
+            splits = [(layers, _split_plans(layers, xi, n0))
+                      for layers in _shell_splits(m, total, shell)]
             kept = [(layers, plans) for layers, plans in splits if plans]
-            for visited, (text, combo, plans) in enumerate(
-                    _shell_candidates(kept, profile, pools), 1):
+            for visited, (text, combo, plans) in enumerate(_shell_candidates(kept, profile), 1):
                 sides = _candidate_sides(combo, slots, memos, profile)
                 color = _one_color(coloring, _slice_texts(sides, plans), colors)
                 if color is not None:
                     inner = sum(_candidate_counts(m, range(total, total + 1), replace(
                         window, radius=shell - 1))) if shell > 1 else 0
                     nodes = sum(counts[:t]) + inner + visited + sum(
-                        _rank(text, _split_pools(layers, profile, pools))
+                        _rank(text, _split_pools(layers, profile))
                         for layers, own in splits if not own)
                     return nodes, _words(combo, profile), color, sides, plans
-    return sum(counts), None, None, [], []
+    return sum(counts), None, None, [], ()
 
 
 def hj_witness_search(coloring: Coloring, m: int, bounds: Sequence[int], n: int,
@@ -494,9 +518,8 @@ def hj_witness_search(coloring: Coloring, m: int, bounds: Sequence[int], n: int,
     totals = range(n, n + 1)
     counts = _candidate_counts(m, totals, window)
     slots = _side_slots(window.profile, bounds)
-    plans = [[tuple(range(m))]]
     nodes, witness, color, _, _ = _first_one_color(coloring, m, totals, counts, window, slots,
-                                                   lambda layers: plans)
+                                                   None, n)
     return SearchReport(witness, color, prod(top for _, top in slots), nodes, counts[0],
                         (time.perf_counter() - start) * 1000.0)
 
@@ -541,25 +564,30 @@ def verify_witness(witness: Sequence[LocatedWord], coloring: Coloring,
                    instances)
 
 
-def _block_plans(chosen: tuple[int, ...]) -> Iterator[list[tuple[int, ...]]]:
+def _block_plans(chosen: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
     """Every cut of a sorted member subset into consecutive runs."""
     n = len(chosen)
     for k in range(n):
         for cuts in combinations(range(1, n), k):
             edges = (0,) + cuts + (n,)
-            yield [chosen[a:b] for a, b in zip(edges, edges[1:])]
+            yield tuple(chosen[a:b] for a, b in zip(edges, edges[1:]))
 
 
-def _xi_plans(sizes: Sequence[int], anchors: Sequence[int], xi: Ordinal, total: int) -> Plans:
+@lru_cache(maxsize=1024)
+def _xi_plans(sizes: tuple[int, ...], anchors: tuple[int, ...], xi: Ordinal,
+              total: int) -> Plans:
     """The block plans whose sizes sum to `total` and whose anchors, one
-    per run from its innermost member, form a member of A_xi."""
-    plans = []
+    per run from its innermost member, form a member of A_xi.  They depend
+    only on the split's shape, so the last 1024 are kept: xi searches of
+    radius 6 with l = 2 read 440 (xi = 3, n0 = 4) and 317 (xi = w,
+    n0 = 10)."""
+    plans: list[tuple[tuple[int, ...], ...]] = []
     for size in range(1, len(sizes) + 1):
         for chosen in combinations(range(len(sizes)), size):
             if sum(sizes[i] for i in chosen) == total:
                 plans += [plan for plan in _block_plans(chosen)
                           if is_member(tuple(anchors[run[0]] for run in plan), xi)]
-    return plans
+    return tuple(plans)
 
 
 def _plan_slices(ws: Sequence[LocatedWord], ranges: Sequence[tuple[int, int]],
@@ -587,7 +615,7 @@ def _xi_slices(ws: Sequence[LocatedWord], xi: Ordinal,
     for the blocks of plans that pass.  The extraction checks run first."""
     bw = make_tuple(ws)
     return _plan_slices(bw, _extraction_ranges(bw, None), _xi_plans(
-        [len(w.entries) for w in bw], [w.min_dom_pos for w in bw], xi, total))
+        tuple(len(w.entries) for w in bw), tuple(w.min_dom_pos for w in bw), xi, total))
 
 
 def xi_witness_search(coloring: Coloring, xi: Ordinal, l: int, n0: int,
@@ -597,10 +625,10 @@ def xi_witness_search(coloring: Coloring, xi: Ordinal, l: int, n0: int,
     monochromatic under a tuple coloring.
 
     The block plans depend only on the members' sizes and anchors, which
-    the annulus split fixes, so each split's shape is planned once, and a
-    split with no plan is never built.  The extraction checks depend only
-    on the profile and l, so they run once, when the window has a
-    candidate."""
+    the annulus split fixes, so each split's shape is planned once while
+    _xi_plans keeps it, and a split with no plan is never built.  The
+    extraction checks depend only on the profile and l, so they run once,
+    when the window has a candidate."""
     if l < 1:
         raise SearchError("tuple length must be >= 1")
     if n0 < 1:
@@ -612,16 +640,8 @@ def xi_witness_search(coloring: Coloring, xi: Ordinal, l: int, n0: int,
     if sum(counts):
         _require_sided_monotone(window.profile)
         slots = _side_slots(window.profile, range(1, l + 1))
-    plans_at: dict[tuple, list] = {}
-
-    def plans_of(layers: list[tuple[int, ...]]) -> Plans:
-        shape = tuple((len(layer), layer[bisect_left(layer, 0)]) for layer in layers)
-        if shape not in plans_at:
-            plans_at[shape] = _xi_plans(*zip(*shape), xi, n0)
-        return plans_at[shape]
-
     nodes, witness, color, sides, plans = _first_one_color(coloring, l, totals, counts, window,
-                                                           slots, plans_of)
+                                                           slots, xi, n0)
     grid_size = sum(prod(len(sides[2 * i]) * len(sides[2 * i + 1]) for run in plan for i in run)
                     for plan in plans)
     return SearchReport(witness, color, grid_size, nodes, sum(counts),

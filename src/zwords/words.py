@@ -77,6 +77,16 @@ class DominationProfile:
             if pos in seen:
                 raise WordError("profile table bounds position %d twice" % pos)
             seen.add(pos)
+        # profiles key the search's pool cache, so the hash is taken once;
+        # the value is the one the dataclass would give
+        object.__setattr__(self, "_hash", hash((self.kind, self.param, self.table)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self) -> tuple:
+        # the kept hash follows the hash seed, so a copy hashes afresh
+        return DominationProfile, (self.kind, self.param, self.table)
 
     def bound(self, n: int) -> int:
         if n == 0:

@@ -389,12 +389,10 @@ def witness_candidates(m, total, window):
     size `total` inside the window, shell by shell (outermost |position|),
     each shell's splits merged by serialization.  Built from the search's
     own split and pool code, so reference_candidates checks it."""
-    pools: dict = {}
     return [_words(combo, window.profile)
             for shell in range(1, window.radius + 1)
             for _, combo, _ in _shell_candidates(
-                [(layers, None) for layers in _shell_splits(m, total, shell)],
-                window.profile, pools)]
+                [(layers, None) for layers in _shell_splits(m, total, shell)], window.profile)]
 
 
 def reference_candidates(m, total, window):

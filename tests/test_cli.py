@@ -618,9 +618,13 @@ def test_refusals_before_work(capsys):
             (search + ("--window", huge, "--profile", "table:-1=1,1=1"),
              "error: profile table has no bound at -%s\n" % huge),
             (("rat", "encode", "1e10000000"), "error: bad rational '1e10000000': exponent "
-             "10000000 exceeds 553836 in size, outside the codec range\n"),
+             "10000000 exceeds 166729 in size, outside the codec range\n"),
             (("rat", "encode", "1e-10000000"), "error: bad rational '1e-10000000': exponent "
-             "-10000000 exceeds 553837 in size, outside the codec range\n")):
+             "-10000000 exceeds 166730 in size, outside the codec range\n"),
+            (("rat", "encode", "1e553000"), "error: bad rational '1e553000': exponent "
+             "553000 exceeds 166727 in size, outside the codec range\n"),
+            (("rat", "encode", "1e200000"), "error: bad rational '1e200000': exponent "
+             "200000 exceeds 166727 in size, outside the codec range\n")):
         start = time.perf_counter()
         assert run(capsys, *argv) == (1, "", err), argv
         assert time.perf_counter() - start < 0.5, argv

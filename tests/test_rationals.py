@@ -14,6 +14,7 @@ from zwords.rationals import (
     KEMPNER_CAP,
     POSITION_CAP,
     _POSITION_BITS,
+    _POSITION_DIGITS,
     RationalCodecError,
     _kempner,
     _mixed_digits,
@@ -529,16 +530,22 @@ def test_rational_text_past_the_digit_limit():
 
 def test_exponents_past_the_codec_range_are_refused_on_the_text():
     # the mantissa has fewer digits than the text is long, so an exponent
-    # whose size passes _POSITION_BITS plus that length names only values
-    # that encode refuses; one at the bound is read as before
+    # whose size passes _POSITION_DIGITS plus that length names only values
+    # that encode refuses; one at the bound is read as before.  The bound
+    # counts decimal digits: 10^_POSITION_DIGITS has more bits than any
+    # integer part encode accepts, and 10^(_POSITION_DIGITS - 1) fewer
+    assert _POSITION_DIGITS == 166719
+    assert (10 ** _POSITION_DIGITS).bit_length() > _POSITION_BITS \
+        >= (10 ** (_POSITION_DIGITS - 1)).bit_length()
     for sign, length in (("", 8), ("-", 9)):
-        at = _POSITION_BITS + length
+        at = _POSITION_DIGITS + length
         assert parse_rational("1e%s%d" % (sign, at)) == Fraction(10) ** int(sign + str(at))
         text = "1e%s%d" % (sign, at + 1)
         with pytest.raises(RationalCodecError, match="^bad rational %r: exponent %s%d exceeds "
                                                      "%d in size" % (text, sign, at + 1, at)):
             parse_rational(text)
-    for text in ("1e10000000", "-2.5E-10000000", "0e99999999", "1e1_000_000_000"):
+    for text in ("1e10000000", "-2.5E-10000000", "0e99999999", "1e1_000_000_000", "1e553000",
+                 "1e200000", "-3e-200000"):
         start = time.perf_counter()
         with pytest.raises(RationalCodecError, match="exponent"):
             parse_rational(text)

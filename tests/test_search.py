@@ -1,8 +1,11 @@
+import gc
 import hashlib
 import random
 import time
+import tracemalloc
 from bisect import bisect_left
 from fractions import Fraction
+from functools import partial
 from itertools import combinations, product
 from math import comb
 
@@ -361,7 +364,7 @@ def test_ranks_count_the_preceding_candidates():
         profile = parse_profile(text)
         for total in range(2 * m, 2 * radius + 1):
             for shell in range(1, radius + 1):
-                pools = [_split_pools(layers, profile, {})
+                pools = [_split_pools(layers, profile)
                          for layers in _shell_splits(m, total, shell)]
                 texts = [[t for t, _, _ in _split_stream(split, None)] for split in pools]
                 for split, own in zip(pools, texts):
@@ -622,7 +625,7 @@ def candidate_choices(m, total, window):
     # the side choices of witness_candidates' tuples, in its order
     for shell in range(1, window.radius + 1):
         splits = [(layers, None) for layers in _shell_splits(m, total, shell)]
-        for _, combo, _ in _shell_candidates(splits, window.profile, {}):
+        for _, combo, _ in _shell_candidates(splits, window.profile):
             yield combo
 
 
@@ -667,8 +670,8 @@ def test_instance_and_slice_texts_match_the_word_path():
                     images = [reference_images(w, index) for index, w in enumerate(ws, 1)]
                     for xi in xis:
                         for n0 in range(2, total + 1):
-                            plans = _xi_plans([len(w.entries) for w in ws],
-                                              [w.min_dom_pos for w in ws], xi, n0)
+                            plans = _xi_plans(tuple(len(w.entries) for w in ws),
+                                              tuple(w.min_dom_pos for w in ws), xi, n0)
                             want = list(reference_plan_slice_texts(images, plans))
                             assert list(_slice_texts(sides, plans)) == want, (ws, xi, n0)
                             slices += len(want)
@@ -758,36 +761,125 @@ def test_a_witness_in_an_outer_shell_under_a_raised_cap():
     assert max(max(-w.dom[0], w.dom[-1]) for w in rep.witness) == 5
 
 
-def test_report_sweep_digest():
-    # hj and xi reports on abs, abs+1, const:2 and const:10 under seeded
-    # colourings: witnesses early and late, xi witnesses found after splits
-    # with no plan, and exhausts.  The digest was taken from the search that
-    # built and sorted every candidate of a shell and coloured instances as
-    # words; nodes_expanded pins the ranks of the splits skipped by shape.
-    lines = []
+SEARCH_CACHES = (search._shell_splits, search._side_pool, search._xi_plans, search._side_counts)
+
+
+def clear_search_caches():
+    for cache in SEARCH_CACHES:
+        cache.cache_clear()
+
+
+def sweep_digest(reverse=False):
+    """The SHA-256 of the report sweep's lines, with the searches run in
+    the sweep's order or in reverse; the lines are in the sweep's order.
+
+    hj and xi reports on abs, abs+1, const:2 and const:10 under seeded
+    colourings: witnesses early and late, xi witnesses found after splits
+    with no plan, and exhausts."""
+    cells = []
     for text, radii in (("abs", (2, 3)), ("abs+1", (2, 3)), ("const:2", (2, 3)),
                         ("const:10", (2,))):
         for radius in radii:
             window = SearchWindow(radius, parse_profile(text))
             for arity, seed in product((2, 3), range(2)):
                 coloring = Coloring(arity=arity, seed=7919 * radius + 31 * arity + seed)
-                reports = []
                 cell = "%s r%d a%d s%d" % (text, radius, arity, seed)
                 for bounds in ([1], [2], [1, 2]):
                     for n in range(2 * len(bounds), 2 * radius + 1):
-                        reports.append(("hj %s b%s n%d" % (cell, bounds, n), hj_witness_search(
-                            coloring, len(bounds), bounds, n, window)))
+                        cells.append(("hj %s b%s n%d" % (cell, bounds, n), partial(
+                            hj_witness_search, coloring, len(bounds), bounds, n, window)))
                 for xi, l in product(("1", "2", "3", "w"), (1, 2)):
                     for n0 in range(2, 2 * radius + 1):
-                        reports.append(("xi %s %s l%d n%d" % (cell, xi, l, n0), xi_witness_search(
-                            coloring, parse_ordinal(xi), l, n0, window)))
-                for tag, rep in reports:
-                    witness = ";".join(map(format_word, rep.witness)) if rep.witness else "none"
-                    lines.append("%s %s %s %d %d %d" % (tag, witness, rep.color, rep.grid_size,
-                                                        rep.nodes_expanded, rep.candidates))
+                        cells.append(("xi %s %s l%d n%d" % (cell, xi, l, n0), partial(
+                            xi_witness_search, coloring, parse_ordinal(xi), l, n0, window)))
+    order = range(len(cells))
+    reports = {i: cells[i][1]() for i in (reversed(order) if reverse else order)}
+    lines = []
+    for i in order:
+        rep = reports[i]
+        witness = ";".join(map(format_word, rep.witness)) if rep.witness else "none"
+        lines.append("%s %s %s %d %d %d" % (cells[i][0], witness, rep.color, rep.grid_size,
+                                            rep.nodes_expanded, rep.candidates))
     assert len(lines) == 1132
-    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() \
-        == "9d218a6716057078beb0a76a7cfb7b0cfb3b007d7f9e918e0a02b5161dfb893a"
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+# taken from the search that built and sorted every candidate of a shell and
+# coloured instances as words; nodes_expanded pins the ranks of the splits
+# skipped by shape
+SWEEP_DIGEST = "9d218a6716057078beb0a76a7cfb7b0cfb3b007d7f9e918e0a02b5161dfb893a"
+
+
+def test_report_sweep_digest():
+    assert sweep_digest() == SWEEP_DIGEST
+
+
+def test_warm_caches_change_no_report():
+    # the sweep from cold caches, then again warm and in reverse, so its
+    # last searches find their splits, pools and plans kept: a kept result
+    # that a caller changed, or a key that misses a parameter (the profile
+    # of a pool, the xi or total of a plan), changes a report
+    clear_search_caches()
+    assert sweep_digest() == SWEEP_DIGEST
+    cold = [cache.cache_info() for cache in SEARCH_CACHES]
+    assert sweep_digest(reverse=True) == SWEEP_DIGEST
+    for before, after in zip(cold, (cache.cache_info() for cache in SEARCH_CACHES)):
+        assert after.misses - before.misses < before.misses
+        assert after.hits - before.hits > before.hits
+
+
+def test_search_caches_stay_within_their_sizes():
+    # searches over more keys than each cache holds, each stopping at its
+    # first candidate with a plan under a one-colour colouring: xi searches
+    # of radius 6 for n0 = 8..12 read 1,586 plan shapes, and hj searches
+    # whose one total fills the window read 163 (m, total, shell) keys in
+    # all and build 189 pools; each cache ends full, at its size
+    clear_search_caches()
+    one = Coloring(arity=1, seed=0)
+    for n0 in range(8, 13):
+        rep = xi_witness_search(one, parse_ordinal("w"), 2, n0,
+                                SearchWindow(6, max_candidates=10 ** 12))
+        assert rep.found
+    for m in (1, 2):
+        for radius in range(m, 11):
+            rep = hj_witness_search(one, m, [1] * m, 2 * radius, SearchWindow(
+                radius, parse_profile("const:1"), max_candidates=10 ** 12))
+            assert rep.nodes_expanded == 1
+    for cache in SEARCH_CACHES[:3]:
+        info = cache.cache_info()
+        assert info.misses > info.maxsize == info.currsize, (cache, info)
+
+
+def test_retained_search_state_stays_flat():
+    # 40 distinct const:k windows, each with its own pools (8 per window),
+    # pass through the pool cache twice over; what stays traced after the
+    # last 20 windows is within 32 KB of what stayed after the first 20,
+    # under half of what one search writes into its side texts and colours,
+    # which stay in the call (an unbounded pool cache adds about 70 KB)
+    def search_under(k):
+        hj_witness_search(Coloring(arity=2, seed=k), 1, [1], 2,
+                          SearchWindow(4, DominationProfile("const", k)))
+
+    clear_search_caches()
+    search_under(60)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for k in range(61, 81):
+            search_under(k)
+        gc.collect()
+        half = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        for k in range(81, 101):
+            search_under(k)
+        gc.collect()
+        full, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert full - half < 32 * 1024, (half, full)
+    assert peak - full > 2 * 32 * 1024, (peak, full)
+    info = search._side_pool.cache_info()
+    assert info.misses > 2 * info.maxsize
 
 
 def test_psi_map():

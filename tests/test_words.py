@@ -518,6 +518,23 @@ def test_profile_text_round_trip():
     assert not parse_profile("table:-2=1,-1=5,1=1,2=2").sided_monotone
 
 
+def test_profile_hash_is_the_dataclass_hash():
+    import copy
+    import pickle
+
+    # the hash is taken once, at construction, and is the dataclass's own:
+    # equal profiles hash alike, the fields alone decide equality, and a
+    # copy, which may live under another hash seed, hashes afresh
+    for text in ["abs", "abs+2", "const:3", "table:-2=2,-1=1,1=1,2=2"]:
+        profile = parse_profile(text)
+        assert hash(profile) == hash((profile.kind, profile.param, profile.table))
+        assert parse_profile(text) == profile and hash(parse_profile(text)) == hash(profile)
+    assert DominationProfile("abs") == ABS and hash(DominationProfile("abs")) == hash(ABS)
+    assert pickle.loads(pickle.dumps(CONST2)) == CONST2 and copy.copy(CONST2) == CONST2
+    assert "_hash" not in pickle.dumps(CONST2).decode("latin-1")
+    assert parse_profile("abs+1") != parse_profile("const:1")
+
+
 def test_profile_table_naming_a_position_twice_is_refused():
     # bound would read whichever pair sorts first
     for text, pos in (("table:1=3,1=2,-1=1", "1"), ("table:-1=1,1=2,-1=1", "-1")):
