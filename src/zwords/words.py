@@ -8,12 +8,12 @@ substitution operators, the two orderings, extracted-word sets and the
 projection and pairing embeddings between the two-sided and one-sided
 layers.
 
-A `LocatedWord` is an immutable value whose hash and `dom` are computed
-on first use and kept.  `make_word` validates words from outside: it
-sorts the entries and refuses an empty domain, position 0, a repeated
-position and a letter out of range.  `parse_word` reads text in one pass
-and builds a word that ascends and fits an abs or const profile
-directly; other text goes through `make_word`.  Kernels whose words are
+A `LocatedWord` is an immutable value whose hash, `dom` and text are
+computed on first use and kept.  `make_word` validates words from
+outside: it sorts the entries and refuses an empty domain, position 0, a
+repeated position and a letter out of range.  `parse_word` reads text
+in one pass and builds a word that ascends and fits an abs or const
+profile directly; other text goes through `make_word`.  Kernels whose words are
 valid by construction build them directly: `concat`, `merge`,
 `substitute`, `project_positive`, `rationals.encode`,
 `search.length_slice` and the search's candidates.
@@ -146,12 +146,13 @@ class LocatedWord:
     """A finite map from nonzero positions to letters under a profile.
 
     An immutable value: two words are equal when both are LocatedWords
-    with equal entries and equal profiles.  The hash and `dom` are
-    computed on first use and kept, not at construction, since search
-    builds many words it never hashes.
+    with equal entries and equal profiles.  The hash, `dom` and the text
+    that format_word gives are computed on first use and kept, not at
+    construction, since search builds many words it never hashes or
+    formats.
     """
 
-    __slots__ = ("entries", "profile", "_dom", "_hash")
+    __slots__ = ("entries", "profile", "_dom", "_hash", "_text")
 
     def __init__(self, entries: tuple[tuple[int, int], ...],
                  profile: DominationProfile = ABS) -> None:
@@ -435,7 +436,7 @@ def _image_ranges(w: LocatedWord, index: int) -> tuple[int, int]:
     images of the core variable word w over the grid at index.  k is read
     at index, at -index, then at the variable positions in entry order."""
     kp, kq = _grid_tops(w.profile, index)
-    cut = len(w.dom_neg)
+    cut = bisect_left(w.dom, 0)
     b = _side_top(w.entries[:cut], kq, w.profile)
     return _side_top(w.entries[cut:], kp, w.profile), b
 
@@ -457,11 +458,38 @@ def _extraction_ranges(bw: OrderlyTuple, indices: Sequence[int] | None) -> list[
     return [_image_ranges(w, index) for w, index in zip(bw, indices)]
 
 
+def _image_entries(w: LocatedWord, ranges: tuple[int, int]) -> list[tuple[tuple[int, int], ...]]:
+    """The entry tuples of the distinct substitution images of w over its
+    grid, in grid order: one per pair of its ranges, p-major.  Each side
+    of an image depends on one index alone, and the negative side comes
+    first in the entries, so the b variants of the negative side and the
+    a of the positive side are built once each and joined."""
+    a, b = ranges
+    cut = bisect_left(w.dom, 0)
+    negs = _side_variants(w.entries[:cut], b, -1, w.profile)
+    return [neg + pos for pos in _side_variants(w.entries[cut:], a, 1, w.profile)
+            for neg in negs]
+
+
+def _side_variants(side: tuple[tuple[int, int], ...], top: int, sign: int,
+                   profile: DominationProfile) -> list[tuple[tuple[int, int], ...]]:
+    """One side's entries under each index 1..top: a variable at n reads
+    sign * min(index, k_n), and every other entry stays."""
+    variables = [(j, pos, profile.bound(pos)) for j, (pos, letter) in enumerate(side)
+                 if letter == VARIABLE]
+    out = []
+    for index in range(1, top + 1):
+        row = list(side)
+        for j, pos, k in variables:
+            row[j] = (pos, sign * min(index, k))
+        out.append(tuple(row))
+    return out
+
+
 def _images(w: LocatedWord, ranges: tuple[int, int]) -> list[LocatedWord]:
     """The distinct substitution images of w over its grid, in grid
     order: one per pair of its ranges, p-major."""
-    a, b = ranges
-    return [substitute(w, p, q) for p in range(1, a + 1) for q in range(1, b + 1)]
+    return [LocatedWord(entries, w.profile) for entries in _image_entries(w, ranges)]
 
 
 def _star_products(options: Sequence[Sequence[LocatedWord]]) -> set[LocatedWord]:
@@ -607,7 +635,12 @@ def _entries_text(entries: Iterable[tuple[int, int]]) -> str:
 
 
 def format_word(w: LocatedWord) -> str:
-    return _entries_text(w.entries)
+    """The word's text, built on first use and kept in the word."""
+    try:
+        return w._text
+    except AttributeError:
+        _set(w, "_text", _entries_text(w.entries))
+        return w._text
 
 
 def parse_word(text: str, profile: DominationProfile = ABS) -> LocatedWord:

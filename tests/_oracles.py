@@ -3,8 +3,11 @@
 Everything here re-walks the defining recursions naively (full
 backtracking over splittings, no memoization, no thinness shortcut), so
 the fast implementations are checked against genuinely separate code
-paths.  The exception is witness_candidates, which lists what the search
-visits from the search's own code, for tests that need that order.
+paths.  The exceptions are witness_candidates, which lists what the search
+visits from the search's own code, for tests that need that order, and
+reference_hereditary_part, which walks every extraction chain of every
+key with the family kernels' own chain walk, for the marking walk that
+skips most of those walks.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from zwords.ordinals import (
     omega_power,
     successor_pred,
 )
-from zwords.families import FamilyError, WordFamily
+from zwords.families import FamilyError, WordFamily, _extraction_chains
 from zwords.rationals import _kempner
 from zwords.schreier import SchreierError, is_member
 from zwords.search import (
@@ -676,6 +679,14 @@ def reference_pool_extractions(bw, pool):
     """The extracted variable words of bw that lie in the pool, built as
     star products of bw's members alone."""
     return extracted_sets(bw).variables & frozenset(pool)
+
+
+def reference_hereditary_part(keys, table):
+    """The keys of a compiled pool whose extraction chains are all keys
+    (none when the empty tuple is not one), every chain of every key
+    walked."""
+    return {key for key in keys
+            if all(chain in keys for chain in _extraction_chains(key, table))}
 
 
 def _reference_extraction_tuples(bw, pool):

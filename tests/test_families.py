@@ -3,15 +3,18 @@ import random
 import subprocess
 import sys
 import time
-from itertools import combinations
+from itertools import combinations, product
 from math import prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import zwords
 from _oracles import (
     reference_cb_derivative,
     reference_hereditary_closure,
+    reference_hereditary_part,
+    reference_images,
     reference_largest_hereditary,
     reference_matches,
     reference_pool_extractions,
@@ -36,10 +39,14 @@ from zwords.families import (
     set_family_cb_index,
     tree_closure,
     tuple_sort_key,
+    _check_slots,
     _compile,
+    _extraction_chains,
     _extractions,
+    _hereditary_part,
     _matches,
     _pool_keys,
+    _slot_entries,
 )
 from zwords.words import (
     ABS,
@@ -47,12 +54,16 @@ from zwords.words import (
     VARIABLE,
     LocatedWord,
     WordError,
+    _image_entries,
+    _image_ranges,
+    _images,
     concat,
     extracted_sets,
     make_tuple,
     make_word,
     parse_profile,
     rel_r1,
+    substitute,
     word_sort_key,
 )
 
@@ -707,6 +718,132 @@ def test_four_word_pool():
     assert cb_index(closed, pool, 2) == 2
     assert cb_index(closed, pool, 3) == 3
     assert time.perf_counter() - start < 10
+
+
+def thinned(fam, share, seed):
+    """fam with a seeded sample of about `share` of its nonempty members
+    dropped, at least one."""
+    members = sorted(fam.members - {EMPTY_TUPLE}, key=tuple_sort_key)
+    dropped = random.Random(seed).sample(members, max(1, round(len(members) * share)))
+    return family_of(fam.members - set(dropped))
+
+
+def assert_marking_matches_reference(fam, pool):
+    """On a cold pool, the marking walk keeps exactly the keys that the
+    all-chains walk keeps; returns how many keys it walked, which is how
+    many extraction sets it built, and how many it kept."""
+    _compile.cache_clear()
+    keys, table = _pool_keys(fam, pool)
+    got = _hereditary_part(keys, table)
+    walked = len(table.extractions)
+    assert got == reference_hereditary_part(keys, table), len(keys)
+    return walked, len(got)
+
+
+def test_marking_walk_on_the_four_word_closure():
+    # the base's walk meets every member, so it is the one walk
+    base = four_word_base()
+    pool = extracted_sets(base).variables
+    closed = hereditary_closure(family_of([base]), pool)
+    assert assert_marking_matches_reference(closed, pool) == (1, 2540)
+    # about 1% of the members dropped: the walks that meet a dropped
+    # member mark nothing, and the keys they leave are walked themselves
+    for seed in (1, 2, 3):
+        walked, kept = assert_marking_matches_reference(thinned(closed, 0.01, seed), pool)
+        assert 1 < walked < kept < 2540 - 25, (seed, walked, kept)
+
+
+def test_marking_walk_on_closures_over_sub_pools():
+    # seeded sub-pools of the four-word pool that keep the base's words
+    base = four_word_base()
+    pool = extracted_sets(base).variables
+    ordered = sorted(pool, key=word_sort_key)
+    for seed, share in ((1, 0.1), (2, 0.3), (3, 0.6)):
+        sub = frozenset(random.Random(seed).sample(ordered, round(len(ordered) * share)))
+        sub |= frozenset(base)
+        closed = hereditary_closure(family_of([base]), sub)
+        assert assert_marking_matches_reference(closed, sub) == (1, len(closed))
+        assert assert_marking_matches_reference(thinned(closed, 0.02, seed), sub)[1] > 1
+
+
+def test_marking_walk_on_mixed_families():
+    # families as the cb-index benchmark builds them: the closure of a
+    # seeded share of the m-tuples of a nested pool, with the other
+    # m-tuples added; an added member with a chain outside is dropped
+    dropping = 0
+    for pool in (nested_pool(), nested_pool(3, 2), nested_pool(4, 2), nested_pool(3, 3)):
+        for m in (1, 2, 3):
+            full = full_tuples(pool, m)
+            for share, seed in product((0.1, 0.3, 0.7), (1, 2)):
+                base = random.Random(seed).sample(full, round(len(full) * share))
+                closed = hereditary_closure(family_of(base), pool)
+                mixed = family_of(closed.members | set(full))
+                dropping += assert_marking_matches_reference(mixed, pool)[1] < len(mixed)
+    assert dropping > 10, dropping
+
+
+def test_marking_never_spreads_a_verdict():
+    # every hereditary family on small pools, less each member in turn:
+    # the members above the dropped one lose their verdict, and no walk
+    # marks them from another member's walk
+    families = {hereditary_closure(raw, CHAIN3) for raw in chain3_sweep()}
+    for fam in families:
+        for bw in fam.members:
+            assert_marking_matches_reference(family_of(fam.members - {bw}), CHAIN3)
+    for pool in (nested_pool(3, 2), ev_pool()):
+        for m in (1, 2):
+            closed = hereditary_closure(family_of(full_tuples(pool, m)), pool)
+            for bw in closed.members:
+                assert_marking_matches_reference(family_of(closed.members - {bw}), pool)
+
+
+def _transitivity_cases():
+    pools = [nested_pool(), nested_pool(3, 2), nested_pool(4, 2), CHAIN3,
+             extracted_sets(three_word_base()).variables]
+    return [(pool, [bw for bw in all_tuples(pool, 3) if bw.words]) for pool in pools]
+
+
+TRANSITIVITY_CASES = _transitivity_cases()
+
+
+@settings(max_examples=200, database=None, derandomize=True, deadline=None)
+@given(st.data())
+def test_extraction_is_transitive(data):
+    # for a member K and every R1-chain c over K's pool extractions, c's
+    # pool extractions lie among K's, by the kernels and by star products
+    pool, tuples = data.draw(st.sampled_from(TRANSITIVITY_CASES))
+    bw = data.draw(st.sampled_from(tuples))
+    (key,), table = _pool_keys(family_of([bw]), pool)
+    whole = _extractions(key, table)
+    want = reference_pool_extractions(bw, pool)
+    assert {table.words[i] for i in whole} == want
+    chains = [chain for chain in _extraction_chains(key, table) if chain]
+    _check_slots(chains, table)
+    for chain in chains:
+        assert _extractions(chain, table) <= whole, (bw, chain)
+        c = make_tuple(table.words[i] for i in chain)
+        assert reference_pool_extractions(c, pool) <= want, (bw, c)
+
+
+def test_side_built_images_equal_substitution():
+    # a slot's images are joined from the variants of each side; they
+    # are the substitutions over its two ranges, p-major, and the whole
+    # grid's distinct images, under abs, abs+1 and const:1
+    checked = clipped = 0
+    for pool in (CHAIN3, nested_pool(), nested_pool(3, 2), nested_pool(2, 1), ev_pool(),
+                 shared_span_pool()):
+        for w in sorted(pool, key=word_sort_key):
+            for index in (1, 2, 3, 4):
+                a, b = _image_ranges(w, index)
+                got = _image_entries(w, (a, b))
+                assert got == [substitute(w, p, q).entries
+                               for p in range(1, a + 1) for q in range(1, b + 1)], (w, index)
+                assert got == [u.entries for u in reference_images(w, index)], (w, index)
+                assert [u.entries for u in _images(w, (a, b))] == got
+                assert _slot_entries(w, index) == {w.entries, *got}
+                checked += 1
+                clipped += a * b < w.profile.bound(index) * w.profile.bound(-index)
+    assert checked > 300 and clipped > 20, (checked, clipped)
 
 
 def assert_members_pass_make_tuple(fam):

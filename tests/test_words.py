@@ -631,6 +631,23 @@ def test_word_dom_matches_its_entries():
         assert w.dom_neg + w.dom_pos == w.dom
 
 
+def test_format_word_keeps_the_text():
+    # the text is built on first use and kept, so a word shared by many
+    # tuples is formatted once; copies format afresh to the same text
+    import pickle
+
+    rng = random.Random(7)
+    for _ in range(200):
+        w = random_word(rng, span=7)
+        text = format_word(w)
+        assert text == words._entries_text(w.entries) and format_word(w) is text
+        assert str(w) is text and repr(w) == "LocatedWord(%r)" % text
+        assert format_word(pickle.loads(pickle.dumps(w))) == text
+    with pytest.raises(AttributeError):
+        w._text = ""
+    assert words.serialize_tuple([w, w]) == "%s;%s" % (text, text)
+
+
 def test_words_refuse_attribute_assignment():
     w = parse_word("-1:v,1:1")
     for name in ("entries", "profile", "dom", "other"):
