@@ -7,18 +7,15 @@ results are relative to a finite pool of variable words (typically the
 extracted-variable set of a base tuple).
 
 Each operation indexes the pool once: by span width, with each word's R1
-successors, the words on each domain and the words with each entry
-tuple.  R1 reads only the first word's span and the second word's
+successors, the words of each profile on each domain and with each
+entry tuple.  R1 reads only the first word's span and the second word's
 domain, so it is tested once per (span, domain) class pair, and the
 words of one span share one successor list.  Heredity is tested on that
-index without building star products.  The members of a tuple have
-disjoint domains, so a pool word u is an extracted variable word of bw
-exactly when its domain is the union of the domains of a nonempty
-subtuple, its profile is bw's, and on each chosen member's domain u reads
-that member or one of its grid images; the images are constants, so
-some member is read as itself.  The extraction tuples are the R1-chains
-over those pool words.  Each call keys the family's members once, by
-their tuples of pool indices, and the kernels work on those keys alone.
+index without building star products: a pool word is an extracted
+variable word of a member when it passes the domain test of the words
+module docstring.  The extraction tuples are the R1-chains over those
+pool words.  Each call keys the family's members once, by their tuples
+of pool indices, and the kernels work on those keys alone.
 
 A word's images depend only on the word and its tuple index (a slot),
 and a subtuple's matching pool words only on its slots, so members that
@@ -67,12 +64,12 @@ from .schreier import is_member
 from .words import (
     ABS,
     EMPTY_TUPLE,
+    DominationProfile,
     LocatedWord,
     OrderlyTuple,
     WordError,
-    _image_entries,
-    _image_ranges,
-    _require_sided_monotone,
+    _reads_slots,
+    _slot_entries,
     format_word,
     make_tuple,
     parse_word,
@@ -175,20 +172,21 @@ def tree_closure(family: WordFamily) -> WordFamily:
 class _Pool(NamedTuple):
     """A compiled pool: its words in order of span width, each word's
     index, each word's R1 successors as a list of indices, the indices of
-    the words on each domain and with each entry tuple, and the extraction
+    the words of each profile on each domain and with each entry tuple,
+    keyed (profile, domain) and (profile, entries), and the extraction
     work of the calls made on it so far, keyed by pool indices.  A slot is
     a (pool index, 1-based grid index) pair; `allowed` holds the entry
     tuples of each checked slot, the word's own and its grid images',
     which depend on the word and the index alone.  A subtuple, a tuple of
     slots, keeps in `matches` the pool indices found for it by the domain
-    test of the module docstring, and a member key keeps in `extractions`
-    the union of its subtuples' matches."""
+    test of the words module docstring, and a member key keeps in
+    `extractions` the union of its subtuples' matches."""
 
     words: list[LocatedWord]
     index: dict[LocatedWord, int]
     succ: list[list[int]]
-    by_dom: dict[tuple[int, ...], list[int]]
-    by_entries: dict[tuple, list[int]]
+    by_dom: dict[tuple[DominationProfile, tuple[int, ...]], list[int]]
+    by_entries: dict[tuple[DominationProfile, tuple], list[int]]
     allowed: dict[tuple[int, int], set[tuple]]
     matches: dict[tuple[tuple[int, int], ...], list[int]]
     extractions: dict[Key, frozenset[int]]
@@ -208,12 +206,12 @@ def _compile(pool: frozenset[LocatedWord]) -> _Pool:
         raise FamilyError("pool word %s is not a two-sided variable word"
                           % format_word(min(bad, key=word_sort_key)))
     words = sorted(pool, key=lambda w: (w.dom[-1] - w.dom[0], word_sort_key(w)))
-    by_dom: dict[tuple[int, ...], list[int]] = {}
-    by_entries: dict[tuple, list[int]] = {}
+    by_dom: dict[tuple[DominationProfile, tuple[int, ...]], list[int]] = {}
+    by_entries: dict[tuple[DominationProfile, tuple], list[int]] = {}
     one_per_span: dict[tuple[int, int], LocatedWord] = {}
     for i, w in enumerate(words):
-        by_dom.setdefault(w.dom, []).append(i)
-        by_entries.setdefault(w.entries, []).append(i)
+        by_dom.setdefault((w.profile, w.dom), []).append(i)
+        by_entries.setdefault((w.profile, w.entries), []).append(i)
         one_per_span.setdefault((w.dom[0], w.dom[-1]), w)
     nexts = {span: sorted(j for on in by_dom.values() if rel_r1(w, words[on[0]]) for j in on)
              for span, w in one_per_span.items()}
@@ -257,49 +255,38 @@ def _check_slots(keys: Iterable[Key], table: _Pool) -> None:
         raise
 
 
-def _slot_entries(w: LocatedWord, index: int) -> set[tuple]:
-    """The entry tuples a slot allows: the word's own and its grid images'."""
-    _require_sided_monotone(w.profile)
-    return {w.entries, *_image_entries(w, _image_ranges(w, index))}
-
-
 def _matches(chosen: tuple[tuple[int, int], ...], table: _Pool) -> list[int]:
     """The pool words on the union of the chosen slots' domains, of their
     profile, that read an allowed entry tuple on each slot's domain.  When
     the slots allow no more combinations than the union domain has words,
     each combination's entry tuple is joined in position order and looked
-    up; otherwise the domain's words are scanned.  The slots' domains are
-    disjoint, so a joined tuple is a word's whole entry tuple; equal
-    entries can sit under two profiles, so the profile is still tested."""
+    up; otherwise the domain's words are scanned by words._reads_slots.
+    The slots' domains are disjoint, so a joined tuple is a word's whole
+    entry tuple.  Both indexes are keyed by profile, so the words found
+    are of the slots' profile."""
     words, allowed = table.words, table.allowed
     # the positions of the pieces concatenated, and in order
     flat = [p for t, _ in chosen for p in words[t].dom]
-    dom = sorted(flat)
-    on_dom = table.by_dom.get(tuple(dom))
+    profile = words[chosen[0][0]].profile
+    on_dom = table.by_dom.get((profile, tuple(sorted(flat))))
     if on_dom is None:
         return []
     oks = [allowed[slot] for slot in chosen]
-    profile = words[chosen[0][0]].profile
     if prod(map(len, oks)) <= len(on_dom):
+        # a core variable word has positions on both sides, so the getter
+        # picks at least two entries and returns a tuple
         get = itemgetter(*sorted(range(len(flat)), key=flat.__getitem__))
         joined = (get(sum(combo, ())) for combo in product(*oks))
         by_entries = table.by_entries
-        return [u for entries in joined for u in by_entries.get(entries, ())
-                if words[u].profile == profile]
-    rank = {p: k for k, p in enumerate(dom)}
-    # a core variable word has positions on both sides, so each getter
-    # picks at least two entries and returns a tuple
-    pieces = [(itemgetter(*map(rank.get, words[t].dom)), ok)
-              for (t, _), ok in zip(chosen, oks)]
-    return [u for u in on_dom
-            if words[u].profile == profile
-            and all(get(words[u].entries) in ok for get, ok in pieces)]
+        return [u for entries in joined for u in by_entries.get((profile, entries), ())]
+    slots = [(words[t].dom, ok) for (t, _), ok in zip(chosen, oks)]
+    return [u for u in on_dom if _reads_slots(words[u], slots)]
 
 
 def _extractions(key: Key, table: _Pool) -> frozenset[int]:
     """The pool indices of the extracted variable words of the member
-    keyed by key, by the domain test of the module docstring, once per
-    subtuple of slots and once per key in the compiled pool."""
+    keyed by key, by the domain test of the words module docstring, once
+    per subtuple of slots and once per key in the compiled pool."""
     found = table.extractions.get(key)
     if found is None:
         slots = [(t, i) for i, t in enumerate(key, 1)]

@@ -27,6 +27,17 @@ call refuses nothing.  The family kernels build their tuples directly
 from checked ones: `families.tree_closure` (prefixes),
 `families.family_at` (suffixes) and `families.hereditary_closure` (R1
 chains of one member's pool extractions).
+
+`extracted_sets` builds every star product over the nonempty subtuples
+of a tuple bw, each chosen member kept or replaced by one of its grid
+images, and refuses more than MAX_PRODUCTS of them.  The members of a
+tuple have disjoint domains, so a word u is an extracted variable word
+of bw exactly when its domain is the union of the domains of a nonempty
+subtuple, its profile is bw's, and on each chosen member's domain u
+reads that member or one of its grid images; the images are constants,
+so some member is read as itself.  `is_extraction` and the family
+kernels apply this domain test word by word, with no product built and
+no cap, and `extracted_sets` is its oracle.
 """
 
 from __future__ import annotations
@@ -36,7 +47,7 @@ from dataclasses import FrozenInstanceError, dataclass
 from itertools import islice
 from math import prod
 from operator import lt
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 VARIABLE = 0
 _set = object.__setattr__  # LocatedWord fills its slots past its __setattr__
@@ -522,12 +533,41 @@ def extracted_sets(bw: OrderlyTuple, indices: Sequence[int] | None = None) -> Ex
     return ExtractedSets(frozenset(products - variables), variables)
 
 
+def _slot_entries(w: LocatedWord, index: int) -> set[tuple]:
+    """The entry tuples a slot allows: the word's own and its grid images'."""
+    _require_sided_monotone(w.profile)
+    return {w.entries, *_image_entries(w, _image_ranges(w, index))}
+
+
+def _reads_slots(u: LocatedWord,
+                 slots: Iterable[tuple[tuple[int, ...], Collection[tuple]]]) -> bool:
+    """The domain test of the module docstring, less its profile and
+    variable checks: whether u's domain is the union of whole member
+    domains and u reads, on each of them, one of the entry tuples that
+    member allows.  slots pairs each member's domain, the domains
+    disjoint, with the member's allowed entry tuples.  An allowed tuple
+    covers its member's whole domain, so a member that u reads only in
+    part, or reads wrongly, covers none of u's positions."""
+    letters = dict(u.entries)
+    read = 0
+    for dom, allowed in slots:
+        if tuple(zip(dom, map(letters.get, dom))) in allowed:
+            read += len(dom)
+    return read == len(letters)
+
+
 def is_extraction(u: OrderlyTuple, w: OrderlyTuple) -> bool:
-    """True iff every member of u is an extracted variable word of w."""
+    """True iff every member of u is an extracted variable word of w, by
+    the domain test of the module docstring; no star product is built.
+    Refuses what extracted_sets(w) refuses, in the same order, save the
+    product cap."""
     if len(u) == 0:
         return True
-    ev = extracted_sets(w).variables
-    return all(word in ev for word in u)
+    _extraction_ranges(w, None)
+    slots = [(m.dom, _slot_entries(m, i)) for i, m in enumerate(w, 1)]
+    # with no slots no word is read, so w[0] is read only when w has one
+    return all(_reads_slots(v, slots) and v.profile == w[0].profile and v.is_variable_word
+               for v in u)
 
 
 def pair_enumeration(profile: DominationProfile, count: int) -> list[tuple[int, int]]:

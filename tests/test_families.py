@@ -46,7 +46,6 @@ from zwords.families import (
     _hereditary_part,
     _matches,
     _pool_keys,
-    _slot_entries,
 )
 from zwords.words import (
     ABS,
@@ -57,6 +56,7 @@ from zwords.words import (
     _image_entries,
     _image_ranges,
     _images,
+    _slot_entries,
     concat,
     extracted_sets,
     make_tuple,
@@ -676,7 +676,8 @@ def _check_subtuple_matches(pool, fam):
             for chosen in combinations(slots, size):
                 got = _matches(chosen, table)
                 assert sorted(got) == reference_matches(chosen, table), chosen
-                dom = tuple(sorted(p for t, _ in chosen for p in table.words[t].dom))
+                dom = (table.words[chosen[0][0]].profile,
+                       tuple(sorted(p for t, _ in chosen for p in table.words[t].dom)))
                 if dom not in table.by_dom:
                     continue
                 if prod(len(table.allowed[slot]) for slot in chosen) <= len(table.by_dom[dom]):
@@ -823,6 +824,51 @@ def test_extraction_is_transitive(data):
         assert _extractions(chain, table) <= whole, (bw, chain)
         c = make_tuple(table.words[i] for i in chain)
         assert reference_pool_extractions(c, pool) <= want, (bw, c)
+
+
+def draw_family(data, tuples, most=6, least=0):
+    """A family of `least` to `most` of the tuples."""
+    return family_of(data.draw(st.lists(st.sampled_from(tuples), min_size=least,
+                                        max_size=most)))
+
+
+@settings(max_examples=100, database=None, derandomize=True, deadline=None)
+@given(st.data())
+def test_hereditary_closure_is_idempotent_and_monotone(data):
+    # F within G gives cl(F) within cl(G), and cl(cl(F)) = cl(F)
+    pool, tuples = data.draw(st.sampled_from(TRANSITIVITY_CASES))
+    f = draw_family(data, tuples)
+    g = family_of(f.members | draw_family(data, tuples).members)
+    closed = hereditary_closure(f, pool)
+    assert f.members <= closed.members
+    assert hereditary_closure(closed, pool) == closed
+    assert closed.members <= hereditary_closure(g, pool).members
+
+
+@settings(max_examples=100, database=None, derandomize=True, deadline=None)
+@given(st.data())
+def test_largest_hereditary_is_the_family_exactly_when_hereditary(data):
+    # closures, less a few members or with a few tuples added
+    pool, tuples = data.draw(st.sampled_from(TRANSITIVITY_CASES))
+    closed = hereditary_closure(draw_family(data, tuples), pool)
+    members = sorted(closed.members, key=tuple_sort_key)
+    dropped = data.draw(st.lists(st.sampled_from(members), max_size=2))
+    fam = family_of((closed.members - set(dropped)) | draw_family(data, tuples, 2).members)
+    assert (largest_hereditary(fam, pool) == fam) == fam.is_hereditary(pool), fam
+
+
+@settings(max_examples=100, database=None, derandomize=True, deadline=None)
+@given(st.data())
+def test_cb_index_is_monotone_under_inclusion(data):
+    # hereditary F within G over one pool: each derivative of F lies in
+    # G's, so F empties no later than G, whenever both answer
+    pool, tuples = data.draw(st.sampled_from(TRANSITIVITY_CASES))
+    f = hereditary_closure(draw_family(data, tuples), pool)
+    g = hereditary_closure(family_of(f.members | draw_family(data, tuples, 3, 1).members), pool)
+    tau = data.draw(st.integers(1, 4))
+    small, big = _outcome(cb_index, f, pool, tau), _outcome(cb_index, g, pool, tau)
+    if isinstance(small, int) and isinstance(big, int):
+        assert small <= big, (f, g, tau)
 
 
 def test_side_built_images_equal_substitution():

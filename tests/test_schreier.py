@@ -1,11 +1,14 @@
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zwords.ordinals import (
+    DESCENT_CAP,
     OMEGA,
     ONE,
     ZERO,
+    Ordinal,
     OrdinalError,
     from_int,
     omega_power,
@@ -235,6 +238,32 @@ def test_lock_step_restriction_matches_subset_reference():
                     cases += 1
                     falses += not same
     assert (cases, falses) == (1920, 670)
+
+
+def draw_ordinal(data, depth):
+    """A nonzero ordinal of one to three terms whose exponents are 0 or
+    drawn at depth - 1; at depth 0, a natural number."""
+    if depth == 0:
+        return from_int(data.draw(st.integers(1, 4)))
+    exps = {ZERO if data.draw(st.booleans()) else draw_ordinal(data, depth - 1)
+            for _ in range(data.draw(st.integers(1, 3)))}
+    return Ordinal(tuple((e, data.draw(st.integers(1, 3))) for e in sorted(exps, reverse=True)))
+
+
+@settings(max_examples=150, database=None, derandomize=True, deadline=None)
+@given(st.data())
+def test_restriction_holds_on_random_ordinals(data):
+    # A_xi(n) = A_{xi_n} above n, on ordinals whose exponents nest at most
+    # two deep; a descent past DESCENT_CAP steps is refused, not checked
+    xi = draw_ordinal(data, data.draw(st.integers(0, 2)))
+    n_max = data.draw(st.integers(2, 12))
+    n = data.draw(st.integers(1, n_max - 1))
+    try:
+        holds = restriction_check(xi, n, n_max)
+    except OrdinalError as exc:
+        assert str(exc).endswith("takes more than %d steps" % DESCENT_CAP), exc
+        return
+    assert holds, (xi, n, n_max)
 
 
 def test_restriction_argument_checks():

@@ -4,12 +4,16 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zwords import words
 from zwords.words import (
     ABS,
+    EMPTY_TUPLE,
     VARIABLE,
     DominationProfile,
+    LocatedWord,
+    OrderlyTuple,
     WordError,
     _image_ranges,
     _images,
@@ -33,6 +37,7 @@ from zwords.words import (
     rel_r2,
     substitute,
     substitute_nat,
+    word_sort_key,
 )
 
 CONST2 = DominationProfile("const", 2)
@@ -361,6 +366,169 @@ def test_ev_monotone_under_extraction():
         u = make_tuple(u_words)
         assert is_extraction(u, bw)
         assert extracted_sets(u).variables <= big
+
+
+# sidedly monotone, bounded at every position of the four-word bases
+MONOTONE_TABLE = "table:" + ",".join("%d=%d" % (-n, 1 + n // 3) for n in range(8, 0, -1)) \
+    + "," + ",".join("%d=%d" % (n, 1 + n // 4) for n in range(1, 9))
+
+
+def paired_base(count, profile=ABS):
+    """The variable on +-{1,2}, +-{3,4}, ... for `count` members."""
+    return make_tuple([make_word({-b: VARIABLE, -a: VARIABLE, a: VARIABLE, b: VARIABLE}, profile)
+                       for a, b in ((2 * i - 1, 2 * i) for i in range(1, count + 1))])
+
+
+def near_misses(u):
+    """Words one step from u: each letter one further from 0, the domain
+    moved one position outward, u under abs+1, and u less each position."""
+    out = []
+    for j, (pos, letter) in enumerate(u.entries):
+        if letter != VARIABLE:
+            bumped = letter + (1 if pos > 0 else -1)
+            out.append(LocatedWord(u.entries[:j] + ((pos, bumped),) + u.entries[j + 1:],
+                                   u.profile))
+        if len(u.entries) > 1:
+            out.append(LocatedWord(u.entries[:j] + u.entries[j + 1:], u.profile))
+    out.append(LocatedWord(tuple((p + (1 if p > 0 else -1), l) for p, l in u.entries),
+                           u.profile))
+    out.append(LocatedWord(u.entries, parse_profile("abs+1")))
+    return out
+
+
+def assert_is_extraction_agrees(bw, misses):
+    """The domain test answers as membership in extracted_sets(bw) on
+    every product, and on every product's near misses when asked; returns
+    how many words it answered True and False on."""
+    es = extracted_sets(bw)
+    words_ = set(es.constants | es.variables)
+    if misses:
+        for u in es.constants | es.variables:
+            words_.update(near_misses(u))
+    answers = {u: is_extraction(OrderlyTuple((u,)), bw) for u in words_}
+    assert answers == {u: u in es.variables for u in words_}
+    trues = sum(answers.values())
+    return trues, len(answers) - trues
+
+
+def test_is_extraction_agrees_with_extracted_sets():
+    # every variable and constant product of the three- and four-word
+    # bases under abs, const:1 and a sidedly monotone table, and the near
+    # misses of the three-word bases' products
+    counts = {}
+    for text in ("abs", "const:1", MONOTONE_TABLE):
+        for count in (3, 4):
+            bw = paired_base(count, parse_profile(text))
+            counts[text, count] = assert_is_extraction_agrees(bw, misses=count == 3)
+    table = [counts[MONOTONE_TABLE, count] for count in (3, 4)]
+    assert [counts["abs", 3], counts["abs", 4]] == [(98, 3841), (1864, 1699)], counts
+    assert [counts["const:1", 3], counts["const:1", 4]] == [(19, 383), (65, 15)], counts
+    assert table == [(24, 549), (156, 59)], counts
+
+
+def test_is_extraction_near_misses():
+    # the base on +-{1,2}, +-{3,4}, +-{5,6}: the images of its second
+    # member, at grid index 2, read p = 1..2 at 3 and 4, though k_3 = 3
+    bw = paired_base(3)
+    hit = parse_word("-4:-1,-3:-1,-2:v,-1:v,1:v,2:v,3:2,4:2")
+    assert is_extraction(make_tuple([hit]), bw)
+    misses = [
+        parse_word("-4:-1,-3:-1,-2:v,-1:v,1:v,2:v,3:3,4:3"),  # one past the image range
+        parse_word("-3:v,-2:v,2:v,3:v"),  # the first member moved out by one
+        parse_word("-2:v,-1:v,1:v,2:v", parse_profile("abs+1")),  # entries under abs+1
+        parse_word("-4:v,-3:v,-2:v,-1:v,1:v,2:v,3:v"),  # two members less position 4
+        parse_word("-6:v,-5:v,5:v,6:v,7:v"),  # a member and a position past it
+    ]
+    ev = extracted_sets(bw).variables
+    for u in misses:
+        assert u not in ev
+        assert not is_extraction(make_tuple([u]), bw), u
+    # one member that is no extraction is enough
+    assert not is_extraction(make_tuple([bw[0], misses[4]]), bw)
+    assert not is_extraction(make_tuple([bw[0]]), EMPTY_TUPLE)
+    assert is_extraction(EMPTY_TUPLE, EMPTY_TUPLE)
+
+
+def test_is_extraction_refuses_as_extracted_sets_does():
+    constant = make_tuple([make_word({-1: -1, 1: 1})])
+    unordered = parse_profile("table:-2=1,-1=2,1=1,2=1")
+    falling = make_tuple([make_word({-1: VARIABLE, 1: VARIABLE}, unordered)])
+    u = make_tuple([make_word({-1: VARIABLE, 1: VARIABLE})])
+    for bw, text in ((constant, "^extraction needs variable words$"),
+                     (falling, "^profile must be sidedly monotone$")):
+        for call in (lambda: extracted_sets(bw), lambda: is_extraction(u, bw)):
+            with pytest.raises(WordError, match=text):
+                call()
+
+
+def test_is_extraction_builds_no_product(monkeypatch):
+    # the tuple of test_extracted_sets_product_cap makes 17 products; under
+    # a cap of 16 extracted_sets refuses and is_extraction still answers,
+    # and it never reaches the product builder
+    w1 = make_word({-1: VARIABLE, 1: VARIABLE})
+    w2 = make_word({-3: VARIABLE, -2: -1, 2: 1, 3: VARIABLE})
+    bw = make_tuple([w1, w2])
+    ev = extracted_sets(bw).variables
+    monkeypatch.setattr(words, "MAX_PRODUCTS", 16)
+    with pytest.raises(WordError, match="more than 16 star products"):
+        extracted_sets(bw)
+
+    def refuse(options):
+        raise AssertionError("star products built")
+
+    monkeypatch.setattr(words, "_star_products", refuse)
+    for u in ev:
+        assert is_extraction(make_tuple([u]), bw)
+    assert is_extraction(bw, bw)
+    assert not is_extraction(make_tuple([concat(substitute(w1, 1, 1), substitute(w2, 1, 1))]),
+                             bw)
+
+
+def test_is_extraction_on_five_and_six_word_bases():
+    # extracted_sets refuses the six-word base (3,656,663 products); the
+    # domain test reads the members alone
+    for count in (5, 6):
+        bw = paired_base(count)
+        start = time.perf_counter()
+        assert is_extraction(make_tuple([bw[0]]), bw)
+        assert is_extraction(bw, bw)
+        assert is_extraction(make_tuple([concat(bw[0], substitute(bw[-1], 2, 3))]), bw)
+        assert not is_extraction(make_tuple([parse_word("-3:v,-2:v,2:v,3:v")]), bw)
+        assert time.perf_counter() - start < 0.5
+    with pytest.raises(WordError, match="more than 200000 star products"):
+        extracted_sets(paired_base(6))
+
+
+def _pool_of(bw):
+    return sorted(extracted_sets(bw).variables, key=word_sort_key)
+
+
+EXTRACTION_BASES = [(bw, _pool_of(bw)) for bw in (
+    paired_base(2), paired_base(3), paired_base(4), paired_base(3, parse_profile("const:1")),
+    paired_base(4, parse_profile(MONOTONE_TABLE)))]
+
+
+def draw_chain(data, pool):
+    """An R1-chain of one to three words of the pool, drawn word by word."""
+    chain = [data.draw(st.sampled_from(pool))]
+    while len(chain) < 3 and data.draw(st.booleans()):
+        nexts = [w for w in pool if rel_r1(chain[-1], w)]
+        if not nexts:
+            break
+        chain.append(data.draw(st.sampled_from(nexts)))
+    return make_tuple(chain)
+
+
+@settings(max_examples=150, database=None, derandomize=True, deadline=None)
+@given(st.data())
+def test_extraction_is_transitive_in_word_form(data):
+    # if U is extracted from V and V from W, U is extracted from W, by
+    # the domain test; V is drawn as a chain over E(W), U over E(V)
+    w, pool = data.draw(st.sampled_from(EXTRACTION_BASES))
+    v = draw_chain(data, pool)
+    u = draw_chain(data, _pool_of(v))
+    assert is_extraction(v, w) and is_extraction(u, v)
+    assert is_extraction(u, w), (u, v, w)
 
 
 def test_project_positive():
