@@ -20,22 +20,25 @@ of pool indices, and the kernels work on those keys alone.
 A word's images depend only on the word and its tuple index (a slot),
 and a subtuple's matching pool words only on its slots, so members that
 share them share the work.  Each pool is compiled once: its words are
-validated and indexed, and the compiled pool keeps every slot's images
-and every subtuple's matches, keyed by pool indices and filled as calls
-reach them.  Every distinct slot is checked and its images' entry
-tuples built once, each side's variants built once and joined; when a
-check fails, the slots left are checked again least first by grid index
-and word_sort_key, so that errors do not follow the hash seed.  Every
-distinct subtuple is matched against the pool once: when its slots allow
-fewer combinations of entry tuples than the union domain has pool words,
-each combination is joined and looked up by entries, and otherwise the
-domain's words are scanned.  A member's extraction set, the union of its
+validated, each in one pass over its entries, and indexed, and the
+compiled pool keeps every slot's images and every subtuple's matches,
+keyed by pool indices and filled as calls reach them.  Only `table:`
+slots are checked up front, since only a table's missing bound or
+descent can fail a slot; when a check fails, the slots left are checked
+again least first by grid index and word_sort_key, so that errors do not
+follow the hash seed.  Every other slot's images are built when a walk
+first reads them, each side's variants built once and joined, so a call
+builds the images of the slots it reads and no others: 5 of the five-word
+closure's 62,975.  Every distinct subtuple is matched against the pool
+once: when its slots allow fewer combinations of entry tuples than the
+union domain has pool words, each combination is joined and looked up
+by entries, and otherwise the domain's words are scanned.  A member's extraction set, the union of its
 2^len(bw) - 1 subtuples' matches, is kept by its key on its first visit,
 so later calls read it.  Only the last pool compiled is kept: the calls
 on one pool (a closure, then its largest hereditary part and index) run
 back to back and share it and its memos, so memory is bounded by one
 pool plus the slots, subtuples and member keys that the calls on it
-reached.
+reached, and the keys of the last closure built on it.
 
 Extraction is transitive: if c is an R1-chain over a member K's
 extractions, c's own extractions lie among K's, so every chain over them
@@ -45,6 +48,11 @@ walks the keys longest first.  A walk that meets only keys marks every
 chain it visited as hereditary; a marked key is not walked, and its
 extraction set is never built.  A walk that meets a non-key marks
 nothing.  The five-word closure (76,802 members) is one walk, its base's.
+A closure is hereditary by the same transitivity, so the compiled pool
+keeps the keys of the last closure built on it, and the heredity test of
+a family that holds all of them starts with them marked: the index of a
+closure walks nothing, and the largest hereditary part of a closure with
+other members added walks only those.
 
 A derivative step's verdict on a key depends only on the set of pool
 words open at it, so each call works out the verdict once per distinct
@@ -64,6 +72,7 @@ from .schreier import is_member
 from .words import (
     ABS,
     EMPTY_TUPLE,
+    VARIABLE,
     DominationProfile,
     LocatedWord,
     OrderlyTuple,
@@ -176,11 +185,12 @@ class _Pool(NamedTuple):
     keyed (profile, domain) and (profile, entries), and the extraction
     work of the calls made on it so far, keyed by pool indices.  A slot is
     a (pool index, 1-based grid index) pair; `allowed` holds the entry
-    tuples of each checked slot, the word's own and its grid images',
-    which depend on the word and the index alone.  A subtuple, a tuple of
-    slots, keeps in `matches` the pool indices found for it by the domain
-    test of the words module docstring, and a member key keeps in
-    `extractions` the union of its subtuples' matches."""
+    tuples of each slot checked or read, the word's own and its grid
+    images', which depend on the word and the index alone.  A subtuple, a
+    tuple of slots, keeps in `matches` the pool indices found for it by
+    the domain test of the words module docstring, and a member key keeps
+    in `extractions` the union of its subtuples' matches.  `closed` holds
+    the keys of the last family that hereditary_closure built on the pool."""
 
     words: list[LocatedWord]
     index: dict[LocatedWord, int]
@@ -190,6 +200,7 @@ class _Pool(NamedTuple):
     allowed: dict[tuple[int, int], set[tuple]]
     matches: dict[tuple[tuple[int, int], ...], list[int]]
     extractions: dict[Key, frozenset[int]]
+    closed: set[Key]
 
 
 @lru_cache(maxsize=1)
@@ -201,7 +212,7 @@ def _compile(pool: frozenset[LocatedWord]) -> _Pool:
     width order.  Only the last pool is kept, with the memos that the next
     calls on it read; no caller returns to an older one.  lru_cache keeps
     no call that raised, so an invalid pool is never kept."""
-    bad = [w for w in pool if not (w.is_variable_word and w.is_core)]
+    bad = [w for w in pool if not _is_core_variable(w)]
     if bad:
         raise FamilyError("pool word %s is not a two-sided variable word"
                           % format_word(min(bad, key=word_sort_key)))
@@ -217,7 +228,14 @@ def _compile(pool: frozenset[LocatedWord]) -> _Pool:
              for span, w in one_per_span.items()}
     succ = [nexts[w.dom[0], w.dom[-1]] for w in words]
     return _Pool(words, {w: i for i, w in enumerate(words)}, succ, by_dom, by_entries,
-                 {}, {}, {})
+                 {}, {}, {}, set())
+
+
+def _is_core_variable(w: LocatedWord) -> bool:
+    """Whether w is a core variable word, the variable on both sides, in
+    one pass over its entries, which ascend."""
+    variables = [pos for pos, letter in w.entries if letter == VARIABLE]
+    return bool(variables) and variables[0] < 0 < variables[-1]
 
 
 def _pool_keys(family: WordFamily,
@@ -236,14 +254,18 @@ def _pool_keys(family: WordFamily,
 
 
 def _check_slots(keys: Iterable[Key], table: _Pool) -> None:
-    """Check the slots of the keys that the pool has not checked yet
-    and keep their allowed entry tuples, a slot once its check passes.
-    When a check fails, the slots left are checked again least first by
-    grid index, then word_sort_key (then profile, for equal entries), so
-    the error raised is the least failing slot's and does not follow the
-    hash seed or the calls made before."""
+    """Check the `table:` slots of the keys that the pool has not checked
+    yet and keep their allowed entry tuples, a slot once its check passes.
+    A slot of any other profile cannot fail, since words._slot_entries
+    raises only on a table's missing bound or descent, so _slot_allowed
+    fills it when a walk first reads it.  When a check fails, the slots
+    left are checked again least first by grid index, then word_sort_key
+    (then profile, for equal entries), so the error raised is the least
+    failing slot's and does not follow the hash seed or the calls made
+    before."""
     words, allowed = table.words, table.allowed
-    new = {(t, i) for key in keys for i, t in enumerate(key, 1)} - allowed.keys()
+    new = {(t, i) for key in keys for i, t in enumerate(key, 1)
+           if words[t].profile.kind == "table"} - allowed.keys()
     try:
         for slot in new:
             allowed[slot] = _slot_entries(words[slot[0]], slot[1])
@@ -255,6 +277,14 @@ def _check_slots(keys: Iterable[Key], table: _Pool) -> None:
         raise
 
 
+def _slot_allowed(slot: tuple[int, int], table: _Pool) -> set[tuple]:
+    """The entry tuples a slot allows, built and kept on first read."""
+    ok = table.allowed.get(slot)
+    if ok is None:
+        ok = table.allowed[slot] = _slot_entries(table.words[slot[0]], slot[1])
+    return ok
+
+
 def _matches(chosen: tuple[tuple[int, int], ...], table: _Pool) -> list[int]:
     """The pool words on the union of the chosen slots' domains, of their
     profile, that read an allowed entry tuple on each slot's domain.  When
@@ -264,14 +294,14 @@ def _matches(chosen: tuple[tuple[int, int], ...], table: _Pool) -> list[int]:
     The slots' domains are disjoint, so a joined tuple is a word's whole
     entry tuple.  Both indexes are keyed by profile, so the words found
     are of the slots' profile."""
-    words, allowed = table.words, table.allowed
+    words = table.words
     # the positions of the pieces concatenated, and in order
     flat = [p for t, _ in chosen for p in words[t].dom]
     profile = words[chosen[0][0]].profile
     on_dom = table.by_dom.get((profile, tuple(sorted(flat))))
     if on_dom is None:
         return []
-    oks = [allowed[slot] for slot in chosen]
+    oks = [_slot_allowed(slot, table) for slot in chosen]
     if prod(map(len, oks)) <= len(on_dom):
         # a core variable word has positions on both sides, so the getter
         # picks at least two entries and returns a tuple
@@ -319,9 +349,12 @@ def _hereditary_part(keys: Collection[Key], table: _Pool) -> set[Key]:
     tuple is not one).  By extraction transitivity (module docstring), a
     walk that meets only keys marks the key and every chain it visited,
     and a marked key is not walked; keys go longest first, so the walks
-    cover the most.  A walk that meets a non-key marks nothing."""
-    marked: set[Key] = set()
-    for key in sorted(keys, key=len, reverse=True):
+    cover the most.  A walk that meets a non-key marks nothing.  The last
+    closure built on the pool is hereditary by the same transitivity, so
+    when all its keys are keys, they start marked."""
+    closed = table.closed
+    marked = set(closed) if all(map(keys.__contains__, closed)) else set()
+    for key in sorted((key for key in keys if key not in marked), key=len, reverse=True):
         if key in marked:
             continue
         walked = [key]
@@ -335,7 +368,8 @@ def _hereditary_part(keys: Collection[Key], table: _Pool) -> set[Key]:
 
 
 def _is_hereditary(keys: dict[Key, OrderlyTuple], table: _Pool) -> bool:
-    # _pool_keys has checked every slot, so no walk raises
+    # _pool_keys has checked every table: slot, and no other slot can
+    # fail, so no walk raises
     return () in keys and _hereditary_part(keys, table) == keys.keys()
 
 
@@ -343,17 +377,23 @@ def hereditary_closure(family: WordFamily, pool: Iterable[LocatedWord]) -> WordF
     """Close under pool-relative extraction tuples of members.  Each
     chain steps along R1 successors through one member's extractions,
     which are core words of that member's profile, so its tuple is built
-    directly."""
+    directly.  The closure's keys are kept on the compiled pool, in place
+    of the last closure's, for the heredity walks of later calls."""
     keys, table = _pool_keys(family, pool)
-    chains = set().union(*(_extraction_chains(key, table) for key in keys))
-    return WordFamily(OrderlyTuple(tuple(table.words[i] for i in chain))
-                      for chain in chains | {()})
+    closed = {()}.union(*(_extraction_chains(key, table) for key in keys))
+    table.closed.clear()
+    table.closed.update(closed)
+    return WordFamily(OrderlyTuple(tuple(table.words[i] for i in chain)) for chain in closed)
 
 
 def largest_hereditary(family: WordFamily, pool: Iterable[LocatedWord]) -> WordFamily:
-    """The largest hereditary subfamily of family plus the empty tuple."""
+    """The largest hereditary subfamily of family plus the empty tuple.
+    A hereditary family is its own, so it is returned as it is."""
     keys, table = _pool_keys(family, pool)
-    return WordFamily({EMPTY_TUPLE} | {keys[key] for key in _hereditary_part(keys, table)})
+    part = _hereditary_part(keys, table)
+    if () in part and len(part) == len(keys):
+        return family
+    return WordFamily({EMPTY_TUPLE} | {keys[key] for key in part})
 
 
 def family_at(family: WordFamily, t: LocatedWord) -> WordFamily:

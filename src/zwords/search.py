@@ -285,12 +285,22 @@ def _shell_splits(m: int, total: int, shell: int) -> tuple[Split, ...]:
 def _side_pool(positions: tuple[int, ...], suffix: str,
                profile: DominationProfile) -> tuple[tuple[str, Entries], ...]:
     """One side of an annulus: its letter choices that carry the variable,
-    as (text + suffix, entries), sorted.  The last 128 are kept, which
-    holds the 86 pools of an exhaustive hj search of radius 6 (m = 2,
-    n = 6)."""
-    options = [[(p, l) for l in _letter_options(p, profile, True)] for p in positions]
-    return tuple(sorted((_entries_text(entries) + suffix, entries) for entries in product(*options)
-                        if any(l == VARIABLE for _, l in entries)))
+    as (text + suffix, entries), sorted.  Each choice is built from its
+    first variable: letters before it, the variable there, and the
+    variable or a letter after it.  So no choice without the variable is
+    made, and the work follows the pool's size, which the candidate count
+    caps; a one-position side is its variable alone, whatever its bound.
+    The last 128 are kept, which holds the 86 pools of an exhaustive hj
+    search of radius 6 (m = 2, n = 6)."""
+    letters = [range(1, k + 1) if p > 0 else range(-k, 0)
+               for p, k in zip(positions, map(profile.bound, positions))]
+    choices = []
+    for j, p in enumerate(positions):
+        before = [[(q, l) for l in letters[i]] for i, q in enumerate(positions[:j])]
+        after = [[(q, l) for l in (VARIABLE, *letters[i])]
+                 for i, q in enumerate(positions) if i > j]
+        choices += product(*before, [(p, VARIABLE)], *after)
+    return tuple(sorted((_entries_text(entries) + suffix, entries) for entries in choices))
 
 
 def _split_pools(layers: Split,
@@ -364,24 +374,30 @@ def _side_slots(profile: DominationProfile, indices: Iterable[int]) -> list[tupl
     return slots
 
 
-def _side_texts(entries: Entries, side: int, top: int, profile: DominationProfile) -> list[str]:
+def _side_texts(entries: Entries, side: int, top: int, window: SearchWindow) -> list[str]:
     """The distinct texts of one side's entries under the indices 1..top,
     in index order: substitution turns the variable at position n into
-    side * min(index, k_n)."""
+    side * min(index, k_n).  A side with more texts than the window's cap
+    is refused before any is built."""
+    profile = window.profile
+    count = _side_top(entries, top, profile)
+    if count > window.max_candidates:
+        over = window.max_candidates + 1
+        raise SearchCapExceeded("side substitution texts exceed cap after %d texts" % over, over)
     return [",".join(["%d:%d" % (pos, letter or side * min(index, profile.bound(pos)))
                       for pos, letter in entries])
-            for index in range(1, _side_top(entries, top, profile) + 1)]
+            for index in range(1, count + 1)]
 
 
 def _candidate_sides(combo: Sequence[tuple[str, Entries]], slots: Sequence[tuple[int, int]],
                      memos: Sequence[dict[str, list[str]]],
-                     profile: DominationProfile) -> list[list[str]]:
+                     window: SearchWindow) -> list[list[str]]:
     """The side texts of a candidate's side choices, memoised per slot by
     key in dicts local to the search."""
     sides = []
     for memo, (key, entries), (side, top) in zip(memos, combo, slots):
         if key not in memo:
-            memo[key] = _side_texts(entries, side, top, profile)
+            memo[key] = _side_texts(entries, side, top, window)
         sides.append(memo[key])
     return sides
 
@@ -489,7 +505,7 @@ def _first_one_color(coloring: Coloring, m: int, totals: range, counts: Sequence
                       for layers in _shell_splits(m, total, shell)]
             kept = [(layers, plans) for layers, plans in splits if plans]
             for visited, (text, combo, plans) in enumerate(_shell_candidates(kept, profile), 1):
-                sides = _candidate_sides(combo, slots, memos, profile)
+                sides = _candidate_sides(combo, slots, memos, window)
                 color = _one_color(coloring, _slice_texts(sides, plans), colors)
                 if color is not None:
                     inner = sum(_candidate_counts(m, range(total, total + 1), replace(

@@ -23,7 +23,8 @@ outside: it refuses, pair by pair, a profile mismatch and then a pair
 not in R1, and then a word outside the core class; `families.parse_tuple`
 reads text through it.  `OrderlyTuple(words)` is a plain value that
 trusts its words, as `LocatedWord(entries, profile)` does, so a direct
-call refuses nothing.  The family kernels build their tuples directly
+call refuses nothing; the extraction calls below refuse its members when
+concat would refuse a pair of them.  The family kernels build their tuples directly
 from checked ones: `families.tree_closure` (prefixes),
 `families.family_at` (suffixes) and `families.hereditary_closure` (R1
 chains of one member's pool extractions).
@@ -89,8 +90,12 @@ class DominationProfile:
                 raise WordError("profile table bounds position %d twice" % pos)
             seen.add(pos)
         # profiles key the search's pool cache, so the hash is taken once;
-        # the value is the one the dataclass would give
+        # the value is the one the dataclass would give.  Monotonicity is
+        # read per slot and a table's bounds per position, so both are
+        # worked out once too
         object.__setattr__(self, "_hash", hash((self.kind, self.param, self.table)))
+        object.__setattr__(self, "_sided", _sided_monotone(self.kind, self.table))
+        object.__setattr__(self, "_bounds", dict(self.table))
 
     def __hash__(self) -> int:
         return self._hash
@@ -106,23 +111,27 @@ class DominationProfile:
             return abs(n) + self.param
         if self.kind == "const":
             return self.param
-        for pos, k in self.table:
-            if pos == n:
-                return k
-        raise WordError("profile table has no bound at %d" % n)
+        k = self._bounds.get(n)
+        if k is None:
+            raise WordError("profile table has no bound at %d" % n)
+        return k
 
     @property
     def sided_monotone(self) -> bool:
         """Whether k is nondecreasing separately on each side."""
-        if self.kind in ("abs", "const"):
-            return True
-        for side in (1, -1):
-            ks = [k for pos, k in sorted(self.table) if pos * side > 0]
-            if side < 0:
-                ks.reverse()
-            if any(a > b for a, b in zip(ks, ks[1:])):
-                return False
+        return self._sided
+
+
+def _sided_monotone(kind: str, table: tuple[tuple[int, int], ...]) -> bool:
+    if kind in ("abs", "const"):
         return True
+    for side in (1, -1):
+        ks = [k for pos, k in sorted(table) if pos * side > 0]
+        if side < 0:
+            ks.reverse()
+        if any(a > b for a, b in zip(ks, ks[1:])):
+            return False
+    return True
 
 
 ABS = DominationProfile("abs")
@@ -179,7 +188,9 @@ class LocatedWord:
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self.entries == other.entries and self.profile == other.profile
+        # words almost always share their profile object
+        return self.entries == other.entries and (self.profile is other.profile
+                                                  or self.profile == other.profile)
 
     def __hash__(self) -> int:
         try:
@@ -272,11 +283,15 @@ def _require_same_profile(w: LocatedWord, u: LocatedWord) -> None:
                         % (format_profile(w.profile), format_profile(u.profile)))
 
 
+def _overlap_error(w: LocatedWord, u: LocatedWord) -> WordError:
+    return WordError("overlapping domains %r and %r" % (w.dom, u.dom))
+
+
 def concat(w: LocatedWord, u: LocatedWord) -> LocatedWord:
     """The star product on disjoint domains."""
     _require_same_profile(w, u)
     if set(w.dom) & set(u.dom):
-        raise WordError("overlapping domains %r and %r" % (w.dom, u.dom))
+        raise _overlap_error(w, u)
     return LocatedWord(tuple(sorted(w.entries + u.entries)), w.profile)
 
 
@@ -454,8 +469,9 @@ def _image_ranges(w: LocatedWord, index: int) -> tuple[int, int]:
 
 def _extraction_ranges(bw: OrderlyTuple, indices: Sequence[int] | None) -> list[tuple[int, int]]:
     """Check that bw can be extracted from and give each member its image
-    ranges.  Every error that building the images could raise is raised
-    here, so images can be built later or not at all."""
+    ranges.  Every error that building the images or their star products
+    could raise is raised here, so images can be built later or not at
+    all."""
     if indices is None:
         indices = range(1, len(bw) + 1)
     indices = tuple(indices)
@@ -466,7 +482,27 @@ def _extraction_ranges(bw: OrderlyTuple, indices: Sequence[int] | None) -> list[
     if any(not w.is_variable_word for w in bw):
         raise WordError("extraction needs variable words")
     _require_sided_monotone(bw[0].profile)
-    return [_image_ranges(w, index) for w, index in zip(bw, indices)]
+    ranges = [_image_ranges(w, index) for w, index in zip(bw, indices)]
+    _require_products(bw)
+    return ranges
+
+
+def _require_products(bw: OrderlyTuple) -> None:
+    """Refuse, as concat would, the first pair of members that has no
+    star product: member by member, each against the earlier ones in
+    order, a profile mismatch before an overlap.  The earlier members
+    passed, so they share the first one's profile and have disjoint
+    domains, and one map from position to member names the least
+    overlapping one.  make_tuple's tuples always pass; a direct
+    OrderlyTuple is not checked when built, and extracted_sets and
+    is_extraction refuse its members alike."""
+    owner: dict[int, int] = {}
+    for j, w in enumerate(bw):
+        _require_same_profile(bw[0], w)
+        hits = [owner[pos] for pos in w.dom if pos in owner]
+        if hits:
+            raise _overlap_error(bw[min(hits)], w)
+        owner.update(dict.fromkeys(w.dom, j))
 
 
 def _image_entries(w: LocatedWord, ranges: tuple[int, int]) -> list[tuple[tuple[int, int], ...]]:

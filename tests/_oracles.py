@@ -26,7 +26,7 @@ from zwords.ordinals import (
     omega_power,
     successor_pred,
 )
-from zwords.families import FamilyError, WordFamily, _extraction_chains
+from zwords.families import FamilyError, WordFamily, _extraction_chains, _slot_allowed
 from zwords.rationals import _kempner
 from zwords.schreier import SchreierError, is_member
 from zwords.search import (
@@ -665,14 +665,15 @@ def reference_matches(chosen, table):
     """The pool indices of a compiled pool's words on the union of the
     chosen slots' domains, of the first slot's profile, whose entries on
     each slot's domain are one of that slot's allowed entry tuples, by a
-    scan of every pool word."""
+    scan of every pool word.  A slot's entry tuples are read through the
+    pool's fill, so a slot no call has read yet is built here."""
     words = table.words
     dom = sorted(p for t, _ in chosen for p in words[t].dom)
     profile = words[chosen[0][0]].profile
     return [u for u, w in enumerate(words)
             if list(w.dom) == dom and w.profile == profile
-            and all(tuple(e for e in w.entries if e[0] in words[t].dom) in table.allowed[t, i]
-                    for t, i in chosen)]
+            and all(tuple(e for e in w.entries if e[0] in words[t].dom)
+                    in _slot_allowed((t, i), table) for t, i in chosen)]
 
 
 def reference_pool_extractions(bw, pool):

@@ -630,6 +630,27 @@ def test_refusals_before_work(capsys):
         assert time.perf_counter() - start < 0.5, argv
 
 
+def test_search_past_a_huge_profile_bound_is_refused(capsys, monkeypatch):
+    # a one-position side pool is its variable alone, whatever the bound,
+    # and a side with more substitution texts than the cap is refused
+    # before any is built, so a bound past an index-sized integer is one
+    # error: line at once; at the cap the search answers as before
+    argv = ("search", "hj", "--r", "2", "--seed", "1", "--bounds", "1", "--n", "2",
+            "--window", "3", "--profile")
+    start = time.perf_counter()
+    assert run(capsys, *argv, "const:99999999999999999999") \
+        == (1, "", "error: side substitution texts exceed cap after 200001 texts\n")
+    assert time.perf_counter() - start < 1
+    answer = ["witness: none", "candidates: 9", "nodes: 9"]
+    code, out, _ = run(capsys, *argv, "const:10")
+    assert (code, out.splitlines()[:3]) == (0, answer)
+    monkeypatch.setenv("ZW_CAPS", "10")
+    code, out, _ = run(capsys, *argv, "const:10")
+    assert (code, out.splitlines()[:3]) == (0, answer)
+    assert run(capsys, *argv, "const:11") \
+        == (1, "", "error: side substitution texts exceed cap after 11 texts\n")
+
+
 def test_exit_codes(capsys):
     code, _, err = run(capsys, "rat", "encode", "0")
     assert code == 1 and "error:" in err

@@ -44,6 +44,7 @@ from zwords.families import (
     _extraction_chains,
     _extractions,
     _hereditary_part,
+    _is_core_variable,
     _matches,
     _pool_keys,
 )
@@ -869,6 +870,82 @@ def test_cb_index_is_monotone_under_inclusion(data):
     small, big = _outcome(cb_index, f, pool, tau), _outcome(cb_index, g, pool, tau)
     if isinstance(small, int) and isinstance(big, int):
         assert small <= big, (f, g, tau)
+
+
+FOUR_POOL = extracted_sets(four_word_base()).variables
+FOUR_TUPLES = sorted(hereditary_closure(family_of([four_word_base()]), FOUR_POOL).members,
+                     key=tuple_sort_key)
+
+
+@settings(max_examples=100, database=None, derandomize=True, deadline=None)
+@given(st.data())
+def test_kept_closure_marks_what_the_reference_keeps(data):
+    # a closure kept on the four-word pool, less a few of its members and
+    # with a few other tuples of the pool added: the walk that starts with
+    # the kept keys marked keeps what the all-chains walk keeps
+    short = [bw for bw in FOUR_TUPLES if len(bw) <= 2]
+    closed = hereditary_closure(draw_family(data, short, 3, 1), FOUR_POOL)
+    members = sorted(closed.members, key=tuple_sort_key)
+    dropped = data.draw(st.lists(st.sampled_from(members), max_size=3))
+    fam = family_of((closed.members - set(dropped)) | draw_family(data, FOUR_TUPLES, 5).members)
+    keys, table = _pool_keys(fam, FOUR_POOL)
+    assert table.closed == set(_pool_keys(closed, FOUR_POOL)[0])
+    assert _hereditary_part(keys, table) == reference_hereditary_part(keys, table)
+
+
+def test_calls_after_a_closure_walk_only_what_it_lacks():
+    # the closure's keys stay on the compiled pool: the index of the
+    # closure builds no extraction set, largest_hereditary of the closure
+    # with one more member walks that member alone, and neither replaces
+    # the kept keys; a member with a chain outside the family is still
+    # refused by the index
+    base = four_word_base()
+    _compile.cache_clear()
+    three = hereditary_closure(family_of([three_word_base()]), FOUR_POOL)
+    table = _compile(FOUR_POOL)
+    kept = set(table.closed)
+    assert len(kept) == len(three) and len(table.extractions) == 1
+    assert cb_index(three, FOUR_POOL, 2) == 2
+    assert largest_hereditary(three, FOUR_POOL) is three
+    assert len(table.extractions) == 1
+    more = family_of(three.members | {base})
+    assert largest_hereditary(more, FOUR_POOL) == three
+    assert len(table.extractions) == 2
+    with pytest.raises(FamilyError, match="^index needs a hereditary family$"):
+        cb_index(more, FOUR_POOL, 2)
+    assert table.closed == kept and _compile(FOUR_POOL) is table
+    # the answers are those of a cold pool
+    _compile.cache_clear()
+    assert cb_index(three, FOUR_POOL, 2) == 2
+    assert largest_hereditary(more, FOUR_POOL) == three
+    assert not _compile(FOUR_POOL).closed
+
+
+def test_slots_are_built_when_first_read():
+    # no abs slot is checked up front: keying the 2,540 members of the
+    # four-word closure builds no slot, and its one walk, the base's,
+    # reads the base's four slots alone
+    _compile.cache_clear()
+    base = four_word_base()
+    closed = hereditary_closure(family_of([base]), FOUR_POOL)
+    _compile.cache_clear()
+    keys, table = _pool_keys(closed, FOUR_POOL)
+    assert len(keys) == 2540 and not table.allowed
+    assert _hereditary_part(keys, table) == keys.keys()
+    base_key = tuple(table.index[w] for w in base)
+    assert set(table.allowed) == {(t, i) for i, t in enumerate(base_key, 1)}
+
+
+def test_pool_words_are_checked_in_one_pass():
+    # the one-pass check agrees with is_variable_word and is_core on the
+    # words of the test pools and on words that fail either
+    words = set(CHAIN3 | nested_pool() | ev_pool() | shared_span_pool() | FOUR_POOL)
+    words |= {make_word(entries) for entries in (
+        {-1: -1, 1: 1}, {-1: VARIABLE, 1: 1}, {-1: -1, 1: VARIABLE}, {1: VARIABLE, 2: VARIABLE},
+        {-2: VARIABLE, -1: VARIABLE}, {-3: VARIABLE, -1: -1, 2: 1})}
+    for w in words:
+        assert _is_core_variable(w) == (w.is_variable_word and w.is_core), w
+    assert sum(map(_is_core_variable, words)) == len(words) - 6
 
 
 def test_side_built_images_equal_substitution():

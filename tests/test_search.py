@@ -65,6 +65,7 @@ from zwords.words import (
 from _oracles import (
     CLAMPING_TABLE,
     _grid,
+    _letters,
     reference_candidate_count,
     reference_candidates,
     reference_extracted,
@@ -659,14 +660,14 @@ def test_instance_and_slice_texts_match_the_word_path():
                     for bounds in cells:
                         slots = _side_slots(profile, bounds)
                         memos = [{} for _ in slots]
-                        sides = _candidate_sides(combo, slots, memos, profile)
+                        sides = _candidate_sides(combo, slots, memos, window)
                         got = list(_instance_texts(sides, range(m)))
                         want = [format_word(concat_all([substitute(w, *pq)
                                                         for w, pq in zip(ws, pairs)]))
                                 for pairs in product(*[_grid(profile, b) for b in bounds])]
                         assert got == list(dict.fromkeys(want)), (ws, bounds)
                         instances += len(want)
-                    sides = _candidate_sides(combo, xi_slots, [{} for _ in xi_slots], profile)
+                    sides = _candidate_sides(combo, xi_slots, [{} for _ in xi_slots], window)
                     images = [reference_images(w, index) for index, w in enumerate(ws, 1)]
                     for xi in xis:
                         for n0 in range(2, total + 1):
@@ -676,6 +677,22 @@ def test_instance_and_slice_texts_match_the_word_path():
                             assert list(_slice_texts(sides, plans)) == want, (ws, xi, n0)
                             slices += len(want)
     assert instances > 20000 and slices > 10000
+
+
+def test_side_pools_are_the_choices_with_the_variable():
+    # a side pool is every letter choice of its positions that carries
+    # the variable, as (text + suffix, entries) in text order; built from
+    # each choice's first variable, it makes no choice without one
+    checked = 0
+    for text in ("abs", "const:1", "const:3", CLAMPING_TABLE):
+        profile = parse_profile(text)
+        for positions in ((-3,), (2,), (-3, -2), (-3, -2, -1), (1, 2), (1, 2, 3)):
+            choices = product(*[[(p, l) for l in _letters(p, profile)] for p in positions])
+            want = sorted((format_word(make_word(entries, profile)) + ";", entries)
+                          for entries in choices if any(l == VARIABLE for _, l in entries))
+            assert list(search._side_pool(positions, ";", profile)) == want, (text, positions)
+            checked += len(want)
+    assert checked > 200, checked
 
 
 def test_a_planless_xi_search_builds_no_word(monkeypatch):

@@ -1,4 +1,5 @@
 import random
+import re
 import time
 from fractions import Fraction
 from itertools import combinations, product
@@ -461,6 +462,35 @@ def test_is_extraction_refuses_as_extracted_sets_does():
                 call()
 
 
+def test_direct_tuples_without_star_products_are_refused_alike():
+    # a directly built OrderlyTuple is not checked, so members that concat
+    # refuses reach the extraction checks; extracted_sets and is_extraction
+    # both name the first such pair, member by member against the earlier
+    # ones in order, a profile mismatch before an overlap, with concat's
+    # message for that pair
+    inner = make_word({-1: VARIABLE, 1: VARIABLE})
+    outer = make_word({-2: VARIABLE, -1: VARIABLE, 1: VARIABLE, 2: VARIABLE})
+    far = make_word({-5: VARIABLE, 5: VARIABLE})
+    both = make_word({-5: VARIABLE, -1: VARIABLE, 1: VARIABLE, 5: VARIABLE})
+    other = LocatedWord(outer.entries, CONST2)
+    cases = [((inner, outer), (inner, outer)),
+             ((inner, far, outer), (inner, outer)),
+             ((far, inner, both), (far, both)),
+             ((inner, other), (inner, other)),
+             ((inner, far, LocatedWord(both.entries, CONST2)),
+              (inner, LocatedWord(both.entries, CONST2)))]
+    u = make_tuple([inner])
+    for members, (a, b) in cases:
+        with pytest.raises(WordError) as refused:
+            concat(a, b)
+        message = "^%s$" % re.escape(str(refused.value))
+        bw = OrderlyTuple(members)
+        for call in (lambda: extracted_sets(bw), lambda: is_extraction(u, bw)):
+            with pytest.raises(WordError, match=message):
+                call()
+    assert str(refused.value) == "profile mismatch: abs vs const:2"
+
+
 def test_is_extraction_builds_no_product(monkeypatch):
     # the tuple of test_extracted_sets_product_cap makes 17 products; under
     # a cap of 16 extracted_sets refuses and is_extraction still answers,
@@ -700,6 +730,16 @@ def test_profile_hash_is_the_dataclass_hash():
     assert DominationProfile("abs") == ABS and hash(DominationProfile("abs")) == hash(ABS)
     assert pickle.loads(pickle.dumps(CONST2)) == CONST2 and copy.copy(CONST2) == CONST2
     assert "_hash" not in pickle.dumps(CONST2).decode("latin-1")
+    # monotonicity and a table's bounds are kept too, and not pickled
+    table = parse_profile("table:-2=1,-1=5,1=1,2=2")
+    assert "_bounds" not in pickle.dumps(table).decode("latin-1")
+    assert not pickle.loads(pickle.dumps(table)).sided_monotone
+    assert [table.bound(n) for n in (-2, -1, 1, 2)] == [1, 5, 1, 2]
+    # equal profiles that are distinct objects still make equal words
+    twin = DominationProfile("const", 2)
+    assert twin is not CONST2
+    assert LocatedWord(((-1, VARIABLE), (1, 2)), twin) == LocatedWord(((-1, VARIABLE), (1, 2)),
+                                                                     CONST2)
     assert parse_profile("abs+1") != parse_profile("const:1")
 
 
