@@ -11,7 +11,6 @@ and usage errors.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
@@ -62,6 +61,8 @@ def _emit(args, answer: tuple) -> None:
         else:
             lines = [("true" if body else "false") if isinstance(body, bool) else str(body)]
     if args.json:
+        import json  # only --json reads it, so other commands start without it
+
         sys.stdout.write(json.dumps(fields, sort_keys=True) + "\n")
     elif lines:
         sys.stdout.write("\n".join(lines) + "\n")
@@ -225,7 +226,7 @@ def _coloring(args) -> search.Coloring:
 
 def _window(args) -> search.SearchWindow:
     return search.SearchWindow(args.window, _profile(args),
-                               max_candidates=_caps(search.SearchWindow.max_candidates))
+                               max_candidates=_caps(search.MAX_CANDIDATES))
 
 
 def _report(rep: search.SearchReport) -> tuple:

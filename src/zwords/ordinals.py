@@ -10,7 +10,6 @@ predecessor sequences that drive the Schreier recursion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import total_ordering
 
 
@@ -24,35 +23,62 @@ class OrdinalError(ValueError):
     pass
 
 
+class FrozenInstanceError(AttributeError):
+    """Raised on assigning or deleting a field of an immutable value."""
+
+
+class Frozen:
+    """The base of the package's immutable values.  Each subclass names
+    its fields in __slots__ and fills them in __init__ past the
+    __setattr__ below, and rebuilds from its fields in __reduce__."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError("cannot delete field %r" % name)
+
+
 @total_ordering
-@dataclass(frozen=True)
-class Ordinal:
+class Ordinal(Frozen):
     """An ordinal below epsilon_0 in Cantor normal form.
 
     ``terms`` is a tuple of (exponent, coefficient) pairs with exponents
     strictly decreasing and coefficients >= 1.  Zero is the empty tuple.
     """
 
-    terms: tuple[tuple["Ordinal", int], ...] = ()
+    __slots__ = ("terms", "_hash")
+
+    def __init__(self, terms: tuple[tuple["Ordinal", int], ...] = ()) -> None:
+        for exp, coeff in terms:
+            if not isinstance(exp, Ordinal) or not isinstance(coeff, int):
+                raise OrdinalError("malformed term %r" % ((exp, coeff),))
+            if coeff < 1:
+                raise OrdinalError("coefficient must be >= 1")
+        for (e1, _), (e2, _) in zip(terms, terms[1:]):
+            if compare(e1, e2) <= 0:
+                raise OrdinalError("exponents must be strictly decreasing")
+        object.__setattr__(self, "terms", terms)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.terms == other.terms
 
     def __hash__(self) -> int:
         # computed on first use and kept, so a hash does not re-hash the
-        # nested terms; the value is the one the dataclass would give
+        # nested terms; the value is the hash of the field tuple
         try:
             return self._hash
         except AttributeError:
             object.__setattr__(self, "_hash", hash((self.terms,)))
             return self._hash
 
-    def __post_init__(self) -> None:
-        for exp, coeff in self.terms:
-            if not isinstance(exp, Ordinal) or not isinstance(coeff, int):
-                raise OrdinalError("malformed term %r" % ((exp, coeff),))
-            if coeff < 1:
-                raise OrdinalError("coefficient must be >= 1")
-        for (e1, _), (e2, _) in zip(self.terms, self.terms[1:]):
-            if compare(e1, e2) <= 0:
-                raise OrdinalError("exponents must be strictly decreasing")
+    def __reduce__(self) -> tuple:
+        # the kept hash follows the hash seed, so a copy hashes afresh
+        return Ordinal, (self.terms,)
 
     @property
     def is_zero(self) -> bool:

@@ -31,13 +31,13 @@ members rather than the 2^(N - n) subsets of {n+1..N}.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat, takewhile, zip_longest
 from typing import Iterable, Iterator
 
 from .ordinals import (
     ZERO,
+    Frozen,
     Ordinal,
     _lower,
     predecessor_sequence,
@@ -108,13 +108,29 @@ def is_proper_initial(s: Iterable[int], xi: Ordinal) -> bool:
     return _prefix_end(as_finite_set(s), 0, xi.terms) == OPEN
 
 
-@dataclass(frozen=True)
-class CanonicalDecomposition:
+class CanonicalDecomposition(Frozen):
     """Maximal run of consecutive A_xi blocks plus an optional remainder
     in A_xi* \\ A_xi."""
 
-    blocks: tuple[FiniteSet, ...]
-    remainder: FiniteSet | None
+    __slots__ = ("blocks", "remainder")
+
+    def __init__(self, blocks: tuple[FiniteSet, ...], remainder: FiniteSet | None) -> None:
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "remainder", remainder)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.blocks, self.remainder) == (other.blocks, other.remainder)
+
+    def __hash__(self) -> int:
+        return hash((self.blocks, self.remainder))
+
+    def __reduce__(self) -> tuple:
+        return CanonicalDecomposition, (self.blocks, self.remainder)
+
+    def __repr__(self) -> str:
+        return "CanonicalDecomposition(blocks=%r, remainder=%r)" % (self.blocks, self.remainder)
 
     def rejoin(self) -> FiniteSet:
         flat: tuple[int, ...] = ()

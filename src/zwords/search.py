@@ -18,14 +18,13 @@ from __future__ import annotations
 import heapq
 import time
 from bisect import bisect_left
-from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import combinations, product
 from math import comb, prod
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
-from .ordinals import Ordinal
+from .ordinals import Frozen, Ordinal
 from .schreier import is_member
 from .words import (
     ABS,
@@ -55,6 +54,9 @@ Entries = tuple[tuple[int, int], ...]
 Split = tuple[tuple[int, ...], ...]
 Plans = tuple[tuple[tuple[int, ...], ...], ...]
 
+# the default cap on the candidates a window lists or counts
+MAX_CANDIDATES = 200_000
+
 
 class SearchError(ValueError):
     pass
@@ -69,17 +71,34 @@ class SearchCapExceeded(RuntimeError):
         self.candidates = candidates
 
 
-@dataclass(frozen=True)
-class SearchWindow:
+class SearchWindow(Frozen):
     """Finite truncation of the position axis to [-radius..radius]."""
 
-    radius: int
-    profile: DominationProfile = ABS
-    max_candidates: int = 200000
+    __slots__ = ("radius", "profile", "max_candidates")
 
-    def __post_init__(self) -> None:
-        if self.radius < 1:
+    def __init__(self, radius: int, profile: DominationProfile = ABS,
+                 max_candidates: int = MAX_CANDIDATES) -> None:
+        if radius < 1:
             raise SearchError("window radius must be >= 1")
+        object.__setattr__(self, "radius", radius)
+        object.__setattr__(self, "profile", profile)
+        object.__setattr__(self, "max_candidates", max_candidates)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.radius, self.profile, self.max_candidates)
+                == (other.radius, other.profile, other.max_candidates))
+
+    def __hash__(self) -> int:
+        return hash((self.radius, self.profile, self.max_candidates))
+
+    def __reduce__(self) -> tuple:
+        return SearchWindow, (self.radius, self.profile, self.max_candidates)
+
+    def __repr__(self) -> str:
+        return "SearchWindow(radius=%r, profile=%r, max_candidates=%r)" % (
+            self.radius, self.profile, self.max_candidates)
 
     def positions(self) -> list[int]:
         return [p for p in range(-self.radius, self.radius + 1) if p]
@@ -98,7 +117,6 @@ def _mix64(seed: int, data: bytes) -> int:
     return h ^ (h >> 31)
 
 
-@dataclass
 class Coloring:
     """A total, deterministic coloring of serialized words (or tuples).
 
@@ -106,19 +124,29 @@ class Coloring:
     with no table a seed is required.
     """
 
-    arity: int
-    table: dict[str, int] | None = None
-    seed: int | None = None
+    __hash__ = None  # type: ignore[assignment]
 
-    def __post_init__(self) -> None:
-        if self.arity < 1:
+    def __init__(self, arity: int, table: dict[str, int] | None = None,
+                 seed: int | None = None) -> None:
+        self.arity, self.table, self.seed = arity, table, seed
+        if arity < 1:
             raise SearchError("arity must be >= 1")
-        if self.table is None and self.seed is None:
+        if table is None and seed is None:
             raise SearchError("coloring needs a table or a seed")
-        if self.table is not None:
-            for key, color in self.table.items():
-                if not 0 <= color < self.arity:
+        if table is not None:
+            for key, color in table.items():
+                if not 0 <= color < arity:
                     raise SearchError("color %d out of range for %r" % (color, key))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.arity, self.table, self.seed) == (other.arity, other.table, other.seed)
+
+    def __repr__(self) -> str:
+        # named by its own class, as subclasses recolor keys
+        return "%s(arity=%r, table=%r, seed=%r)" % (type(self).__qualname__, self.arity,
+                                                    self.table, self.seed)
 
     def color_key(self, key: str) -> int:
         if self.table is not None and key in self.table:
@@ -439,7 +467,10 @@ def _one_color(coloring: Coloring, texts: Iterable[str],
                colors: dict[str, int]) -> int | None:
     """The color shared by all the texts, or None from the second color on.
     `colors` keeps the color of each text seen in the search, as candidates
-    share instances."""
+    share instances.  A seeded coloring of arity 1 gives every text color
+    0, its table's entries included, so only whether a text comes is read."""
+    if coloring.arity == 1 and coloring.seed is not None:
+        return next((0 for _ in texts), None)
     color = None
     for text in texts:
         c = colors.get(text)
@@ -452,15 +483,28 @@ def _one_color(coloring: Coloring, texts: Iterable[str],
     return color
 
 
-@dataclass
 class SearchReport:
-    witness: tuple[LocatedWord, ...] | None
-    color: int | None
-    grid_size: int
-    nodes_expanded: int
-    candidates: int
-    elapsed_ms: float = 0.0
-    vacuous: bool = False
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(self, witness: tuple[LocatedWord, ...] | None, color: int | None,
+                 grid_size: int, nodes_expanded: int, candidates: int,
+                 elapsed_ms: float = 0.0, vacuous: bool = False) -> None:
+        self.witness, self.color, self.grid_size = witness, color, grid_size
+        self.nodes_expanded, self.candidates = nodes_expanded, candidates
+        self.elapsed_ms, self.vacuous = elapsed_ms, vacuous
+
+    def _astuple(self) -> tuple:
+        return (self.witness, self.color, self.grid_size, self.nodes_expanded, self.candidates,
+                self.elapsed_ms, self.vacuous)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __repr__(self) -> str:
+        return ("SearchReport(witness=%r, color=%r, grid_size=%r, nodes_expanded=%r, "
+                "candidates=%r, elapsed_ms=%r, vacuous=%r)" % self._astuple())
 
     @property
     def found(self) -> bool:
@@ -508,8 +552,8 @@ def _first_one_color(coloring: Coloring, m: int, totals: range, counts: Sequence
                 sides = _candidate_sides(combo, slots, memos, window)
                 color = _one_color(coloring, _slice_texts(sides, plans), colors)
                 if color is not None:
-                    inner = sum(_candidate_counts(m, range(total, total + 1), replace(
-                        window, radius=shell - 1))) if shell > 1 else 0
+                    inner = sum(_candidate_counts(m, range(total, total + 1), SearchWindow(
+                        shell - 1, profile, window.max_candidates))) if shell > 1 else 0
                     nodes = sum(counts[:t]) + inner + visited + sum(
                         _rank(text, _split_pools(layers, profile))
                         for layers, own in splits if not own)
@@ -540,11 +584,21 @@ def hj_witness_search(coloring: Coloring, m: int, bounds: Sequence[int], n: int,
                         (time.perf_counter() - start) * 1000.0)
 
 
-@dataclass
 class VerifyReport:
-    monochromatic: bool
-    instances: int
-    color: int | None
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(self, monochromatic: bool, instances: int, color: int | None) -> None:
+        self.monochromatic, self.instances, self.color = monochromatic, instances, color
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.monochromatic, self.instances, self.color)
+                == (other.monochromatic, other.instances, other.color))
+
+    def __repr__(self) -> str:
+        return "VerifyReport(monochromatic=%r, instances=%r, color=%r)" % (
+            self.monochromatic, self.instances, self.color)
 
     @property
     def vacuous(self) -> bool:
@@ -675,13 +729,22 @@ def verify_xi_witness(witness: Sequence[LocatedWord], coloring: Coloring, xi: Or
 # --- semigroup layer ------------------------------------------------------
 
 
-@dataclass
 class SemigroupSpec:
     """An opaque semigroup with indexed generators y(letter, position)."""
 
-    op: Callable[[X, X], X]
-    y: Callable[[int, int], X]
-    commutative: bool = False
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(self, op: Callable[[X, X], X], y: Callable[[int, int], X],
+                 commutative: bool = False) -> None:
+        self.op, self.y, self.commutative = op, y, commutative
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.op, self.y, self.commutative) == (other.op, other.y, other.commutative)
+
+    def __repr__(self) -> str:
+        return "SemigroupSpec(op=%r, y=%r, commutative=%r)" % (self.op, self.y, self.commutative)
 
     def fold(self, elements: Sequence[X]) -> X:
         if not elements:
@@ -737,15 +800,28 @@ def fs_two_sided(xs: Sequence[X], zs: Sequence[X], spec: SemigroupSpec) -> set[X
     return out
 
 
-@dataclass
 class PatternResult:
     """A semigroup pattern value with the fixed / j-driven / i-driven
     position sets of its building word."""
 
-    value: object
-    fixed_positions: tuple[int, ...]
-    j_positions: tuple[int, ...]
-    i_positions: tuple[int, ...]
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(self, value: object, fixed_positions: tuple[int, ...],
+                 j_positions: tuple[int, ...], i_positions: tuple[int, ...]) -> None:
+        self.value, self.fixed_positions = value, fixed_positions
+        self.j_positions, self.i_positions = j_positions, i_positions
+
+    def _astuple(self) -> tuple:
+        return self.value, self.fixed_positions, self.j_positions, self.i_positions
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __repr__(self) -> str:
+        return ("PatternResult(value=%r, fixed_positions=%r, j_positions=%r, i_positions=%r)"
+                % self._astuple())
 
 
 def semigroup_pattern(ws: Sequence[LocatedWord], spec: SemigroupSpec, n: int,

@@ -18,6 +18,15 @@ valid by construction build them directly: `concat`, `merge`,
 `substitute`, `project_positive`, `rationals.encode`,
 `search.length_slice` and the search's candidates.
 
+Every value class in the package follows LocatedWord's pattern, with no
+`dataclasses`: a plain class on `ordinals.Frozen` that names its fields
+in `__slots__`, refuses assignment and deletion with
+`FrozenInstanceError` (an `AttributeError`), hashes and compares its
+field tuple and pickles by rebuilding from its fields; the search's
+reports are plain mutable classes.  The reason is import cost: each CLI
+command is one process, and `dataclasses`, with the `inspect` it loads,
+was over a third of `import zwords`.
+
 Tuples follow the same rule.  `make_tuple` validates tuples from
 outside: it refuses, pair by pair, a profile mismatch and then a pair
 not in R1, and then a word outside the core class; `families.parse_tuple`
@@ -44,14 +53,15 @@ no cap, and `extracted_sets` is its oracle.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import FrozenInstanceError, dataclass
 from itertools import islice
 from math import prod
 from operator import lt
 from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
+from .ordinals import Frozen, FrozenInstanceError  # noqa: F401  (re-exported)
+
 VARIABLE = 0
-_set = object.__setattr__  # LocatedWord fills its slots past its __setattr__
+_set = object.__setattr__  # the value classes fill their slots past Frozen's
 # the most star products extracted_sets builds: each member is left out,
 # kept, or replaced by one of its substitution images
 MAX_PRODUCTS = 200_000
@@ -63,39 +73,45 @@ class WordError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class DominationProfile:
+class DominationProfile(Frozen):
     """The two-sided bound sequence k: position -> max letter index.
 
     Kinds: "abs" (k_n = |n| + param), "const" (k_n = param) and "table"
     (explicit finite bounds).
     """
 
-    kind: str
-    param: int = 0
-    table: tuple[tuple[int, int], ...] = ()
+    __slots__ = ("kind", "param", "table", "_hash", "_sided", "_bounds")
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("abs", "const", "table"):
-            raise WordError("unknown profile kind %r" % self.kind)
-        if self.kind == "const" and self.param < 1:
+    def __init__(self, kind: str, param: int = 0,
+                 table: tuple[tuple[int, int], ...] = ()) -> None:
+        if kind not in ("abs", "const", "table"):
+            raise WordError("unknown profile kind %r" % kind)
+        if kind == "const" and param < 1:
             raise WordError("constant bound must be >= 1")
-        if self.kind == "abs" and self.param < 0:
+        if kind == "abs" and param < 0:
             raise WordError("abs offset must be >= 0")
         seen = set()
-        for pos, k in self.table:
+        for pos, k in table:
             if pos == 0 or k < 1:
                 raise WordError("table bounds need nonzero positions and k >= 1")
             if pos in seen:
                 raise WordError("profile table bounds position %d twice" % pos)
             seen.add(pos)
+        _set(self, "kind", kind)
+        _set(self, "param", param)
+        _set(self, "table", table)
         # profiles key the search's pool cache, so the hash is taken once;
-        # the value is the one the dataclass would give.  Monotonicity is
-        # read per slot and a table's bounds per position, so both are
-        # worked out once too
-        object.__setattr__(self, "_hash", hash((self.kind, self.param, self.table)))
-        object.__setattr__(self, "_sided", _sided_monotone(self.kind, self.table))
-        object.__setattr__(self, "_bounds", dict(self.table))
+        # the value is the hash of the field tuple.  Monotonicity is read per
+        # slot and a table's bounds per position, so both are worked out
+        # once too
+        _set(self, "_hash", hash((kind, param, table)))
+        _set(self, "_sided", _sided_monotone(kind, table))
+        _set(self, "_bounds", dict(table))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.param, self.table) == (other.kind, other.param, other.table)
 
     def __hash__(self) -> int:
         return self._hash
@@ -103,6 +119,10 @@ class DominationProfile:
     def __reduce__(self) -> tuple:
         # the kept hash follows the hash seed, so a copy hashes afresh
         return DominationProfile, (self.kind, self.param, self.table)
+
+    def __repr__(self) -> str:
+        return "DominationProfile(kind=%r, param=%r, table=%r)" % (self.kind, self.param,
+                                                                   self.table)
 
     def bound(self, n: int) -> int:
         if n == 0:
@@ -162,7 +182,7 @@ def format_profile(p: DominationProfile) -> str:
     return "table:" + ",".join("%d=%d" % pair for pair in p.table)
 
 
-class LocatedWord:
+class LocatedWord(Frozen):
     """A finite map from nonzero positions to letters under a profile.
 
     An immutable value: two words are equal when both are LocatedWords
@@ -178,12 +198,6 @@ class LocatedWord:
                  profile: DominationProfile = ABS) -> None:
         _set(self, "entries", entries)
         _set(self, "profile", profile)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise FrozenInstanceError("cannot assign to field %r" % name)
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError("cannot delete field %r" % name)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -390,13 +404,30 @@ def project_positive(w: LocatedWord) -> LocatedWord:
     return LocatedWord(tuple((p, l) for p, l in w.entries if p > 0), w.profile)
 
 
-@dataclass(frozen=True)
-class OrderlyTuple:
+class OrderlyTuple(Frozen):
     """A finite tuple of core-class words of one profile, each R1-below
     the next.  A plain value that trusts its words: make_tuple checks
     them."""
 
-    words: tuple[LocatedWord, ...]
+    __slots__ = ("words",)
+
+    def __init__(self, words: tuple[LocatedWord, ...]) -> None:
+        _set(self, "words", words)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.words == other.words
+
+    def __hash__(self) -> int:
+        # taken afresh on each call: a kept hash slowed the family kernels
+        return hash((self.words,))
+
+    def __reduce__(self) -> tuple:
+        return OrderlyTuple, (self.words,)
+
+    def __repr__(self) -> str:
+        return "OrderlyTuple(words=%r)" % (self.words,)
 
     def __len__(self) -> int:
         return len(self.words)

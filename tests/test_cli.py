@@ -793,6 +793,22 @@ def test_search_rejects_empty_lengths(capsys):
     assert (code, out, err) == (1, "", "error: total length must be >= 1\n")
 
 
+def test_cli_import_loads_no_heavy_modules():
+    # every command is one process, so what `import zwords.cli` loads is
+    # paid on each; dataclasses brings inspect, and json only --json reads
+    import os
+    import subprocess
+    import sys
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = ("import sys, zwords.cli; "
+             "print(sorted({'dataclasses', 'inspect', 'json'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-c", probe],
+                         env=dict(os.environ, PYTHONPATH=str(src)),
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"
+
+
 def test_zw_caps_env(capsys, monkeypatch):
     monkeypatch.setenv("ZW_CAPS", "25")
     code, out, _ = run(capsys, "schreier", "enum", "--xi", "1", "--n", "22")

@@ -59,6 +59,7 @@ from zwords.words import (
     format_word,
     make_word,
     parse_profile,
+    serialize_tuple,
     substitute,
 )
 
@@ -90,8 +91,8 @@ class DomainParity(Coloring):
 class Recording(Coloring):
     """Colors every key 0 and keeps the keys it was asked for, in order."""
 
-    def __post_init__(self):
-        super().__post_init__()
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         self.texts = []
 
     def color_key(self, key):
@@ -195,6 +196,31 @@ def test_hj_trivial_single_color():
     assert rep.nodes_expanded == 1
     assert rep.witness == witness_candidates(1, 2, SearchWindow(2))[0]
     assert verify_witness(rep.witness, coloring, [1]).monochromatic
+
+
+def test_one_color_search_reads_no_colors(monkeypatch):
+    # a seeded coloring of arity 1 gives every text color 0, its table's
+    # entries included, so the first candidate with an instance is the
+    # witness, whatever the grid: 810,000 instances here
+    calls = []
+    color_key = Coloring.color_key
+    monkeypatch.setattr(Coloring, "color_key",
+                        lambda self, key: calls.append(key) or color_key(self, key))
+    one = Coloring(arity=1, seed=1)
+    rep = hj_witness_search(one, 2, [1, 1], 4, SearchWindow(3, parse_profile("const:30")))
+    assert (serialize_tuple(rep.witness), rep.color, rep.grid_size, rep.nodes_expanded,
+            rep.candidates, rep.vacuous) == ("-1:v,1:v;-2:v,2:v", 0, 810_000, 1, 9, False)
+    rep = xi_witness_search(Coloring(arity=1, table={"-1:-1": 0}, seed=4), parse_ordinal("w"),
+                            2, 4, SearchWindow(3))
+    assert (serialize_tuple(rep.witness), rep.color, rep.grid_size, rep.nodes_expanded,
+            rep.candidates) == ("-1:v,1:v;-2:v,2:v", 0, 4, 1, 169)
+    # no candidate has an instance: no witness, as before
+    rep = xi_witness_search(one, parse_ordinal("3"), 2, 50, SearchWindow(3))
+    assert (rep.witness, rep.color, rep.nodes_expanded, rep.candidates) == (None, None, 169, 169)
+    assert len(calls) <= 1
+    # a table with no seed is still read, so a missing key is refused
+    with pytest.raises(SearchError, match="^coloring is not total: no entry for '-1:-1,1:1'$"):
+        hj_witness_search(Coloring(arity=1, table={}), 1, [1], 2, SearchWindow(2))
 
 
 def test_hj_domain_parity_coloring():

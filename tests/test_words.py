@@ -743,6 +743,110 @@ def test_profile_hash_is_the_dataclass_hash():
     assert parse_profile("abs+1") != parse_profile("const:1")
 
 
+def test_value_classes_keep_the_dataclass_protocol():
+    import copy
+    import pickle
+
+    from zwords import ordinals, search
+    from zwords.ordinals import Ordinal, parse_ordinal
+    from zwords.schreier import CanonicalDecomposition, canonical_decompose
+
+    w1, w3 = parse_word("-1:v,1:v"), parse_word("-3:v,3:v")
+    # each frozen value with its fields in order, built twice, and the
+    # text its repr has always printed
+    frozen = [
+        (lambda: parse_ordinal("w^2+3"), ("terms",), "Ordinal('w^2+3')"),
+        (Ordinal, ("terms",), "Ordinal('0')"),
+        (lambda: canonical_decompose([3, 4, 5, 6], parse_ordinal("w")), ("blocks", "remainder"),
+         "CanonicalDecomposition(blocks=((3, 4, 5),), remainder=(6,))"),
+        (lambda: CanonicalDecomposition(blocks=((1,),), remainder=None), ("blocks", "remainder"),
+         "CanonicalDecomposition(blocks=((1,),), remainder=None)"),
+        (lambda: DominationProfile("abs"), ("kind", "param", "table"),
+         "DominationProfile(kind='abs', param=0, table=())"),
+        (lambda: DominationProfile(kind="table", table=((-1, 2), (1, 3))),
+         ("kind", "param", "table"),
+         "DominationProfile(kind='table', param=0, table=((-1, 2), (1, 3)))"),
+        (lambda: make_tuple([w1, w3]), ("words",),
+         "OrderlyTuple(words=(LocatedWord('-1:v,1:v'), LocatedWord('-3:v,3:v')))"),
+        (lambda: OrderlyTuple(()), ("words",), "OrderlyTuple(words=())"),
+        (lambda: search.SearchWindow(3), ("radius", "profile", "max_candidates"),
+         "SearchWindow(radius=3, profile=DominationProfile(kind='abs', param=0, table=()), "
+         "max_candidates=200000)"),
+        (lambda: search.SearchWindow(radius=2, profile=CONST2, max_candidates=10),
+         ("radius", "profile", "max_candidates"),
+         "SearchWindow(radius=2, profile=DominationProfile(kind='const', param=2, table=()), "
+         "max_candidates=10)"),
+    ]
+    assert words.FrozenInstanceError is ordinals.FrozenInstanceError
+    assert issubclass(ordinals.FrozenInstanceError, AttributeError)
+    for build, names, text in frozen:
+        x = build()
+        assert repr(x) == text
+        values = tuple(getattr(x, name) for name in names)
+        assert hash(x) == hash(values)
+        assert x == build() and hash(build()) == hash(x)
+        assert x != values and x.__eq__(values) is NotImplemented
+        assert type(x).__slots__ and not hasattr(x, "__dict__")
+        for name in names + ("unknown",):
+            with pytest.raises(ordinals.FrozenInstanceError, match="cannot assign to field"):
+                setattr(x, name, None)
+        for name in names:
+            with pytest.raises(ordinals.FrozenInstanceError, match="cannot delete field"):
+                delattr(x, name)
+        assert tuple(getattr(x, name) for name in names) == values
+        for twin in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x), copy.copy(x)):
+            assert twin == x and hash(twin) == hash(x) and repr(twin) == text
+    # the cap default is a module constant, not a class attribute
+    assert search.SearchWindow(1).max_candidates == search.MAX_CANDIDATES == 200_000
+
+    witness = (w1,)
+    mutable = [
+        (lambda: search.Coloring(2, seed=1), "Coloring(arity=2, table=None, seed=1)"),
+        (lambda: search.Coloring(arity=2, table={"a": 1}),
+         "Coloring(arity=2, table={'a': 1}, seed=None)"),
+        (lambda: search.SearchReport(witness, 0, 4, 5, 6, elapsed_ms=1.5, vacuous=True),
+         "SearchReport(witness=(LocatedWord('-1:v,1:v'),), color=0, grid_size=4, "
+         "nodes_expanded=5, candidates=6, elapsed_ms=1.5, vacuous=True)"),
+        (lambda: search.SearchReport(None, None, 0, 0, 0),
+         "SearchReport(witness=None, color=None, grid_size=0, nodes_expanded=0, candidates=0, "
+         "elapsed_ms=0.0, vacuous=False)"),
+        (lambda: search.VerifyReport(True, 3, color=0),
+         "VerifyReport(monochromatic=True, instances=3, color=0)"),
+        (lambda: search.PatternResult(5, (1,), (-1,), i_positions=(2,)),
+         "PatternResult(value=5, fixed_positions=(1,), j_positions=(-1,), i_positions=(2,))"),
+        (lambda: search.SemigroupSpec(max, min, commutative=True),
+         "SemigroupSpec(op=<built-in function max>, y=<built-in function min>, "
+         "commutative=True)"),
+    ]
+    for build, text in mutable:
+        x = build()
+        assert repr(x) == text
+        assert x == build() and x != text and x.__eq__(text) is NotImplemented
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(x)
+        for twin in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x)):
+            assert twin == x and repr(twin) == text
+    # a subclass of a coloring is named in its repr, as the dataclass named it
+    class Parity(search.Coloring):
+        pass
+
+    assert repr(Parity(2, seed=1)).endswith(".<locals>.Parity(arity=2, table=None, seed=1)")
+    assert Parity(2, seed=1) != search.Coloring(2, seed=1)
+    # a mutable value takes new field values, and equality follows them
+    report = search.SearchReport(None, None, 0, 0, 0)
+    report.elapsed_ms = 2.0
+    assert report != search.SearchReport(None, None, 0, 0, 0)
+    # the checks run in __init__, in field order
+    with pytest.raises(search.SearchError, match="^arity must be >= 1$"):
+        search.Coloring(0)
+    with pytest.raises(search.SearchError, match="^coloring needs a table or a seed$"):
+        search.Coloring(2)
+    with pytest.raises(search.SearchError, match="^window radius must be >= 1$"):
+        search.SearchWindow(0)
+    with pytest.raises(ordinals.OrdinalError, match="^exponents must be strictly decreasing$"):
+        Ordinal(((ordinals.ZERO, 1), (ordinals.ONE, 1)))
+
+
 def test_profile_table_naming_a_position_twice_is_refused():
     # bound would read whichever pair sorts first
     for text, pos in (("table:1=3,1=2,-1=1", "1"), ("table:-1=1,1=2,-1=1", "-1")):
