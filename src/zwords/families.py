@@ -31,14 +31,15 @@ first reads them, each side's variants built once and joined, so a call
 builds the images of the slots it reads and no others: 5 of the five-word
 closure's 62,975.  Every distinct subtuple is matched against the pool
 once: when its slots allow fewer combinations of entry tuples than the
-union domain has pool words, each combination is joined and looked up
-by entries, and otherwise the domain's words are scanned.  A member's extraction set, the union of its
-2^len(bw) - 1 subtuples' matches, is kept by its key on its first visit,
-so later calls read it.  Only the last pool compiled is kept: the calls
-on one pool (a closure, then its largest hereditary part and index) run
-back to back and share it and its memos, so memory is bounded by one
-pool plus the slots, subtuples and member keys that the calls on it
-reached, and the keys of the last closure built on it.
+union domain has pool words, each combination is joined by the words
+module's one join of star products and looked up by entries, and
+otherwise the domain's words are scanned.  A member's extraction set,
+the union of its 2^len(bw) - 1 subtuples' matches, is kept by its key on
+its first visit, so later calls read it.  Only the last pool compiled is
+kept: the calls on one pool (a closure, then its largest hereditary part
+and index) run back to back and share it and its memos, so memory is
+bounded by one pool plus the slots, subtuples and member keys that the
+calls on it reached, and the keys of the last closure built on it.
 
 Extraction is transitive: if c is an R1-chain over a member K's
 extractions, c's own extractions lie among K's, so every chain over them
@@ -62,9 +63,8 @@ open set; the 2,540 members of the four-word closure have 5 of them.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations
 from math import prod
-from operator import itemgetter
 from typing import Collection, Iterable, Iterator, NamedTuple
 
 from .ordinals import Ordinal
@@ -77,6 +77,7 @@ from .words import (
     LocatedWord,
     OrderlyTuple,
     WordError,
+    _joins,
     _reads_slots,
     _slot_entries,
     format_word,
@@ -289,27 +290,24 @@ def _matches(chosen: tuple[tuple[int, int], ...], table: _Pool) -> list[int]:
     """The pool words on the union of the chosen slots' domains, of their
     profile, that read an allowed entry tuple on each slot's domain.  When
     the slots allow no more combinations than the union domain has words,
-    each combination's entry tuple is joined in position order and looked
-    up; otherwise the domain's words are scanned by words._reads_slots.
-    The slots' domains are disjoint, so a joined tuple is a word's whole
-    entry tuple.  Both indexes are keyed by profile, so the words found
-    are of the slots' profile."""
+    each combination is joined by words._joins, the join of every star
+    product of member images, and looked up by entries; otherwise the
+    domain's words are scanned by words._reads_slots.  The slots' domains
+    are disjoint, so a joined tuple is a word's whole entry tuple.  Both
+    indexes are keyed by profile, so the words found are of the slots'
+    profile."""
     words = table.words
-    # the positions of the pieces concatenated, and in order
-    flat = [p for t, _ in chosen for p in words[t].dom]
+    doms = [words[t].dom for t, _ in chosen]
     profile = words[chosen[0][0]].profile
-    on_dom = table.by_dom.get((profile, tuple(sorted(flat))))
+    on_dom = table.by_dom.get((profile, tuple(sorted(sum(doms, ())))))
     if on_dom is None:
         return []
     oks = [_slot_allowed(slot, table) for slot in chosen]
     if prod(map(len, oks)) <= len(on_dom):
-        # a core variable word has positions on both sides, so the getter
-        # picks at least two entries and returns a tuple
-        get = itemgetter(*sorted(range(len(flat)), key=flat.__getitem__))
-        joined = (get(sum(combo, ())) for combo in product(*oks))
         by_entries = table.by_entries
-        return [u for entries in joined for u in by_entries.get((profile, entries), ())]
-    slots = [(words[t].dom, ok) for (t, _), ok in zip(chosen, oks)]
+        return [u for entries in _joins(doms, oks)
+                for u in by_entries.get((profile, entries), ())]
+    slots = list(zip(doms, oks))
     return [u for u in on_dom if _reads_slots(words[u], slots)]
 
 

@@ -35,8 +35,9 @@ from .words import (
     _entries_text,
     _extraction_ranges,
     _grid_tops,
+    _image_entries,
     _image_ranges,
-    _images,
+    _joins,
     _require_sided_monotone,
     _side_top,
     concat_all,
@@ -431,7 +432,7 @@ def _candidate_sides(combo: Sequence[tuple[str, Entries]], slots: Sequence[tuple
 
 
 def _instance_texts(sides: Sequence[Sequence[str]], run: Iterable[int]) -> Iterator[str]:
-    """The distinct texts of concat_all of one substitution image per
+    """The distinct texts of the star products of one substitution image per
     member of the run, in grid order.  `sides` holds, member by member and
     innermost first, the distinct texts of the negative side by q and of
     the positive side by p.  A grid is p-major, so the product of the
@@ -630,6 +631,9 @@ def verify_witness(witness: Sequence[LocatedWord], coloring: Coloring,
     instances = prod(kp * kq for kp, kq in (_grid_tops(witness[0].profile, index)
                                             for index in bounds))
     ranges = [_image_ranges(w, index) for w, index in zip(witness, bounds)]
+    # the slices are joined unchecked, so the members are refused first as
+    # the fold of concat over one instance would refuse them
+    concat_all(witness)
     return _verify(coloring, _plan_slices(witness, ranges, [[tuple(range(len(witness)))]]),
                    instances)
 
@@ -662,11 +666,14 @@ def _xi_plans(sizes: tuple[int, ...], anchors: tuple[int, ...], xi: Ordinal,
 
 def _plan_slices(ws: Sequence[LocatedWord], ranges: Sequence[tuple[int, int]],
                  plans: Plans) -> list[tuple[LocatedWord, ...]]:
-    """One image per chosen member, a run's images joined into one
-    constant; only members that some plan chooses get images."""
+    """One image per chosen member, a run's images joined by words._joins
+    into one constant; only members that some plan chooses get images.
+    The members' domains are disjoint and their profile one, as the
+    callers have checked."""
     runs = {run for plan in plans for run in plan}
-    images = {i: _images(ws[i], ranges[i]) for i in {i for run in runs for i in run}}
-    blocks = {run: [concat_all(combo) for combo in product(*map(images.get, run))]
+    images = {i: _image_entries(ws[i], ranges[i]) for i in {i for run in runs for i in run}}
+    blocks = {run: [LocatedWord(entries, ws[run[0]].profile) for entries in
+                    _joins([ws[i].dom for i in run], [images[i] for i in run])]
               for run in runs}
     return [s for plan in plans for s in product(*map(blocks.get, plan))]
 

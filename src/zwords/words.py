@@ -40,22 +40,29 @@ chains of one member's pool extractions).
 
 `extracted_sets` builds every star product over the nonempty subtuples
 of a tuple bw, each chosen member kept or replaced by one of its grid
-images, and refuses more than MAX_PRODUCTS of them.  The members of a
-tuple have disjoint domains, so a word u is an extracted variable word
-of bw exactly when its domain is the union of the domains of a nonempty
-subtuple, its profile is bw's, and on each chosen member's domain u
-reads that member or one of its grid images; the images are constants,
-so some member is read as itself.  `is_extraction` and the family
-kernels apply this domain test word by word, with no product built and
-no cap, and `extracted_sets` is its oracle.
+images, and refuses more than MAX_PRODUCTS of them.  Every star product
+of member images, here, in witness verification and in the family
+matches, comes from one join, `_joins`: the chosen members' entry tuples
+are concatenated and put in position order by one getter, with no word
+built on the way.  The join checks nothing, so each caller first refuses
+what concat would refuse.
+
+The members of a tuple have disjoint domains, so a word u is an
+extracted variable word of bw exactly when its domain is the union of
+the domains of a nonempty subtuple, its profile is bw's, and on each
+chosen member's domain u reads that member or one of its grid images;
+the images are constants, so some member is read as itself.
+`is_extraction` and the family kernels apply this domain test word by
+word, with no product built and no cap, and `extracted_sets` is its
+oracle.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import islice
+from itertools import combinations, islice, product
 from math import prod
-from operator import lt
+from operator import itemgetter, lt
 from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .ordinals import Frozen, FrozenInstanceError  # noqa: F401  (re-exported)
@@ -500,8 +507,9 @@ def _image_ranges(w: LocatedWord, index: int) -> tuple[int, int]:
 
 def _extraction_ranges(bw: OrderlyTuple, indices: Sequence[int] | None) -> list[tuple[int, int]]:
     """Check that bw can be extracted from and give each member its image
-    ranges.  Every error that building the images or their star products
-    could raise is raised here, so images can be built later or not at
+    ranges.  Every error that building the images or joining them into
+    star products could raise is raised here, so the images can be built
+    later and joined by _joins, which checks nothing, or not built at
     all."""
     if indices is None:
         indices = range(1, len(bw) + 1)
@@ -564,22 +572,18 @@ def _side_variants(side: tuple[tuple[int, int], ...], top: int, sign: int,
     return out
 
 
-def _images(w: LocatedWord, ranges: tuple[int, int]) -> list[LocatedWord]:
-    """The distinct substitution images of w over its grid, in grid
-    order: one per pair of its ranges, p-major."""
-    return [LocatedWord(entries, w.profile) for entries in _image_entries(w, ranges)]
-
-
-def _star_products(options: Sequence[Sequence[LocatedWord]]) -> set[LocatedWord]:
-    """All star products taking one word of options[i] for each i of a
-    nonempty subtuple.  The products whose last word comes from
-    options[i] are those words and every earlier product extended by
-    one of them."""
-    out: set[LocatedWord] = set()
-    for ws in options:
-        out |= {concat(p, w) for p in out for w in ws}
-        out.update(ws)
-    return out
+def _joins(doms: Sequence[tuple[int, ...]],
+           options: Sequence[Iterable[tuple]]) -> Iterator[tuple]:
+    """The entry tuple of each star product that reads one of options[i]
+    on doms[i] for each i, in product order.  The domains are disjoint and
+    each option covers its whole domain, so the pieces are concatenated
+    and one getter puts them in position order; a bare itemgetter of one
+    index would return the entry itself, so one position takes the whole
+    piece."""
+    flat = sum(doms, ())
+    order = sorted(range(len(flat)), key=flat.__getitem__)
+    get = itemgetter(*order) if len(order) > 1 else itemgetter(slice(None))
+    return (get(sum(combo, ())) for combo in product(*options))
 
 
 def extracted_sets(bw: OrderlyTuple, indices: Sequence[int] | None = None) -> ExtractedSets:
@@ -595,9 +599,15 @@ def extracted_sets(bw: OrderlyTuple, indices: Sequence[int] | None = None) -> Ex
     ranges = _extraction_ranges(bw, indices)
     if prod(a * b + 2 for a, b in ranges) - 1 > MAX_PRODUCTS:
         raise WordError("extraction would build more than %d star products" % MAX_PRODUCTS)
-    products = _star_products([[w] + _images(w, r) for w, r in zip(bw, ranges)])
+    options = [[w.entries, *_image_entries(w, r)] for w, r in zip(bw, ranges)]
+    products = []
+    for size in range(1, len(bw) + 1):
+        for chosen in combinations(range(len(bw)), size):
+            profile = bw[chosen[0]].profile
+            products += [LocatedWord(entries, profile) for entries in
+                         _joins([bw[i].dom for i in chosen], [options[i] for i in chosen])]
     variables = frozenset(w for w in products if w.is_variable_word)
-    return ExtractedSets(frozenset(products - variables), variables)
+    return ExtractedSets(frozenset(products) - variables, variables)
 
 
 def _slot_entries(w: LocatedWord, index: int) -> set[tuple]:
@@ -630,8 +640,8 @@ def is_extraction(u: OrderlyTuple, w: OrderlyTuple) -> bool:
     product cap."""
     if len(u) == 0:
         return True
-    _extraction_ranges(w, None)
-    slots = [(m.dom, _slot_entries(m, i)) for i, m in enumerate(w, 1)]
+    ranges = _extraction_ranges(w, None)
+    slots = [(m.dom, {m.entries, *_image_entries(m, r)}) for m, r in zip(w, ranges)]
     # with no slots no word is read, so w[0] is read only when w has one
     return all(_reads_slots(v, slots) and v.profile == w[0].profile and v.is_variable_word
                for v in u)

@@ -56,7 +56,6 @@ from zwords.words import (
     WordError,
     _image_entries,
     _image_ranges,
-    _images,
     _slot_entries,
     concat,
     extracted_sets,
@@ -962,7 +961,6 @@ def test_side_built_images_equal_substitution():
                 assert got == [substitute(w, p, q).entries
                                for p in range(1, a + 1) for q in range(1, b + 1)], (w, index)
                 assert got == [u.entries for u in reference_images(w, index)], (w, index)
-                assert [u.entries for u in _images(w, (a, b))] == got
                 assert _slot_entries(w, index) == {w.entries, *got}
                 checked += 1
                 clipped += a * b < w.profile.bound(index) * w.profile.bound(-index)

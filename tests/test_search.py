@@ -59,6 +59,7 @@ from zwords.words import (
     format_word,
     make_word,
     parse_profile,
+    parse_word,
     serialize_tuple,
     substitute,
 )
@@ -323,6 +324,17 @@ def test_verify_witness_matches_the_whole_grid():
             bounds = [2] * len(witness)
             assert (verify_witness(witness, coloring, bounds)
                     == reference_verify_witness(witness, coloring, bounds))
+
+
+def test_verify_witness_of_a_one_position_member():
+    # a member on one position joins into a tuple of one entry, not into
+    # the entry itself
+    for profile in (ABS, parse_profile("abs+1"), parse_profile("const:2")):
+        witness = [parse_word("1:v", profile)]
+        for seed in range(4):
+            coloring = Coloring(arity=2, seed=seed)
+            assert (verify_witness(witness, coloring, [2])
+                    == reference_verify_witness(witness, coloring, [2])), (profile, seed)
 
 
 def test_verify_witness_colors_distinct_instances_only():

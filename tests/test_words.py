@@ -16,8 +16,8 @@ from zwords.words import (
     LocatedWord,
     OrderlyTuple,
     WordError,
+    _image_entries,
     _image_ranges,
-    _images,
     _pair_rank,
     bound_pair_index,
     concat,
@@ -315,6 +315,19 @@ def test_extracted_sets_match_reference():
     assert checked > 300
 
 
+def test_extracted_sets_of_one_position_members():
+    # a member on one position joins into a tuple of one entry, not into
+    # the entry itself; make_tuple refuses such members as outside the
+    # core class, so the tuples are built directly
+    from _oracles import reference_extracted
+
+    for profile in (ABS, parse_profile("abs+1"), CONST2):
+        for text in ("1:v", "-1:v;-3:v,3:v"):
+            ws = [parse_word(part, profile) for part in text.split(";")]
+            got = extracted_sets(OrderlyTuple(tuple(ws)))
+            assert got == reference_extracted(ws), (profile, text)
+
+
 def test_images_match_the_whole_grid():
     # the two index ranges give the whole grid's distinct images in grid
     # order, list for list, for every word of the sampled candidates under
@@ -340,7 +353,8 @@ def test_images_match_the_whole_grid():
                         _image_ranges(w, index)
                     refused += 1
                     continue
-                assert _images(w, _image_ranges(w, index)) == want, (w, index)
+                assert (_image_entries(w, _image_ranges(w, index))
+                        == [u.entries for u in want]), (w, index)
                 checked += 1
                 clipped += len(want) < profile.bound(index) * profile.bound(-index)
     assert checked > 2000 and clipped > 500 and refused > 0, (checked, clipped, refused)
@@ -494,7 +508,7 @@ def test_direct_tuples_without_star_products_are_refused_alike():
 def test_is_extraction_builds_no_product(monkeypatch):
     # the tuple of test_extracted_sets_product_cap makes 17 products; under
     # a cap of 16 extracted_sets refuses and is_extraction still answers,
-    # and it never reaches the product builder
+    # and it never reaches the join that builds products
     w1 = make_word({-1: VARIABLE, 1: VARIABLE})
     w2 = make_word({-3: VARIABLE, -2: -1, 2: 1, 3: VARIABLE})
     bw = make_tuple([w1, w2])
@@ -503,10 +517,10 @@ def test_is_extraction_builds_no_product(monkeypatch):
     with pytest.raises(WordError, match="more than 16 star products"):
         extracted_sets(bw)
 
-    def refuse(options):
+    def refuse(doms, options):
         raise AssertionError("star products built")
 
-    monkeypatch.setattr(words, "_star_products", refuse)
+    monkeypatch.setattr(words, "_joins", refuse)
     for u in ev:
         assert is_extraction(make_tuple([u]), bw)
     assert is_extraction(bw, bw)
