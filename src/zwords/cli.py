@@ -3,17 +3,21 @@
 Data output is line-oriented plain text on stdout (or the same fields as
 JSON with --json); timings go to stderr.  Exit codes: 0 success, 1 domain
 error, 2 usage error.  The env var ZW_CAPS, a positive integer, overrides
-the enumeration and search caps.  Each command's parser is built the
-first time the command runs; the full parser tree is built only for help
-and usage errors.
+the enumeration and search caps.  A command whose arguments are each an
+exact --flag value or --flag=value of the command, none repeated, all
+required ones present and every int and choice well formed, is read
+straight from its row of the command table; a value may start like a
+negative number (-3/7), and rat encode's value stands bare or after --.
+Anything else, help and every usage error included, goes to the argparse
+parser tree built from the same table, on first use.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import re
 import sys
+from types import SimpleNamespace
 
 from . import families, rationals, schreier, search, words
 from .ordinals import classify, compare, format_ordinal, parse_ordinal
@@ -278,8 +282,8 @@ _ABS = {"default": "abs"}
 
 # Every command by (group, name): its handler, its arguments in the order
 # of its usage line (argparse name -> keywords) and the defaults it binds
-# besides the handler.  The whole tree and each command's own parser are
-# both built from this table.
+# besides the handler.  `_read` reads commands from this table, and the
+# argparse tree is built from it.
 COMMANDS = {
     ("word", "check"): (_cmd_word_check, {"--word": _REQUIRED, "--profile": _ABS}, {}),
     ("word", "concat"): (_cmd_word_pair, {"--a": _REQUIRED, "--b": _REQUIRED,
@@ -323,30 +327,22 @@ COMMANDS = {
 }
 
 
-def _fill(parser: argparse.ArgumentParser, command: tuple[str, str]) -> argparse.ArgumentParser:
-    """Declare one command's arguments and defaults on parser."""
-    func, arguments, defaults = COMMANDS[command]
-    for name, keywords in arguments.items():
-        parser.add_argument(name, **keywords)
-    parser.set_defaults(func=func, **defaults)
-    return parser
+def build_parser():
+    """The whole argparse parser tree, built from COMMANDS."""
+    import argparse  # only help and usage errors reach the tree
 
-
-def build_parser(command: tuple[str, str] | None = None) -> argparse.ArgumentParser:
-    """The parser of one command, (group, name), standalone under the prog
-    its place in the tree gives it, so that its usage, help and errors
-    read as the tree's; with no command, the whole tree."""
-    if command is not None:
-        return _fill(argparse.ArgumentParser(prog="zwords %s %s" % command), command)
     top = argparse.ArgumentParser(prog="zwords", description=__doc__)
     top.add_argument("--json", action="store_true", help="emit JSON instead of plain text")
     sub = top.add_subparsers(dest="command", required=True)
     groups = {}
-    for group, name in COMMANDS:
+    for (group, name), (func, arguments, defaults) in COMMANDS.items():
         if group not in groups:
             groups[group] = sub.add_parser(group).add_subparsers(dest="subcommand",
                                                                  required=True)
-        _fill(groups[group].add_parser(name), (group, name))
+        leaf = groups[group].add_parser(name)
+        for flag, keywords in arguments.items():
+            leaf.add_argument(flag, **keywords)
+        leaf.set_defaults(func=func, **defaults)
     return top
 
 
@@ -372,34 +368,90 @@ def _dash_values(argv: list[str]) -> list[str]:
     return out
 
 
-# built on first use, not at import, and reused: parsing keeps no state in
-# a parser, and importing the CLI stays cheap
-_parser: argparse.ArgumentParser | None = None  # the whole tree
-_leaves: dict[tuple[str, str], argparse.ArgumentParser] = {}  # one per COMMANDS row
+def _plain(token: str) -> bool:
+    """Whether argparse, after `_dash_values`, reads token as a value:
+    it does not start with "-", is "-" alone, or is a dash value."""
+    return not token.startswith("-") or token == "-" or bool(_DASH_VALUE.match(token))
 
 
-def _parse(argv: list[str]) -> argparse.Namespace:
-    """The namespace of argv.  A command named right after an optional
-    leading --json is parsed by its own parser; the tree parses anything
-    else, and a command that leaves arguments over, so help at the top or
-    a group, and every usage error outside one command, read as before."""
+def _read(command: tuple[str, str], argv: list[str]) -> SimpleNamespace | None:
+    """The namespace of one command's arguments, argv, read straight from
+    its COMMANDS row, or None where the row does not read them plainly.
+
+    Each flag of the row is given at most once, as --flag value or
+    --flag=value, and positional values stand bare, after "--", or from
+    a first dash value on, as `_dash_values` makes them; every required
+    argument is given and every type and choice met.  None sends help,
+    abbreviations, repeats, bad values and stray tokens to the tree,
+    which writes their help or usage error."""
+    func, arguments, defaults = COMMANDS[command]
+    given, bare = {}, []
+    i = 0
+    while i < len(argv):
+        token = argv[i]
+        i += 1
+        if token == "--" or _DASH_VALUE.match(token):
+            # the rest is positional; a "--" with nothing after it is left
+            # to the tree
+            rest = argv[i:] if token == "--" else argv[i - 1:]
+            if not rest:
+                return None
+            bare += rest
+            break
+        if token.startswith("--"):
+            flag, eq, value = token.partition("=")
+            if flag not in arguments or flag in given:
+                return None
+            if eq:
+                if value == "--":  # Python 3.11's argparse reads it as []
+                    return None
+            elif i < len(argv) and _plain(argv[i]):
+                value = argv[i]
+                i += 1
+            else:
+                return None
+            given[flag] = value
+        elif _plain(token):
+            bare.append(token)
+        else:
+            return None
+    positionals = [name for name in arguments if not name.startswith("-")]
+    if len(bare) != len(positionals):
+        return None
+    given.update(zip(positionals, bare))
+    values = dict(defaults, func=func)
+    for name, keywords in arguments.items():
+        if name in given:
+            value = given[name]
+            if "type" in keywords:
+                try:
+                    value = keywords["type"](value)
+                except (TypeError, ValueError):
+                    return None
+            if "choices" in keywords and value not in keywords["choices"]:
+                return None
+        elif keywords.get("required"):
+            return None
+        else:
+            value = keywords.get("default")
+        values[name.lstrip("-").replace("-", "_")] = value
+    return SimpleNamespace(**values)
+
+
+# the whole tree, built on first use, not at import, and reused: parsing
+# keeps no state in a parser, and importing the CLI stays cheap
+_parser = None
+
+
+def _parse(argv: list[str]):
+    """The tree's namespace of argv, dash values joined first."""
     global _parser
-    start = 1 if argv[:1] == ["--json"] else 0
-    command = tuple(argv[start:start + 2])
-    if command in COMMANDS:
-        leaf = _leaves.get(command)
-        if leaf is None:
-            leaf = _leaves[command] = build_parser(command)
-        args, rest = leaf.parse_known_args(argv[start + 2:])
-        if not rest:
-            args.json, args.command, args.subcommand = bool(start), *command
-            return args
     if _parser is None:
         _parser = build_parser()
-    return _parser.parse_args(argv)
+    return _parser.parse_args(_dash_values(argv))
 
 
-def _answer(args: argparse.Namespace) -> int:
+def _answer(args) -> int:
     """Run a parsed command and write its answer; a domain error is one
     `error:` line on stderr and exit code 1."""
     try:
@@ -413,10 +465,19 @@ def _answer(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    try:
-        args = _parse(_dash_values(sys.argv[1:] if argv is None else list(argv)))
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+    """Run one command line: read straight from its COMMANDS row when
+    `_read` can, after an optional leading --json, else by the tree."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    start = 1 if argv[:1] == ["--json"] else 0
+    command = tuple(argv[start:start + 2])
+    args = _read(command, argv[start + 2:]) if command in COMMANDS else None
+    if args is None:
+        try:
+            args = _parse(argv)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else 2
+    else:
+        args.json = bool(start)
     return _answer(args)
 
 

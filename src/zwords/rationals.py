@@ -243,8 +243,10 @@ def encode(q: Fraction | int) -> LocatedWord:
     The digits are those of m = q * (top+1)!, where top + 1 is
     max(S(den), 2): q_{-s} carries the sign (-1)^s, so m plus the sum of
     s * (top+1)!/(s+1)! over odd s has plain digits q_{-s} at even s and
-    s - q_{-s} at odd s, and what `_mixed_digits` leaves above s = 1 is
-    the integer part."""
+    s - q_{-s} at odd s.  That sum is added to the plain digits of m in
+    one carry pass from s = top down to 1, which writes the entries as it
+    goes, and the integer part is what is left above s = 1 plus the last
+    carry."""
     q = Fraction(q)
     if q == 0:
         raise RationalCodecError("0 is outside the codec range")
@@ -254,19 +256,29 @@ def encode(q: Fraction | int) -> LocatedWord:
         raise _too_large(den)
     top = max(s_den, 2) - 1
     m = q.numerator * (factorial(top + 1) // den)
-    odd = [s if s % 2 else 0 for s in range(top + 1)]
     out = [0] * (top + 1)
-    whole = _mixed_digits(m + _mixed_value(odd, top, 1), top, 1, out)
+    whole = _mixed_digits(m, top, 1, out)
+    # s is added at each odd s, and a digit plus s plus a carry is at most
+    # 2s + 1, so the carry is 0 or 1; the entry at -s is the new digit
+    # less s at odd s and minus the new digit at even s
+    entries, carry = [], 0
+    for s in range(top, 0, -1):
+        d, carry = out[s] + carry, 0
+        if s % 2:
+            if d:
+                d, carry = d - s - 1, 1
+        elif d > s:
+            d, carry = 0, 1
+        else:
+            d = -d
+        if d:
+            entries.append((-s, d))
+    whole += carry
     # the bit length refuses a far larger integer part before its digits
     if (whole.bit_length() > _POSITION_BITS
             or len(digits := integer_alt_factorial(whole)) > POSITION_CAP):
         raise RationalCodecError("%s needs a position above %d, the highest a codec word "
                                  "reaches" % (_quote(q), POSITION_CAP))
-    entries = []
-    for s in range(top, 0, -1):
-        d = out[s] - s if s % 2 else -out[s]
-        if d:
-            entries.append((-s, d))
     for r, d in enumerate(digits, 1):
         if d:
             entries.append((r, d))

@@ -1,4 +1,7 @@
+import contextlib
+import functools
 import hashlib
+import io
 import json
 import random
 import shlex
@@ -8,6 +11,7 @@ from math import factorial
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from zwords import (FamilyError, OrdinalError, RationalCodecError, SchreierError, SearchError,
                     WordError, cli)
@@ -170,7 +174,6 @@ def test_parser_reuse_matches_fresh_parser(capsys, monkeypatch):
     fresh = []
     for argv in calls:
         monkeypatch.setattr(cli, "_parser", None)
-        monkeypatch.setattr(cli, "_leaves", {})
         fresh.append(run(capsys, *argv))
     assert shared == fresh
     assert {code for code, _, _ in shared} == {0, 1, 2}
@@ -528,21 +531,129 @@ def test_commands_parse_without_building_the_tree(tmp_path, monkeypatch):
     built = []
     build = cli.build_parser
 
-    def counting(command=None):
-        built.append(command)
-        return build(command)
+    def counting():
+        built.append("tree")
+        return build()
 
     monkeypatch.setattr(cli, "build_parser", counting)
     monkeypatch.setattr(cli, "_parser", None)
-    monkeypatch.setattr(cli, "_leaves", {})
-    argvs = _pinned_argvs(tmp_path)
+    # every pinned command that is no usage error is read from its row
+    read = [mode + argv for command, argvs in _pinned_argvs(tmp_path).items()
+            for argv, case in zip(argvs, CLI_PINS[command]) if case[1] != 2
+            for mode in ((), ("--json",))]
     for _ in range(2):
-        for argv, *_ in argvs.values():
-            assert _answer(main, argv, monkeypatch)[0] == 0, argv
-        assert built == list(CLI_PINS)
-    assert _answer(main, ("rat", "decode", "--word", "1:1", "extra"), monkeypatch)[0] == 2
-    assert _answer(main, ("nonsense",), monkeypatch)[0] == 2
-    assert built == list(CLI_PINS) + [None]
+        for argv in read:
+            assert _answer(main, argv, monkeypatch)[0] in (0, 1), argv
+    assert built == []
+    # help, an abbreviation and usage errors go to the tree, built once
+    for argv, code in ((("rat", "decode", "--word", "1:1", "extra"), 2), (("nonsense",), 2),
+                       (("rat", "decode", "--wor", "1:1"), 0), (("rat", "decode", "-h"), 0)):
+        assert _answer(main, argv, monkeypatch)[0] == code, argv
+    assert built == ["tree"]
+
+
+# values a row's argument reads as given, by its keywords; strings
+# include dash values, "-" and the empty string
+_STRINGS = ("1:1", "-1:v,1:v", "-3/7", "-.5", ".5", "2", "w", "-", "", "a=b", "x y")
+# tokens that are never a plain value, or never one of a row's flags
+_STRAYS = ("extra", "-x", "-h", "--help", "--", "--json", "-3", "--bogus", "--bogus=1", "-", "")
+
+
+def _good(keywords):
+    if keywords.get("type") is int:
+        return st.integers(-3, 30).map(str) | st.sampled_from((" 7", "+3", "1_0"))
+    if "choices" in keywords:
+        return st.sampled_from(keywords["choices"])
+    return st.sampled_from(_STRINGS)
+
+
+def _bad(keywords):
+    if keywords.get("type") is int:
+        return st.sampled_from(("x", "1.5", "", "-", "1e3", "-x"))
+    if "choices" in keywords:
+        return st.sampled_from(("bad", "", "-x"))
+    return st.sampled_from(("--", "-x", "-h", "--word"))
+
+
+def _tokens(flag, form, value):
+    """A piece of a command line: a flag and its value in one of the
+    forms, a positional value bare or after "--", or a stray token."""
+    return {"split": [flag, value], "eq": ["%s=%s" % (flag, value)], "alone": [flag],
+            "bare": [value], "dashes": ["--", value], "stray": [value]}[form]
+
+
+@st.composite
+def _command_lines(draw):
+    """(command, argv after the command, clean): the row's required
+    arguments and some of the others in any order, each in either form,
+    and, unless clean, faults: help and stray tokens, abbreviated,
+    repeated, dropped and valueless flags, and bad ints, choices and
+    values."""
+    command = draw(st.sampled_from(sorted(cli.COMMANDS)))
+    arguments = cli.COMMANDS[command][1]
+    names = draw(st.permutations([name for name, keywords in arguments.items()
+                                  if keywords.get("required", not name.startswith("-"))
+                                  or draw(st.booleans())]))
+    forms = {True: ("split", "eq"), False: ("bare", "dashes")}
+    pieces = [[name, name, draw(st.sampled_from(forms[name.startswith("-")])),
+               draw(_good(arguments[name]))] for name in names]
+    faults = draw(st.lists(st.sampled_from(("stray", "trailing", "abbreviate", "repeat", "drop",
+                                            "bad", "alone")), max_size=2))
+    for fault in faults:
+        if fault in ("stray", "trailing"):
+            at = len(pieces) if fault == "trailing" else draw(st.integers(0, len(pieces)))
+            pieces.insert(at, [None, None, "stray", draw(st.sampled_from(_STRAYS))])
+            continue
+        placed = [piece for piece in pieces if piece[0] is not None]
+        if not placed:
+            continue
+        piece = draw(st.sampled_from(placed))
+        name, flag, form, value = piece
+        option = name.startswith("-")
+        if fault == "abbreviate" and option:
+            piece[1] = name[:draw(st.integers(2, len(name) - 1))]
+        elif fault == "repeat":
+            pieces.insert(draw(st.integers(0, len(pieces))),
+                          [name, flag, draw(st.sampled_from(forms[option])),
+                           draw(_good(arguments[name]) | _bad(arguments[name]))])
+        elif fault == "drop":
+            pieces.remove(piece)
+        elif fault == "bad":
+            piece[3] = draw(_bad(arguments[name]))
+        elif fault == "alone" and option:
+            piece[2] = "alone"
+    argv = [token for _, flag, form, value in pieces for token in _tokens(flag, form, value)]
+    return command, argv, not faults
+
+
+_tree = functools.cache(cli.build_parser)
+
+
+@settings(database=None, derandomize=True, deadline=None, max_examples=1500)
+@given(_command_lines())
+@example((("family", "closure"), ["--op", "bad", "--family", "-"], False))
+@example((("search", "psi"), ["--word", "1:1", "--semigroup=bad"], False))
+@example((("schreier", "enum"), ["--n", "x", "--xi", "2", "--n", "3"], False))
+@example((("rat", "decode"), ["--word=--"], False))
+@example((("rat", "decode"), ["--word", "1:1", "--"], False))
+@example((("rat", "encode"), ["--", "-3/7"], True))
+def test_read_matches_the_whole_tree_parse(case):
+    # the reader either leaves argv to the tree or reads what the tree
+    # reads; a clean argv it always reads
+    command, argv, clean = case
+    got = cli._read(command, argv)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            want = vars(_tree().parse_args(cli._dash_values([*command, *argv])))
+    except SystemExit:
+        want = None
+    else:
+        for key in ("json", "command", "subcommand"):
+            del want[key]
+    if got is None:
+        assert not clean, (command, argv)
+    else:
+        assert vars(got) == want, (command, argv)
 
 
 def test_ordinal_fund_usage_names_lambda_first(monkeypatch):
@@ -802,11 +913,35 @@ def test_cli_import_loads_no_heavy_modules():
 
     src = Path(__file__).resolve().parent.parent / "src"
     probe = ("import sys, zwords.cli; "
-             "print(sorted({'dataclasses', 'inspect', 'json'} & set(sys.modules)))")
+             "print(sorted({'argparse', 'dataclasses', 'inspect', 'json'} & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-S", "-c", probe],
                          env=dict(os.environ, PYTHONPATH=str(src)),
                          capture_output=True, text=True, check=True).stdout
     assert out == "[]\n"
+
+
+def test_help_and_usage_errors_in_a_fresh_process():
+    # pytest imports argparse itself, so the lazy import is run where
+    # nothing else has loaded it
+    import os
+    import subprocess
+    import sys
+
+    src = Path(__file__).resolve().parent.parent / "src"
+
+    def cli_run(*argv):
+        done = subprocess.run([sys.executable, "-S", "-m", "zwords.cli", *argv],
+                              env=dict(os.environ, PYTHONPATH=str(src), COLUMNS="80"),
+                              capture_output=True, text=True)
+        return done.returncode, done.stdout, done.stderr
+
+    code, out, err = cli_run("-h")
+    assert (code, err) == (0, "") and out.startswith("usage: zwords [-h] [--json]")
+    assert cli_run("rat", "decode", "--wor", "1:1") == cli_run("rat", "decode", "--word", "1:1") \
+        == (0, "1\n", "")
+    code, out, err = cli_run("rat", "decode", "--word", "1:1", "extra")
+    assert (code, out) == (2, "") and err.startswith("usage: zwords [-h] [--json]")
+    assert err.endswith("\nzwords: error: unrecognized arguments: extra\n")
 
 
 def test_zw_caps_env(capsys, monkeypatch):

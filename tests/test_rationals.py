@@ -471,6 +471,19 @@ def test_encode_matches_reference_on_small_denominators():
                     assert encode(Fraction(num, den)).entries == expected, (num, den)
 
 
+def test_encode_matches_reference_at_prime_denominators():
+    # primes near 1,000 (about 1,000 fractional digits, where the sign
+    # constant's carry runs far) and the largest accepted prime, 9,973
+    rng = random.Random(1093)
+    for den in (997, 1009, 1013, 1093):
+        for num in (1, den - 1, -1, 1 - den, *(rng.randint(-6 * den, 6 * den) for _ in range(6))):
+            q = Fraction(num, den)
+            if q:
+                assert encode(q) == reference_encode(q), q
+    for q in (Fraction(5, 9973), Fraction(-4 * 9973 - 1, 9973), Fraction(1, 9967)):
+        assert encode(q) == reference_encode(q), q
+
+
 def test_codec_matches_reference_on_brute_words_and_inv_e():
     for entries, value in brute_digit_words(4):
         if entries:
