@@ -15,16 +15,26 @@ parser tree built from the same table, on first use.
 from __future__ import annotations
 
 import os
-import re
 import sys
 from types import SimpleNamespace
 
-from . import families, rationals, schreier, search, words
+# a command imports the upper layers it reads when it runs, so an ordinal
+# or schreier command never loads words, families, rationals or search
+from . import schreier
 from .ordinals import classify, compare, format_ordinal, parse_ordinal
 from .ordinals import fundamental_sequence, predecessor_sequence
 
-# every domain error of the modules subclasses ValueError
-DOMAIN_ERRORS = (ValueError, OSError, search.SearchCapExceeded)
+# every domain error of the modules subclasses ValueError, but for the
+# search cap's refusal, which `_refusals` adds once search is loaded
+DOMAIN_ERRORS = (ValueError, OSError)
+
+
+def _refusals() -> tuple:
+    """The errors a command answers with one `error:` line: DOMAIN_ERRORS,
+    and SearchCapExceeded when search is loaded, since only search raises
+    it.  Any other RuntimeError, RecursionError among them, propagates."""
+    search = sys.modules.get(__package__ + ".search")
+    return DOMAIN_ERRORS if search is None else (*DOMAIN_ERRORS, search.SearchCapExceeded)
 
 
 def _caps(default: int | None = None) -> int | None:
@@ -74,7 +84,9 @@ def _emit(args, answer: tuple) -> None:
         print(note, file=sys.stderr)
 
 
-def _profile(args) -> words.DominationProfile:
+def _profile(args):
+    from . import words
+
     return words.parse_profile(args.profile or "abs")
 
 
@@ -82,6 +94,8 @@ def _profile(args) -> words.DominationProfile:
 
 
 def _cmd_word_check(args) -> tuple:
+    from . import words
+
     w = words.parse_word(args.word, _profile(args))
     cls = "variable" if w.is_variable_word else "constant"
     core = "true" if w.is_core else "false"
@@ -90,18 +104,25 @@ def _cmd_word_check(args) -> tuple:
 
 
 def _cmd_word_pair(args) -> tuple:
-    """concat or merge, whichever the subcommand binds as `combine`."""
+    """concat or merge, whichever the subcommand names as `combine`."""
+    from . import words
+
     p = _profile(args)
-    return "word", words.format_word(args.combine(words.parse_word(args.a, p),
-                                                  words.parse_word(args.b, p)))
+    combine = getattr(words, args.combine)
+    return "word", words.format_word(combine(words.parse_word(args.a, p),
+                                             words.parse_word(args.b, p)))
 
 
 def _cmd_word_subst(args) -> tuple:
+    from . import words
+
     w = words.parse_word(args.word, _profile(args))
     return "word", words.format_word(words.substitute(w, args.p, args.q))
 
 
 def _cmd_word_ev(args) -> tuple:
+    from . import families, words
+
     p = _profile(args)
     bw = families.parse_tuple(args.tuple, p)
     indices = [int(x) for x in args.indices.split(",")] if args.indices else None
@@ -161,6 +182,8 @@ def _cmd_ordinal_classify(args) -> tuple:
 
 
 def _load_family(args):
+    from . import families
+
     profile = _profile(args)
     fam = families.parse_family(_read_text(args.family), profile)
     pool = None
@@ -169,13 +192,15 @@ def _load_family(args):
     return fam, pool
 
 
-# the closure operations that need a pool, by --op, with the names their
-# refusals use
-_POOL_OPS = {"hereditary": (families.hereditary_closure, "hereditary closure"),
-             "largest": (families.largest_hereditary, "largest hereditary subfamily")}
+# the closure operations that need a pool, by --op: the families
+# function and the name its refusal uses
+_POOL_OPS = {"hereditary": ("hereditary_closure", "hereditary closure"),
+             "largest": ("largest_hereditary", "largest hereditary subfamily")}
 
 
 def _cmd_family_closure(args) -> tuple:
+    from . import families
+
     fam, pool = _load_family(args)
     if args.op == "tree":
         out = families.tree_closure(fam)
@@ -183,11 +208,13 @@ def _cmd_family_closure(args) -> tuple:
         op, name = _POOL_OPS[args.op]
         if pool is None:
             raise families.FamilyError("%s needs --pool" % name)
-        out = op(fam, pool)
+        out = getattr(families, op)(fam, pool)
     return "members", [families.serialize_tuple(bw) for bw in out.sorted_members()]
 
 
 def _cmd_family_cbindex(args) -> tuple:
+    from . import families
+
     if args.set_m is not None:
         return "index", families.set_family_cb_index(args.set_m, args.ground, args.tau)
     if not args.family or not args.pool:
@@ -200,19 +227,27 @@ def _cmd_family_cbindex(args) -> tuple:
 
 
 def _cmd_rat_encode(args) -> tuple:
+    from . import rationals, words
+
     return "word", words.format_word(rationals.encode(rationals.parse_rational(args.value)))
 
 
 def _cmd_rat_decode(args) -> tuple:
+    from . import rationals, words
+
     return "value", rationals.format_rational(rationals.decode(words.parse_word(args.word)))
 
 
 def _cmd_rat_precedes(args) -> tuple:
+    from . import rationals
+
     return "precedes", rationals.rational_precedes(rationals.parse_rational(args.a),
                                                    rationals.parse_rational(args.b))
 
 
 def _cmd_rat_qxi(args) -> tuple:
+    from . import rationals
+
     values = [rationals.parse_rational(v) for v in args.values.split(",")]
     return "member", rationals.q_xi_member(values, parse_ordinal(args.xi))
 
@@ -220,7 +255,9 @@ def _cmd_rat_qxi(args) -> tuple:
 # --- search -----------------------------------------------------------------
 
 
-def _coloring(args) -> search.Coloring:
+def _coloring(args):
+    from . import search
+
     if args.coloring:
         return search.Coloring.from_text(_read_text(args.coloring), args.r)
     if args.seed is None:
@@ -228,12 +265,16 @@ def _coloring(args) -> search.Coloring:
     return search.Coloring(arity=args.r, seed=args.seed)
 
 
-def _window(args) -> search.SearchWindow:
+def _window(args):
+    from . import search
+
     return search.SearchWindow(args.window, _profile(args),
                                max_candidates=_caps(search.MAX_CANDIDATES))
 
 
-def _report(rep: search.SearchReport) -> tuple:
+def _report(rep) -> tuple:
+    from . import words
+
     if rep.witness is None:
         fields = {"witness": None, "candidates": rep.candidates, "nodes": rep.nodes_expanded}
         lines = ["witness: none", "candidates: %d" % rep.candidates,
@@ -248,17 +289,23 @@ def _report(rep: search.SearchReport) -> tuple:
 
 
 def _cmd_search_hj(args) -> tuple:
+    from . import search
+
     bounds = [int(x) for x in args.bounds.split(",")]
     return _report(search.hj_witness_search(_coloring(args), len(bounds), bounds, args.n,
                                             _window(args)))
 
 
 def _cmd_search_xi(args) -> tuple:
+    from . import search
+
     return _report(search.xi_witness_search(_coloring(args), parse_ordinal(args.xi),
                                             args.l, args.n0, _window(args)))
 
 
 def _cmd_search_fs(args) -> tuple:
+    from . import search
+
     xs = [int(x) for x in args.xs.split(",")]
     if args.zs:
         values = search.fs_two_sided(xs, [int(x) for x in args.zs.split(",")], search.INT_LINEAR)
@@ -268,6 +315,8 @@ def _cmd_search_fs(args) -> tuple:
 
 
 def _cmd_search_psi(args) -> tuple:
+    from . import search, words
+
     spec = {"int-linear": search.INT_LINEAR, "strings": search.STRING_CONCAT}[args.semigroup]
     return "value", search.psi_map(words.parse_word(args.word, _profile(args)), spec)
 
@@ -287,11 +336,11 @@ _ABS = {"default": "abs"}
 COMMANDS = {
     ("word", "check"): (_cmd_word_check, {"--word": _REQUIRED, "--profile": _ABS}, {}),
     ("word", "concat"): (_cmd_word_pair, {"--a": _REQUIRED, "--b": _REQUIRED,
-                                          "--profile": _ABS}, {"combine": words.concat}),
+                                          "--profile": _ABS}, {"combine": "concat"}),
     ("word", "subst"): (_cmd_word_subst, {"--word": _REQUIRED, "--p": _INT, "--q": _INT,
                                           "--profile": _ABS}, {}),
     ("word", "merge"): (_cmd_word_pair, {"--a": _REQUIRED, "--b": _REQUIRED,
-                                         "--profile": _ABS}, {"combine": words.merge}),
+                                         "--profile": _ABS}, {"combine": "merge"}),
     ("word", "ev"): (_cmd_word_ev, {"--tuple": _REQUIRED, "--indices": _NONE,
                                     "--profile": _ABS}, {}),
     ("schreier", "member"): (_cmd_schreier_member, {"--xi": _REQUIRED, "--set": _REQUIRED}, {}),
@@ -331,6 +380,16 @@ def build_parser():
     """The whole argparse parser tree, built from COMMANDS."""
     import argparse  # only help and usage errors reach the tree
 
+    class Value(argparse.Action):
+        """Store an argument's one value.  argparse before Python 3.13
+        binds --flag=-- to an empty list, which no command reads, so that
+        is refused as the flag given without its value."""
+
+        def __call__(self, parser, namespace, values, option_string=None):
+            if isinstance(values, list):
+                raise argparse.ArgumentError(self, "expected one argument")
+            setattr(namespace, self.dest, values)
+
     top = argparse.ArgumentParser(prog="zwords", description=__doc__)
     top.add_argument("--json", action="store_true", help="emit JSON instead of plain text")
     sub = top.add_subparsers(dest="command", required=True)
@@ -341,14 +400,15 @@ def build_parser():
                                                                  required=True)
         leaf = groups[group].add_parser(name)
         for flag, keywords in arguments.items():
-            leaf.add_argument(flag, **keywords)
+            leaf.add_argument(flag, action=Value, **keywords)
         leaf.set_defaults(func=func, **defaults)
     return top
 
 
-# a value that starts like a negative number (-3/7, -1:v,1:v, -.5), which
-# argparse would read as an option
-_DASH_VALUE = re.compile(r"-[0-9.]")
+def _dash_value(token: str) -> bool:
+    """Whether token starts like a negative number (-3/7, -1:v,1:v, -.5),
+    which argparse would read as an option."""
+    return len(token) > 1 and token[0] == "-" and token[1] in "0123456789."
 
 
 def _dash_values(argv: list[str]) -> list[str]:
@@ -359,7 +419,7 @@ def _dash_values(argv: list[str]) -> list[str]:
     for i, arg in enumerate(argv):
         if arg == "--":
             return out + argv[i:]
-        if _DASH_VALUE.match(arg):
+        if _dash_value(arg):
             if out and out[-1].startswith("--") and "=" not in out[-1]:
                 out[-1] += "=" + arg
                 continue
@@ -371,7 +431,7 @@ def _dash_values(argv: list[str]) -> list[str]:
 def _plain(token: str) -> bool:
     """Whether argparse, after `_dash_values`, reads token as a value:
     it does not start with "-", is "-" alone, or is a dash value."""
-    return not token.startswith("-") or token == "-" or bool(_DASH_VALUE.match(token))
+    return not token.startswith("-") or token == "-" or _dash_value(token)
 
 
 def _read(command: tuple[str, str], argv: list[str]) -> SimpleNamespace | None:
@@ -390,7 +450,7 @@ def _read(command: tuple[str, str], argv: list[str]) -> SimpleNamespace | None:
     while i < len(argv):
         token = argv[i]
         i += 1
-        if token == "--" or _DASH_VALUE.match(token):
+        if token == "--" or _dash_value(token):
             # the rest is positional; a "--" with nothing after it is left
             # to the tree
             rest = argv[i:] if token == "--" else argv[i - 1:]
@@ -458,7 +518,7 @@ def _answer(args) -> int:
         # the answer is written inside the guard: text of an int past
         # Python's int-to-str limit is a ValueError
         _emit(args, args.func(args))
-    except DOMAIN_ERRORS as exc:
+    except _refusals() as exc:  # evaluated only when something is raised
         print("error: %s" % exc, file=sys.stderr)
         return 1
     return 0

@@ -72,11 +72,11 @@ from .schreier import is_member
 from .words import (
     ABS,
     EMPTY_TUPLE,
-    VARIABLE,
     DominationProfile,
     LocatedWord,
     OrderlyTuple,
     WordError,
+    _core_class,
     _joins,
     _reads_slots,
     _slot_entries,
@@ -233,10 +233,8 @@ def _compile(pool: frozenset[LocatedWord]) -> _Pool:
 
 
 def _is_core_variable(w: LocatedWord) -> bool:
-    """Whether w is a core variable word, the variable on both sides, in
-    one pass over its entries, which ascend."""
-    variables = [pos for pos, letter in w.entries if letter == VARIABLE]
-    return bool(variables) and variables[0] < 0 < variables[-1]
+    """Whether w is a core variable word, the variable on both sides."""
+    return _core_class(w) == "variable"
 
 
 def _pool_keys(family: WordFamily,

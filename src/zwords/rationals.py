@@ -10,16 +10,20 @@ Every nonzero rational has exactly one such digit expansion with
 0 <= q_{-s} <= s and 0 <= q_r <= r, which makes the evaluation map a
 bijection onto the nonzero rationals.
 
-Both directions are exact mixed-radix conversions, done by divide and
-conquer.  Multiplied by (top+1)!, the fractional digits are the digits of
-an integer in which position s has radix s+1, s = top the least
-significant; the integer digits are factorial-base digits, position r
-with radix r+1 and weight r!.  `_mixed_value` and `_mixed_digits` split a
-run of positions at its middle and join or separate the halves with one
-multiply or one divmod by the falling factorial of the less significant
-half's radices, so one big-integer step spans half the number instead of
-one digit.  The alternating signs are folded into a constant: a digit d
-at a negative position of radix s+1 is the plain digit s - d less s.
+Both directions are exact mixed-radix conversions.  Multiplied by
+(top+1)!, the fractional digits are the digits of an integer in which
+position s has radix s+1, s = top the least significant; the integer
+digits are factorial-base digits, position r with radix r+1 and weight
+r!.  `_mixed_value` and `_mixed_digits` convert by divide and conquer:
+they split a run of positions at its middle and join or separate the
+halves with one multiply or one divmod by the falling factorial of the
+less significant half's radices, so one big-integer step spans half the
+number instead of one digit.  `evaluate` joins both parts that way and
+`integer_alt_factorial` splits the integer part that way, while `encode`
+reads the fractional digits off the fraction part one at a time, on
+integers the size of the denominator.  The alternating signs are folded into a
+constant: a digit d at a negative position of radix s+1 is the plain
+digit s - d less s.
 """
 
 from __future__ import annotations
@@ -243,10 +247,12 @@ def encode(q: Fraction | int) -> LocatedWord:
     The digits are those of m = q * (top+1)!, where top + 1 is
     max(S(den), 2): q_{-s} carries the sign (-1)^s, so m plus the sum of
     s * (top+1)!/(s+1)! over odd s has plain digits q_{-s} at even s and
-    s - q_{-s} at odd s.  That sum is added to the plain digits of m in
-    one carry pass from s = top down to 1, which writes the entries as it
-    goes, and the integer part is what is left above s = 1 plus the last
-    carry."""
+    s - q_{-s} at odd s.  The plain digits of m below s = 1 are those of
+    the fraction part r/den of q, one per step of a schoolbook loop on
+    integers below (top+1) * den: r times s+1, divided by den, gives the
+    digit at s and the next r.  The sum is added to them in one carry
+    pass from s = top down to 1, which writes the entries as it goes, and
+    the integer part is the floor of q plus the last carry."""
     q = Fraction(q)
     if q == 0:
         raise RationalCodecError("0 is outside the codec range")
@@ -255,9 +261,10 @@ def encode(q: Fraction | int) -> LocatedWord:
     if s_den is None:
         raise _too_large(den)
     top = max(s_den, 2) - 1
-    m = q.numerator * (factorial(top + 1) // den)
+    whole, r = divmod(q.numerator, den)
     out = [0] * (top + 1)
-    whole = _mixed_digits(m, top, 1, out)
+    for s in range(1, top + 1):
+        out[s], r = divmod(r * (s + 1), den)
     # s is added at each odd s, and a digit plus s plus a carry is at most
     # 2s + 1, so the carry is 0 or 1; the entry at -s is the new digit
     # less s at odd s and minus the new digit at even s

@@ -31,9 +31,9 @@ members rather than the 2^(N - n) subsets of {n+1..N}.
 from __future__ import annotations
 
 import operator
+from collections.abc import Iterable, Iterator
 from functools import lru_cache
 from itertools import repeat, takewhile, zip_longest
-from typing import Iterable, Iterator
 
 from .ordinals import (
     ZERO,

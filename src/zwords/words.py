@@ -60,10 +60,11 @@ oracle.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Collection, Iterable, Iterator, Mapping, Sequence
 from itertools import combinations, islice, product
 from math import prod
 from operator import itemgetter, lt
-from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import NamedTuple
 
 from .ordinals import Frozen, FrozenInstanceError  # noqa: F401  (re-exported)
 
@@ -263,16 +264,26 @@ class LocatedWord(Frozen):
         """Membership in the two-sided core class: a variable word needs
         the variable on both sides, a constant word a nonempty domain on
         both sides."""
-        if self.is_variable_word:
-            return (any(l == VARIABLE for p, l in self.entries if p < 0)
-                    and any(l == VARIABLE for p, l in self.entries if p > 0))
-        return bool(self.dom_neg) and bool(self.dom_pos)
+        return _core_class(self) is not None
 
     def __str__(self) -> str:
         return format_word(self)
 
     def __repr__(self) -> str:
         return "LocatedWord(%r)" % format_word(self)
+
+
+def _core_class(w: LocatedWord) -> str | None:
+    """The class of a word of the two-sided core class, "variable" or
+    "constant", and None for any other word, in one pass over its
+    entries, which ascend: a variable word's first variable lies below 0
+    and its last above, a constant word's first position below 0 and its
+    last above."""
+    entries = w.entries
+    variables = [pos for pos, letter in entries if letter == VARIABLE]
+    if variables:
+        return "variable" if variables[0] < 0 < variables[-1] else None
+    return "constant" if entries and entries[0][0] < 0 < entries[-1][0] else None
 
 
 def make_word(entries: Mapping[int, int] | Iterable[tuple[int, int]],

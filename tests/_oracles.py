@@ -335,6 +335,17 @@ def reference_parse_word(text: str, profile=ABS) -> LocatedWord:
     return make_word(entries, profile)
 
 
+def reference_is_core(w: LocatedWord) -> bool:
+    """Core class membership read side by side, with no use of the order
+    of the entries: a word with a variable has one at a negative and one
+    at a positive position, a word without one has a negative and a
+    positive position."""
+    if any(letter == VARIABLE for _, letter in w.entries):
+        return (any(letter == VARIABLE for pos, letter in w.entries if pos < 0)
+                and any(letter == VARIABLE for pos, letter in w.entries if pos > 0))
+    return any(pos < 0 for pos, _ in w.entries) and any(pos > 0 for pos, _ in w.entries)
+
+
 def reference_main(argv) -> int:
     """cli.main parsing every argv with the whole parser tree, built
     afresh, then answering through the same guard and writer."""

@@ -512,6 +512,10 @@ MALFORMED_ARGV = [
     ("schreier", "enum", "--xi", "2", "--n", "x"),
     ("search", "psi", "--word", "1:1", "--semigroup", "bad"),
     ("family", "closure", "--op", "bad", "--family", "-"),
+    # argparse before Python 3.13 binds --flag=-- to [], refused as the
+    # flag without its value
+    ("rat", "decode", "--word=--"), ("word", "check", "--word=--"),
+    ("schreier", "member", "--xi=--", "--set", "1"),
 ]
 
 
@@ -762,6 +766,33 @@ def test_search_past_a_huge_profile_bound_is_refused(capsys, monkeypatch):
         == (1, "", "error: side substitution texts exceed cap after 11 texts\n")
 
 
+def test_runtime_errors_other_than_the_search_cap_propagate(capsys, monkeypatch):
+    # the search cap's refusal is one error: line; any other RuntimeError,
+    # RecursionError among them, is no refusal and is not swallowed
+    from zwords import search
+
+    for error in (search.SearchCapExceeded("witness candidates exceed cap after 9 tuples", 9),
+                  RecursionError("maximum recursion depth exceeded"), RuntimeError("boom")):
+        def fail(*args, error=error):
+            raise error
+
+        monkeypatch.setattr(cli.schreier, "is_member", fail)
+        argv = ("schreier", "member", "--xi", "w", "--set", "2,3")
+        if isinstance(error, search.SearchCapExceeded):
+            assert run(capsys, *argv) == (1, "", "error: %s\n" % error)
+        else:
+            with pytest.raises(type(error)):
+                main(list(argv))
+
+
+def test_dash_values_are_a_dash_and_a_digit_or_point():
+    import re
+
+    for token in ("", "-", "--", "-1", "-.5", "-3/7", "-1:v,1:v", "-x", "-h", "1", ".5",
+                  "-\u0663", "--1", "- 1", "-e1"):
+        assert cli._dash_value(token) == bool(re.match(r"-[0-9.]", token)), token
+
+
 def test_exit_codes(capsys):
     code, _, err = run(capsys, "rat", "encode", "0")
     assert code == 1 and "error:" in err
@@ -904,20 +935,117 @@ def test_search_rejects_empty_lengths(capsys):
     assert (code, out, err) == (1, "", "error: total length must be >= 1\n")
 
 
-def test_cli_import_loads_no_heavy_modules():
-    # every command is one process, so what `import zwords.cli` loads is
-    # paid on each; dataclasses brings inspect, and json only --json reads
+def _fresh(probe: str) -> str:
+    """The stdout of probe run in a fresh `python -S` process on this
+    checkout's package, where no site hook has loaded anything."""
     import os
     import subprocess
     import sys
 
     src = Path(__file__).resolve().parent.parent / "src"
-    probe = ("import sys, zwords.cli; "
-             "print(sorted({'argparse', 'dataclasses', 'inspect', 'json'} & set(sys.modules)))")
-    out = subprocess.run([sys.executable, "-S", "-c", probe],
-                         env=dict(os.environ, PYTHONPATH=str(src)),
-                         capture_output=True, text=True, check=True).stdout
-    assert out == "[]\n"
+    return subprocess.run([sys.executable, "-S", "-c", probe],
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, check=True).stdout
+
+
+# modules a process pays for only once a command reads them: the upper
+# layers, and what only they import
+_UPPER = ("zwords.words", "zwords.families", "zwords.rationals", "zwords.search",
+          "typing", "re", "fractions", "decimal", "heapq")
+
+
+def test_cli_import_loads_no_heavy_modules():
+    # every command is one process, so what `import zwords.cli` loads is
+    # paid on each; dataclasses brings inspect, json only --json reads, and
+    # the upper layers load in the commands that read them
+    probe = ("import sys, zwords.cli; print(sorted(set(%r) & set(sys.modules)))"
+             % (("argparse", "dataclasses", "inspect", "json") + _UPPER,))
+    assert _fresh(probe) == "[]\n"
+
+
+def test_package_import_loads_only_ordinals_and_schreier():
+    probe = "import sys, zwords; print(sorted(m for m in sys.modules if m.startswith('zwords')))"
+    assert _fresh(probe) == "['zwords', 'zwords.ordinals', 'zwords.schreier']\n"
+
+
+def test_schreier_and_ordinal_commands_load_no_upper_layer():
+    # every schreier and ordinal command and a domain error answer without
+    # the upper layers, typing or re; --json and a usage error load json or
+    # argparse, which bring re, but still no upper layer
+    plain = [["schreier", "member", "--xi", "w", "--set", "2,3"],
+             ["schreier", "enum", "--xi", "w", "--n", "4"],
+             ["schreier", "canon", "--xi", "w*2", "--set", "2,3,4,5,6"],
+             ["schreier", "check-restriction", "--xi", "w^2", "--n", "2", "--max", "6"],
+             ["ordinal", "cmp", "--a", "w^w", "--b", "w+1"],
+             ["ordinal", "fund", "--lambda", "w^w", "--n", "3"],
+             ["ordinal", "pred", "--xi", "w^2", "--n", "2"],
+             ["ordinal", "classify", "--xi", "w*2"],
+             ["schreier", "member", "--xi", "w^", "--set", "2"]]
+    other = [["--json", "schreier", "member", "--xi", "w", "--set", "2,3"],
+             ["ordinal", "cmp", "--a", "w", "--b", "1", "extra"]]
+    probe = ("import contextlib, io, sys\n"
+             "from zwords.cli import main\n"
+             "for argvs, upper in ((%r, %r), (%r, %r)):\n"
+             "    codes = []\n"
+             "    for argv in argvs:\n"
+             "        with contextlib.redirect_stdout(io.StringIO()), "
+             "contextlib.redirect_stderr(io.StringIO()):\n"
+             "            codes.append(main(argv))\n"
+             "    print(codes, sorted(set(upper) & set(sys.modules)))\n"
+             % (plain, _UPPER, other, _UPPER[:4]))
+    assert _fresh(probe) == "[0, 0, 0, 0, 0, 0, 0, 0, 1] []\n[0, 2] []\n"
+
+
+# the names `zwords` bound by importing every layer at package import
+PACKAGE_NAMES = {
+    "ordinals": ("OMEGA", "ONE", "ZERO", "Ordinal", "OrdinalError", "classify", "compare",
+                 "format_ordinal", "from_int", "fundamental_sequence", "omega_power",
+                 "parse_ordinal", "predecessor_sequence"),
+    "schreier": ("CanonicalDecomposition", "SchreierError", "canonical_decompose",
+                 "enumerate_members", "is_member", "is_proper_initial", "restriction_check"),
+    "words": ("ABS", "VARIABLE", "DominationProfile", "LocatedWord", "OrderlyTuple",
+              "WordError", "concat", "extracted_sets", "format_word", "h_map", "is_extraction",
+              "make_tuple", "make_word", "merge", "pair_enumeration", "parse_profile",
+              "parse_word", "project_positive", "rel_r1", "rel_r2", "substitute",
+              "substitute_nat"),
+    "families": ("FamilyError", "WordFamily", "cb_derivative", "cb_index", "family_at",
+                 "family_minus", "family_of", "hereditary_closure", "l_xi_member",
+                 "largest_hereditary", "serialize_tuple", "set_family_cb_index",
+                 "tree_closure"),
+    "rationals": ("RationalCodecError", "decode", "encode", "evaluate",
+                  "integer_alt_factorial", "q_xi_member", "rational_pattern",
+                  "rational_precedes"),
+    "search": ("Coloring", "INT_LINEAR", "SearchCapExceeded", "SearchError", "SearchReport",
+               "SearchWindow", "SemigroupSpec", "fs_enumerate", "fs_two_sided",
+               "hj_witness_search", "length_slice", "psi_map", "semigroup_pattern",
+               "verify_witness", "verify_xi_witness", "word_length", "xi_witness_search",
+               "z_fin_set_less"),
+}
+
+
+def test_every_package_name_resolves_lazily():
+    # in a fresh process, `from zwords import *` binds every layer and
+    # every name the package bound when it imported all layers, each the
+    # layer's own object, and `dir` lists them; an unknown name is an
+    # AttributeError
+    probe = ("import importlib, zwords\n"
+             "names = {}\n"
+             "exec('from zwords import *', names)\n"
+             "bad = []\n"
+             "for layer, public in %r.items():\n"
+             "    module = importlib.import_module('zwords.' + layer)\n"
+             "    if names.pop(layer) is not module or getattr(zwords, layer) is not module:\n"
+             "        bad.append(layer)\n"
+             "    bad += [name for name in public if names.pop(name) is not "
+             "getattr(module, name) or getattr(zwords, name) is not getattr(module, name)]\n"
+             "names.pop('__builtins__')\n"
+             "print(bad, sorted(names), set(dir(zwords)) >= set(zwords.__all__))\n"
+             "try:\n"
+             "    zwords.nonsense\n"
+             "except AttributeError as exc:\n"
+             "    print(exc)\n" % (PACKAGE_NAMES,))
+    assert _fresh(probe) == ("[] [] True\n"
+                             "module 'zwords' has no attribute 'nonsense'\n")
 
 
 def test_help_and_usage_errors_in_a_fresh_process():

@@ -88,6 +88,31 @@ def test_make_word_classification():
     assert not make_word({-1: VARIABLE, 1: 1}).is_core  # variable on one side only
 
 
+def test_core_class_matches_reference():
+    # one pass over the ascending entries answers as the two-sided reading
+    # does, on words of either class, every profile kind and both sides
+    from _oracles import reference_is_core
+    from zwords.families import _is_core_variable
+
+    rng = random.Random(41)
+    profiles = (ABS, CONST2, parse_profile("table:-2=1,-1=2,1=2,3=1"))
+    seen = set()
+    for i in range(3000):
+        profile = profiles[i % 3]
+        if profile.kind == "table":
+            entries = {p: rng.choice([VARIABLE, 1]) * (1 if p > 0 else -1)
+                       for p in rng.sample((-2, -1, 1, 3), rng.randint(1, 4))}
+            w = make_word(entries, profile)
+        else:
+            w = random_word(rng, profile=profile, force_variable=i % 4 == 0,
+                            constant=i % 4 == 1)
+        core = reference_is_core(w)
+        assert w.is_core == core, w
+        assert _is_core_variable(w) == (w.is_variable_word and core), w
+        seen.add((w.is_variable_word, core))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
 def test_make_word_errors():
     with pytest.raises(WordError):
         make_word({})
