@@ -62,10 +62,10 @@ open set; the 2,540 members of the four-word closure have 5 of them.
 
 from __future__ import annotations
 
+from collections.abc import Collection, Iterable, Iterator
 from functools import lru_cache
 from itertools import combinations
 from math import prod
-from typing import Collection, Iterable, Iterator, NamedTuple
 
 from .ordinals import Ordinal
 from .schreier import is_member
@@ -179,7 +179,7 @@ def tree_closure(family: WordFamily) -> WordFamily:
                                        for cut in range(1, len(bw) + 1)})
 
 
-class _Pool(NamedTuple):
+class _Pool:
     """A compiled pool: its words in order of span width, each word's
     index, each word's R1 successors as a list of indices, the indices of
     the words of each profile on each domain and with each entry tuple,
@@ -193,6 +193,8 @@ class _Pool(NamedTuple):
     in `extractions` the union of its subtuples' matches.  `closed` holds
     the keys of the last family that hereditary_closure built on the pool."""
 
+    __slots__ = ("words", "index", "succ", "by_dom", "by_entries", "allowed", "matches",
+                 "extractions", "closed")
     words: list[LocatedWord]
     index: dict[LocatedWord, int]
     succ: list[list[int]]
@@ -202,6 +204,12 @@ class _Pool(NamedTuple):
     matches: dict[tuple[tuple[int, int], ...], list[int]]
     extractions: dict[Key, frozenset[int]]
     closed: set[Key]
+
+    def __init__(self, words, index, succ, by_dom, by_entries, allowed, matches, extractions,
+                 closed) -> None:
+        self.words, self.index, self.succ = words, index, succ
+        self.by_dom, self.by_entries, self.allowed = by_dom, by_entries, allowed
+        self.matches, self.extractions, self.closed = matches, extractions, closed
 
 
 @lru_cache(maxsize=1)

@@ -9,8 +9,19 @@ position, serialization), so results are reproducible.
 
 What a search lays out before it colors anything, its shells' splits, its
 side pools and its xi block plans, is kept across searches in bounded
-caches, each sized to hold one search of radius 6 whole; the side texts
-and colors of a search are kept for the call only.
+caches, each sized to hold one search of radius 6 whole.  Above them, each
+shell a search reads is a visit kept across searches: its splits with
+their plans, its resumable merged candidate stream, and for each candidate
+visited so far its text, side choices, plans, side texts and the slice
+texts read so far.  So a sweep of colorings over one window lays the
+window out once, and a later search replays the kept candidates with
+color lookups alone.  The visits are bounded twice: the last VISITS (64)
+are kept, and one keeps at most VISIT_TEXTS (128) texts, side and slice
+texts and one per split its live stream merges, after which it keeps
+nothing more and searches stream on past it.  Colors depend on the
+coloring, so they are kept for the call only.  A visit is extended in
+place, so searches of one process run one at a time, not from several
+threads at once.
 """
 
 from __future__ import annotations
@@ -18,11 +29,11 @@ from __future__ import annotations
 import heapq
 import time
 from bisect import bisect_left
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import chain, combinations, islice, product
 from math import comb, prod
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .ordinals import Frozen, Ordinal
 from .schreier import is_member
@@ -49,14 +60,15 @@ from .words import (
     word_sort_key,
 )
 
-X = TypeVar("X")
-T = TypeVar("T")
 Entries = tuple[tuple[int, int], ...]
 Split = tuple[tuple[int, ...], ...]
 Plans = tuple[tuple[tuple[int, ...], ...], ...]
 
 # the default cap on the candidates a window lists or counts
 MAX_CANDIDATES = 200_000
+# the most shell visits kept across searches, and the most texts one keeps
+VISITS = 64
+VISIT_TEXTS = 128
 
 
 class SearchError(ValueError):
@@ -162,20 +174,39 @@ class Coloring:
     @classmethod
     def from_text(cls, text: str, arity: int | None = None) -> "Coloring":
         """Parse a coloring file: either a single `seed:<u64>:<r>` line or
-        tab-separated `serialized-word<TAB>color` lines."""
+        tab-separated `serialized-word<TAB>color` lines; a line of neither
+        form is refused by its number."""
         stripped = text.strip()
         if stripped.startswith("seed:"):
-            _, seed_text, arity_text = stripped.split(":")
-            return cls(arity=int(arity_text), seed=int(seed_text))
+            fields = stripped.split(":")
+            try:
+                if len(fields) == 3:
+                    return cls(arity=int(fields[2]), seed=int(fields[1]))
+            except ValueError:
+                pass
+            number = text[:len(text) - len(text.lstrip())].count("\n") + 1
+            raise _bad_line(number, stripped, "seed:<u64>:<r>")
         table = {}
-        for line in text.splitlines():
+        for number, line in enumerate(text.splitlines(), 1):
             if not line.strip() or line.startswith("#"):
                 continue
-            key, _, color = line.rpartition("\t")
-            table[key] = int(color)
+            key, tab, color = line.rpartition("\t")
+            try:
+                if tab:
+                    table[key] = int(color)
+                    continue
+            except ValueError:
+                pass
+            raise _bad_line(number, line, "text<TAB>colour")
         if arity is None:
             arity = max(table.values(), default=0) + 1
         return cls(arity=arity, table=table)
+
+
+def _bad_line(number: int, line: str, form: str) -> SearchError:
+    """The refusal of a coloring file's line, its first 40 characters shown."""
+    shown = line if len(line) <= 40 else line[:40] + "..."
+    return SearchError("bad coloring line %d %r: expected %s" % (number, shown, form))
 
 
 def word_length(w: LocatedWord) -> int:
@@ -354,15 +385,15 @@ def _split_pools(layers: Split,
 
 
 def _split_stream(pools: Sequence[Sequence[tuple[str, Entries]]],
-                  tag: T) -> Iterator[tuple[str, tuple, T]]:
+                  tag: object) -> Iterator[tuple[str, tuple, object]]:
     """One split's candidates as (serialization, side choices, tag), in
     serialization order; each is built when it is asked for."""
     for combo in product(*pools):
         yield "".join([key for key, _ in combo]), combo, tag
 
 
-def _shell_candidates(splits: Iterable[tuple[Split, T]],
-                      profile: DominationProfile) -> Iterator[tuple[str, tuple, T]]:
+def _shell_candidates(splits: Iterable[tuple[Split, object]],
+                      profile: DominationProfile) -> Iterator[tuple[str, tuple, object]]:
     """The candidates of some (split, tag) pairs of one shell, merged into
     serialization order."""
     return heapq.merge(*[_split_stream(_split_pools(layers, profile), tag)
@@ -512,21 +543,144 @@ class SearchReport:
         return self.witness is not None
 
 
-def _split_plans(layers: Split, xi: Ordinal | None, n0: int) -> Plans:
-    """A split's block plans: with no xi, the one plan of a single run of
-    every member; under xi, the plans _xi_plans gives for the members'
-    sizes and anchors (least positive positions), which the split fixes."""
+class _Kept:
+    """A candidate a shell visit keeps: its text, side choices, plans and
+    side texts, and the slice texts searches have read, `whole` once they
+    are all of them."""
+
+    __slots__ = ("text", "combo", "plans", "sides", "texts", "whole")
+
+    def __init__(self, text: str, combo: tuple, plans: Plans, sides: list[list[str]]) -> None:
+        self.text, self.combo, self.plans, self.sides = text, combo, plans, sides
+        self.texts: list[str] = []
+        self.whole = False
+
+
+class _Visit:
+    """All a search does in one shell but read colors: the shell's splits
+    and each one's block plans, the merged stream of the candidates of the
+    splits with plans, and the candidates visited so far (`kept`) with
+    their side texts, memoised per slot by side key in `memos`, and the
+    slice texts read so far.  `inner` is the count of the shell's total in
+    the window one shell smaller, once a witness asks for it.
+
+    `room` is what the visit may still keep, in texts: each side or slice
+    text kept counts one, and so does each split the stream merges, as the
+    stream holds a candidate of each.  A candidate is kept only if its new
+    side texts leave room, and a slice text only while room is left; once
+    a candidate is refused the visit is full: it drops its stream and
+    keeps nothing more.  `stream` is None once it is spent or dropped."""
+
+    __slots__ = ("splits", "plans", "stream", "full", "kept", "memos", "room", "inner")
+
+    def __init__(self, splits: tuple[Split, ...], plans: tuple[Plans, ...],
+                 profile: DominationProfile, width: int) -> None:
+        self.splits, self.plans = splits, plans
+        self.room = max(0, VISIT_TEXTS - sum(map(bool, plans)))
+        self.full = not self.room
+        self.stream = None if self.full else _shell_candidates(self.planned(), profile)
+        self.kept: list[_Kept] = []
+        self.memos: list[dict[str, list[str]]] = [{} for _ in range(width)]
+        self.inner: int | None = None
+
+    def planned(self) -> list[tuple[Split, Plans]]:
+        return [(layers, plans) for layers, plans in zip(self.splits, self.plans) if plans]
+
+
+@lru_cache(maxsize=VISITS)
+def _shell_visit(m: int, total: int, shell: int, profile: DominationProfile,
+                 slots: tuple[tuple[int, int], ...], xi: Ordinal | None, n0: int,
+                 cap: int) -> _Visit:
+    """The visit of one shell, keyed by all that a search reads there but
+    the coloring (the window's cap too, as side texts past it are
+    refused); searches extend it, and the last 64 are kept.  A split's
+    block plans: with no xi, the one plan of a single run of every member,
+    shared by all the splits; under xi, the plans _xi_plans gives for the
+    members' sizes and anchors (least positive positions), which the split
+    fixes."""
+    splits = _shell_splits(m, total, shell)
     if xi is None:
-        return ((tuple(range(len(layers))),),)
-    return _xi_plans(tuple(map(len, layers)),
-                     tuple([layer[bisect_left(layer, 0)] for layer in layers]), xi, n0)
+        plans = (((tuple(range(m)),),),) * len(splits)
+    else:
+        plans = tuple([_xi_plans(tuple(map(len, layers)),
+                                 tuple([layer[bisect_left(layer, 0)] for layer in layers]),
+                                 xi, n0) for layers in splits])
+    return _Visit(splits, plans, profile, len(slots))
+
+
+def _keep_sides(visit: _Visit, combo: Sequence[tuple[str, Entries]],
+                slots: Sequence[tuple[int, int]], window: SearchWindow) -> list[list[str]] | None:
+    """A candidate's side texts, the new ones built into the visit's memos;
+    None, with nothing built, if they would fill the visit's room."""
+    need = sum(_side_top(entries, top, window.profile)
+               for memo, (key, entries), (_, top) in zip(visit.memos, combo, slots)
+               if key not in memo)
+    if need >= visit.room:
+        return None
+    visit.room -= need
+    return _candidate_sides(combo, slots, visit.memos, window)
+
+
+def _kept_texts(visit: _Visit, kept: _Kept) -> Iterator[str]:
+    """A kept candidate's slice texts: those the visit keeps, then the
+    rest, each kept while the visit has room."""
+    texts = kept.texts
+    yield from texts
+    keeping = True
+    for text in islice(_slice_texts(kept.sides, kept.plans), len(texts), None):
+        if keeping and visit.room > 0:
+            visit.room -= 1
+            texts.append(text)
+        else:
+            keeping = False
+        yield text
+    kept.whole = keeping
+
+
+def _visit_candidates(visit: _Visit, slots: Sequence[tuple[int, int]],
+                      window: SearchWindow) -> Iterator[tuple]:
+    """A shell's candidates in serialization order, as (text, side choices,
+    plans, side texts, slice texts): the kept ones, then the stream's, each
+    kept while the visit has room.  Once the visit is full, the candidates
+    past the kept ones are built again and their side texts memoised for
+    the call only."""
+    kept = visit.kept
+    for c in kept:
+        yield c.text, c.combo, c.plans, c.sides, c.texts if c.whole else _kept_texts(visit, c)
+    if visit.full:
+        stream = islice(_shell_candidates(visit.planned(), window.profile), len(kept), None)
+    else:
+        stream = visit.stream
+        if stream is None:
+            return  # spent: every candidate is kept
+        for item in stream:
+            text, combo, plans = item
+            sides = None
+            try:
+                sides = _keep_sides(visit, combo, slots, window)
+            finally:
+                if sides is None:  # refused, or raised: the item has left the stream
+                    visit.stream, visit.full, visit.room = None, True, 0
+            if sides is None:
+                stream = chain((item,), stream)
+                break
+            c = _Kept(text, combo, plans, sides)
+            kept.append(c)
+            yield text, combo, plans, sides, _kept_texts(visit, c)
+        else:
+            visit.stream = None
+            return
+    memos = [dict(memo) for memo in visit.memos]
+    for text, combo, plans in stream:
+        sides = _candidate_sides(combo, slots, memos, window)
+        yield text, combo, plans, sides, _slice_texts(sides, plans)
 
 
 def _first_one_color(coloring: Coloring, m: int, totals: range, counts: Sequence[int],
                      window: SearchWindow, slots: Sequence[tuple[int, int]],
                      xi: Ordinal | None, n0: int) -> tuple:
     """The first candidate over the totals, in canonical order, whose slice
-    texts under its block plans (_split_plans) share one color, as (nodes,
+    texts under its block plans (_shell_visit) share one color, as (nodes,
     witness, color, sides, plans); with none, (candidates, None, None, [],
     ()).
 
@@ -535,29 +689,37 @@ def _first_one_color(coloring: Coloring, m: int, totals: range, counts: Sequence
     is the witness's place in the canonical order, read from the counts:
     the earlier totals', this total's in the window one shell smaller, the
     candidates visited in this shell and the witness's rank in each split
-    of it without plans.  Splits, pools and plans come from the module
-    caches; the side texts and the colors depend on the profile's bounds
-    and on the coloring, and grow with them, so they are kept for the call
-    only."""
-    profile = window.profile
-    memos: list[dict[str, list[str]]] = [{} for _ in slots]
+    of it without plans.
+
+    All but the colors is the shell's visit (_shell_visit), kept across
+    searches: its splits and plans, its resumable candidate stream, and
+    each visited candidate's text, side choices, plans, side texts and the
+    slice texts read so far.  A search replays the kept candidates, so
+    under another coloring it only looks colors up, and it extends the
+    visit past them.  The last VISITS visits are kept, and each keeps at
+    most VISIT_TEXTS texts, so a profile with large bounds or an
+    exhaustive search of a wide window keeps no more; past that, the
+    search streams on with its side texts kept for the call.  The colors
+    depend on the coloring, so they stay in a dict local to the call, and
+    table colorings and Coloring subclasses read the same texts."""
+    profile, cap = window.profile, window.max_candidates
+    slots = tuple(slots)
     colors: dict[str, int] = {}
     for t, total in enumerate(totals):
         if not counts[t]:
             continue  # no split to visit, however large the total
         for shell in range(1, window.radius + 1):
-            splits = [(layers, _split_plans(layers, xi, n0))
-                      for layers in _shell_splits(m, total, shell)]
-            kept = [(layers, plans) for layers, plans in splits if plans]
-            for visited, (text, combo, plans) in enumerate(_shell_candidates(kept, profile), 1):
-                sides = _candidate_sides(combo, slots, memos, window)
-                color = _one_color(coloring, _slice_texts(sides, plans), colors)
+            visit = _shell_visit(m, total, shell, profile, slots, xi, n0, cap)
+            for visited, (text, combo, plans, sides, texts) in enumerate(
+                    _visit_candidates(visit, slots, window), 1):
+                color = _one_color(coloring, texts, colors)
                 if color is not None:
-                    inner = sum(_candidate_counts(m, range(total, total + 1), SearchWindow(
-                        shell - 1, profile, window.max_candidates))) if shell > 1 else 0
-                    nodes = sum(counts[:t]) + inner + visited + sum(
+                    if visit.inner is None:
+                        visit.inner = 0 if shell == 1 else sum(_candidate_counts(
+                            m, range(total, total + 1), SearchWindow(shell - 1, profile, cap)))
+                    nodes = sum(counts[:t]) + visit.inner + visited + sum(
                         _rank(text, _split_pools(layers, profile))
-                        for layers, own in splits if not own)
+                        for layers, own in zip(visit.splits, visit.plans) if not own)
                     return nodes, _words(combo, profile), color, sides, plans
     return sum(counts), None, None, [], ()
 
@@ -741,7 +903,7 @@ class SemigroupSpec:
 
     __hash__ = None  # type: ignore[assignment]
 
-    def __init__(self, op: Callable[[X, X], X], y: Callable[[int, int], X],
+    def __init__(self, op: Callable[[object, object], object], y: Callable[[int, int], object],
                  commutative: bool = False) -> None:
         self.op, self.y, self.commutative = op, y, commutative
 
@@ -753,7 +915,7 @@ class SemigroupSpec:
     def __repr__(self) -> str:
         return "SemigroupSpec(op=%r, y=%r, commutative=%r)" % (self.op, self.y, self.commutative)
 
-    def fold(self, elements: Sequence[X]) -> X:
+    def fold(self, elements: Sequence[object]) -> object:
         if not elements:
             raise SearchError("empty semigroup product")
         acc = elements[0]
@@ -761,7 +923,7 @@ class SemigroupSpec:
             acc = self.op(acc, e)
         return acc
 
-    def spot_check(self, sample: Sequence[X], rng, rounds: int = 200) -> None:
+    def spot_check(self, sample: Sequence[object], rng, rounds: int = 200) -> None:
         """Sampled associativity (and commutativity, if flagged)."""
         if len(sample) < 2:
             return
@@ -784,23 +946,23 @@ def psi_map(w: LocatedWord, spec: SemigroupSpec):
     return spec.fold([spec.y(letter, pos) for pos, letter in w.entries])
 
 
-def fs_enumerate(xs: Sequence[X], spec: SemigroupSpec) -> set[X]:
+def fs_enumerate(xs: Sequence[object], spec: SemigroupSpec) -> set[object]:
     """All finite sums of subsequences, indices ascending.  The sums whose
     largest index is k are x_k and s + x_k for every earlier sum s."""
-    out: set[X] = set()
+    out: set[object] = set()
     for x in xs:
         out |= {spec.op(s, x) for s in out}
         out.add(x)
     return out
 
 
-def fs_two_sided(xs: Sequence[X], zs: Sequence[X], spec: SemigroupSpec) -> set[X]:
+def fs_two_sided(xs: Sequence[object], zs: Sequence[object], spec: SemigroupSpec) -> set[object]:
     """All sums x_{n_l} + ... + x_{n_1} + z_{n_1} + ... + z_{n_l}.  The
     sums whose largest index is k are x_k + z_k and x_k + s + z_k for
     every earlier sum s."""
     if len(xs) != len(zs):
         raise SearchError("sequences must have equal length")
-    out: set[X] = set()
+    out: set[object] = set()
     for x, z in zip(xs, zs):
         out |= {spec.op(spec.op(x, s), z) for s in out}
         out.add(spec.op(x, z))

@@ -60,11 +60,11 @@ oracle.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import namedtuple
 from collections.abc import Collection, Iterable, Iterator, Mapping, Sequence
 from itertools import combinations, islice, product
 from math import prod
 from operator import itemgetter, lt
-from typing import NamedTuple
 
 from .ordinals import Frozen, FrozenInstanceError  # noqa: F401  (re-exported)
 
@@ -479,9 +479,8 @@ def make_tuple(ws: Iterable[LocatedWord]) -> OrderlyTuple:
 EMPTY_TUPLE = OrderlyTuple(())
 
 
-class ExtractedSets(NamedTuple):
-    constants: frozenset[LocatedWord]
-    variables: frozenset[LocatedWord]
+# the constant and the variable star products of extracted_sets
+ExtractedSets = namedtuple("ExtractedSets", ["constants", "variables"])
 
 
 def _grid_tops(profile: DominationProfile, index: int) -> tuple[int, int]:

@@ -620,6 +620,21 @@ def reference_xi_search(coloring, xi, l, n0, window, memo):
     return None, None, 0, len(candidates), len(candidates), False
 
 
+def reference_hj_search(coloring, m, bounds, n, window):
+    """The hj search by definition: the first candidate of
+    witness_candidates whose whole-grid instances, coloured by
+    reference_verify_witness, take one colour.  Returns the SearchReport
+    fields (witness, color, grid_size, nodes_expanded, candidates,
+    vacuous)."""
+    candidates = witness_candidates(m, n, window)
+    grid_size = prod(len(_grid(window.profile, index)) for index in bounds)
+    for i, ws in enumerate(candidates, 1):
+        rep = reference_verify_witness(ws, coloring, bounds)
+        if rep.monochromatic:
+            return ws, rep.color, grid_size, i, len(candidates), False
+    return None, None, grid_size, len(candidates), len(candidates), False
+
+
 def reference_verify_witness(witness, coloring, bounds):
     """verify_witness by definition: every pair of the whole grids under
     the first member's profile is substituted, the images joined and the

@@ -319,7 +319,9 @@ def test_output_bytes_and_one_write_per_command(monkeypatch):
 # --json stdout, stderr with the time_ms value masked).  A refusal writes the
 # same stderr and no stdout in both modes.  "-" reads the family
 # -1:v,1:v;-3:v,3:v from stdin, and {tmp} is a folder holding it as
-# family.txt and its two words as pool.txt.
+# family.txt, its two words as pool.txt, and two malformed coloring files,
+# a seed line with a field too many as seed.txt and a table line with no
+# tab as table.txt.
 CLI_PINS = {
     ("word", "check"): [
         (("--word", "-1:v,1:v"), 0, "class=variable core=true length=2\n",
@@ -420,7 +422,11 @@ CLI_PINS = {
          "witness: none\ncandidates: 0\nnodes: 0\n",
          '{"candidates": 0, "nodes": 0, "witness": null}\n', "time_ms: *\n"),
         (("--r", "2", "--seed", "1", "--bounds", "2", "--n", "0", "--window", "3"), 1, "", "",
-         "error: total length must be >= 1\n")],
+         "error: total length must be >= 1\n"),
+        (("--r", "2", "--coloring", "{tmp}/seed.txt", "--bounds", "1", "--n", "2", "--window", "2"),
+         1, "", "", "error: bad coloring line 1 'seed:1:2:3': expected seed:<u64>:<r>\n"),
+        (("--r", "2", "--coloring", "{tmp}/table.txt", "--bounds", "1", "--n", "2", "--window",
+          "2"), 1, "", "", "error: bad coloring line 1 'foo': expected text<TAB>colour\n")],
     ("search", "xi"): [
         (("--r", "2", "--seed", "7", "--xi", "w", "--l", "2", "--n0", "4", "--window", "3"), 0,
          "witness: -1:v,2:v;-3:v,3:v\ncolor: 1\ngrid: 4\nnodes: 6\n",
@@ -458,6 +464,8 @@ def test_every_subcommand_pinned_in_text_and_json(tmp_path, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage lines to the terminal
     (tmp_path / "family.txt").write_text("-1:v,1:v;-3:v,3:v\n")
     (tmp_path / "pool.txt").write_text("-1:v,1:v\n-3:v,3:v\n")
+    (tmp_path / "seed.txt").write_text("seed:1:2:3\n")
+    (tmp_path / "table.txt").write_text("foo\n")
     for command, cases in CLI_PINS.items():
         assert {case[1] for case in cases} >= {0, 1}, command
         for argv, code, text, as_json, err in cases:
@@ -474,10 +482,12 @@ def test_every_subcommand_pinned_in_text_and_json(tmp_path, monkeypatch):
 
 
 def _pinned_argvs(tmp_path):
-    """Every CLI_PINS argv by its command, with {tmp} holding the family
-    and pool files."""
+    """Every CLI_PINS argv by its command, with {tmp} holding the family,
+    pool and malformed coloring files."""
     (tmp_path / "family.txt").write_text("-1:v,1:v;-3:v,3:v\n")
     (tmp_path / "pool.txt").write_text("-1:v,1:v\n-3:v,3:v\n")
+    (tmp_path / "seed.txt").write_text("seed:1:2:3\n")
+    (tmp_path / "table.txt").write_text("foo\n")
     return {command: [command + tuple(a.replace("{tmp}", str(tmp_path)) for a in case[0])
                       for case in cases] for command, cases in CLI_PINS.items()}
 
@@ -682,6 +692,24 @@ def test_unreadable_input_file_is_a_domain_error(tmp_path, capsys):
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == ""
         assert err.startswith("error: [Errno ") and err.count("\n") == 1
+
+
+def test_malformed_coloring_files_are_one_error_line(tmp_path, capsys):
+    # a coloring file is one seed:<u64>:<r> line or text<TAB>colour lines;
+    # a line of neither form is named by its number in one error: line,
+    # its first 40 characters shown, exit code 1 (CLI_PINS holds a seed
+    # line with a field too many and a table line with no tab)
+    cases = [("\n\nseed:x:2\n", "line 3 'seed:x:2': expected seed:<u64>:<r>"),
+             ("seed:5\n", "line 1 'seed:5': expected seed:<u64>:<r>"),
+             ("# table\n-1:v,1:v\t1\n-1:1,1:1\tx\n",
+              "line 3 '-1:1,1:1\\tx': expected text<TAB>colour"),
+             ("%s\n" % ("9" * 60), "line 1 '%s...': expected text<TAB>colour" % ("9" * 40))]
+    coloring = tmp_path / "coloring.txt"
+    for text, message in cases:
+        coloring.write_text(text)
+        code, out, err = run(capsys, "search", "hj", "--r", "2", "--coloring", str(coloring),
+                             "--bounds", "1", "--n", "2", "--window", "2")
+        assert (code, out, err) == (1, "", "error: bad coloring %s\n" % message), text
 
 
 def test_search_with_coloring_file(tmp_path, capsys):
@@ -994,6 +1022,24 @@ def test_schreier_and_ordinal_commands_load_no_upper_layer():
              "    print(codes, sorted(set(upper) & set(sys.modules)))\n"
              % (plain, _UPPER, other, _UPPER[:4]))
     assert _fresh(probe) == "[0, 0, 0, 0, 0, 0, 0, 0, 1] []\n[0, 2] []\n"
+
+
+def test_word_family_and_search_commands_load_neither_typing_nor_re():
+    # words, families and search import from collections, not typing, and
+    # nothing they load brings re, so these commands pay for neither
+    commands = [["word", "check", "--word", "-1:v,1:v"],
+                ["family", "cbindex", "--set-m", "2", "--tau", "1"],
+                ["search", "fs", "--xs", "1,2"],
+                ["search", "hj", "--r", "2", "--seed", "1", "--bounds", "1", "--n", "2",
+                 "--window", "2"]]
+    probe = ("import contextlib, io, sys\n"
+             "from zwords.cli import main\n"
+             "for argv in %r:\n"
+             "    with contextlib.redirect_stdout(io.StringIO()):\n"
+             "        code = main(argv)\n"
+             "    print(argv[:2], code, sorted({'typing', 're'} & set(sys.modules)))\n"
+             % (commands,))
+    assert _fresh(probe) == "".join("%r 0 []\n" % (argv[:2],) for argv in commands)
 
 
 # the names `zwords` bound by importing every layer at package import

@@ -73,6 +73,7 @@ from _oracles import (
     reference_extracted,
     reference_fs_enumerate,
     reference_fs_two_sided,
+    reference_hj_search,
     reference_images,
     reference_verify_witness,
     reference_xi_search,
@@ -750,7 +751,8 @@ def test_a_planless_xi_search_builds_no_word(monkeypatch):
 
 def test_an_early_hj_search_builds_only_what_it_visits(monkeypatch):
     # the split streams are merged, so a search stops after building its
-    # visited candidates and at most one more per split of its last shell
+    # visited candidates and at most one more per split of its last shell;
+    # each search starts from cold caches, as a kept visit builds nothing
     split_stream = search._split_stream
     built = []
 
@@ -763,6 +765,7 @@ def test_an_early_hj_search_builds_only_what_it_visits(monkeypatch):
     found = 0
     for m, bounds, n in ((1, [2], 3), (2, [1, 2], 4), (2, [1, 2], 5)):
         for seed in range(10):
+            clear_search_caches()
             built.clear()
             rep = hj_witness_search(Coloring(arity=2, seed=seed), m, bounds, n, SearchWindow(4))
             if rep.found:
@@ -816,7 +819,8 @@ def test_a_witness_in_an_outer_shell_under_a_raised_cap():
     assert max(max(-w.dom[0], w.dom[-1]) for w in rep.witness) == 5
 
 
-SEARCH_CACHES = (search._shell_splits, search._side_pool, search._xi_plans, search._side_counts)
+SEARCH_CACHES = (search._shell_splits, search._side_pool, search._xi_plans, search._side_counts,
+                 search._shell_visit)
 
 
 def clear_search_caches():
@@ -871,16 +875,20 @@ def test_report_sweep_digest():
 
 def test_warm_caches_change_no_report():
     # the sweep from cold caches, then again warm and in reverse, so its
-    # last searches find their splits, pools and plans kept: a kept result
-    # that a caller changed, or a key that misses a parameter (the profile
-    # of a pool, the xi or total of a plan), changes a report
+    # last searches find their visits, splits, pools and plans kept: a kept
+    # result that a caller changed, or a key that misses a parameter (the
+    # profile of a pool, the xi or total of a plan, the grid tops of a
+    # visit), changes a report.  Splits are read only when a visit is
+    # built, so the visits the warm sweep finds kept take hits from them
     clear_search_caches()
     assert sweep_digest() == SWEEP_DIGEST
     cold = [cache.cache_info() for cache in SEARCH_CACHES]
     assert sweep_digest(reverse=True) == SWEEP_DIGEST
-    for before, after in zip(cold, (cache.cache_info() for cache in SEARCH_CACHES)):
+    for cache, before in zip(SEARCH_CACHES, cold):
+        after = cache.cache_info()
         assert after.misses - before.misses < before.misses
-        assert after.hits - before.hits > before.hits
+        if cache is not search._shell_splits:
+            assert after.hits - before.hits > before.hits
 
 
 def test_search_caches_stay_within_their_sizes():
@@ -935,6 +943,147 @@ def test_retained_search_state_stays_flat():
     assert peak - full > 2 * 32 * 1024, (peak, full)
     info = search._side_pool.cache_info()
     assert info.misses > 2 * info.maxsize
+
+
+class Recolored(Coloring):
+    """Colours a key one past its seeded colour: another colouring that
+    reads the same texts, in the same order, as the seeded one."""
+
+    def color_key(self, key):
+        return (super().color_key(key) + 1) % self.arity
+
+
+class Logged(Coloring):
+    """Colours as its seed does and keeps the colour of each key read."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.seen = {}
+
+    def color_key(self, key):
+        color = self.seen[key] = super().color_key(key)
+        return color
+
+
+def report_fields(rep):
+    return rep.witness, rep.color, rep.grid_size, rep.nodes_expanded, rep.candidates, rep.vacuous
+
+
+def test_colour_sweeps_on_kept_visits_match_cold_searches():
+    # 50 colourings swept over shared windows, hj and xi searches taking
+    # turns, so each search replays and extends visits that other
+    # colourings left: seeded ones, seeded ones recoloured, tables over a
+    # seed and whole tables.  Every warm report is the report after every
+    # search cache is cleared, and on the radius-3 windows the report of
+    # the search by definition
+    specs = [("hj", 1, (2,), 3), ("hj", 2, (1, 2), 4), ("xi", "w", 2, 4), ("xi", "1", 1, 2)]
+
+    def run(spec, coloring, window):
+        if spec[0] == "hj":
+            return hj_witness_search(coloring, spec[1], spec[2], spec[3], window)
+        return xi_witness_search(coloring, parse_ordinal(spec[1]), spec[2], spec[3], window)
+
+    def by_definition(spec, coloring, window, memo):
+        if spec[0] == "hj":
+            return reference_hj_search(coloring, *spec[1:], window)
+        return reference_xi_search(coloring, parse_ordinal(spec[1]), spec[2], spec[3], window,
+                                   memo)
+
+    compared = found = 0
+    for text, radius in (("abs", 3), ("abs", 4), ("const:2", 3)):
+        window = SearchWindow(radius, parse_profile(text))
+        memo = {}
+        colorings = {spec: [Coloring(arity=2, seed=seed) for seed in range(20)]
+                     + [Coloring(arity=3, seed=seed) for seed in range(10)]
+                     + [Recolored(arity=2, seed=seed) for seed in range(10)]
+                     + [Recolored(arity=3, seed=seed) for seed in range(5)] for spec in specs}
+        for spec, sweep in colorings.items():
+            for seed in (100, 101):
+                # a whole table holds every key the searches read under it
+                logged = Logged(arity=2, seed=seed)
+                run(spec, logged, window)
+                if radius == 3:
+                    by_definition(spec, logged, window, memo)
+                keys = list(logged.seen)
+                sweep += [Coloring(arity=2, table=logged.seen),
+                          Coloring(arity=2, table=dict.fromkeys(keys[:6], 0), seed=seed + 1)]
+            sweep.append(Coloring(arity=3, table=dict.fromkeys(keys[::2], 1), seed=7))
+            assert len(sweep) == 50
+        clear_search_caches()
+        warm = {spec: [] for spec in specs}
+        for i in range(50):
+            for spec in specs:
+                warm[spec].append(report_fields(run(spec, colorings[spec][i], window)))
+        assert search._shell_visit.cache_info().hits > 0
+        for spec in specs:
+            for coloring, got in zip(colorings[spec], warm[spec]):
+                clear_search_caches()
+                assert got == report_fields(run(spec, coloring, window)), (text, radius, spec)
+                if radius == 3:
+                    assert got == by_definition(spec, coloring, window, memo), (text, spec)
+                compared += 1
+                found += got[0] is not None
+    assert compared == 600 and 200 < found < 600, found
+
+
+def test_a_repeated_search_builds_nothing_for_its_kept_prefix(monkeypatch):
+    # a search under another colouring that reads the same texts replays
+    # the kept visits: no candidate, side text or slice text is built
+    def refuse(*args):
+        raise AssertionError("built again")
+
+    searches = [partial(hj_witness_search, m=1, bounds=[2], n=3, window=SearchWindow(4)),
+                partial(hj_witness_search, m=2, bounds=[1, 2], n=4, window=SearchWindow(3)),
+                partial(xi_witness_search, xi=parse_ordinal("w"), l=2, n0=4,
+                        window=SearchWindow(3))]
+    found = exhausted = 0
+    for run in searches:
+        for arity, seed in product((2, 3, 40), range(4)):
+            clear_search_caches()
+            first = report_fields(run(Coloring(arity=arity, seed=seed)))
+            with monkeypatch.context() as patched:
+                for name in ("_split_stream", "_side_texts", "_slice_texts"):
+                    patched.setattr(search, name, refuse)
+                again = report_fields(run(Recolored(arity=arity, seed=seed)))
+            if first[0] is None:
+                assert again == first
+                exhausted += 1
+            else:
+                assert again == first[:1] + ((first[1] + 1) % arity,) + first[2:]
+                found += 1
+    assert found > 10 and exhausted > 5, (found, exhausted)
+
+
+def test_an_exhaustive_radius_5_search_keeps_visits_within_their_budget():
+    # hj with bounds 2,2 and n = 6 under 40 colours visits all 31,360
+    # candidates of radius 5.  Shells 3 and 4 fill their visits' budget
+    # after 45 and 8 candidates, and the 600 splits of shell 5 pass it at
+    # once, so what the visits keep, traced with the lower caches warm, is
+    # at most VISIT_TEXTS texts each, within 256 bytes a text (about 46 KB
+    # in all); warm or cold, the report is the same
+    coloring, window = Coloring(arity=40, seed=3), SearchWindow(5)
+    slots = tuple(_side_slots(window.profile, [2, 2]))
+    clear_search_caches()
+    cold = report_fields(hj_witness_search(coloring, 2, [2, 2], 6, window))
+    assert cold == (None, None, 16, 31_360, 31_360, False)
+    search._shell_visit.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        again = report_fields(hj_witness_search(coloring, 2, [2, 2], 6, window))
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    visits = [search._shell_visit(2, 6, shell, window.profile, slots, None, 6,
+                                  window.max_candidates) for shell in range(1, 6)]
+    for visit in visits:
+        texts = sum(len(texts) for memo in visit.memos for texts in memo.values())
+        texts += sum(len(c.texts) for c in visit.kept)
+        assert texts <= search.VISIT_TEXTS and visit.stream is None
+    assert [visit.full for visit in visits] == [False, False, True, True, True]
+    assert kept < len(visits) * search.VISIT_TEXTS * 256, kept
+    assert again == cold == report_fields(hj_witness_search(coloring, 2, [2, 2], 6, window))
 
 
 def test_psi_map():
