@@ -87,7 +87,7 @@ def _emit(args, answer: tuple) -> None:
 def _profile(args):
     from . import words
 
-    return words.parse_profile(args.profile or "abs")
+    return words.parse_profile(args.profile)
 
 
 # --- word ------------------------------------------------------------------
@@ -125,7 +125,7 @@ def _cmd_word_ev(args) -> tuple:
 
     p = _profile(args)
     bw = families.parse_tuple(args.tuple, p)
-    indices = [int(x) for x in args.indices.split(",")] if args.indices else None
+    indices = [int(x) for x in args.indices.split(",")] if args.indices is not None else None
     es = words.extracted_sets(bw, indices)
     constants = [words.format_word(w) for w in sorted(es.constants, key=words.word_sort_key)]
     variables = [words.format_word(w) for w in sorted(es.variables, key=words.word_sort_key)]
@@ -187,7 +187,7 @@ def _load_family(args):
     profile = _profile(args)
     fam = families.parse_family(_read_text(args.family), profile)
     pool = None
-    if args.pool:
+    if args.pool is not None:
         pool = families.parse_pool(_read_text(args.pool), profile)
     return fam, pool
 
@@ -217,7 +217,7 @@ def _cmd_family_cbindex(args) -> tuple:
 
     if args.set_m is not None:
         return "index", families.set_family_cb_index(args.set_m, args.ground, args.tau)
-    if not args.family or not args.pool:
+    if args.family is None or args.pool is None:
         raise families.FamilyError("word-level index needs --family and --pool")
     fam, pool = _load_family(args)
     return "index", families.cb_index(fam, pool, args.tau)
@@ -258,7 +258,7 @@ def _cmd_rat_qxi(args) -> tuple:
 def _coloring(args):
     from . import search
 
-    if args.coloring:
+    if args.coloring is not None:
         return search.Coloring.from_text(_read_text(args.coloring), args.r)
     if args.seed is None:
         raise search.SearchError("need --seed or --coloring")
@@ -307,7 +307,7 @@ def _cmd_search_fs(args) -> tuple:
     from . import search
 
     xs = [int(x) for x in args.xs.split(",")]
-    if args.zs:
+    if args.zs is not None:
         values = search.fs_two_sided(xs, [int(x) for x in args.zs.split(",")], search.INT_LINEAR)
     else:
         values = search.fs_enumerate(xs, search.INT_LINEAR)

@@ -27,10 +27,50 @@ class FrozenInstanceError(AttributeError):
     """Raised on assigning or deleting a field of an immutable value."""
 
 
-class Frozen:
-    """The base of the package's immutable values.  Each subclass names
-    its fields in __slots__ and fills them in __init__ past the
-    __setattr__ below, and rebuilds from its fields in __reduce__."""
+def _values(record: "Record") -> tuple:
+    return tuple([getattr(record, name) for name in record._fields])
+
+
+class Record:
+    """The base of the package's values, with no `dataclasses`: each
+    command is one process, and `dataclasses`, with the `inspect` it
+    loads, was over a third of `import zwords`.
+
+    A subclass names its fields in `_fields`, in constructor order.  Two
+    values are equal when they are of one class and their field tuples
+    are equal; against any other object `__eq__` answers NotImplemented.
+    The repr is `Class(field=value, ...)` under the class's qualified
+    name, so a subclass is named as itself.  A Record is mutable and
+    unhashable; `Frozen` below is the immutable kind.  These are plain
+    methods that read `_fields` on each call, so the base does no work
+    per class.  A subclass writes its own equality or hash only where a
+    kernel loop calls it, giving the answers the base would, and its own
+    repr only to print its text; a test lists those overrides.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    __hash__ = None  # type: ignore[assignment]
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return _values(self) == _values(other)
+
+    def __repr__(self) -> str:
+        return "%s(%s)" % (type(self).__qualname__,
+                           ", ".join(["%s=%r" % (name, getattr(self, name))
+                                      for name in self._fields]))
+
+
+class Frozen(Record):
+    """An immutable Record.  A subclass names in `__slots__` its fields
+    and any values it keeps once worked out (a hash, say), and fills them
+    in `__init__` past the `__setattr__` below, which refuses assignment
+    and deletion with FrozenInstanceError (an AttributeError).  It hashes
+    its field tuple and pickles by rebuilding from its fields, so a kept
+    value, which may follow the hash seed, is worked out afresh in a
+    copy."""
 
     __slots__ = ()
 
@@ -39,6 +79,12 @@ class Frozen:
 
     def __delattr__(self, name: str) -> None:
         raise FrozenInstanceError("cannot delete field %r" % name)
+
+    def __hash__(self) -> int:
+        return hash(_values(self))
+
+    def __reduce__(self) -> tuple:
+        return type(self), _values(self)
 
 
 @total_ordering
@@ -50,6 +96,7 @@ class Ordinal(Frozen):
     """
 
     __slots__ = ("terms", "_hash")
+    _fields = ("terms",)
 
     def __init__(self, terms: tuple[tuple["Ordinal", int], ...] = ()) -> None:
         for exp, coeff in terms:
@@ -63,6 +110,7 @@ class Ordinal(Frozen):
         object.__setattr__(self, "terms", terms)
 
     def __eq__(self, other: object) -> bool:
+        # the base's, written out: schreier's kernels call it in their loops
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self.terms == other.terms
@@ -75,10 +123,6 @@ class Ordinal(Frozen):
         except AttributeError:
             object.__setattr__(self, "_hash", hash((self.terms,)))
             return self._hash
-
-    def __reduce__(self) -> tuple:
-        # the kept hash follows the hash seed, so a copy hashes afresh
-        return Ordinal, (self.terms,)
 
     @property
     def is_zero(self) -> bool:

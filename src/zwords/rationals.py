@@ -29,10 +29,10 @@ digit s - d less s.
 from __future__ import annotations
 
 import re
+from collections.abc import Sequence
 from decimal import MAX_EMAX, MAX_PREC, Decimal, Inexact, localcontext
 from fractions import Fraction
 from math import factorial, lgamma, log, log2, perm
-from typing import Sequence
 
 from .ordinals import Ordinal
 from .schreier import is_member

@@ -112,25 +112,11 @@ class CanonicalDecomposition(Frozen):
     """Maximal run of consecutive A_xi blocks plus an optional remainder
     in A_xi* \\ A_xi."""
 
-    __slots__ = ("blocks", "remainder")
+    __slots__ = _fields = ("blocks", "remainder")
 
     def __init__(self, blocks: tuple[FiniteSet, ...], remainder: FiniteSet | None) -> None:
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "remainder", remainder)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.blocks, self.remainder) == (other.blocks, other.remainder)
-
-    def __hash__(self) -> int:
-        return hash((self.blocks, self.remainder))
-
-    def __reduce__(self) -> tuple:
-        return CanonicalDecomposition, (self.blocks, self.remainder)
-
-    def __repr__(self) -> str:
-        return "CanonicalDecomposition(blocks=%r, remainder=%r)" % (self.blocks, self.remainder)
 
     def rejoin(self) -> FiniteSet:
         flat: tuple[int, ...] = ()

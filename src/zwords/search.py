@@ -35,7 +35,7 @@ from itertools import chain, combinations, islice, product
 from math import comb, prod
 from operator import itemgetter
 
-from .ordinals import Frozen, Ordinal
+from .ordinals import Frozen, Ordinal, Record
 from .schreier import is_member
 from .words import (
     ABS,
@@ -87,7 +87,7 @@ class SearchCapExceeded(RuntimeError):
 class SearchWindow(Frozen):
     """Finite truncation of the position axis to [-radius..radius]."""
 
-    __slots__ = ("radius", "profile", "max_candidates")
+    __slots__ = _fields = ("radius", "profile", "max_candidates")
 
     def __init__(self, radius: int, profile: DominationProfile = ABS,
                  max_candidates: int = MAX_CANDIDATES) -> None:
@@ -96,22 +96,6 @@ class SearchWindow(Frozen):
         object.__setattr__(self, "radius", radius)
         object.__setattr__(self, "profile", profile)
         object.__setattr__(self, "max_candidates", max_candidates)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.radius, self.profile, self.max_candidates)
-                == (other.radius, other.profile, other.max_candidates))
-
-    def __hash__(self) -> int:
-        return hash((self.radius, self.profile, self.max_candidates))
-
-    def __reduce__(self) -> tuple:
-        return SearchWindow, (self.radius, self.profile, self.max_candidates)
-
-    def __repr__(self) -> str:
-        return "SearchWindow(radius=%r, profile=%r, max_candidates=%r)" % (
-            self.radius, self.profile, self.max_candidates)
 
     def positions(self) -> list[int]:
         return [p for p in range(-self.radius, self.radius + 1) if p]
@@ -130,14 +114,14 @@ def _mix64(seed: int, data: bytes) -> int:
     return h ^ (h >> 31)
 
 
-class Coloring:
+class Coloring(Record):
     """A total, deterministic coloring of serialized words (or tuples).
 
     An explicit table wins over the seeded hash whenever it has the key;
     with no table a seed is required.
     """
 
-    __hash__ = None  # type: ignore[assignment]
+    _fields = ("arity", "table", "seed")
 
     def __init__(self, arity: int, table: dict[str, int] | None = None,
                  seed: int | None = None) -> None:
@@ -150,16 +134,6 @@ class Coloring:
             for key, color in table.items():
                 if not 0 <= color < arity:
                     raise SearchError("color %d out of range for %r" % (color, key))
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.arity, self.table, self.seed) == (other.arity, other.table, other.seed)
-
-    def __repr__(self) -> str:
-        # named by its own class, as subclasses recolor keys
-        return "%s(arity=%r, table=%r, seed=%r)" % (type(self).__qualname__, self.arity,
-                                                    self.table, self.seed)
 
     def color_key(self, key: str) -> int:
         if self.table is not None and key in self.table:
@@ -515,8 +489,9 @@ def _one_color(coloring: Coloring, texts: Iterable[str],
     return color
 
 
-class SearchReport:
-    __hash__ = None  # type: ignore[assignment]
+class SearchReport(Record):
+    _fields = ("witness", "color", "grid_size", "nodes_expanded", "candidates", "elapsed_ms",
+               "vacuous")
 
     def __init__(self, witness: tuple[LocatedWord, ...] | None, color: int | None,
                  grid_size: int, nodes_expanded: int, candidates: int,
@@ -524,19 +499,6 @@ class SearchReport:
         self.witness, self.color, self.grid_size = witness, color, grid_size
         self.nodes_expanded, self.candidates = nodes_expanded, candidates
         self.elapsed_ms, self.vacuous = elapsed_ms, vacuous
-
-    def _astuple(self) -> tuple:
-        return (self.witness, self.color, self.grid_size, self.nodes_expanded, self.candidates,
-                self.elapsed_ms, self.vacuous)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._astuple() == other._astuple()
-
-    def __repr__(self) -> str:
-        return ("SearchReport(witness=%r, color=%r, grid_size=%r, nodes_expanded=%r, "
-                "candidates=%r, elapsed_ms=%r, vacuous=%r)" % self._astuple())
 
     @property
     def found(self) -> bool:
@@ -747,21 +709,11 @@ def hj_witness_search(coloring: Coloring, m: int, bounds: Sequence[int], n: int,
                         (time.perf_counter() - start) * 1000.0)
 
 
-class VerifyReport:
-    __hash__ = None  # type: ignore[assignment]
+class VerifyReport(Record):
+    _fields = ("monochromatic", "instances", "color")
 
     def __init__(self, monochromatic: bool, instances: int, color: int | None) -> None:
         self.monochromatic, self.instances, self.color = monochromatic, instances, color
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.monochromatic, self.instances, self.color)
-                == (other.monochromatic, other.instances, other.color))
-
-    def __repr__(self) -> str:
-        return "VerifyReport(monochromatic=%r, instances=%r, color=%r)" % (
-            self.monochromatic, self.instances, self.color)
 
     @property
     def vacuous(self) -> bool:
@@ -898,22 +850,14 @@ def verify_xi_witness(witness: Sequence[LocatedWord], coloring: Coloring, xi: Or
 # --- semigroup layer ------------------------------------------------------
 
 
-class SemigroupSpec:
+class SemigroupSpec(Record):
     """An opaque semigroup with indexed generators y(letter, position)."""
 
-    __hash__ = None  # type: ignore[assignment]
+    _fields = ("op", "y", "commutative")
 
     def __init__(self, op: Callable[[object, object], object], y: Callable[[int, int], object],
                  commutative: bool = False) -> None:
         self.op, self.y, self.commutative = op, y, commutative
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.op, self.y, self.commutative) == (other.op, other.y, other.commutative)
-
-    def __repr__(self) -> str:
-        return "SemigroupSpec(op=%r, y=%r, commutative=%r)" % (self.op, self.y, self.commutative)
 
     def fold(self, elements: Sequence[object]) -> object:
         if not elements:
@@ -969,28 +913,16 @@ def fs_two_sided(xs: Sequence[object], zs: Sequence[object], spec: SemigroupSpec
     return out
 
 
-class PatternResult:
+class PatternResult(Record):
     """A semigroup pattern value with the fixed / j-driven / i-driven
     position sets of its building word."""
 
-    __hash__ = None  # type: ignore[assignment]
+    _fields = ("value", "fixed_positions", "j_positions", "i_positions")
 
     def __init__(self, value: object, fixed_positions: tuple[int, ...],
                  j_positions: tuple[int, ...], i_positions: tuple[int, ...]) -> None:
         self.value, self.fixed_positions = value, fixed_positions
         self.j_positions, self.i_positions = j_positions, i_positions
-
-    def _astuple(self) -> tuple:
-        return self.value, self.fixed_positions, self.j_positions, self.i_positions
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._astuple() == other._astuple()
-
-    def __repr__(self) -> str:
-        return ("PatternResult(value=%r, fixed_positions=%r, j_positions=%r, i_positions=%r)"
-                % self._astuple())
 
 
 def semigroup_pattern(ws: Sequence[LocatedWord], spec: SemigroupSpec, n: int,

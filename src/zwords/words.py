@@ -18,14 +18,9 @@ valid by construction build them directly: `concat`, `merge`,
 `substitute`, `project_positive`, `rationals.encode`,
 `search.length_slice` and the search's candidates.
 
-Every value class in the package follows LocatedWord's pattern, with no
-`dataclasses`: a plain class on `ordinals.Frozen` that names its fields
-in `__slots__`, refuses assignment and deletion with
-`FrozenInstanceError` (an `AttributeError`), hashes and compares its
-field tuple and pickles by rebuilding from its fields; the search's
-reports are plain mutable classes.  The reason is import cost: each CLI
-command is one process, and `dataclasses`, with the `inspect` it loads,
-was over a third of `import zwords`.
+Every value class in the package takes its equality, hash, repr and
+pickling from `ordinals.Record` and `ordinals.Frozen`, whose docstrings
+state the rule once.
 
 Tuples follow the same rule.  `make_tuple` validates tuples from
 outside: it refuses, pair by pair, a profile mismatch and then a pair
@@ -89,6 +84,7 @@ class DominationProfile(Frozen):
     """
 
     __slots__ = ("kind", "param", "table", "_hash", "_sided", "_bounds")
+    _fields = ("kind", "param", "table")
 
     def __init__(self, kind: str, param: int = 0,
                  table: tuple[tuple[int, int], ...] = ()) -> None:
@@ -117,20 +113,13 @@ class DominationProfile(Frozen):
         _set(self, "_bounds", dict(table))
 
     def __eq__(self, other: object) -> bool:
+        # the base's, written out: the family kernels call it in their loops
         if other.__class__ is not self.__class__:
             return NotImplemented
         return (self.kind, self.param, self.table) == (other.kind, other.param, other.table)
 
     def __hash__(self) -> int:
         return self._hash
-
-    def __reduce__(self) -> tuple:
-        # the kept hash follows the hash seed, so a copy hashes afresh
-        return DominationProfile, (self.kind, self.param, self.table)
-
-    def __repr__(self) -> str:
-        return "DominationProfile(kind=%r, param=%r, table=%r)" % (self.kind, self.param,
-                                                                   self.table)
 
     def bound(self, n: int) -> int:
         if n == 0:
@@ -201,6 +190,7 @@ class LocatedWord(Frozen):
     """
 
     __slots__ = ("entries", "profile", "_dom", "_hash", "_text")
+    _fields = ("entries", "profile")
 
     def __init__(self, entries: tuple[tuple[int, int], ...],
                  profile: DominationProfile = ABS) -> None:
@@ -220,10 +210,6 @@ class LocatedWord(Frozen):
         except AttributeError:
             _set(self, "_hash", hash((self.entries, self.profile)))
             return self._hash
-
-    def __reduce__(self) -> tuple:
-        # the kept hash follows the hash seed, so a copy hashes afresh
-        return LocatedWord, (self.entries, self.profile)
 
     @property
     def dom(self) -> tuple[int, ...]:
@@ -427,25 +413,15 @@ class OrderlyTuple(Frozen):
     the next.  A plain value that trusts its words: make_tuple checks
     them."""
 
-    __slots__ = ("words",)
+    __slots__ = _fields = ("words",)
 
     def __init__(self, words: tuple[LocatedWord, ...]) -> None:
         _set(self, "words", words)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.words == other.words
-
     def __hash__(self) -> int:
-        # taken afresh on each call: a kept hash slowed the family kernels
+        # taken afresh on each call, as a kept hash slowed the family
+        # kernels, and without the base's generic field walk
         return hash((self.words,))
-
-    def __reduce__(self) -> tuple:
-        return OrderlyTuple, (self.words,)
-
-    def __repr__(self) -> str:
-        return "OrderlyTuple(words=%r)" % (self.words,)
 
     def __len__(self) -> int:
         return len(self.words)

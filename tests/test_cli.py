@@ -328,7 +328,9 @@ CLI_PINS = {
          '{"class": "variable", "core": true, "length": 2}\n', ""),
         (("--word", "1:1", "--profile", "const:2"), 0, "class=constant core=false length=1\n",
          '{"class": "constant", "core": false, "length": 1}\n', ""),
-        (("--word", "-1:v,1:3"), 1, "", "", "error: letter 3 out of range 1..1 at 1\n")],
+        (("--word", "-1:v,1:3"), 1, "", "", "error: letter 3 out of range 1..1 at 1\n"),
+        # an empty flag value is read as given, not as the flag left out
+        (("--word", "-1:v,1:v", "--profile", ""), 1, "", "", "error: unknown profile ''\n")],
     ("word", "concat"): [
         (("--a", "-1:v,1:v", "--b", "-3:v,3:v"), 0, "-3:v,-1:v,1:v,3:v\n",
          '{"word": "-3:v,-1:v,1:v,3:v"}\n', ""),
@@ -347,7 +349,9 @@ CLI_PINS = {
         (("--tuple", "-1:v,1:v"), 0, "E\t-1:-1,1:1\nV\t-1:v,1:v\n",
          '{"constants": ["-1:-1,1:1"], "variables": ["-1:v,1:v"]}\n', ""),
         (("--tuple", "-1:v,1:v", "--indices", "1,2"), 1, "", "",
-         "error: need one grid index per member\n")],
+         "error: need one grid index per member\n"),
+        (("--tuple", "-1:v,1:v;-2:v,2:v", "--indices", ""), 1, "", "",
+         "error: invalid literal for int() with base 10: ''\n")],
     ("schreier", "member"): [
         (("--xi", "w", "--set", "3,5,9"), 0, "true\n", '{"member": true}\n', ""),
         (("--xi", "w", "--set", "3,2"), 1, "", "",
@@ -394,7 +398,9 @@ CLI_PINS = {
         (("--op", "hereditary", "--family", "-"), 1, "", "",
          "error: hereditary closure needs --pool\n"),
         (("--op", "largest", "--family", "-"), 1, "", "",
-         "error: largest hereditary subfamily needs --pool\n")],
+         "error: largest hereditary subfamily needs --pool\n"),
+        (("--op", "tree", "--family", "-", "--pool", ""), 1, "", "",
+         "error: [Errno 2] No such file or directory: ''\n")],
     ("family", "cbindex"): [
         (("--set-m", "2", "--ground", "12", "--tau", "3"), 0, "3\n", '{"index": 3}\n', ""),
         (("--tau", "3"), 1, "", "", "error: word-level index needs --family and --pool\n"),
@@ -426,7 +432,9 @@ CLI_PINS = {
         (("--r", "2", "--coloring", "{tmp}/seed.txt", "--bounds", "1", "--n", "2", "--window", "2"),
          1, "", "", "error: bad coloring line 1 'seed:1:2:3': expected seed:<u64>:<r>\n"),
         (("--r", "2", "--coloring", "{tmp}/table.txt", "--bounds", "1", "--n", "2", "--window",
-          "2"), 1, "", "", "error: bad coloring line 1 'foo': expected text<TAB>colour\n")],
+          "2"), 1, "", "", "error: bad coloring line 1 'foo': expected text<TAB>colour\n"),
+        (("--r", "2", "--seed", "1", "--bounds", "1", "--n", "2", "--window", "2", "--coloring",
+          ""), 1, "", "", "error: [Errno 2] No such file or directory: ''\n")],
     ("search", "xi"): [
         (("--r", "2", "--seed", "7", "--xi", "w", "--l", "2", "--n0", "4", "--window", "3"), 0,
          "witness: -1:v,2:v;-3:v,3:v\ncolor: 1\ngrid: 4\nnodes: 6\n",
@@ -438,7 +446,9 @@ CLI_PINS = {
         (("--xs", "1,10,100"), 0, "1\n10\n11\n100\n101\n110\n111\n",
          '{"values": [1, 10, 11, 100, 101, 110, 111]}\n', ""),
         (("--xs", "1,2", "--zs", "10,20"), 0, "11\n22\n33\n", '{"values": [11, 22, 33]}\n', ""),
-        (("--xs", "1,2", "--zs", "10"), 1, "", "", "error: sequences must have equal length\n")],
+        (("--xs", "1,2", "--zs", "10"), 1, "", "", "error: sequences must have equal length\n"),
+        (("--xs", "1,2", "--zs", ""), 1, "", "",
+         "error: invalid literal for int() with base 10: ''\n")],
     ("search", "psi"): [
         (("--word", "-1:-1,2:2"), 0, "5\n", '{"value": 5}\n', ""),
         (("--word", "-1:v,2:2", "--semigroup", "strings"), 0, "y(0,-1)y(2,2)\n",
@@ -1025,21 +1035,26 @@ def test_schreier_and_ordinal_commands_load_no_upper_layer():
 
 
 def test_word_family_and_search_commands_load_neither_typing_nor_re():
-    # words, families and search import from collections, not typing, and
-    # nothing they load brings re, so these commands pay for neither
-    commands = [["word", "check", "--word", "-1:v,1:v"],
-                ["family", "cbindex", "--set-m", "2", "--tau", "1"],
-                ["search", "fs", "--xs", "1,2"],
-                ["search", "hj", "--r", "2", "--seed", "1", "--bounds", "1", "--n", "2",
-                 "--window", "2"]]
+    # words, families, search and rationals import from collections, not
+    # typing, and nothing the first three load brings re, so these commands
+    # pay for neither; the rat commands are checked for typing alone, as
+    # fractions brings re
+    neither, no_typing = ("typing", "re"), ("typing",)
+    commands = [(["word", "check", "--word", "-1:v,1:v"], neither),
+                (["family", "cbindex", "--set-m", "2", "--tau", "1"], neither),
+                (["search", "fs", "--xs", "1,2"], neither),
+                (["search", "hj", "--r", "2", "--seed", "1", "--bounds", "1", "--n", "2",
+                  "--window", "2"], neither),
+                (["rat", "encode", "1/3"], no_typing),
+                (["rat", "decode", "--word", "2:2,3:1"], no_typing)]
     probe = ("import contextlib, io, sys\n"
              "from zwords.cli import main\n"
-             "for argv in %r:\n"
+             "for argv, unloaded in %r:\n"
              "    with contextlib.redirect_stdout(io.StringIO()):\n"
              "        code = main(argv)\n"
-             "    print(argv[:2], code, sorted({'typing', 're'} & set(sys.modules)))\n"
+             "    print(argv[:2], code, sorted(set(unloaded) & set(sys.modules)))\n"
              % (commands,))
-    assert _fresh(probe) == "".join("%r 0 []\n" % (argv[:2],) for argv in commands)
+    assert _fresh(probe) == "".join("%r 0 []\n" % (argv[:2],) for argv, _ in commands)
 
 
 # the names `zwords` bound by importing every layer at package import

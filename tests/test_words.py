@@ -886,6 +886,63 @@ def test_value_classes_keep_the_dataclass_protocol():
         Ordinal(((ordinals.ZERO, 1), (ordinals.ONE, 1)))
 
 
+# the only protocol methods a value class writes itself, each with why
+PROTOCOL_OVERRIDES = {
+    "Ordinal": {
+        "__eq__": "schreier's kernels compare ordinals in their loops",
+        "__hash__": "kept on first use, so nested terms are hashed once",
+        "__repr__": "prints the ordinal's text, Ordinal('w^2+3')",
+    },
+    "DominationProfile": {
+        "__eq__": "the family kernels compare profiles in their loops",
+        "__hash__": "taken once at construction, as profiles key the pool caches",
+    },
+    "LocatedWord": {
+        "__eq__": "words of one profile object skip comparing it",
+        "__hash__": "kept on first use, as words key the family and search sets",
+        "__repr__": "prints the word's text, LocatedWord('-1:v,1:v')",
+    },
+    "OrderlyTuple": {
+        "__hash__": "hashes its one field directly in the family kernels' set lookups",
+    },
+}
+
+
+def test_value_classes_take_the_protocol_from_the_base():
+    from zwords import cli, families, ordinals, rationals, schreier, search  # noqa: F401
+
+    def walk(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from walk(sub)
+
+    protocol = {"__eq__", "__hash__", "__repr__", "__reduce__", "_astuple"}
+    found = {}
+    for cls in walk(ordinals.Record):
+        if cls is ordinals.Frozen or not cls.__module__.startswith("zwords."):
+            continue  # the protocol itself, or a test's subclass
+        assert cls._fields and "_fields" in vars(cls), cls
+        if issubclass(cls, ordinals.Frozen):
+            slots = {name for klass in cls.__mro__ for name in getattr(klass, "__slots__", ())}
+            assert set(cls._fields) <= slots, cls
+        found[cls.__name__] = protocol & set(vars(cls))
+    assert found == {name: set(PROTOCOL_OVERRIDES.get(name, ()))
+                     for name in ("Ordinal", "CanonicalDecomposition", "DominationProfile",
+                                  "LocatedWord", "OrderlyTuple", "SearchWindow", "Coloring",
+                                  "SearchReport", "VerifyReport", "SemigroupSpec",
+                                  "PatternResult")}
+    # the kept equalities and hashes answer as the base's would
+    w1 = parse_word("-1:v,1:v")
+    values = [ordinals.parse_ordinal("w^2+3"), ordinals.parse_ordinal("w^2+3"), ordinals.ONE,
+              ABS, DominationProfile("abs"), CONST2, w1, LocatedWord(w1.entries, ABS),
+              LocatedWord(w1.entries, CONST2), make_tuple([w1]), OrderlyTuple((w1,))]
+    for x in values:
+        assert hash(x) == ordinals.Frozen.__hash__(x)
+        for y in values:
+            if type(x) is type(y):
+                assert (x == y) is ordinals.Record.__eq__(x, y)
+
+
 def test_profile_table_naming_a_position_twice_is_refused():
     # bound would read whichever pair sorts first
     for text, pos in (("table:1=3,1=2,-1=1", "1"), ("table:-1=1,1=2,-1=1", "-1")):
