@@ -52,6 +52,17 @@ def _caps(default: int | None = None) -> int | None:
     return cap
 
 
+def _ints(args, name: str) -> list[int] | None:
+    """A flag's comma-separated integers, or None when it is absent; a
+    malformed list is refused naming the flag and the list."""
+    text = getattr(args, name)
+    try:
+        return None if text is None else [int(x) for x in text.split(",")]
+    except ValueError:
+        raise ValueError("bad --%s %r: expected integers separated by commas"
+                         % (name, text)) from None
+
+
 def _read_text(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
@@ -125,8 +136,7 @@ def _cmd_word_ev(args) -> tuple:
 
     p = _profile(args)
     bw = families.parse_tuple(args.tuple, p)
-    indices = [int(x) for x in args.indices.split(",")] if args.indices is not None else None
-    es = words.extracted_sets(bw, indices)
+    es = words.extracted_sets(bw, _ints(args, "indices"))
     constants = [words.format_word(w) for w in sorted(es.constants, key=words.word_sort_key)]
     variables = [words.format_word(w) for w in sorted(es.variables, key=words.word_sort_key)]
     return ({"constants": constants, "variables": variables},
@@ -291,7 +301,7 @@ def _report(rep) -> tuple:
 def _cmd_search_hj(args) -> tuple:
     from . import search
 
-    bounds = [int(x) for x in args.bounds.split(",")]
+    bounds = _ints(args, "bounds")
     return _report(search.hj_witness_search(_coloring(args), len(bounds), bounds, args.n,
                                             _window(args)))
 
@@ -306,9 +316,9 @@ def _cmd_search_xi(args) -> tuple:
 def _cmd_search_fs(args) -> tuple:
     from . import search
 
-    xs = [int(x) for x in args.xs.split(",")]
-    if args.zs is not None:
-        values = search.fs_two_sided(xs, [int(x) for x in args.zs.split(",")], search.INT_LINEAR)
+    xs, zs = _ints(args, "xs"), _ints(args, "zs")
+    if zs is not None:
+        values = search.fs_two_sided(xs, zs, search.INT_LINEAR)
     else:
         values = search.fs_enumerate(xs, search.INT_LINEAR)
     return "values", sorted(values)

@@ -11,14 +11,15 @@ What a search lays out before it colors anything, its shells' splits, its
 side pools and its xi block plans, is kept across searches in bounded
 caches, each sized to hold one search of radius 6 whole.  Above them, each
 shell a search reads is a visit kept across searches: its splits with
-their plans, its resumable merged candidate stream, and for each candidate
-visited so far its text, side choices, plans, side texts and the slice
-texts read so far.  So a sweep of colorings over one window lays the
-window out once, and a later search replays the kept candidates with
-color lookups alone.  The visits are bounded twice: the last VISITS (64)
-are kept, and one keeps at most VISIT_TEXTS (128) texts, side and slice
-texts and one per split its live stream merges, after which it keeps
-nothing more and searches stream on past it.  Colors depend on the
+their plans, and for each candidate visited so far its text, side
+choices, plans, side texts and the slice texts read so far.  So a sweep of
+colorings over one window lays the window out once, and a later search
+replays the kept candidates with color lookups alone; one that goes past
+them merges the shell's splits again and skips the kept prefix.  The
+visits are bounded twice: the last VISITS (64) are kept, and one keeps at
+most VISIT_TEXTS (128) texts, side and slice texts, and the candidates
+that read them, after which it keeps nothing more and searches go on past
+it with their side texts kept for the call.  Colors depend on the
 coloring, so they are kept for the call only.  A visit is extended in
 place, so searches of one process run one at a time, not from several
 threads at once.
@@ -31,7 +32,7 @@ import time
 from bisect import bisect_left
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import lru_cache
-from itertools import chain, combinations, islice, product
+from itertools import combinations, compress, islice, product
 from math import comb, prod
 from operator import itemgetter
 
@@ -520,33 +521,32 @@ class _Kept:
 
 class _Visit:
     """All a search does in one shell but read colors: the shell's splits
-    and each one's block plans, the merged stream of the candidates of the
-    splits with plans, and the candidates visited so far (`kept`) with
+    with plans, each with its block plans, the splits without (read only
+    to rank a witness), and the candidates visited so far (`kept`) with
     their side texts, memoised per slot by side key in `memos`, and the
     slice texts read so far.  `inner` is the count of the shell's total in
     the window one shell smaller, once a witness asks for it.
 
     `room` is what the visit may still keep, in texts: each side or slice
-    text kept counts one, and so does each split the stream merges, as the
-    stream holds a candidate of each.  A candidate is kept only if its new
-    side texts leave room, and a slice text only while room is left; once
-    a candidate is refused the visit is full: it drops its stream and
-    keeps nothing more.  `stream` is None once it is spent or dropped."""
+    text kept counts one.  A candidate is kept only if its new side texts
+    leave room, and a slice text only while room is left; a search reads
+    a candidate's first slice text before the next candidate, so a visit
+    keeps at most VISIT_TEXTS candidates too.  Once a candidate is refused
+    the visit is `full` and keeps nothing more; it is `complete` once it
+    keeps every candidate of its splits with plans.  A visit holds no
+    iterator: a search past its kept candidates merges the splits again."""
 
-    __slots__ = ("splits", "plans", "stream", "full", "kept", "memos", "room", "inner")
+    __slots__ = ("planned", "plans", "planless", "kept", "memos", "room", "full", "complete",
+                 "inner")
 
-    def __init__(self, splits: tuple[Split, ...], plans: tuple[Plans, ...],
-                 profile: DominationProfile, width: int) -> None:
-        self.splits, self.plans = splits, plans
-        self.room = max(0, VISIT_TEXTS - sum(map(bool, plans)))
-        self.full = not self.room
-        self.stream = None if self.full else _shell_candidates(self.planned(), profile)
+    def __init__(self, planned: tuple[Split, ...], plans: tuple[Plans, ...],
+                 planless: tuple[Split, ...], width: int) -> None:
+        self.planned, self.plans, self.planless = planned, plans, planless
         self.kept: list[_Kept] = []
         self.memos: list[dict[str, list[str]]] = [{} for _ in range(width)]
+        self.room = VISIT_TEXTS
+        self.full = self.complete = False
         self.inner: int | None = None
-
-    def planned(self) -> list[tuple[Split, Plans]]:
-        return [(layers, plans) for layers, plans in zip(self.splits, self.plans) if plans]
 
 
 @lru_cache(maxsize=VISITS)
@@ -562,25 +562,12 @@ def _shell_visit(m: int, total: int, shell: int, profile: DominationProfile,
     fixes."""
     splits = _shell_splits(m, total, shell)
     if xi is None:
-        plans = (((tuple(range(m)),),),) * len(splits)
-    else:
-        plans = tuple([_xi_plans(tuple(map(len, layers)),
-                                 tuple([layer[bisect_left(layer, 0)] for layer in layers]),
-                                 xi, n0) for layers in splits])
-    return _Visit(splits, plans, profile, len(slots))
-
-
-def _keep_sides(visit: _Visit, combo: Sequence[tuple[str, Entries]],
-                slots: Sequence[tuple[int, int]], window: SearchWindow) -> list[list[str]] | None:
-    """A candidate's side texts, the new ones built into the visit's memos;
-    None, with nothing built, if they would fill the visit's room."""
-    need = sum(_side_top(entries, top, window.profile)
-               for memo, (key, entries), (_, top) in zip(visit.memos, combo, slots)
-               if key not in memo)
-    if need >= visit.room:
-        return None
-    visit.room -= need
-    return _candidate_sides(combo, slots, visit.memos, window)
+        return _Visit(splits, (((tuple(range(m)),),),) * len(splits), (), len(slots))
+    plans = [_xi_plans(tuple(map(len, layers)),
+                       tuple([layer[bisect_left(layer, 0)] for layer in layers]), xi, n0)
+             for layers in splits]
+    return _Visit(tuple(compress(splits, plans)), tuple(filter(None, plans)),
+                  tuple([layers for layers, own in zip(splits, plans) if not own]), len(slots))
 
 
 def _kept_texts(visit: _Visit, kept: _Kept) -> Iterator[str]:
@@ -602,40 +589,36 @@ def _kept_texts(visit: _Visit, kept: _Kept) -> Iterator[str]:
 def _visit_candidates(visit: _Visit, slots: Sequence[tuple[int, int]],
                       window: SearchWindow) -> Iterator[tuple]:
     """A shell's candidates in serialization order, as (text, side choices,
-    plans, side texts, slice texts): the kept ones, then the stream's, each
-    kept while the visit has room.  Once the visit is full, the candidates
-    past the kept ones are built again and their side texts memoised for
-    the call only."""
+    plans, side texts, slice texts): the kept ones, then, unless the visit
+    is complete, those past them, merged again from the splits with plans.
+    Each is kept while its new side texts, built into the visit's memos,
+    leave room; from the first refused the visit is full, and the side
+    texts of the rest are memoised for the call only.  A side over the
+    window's cap raises as it is built, its room left spent, so the
+    candidate is not kept and the bound holds."""
     kept = visit.kept
     for c in kept:
         yield c.text, c.combo, c.plans, c.sides, c.texts if c.whole else _kept_texts(visit, c)
-    if visit.full:
-        stream = islice(_shell_candidates(visit.planned(), window.profile), len(kept), None)
-    else:
-        stream = visit.stream
-        if stream is None:
-            return  # spent: every candidate is kept
-        for item in stream:
-            text, combo, plans = item
-            sides = None
-            try:
-                sides = _keep_sides(visit, combo, slots, window)
-            finally:
-                if sides is None:  # refused, or raised: the item has left the stream
-                    visit.stream, visit.full, visit.room = None, True, 0
-            if sides is None:
-                stream = chain((item,), stream)
-                break
-            c = _Kept(text, combo, plans, sides)
-            kept.append(c)
-            yield text, combo, plans, sides, _kept_texts(visit, c)
-        else:
-            visit.stream = None
-            return
-    memos = [dict(memo) for memo in visit.memos]
-    for text, combo, plans in stream:
+    if visit.complete:
+        return
+    memos = [dict(memo) for memo in visit.memos] if visit.full else visit.memos
+    stream = _shell_candidates(zip(visit.planned, visit.plans), window.profile)
+    for text, combo, plans in islice(stream, len(kept), None):
+        if not visit.full:
+            need = sum(_side_top(entries, top, window.profile)
+                       for memo, (key, entries), (_, top) in zip(memos, combo, slots)
+                       if key not in memo)
+            if need < visit.room:
+                visit.room -= need
+                c = _Kept(text, combo, plans, _candidate_sides(combo, slots, memos, window))
+                kept.append(c)
+                yield text, combo, plans, c.sides, _kept_texts(visit, c)
+                continue
+            visit.full, visit.room = True, 0
+            memos = [dict(memo) for memo in memos]
         sides = _candidate_sides(combo, slots, memos, window)
         yield text, combo, plans, sides, _slice_texts(sides, plans)
+    visit.complete = not visit.full
 
 
 def _first_one_color(coloring: Coloring, m: int, totals: range, counts: Sequence[int],
@@ -654,14 +637,14 @@ def _first_one_color(coloring: Coloring, m: int, totals: range, counts: Sequence
     of it without plans.
 
     All but the colors is the shell's visit (_shell_visit), kept across
-    searches: its splits and plans, its resumable candidate stream, and
-    each visited candidate's text, side choices, plans, side texts and the
-    slice texts read so far.  A search replays the kept candidates, so
-    under another coloring it only looks colors up, and it extends the
-    visit past them.  The last VISITS visits are kept, and each keeps at
-    most VISIT_TEXTS texts, so a profile with large bounds or an
-    exhaustive search of a wide window keeps no more; past that, the
-    search streams on with its side texts kept for the call.  The colors
+    searches: its splits and plans, and each visited candidate's text,
+    side choices, plans, side texts and the slice texts read so far.  A
+    search replays the kept candidates, so under another coloring it only
+    looks colors up, and it extends the visit past them.  The last VISITS
+    visits are kept, and each keeps at most VISIT_TEXTS texts, so a
+    profile with large bounds or an exhaustive search of a wide window
+    keeps no more; past that, the search streams on with its side texts
+    kept for the call.  The colors
     depend on the coloring, so they stay in a dict local to the call, and
     table colorings and Coloring subclasses read the same texts."""
     profile, cap = window.profile, window.max_candidates
@@ -681,7 +664,7 @@ def _first_one_color(coloring: Coloring, m: int, totals: range, counts: Sequence
                             m, range(total, total + 1), SearchWindow(shell - 1, profile, cap)))
                     nodes = sum(counts[:t]) + visit.inner + visited + sum(
                         _rank(text, _split_pools(layers, profile))
-                        for layers, own in zip(visit.splits, visit.plans) if not own)
+                        for layers in visit.planless)
                     return nodes, _words(combo, profile), color, sides, plans
     return sum(counts), None, None, [], ()
 

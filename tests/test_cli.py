@@ -351,7 +351,7 @@ CLI_PINS = {
         (("--tuple", "-1:v,1:v", "--indices", "1,2"), 1, "", "",
          "error: need one grid index per member\n"),
         (("--tuple", "-1:v,1:v;-2:v,2:v", "--indices", ""), 1, "", "",
-         "error: invalid literal for int() with base 10: ''\n")],
+         "error: bad --indices '': expected integers separated by commas\n")],
     ("schreier", "member"): [
         (("--xi", "w", "--set", "3,5,9"), 0, "true\n", '{"member": true}\n', ""),
         (("--xi", "w", "--set", "3,2"), 1, "", "",
@@ -429,6 +429,8 @@ CLI_PINS = {
          '{"candidates": 0, "nodes": 0, "witness": null}\n', "time_ms: *\n"),
         (("--r", "2", "--seed", "1", "--bounds", "2", "--n", "0", "--window", "3"), 1, "", "",
          "error: total length must be >= 1\n"),
+        (("--r", "2", "--seed", "1", "--bounds", "1,x", "--n", "4", "--window", "3"), 1, "", "",
+         "error: bad --bounds '1,x': expected integers separated by commas\n"),
         (("--r", "2", "--coloring", "{tmp}/seed.txt", "--bounds", "1", "--n", "2", "--window", "2"),
          1, "", "", "error: bad coloring line 1 'seed:1:2:3': expected seed:<u64>:<r>\n"),
         (("--r", "2", "--coloring", "{tmp}/table.txt", "--bounds", "1", "--n", "2", "--window",
@@ -448,7 +450,9 @@ CLI_PINS = {
         (("--xs", "1,2", "--zs", "10,20"), 0, "11\n22\n33\n", '{"values": [11, 22, 33]}\n', ""),
         (("--xs", "1,2", "--zs", "10"), 1, "", "", "error: sequences must have equal length\n"),
         (("--xs", "1,2", "--zs", ""), 1, "", "",
-         "error: invalid literal for int() with base 10: ''\n")],
+         "error: bad --zs '': expected integers separated by commas\n"),
+        (("--xs", "1,,2"), 1, "", "",
+         "error: bad --xs '1,,2': expected integers separated by commas\n")],
     ("search", "psi"): [
         (("--word", "-1:-1,2:2"), 0, "5\n", '{"value": 5}\n', ""),
         (("--word", "-1:v,2:2", "--semigroup", "strings"), 0, "y(0,-1)y(2,2)\n",

@@ -4,6 +4,7 @@ import random
 import time
 import tracemalloc
 from bisect import bisect_left
+from collections.abc import Iterator
 from fractions import Fraction
 from functools import partial
 from itertools import combinations, product
@@ -1054,13 +1055,61 @@ def test_a_repeated_search_builds_nothing_for_its_kept_prefix(monkeypatch):
     assert found > 10 and exhausted > 5, (found, exhausted)
 
 
+def test_kept_visits_hold_no_iterator():
+    # searches that stop at an early witness leave visits with kept
+    # candidates short of the shell's last; each holds its splits,
+    # candidates and texts as values, so no generator or other iterator is
+    # reachable from a kept visit or candidate
+    clear_search_caches()
+    found = 0
+    for seed in range(6):
+        found += hj_witness_search(Coloring(arity=2, seed=seed), 2, [1, 2], 4,
+                                   SearchWindow(4)).found
+        found += xi_witness_search(Coloring(arity=2, seed=seed), parse_ordinal("w"), 2, 4,
+                                   SearchWindow(3)).found
+    # the cache's LRU list holds the kept visits
+    visits = [obj for obj in gc.get_referents(search._shell_visit)
+              if isinstance(obj, search._Visit)]
+    assert found > 6 and sum(len(visit.kept) for visit in visits) > 10
+    seen, todo = set(), list(visits)
+    while todo:
+        obj = todo.pop()
+        if id(obj) not in seen:
+            seen.add(id(obj))
+            assert not isinstance(obj, Iterator), type(obj)
+            if isinstance(obj, (search._Visit, search._Kept, tuple, list, dict)):
+                todo += gc.get_referents(obj)
+
+
+def test_a_search_refused_partway_through_a_shell_is_refused_again():
+    # the table gives -3 the bound 50 and every other position 2, so of the
+    # 9 candidates of radius 3, under a cap of 10, those with -3 have a side
+    # of 50 texts.  The search keeps the two candidates of shell 3 before
+    # the first of them and is refused there; repeated in the process, it
+    # replays them and is refused alike, and the visit keeps no candidate
+    # more
+    profile = parse_profile("table:-3=50,-2=2,-1=2,1=2,2=2,3=2")
+    window = SearchWindow(3, profile, max_candidates=10)
+    slots = tuple(_side_slots(profile, [3]))
+    clear_search_caches()
+    refusals = []
+    for _ in range(3):
+        with pytest.raises(SearchCapExceeded) as exc:
+            hj_witness_search(Coloring(arity=40, seed=1), 1, [3], 2, window)
+        visit = search._shell_visit(1, 2, 3, profile, slots, None, 2, 10)
+        refusals.append((str(exc.value), [c.text for c in visit.kept]))
+    assert refusals == [("side substitution texts exceed cap after 11 texts",
+                         ["-1:v,3:v", "-2:v,3:v"])] * 3
+
+
 def test_an_exhaustive_radius_5_search_keeps_visits_within_their_budget():
     # hj with bounds 2,2 and n = 6 under 40 colours visits all 31,360
-    # candidates of radius 5.  Shells 3 and 4 fill their visits' budget
-    # after 45 and 8 candidates, and the 600 splits of shell 5 pass it at
-    # once, so what the visits keep, traced with the lower caches warm, is
-    # at most VISIT_TEXTS texts each, within 256 bytes a text (about 46 KB
-    # in all); warm or cold, the report is the same
+    # candidates of radius 5.  Shells 1 and 2 have no candidate and are
+    # complete at once; shells 3, 4 and 5 (600 splits) fill their visits'
+    # budget after 47, 37 and 47 candidates, so each visit keeps at most
+    # VISIT_TEXTS texts, and what the visits keep with their candidates,
+    # traced with the lower caches warm (about 99 KB), stays within 256
+    # bytes a text; warm or cold, the report is the same
     coloring, window = Coloring(arity=40, seed=3), SearchWindow(5)
     slots = tuple(_side_slots(window.profile, [2, 2]))
     clear_search_caches()
@@ -1080,8 +1129,9 @@ def test_an_exhaustive_radius_5_search_keeps_visits_within_their_budget():
     for visit in visits:
         texts = sum(len(texts) for memo in visit.memos for texts in memo.values())
         texts += sum(len(c.texts) for c in visit.kept)
-        assert texts <= search.VISIT_TEXTS and visit.stream is None
+        assert texts <= search.VISIT_TEXTS and (visit.complete or visit.full)
     assert [visit.full for visit in visits] == [False, False, True, True, True]
+    assert len(visits[4].planned) == 600 and visits[4].kept
     assert kept < len(visits) * search.VISIT_TEXTS * 256, kept
     assert again == cold == report_fields(hj_witness_search(coloring, 2, [2, 2], 6, window))
 
