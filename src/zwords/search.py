@@ -7,22 +7,22 @@ result only ever means "witness found / not found within this window".
 Candidates are visited in a canonical order (total domain size, outermost
 position, serialization), so results are reproducible.
 
-What a search lays out before it colors anything, its shells' splits, its
-side pools and its xi block plans, is kept across searches in bounded
-caches, each sized to hold one search of radius 6 whole.  Above them, each
-shell a search reads is a visit kept across searches: its splits with
-their plans, and for each candidate visited so far its text, side
-choices, plans, side texts and the slice texts read so far.  So a sweep of
-colorings over one window lays the window out once, and a later search
-replays the kept candidates with color lookups alone; one that goes past
-them merges the shell's splits again and skips the kept prefix.  The
-visits are bounded twice: the last VISITS (64) are kept, and one keeps at
-most VISIT_TEXTS (128) texts, side and slice texts, and the candidates
-that read them, after which it keeps nothing more and searches go on past
-it with their side texts kept for the call.  Colors depend on the
-coloring, so they are kept for the call only.  A visit is extended in
-place, so searches of one process run one at a time, not from several
-threads at once.
+What a search lays out before it colors anything, its side pools and its
+xi block plans, is kept across searches in bounded caches, each sized to
+hold one search of radius 6 whole.  Above them, each shell a search reads
+is a visit kept across searches: its splits with their plans, and for each
+candidate visited so far its text, side choices, plans, side texts and the
+slice texts read so far.  A shell with no planned split keeps no split, as
+it holds no witness.  So a sweep of colorings over one window lays the
+window out once, and a later search replays the kept candidates with color
+lookups alone; one that goes past them merges the shell's splits again and
+skips the kept prefix.  The visits are bounded twice: the last VISITS (64)
+are kept, and one keeps at most VISIT_TEXTS (128) texts, side and slice
+texts, and the candidates that read them, after which it keeps nothing
+more and searches go on past it with their side texts kept for the call.
+Colors depend on the coloring, so they are kept for the call only.  A
+visit is extended in place, so searches of one process run one at a time,
+not from several threads at once.
 """
 
 from __future__ import annotations
@@ -52,6 +52,7 @@ from .words import (
     _joins,
     _require_sided_monotone,
     _side_top,
+    _side_variants,
     concat_all,
     first_clamp,
     make_tuple,
@@ -77,8 +78,8 @@ class SearchError(ValueError):
 
 
 class SearchCapExceeded(RuntimeError):
-    """Raised when a search space outgrows the window's cap; carries the
-    frontier statistics seen so far."""
+    """Raised when a search space outgrows the window's cap; `candidates`
+    is the count it stopped at, the cap plus one."""
 
     def __init__(self, message: str, candidates: int):
         super().__init__(message)
@@ -303,12 +304,10 @@ def _candidate_counts(m: int, totals: range, window: SearchWindow) -> list[int]:
     return counts
 
 
-@lru_cache(maxsize=64)
 def _shell_splits(m: int, total: int, shell: int) -> tuple[Split, ...]:
-    """The annulus splits of the `total`-position domains in a shell.  They
-    depend on no profile and no coloring, so the last 64 (m, total, shell)
-    are kept: a search reads one per total and shell, 54 at most for an xi
-    search of radius 6."""
+    """The annulus splits of the `total`-position domains in a shell, built
+    once for each visit (_shell_visit), which keeps them if one has a
+    plan."""
     splits: list[Split] = []
     for dom in combinations([p for p in range(-shell, shell + 1) if p], total):
         if shell in (-dom[0], dom[-1]):
@@ -414,27 +413,11 @@ def _side_texts(entries: Entries, side: int, top: int, window: SearchWindow) -> 
     in index order: substitution turns the variable at position n into
     side * min(index, k_n).  A side with more texts than the window's cap
     is refused before any is built."""
-    profile = window.profile
-    count = _side_top(entries, top, profile)
+    count = _side_top(entries, top, window.profile)
     if count > window.max_candidates:
         over = window.max_candidates + 1
         raise SearchCapExceeded("side substitution texts exceed cap after %d texts" % over, over)
-    return [",".join(["%d:%d" % (pos, letter or side * min(index, profile.bound(pos)))
-                      for pos, letter in entries])
-            for index in range(1, count + 1)]
-
-
-def _candidate_sides(combo: Sequence[tuple[str, Entries]], slots: Sequence[tuple[int, int]],
-                     memos: Sequence[dict[str, list[str]]],
-                     window: SearchWindow) -> list[list[str]]:
-    """The side texts of a candidate's side choices, memoised per slot by
-    key in dicts local to the search."""
-    sides = []
-    for memo, (key, entries), (side, top) in zip(memos, combo, slots):
-        if key not in memo:
-            memo[key] = _side_texts(entries, side, top, window)
-        sides.append(memo[key])
-    return sides
+    return [_entries_text(row) for row in _side_variants(entries, count, side, window.profile)]
 
 
 def _instance_texts(sides: Sequence[Sequence[str]], run: Iterable[int]) -> Iterator[str]:
@@ -522,10 +505,11 @@ class _Kept:
 class _Visit:
     """All a search does in one shell but read colors: the shell's splits
     with plans, each with its block plans, the splits without (read only
-    to rank a witness), and the candidates visited so far (`kept`) with
-    their side texts, memoised per slot by side key in `memos`, and the
-    slice texts read so far.  `inner` is the count of the shell's total in
-    the window one shell smaller, once a witness asks for it.
+    to rank a witness, so kept only beside splits with plans), and the
+    candidates visited so far (`kept`) with their side texts, memoised per
+    slot by side key in `memos`, and the slice texts read so far.  `inner`
+    is the count of the shell's total in the window one shell smaller,
+    once a witness asks for it.
 
     `room` is what the visit may still keep, in texts: each side or slice
     text kept counts one.  A candidate is kept only if its new side texts
@@ -555,19 +539,22 @@ def _shell_visit(m: int, total: int, shell: int, profile: DominationProfile,
                  cap: int) -> _Visit:
     """The visit of one shell, keyed by all that a search reads there but
     the coloring (the window's cap too, as side texts past it are
-    refused); searches extend it, and the last 64 are kept.  A split's
-    block plans: with no xi, the one plan of a single run of every member,
-    shared by all the splits; under xi, the plans _xi_plans gives for the
-    members' sizes and anchors (least positive positions), which the split
-    fixes."""
+    refused); searches extend it, and the last 64 are kept.  It builds the
+    shell's splits once and keeps them.  A split's block plans: with no
+    xi, the one plan of a single run of every member, shared by all the
+    splits; under xi, the plans _xi_plans gives for the members' sizes and
+    anchors (least positive positions), which the split fixes.  The splits
+    without plans are kept only when some split has one: only a witness's
+    rank reads them, and a shell with no planned split holds no witness."""
     splits = _shell_splits(m, total, shell)
     if xi is None:
         return _Visit(splits, (((tuple(range(m)),),),) * len(splits), (), len(slots))
     plans = [_xi_plans(tuple(map(len, layers)),
                        tuple([layer[bisect_left(layer, 0)] for layer in layers]), xi, n0)
              for layers in splits]
-    return _Visit(tuple(compress(splits, plans)), tuple(filter(None, plans)),
-                  tuple([layers for layers, own in zip(splits, plans) if not own]), len(slots))
+    planned = tuple(compress(splits, plans))
+    return _Visit(planned, tuple(filter(None, plans)), planned and tuple(
+        [layers for layers, own in zip(splits, plans) if not own]), len(slots))
 
 
 def _kept_texts(visit: _Visit, kept: _Kept) -> Iterator[str]:
@@ -591,11 +578,11 @@ def _visit_candidates(visit: _Visit, slots: Sequence[tuple[int, int]],
     """A shell's candidates in serialization order, as (text, side choices,
     plans, side texts, slice texts): the kept ones, then, unless the visit
     is complete, those past them, merged again from the splits with plans.
-    Each is kept while its new side texts, built into the visit's memos,
-    leave room; from the first refused the visit is full, and the side
-    texts of the rest are memoised for the call only.  A side over the
-    window's cap raises as it is built, its room left spent, so the
-    candidate is not kept and the bound holds."""
+    A candidate's side texts that the memos lack are built first, so a
+    side over the window's cap raises before anything is memoised or
+    charged.  Each candidate is kept while its new side texts leave room;
+    from the first refused the visit is full, and the side texts of the
+    rest are memoised for the call only."""
     kept = visit.kept
     for c in kept:
         yield c.text, c.combo, c.plans, c.sides, c.texts if c.whole else _kept_texts(visit, c)
@@ -604,20 +591,23 @@ def _visit_candidates(visit: _Visit, slots: Sequence[tuple[int, int]],
     memos = [dict(memo) for memo in visit.memos] if visit.full else visit.memos
     stream = _shell_candidates(zip(visit.planned, visit.plans), window.profile)
     for text, combo, plans in islice(stream, len(kept), None):
-        if not visit.full:
-            need = sum(_side_top(entries, top, window.profile)
-                       for memo, (key, entries), (_, top) in zip(memos, combo, slots)
-                       if key not in memo)
-            if need < visit.room:
-                visit.room -= need
-                c = _Kept(text, combo, plans, _candidate_sides(combo, slots, memos, window))
-                kept.append(c)
-                yield text, combo, plans, c.sides, _kept_texts(visit, c)
-                continue
+        new = [(i, key, _side_texts(entries, side, top, window))
+               for i, ((key, entries), (side, top)) in enumerate(zip(combo, slots))
+               if key not in memos[i]]
+        need = sum(len(texts) for _, _, texts in new)
+        if not visit.full and need >= visit.room:
             visit.full, visit.room = True, 0
             memos = [dict(memo) for memo in memos]
-        sides = _candidate_sides(combo, slots, memos, window)
-        yield text, combo, plans, sides, _slice_texts(sides, plans)
+        for i, key, texts in new:
+            memos[i][key] = texts
+        sides = [memo[key] for memo, (key, _) in zip(memos, combo)]
+        if visit.full:
+            yield text, combo, plans, sides, _slice_texts(sides, plans)
+            continue
+        visit.room -= need
+        c = _Kept(text, combo, plans, sides)
+        kept.append(c)
+        yield text, combo, plans, sides, _kept_texts(visit, c)
     visit.complete = not visit.full
 
 
