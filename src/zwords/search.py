@@ -7,22 +7,24 @@ result only ever means "witness found / not found within this window".
 Candidates are visited in a canonical order (total domain size, outermost
 position, serialization), so results are reproducible.
 
-What a search lays out before it colors anything, its side pools and its
-xi block plans, is kept across searches in bounded caches, each sized to
-hold one search of radius 6 whole.  Above them, each shell a search reads
-is a visit kept across searches: its splits with their plans, and for each
-candidate visited so far its text, side choices, plans, side texts and the
-slice texts read so far.  A shell with no planned split keeps no split, as
-it holds no witness.  So a sweep of colorings over one window lays the
-window out once, and a later search replays the kept candidates with color
-lookups alone; one that goes past them merges the shell's splits again and
-skips the kept prefix.  The visits are bounded twice: the last VISITS (64)
-are kept, and one keeps at most VISIT_TEXTS (128) texts, side and slice
-texts, and the candidates that read them, after which it keeps nothing
-more and searches go on past it with their side texts kept for the call.
-Colors depend on the coloring, so they are kept for the call only.  A
-visit is extended in place, so searches of one process run one at a time,
-not from several threads at once.
+What a search lays out before it colors anything, its candidate counts,
+its side pools and its xi block plans, is kept across searches in bounded
+caches, each sized to hold one search of radius 6 whole.  Above them, each
+shell a search reads is a visit kept across searches: its splits with
+their plans, and for each candidate visited so far its text, side choices,
+plans, side texts, the slice texts read so far and, once it is a witness,
+its rank.  A search reads a total's shells from its half, rounded up, as
+the inner ones are empty, and a shell with no planned split keeps no
+split, as it holds no witness.  So a sweep of colorings over one window
+lays the window out once, and a later search replays the kept candidates
+with color lookups alone; one that goes past them merges the shell's
+splits again and skips the kept prefix.  The visits are bounded twice: the
+last VISITS (64) are kept, and one keeps at most VISIT_TEXTS (128) texts,
+side and slice texts, and the candidates that read them, after which it
+keeps nothing more and searches go on past it with their side texts kept
+for the call.  Colors depend on the coloring, so they are kept for the
+call only.  A visit is extended in place, so searches of one process run
+one at a time, not from several threads at once.
 """
 
 from __future__ import annotations
@@ -248,16 +250,15 @@ def _splits(dom: tuple[int, ...], m: int) -> Iterator[Split]:
             yield tuple([dom[left[i + 1]:left[i]] + dom[right[i]:right[i + 1]] for i in range(m)])
 
 
-@lru_cache(maxsize=128)
 def _side_counts(bounds: tuple[int, ...], m: int, top: int) -> tuple[int, ...]:
     """N(a), a = 0..min(top, len(bounds)): over the a-subsets of one side
     cut into m consecutive nonempty runs, the sum of the product over the
     runs of prod(k+1) - prod(k).  A state is (runs begun, size) with two
     sums for the open run, weighted by prod(k+1) and by prod(k); closing
     the run adds their difference.  A size-s state reads only size s - 1
-    states, so the table stops at `top`, the largest size asked for.  The
-    last 128 (bounds, m, top) are kept, so repeated searches, and a
-    search's count of its inner window, count once."""
+    states, so the table stops at `top`, the largest size asked for.  It
+    is not kept itself: _window_counts keeps the window counts made from
+    it, so a search reads neither again."""
     n = min(top, len(bounds))
     grown, plain = ([[0] * (n + 1) for _ in range(m + 1)] for _ in range(2))
     grown[0][0] = 1
@@ -270,19 +271,31 @@ def _side_counts(bounds: tuple[int, ...], m: int, top: int) -> tuple[int, ...]:
     return tuple(a - b for a, b in zip(grown[m], plain[m]))
 
 
-def _candidate_counts(m: int, totals: range, window: SearchWindow) -> list[int]:
-    """The candidate count per total: a split cuts each side on its own, so
-    count(total) = sum over a of N(a) P(total - a).  A table window with
-    candidates reads all its bounds first and names its least missing
-    position.  Every domain of the least total t with t // 2 negative
-    positions has a split, and every split a candidate, so that total has
-    at least comb(radius, t // 2) * comb(radius, t - t // 2); a window whose
-    bound passes the cap is refused before its counts are worked out, and a
-    total over the cap raises before any word is built."""
-    radius, profile, over = window.radius, window.profile, window.max_candidates + 1
+def _candidate_counts(m: int, totals: range, window: SearchWindow) -> tuple[int, ...]:
+    """The candidate count per total, as _window_counts keeps it under the
+    window's fields."""
+    return _window_counts(m, totals, window.radius, window.profile, window.max_candidates)
+
+
+@lru_cache(maxsize=128)
+def _window_counts(m: int, totals: range, radius: int, profile: DominationProfile,
+                   cap: int) -> tuple[int, ...]:
+    """The candidate count per total in the window of these fields: a split
+    cuts each side on its own, so count(total) = sum over a of N(a)
+    P(total - a).  A table window with candidates reads all its bounds
+    first and names its least missing position.  Every domain of the least
+    total t with t // 2 negative positions has a split, and every split a
+    candidate, so that total has at least comb(radius, t // 2) *
+    comb(radius, t - t // 2); a window whose bound passes the cap is
+    refused before its counts are worked out, and a total over the cap
+    raises before any word is built.  The counts do not depend on the
+    coloring, so the last 128 are kept, and repeated searches, and a
+    witness's count of its inner window, count once; a call that raises
+    is not kept, so a refusal raises again every time."""
+    over = cap + 1
     least = next((total for total in totals if 2 * m <= total <= 2 * radius), None)
     if least is None:
-        return [0] * len(totals)
+        return (0,) * len(totals)
     bounds = (profile.bound(p) for p in range(-radius, radius + 1) if p)
     if profile.kind == "table":
         bounds = tuple(bounds)
@@ -296,9 +309,9 @@ def _candidate_counts(m: int, totals: range, window: SearchWindow) -> list[int]:
     top = max(totals)
     neg, pos = (_side_counts(bounds[radius - 1::-1], m, top),
                 _side_counts(bounds[radius:], m, top))
-    counts = [sum(neg[a] * pos[total - a]
-                  for a in range(max(0, total - radius), min(total, radius) + 1))
-              for total in totals]
+    counts = tuple([sum(neg[a] * pos[total - a]
+                        for a in range(max(0, total - radius), min(total, radius) + 1))
+                    for total in totals])
     if max(counts) >= over:
         raise SearchCapExceeded("witness candidates exceed cap after %d tuples" % over, over)
     return counts
@@ -492,14 +505,18 @@ class SearchReport(Record):
 class _Kept:
     """A candidate a shell visit keeps: its text, side choices, plans and
     side texts, and the slice texts searches have read, `whole` once they
-    are all of them."""
+    are all of them.  `rank` is its rank over the shell's splits without
+    plans (_rank), once some search has found it a witness: it depends on
+    the candidate alone, so it is worked out once and kept as one int, not
+    as the pools it was read from."""
 
-    __slots__ = ("text", "combo", "plans", "sides", "texts", "whole")
+    __slots__ = ("text", "combo", "plans", "sides", "texts", "whole", "rank")
 
     def __init__(self, text: str, combo: tuple, plans: Plans, sides: list[list[str]]) -> None:
         self.text, self.combo, self.plans, self.sides = text, combo, plans, sides
         self.texts: list[str] = []
         self.whole = False
+        self.rank: int | None = None
 
 
 class _Visit:
@@ -545,7 +562,10 @@ def _shell_visit(m: int, total: int, shell: int, profile: DominationProfile,
     splits; under xi, the plans _xi_plans gives for the members' sizes and
     anchors (least positive positions), which the split fixes.  The splits
     without plans are kept only when some split has one: only a witness's
-    rank reads them, and a shell with no planned split holds no witness."""
+    rank reads them, and a shell with no planned split holds no witness.
+    A search reads only the shells that hold its totals' domains, so a
+    plan-less xi search of radius 8 reads 49 shells, which all stay kept,
+    and the same search run again replays them."""
     splits = _shell_splits(m, total, shell)
     if xi is None:
         return _Visit(splits, (((tuple(range(m)),),),) * len(splits), (), len(slots))
@@ -576,16 +596,16 @@ def _kept_texts(visit: _Visit, kept: _Kept) -> Iterator[str]:
 def _visit_candidates(visit: _Visit, slots: Sequence[tuple[int, int]],
                       window: SearchWindow) -> Iterator[tuple]:
     """A shell's candidates in serialization order, as (text, side choices,
-    plans, side texts, slice texts): the kept ones, then, unless the visit
-    is complete, those past them, merged again from the splits with plans.
-    A candidate's side texts that the memos lack are built first, so a
-    side over the window's cap raises before anything is memoised or
-    charged.  Each candidate is kept while its new side texts leave room;
-    from the first refused the visit is full, and the side texts of the
-    rest are memoised for the call only."""
+    plans, side texts, slice texts, the _Kept or None): the kept ones,
+    then, unless the visit is complete, those past them, merged again from
+    the splits with plans.  A candidate's side texts that the memos lack
+    are built first, so a side over the window's cap raises before
+    anything is memoised or charged.  Each candidate is kept while its new
+    side texts leave room; from the first refused the visit is full, and
+    the side texts of the rest are memoised for the call only."""
     kept = visit.kept
     for c in kept:
-        yield c.text, c.combo, c.plans, c.sides, c.texts if c.whole else _kept_texts(visit, c)
+        yield c.text, c.combo, c.plans, c.sides, c.texts if c.whole else _kept_texts(visit, c), c
     if visit.complete:
         return
     memos = [dict(memo) for memo in visit.memos] if visit.full else visit.memos
@@ -602,12 +622,12 @@ def _visit_candidates(visit: _Visit, slots: Sequence[tuple[int, int]],
             memos[i][key] = texts
         sides = [memo[key] for memo, (key, _) in zip(memos, combo)]
         if visit.full:
-            yield text, combo, plans, sides, _slice_texts(sides, plans)
+            yield text, combo, plans, sides, _slice_texts(sides, plans), None
             continue
         visit.room -= need
         c = _Kept(text, combo, plans, sides)
         kept.append(c)
-        yield text, combo, plans, sides, _kept_texts(visit, c)
+        yield text, combo, plans, sides, _kept_texts(visit, c), c
     visit.complete = not visit.full
 
 
@@ -620,11 +640,13 @@ def _first_one_color(coloring: Coloring, m: int, totals: range, counts: Sequence
     ()).
 
     Shell by shell (outermost |position|), the splits with plans are merged
-    by serialization and visited, and the others are never built.  `nodes`
-    is the witness's place in the canonical order, read from the counts:
-    the earlier totals', this total's in the window one shell smaller, the
+    by serialization and visited, and the others are never built.  Shell s
+    holds only domains of at most 2s positions, so a total's first shell
+    is its half, rounded up, and no empty shell is visited.  `nodes` is the
+    witness's place in the canonical order, read from the counts: the
+    earlier totals', this total's in the window one shell smaller, the
     candidates visited in this shell and the witness's rank in each split
-    of it without plans.
+    of it without plans, which a kept candidate keeps (_Kept.rank).
 
     All but the colors is the shell's visit (_shell_visit), kept across
     searches: its splits and plans, and each visited candidate's text,
@@ -634,27 +656,29 @@ def _first_one_color(coloring: Coloring, m: int, totals: range, counts: Sequence
     visits are kept, and each keeps at most VISIT_TEXTS texts, so a
     profile with large bounds or an exhaustive search of a wide window
     keeps no more; past that, the search streams on with its side texts
-    kept for the call.  The colors
-    depend on the coloring, so they stay in a dict local to the call, and
-    table colorings and Coloring subclasses read the same texts."""
+    kept for the call.  The colors depend on the coloring, so they stay in
+    a dict local to the call, and table colorings and Coloring subclasses
+    read the same texts."""
     profile, cap = window.profile, window.max_candidates
     slots = tuple(slots)
     colors: dict[str, int] = {}
     for t, total in enumerate(totals):
         if not counts[t]:
             continue  # no split to visit, however large the total
-        for shell in range(1, window.radius + 1):
+        for shell in range((total + 1) // 2, window.radius + 1):
             visit = _shell_visit(m, total, shell, profile, slots, xi, n0, cap)
-            for visited, (text, combo, plans, sides, texts) in enumerate(
+            for visited, (text, combo, plans, sides, texts, kept) in enumerate(
                     _visit_candidates(visit, slots, window), 1):
                 color = _one_color(coloring, texts, colors)
                 if color is not None:
                     if visit.inner is None:
                         visit.inner = 0 if shell == 1 else sum(_candidate_counts(
                             m, range(total, total + 1), SearchWindow(shell - 1, profile, cap)))
-                    nodes = sum(counts[:t]) + visit.inner + visited + sum(
-                        _rank(text, _split_pools(layers, profile))
-                        for layers in visit.planless)
+                    own = kept or _Kept(text, combo, plans, sides)
+                    if own.rank is None:
+                        own.rank = sum(_rank(text, _split_pools(layers, profile))
+                                       for layers in visit.planless)
+                    nodes = sum(counts[:t]) + visit.inner + visited + own.rank
                     return nodes, _words(combo, profile), color, sides, plans
     return sum(counts), None, None, [], ()
 

@@ -372,6 +372,26 @@ def test_hj_cap():
     assert exc.value.candidates == 6
 
 
+def test_side_texts_answer_at_their_cap_and_refuse_one_below():
+    # a side has min(top, the largest bound at its variables) distinct
+    # texts: under a cap of exactly that many they are built, and under a
+    # cap one smaller the side is refused, naming the cap plus one
+    cases = [("abs", ((-3, VARIABLE),), -1, 3, 3),
+             ("abs", ((1, VARIABLE), (2, 1), (4, VARIABLE)), 1, 9, 4),
+             ("const:5", ((-2, VARIABLE), (-1, -3)), -1, 2, 2),
+             ("abs+9", ((2, VARIABLE),), 1, 20, 11),
+             ("table:-2=1,-1=2,1=1,2=1", ((-2, VARIABLE), (-1, VARIABLE)), -1, 5, 2)]
+    for text, entries, side, top, count in cases:
+        profile = parse_profile(text)
+        texts = _side_texts(entries, side, top, SearchWindow(2, profile))
+        assert len(texts) == len(set(texts)) == count, (text, texts)
+        assert _side_texts(entries, side, top, SearchWindow(2, profile, count)) == texts
+        with pytest.raises(SearchCapExceeded) as exc:
+            _side_texts(entries, side, top, SearchWindow(2, profile, count - 1))
+        assert str(exc.value) == "side substitution texts exceed cap after %d texts" % count
+        assert exc.value.candidates == count
+
+
 def test_candidate_stream_and_count_match_reference():
     # every (profile, radius <= 4, m <= 3, total) cell, except the three
     # largest totals of abs+1 at radius 4 with m = 1 (206,224 of the 373,077
@@ -393,7 +413,7 @@ def test_candidate_stream_and_count_match_reference():
         window = SearchWindow(radius, parse_profile(text))
         reference = reference_candidates(m, total, window)
         assert witness_candidates(m, total, window) == reference, (text, radius, m, total)
-        assert _candidate_counts(m, range(total, total + 1), window) == [len(reference)]
+        assert _candidate_counts(m, range(total, total + 1), window) == (len(reference),)
 
 
 def test_ranks_count_the_preceding_candidates():
@@ -755,10 +775,29 @@ def test_a_planless_xi_search_builds_no_word(monkeypatch):
         assert (rep.found, rep.grid_size, rep.nodes_expanded, rep.candidates) \
             == (False, 0, count, count)
     # the cache's LRU list holds the kept visits, one per total and shell
+    # that holds its domains: shells 2 to 5 of total 4, down to shell 5 of
+    # total 10
     visits = [obj for obj in gc.get_referents(search._shell_visit)
               if isinstance(obj, search._Visit)]
-    assert len(visits) == 35
+    assert len(visits) == 16
     assert all(visit.planned == visit.planless == () for visit in visits)
+
+
+def test_a_planless_search_run_again_reads_only_kept_visits():
+    # the plan-less radius-7 xi search reads 36 shells, those that hold a
+    # domain of one of its totals 4 to 14, so all its visits stay kept: the
+    # same search run again in the process reads every shell from its kept
+    # visit, lays none out, and reports the same
+    window = SearchWindow(7, max_candidates=10 ** 14)
+    clear_search_caches()
+    first = xi_witness_search(Coloring(arity=2, seed=1), from_int(3), 2, 4, window)
+    cold = search._shell_visit.cache_info()
+    again = xi_witness_search(Coloring(arity=2, seed=1), from_int(3), 2, 4, window)
+    warm = search._shell_visit.cache_info()
+    assert report_fields(again) == report_fields(first) \
+        == (None, None, 0, 38_099_916_864, 38_099_916_864, False)
+    assert (cold.hits, cold.misses) == (0, 36)
+    assert (warm.hits - cold.hits, warm.misses) == (cold.misses, cold.misses)
 
 
 def test_an_early_hj_search_builds_only_what_it_visits(monkeypatch):
@@ -831,7 +870,7 @@ def test_a_witness_in_an_outer_shell_under_a_raised_cap():
     assert max(max(-w.dom[0], w.dom[-1]) for w in rep.witness) == 5
 
 
-SEARCH_CACHES = (search._side_pool, search._xi_plans, search._side_counts, search._shell_visit)
+SEARCH_CACHES = (search._side_pool, search._xi_plans, search._window_counts, search._shell_visit)
 
 
 def clear_search_caches():
@@ -886,10 +925,14 @@ def test_report_sweep_digest():
 
 def test_warm_caches_change_no_report():
     # the sweep from cold caches, then again warm and in reverse, so its
-    # last searches find their visits, pools and plans kept: a kept result
-    # that a caller changed, or a key that misses a parameter (the profile
-    # of a pool, the xi or total of a plan, the grid tops of a visit),
-    # changes a report
+    # last searches find their visits, pools, plans and counts kept: a kept
+    # result that a caller changed, or a key that misses a parameter (the
+    # profile of a pool, the xi or total of a plan, the grid tops of a
+    # visit, the cap of a count), changes a report.  The pools, plans and
+    # counts of the whole sweep fit their caches, so the warm sweep misses
+    # none of them.  It takes more hits than the cold sweep from every
+    # cache but the pools, which it reads about as often (10,348 hits
+    # against 10,360), as a kept witness keeps its rank
     clear_search_caches()
     assert sweep_digest() == SWEEP_DIGEST
     cold = [cache.cache_info() for cache in SEARCH_CACHES]
@@ -897,15 +940,66 @@ def test_warm_caches_change_no_report():
     for cache, before in zip(SEARCH_CACHES, cold):
         after = cache.cache_info()
         assert after.misses - before.misses < before.misses
-        assert after.hits - before.hits > before.hits
+        share = 0.99 if cache is search._side_pool else 1
+        assert after.hits - before.hits > share * before.hits
+        if cache is not search._shell_visit:
+            assert after.misses == before.misses
+
+
+def test_kept_counts_are_the_counts_worked_out_again(monkeypatch):
+    # every count the report sweep asks for, by (m, totals) and the
+    # window's fields, read warm from the memo and worked out again from a
+    # cleared one, through the window the fields make
+    kept, asked = search._window_counts, []
+
+    def recording(*key):
+        asked.append(key)
+        return kept(*key)
+
+    monkeypatch.setattr(search, "_window_counts", recording)
+    clear_search_caches()
+    assert sweep_digest() == SWEEP_DIGEST
+    monkeypatch.undo()
+    keys = sorted(set(asked), key=repr)
+    windows = [(m, totals, SearchWindow(radius, profile, cap))
+               for m, totals, radius, profile, cap in keys]
+    assert len(keys) == kept.cache_info().misses == 71
+    warm = [_candidate_counts(*window) for window in windows]
+    assert kept.cache_info().misses == 71
+    for window, counts in zip(windows, warm):
+        kept.cache_clear()
+        assert _candidate_counts(*window) == counts, window
+        assert kept.cache_info().misses == 1
+    assert sum(map(sum, warm)) > 0
+
+
+def test_a_refused_count_is_refused_on_every_call():
+    # no call that raised is kept, so a window over its cap is refused
+    # every time, also after the same window under a larger cap was counted
+    # and kept, and a table window with a missing bound likewise
+    counts = _candidate_counts(1, range(2, 7), SearchWindow(3))
+    tight = SearchWindow(3, max_candidates=max(counts) - 1)
+    refusals = []
+    for _ in range(2):
+        with pytest.raises(SearchCapExceeded) as exc:
+            _candidate_counts(1, range(2, 7), tight)
+        refusals.append((str(exc.value), exc.value.candidates))
+    assert refusals == [("witness candidates exceed cap after %d tuples" % max(counts),
+                         max(counts))] * 2
+    gap = SearchWindow(2, parse_profile("table:-2=2,-1=1,1=1"))
+    for _ in range(2):
+        with pytest.raises(WordError, match="profile table has no bound at 2"):
+            _candidate_counts(1, range(2, 5), gap)
+    assert _candidate_counts(1, range(2, 7), SearchWindow(3)) == counts
 
 
 def test_search_caches_stay_within_their_sizes():
     # searches over more keys than each cache holds, each stopping at its
     # first candidate with a plan under a one-colour colouring: xi searches
-    # of radius 6 for n0 = 8..12 read 1,586 plan shapes, hj searches whose
-    # one total fills the window build 189 pools, and together they read
-    # 315 shells; the pool, plan and visit caches end full, at their sizes
+    # of radius 6 for n0 = 8..12 read 1,586 plan shapes, and hj searches of
+    # every total of the const:1 windows of radius up to 10 build 609 pools
+    # and count 216 (m, total, window); together they lay out 144 shells
+    # and count 222 times.  Every cache ends full, at its size
     clear_search_caches()
     one = Coloring(arity=1, seed=0)
     for n0 in range(8, 13):
@@ -914,10 +1008,11 @@ def test_search_caches_stay_within_their_sizes():
         assert rep.found
     for m in (1, 2):
         for radius in range(m, 11):
-            rep = hj_witness_search(one, m, [1] * m, 2 * radius, SearchWindow(
-                radius, parse_profile("const:1"), max_candidates=10 ** 12))
-            assert rep.nodes_expanded == 1
-    for cache in (search._side_pool, search._xi_plans, search._shell_visit):
+            window = SearchWindow(radius, parse_profile("const:1"), max_candidates=10 ** 12)
+            for n in range(2 * m, 2 * radius + 1):
+                rep = hj_witness_search(one, m, [1] * m, n, window)
+                assert rep.nodes_expanded == 1
+    for cache in SEARCH_CACHES:
         info = cache.cache_info()
         assert info.misses > info.maxsize == info.currsize, (cache, info)
 
@@ -1037,7 +1132,9 @@ def test_colour_sweeps_on_kept_visits_match_cold_searches():
 
 def test_a_repeated_search_builds_nothing_for_its_kept_prefix(monkeypatch):
     # a search under another colouring that reads the same texts replays
-    # the kept visits: no candidate, side text or slice text is built
+    # the kept visits: no candidate, side text or slice text is built, and
+    # a witness's rank over the splits without plans is read from its kept
+    # candidate, with no split's pools
     def refuse(*args):
         raise AssertionError("built again")
 
@@ -1051,7 +1148,7 @@ def test_a_repeated_search_builds_nothing_for_its_kept_prefix(monkeypatch):
             clear_search_caches()
             first = report_fields(run(Coloring(arity=arity, seed=seed)))
             with monkeypatch.context() as patched:
-                for name in ("_split_stream", "_side_texts", "_slice_texts"):
+                for name in ("_split_stream", "_split_pools", "_side_texts", "_slice_texts"):
                     patched.setattr(search, name, refuse)
                 again = report_fields(run(Recolored(arity=arity, seed=seed)))
             if first[0] is None:
@@ -1113,12 +1210,12 @@ def test_a_search_refused_partway_through_a_shell_is_refused_again():
 
 def test_an_exhaustive_radius_5_search_keeps_visits_within_their_budget():
     # hj with bounds 2,2 and n = 6 under 40 colours visits all 31,360
-    # candidates of radius 5.  Shells 1 and 2 have no candidate and are
-    # complete at once; shells 3, 4 and 5 (600 splits) fill their visits'
-    # budget after 47, 37 and 47 candidates, so each visit keeps at most
-    # VISIT_TEXTS texts.  The visits own the shells' 700 splits, traced
+    # candidates of radius 5.  Shells 1 and 2 hold no domain of 6 positions
+    # and are never visited; shells 3, 4 and 5 (600 splits) fill their
+    # visits' budget after 47, 37 and 47 candidates, so each visit keeps at
+    # most VISIT_TEXTS texts.  The visits own the shells' 700 splits, traced
     # alone (about 131 KB); what they keep beyond them, traced with the
-    # lower caches warm (about 96 KB), stays within 256 bytes a text.  The
+    # lower caches warm (about 96 KB), stays within 320 bytes a text.  The
     # whole state a search from cold caches retains (about 401 KB) is no
     # more than when a cache of their own kept the splits: 412,089 bytes
     # under Python 3.11.  Warm or cold, the report is the same
@@ -1140,17 +1237,18 @@ def test_an_exhaustive_radius_5_search_keeps_visits_within_their_budget():
     assert report_fields(cold) == (None, None, 16, 31_360, 31_360, False)
     search._shell_visit.cache_clear()
     again, kept = retained(run)
-    splits, own = retained(lambda: [_shell_splits(2, 6, shell) for shell in range(1, 6)])
+    splits, own = retained(lambda: [_shell_splits(2, 6, shell) for shell in range(3, 6)])
     assert sum(map(len, splits)) == 700
+    hits = search._shell_visit.cache_info().hits
     visits = [search._shell_visit(2, 6, shell, window.profile, slots, None, 6,
-                                  window.max_candidates) for shell in range(1, 6)]
+                                  window.max_candidates) for shell in range(3, 6)]
+    assert search._shell_visit.cache_info().hits == hits + 3
     for visit in visits:
         texts = sum(len(texts) for memo in visit.memos for texts in memo.values())
         texts += sum(len(c.texts) for c in visit.kept)
-        assert texts <= search.VISIT_TEXTS and (visit.complete or visit.full)
-    assert [visit.full for visit in visits] == [False, False, True, True, True]
-    assert len(visits[4].planned) == 600 and visits[4].kept
-    assert kept - own < len(visits) * search.VISIT_TEXTS * 256, (kept, own)
+        assert texts <= search.VISIT_TEXTS and visit.full
+    assert len(visits[2].planned) == 600 and visits[2].kept
+    assert kept - own < len(visits) * search.VISIT_TEXTS * 320, (kept, own)
     assert whole <= 412_089, whole
     assert report_fields(again) == report_fields(cold) == report_fields(run())
 
