@@ -1,15 +1,11 @@
 """Command line surface binding all modules for batch use.
 
 Data output is line-oriented plain text on stdout (or the same fields as
-JSON with --json); timings go to stderr.  Exit codes: 0 success, 1 domain
-error, 2 usage error.  The env var ZW_CAPS, a positive integer, overrides
-the enumeration and search caps.  A command whose arguments are each an
-exact --flag value or --flag=value of the command, none repeated, all
-required ones present and every int and choice well formed, is read
-straight from its row of the command table; a value may start like a
-negative number (-3/7), and rat encode's value stands bare or after --.
-Anything else, help and every usage error included, goes to the argparse
-parser tree built from the same table, on first use.
+JSON with a leading --json); timings go to stderr.  Exit codes: 0
+success, 1 domain error, 2 usage error.  The env var ZW_CAPS, a positive
+integer, overrides the enumeration and search caps.  Each command is read
+from its row of the command table (`_read` says how), and its help and
+usage line are written from the same row.
 """
 
 from __future__ import annotations
@@ -340,9 +336,9 @@ _INT_NONE = {"type": int, "default": None}
 _ABS = {"default": "abs"}
 
 # Every command by (group, name): its handler, its arguments in the order
-# of its usage line (argparse name -> keywords) and the defaults it binds
-# besides the handler.  `_read` reads commands from this table, and the
-# argparse tree is built from it.
+# of its usage line (a name without dashes is positional -> keywords) and
+# the defaults it binds besides the handler.  `_read` reads commands from
+# this table, and their help and usage lines are written from it.
 COMMANDS = {
     ("word", "check"): (_cmd_word_check, {"--word": _REQUIRED, "--profile": _ABS}, {}),
     ("word", "concat"): (_cmd_word_pair, {"--a": _REQUIRED, "--b": _REQUIRED,
@@ -368,7 +364,7 @@ COMMANDS = {
     ("family", "cbindex"): (_cmd_family_cbindex, {
         "--family": _NONE, "--pool": _NONE, "--tau": _INT, "--set-m": _INT_NONE,
         "--ground": {"type": int, "default": 12}, "--profile": _ABS}, {}),
-    ("rat", "encode"): (_cmd_rat_encode, {"value": {}}, {}),
+    ("rat", "encode"): (_cmd_rat_encode, {"value": _REQUIRED}, {}),
     ("rat", "decode"): (_cmd_rat_decode, {"--word": _REQUIRED}, {}),
     ("rat", "precedes"): (_cmd_rat_precedes, {"--a": _REQUIRED, "--b": _REQUIRED}, {}),
     ("rat", "qxi"): (_cmd_rat_qxi, {"--xi": _REQUIRED, "--values": _REQUIRED}, {}),
@@ -386,74 +382,76 @@ COMMANDS = {
 }
 
 
-def build_parser():
-    """The whole argparse parser tree, built from COMMANDS."""
-    import argparse  # only help and usage errors reach the tree
+class UsageError(Exception):
+    """Raised as (path, reason): help for path when reason is None, else a usage error."""
 
-    class Value(argparse.Action):
-        """Store an argument's one value.  argparse before Python 3.13
-        binds --flag=-- to an empty list, which no command reads, so that
-        is refused as the flag given without its value."""
 
-        def __call__(self, parser, namespace, values, option_string=None):
-            if isinstance(values, list):
-                raise argparse.ArgumentError(self, "expected one argument")
-            setattr(namespace, self.dest, values)
+def _choices(path: tuple) -> list[str]:
+    """The groups, for (), or the commands of a group, in table order."""
+    return list(dict.fromkeys(key[len(path)] for key in COMMANDS if key[:len(path)] == path))
 
-    top = argparse.ArgumentParser(prog="zwords", description=__doc__)
-    top.add_argument("--json", action="store_true", help="emit JSON instead of plain text")
-    sub = top.add_subparsers(dest="command", required=True)
-    groups = {}
-    for (group, name), (func, arguments, defaults) in COMMANDS.items():
-        if group not in groups:
-            groups[group] = sub.add_parser(group).add_subparsers(dest="subcommand",
-                                                                 required=True)
-        leaf = groups[group].add_parser(name)
-        for flag, keywords in arguments.items():
-            leaf.add_argument(flag, action=Value, **keywords)
-        leaf.set_defaults(func=func, **defaults)
-    return top
+
+def _form(name: str, keywords: dict) -> str:
+    """An argument on a usage line: a flag with its choices or metavar, [optional]."""
+    meta = ("{%s}" % ",".join(keywords["choices"]) if "choices" in keywords
+            else name[2:].upper().replace("-", "_"))
+    form = name + " " + meta if name.startswith("-") else name
+    return form if keywords.get("required") else "[%s]" % form
+
+
+def _parts(path: tuple) -> list[str]:
+    """What follows [-h] on path's usage line: its choices or arguments."""
+    if path in COMMANDS:
+        return [_form(*argument) for argument in COMMANDS[path][1].items()]
+    return ["[--json]"] * (not path) + ["{%s}" % ",".join(_choices(path)), "..."]
+
+
+def _usage(path: tuple) -> str:
+    """The usage line of path, () or (group,) or a command, as argparse wrote it."""
+    return "usage: %s [-h] %s\n" % (" ".join(("zwords", *path)), " ".join(_parts(path)))
+
+
+def _help(path: tuple) -> str:
+    """The usage line, then a line per group with its commands, command with
+    its arguments, or argument with its default or need, and its type."""
+    rows = [("--json", "emit JSON instead of plain text")] * (not path)
+    if path in COMMANDS:
+        for name, keywords in COMMANDS[path][1].items():
+            default = keywords.get("default")
+            note = ("required" if keywords.get("required") else "optional" if default is None
+                    else "default %s" % default)
+            rows.append((_form(name, keywords).strip("[]"),
+                         note + ", an integer" * ("type" in keywords)))
+    else:
+        rows += [(choice, " ".join(_parts(path + (choice,)))) for choice in _choices(path)]
+    width = max(len(left) for left, _ in rows)
+    return _usage(path) + "\n" + "".join("  %s  %s\n" % (left.ljust(width), right)
+                                         for left, right in rows)
+
+
+def _stray(path: tuple, token: str) -> UsageError:
+    """Help for -h or --help, else the usage error of a token path refuses."""
+    return UsageError(path, None if token in ("-h", "--help")
+                      else "unrecognized arguments: %s" % token)
 
 
 def _dash_value(token: str) -> bool:
     """Whether token starts like a negative number (-3/7, -1:v,1:v, -.5),
-    which argparse would read as an option."""
+    which is read as a value, not as an option."""
     return len(token) > 1 and token[0] == "-" and token[1] in "0123456789."
 
 
-def _dash_values(argv: list[str]) -> list[str]:
-    """Join each dash value to the --flag just before it, if that flag has
-    no "=" yet; otherwise put "--" in front of it, so that it and the rest
-    are positional."""
-    out = []
-    for i, arg in enumerate(argv):
-        if arg == "--":
-            return out + argv[i:]
-        if _dash_value(arg):
-            if out and out[-1].startswith("--") and "=" not in out[-1]:
-                out[-1] += "=" + arg
-                continue
-            return out + ["--"] + argv[i:]
-        out.append(arg)
-    return out
-
-
 def _plain(token: str) -> bool:
-    """Whether argparse, after `_dash_values`, reads token as a value:
-    it does not start with "-", is "-" alone, or is a dash value."""
+    """Whether token is a value: no leading "-", "-" alone, or a dash value."""
     return not token.startswith("-") or token == "-" or _dash_value(token)
 
 
-def _read(command: tuple[str, str], argv: list[str]) -> SimpleNamespace | None:
-    """The namespace of one command's arguments, argv, read straight from
-    its COMMANDS row, or None where the row does not read them plainly.
-
-    Each flag of the row is given at most once, as --flag value or
-    --flag=value, and positional values stand bare, after "--", or from
-    a first dash value on, as `_dash_values` makes them; every required
-    argument is given and every type and choice met.  None sends help,
-    abbreviations, repeats, bad values and stray tokens to the tree,
-    which writes their help or usage error."""
+def _read(command: tuple[str, str], argv: list[str]) -> SimpleNamespace:
+    """The namespace of a command's arguments, argv, read from its row, or
+    UsageError.  Each flag is given at most once, unabbreviated, as --flag
+    value or --flag=value; positional values stand bare, after "--" or
+    from a first dash value on; every required argument is given and every
+    type and choice met."""
     func, arguments, defaults = COMMANDS[command]
     given, bare = {}, []
     i = 0
@@ -461,33 +459,31 @@ def _read(command: tuple[str, str], argv: list[str]) -> SimpleNamespace | None:
         token = argv[i]
         i += 1
         if token == "--" or _dash_value(token):
-            # the rest is positional; a "--" with nothing after it is left
-            # to the tree
+            # the rest is positional; a "--" with nothing after it is refused
             rest = argv[i:] if token == "--" else argv[i - 1:]
             if not rest:
-                return None
+                raise _stray(command, token)
             bare += rest
             break
         if token.startswith("--"):
             flag, eq, value = token.partition("=")
-            if flag not in arguments or flag in given:
-                return None
-            if eq:
-                if value == "--":  # Python 3.11's argparse reads it as []
-                    return None
-            elif i < len(argv) and _plain(argv[i]):
+            if flag not in arguments:
+                raise _stray(command, token)
+            if flag in given:
+                raise UsageError(command, "argument %s: given more than once" % flag)
+            if not eq:
+                if i == len(argv) or not _plain(argv[i]):
+                    raise UsageError(command, "argument %s: expected one argument" % flag)
                 value = argv[i]
                 i += 1
-            else:
-                return None
             given[flag] = value
         elif _plain(token):
             bare.append(token)
         else:
-            return None
+            raise _stray(command, token)
     positionals = [name for name in arguments if not name.startswith("-")]
-    if len(bare) != len(positionals):
-        return None
+    if len(bare) > len(positionals):
+        raise _stray(command, " ".join(bare[len(positionals):]))
     given.update(zip(positionals, bare))
     values = dict(defaults, func=func)
     for name, keywords in arguments.items():
@@ -497,28 +493,19 @@ def _read(command: tuple[str, str], argv: list[str]) -> SimpleNamespace | None:
                 try:
                     value = keywords["type"](value)
                 except (TypeError, ValueError):
-                    return None
+                    raise UsageError(command, "argument %s: invalid %s value: %r"
+                                     % (name, keywords["type"].__name__, value)) from None
             if "choices" in keywords and value not in keywords["choices"]:
-                return None
+                raise UsageError(command, "argument %s: invalid choice: %r (choose from %s)"
+                                 % (name, value, ", ".join(keywords["choices"])))
         elif keywords.get("required"):
-            return None
+            raise UsageError(command, "the following arguments are required: " + ", ".join(
+                flag for flag in arguments
+                if arguments[flag].get("required") and flag not in given))
         else:
             value = keywords.get("default")
         values[name.lstrip("-").replace("-", "_")] = value
     return SimpleNamespace(**values)
-
-
-# the whole tree, built on first use, not at import, and reused: parsing
-# keeps no state in a parser, and importing the CLI stays cheap
-_parser = None
-
-
-def _parse(argv: list[str]):
-    """The tree's namespace of argv, dash values joined first."""
-    global _parser
-    if _parser is None:
-        _parser = build_parser()
-    return _parser.parse_args(_dash_values(argv))
 
 
 def _answer(args) -> int:
@@ -535,19 +522,31 @@ def _answer(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one command line: read straight from its COMMANDS row when
-    `_read` can, after an optional leading --json, else by the tree."""
+    """Run one command line, after an optional leading --json.  Help goes to
+    stdout, exit code 0; a usage error is its usage line and one error:
+    line on stderr, exit code 2."""
     argv = sys.argv[1:] if argv is None else list(argv)
     start = 1 if argv[:1] == ["--json"] else 0
     command = tuple(argv[start:start + 2])
-    args = _read(command, argv[start + 2:]) if command in COMMANDS else None
-    if args is None:
-        try:
-            args = _parse(argv)
-        except SystemExit as exc:
-            return exc.code if isinstance(exc.code, int) else 2
-    else:
-        args.json = bool(start)
+    try:
+        if command in COMMANDS:
+            args = _read(command, argv[start + 2:])
+        else:  # no command: the top level, or the group named first, refuses
+            path = command[:1] if command and command[0] in _choices(()) else ()
+            level, rest = ("command", "subcommand")[len(path)], command[len(path):]
+            if not rest:
+                raise UsageError(path, "the following arguments are required: " + level)
+            raise UsageError(path, None if rest[0] in ("-h", "--help") else
+                             "argument %s: invalid choice: %r (choose from %s)"
+                             % (level, rest[0], ", ".join(_choices(path))))
+    except UsageError as exc:
+        path, reason = exc.args
+        if reason is None:
+            sys.stdout.write(_help(path))
+            return 0
+        sys.stderr.write("%s%s: error: %s\n" % (_usage(path), " ".join(("zwords", *path)), reason))
+        return 2
+    args.json = bool(start)
     return _answer(args)
 
 

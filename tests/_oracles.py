@@ -12,6 +12,7 @@ skips most of those walks.
 
 from __future__ import annotations
 
+import argparse
 from fractions import Fraction
 from itertools import combinations, product
 from math import factorial, perm, prod
@@ -346,11 +347,67 @@ def reference_is_core(w: LocatedWord) -> bool:
     return any(pos < 0 for pos, _ in w.entries) and any(pos > 0 for pos, _ in w.entries)
 
 
+def build_parser() -> argparse.ArgumentParser:
+    """The reference parser: an argparse tree built from cli.COMMANDS.  It
+    reads what the CLI reads, but also abbreviations and repeated flags,
+    and its help and usage errors are argparse's own, wrapped at 80
+    columns whatever the terminal."""
+
+    class Value(argparse.Action):
+        """Store an argument's one value.  argparse before Python 3.13
+        binds --flag=-- to an empty list; the CLI reads "--", as 3.13 does."""
+
+        def __call__(self, parser, namespace, values, option_string=None):
+            setattr(namespace, self.dest, "--" if values == [] else values)
+
+    def fixed(prog):
+        return argparse.HelpFormatter(prog, width=80)
+
+    top = argparse.ArgumentParser(prog="zwords", formatter_class=fixed)
+    top.add_argument("--json", action="store_true", help="emit JSON instead of plain text")
+    sub = top.add_subparsers(dest="command", required=True)
+    groups = {}
+    for (group, name), (func, arguments, defaults) in cli.COMMANDS.items():
+        if group not in groups:
+            groups[group] = sub.add_parser(group, formatter_class=fixed).add_subparsers(
+                dest="subcommand", required=True)
+        leaf = groups[group].add_parser(name, formatter_class=fixed)
+        for flag, keywords in arguments.items():
+            if not flag.startswith("-"):  # argparse takes no required= for a positional
+                keywords = {key: value for key, value in keywords.items() if key != "required"}
+            leaf.add_argument(flag, action=Value, **keywords)
+        leaf.set_defaults(func=func, **defaults)
+    return top
+
+
+def _dash_values(argv: list[str]) -> list[str]:
+    """Join each dash value to the --flag just before it, if that flag has
+    no "=" yet; otherwise put "--" in front of it, so that it and the rest
+    are positional, as the CLI reads them."""
+    out = []
+    for i, arg in enumerate(argv):
+        if arg == "--":
+            return out + argv[i:]
+        if cli._dash_value(arg):
+            if out and out[-1].startswith("--") and "=" not in out[-1]:
+                out[-1] += "=" + arg
+                continue
+            return out + ["--"] + argv[i:]
+        out.append(arg)
+    return out
+
+
+def reference_parse(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
+    """The reference parser's namespace of argv, dash values joined first;
+    SystemExit for help and usage errors."""
+    return parser.parse_args(_dash_values(list(argv)))
+
+
 def reference_main(argv) -> int:
-    """cli.main parsing every argv with the whole parser tree, built
+    """cli.main parsing every argv with the reference parser, built
     afresh, then answering through the same guard and writer."""
     try:
-        args = cli.build_parser().parse_args(cli._dash_values(list(argv)))
+        args = reference_parse(build_parser(), argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     return cli._answer(args)

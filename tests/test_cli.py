@@ -20,7 +20,7 @@ from zwords.ordinals import format_ordinal
 from zwords.schreier import format_set
 from zwords.words import format_word
 
-from _oracles import reference_main
+from _oracles import build_parser, reference_main, reference_parse
 
 
 def run(capsys, *argv):
@@ -153,30 +153,6 @@ def test_rat_values_past_the_int_to_str_limit(capsys):
     den = 10007 * factorial(10001)
     assert run(capsys, "rat", "encode", "1/%s" % Decimal(den)) \
         == (1, "", "error: denominator of %d bits too large\n" % den.bit_length())
-
-
-def test_parser_reuse_matches_fresh_parser(capsys, monkeypatch):
-    calls = [
-        ("rat", "encode", "--", "-3/7"),
-        ("nonsense",),
-        ("--json", "rat", "decode", "--word", "2:2,3:1"),
-        ("rat", "encode", "0"),
-        ("word", "check", "--word", "-1:v,1:v"),
-        ("schreier", "member", "--xi", "w"),
-        ("--json", "schreier", "canon", "--xi", "2", "--set", "1,2,3,4,5"),
-        ("rat", "decode", "--word", "-1:v,1:v"),
-        ("word", "subst", "--p", "2", "--q", "1", "--word", "-2:v,1:v"),
-        ("schreier", "enum", "--xi", "2", "--n", "3"),
-        ("--json", "rat", "qxi", "--xi", "2", "--values", "1/2,143/24"),
-        ("rat", "precedes", "--a", "1/2", "--b", "143/24"),
-    ]
-    shared = [run(capsys, *argv) for argv in calls]
-    fresh = []
-    for argv in calls:
-        monkeypatch.setattr(cli, "_parser", None)
-        fresh.append(run(capsys, *argv))
-    assert shared == fresh
-    assert {code for code, _, _ in shared} == {0, 1, 2}
 
 
 def test_schreier_member(capsys):
@@ -466,16 +442,14 @@ def test_every_subcommand_pinned_in_text_and_json(tmp_path, monkeypatch):
     import re
 
     def choices(*argv):
-        # the {a,b,...} of a help's usage line, as the tree prints it
+        # the {a,b,...} of a help's usage line
         out = CountingStdout()
         monkeypatch.setattr("sys.stdout", out)
         assert main([*argv, "-h"]) == 0
         return re.search(r"\{([^}]*)\}", "".join(out.writes)).group(1).split(",")
 
-    monkeypatch.setenv("COLUMNS", "200")
     subcommands = {(group, name) for group in choices() for name in choices(group)}
     assert set(cli.COMMANDS) == subcommands == set(CLI_PINS) and len(subcommands) == 23
-    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage lines to the terminal
     (tmp_path / "family.txt").write_text("-1:v,1:v;-3:v,3:v\n")
     (tmp_path / "pool.txt").write_text("-1:v,1:v\n-3:v,3:v\n")
     (tmp_path / "seed.txt").write_text("seed:1:2:3\n")
@@ -520,64 +494,162 @@ def _answer(entry, argv, monkeypatch):
     return code, out.getvalue(), re.sub(r"time_ms: [0-9.]+", "time_ms: *", err.getvalue())
 
 
-# argv that the tree answers, or that a command's parser answers as the
-# tree would: help, usage errors, and --json anywhere but first
+TOP_USAGE = "usage: zwords [-h] [--json] {word,schreier,ordinal,family,rat,search} ...\n"
+TOP_HELP = TOP_USAGE + """
+  --json    emit JSON instead of plain text
+  word      {check,concat,subst,merge,ev} ...
+  schreier  {member,enum,canon,check-restriction} ...
+  ordinal   {cmp,fund,pred,classify} ...
+  family    {closure,cbindex} ...
+  rat       {encode,decode,precedes,qxi} ...
+  search    {hj,xi,fs,psi} ...
+"""
+RAT_USAGE = "usage: zwords rat [-h] {encode,decode,precedes,qxi} ...\n"
+RAT_HELP = RAT_USAGE + """
+  encode    value
+  decode    --word WORD
+  precedes  --a A --b B
+  qxi       --xi XI --values VALUES
+"""
+DECODE_USAGE = "usage: zwords rat decode [-h] --word WORD\n"
+DECODE_HELP = DECODE_USAGE + "\n  --word WORD  required\n"
+FUND_HELP = """usage: zwords ordinal fund [-h] --lambda LAMBDA --n N
+
+  --lambda LAMBDA  required
+  --n N            required, an integer
+"""
+GROUPS = "(choose from word, schreier, ordinal, family, rat, search)"
+
+
+def _refused(usage, reason):
+    """A usage error: the usage line, then one error: line under the prog
+    that the usage line names."""
+    return 2, "", "%s%s: error: %s\n" % (usage, usage[7:usage.index(" [-h]")], reason)
+
+
+# Command lines that run no command, and the few that read as the rest
+# do, with (exit code, stdout, stderr): help at each level, usage errors,
+# and --json anywhere but first.  Abbreviations and repeated flags are
+# usage errors, and a --flag=-- reads "--" as the value, so the command
+# refuses it, on every Python.
 MALFORMED_ARGV = [
-    ("-h",), ("--help",), ("rat", "-h"), ("rat", "decode", "-h"), ("ordinal", "fund", "-h"),
-    (), ("--json",), ("rat",), ("nonsense",), ("rat", "nonsense"), ("rat", "decode"),
-    ("--js", "rat", "decode", "--word", "1:1"), ("--jso", "rat", "decode", "--word", "1:1"),
-    ("--json", "--json", "rat", "decode", "--word", "1:1"),
-    ("rat", "--json", "decode", "--word", "1:1"), ("rat", "decode", "--json", "--word", "1:1"),
-    ("rat", "decode", "--word", "1:1", "--json"), ("rat", "decode", "--word", "1:1", "extra"),
-    ("rat", "encode", "1", "-3/7"), ("rat", "encode", "-3/7"),
-    ("rat", "decode", "--word", "--"), ("rat", "decode", "--word=1:1"),
-    ("rat", "decode", "--wor", "1:1"), ("rat", "decode", "--word", "1:1", "--word", "2:2,3:1"),
-    ("rat", "decode", "--word", "1:1", "--", "x"), ("--", "rat", "decode", "--word", "1:1"),
-    ("schreier", "enum", "--xi", "2", "--n", "x"),
-    ("search", "psi", "--word", "1:1", "--semigroup", "bad"),
-    ("family", "closure", "--op", "bad", "--family", "-"),
-    # argparse before Python 3.13 binds --flag=-- to [], refused as the
-    # flag without its value
-    ("rat", "decode", "--word=--"), ("word", "check", "--word=--"),
-    ("schreier", "member", "--xi=--", "--set", "1"),
+    (("-h",), 0, TOP_HELP, ""), (("--help",), 0, TOP_HELP, ""), (("rat", "-h"), 0, RAT_HELP, ""),
+    (("rat", "decode", "-h"), 0, DECODE_HELP, ""), (("ordinal", "fund", "-h"), 0, FUND_HELP, ""),
+    (("--json", "rat", "decode", "--help"), 0, DECODE_HELP, ""),
+    ((), *_refused(TOP_USAGE, "the following arguments are required: command")),
+    (("--json",), *_refused(TOP_USAGE, "the following arguments are required: command")),
+    (("rat",), *_refused(RAT_USAGE, "the following arguments are required: subcommand")),
+    (("nonsense",),
+     *_refused(TOP_USAGE, "argument command: invalid choice: 'nonsense' " + GROUPS)),
+    (("rat", "nonsense"), *_refused(RAT_USAGE, "argument subcommand: invalid choice: 'nonsense' "
+                                               "(choose from encode, decode, precedes, qxi)")),
+    (("rat", "decode"), *_refused(DECODE_USAGE, "the following arguments are required: --word")),
+    (("--js", "rat", "decode", "--word", "1:1"),
+     *_refused(TOP_USAGE, "argument command: invalid choice: '--js' " + GROUPS)),
+    (("--jso", "rat", "decode", "--word", "1:1"),
+     *_refused(TOP_USAGE, "argument command: invalid choice: '--jso' " + GROUPS)),
+    (("--json", "--json", "rat", "decode", "--word", "1:1"),
+     *_refused(TOP_USAGE, "argument command: invalid choice: '--json' " + GROUPS)),
+    (("rat", "--json", "decode", "--word", "1:1"),
+     *_refused(RAT_USAGE, "argument subcommand: invalid choice: '--json' "
+                          "(choose from encode, decode, precedes, qxi)")),
+    (("rat", "decode", "--json", "--word", "1:1"),
+     *_refused(DECODE_USAGE, "unrecognized arguments: --json")),
+    (("rat", "decode", "--word", "1:1", "--json"),
+     *_refused(DECODE_USAGE, "unrecognized arguments: --json")),
+    (("rat", "decode", "--word", "1:1", "extra"),
+     *_refused(DECODE_USAGE, "unrecognized arguments: extra")),
+    (("rat", "encode", "1", "-3/7"),
+     *_refused("usage: zwords rat encode [-h] value\n", "unrecognized arguments: -3/7")),
+    (("rat", "encode"),
+     *_refused("usage: zwords rat encode [-h] value\n",
+               "the following arguments are required: value")),
+    (("rat", "encode", "-3/7"), 0, "-6:-3,-5:-3,-4:-4,-3:-3,-2:-1,-1:-1\n", ""),
+    (("rat", "decode", "--word", "--"),
+     *_refused(DECODE_USAGE, "argument --word: expected one argument")),
+    (("rat", "decode", "--word=1:1"), 0, "1\n", ""),
+    (("rat", "decode", "--wor", "1:1"), *_refused(DECODE_USAGE, "unrecognized arguments: --wor")),
+    (("rat", "decode", "--word", "1:1", "--word", "2:2,3:1"),
+     *_refused(DECODE_USAGE, "argument --word: given more than once")),
+    (("rat", "decode", "--word", "1:1", "--", "x"),
+     *_refused(DECODE_USAGE, "unrecognized arguments: x")),
+    (("rat", "decode", "--word", "1:1", "--"),
+     *_refused(DECODE_USAGE, "unrecognized arguments: --")),
+    (("--", "rat", "decode", "--word", "1:1"),
+     *_refused(TOP_USAGE, "argument command: invalid choice: '--' " + GROUPS)),
+    (("schreier", "enum", "--xi", "2", "--n", "x"),
+     *_refused("usage: zwords schreier enum [-h] --xi XI --n N\n",
+               "argument --n: invalid int value: 'x'")),
+    (("search", "psi", "--word", "1:1", "--semigroup", "bad"),
+     *_refused("usage: zwords search psi [-h] --word WORD [--semigroup {int-linear,strings}] "
+               "[--profile PROFILE]\n",
+               "argument --semigroup: invalid choice: 'bad' (choose from int-linear, strings)")),
+    (("family", "closure", "--op", "bad", "--family", "-"),
+     *_refused("usage: zwords family closure [-h] --op {tree,hereditary,largest} --family FAMILY "
+               "[--pool POOL] [--profile PROFILE]\n",
+               "argument --op: invalid choice: 'bad' (choose from tree, hereditary, largest)")),
+    # arguments are checked in the order of the usage line
+    (("ordinal", "fund", "--n", "x"),
+     *_refused("usage: zwords ordinal fund [-h] --lambda LAMBDA --n N\n",
+               "the following arguments are required: --lambda")),
+    (("ordinal", "fund", "--n", "x", "--lambda", "w"),
+     *_refused("usage: zwords ordinal fund [-h] --lambda LAMBDA --n N\n",
+               "argument --n: invalid int value: 'x'")),
+    (("search", "fs"), *_refused("usage: zwords search fs [-h] --xs XS [--zs ZS]\n",
+                                 "the following arguments are required: --xs")),
+    (("schreier", "member"), *_refused("usage: zwords schreier member [-h] --xi XI --set SET\n",
+                                       "the following arguments are required: --xi, --set")),
+    (("word", "check", "--wor", "-1:v,1:v"),
+     *_refused("usage: zwords word check [-h] --word WORD [--profile PROFILE]\n",
+               "unrecognized arguments: --wor")),
+    (("schreier", "member", "--xi", "w", "--set", "2,3", "--xi", "w"),
+     *_refused("usage: zwords schreier member [-h] --xi XI --set SET\n",
+               "argument --xi: given more than once")),
+    (("rat", "decode", "-x"), *_refused(DECODE_USAGE, "unrecognized arguments: -x")),
+    (("rat", "decode", "--word", "1:1", "-h"), 0, DECODE_HELP, ""),
+    # --flag=-- gives the flag the value "--", which the command refuses
+    (("rat", "decode", "--word=--"), 1, "", "error: bad entry '--' in '--'\n"),
+    (("word", "check", "--word=--"), 1, "", "error: bad entry '--' in '--'\n"),
+    (("schreier", "member", "--xi=--", "--set", "1"), 1, "", "error: expected 'w' at 0 in '--'\n"),
 ]
 
 
 def test_main_matches_the_whole_tree_parse(tmp_path, monkeypatch):
-    monkeypatch.setenv("COLUMNS", "80")
+    # every pinned command, usage error included, answers as the reference
+    # parser tree does
     pinned = [mode + argv for argvs in _pinned_argvs(tmp_path).values() for argv in argvs
               for mode in ((), ("--json",))]
     codes = set()
-    for argv in pinned + MALFORMED_ARGV:
+    for argv in pinned:
         got = _answer(main, argv, monkeypatch)
         assert got == _answer(reference_main, argv, monkeypatch), argv
         codes.add(got[0])
     assert codes == {0, 1, 2}
 
 
-def test_commands_parse_without_building_the_tree(tmp_path, monkeypatch):
-    built = []
-    build = cli.build_parser
+def test_help_and_usage_errors_answer_their_pinned_bytes(monkeypatch):
+    for argv, code, out, err in MALFORMED_ARGV:
+        assert _answer(main, argv, monkeypatch) == (code, out, err), argv
+    assert {case[1] for case in MALFORMED_ARGV} == {0, 1, 2}
 
-    def counting():
-        built.append("tree")
-        return build()
 
-    monkeypatch.setattr(cli, "build_parser", counting)
-    monkeypatch.setattr(cli, "_parser", None)
-    # every pinned command that is no usage error is read from its row
-    read = [mode + argv for command, argvs in _pinned_argvs(tmp_path).items()
-            for argv, case in zip(argvs, CLI_PINS[command]) if case[1] != 2
-            for mode in ((), ("--json",))]
-    for _ in range(2):
-        for argv in read:
-            assert _answer(main, argv, monkeypatch)[0] in (0, 1), argv
-    assert built == []
-    # help, an abbreviation and usage errors go to the tree, built once
-    for argv, code in ((("rat", "decode", "--word", "1:1", "extra"), 2), (("nonsense",), 2),
-                       (("rat", "decode", "--wor", "1:1"), 0), (("rat", "decode", "-h"), 0)):
-        assert _answer(main, argv, monkeypatch)[0] == code, argv
-    assert built == ["tree"]
+def test_no_command_help_or_usage_error_imports_argparse(tmp_path):
+    # pytest imports argparse itself, so a fresh process runs every pinned
+    # command, every malformed command line and help at each level
+    argvs = [mode + argv for argvs in _pinned_argvs(tmp_path).values() for argv in argvs
+             for mode in ((), ("--json",))]
+    argvs += [case[0] for case in MALFORMED_ARGV]
+    argvs += [("-h",), ("search", "--help"), ("family", "cbindex", "-h")]
+    probe = ("import contextlib, io, sys\n"
+             "from zwords.cli import main\n"
+             "codes = set()\n"
+             "for argv in %r:\n"
+             "    sys.stdin = io.StringIO('-1:v,1:v;-3:v,3:v\\n')\n"
+             "    with contextlib.redirect_stdout(io.StringIO()), "
+             "contextlib.redirect_stderr(io.StringIO()):\n"
+             "        codes.add(main(list(argv)))\n"
+             "print(sorted(codes), 'argparse' in sys.modules)\n" % (argvs,))
+    assert _fresh(probe) == "[0, 1, 2] False\n"
 
 
 # values a row's argument reads as given, by its keywords; strings
@@ -654,7 +726,7 @@ def _command_lines(draw):
     return command, argv, not faults
 
 
-_tree = functools.cache(cli.build_parser)
+_tree = functools.cache(build_parser)
 
 
 @settings(database=None, derandomize=True, deadline=None, max_examples=1500)
@@ -666,26 +738,22 @@ _tree = functools.cache(cli.build_parser)
 @example((("rat", "decode"), ["--word", "1:1", "--"], False))
 @example((("rat", "encode"), ["--", "-3/7"], True))
 def test_read_matches_the_whole_tree_parse(case):
-    # the reader either leaves argv to the tree or reads what the tree
-    # reads; a clean argv it always reads
+    # the reader either refuses argv, as help or a usage error, or reads
+    # what the reference parser tree reads; a clean argv it always reads
     command, argv, clean = case
-    got = cli._read(command, argv)
     try:
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            want = vars(_tree().parse_args(cli._dash_values([*command, *argv])))
-    except SystemExit:
-        want = None
-    else:
-        for key in ("json", "command", "subcommand"):
-            del want[key]
-    if got is None:
+        got = cli._read(command, argv)
+    except cli.UsageError:
         assert not clean, (command, argv)
-    else:
-        assert vars(got) == want, (command, argv)
+        return
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        want = vars(reference_parse(_tree(), [*command, *argv]))
+    for key in ("json", "command", "subcommand"):
+        del want[key]
+    assert vars(got) == want, (command, argv)
 
 
 def test_ordinal_fund_usage_names_lambda_first(monkeypatch):
-    monkeypatch.setenv("COLUMNS", "80")
     out = CountingStdout()
     monkeypatch.setattr("sys.stdout", out)
     assert main(["ordinal", "fund", "-h"]) == 0
@@ -1011,9 +1079,9 @@ def test_package_import_loads_only_ordinals_and_schreier():
 
 
 def test_schreier_and_ordinal_commands_load_no_upper_layer():
-    # every schreier and ordinal command and a domain error answer without
-    # the upper layers, typing or re; --json and a usage error load json or
-    # argparse, which bring re, but still no upper layer
+    # every schreier and ordinal command, a domain error and a usage error
+    # answer without the upper layers, typing or re; --json loads json,
+    # which brings re, but still no upper layer
     plain = [["schreier", "member", "--xi", "w", "--set", "2,3"],
              ["schreier", "enum", "--xi", "w", "--n", "4"],
              ["schreier", "canon", "--xi", "w*2", "--set", "2,3,4,5,6"],
@@ -1022,9 +1090,9 @@ def test_schreier_and_ordinal_commands_load_no_upper_layer():
              ["ordinal", "fund", "--lambda", "w^w", "--n", "3"],
              ["ordinal", "pred", "--xi", "w^2", "--n", "2"],
              ["ordinal", "classify", "--xi", "w*2"],
-             ["schreier", "member", "--xi", "w^", "--set", "2"]]
-    other = [["--json", "schreier", "member", "--xi", "w", "--set", "2,3"],
+             ["schreier", "member", "--xi", "w^", "--set", "2"],
              ["ordinal", "cmp", "--a", "w", "--b", "1", "extra"]]
+    other = [["--json", "schreier", "member", "--xi", "w", "--set", "2,3"]]
     probe = ("import contextlib, io, sys\n"
              "from zwords.cli import main\n"
              "for argvs, upper in ((%r, %r), (%r, %r)):\n"
@@ -1035,7 +1103,7 @@ def test_schreier_and_ordinal_commands_load_no_upper_layer():
              "            codes.append(main(argv))\n"
              "    print(codes, sorted(set(upper) & set(sys.modules)))\n"
              % (plain, _UPPER, other, _UPPER[:4]))
-    assert _fresh(probe) == "[0, 0, 0, 0, 0, 0, 0, 0, 1] []\n[0, 2] []\n"
+    assert _fresh(probe) == "[0, 0, 0, 0, 0, 0, 0, 0, 1, 2] []\n[0] []\n"
 
 
 def test_word_family_and_search_commands_load_neither_typing_nor_re():
@@ -1114,27 +1182,32 @@ def test_every_package_name_resolves_lazily():
 
 
 def test_help_and_usage_errors_in_a_fresh_process():
-    # pytest imports argparse itself, so the lazy import is run where
-    # nothing else has loaded it
+    # help and usage errors as a process writes them, whatever the width
+    # of the terminal; an abbreviated flag is a usage error
     import os
     import subprocess
     import sys
 
     src = Path(__file__).resolve().parent.parent / "src"
 
-    def cli_run(*argv):
+    def cli_run(*argv, columns=None):
+        env = dict(os.environ, PYTHONPATH=str(src))
+        env.pop("COLUMNS", None)
+        if columns is not None:
+            env["COLUMNS"] = columns
         done = subprocess.run([sys.executable, "-S", "-m", "zwords.cli", *argv],
-                              env=dict(os.environ, PYTHONPATH=str(src), COLUMNS="80"),
-                              capture_output=True, text=True)
+                              env=env, capture_output=True, text=True)
         return done.returncode, done.stdout, done.stderr
 
-    code, out, err = cli_run("-h")
-    assert (code, err) == (0, "") and out.startswith("usage: zwords [-h] [--json]")
-    assert cli_run("rat", "decode", "--wor", "1:1") == cli_run("rat", "decode", "--word", "1:1") \
-        == (0, "1\n", "")
-    code, out, err = cli_run("rat", "decode", "--word", "1:1", "extra")
-    assert (code, out) == (2, "") and err.startswith("usage: zwords [-h] [--json]")
-    assert err.endswith("\nzwords: error: unrecognized arguments: extra\n")
+    for argv, want in ((("-h",), TOP_HELP), (("rat", "-h"), RAT_HELP),
+                       (("rat", "decode", "-h"), DECODE_HELP)):
+        assert cli_run(*argv) == cli_run(*argv, columns="20") == cli_run(*argv, columns="200") \
+            == (0, want, ""), argv
+    assert cli_run("rat", "decode", "--word", "1:1") == (0, "1\n", "")
+    assert cli_run("rat", "decode", "--wor", "1:1") \
+        == _refused(DECODE_USAGE, "unrecognized arguments: --wor")
+    assert cli_run("rat", "decode", "--word", "1:1", "extra") \
+        == _refused(DECODE_USAGE, "unrecognized arguments: extra")
 
 
 def test_zw_caps_env(capsys, monkeypatch):
