@@ -7,15 +7,16 @@ results are relative to a finite pool of variable words (typically the
 extracted-variable set of a base tuple).
 
 Each operation indexes the pool once: by span width, with each word's R1
-successors, the words of each profile on each domain and with each
-entry tuple.  R1 reads only the first word's span and the second word's
-domain, so it is tested once per (span, domain) class pair, and the
-words of one span share one successor list.  Heredity is tested on that
-index without building star products: a pool word is an extracted
-variable word of a member when it passes the domain test of the words
-module docstring.  The extraction tuples are the R1-chains over those
-pool words.  Each call keys the family's members once, by their tuples
-of pool indices, and the kernels work on those keys alone.
+successors, the words of each profile on each domain, and each word's
+index by its profile and entries.  R1 reads only the first word's span
+and the second word's domain, so it is tested once per (span, domain)
+class pair, and the words of one span share one successor list.
+Heredity is tested on that index without building star products: a
+pool word is an extracted variable word of a member when it passes the
+domain test of the words module docstring.  The extraction tuples are
+the R1-chains over those pool words.  Each call keys the family's
+members once, by their tuples of pool indices, and the kernels work on
+those keys alone.
 
 A word's images depend only on the word and its tuple index (a slot),
 and a subtuple's matching pool words only on its slots, so members that
@@ -34,12 +35,13 @@ once: when its slots allow fewer combinations of entry tuples than the
 union domain has pool words, each combination is joined by the words
 module's one join of star products and looked up by entries, and
 otherwise the domain's words are scanned.  A member's extraction set,
-the union of its 2^len(bw) - 1 subtuples' matches, is kept by its key on
-its first visit, so later calls read it.  Only the last pool compiled is
-kept: the calls on one pool (a closure, then its largest hereditary part
-and index) run back to back and share it and its memos, so memory is
-bounded by one pool plus the slots, subtuples and member keys that the
-calls on it reached, and the keys of the last closure built on it.
+the union of its 2^len(bw) - 1 subtuples' matches, is built for each
+walk and not kept, so nothing is kept per member walked.  Only the last
+pool compiled is kept: the calls on one pool (a closure, then its
+largest hereditary part and index) run back to back and share it and
+its memos, so memory is bounded by one pool plus the slots and subtuples
+that the calls on it reached, and the keys of the last closure built on
+it.
 
 Extraction is transitive: if c is an R1-chain over a member K's
 extractions, c's own extractions lie among K's, so every chain over them
@@ -181,35 +183,30 @@ def tree_closure(family: WordFamily) -> WordFamily:
 
 class _Pool:
     """A compiled pool: its words in order of span width, each word's
-    index, each word's R1 successors as a list of indices, the indices of
-    the words of each profile on each domain and with each entry tuple,
-    keyed (profile, domain) and (profile, entries), and the extraction
-    work of the calls made on it so far, keyed by pool indices.  A slot is
-    a (pool index, 1-based grid index) pair; `allowed` holds the entry
-    tuples of each slot checked or read, the word's own and its grid
-    images', which depend on the word and the index alone.  A subtuple, a
-    tuple of slots, keeps in `matches` the pool indices found for it by
-    the domain test of the words module docstring, and a member key keeps
-    in `extractions` the union of its subtuples' matches.  `closed` holds
-    the keys of the last family that hereditary_closure built on the pool."""
+    index keyed by its (profile, entries), each word's R1 successors as a
+    list of indices, the indices of the words of each profile on each
+    domain, keyed (profile, domain), and the extraction work of the calls
+    made on it so far, keyed by pool indices.  A slot is a (pool index,
+    1-based grid index) pair; `allowed` holds the entry tuples of each slot
+    checked or read, the word's own and its grid images', which depend on
+    the word and the index alone.  A subtuple, a tuple of slots, keeps in
+    `matches` the pool indices found for it by the domain test of the
+    words module docstring; nothing is kept per member key.  `closed`
+    holds the keys of the last family that hereditary_closure built on
+    the pool."""
 
-    __slots__ = ("words", "index", "succ", "by_dom", "by_entries", "allowed", "matches",
-                 "extractions", "closed")
+    __slots__ = ("words", "index", "succ", "by_dom", "allowed", "matches", "closed")
     words: list[LocatedWord]
-    index: dict[LocatedWord, int]
+    index: dict[tuple[DominationProfile, tuple], int]
     succ: list[list[int]]
     by_dom: dict[tuple[DominationProfile, tuple[int, ...]], list[int]]
-    by_entries: dict[tuple[DominationProfile, tuple], list[int]]
     allowed: dict[tuple[int, int], set[tuple]]
     matches: dict[tuple[tuple[int, int], ...], list[int]]
-    extractions: dict[Key, frozenset[int]]
     closed: set[Key]
 
-    def __init__(self, words, index, succ, by_dom, by_entries, allowed, matches, extractions,
-                 closed) -> None:
-        self.words, self.index, self.succ = words, index, succ
-        self.by_dom, self.by_entries, self.allowed = by_dom, by_entries, allowed
-        self.matches, self.extractions, self.closed = matches, extractions, closed
+    def __init__(self, words, index, succ, by_dom, allowed, matches, closed) -> None:
+        self.words, self.index, self.succ, self.by_dom = words, index, succ, by_dom
+        self.allowed, self.matches, self.closed = allowed, matches, closed
 
 
 @lru_cache(maxsize=1)
@@ -227,17 +224,15 @@ def _compile(pool: frozenset[LocatedWord]) -> _Pool:
                           % format_word(min(bad, key=word_sort_key)))
     words = sorted(pool, key=lambda w: (w.dom[-1] - w.dom[0], word_sort_key(w)))
     by_dom: dict[tuple[DominationProfile, tuple[int, ...]], list[int]] = {}
-    by_entries: dict[tuple[DominationProfile, tuple], list[int]] = {}
     one_per_span: dict[tuple[int, int], LocatedWord] = {}
     for i, w in enumerate(words):
         by_dom.setdefault((w.profile, w.dom), []).append(i)
-        by_entries.setdefault((w.profile, w.entries), []).append(i)
         one_per_span.setdefault((w.dom[0], w.dom[-1]), w)
     nexts = {span: sorted(j for on in by_dom.values() if rel_r1(w, words[on[0]]) for j in on)
              for span, w in one_per_span.items()}
     succ = [nexts[w.dom[0], w.dom[-1]] for w in words]
-    return _Pool(words, {w: i for i, w in enumerate(words)}, succ, by_dom, by_entries,
-                 {}, {}, {}, set())
+    return _Pool(words, {(w.profile, w.entries): i for i, w in enumerate(words)}, succ,
+                 by_dom, {}, {}, set())
 
 
 def _is_core_variable(w: LocatedWord) -> bool:
@@ -251,9 +246,10 @@ def _pool_keys(family: WordFamily,
     pool with the keys' slots checked; the least missing word is refused first."""
     table = _compile(frozenset(pool))
     index = table.index
-    keys = {tuple(map(index.get, bw.words)): bw for bw in family.members}
+    keys = {tuple([index.get((w.profile, w.entries)) for w in bw.words]): bw
+            for bw in family.members}
     if any(None in key for key in keys):
-        missing = [w for bw in family.members for w in bw if w not in index]
+        missing = [w for bw in family.members for w in bw if (w.profile, w.entries) not in index]
         raise FamilyError("pool is missing the word %s"
                           % format_word(min(missing, key=word_sort_key)))
     _check_slots(keys, table)
@@ -300,8 +296,8 @@ def _matches(chosen: tuple[tuple[int, int], ...], table: _Pool) -> list[int]:
     product of member images, and looked up by entries; otherwise the
     domain's words are scanned by words._reads_slots.  The slots' domains
     are disjoint, so a joined tuple is a word's whole entry tuple.  Both
-    indexes are keyed by profile, so the words found are of the slots'
-    profile."""
+    the domain index and the word index are keyed by profile, so the words
+    found are of the slots' profile."""
     words = table.words
     doms = [words[t].dom for t, _ in chosen]
     profile = words[chosen[0][0]].profile
@@ -310,30 +306,28 @@ def _matches(chosen: tuple[tuple[int, int], ...], table: _Pool) -> list[int]:
         return []
     oks = [_slot_allowed(slot, table) for slot in chosen]
     if prod(map(len, oks)) <= len(on_dom):
-        by_entries = table.by_entries
-        return [u for entries in _joins(doms, oks)
-                for u in by_entries.get((profile, entries), ())]
+        index = table.index
+        found = (index.get((profile, entries)) for entries in _joins(doms, oks))
+        return [u for u in found if u is not None]
     slots = list(zip(doms, oks))
     return [u for u in on_dom if _reads_slots(words[u], slots)]
 
 
 def _extractions(key: Key, table: _Pool) -> frozenset[int]:
     """The pool indices of the extracted variable words of the member
-    keyed by key, by the domain test of the words module docstring, once
-    per subtuple of slots and once per key in the compiled pool."""
-    found = table.extractions.get(key)
-    if found is None:
-        slots = [(t, i) for i, t in enumerate(key, 1)]
-        matches = table.matches
-        hits = []
-        for size in range(1, len(key) + 1):
-            for chosen in combinations(slots, size):
-                got = matches.get(chosen)
-                if got is None:
-                    got = matches[chosen] = _matches(chosen, table)
-                hits.append(got)
-        found = table.extractions[key] = frozenset().union(*hits)
-    return found
+    keyed by key, by the domain test of the words module docstring: the
+    union of its subtuples' matches, each matched once per compiled pool.
+    The union is built for each call and not kept."""
+    slots = [(t, i) for i, t in enumerate(key, 1)]
+    matches = table.matches
+    hits = []
+    for size in range(1, len(key) + 1):
+        for chosen in combinations(slots, size):
+            got = matches.get(chosen)
+            if got is None:
+                got = matches[chosen] = _matches(chosen, table)
+            hits.append(got)
+    return frozenset().union(*hits)
 
 
 def _extraction_chains(key: Key, table: _Pool) -> Iterator[Key]:

@@ -38,8 +38,10 @@ from .ordinals import Ordinal
 from .schreier import is_member
 from .words import (
     ABS,
+    ECHO_LIMIT,
     VARIABLE,
     LocatedWord,
+    _echo,
     concat,
     first_clamp,
     rel_r1,
@@ -337,9 +339,6 @@ def rational_pattern(ws: Sequence[LocatedWord], n: int, i: int, j: int) -> Fract
     return evaluate(concat(concat(lead, substitute(mid, j, i)), substitute(last, 1, 1)))
 
 
-ECHO_LIMIT = 160  # characters of a bad input, and of the reason, that an error quotes
-
-
 # Decimal runs of at most this many digits go through int and str, below
 # every int-to-str limit Python allows (640 digits at least).
 _DECIMAL_LEAF = 512
@@ -413,13 +412,11 @@ def parse_rational(text: str) -> Fraction:
     try:
         return _read_rational(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
-        if len(text) <= ECHO_LIMIT:
-            raise RationalCodecError("bad rational %r: %s" % (text, exc)) from None
         reason = str(exc)
-        if len(reason) > ECHO_LIMIT:
+        # a short input's reason quotes it whole, so only a long one's is cut
+        if len(text) > ECHO_LIMIT and len(reason) > ECHO_LIMIT:
             reason = reason[:ECHO_LIMIT] + "..."
-        raise RationalCodecError("bad rational %r... (%d characters): %s"
-                                 % (text[:ECHO_LIMIT], len(text), reason)) from None
+        raise RationalCodecError("bad rational %s: %s" % (_echo(text), reason)) from None
 
 
 def format_rational(q: Fraction | int) -> str:
@@ -429,9 +426,5 @@ def format_rational(q: Fraction | int) -> str:
 
 
 def _quote(q: Fraction | int) -> str:
-    """q for an error: its text, or past ECHO_LIMIT characters the first
-    ECHO_LIMIT and the length."""
-    text = format_rational(Fraction(q))
-    if len(text) <= ECHO_LIMIT:
-        return text
-    return "%s... (%d characters)" % (text[:ECHO_LIMIT], len(text))
+    """q for an error, its text as words._echo bounds it, unquoted."""
+    return _echo(format_rational(Fraction(q)), str)

@@ -746,20 +746,33 @@ def format_word(w: LocatedWord) -> str:
         return w._text
 
 
+ECHO_LIMIT = 160  # characters of a bad input, and of the reason, that an error quotes
+
+
+def _echo(text: str, show=repr) -> str:
+    """text as an error quotes it: show(text), or past ECHO_LIMIT
+    characters show of the first ECHO_LIMIT and the length."""
+    if len(text) <= ECHO_LIMIT:
+        return show(text)
+    return "%s... (%d characters)" % (show(text[:ECHO_LIMIT]), len(text))
+
+
 def parse_word(text: str, profile: DominationProfile = ABS) -> LocatedWord:
     """The word a text names under a profile.  Refused, in this order:
     the first entry that is not two integers (or an integer and v) around
     a colon, a descent, then what make_word refuses, in entry order.  Text
     that ascends, avoids 0 and fits an abs or const profile becomes the
-    word directly; under a table profile make_word checks it."""
+    word directly; under a table profile make_word checks it.  A refusal
+    quotes the text, and a bad entry, as _echo bounds them."""
     parts = [item.partition(":") for item in text.strip().split(",")]
     try:
         positions = [int(pos) for pos, _, _ in parts]
         letters = [VARIABLE if letter == "v" else int(letter) for _, _, letter in parts]
     except ValueError:
-        raise WordError("bad entry %r in %r" % (_first_bad_entry(parts), text)) from None
+        bad = _first_bad_entry(parts)
+        raise WordError("bad entry %s in %s" % (_echo(bad), _echo(text))) from None
     if not all(map(lt, positions, positions[1:])):
-        raise WordError("positions must be ascending in %r" % text)
+        raise WordError("positions must be ascending in %s" % _echo(text))
     if profile.kind == "table" or 0 in positions or not _in_bounds(positions, letters, profile):
         return make_word(zip(positions, letters), profile)
     return LocatedWord(tuple(zip(positions, letters)), profile)

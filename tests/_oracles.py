@@ -42,6 +42,7 @@ from zwords.search import (
 )
 from zwords.words import (
     ABS,
+    ECHO_LIMIT,
     EMPTY_TUPLE,
     VARIABLE,
     LocatedWord,
@@ -316,23 +317,34 @@ def reference_encode(q: Fraction) -> LocatedWord:
     return make_word(entries)
 
 
+def _reference_echo(text: str) -> str:
+    """text quoted for an error: whole when it has at most ECHO_LIMIT
+    characters, and otherwise its first ECHO_LIMIT characters quoted and
+    then its length."""
+    if len(text) > ECHO_LIMIT:
+        return "%r... (%d characters)" % (text[:ECHO_LIMIT], len(text))
+    return repr(text)
+
+
 def reference_parse_word(text: str, profile=ABS) -> LocatedWord:
     """Word text read one entry at a time: the first entry that is not
     two integers (or an integer and v) around one colon is refused, then
-    the first descent, then whatever make_word refuses, in entry order."""
+    the first descent, then whatever make_word refuses, in entry order.
+    A refusal quotes the entry and the text as _reference_echo does."""
     entries = []
     for item in text.strip().split(","):
         pos_text, sep, letter_text = item.partition(":")
-        if not sep:
-            raise WordError("bad entry %r in %r" % (item, text))
         try:
+            if not sep:
+                raise ValueError(item)
             pos = int(pos_text)
             letter = VARIABLE if letter_text == "v" else int(letter_text)
         except ValueError:
-            raise WordError("bad entry %r in %r" % (item, text)) from None
+            raise WordError("bad entry %s in %s"
+                            % (_reference_echo(item), _reference_echo(text))) from None
         entries.append((pos, letter))
     if any(a[0] >= b[0] for a, b in zip(entries, entries[1:])):
-        raise WordError("positions must be ascending in %r" % text)
+        raise WordError("positions must be ascending in %s" % _reference_echo(text))
     return make_word(entries, profile)
 
 

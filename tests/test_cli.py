@@ -125,6 +125,36 @@ def test_bad_rational_echo_is_bounded(capsys):
     assert err == "error: denominator of %d bits too large\n" % int(den).bit_length()
 
 
+def test_bad_word_echo_is_bounded(capsys):
+    from zwords.words import ECHO_LIMIT
+
+    # a word text past ECHO_LIMIT characters is quoted in either refusal
+    # by its first ECHO_LIMIT characters and its length, as a rational is,
+    # and so is a long bad entry; 2,999 good entries and a bad last one
+    # make one short error: line
+    good = ",".join("%d:1" % p for p in range(1, 3000))
+    long_entry = "y" * 5000
+    cases = [(good + ",x", "bad entry 'x' in"),
+             (good + ",1:1", "positions must be ascending in"),
+             (good + "," + long_entry, "bad entry %r... (5000 characters) in"
+              % long_entry[:ECHO_LIMIT])]
+    for text, reason in cases:
+        for command in (("rat", "decode"), ("word", "check")):
+            code, out, err = run(capsys, *command, "--word", text)
+            assert (code, out) == (1, "")
+            assert err == "error: %s %r... (%d characters)\n" % (reason, text[:ECHO_LIMIT],
+                                                                   len(text))
+            assert len(err) < 3 * ECHO_LIMIT
+    # a text of at most ECHO_LIMIT characters, and its bad entry, are
+    # quoted whole, as they always were
+    for size in (ECHO_LIMIT, ECHO_LIMIT + 1):
+        text = "1:1," + "x" * (size - 4)
+        head = "error: bad entry %r in " % text[4:]
+        quoted = repr(text) if size <= ECHO_LIMIT else "%r... (%d characters)" % (
+            text[:ECHO_LIMIT], size)
+        assert run(capsys, "rat", "decode", "--word", text) == (1, "", head + quoted + "\n")
+
+
 def test_rat_values_past_the_int_to_str_limit(capsys):
     # 1/1701! has 4,760 digits and 1/10001! 35,664, past Python's limit
     # of 4,300 on int-str conversion; Decimal writes them independently

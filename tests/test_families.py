@@ -1,8 +1,10 @@
+import gc
 import os
 import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from itertools import combinations, product
 from math import prod
 
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import zwords
+import zwords.families
 from _oracles import (
     reference_cb_derivative,
     reference_hereditary_closure,
@@ -654,14 +657,10 @@ def test_shared_memo_extractions_match_star_products():
                     assert got == want[keys[key]], (keys[key], seed)
             assert _pool_keys(fam, frozenset(pool))[1] is table
             assert table.matches
-            # a member's set is kept once, and every later call reads it
-            for key in keys:
-                assert table.extractions[key] is _extractions(key, table)
-                assert isinstance(table.extractions[key], frozenset)
-    # the kept sets go with the compiled pool, the last case's
-    assert _pool_keys(fam, pool)[1].extractions
+    # the kept matches go with the compiled pool, the last case's
+    assert _pool_keys(fam, pool)[1].matches
     _compile.cache_clear()
-    assert not _pool_keys(fam, pool)[1].extractions
+    assert not _pool_keys(fam, pool)[1].matches
 
 
 def _check_subtuple_matches(pool, fam):
@@ -729,16 +728,32 @@ def thinned(fam, share, seed):
     return family_of(fam.members - set(dropped))
 
 
+def walks(run):
+    """The keys whose extraction sets run() builds, one _extractions call
+    per key walked, and run()'s result."""
+    walked = []
+    extractions = zwords.families._extractions
+
+    def counted(key, table):
+        walked.append(key)
+        return extractions(key, table)
+
+    zwords.families._extractions = counted
+    try:
+        return walked, run()
+    finally:
+        zwords.families._extractions = extractions
+
+
 def assert_marking_matches_reference(fam, pool):
     """On a cold pool, the marking walk keeps exactly the keys that the
     all-chains walk keeps; returns how many keys it walked, which is how
     many extraction sets it built, and how many it kept."""
     _compile.cache_clear()
     keys, table = _pool_keys(fam, pool)
-    got = _hereditary_part(keys, table)
-    walked = len(table.extractions)
+    walked, got = walks(lambda: _hereditary_part(keys, table))
     assert got == reference_hereditary_part(keys, table), len(keys)
-    return walked, len(got)
+    return len(walked), len(got)
 
 
 def test_marking_walk_on_the_four_word_closure():
@@ -752,6 +767,34 @@ def test_marking_walk_on_the_four_word_closure():
     for seed in (1, 2, 3):
         walked, kept = assert_marking_matches_reference(thinned(closed, 0.01, seed), pool)
         assert 1 < walked < kept < 2540 - 25, (seed, walked, kept)
+
+
+def test_walks_keep_nothing_per_member_visited():
+    # the compiled pool keeps each slot's images and each subtuple's
+    # matches, which members share, and nothing per member: with every
+    # subtuple of a thinned four-word closure matched, its walks, which
+    # visit hundreds of members, keep less than a twentieth of what their
+    # extraction sets weigh; the interpreter's own state may take a little
+    closed = hereditary_closure(family_of([four_word_base()]), FOUR_POOL)
+    _compile.cache_clear()
+    keys, table = _pool_keys(thinned(closed, 0.01, 1), FOUR_POOL)
+    for key in keys:
+        slots = [(t, i) for i, t in enumerate(key, 1)]
+        for size in range(1, len(slots) + 1):
+            for chosen in combinations(slots, size):
+                if chosen not in table.matches:
+                    table.matches[chosen] = _matches(chosen, table)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        walked = walks(lambda: _hereditary_part(keys, table))[0]
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - sys.getsizeof(walked)
+    finally:
+        tracemalloc.stop()
+    sets = [sys.getsizeof(_extractions(key, table)) for key in walked]
+    assert len(walked) > 100
+    assert kept < sum(sets) / 20, (kept, len(walked), sum(sets))
 
 
 def test_marking_walk_on_closures_over_sub_pools():
@@ -900,16 +943,18 @@ def test_calls_after_a_closure_walk_only_what_it_lacks():
     # refused by the index
     base = four_word_base()
     _compile.cache_clear()
-    three = hereditary_closure(family_of([three_word_base()]), FOUR_POOL)
+    walked, three = walks(lambda: hereditary_closure(family_of([three_word_base()]),
+                                                     FOUR_POOL))
     table = _compile(FOUR_POOL)
     kept = set(table.closed)
-    assert len(kept) == len(three) and len(table.extractions) == 1
-    assert cb_index(three, FOUR_POOL, 2) == 2
-    assert largest_hereditary(three, FOUR_POOL) is three
-    assert len(table.extractions) == 1
+    assert len(kept) == len(three) and len(walked) == 1
+    assert walks(lambda: cb_index(three, FOUR_POOL, 2)) == ([], 2)
+    walked, same = walks(lambda: largest_hereditary(three, FOUR_POOL))
+    assert same is three and not walked
     more = family_of(three.members | {base})
-    assert largest_hereditary(more, FOUR_POOL) == three
-    assert len(table.extractions) == 2
+    walked, part = walks(lambda: largest_hereditary(more, FOUR_POOL))
+    assert part == three
+    assert [tuple(table.words[t] for t in key) for key in walked] == [base.words]
     with pytest.raises(FamilyError, match="^index needs a hereditary family$"):
         cb_index(more, FOUR_POOL, 2)
     assert table.closed == kept and _compile(FOUR_POOL) is table
@@ -931,7 +976,7 @@ def test_slots_are_built_when_first_read():
     keys, table = _pool_keys(closed, FOUR_POOL)
     assert len(keys) == 2540 and not table.allowed
     assert _hereditary_part(keys, table) == keys.keys()
-    base_key = tuple(table.index[w] for w in base)
+    base_key = tuple(table.index[w.profile, w.entries] for w in base)
     assert set(table.allowed) == {(t, i) for i, t in enumerate(base_key, 1)}
 
 
@@ -1049,17 +1094,19 @@ def test_pool_cache_keeps_the_last_pool():
 
 
 def _memo_sizes(table):
-    return (len(table.allowed), len(table.matches), len(table.extractions),
-            sum(map(len, table.extractions.values())))
+    return (len(table.allowed), len(table.matches), sum(map(len, table.matches.values())),
+            len(table.closed))
 
 
 def test_retained_state_is_the_last_pool_alone():
     # closure and largest hereditary part on several distinct pools leave
     # one compiled pool, holding what a cold run on the last pool builds
     def run(pool, base):
-        closed = hereditary_closure(family_of([base]), pool)
-        largest_hereditary(closed, pool)
-        return _compile(frozenset(pool))
+        def calls():
+            closed = hereditary_closure(family_of([base]), pool)
+            largest_hereditary(closed, pool)
+        walked, _ = walks(calls)
+        return walked, _compile(frozenset(pool))
 
     bases = [make_tuple([make_word({-b: VARIABLE, -a: VARIABLE, a: VARIABLE, b: VARIABLE})
                          for a, b in ((1 + s, 2 + s), (3 + s, 4 + s), (5 + s, 6 + s))])
@@ -1067,12 +1114,12 @@ def test_retained_state_is_the_last_pool_alone():
     cases = [(extracted_sets(base).variables, base) for base in bases]
     _compile.cache_clear()
     for pool, base in cases:
-        table = run(pool, base)
+        walked, table = run(pool, base)
         assert _compile.cache_info().currsize == 1
     _compile.cache_clear()
-    cold = run(*cases[-1])
+    cold_walked, cold = run(*cases[-1])
     assert cold is not table and _memo_sizes(cold) == _memo_sizes(table)
-    assert _memo_sizes(table)[2] > 0
+    assert cold_walked == walked and walked
 
 
 def test_invalid_pool_is_never_kept():

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import random
+import sys
 import time
 import tracemalloc
 from bisect import bisect_left
@@ -1217,8 +1218,11 @@ def test_an_exhaustive_radius_5_search_keeps_visits_within_their_budget():
     # alone (about 131 KB); what they keep beyond them, traced with the
     # lower caches warm (about 96 KB), stays within 320 bytes a text.  The
     # whole state a search from cold caches retains (about 401 KB) is no
-    # more than when a cache of their own kept the splits: 412,089 bytes
-    # under Python 3.11.  Warm or cold, the report is the same
+    # more than when a cache of their own kept the splits, as that design
+    # read under each Python (3.13's figure on a later one).  Python 3.10
+    # also allocates per-function state the first time a function runs
+    # hot, which a fresh process traces here.  Warm or cold, the report is
+    # the same
     def retained(run):
         gc.collect()
         tracemalloc.start()
@@ -1249,7 +1253,8 @@ def test_an_exhaustive_radius_5_search_keeps_visits_within_their_budget():
         assert texts <= search.VISIT_TEXTS and visit.full
     assert len(visits[2].planned) == 600 and visits[2].kept
     assert kept - own < len(visits) * search.VISIT_TEXTS * 320, (kept, own)
-    assert whole <= 412_089, whole
+    split_cache = {(3, 10): 442_984, (3, 11): 412_089, (3, 12): 402_289, (3, 13): 402_361}
+    assert whole <= split_cache.get(sys.version_info[:2], 402_361), whole
     assert report_fields(again) == report_fields(cold) == report_fields(run())
 
 

@@ -995,6 +995,12 @@ def test_parse_word_matches_reference_on_a_sweep():
                 words_read += 1
                 assert got.entries == tuple(sorted(got.entries))
     assert words_read > 200 and errors > 7000
+    # texts and entries longer than the echo limit are quoted by their
+    # first ECHO_LIMIT characters and their length
+    good = ",".join("%d:1" % p for p in range(1, 100))
+    for text in (good + ",x", good + ",1:1", "1:1," + "x" * 500, good + ",-1:" + "7" * 200):
+        got = _parsed(parse_word, text, ABS)
+        assert got == _parsed(reference_parse_word, text, ABS) and "characters)" in got, text
 
 
 def test_parse_word_builds_in_range_text_without_make_word(monkeypatch):
