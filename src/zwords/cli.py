@@ -17,7 +17,7 @@ from types import SimpleNamespace
 # a command imports the upper layers it reads when it runs, so an ordinal
 # or schreier command never loads words, families, rationals or search
 from . import schreier
-from .ordinals import classify, compare, format_ordinal, parse_ordinal
+from .ordinals import _echo, classify, compare, format_ordinal, parse_ordinal
 from .ordinals import fundamental_sequence, predecessor_sequence
 
 # every domain error of the modules subclasses ValueError, but for the
@@ -55,8 +55,8 @@ def _ints(args, name: str) -> list[int] | None:
     try:
         return None if text is None else [int(x) for x in text.split(",")]
     except ValueError:
-        raise ValueError("bad --%s %r: expected integers separated by commas"
-                         % (name, text)) from None
+        raise ValueError("bad --%s %s: expected integers separated by commas"
+                         % (name, _echo(text))) from None
 
 
 def _read_text(path: str) -> str:

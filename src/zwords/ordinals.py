@@ -17,10 +17,19 @@ DESCENT_CAP = 10_000  # the most steps predecessor_sequence takes
 # the deepest exponent nesting parse_ordinal reads; compare,
 # fundamental_sequence and format_ordinal recurse once per level
 MAX_NESTING = 100
+ECHO_LIMIT = 160  # characters of a bad input, and of the reason, that an error quotes
 
 
 class OrdinalError(ValueError):
     pass
+
+
+def _echo(text: str, show=repr) -> str:
+    """text as an error quotes it: show(text), or past ECHO_LIMIT
+    characters show of the first ECHO_LIMIT and the length."""
+    if len(text) <= ECHO_LIMIT:
+        return show(text)
+    return "%s... (%d characters)" % (show(text[:ECHO_LIMIT]), len(text))
 
 
 class FrozenInstanceError(AttributeError):
@@ -325,7 +334,7 @@ class _Parser:
 
     def take(self, ch: str) -> None:
         if self.peek() != ch:
-            raise OrdinalError("expected %r at %d in %r" % (ch, self.pos, self.text))
+            raise OrdinalError("expected %r at %d in %s" % (ch, self.pos, _echo(self.text)))
         self.pos += 1
 
     def nat(self) -> int:
@@ -333,7 +342,7 @@ class _Parser:
         while self.peek().isdigit():
             self.pos += 1
         if start == self.pos:
-            raise OrdinalError("expected number at %d in %r" % (self.pos, self.text))
+            raise OrdinalError("expected number at %d in %s" % (self.pos, _echo(self.text)))
         return int(self.text[start:self.pos])
 
     def ordinal(self, depth: int = 0) -> Ordinal:
@@ -344,12 +353,12 @@ class _Parser:
         flat: list[tuple[Ordinal, int]] = []
         for t in terms:
             if t.is_zero:
-                raise OrdinalError("zero term in sum: %r" % self.text)
+                raise OrdinalError("zero term in sum: %s" % _echo(self.text))
             flat.extend(t.terms)
         try:
             return Ordinal(tuple(flat))
         except OrdinalError as exc:
-            raise OrdinalError("%s in %r" % (exc, self.text)) from None
+            raise OrdinalError("%s in %s" % (exc, _echo(self.text))) from None
 
     def term(self, depth: int) -> Ordinal:
         if self.peek().isdigit():
@@ -360,7 +369,7 @@ class _Parser:
             self.take("*")
             coeff = self.nat()
         if coeff < 1:
-            raise OrdinalError("zero coefficient in %r" % self.text)
+            raise OrdinalError("zero coefficient in %s" % _echo(self.text))
         return omega_power(exp, coeff)
 
     def power(self, depth: int) -> Ordinal:
@@ -391,5 +400,5 @@ def parse_ordinal(text: str) -> Ordinal:
     p = _Parser(text)
     result = p.ordinal()
     if p.pos != len(text):
-        raise OrdinalError("trailing input at %d in %r" % (p.pos, text))
+        raise OrdinalError("trailing input at %d in %s" % (p.pos, _echo(text)))
     return result

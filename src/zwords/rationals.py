@@ -29,19 +29,18 @@ digit s - d less s.
 from __future__ import annotations
 
 import re
+import sys
 from collections.abc import Sequence
 from decimal import MAX_EMAX, MAX_PREC, Decimal, Inexact, localcontext
 from fractions import Fraction
 from math import factorial, lgamma, log, log2, perm
 
-from .ordinals import Ordinal
+from .ordinals import ECHO_LIMIT, Ordinal, _echo
 from .schreier import is_member
 from .words import (
     ABS,
-    ECHO_LIMIT,
     VARIABLE,
     LocatedWord,
-    _echo,
     concat,
     first_clamp,
     rel_r1,
@@ -345,6 +344,7 @@ _DECIMAL_LEAF = 512
 
 _PLAIN_RATIONAL = re.compile(r"([+-]?)(\d+)(?:/(\d+))?")
 _EXPONENT = re.compile(r"[eE]([+-]?\d+(?:_\d+)*)\Z")
+_DIGIT_RUN = re.compile(r"\d+(?:_\d+)*")
 
 
 def _int_from_decimal(digits: str) -> int:
@@ -392,7 +392,16 @@ def _read_rational(text: str) -> Fraction:
     10^_POSITION_DIGITS >= 2^_POSITION_BITS, or a denominator of 2s and 5s
     past 10^_POSITION_DIGITS, which cannot divide KEMPNER_CAP! (its 2s and
     5s, 2^9995 * 5^2499, are below 10^4756).  encode refuses both, as it
-    refuses 0."""
+    refuses 0.  Any other form with a run of digits (underscores between
+    them not counted) past Python's int-str limit is refused before
+    Fraction reads it, with the same reason on every Python."""
+    plain = _PLAIN_RATIONAL.fullmatch(text)
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0 where there is none
+    if plain is None and limit:
+        digits = max((len(run) - run.count("_") for run in _DIGIT_RUN.findall(text)), default=0)
+        if digits > limit:
+            raise ValueError("Exceeds the limit (%d digits) for integer string conversion: "
+                             "value has %d digits" % (limit, digits))
     exponent = _EXPONENT.search(text)
     if exponent and abs(int(exponent[1])) > _POSITION_DIGITS + len(text):
         raise ValueError("exponent %s exceeds %d in size, outside the codec range"
@@ -400,7 +409,6 @@ def _read_rational(text: str) -> Fraction:
     try:
         return Fraction(text)
     except ValueError:
-        plain = _PLAIN_RATIONAL.fullmatch(text)
         if plain is None:
             raise
         sign, num, den = plain.groups()
@@ -426,5 +434,5 @@ def format_rational(q: Fraction | int) -> str:
 
 
 def _quote(q: Fraction | int) -> str:
-    """q for an error, its text as words._echo bounds it, unquoted."""
+    """q for an error, its text as ordinals._echo bounds it, unquoted."""
     return _echo(format_rational(Fraction(q)), str)

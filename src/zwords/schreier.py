@@ -14,12 +14,19 @@ The families still to parse are one stack of runs (exponent e, copies),
 the next one last; it starts as xi's CNF terms.  A run with e = 0 takes
 its copies as elements.  A run with e > 0 at minimum m gives one copy
 back and pushes the run that copy expands to, m copies of w^(e - 1), a
-limit e read as e_m first.  Every copy takes at least one element, so a
-stack whose copies outnumber the elements left is OPEN at once, however
+limit e read as e_m first.  Every copy takes at least one element, so
+the parse keeps one slack, the elements left less the copies on the
+stack, and a stack whose slack falls below 0 is OPEN at once, however
 deep xi is.  Membership and enumeration both walk this stack, so neither
-has a recursion limit.  The run a copy expands to depends only on
-(exponent, minimum), and the same few pairs recur across calls, so
-expansions are memoised in a fixed 256-entry cache keyed by that pair.
+has a recursion limit.
+
+A finite exponent on the stack is a plain int, and a copy of w^k at
+minimum m expands to (k - 1, m) by arithmetic: such a run is only made
+by an expansion at some m > 1, so no copy of it starts at 1.  Only xi's
+own exponents and infinite ones go through _expand.  The run it gives
+depends only on (exponent, minimum), and the same few pairs recur across
+calls, so those expansions are memoised in a fixed 256-entry cache keyed
+by that pair; a lowered exponent that is finite comes back as an int.
 
 The restriction check walks the same stack twice in lock step: the
 members of A_xi inside {n..N} that start at n, and the members of
@@ -36,15 +43,16 @@ from functools import lru_cache
 from itertools import repeat, takewhile, zip_longest
 
 from .ordinals import (
-    ZERO,
+    ECHO_LIMIT,
     Frozen,
     Ordinal,
+    _echo,
     _lower,
     predecessor_sequence,
 )
 
 FiniteSet = tuple[int, ...]
-Run = tuple[Ordinal, int]  # (exponent e, copies): that many copies of w^e
+Run = tuple[Ordinal | int, int]  # (exponent e, copies): copies of w^e, a finite e an int
 Terms = tuple[Run, ...]
 
 DEFAULT_CAP = 20
@@ -57,43 +65,52 @@ class SchreierError(ValueError):
 
 def as_finite_set(elements: Iterable[int]) -> FiniteSet:
     s = tuple(elements)
-    if not all(map(isinstance, s, repeat(int))) or min(s, default=1) < 1:
-        raise SchreierError("elements must be positive integers: %r" % (s,))
-    if not all(map(operator.lt, s, s[1:])):
-        raise SchreierError("elements must be strictly increasing: %r" % (s,))
-    return s
+    ints = all(map(isinstance, s, repeat(int)))
+    if ints and all(map(operator.lt, (0,) + s, s)):
+        return s
+    if not ints or min(s) < 1:
+        raise SchreierError("elements must be positive integers: %s" % _echo(repr(s), str))
+    raise SchreierError("elements must be strictly increasing: %s" % _echo(repr(s), str))
 
 
 @lru_cache(maxsize=256)
 def _expand(exp: Ordinal, m: int) -> Run:
     """The run that w^exp at minimum m parses as: m copies of w^(exp - 1),
     lowered by the descent step of the predecessor sequence, so a limit
-    exp is read as exp_m first.  At minimum 1 that is one element, a copy
-    of w^0, however deep exp is."""
-    return (ZERO, 1) if m == 1 else (_lower(exp, m), m)
+    exp is read as exp_m first, and a finite result is an int.  At
+    minimum 1 that is one element, a copy of w^0, however deep exp is."""
+    if m == 1:
+        return (0, 1)
+    low = _lower(exp, m)
+    return (low.as_int() if low.is_finite else low, m)
 
 
 def _prefix_end(s: FiniteSet, i: int, terms: Terms) -> int:
     """End j of the unique prefix s[i:j] in A_xi, xi given by its CNF
     terms, or OPEN if s runs out before the parse completes."""
     runs = list(terms)
-    # every copy takes an element: need stays at most what is left
-    need = sum(copies for _, copies in runs)
-    if need > len(s) - i:
+    # every copy takes an element: slack is the elements left less the
+    # copies on the stack, and below 0 the set runs out first
+    slack = len(s) - i
+    for _, copies in runs:
+        slack -= copies
+    if slack < 0:
         return OPEN
+    if runs and not runs[-1][0].terms:  # xi's finite part, read first
+        i += runs.pop()[1]
     while runs:
         exp, copies = runs.pop()
-        if not exp.terms:
+        if not exp:
             i += copies
-            need -= copies
             continue
         m = s[i]
-        need += m - 1
-        if need > len(s) - i:
+        slack -= m - 1
+        if slack < 0:
             return OPEN
         if copies > 1:
             runs.append((exp, copies - 1))
-        runs.append(_expand(exp, m))
+        run = (exp - 1, m) if exp.__class__ is int else _expand(exp, m)
+        runs.append(run)
     return i
 
 
@@ -163,33 +180,36 @@ def _walk(terms: Terms, lo: int, n_max: int) -> Iterator[FiniteSet]:
 
     A depth-first walk over the parse's cases on an explicit stack.  A
     state is (set so far, runs still to parse with the next one last,
-    element already chosen as the next run's minimum or 0).  Choices are
-    pushed largest first, so members come out in lexicographic order.  A
-    state is dropped when its runs need more elements than remain."""
-    stack: list[tuple[FiniteSet, Terms, int]] = [((), terms, 0)]
+    element already chosen as the next run's minimum or 0, slack: the
+    elements still free to choose less the copies on the stack).  Choices
+    are pushed largest first, so members come out in lexicographic order.
+    A state is dropped when its slack falls below 0."""
+    if terms and not terms[-1][0].terms:
+        terms = terms[:-1] + ((0, terms[-1][1]),)  # xi's finite part, as an int run
+    slack = n_max - lo + 1 - sum(copies for _, copies in terms)
+    stack: list[tuple[FiniteSet, Terms, int, int]] = [((), terms, 0, slack)]
     while stack:
-        s, runs, m = stack.pop()
+        s, runs, m, slack = stack.pop()
         if not runs:
             yield s
             continue
-        least = m or (s[-1] + 1 if s else lo)
-        room = n_max - least + 1
-        need = sum(copies for _, copies in runs)
         exp, copies = runs[-1]
-        if m and exp.terms:
-            need += m - 1  # the run's next copy at m expands to m copies
-        if need > room:
+        if m and exp:
+            slack -= m - 1  # the run's next copy at m expands to m copies
+        if slack < 0:
             continue
-        # the elements after the next one must hold the other needs
-        choices = (m,) if m else range(n_max - need + 1, least - 1, -1)
+        least = m or (s[-1] + 1 if s else lo)
+        # the elements after the next one must hold the other copies
+        choices = (m,) if m else range(least + slack, least - 1, -1)
         rest = runs[:-1] + ((exp, copies - 1),) if copies > 1 else runs[:-1]
-        if not exp.terms:
+        if not exp:
             # a copy of w^0 takes one element
-            stack.extend((s + (x,), rest, 0) for x in choices)
+            stack.extend((s + (x,), rest, 0, least + slack - x) for x in choices)
         elif m:
-            stack.append((s, rest + (_expand(exp, m),), m))
+            run = (exp - 1, m) if exp.__class__ is int else _expand(exp, m)
+            stack.append((s, rest + (run,), m, slack))
         else:
-            stack.extend((s, runs, x) for x in choices)
+            stack.extend((s, runs, x, least + slack - x) for x in choices)
 
 
 def enumerate_members(xi: Ordinal, n_max: int, cap: int | None = None) -> list[FiniteSet]:
@@ -223,7 +243,11 @@ def parse_set(text: str) -> FiniteSet:
     try:
         return as_finite_set(int(part) for part in text.split(","))
     except ValueError as exc:
-        raise SchreierError("bad set %r: %s" % (text, exc)) from None
+        reason = str(exc)
+        # a short input's reason quotes it whole, so only a long one's is cut
+        if len(text) > ECHO_LIMIT:
+            reason = _echo(reason, str)
+        raise SchreierError("bad set %s: %s" % (_echo(text), reason)) from None
 
 
 def format_set(s: FiniteSet) -> str:

@@ -61,7 +61,8 @@ from itertools import combinations, islice, product
 from math import prod
 from operator import itemgetter, lt
 
-from .ordinals import Frozen, FrozenInstanceError  # noqa: F401  (re-exported)
+from .ordinals import _echo
+from .ordinals import ECHO_LIMIT, Frozen, FrozenInstanceError  # noqa: F401  (re-exported)
 
 VARIABLE = 0
 _set = object.__setattr__  # the value classes fill their slots past Frozen's
@@ -744,17 +745,6 @@ def format_word(w: LocatedWord) -> str:
     except AttributeError:
         _set(w, "_text", _entries_text(w.entries))
         return w._text
-
-
-ECHO_LIMIT = 160  # characters of a bad input, and of the reason, that an error quotes
-
-
-def _echo(text: str, show=repr) -> str:
-    """text as an error quotes it: show(text), or past ECHO_LIMIT
-    characters show of the first ECHO_LIMIT and the length."""
-    if len(text) <= ECHO_LIMIT:
-        return show(text)
-    return "%s... (%d characters)" % (show(text[:ECHO_LIMIT]), len(text))
 
 
 def parse_word(text: str, profile: DominationProfile = ABS) -> LocatedWord:

@@ -20,7 +20,6 @@ from math import factorial, perm, prod
 from zwords import cli
 from zwords.ordinals import (
     DESCENT_CAP,
-    ONE,
     ZERO,
     Ordinal,
     fundamental_sequence,
@@ -93,12 +92,15 @@ def _reference_plan(xi: Ordinal, n: int) -> list[Ordinal]:
 
 def reference_as_finite_set(elements) -> tuple[int, ...]:
     """The set check as two generator passes: every element a positive
-    int, then every neighbouring pair increasing."""
+    int, then every neighbouring pair increasing.  A refusal shows the
+    set as _reference_echo bounds it."""
     s = tuple(elements)
     if any(not isinstance(x, int) or x < 1 for x in s):
-        raise SchreierError("elements must be positive integers: %r" % (s,))
+        raise SchreierError("elements must be positive integers: %s"
+                            % _reference_echo(repr(s), str))
     if any(a >= b for a, b in zip(s, s[1:])):
-        raise SchreierError("elements must be strictly increasing: %r" % (s,))
+        raise SchreierError("elements must be strictly increasing: %s"
+                            % _reference_echo(repr(s), str))
     return s
 
 
@@ -118,21 +120,30 @@ def reference_member(s: tuple[int, ...], xi: Ordinal) -> bool:
                for split in compositions(s, len(plan)))
 
 
-def reference_initial(s: tuple[int, ...], xi: Ordinal, ground: int) -> bool:
-    """Naive membership in A_xi* for small xi: is some extension of s by
-    larger elements a member?  Only valid for families whose members over
-    min >= 1 stay within a computable size bound; callers below use it
-    for finite xi and xi = omega only."""
-    if s == ():
+def reference_initial(s: tuple[int, ...], xi: Ordinal) -> bool:
+    """Naive membership in A_xi*: is s an initial segment of a member?
+    The empty set is.  A successor's member is its minimum followed by a
+    member of the predecessor's family.  A limit's member with minimum
+    s[0] is the blocks of its plan in order, so s is some of them whole,
+    each tried at every cut, and then an initial segment of the next one;
+    every family has members above any bound, so the rest extends."""
+    if not s:
         return True
-    if xi.is_finite:
-        return len(s) <= xi.as_int()
-    if xi == OMEGA_LOCAL:
-        return len(s) <= s[0]
-    raise NotImplementedError("closed-form initial check only for finite xi and omega")
+    if xi.is_zero:
+        return False
+    if xi.is_successor:
+        return reference_initial(s[1:], successor_pred(xi))
+    return _initial_of_blocks(s, _reference_plan(xi, s[0]))
 
 
-OMEGA_LOCAL = omega_power(ONE)
+def _initial_of_blocks(s: tuple[int, ...], plan: list[Ordinal]) -> bool:
+    if not s:
+        return True
+    if not plan:
+        return False
+    return reference_initial(s, plan[0]) or any(
+        reference_member(s[:cut], plan[0]) and _initial_of_blocks(s[cut:], plan[1:])
+        for cut in range(1, len(s) + 1))
 
 
 def reference_decompositions(seq: tuple[int, ...], xi: Ordinal):
@@ -317,13 +328,13 @@ def reference_encode(q: Fraction) -> LocatedWord:
     return make_word(entries)
 
 
-def _reference_echo(text: str) -> str:
-    """text quoted for an error: whole when it has at most ECHO_LIMIT
-    characters, and otherwise its first ECHO_LIMIT characters quoted and
-    then its length."""
+def _reference_echo(text: str, show=repr) -> str:
+    """text shown for an error (quoted, by default): whole when it has at
+    most ECHO_LIMIT characters, and otherwise its first ECHO_LIMIT
+    characters shown and then its length."""
     if len(text) > ECHO_LIMIT:
-        return "%r... (%d characters)" % (text[:ECHO_LIMIT], len(text))
-    return repr(text)
+        return "%s... (%d characters)" % (show(text[:ECHO_LIMIT]), len(text))
+    return show(text)
 
 
 def reference_parse_word(text: str, profile=ABS) -> LocatedWord:

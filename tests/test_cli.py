@@ -107,10 +107,11 @@ def test_bad_rational_echo_is_bounded(capsys):
     assert run(capsys, "rat", "encode", "1/x") \
         == (1, "", "error: bad rational '1/x': Invalid literal for Fraction: '1/x'\n")
     # a longer one by its first ECHO_LIMIT characters and its length; a
-    # decimal of 35,660 digits is past Python's int-to-str limit, and a
+    # decimal of 35,660 digits is past Python's int-to-str limit, refused
+    # whole with the codec's own reason, the same on every Python, and a
     # long bad literal keeps its reason short too
     for value, reason in (("0." + "7" * 35660, "Exceeds the limit (4300 digits) for integer "
-                           "string conversion: value has 35660 digits"),
+                           "string conversion: value has 35660 digits\n"),
                           ("1/" + "x" * 50000, "Invalid literal for Fraction: '1/xxx")):
         for argv in (("rat", "encode", value), ("rat", "precedes", "--a", value, "--b", "1")):
             code, out, err = run(capsys, *argv)
@@ -123,6 +124,40 @@ def test_bad_rational_echo_is_bounded(capsys):
     code, out, err = run(capsys, "rat", "encode", "1/%s" % den)
     assert (code, out) == (1, "")
     assert err == "error: denominator of %d bits too large\n" % int(den).bit_length()
+
+
+def test_bad_set_ordinal_and_integer_list_echo_is_bounded(capsys):
+    from zwords.ordinals import ECHO_LIMIT
+
+    def quoted(text, show=repr):
+        return "%s... (%d characters)" % (show(text[:ECHO_LIMIT]), len(text))
+
+    # a set, an ordinal or an integer list past ECHO_LIMIT characters is
+    # quoted by its first ECHO_LIMIT characters and its length, and so is
+    # the set a refusal names; a long set text's reason is cut the same way
+    bad = ",".join(map(str, range(1, 3000))) + ",x"
+    falling = ",".join(map(str, range(3000, 0, -1)))
+    named = "elements must be strictly increasing: " + quoted(repr(tuple(range(3000, 0, -1))), str)
+    cases = [(("schreier", "member", "--xi", "w", "--set", bad),
+              "bad set %s: invalid literal for int() with base 10: 'x'" % quoted(bad)),
+             (("schreier", "member", "--xi", "w", "--set", falling),
+              "bad set %s: %s" % (quoted(falling), quoted(named, str))),
+             (("ordinal", "cmp", "--a", "w" * 10001, "--b", "1"),
+              "trailing input at 1 in %s" % quoted("w" * 10001)),
+             (("search", "fs", "--xs", bad),
+              "bad --xs %s: expected integers separated by commas" % quoted(bad))]
+    for argv, reason in cases:
+        assert run(capsys, *argv) == (1, "", "error: %s\n" % reason), argv[:2]
+        assert len(reason) < 3 * ECHO_LIMIT
+    # a text of at most ECHO_LIMIT characters is quoted whole, as it always was
+    text = ",".join(["7"] * (ECHO_LIMIT // 2)) + "x"
+    assert len(text) == ECHO_LIMIT
+    assert run(capsys, "search", "fs", "--xs", text) \
+        == (1, "", "error: bad --xs %r: expected integers separated by commas\n" % text)
+    assert run(capsys, "schreier", "member", "--xi", "w", "--set", text) \
+        == (1, "", "error: bad set %r: invalid literal for int() with base 10: '7x'\n" % text)
+    assert run(capsys, "ordinal", "cmp", "--a", "w^", "--b", "1") \
+        == (1, "", "error: expected 'w' at 2 in 'w^'\n")
 
 
 def test_bad_word_echo_is_bounded(capsys):

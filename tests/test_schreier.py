@@ -1,3 +1,6 @@
+import inspect
+import random
+import sys
 from itertools import combinations, product
 
 import pytest
@@ -178,7 +181,9 @@ def test_canonical_round_trip_all_sample_families():
 
 
 def test_canonical_round_trip_and_uniqueness():
-    for xi in [from_int(2), from_int(3), OMEGA]:
+    # the towers and sums are where a limit exponent becomes an int
+    # partway through the parse
+    for xi in [from_int(2), from_int(3), OMEGA] + TOWER_AND_SUM:
         for size in range(1, 11):
             for s in combinations(range(1, 11), size):
                 dec = canonical_decompose(s, xi)
@@ -186,7 +191,7 @@ def test_canonical_round_trip_and_uniqueness():
                 for b in dec.blocks:
                     assert reference_member(b, xi)
                 if dec.remainder is not None:
-                    assert reference_initial(dec.remainder, xi, 10)
+                    assert reference_initial(dec.remainder, xi)
                     assert not reference_member(dec.remainder, xi)
                 # the remainder variants produced by exhaustive splitting
                 candidates = reference_decompositions(s, xi)
@@ -304,25 +309,97 @@ def _walk_all_families(n_max):
     return results
 
 
-def test_expand_memo_matches_the_uncached_function_and_the_reference_plan(monkeypatch):
-    met = set()
+def _record_expansions(steps):
+    """A trace function that adds to steps each (exponent, minimum, run)
+    with which _prefix_end and _walk expand a copy, an int exponent by
+    arithmetic or an Ordinal one through _expand: the kernel's locals on
+    the line after the one that sets run."""
+    at = {}
+    for kernel in (schreier._prefix_end, schreier._walk):
+        lines, first = inspect.getsourcelines(kernel)
+        [line] = [first + k for k, text in enumerate(lines) if text.lstrip().startswith("run = ")]
+        at[kernel.__code__] = line
 
-    def record(exp, m):
-        met.add((exp, m))
-        return _expand(exp, m)
+    def trace(frame, event, arg):
+        line = at.get(frame.f_code)
+        if line is None:
+            return None
+        pending = False
 
-    monkeypatch.setattr(schreier, "_expand", record)
-    _walk_all_families(20)
-    assert len(met) > 100 and any(m == 1 for _, m in met)
-    for exp, m in met:
-        run = _expand(exp, m)
-        assert run == _expand.__wrapped__(exp, m), (exp, m)
-        plan = _reference_plan(omega_power(exp), m)
+        def local(frame, event, arg):
+            nonlocal pending
+            if event == "line":
+                if pending:
+                    found = frame.f_locals
+                    steps.append((found["exp"], found["m"], found["run"]))
+                pending = frame.f_lineno == line
+            return local
+        return local
+    return trace
+
+
+def test_expand_memo_matches_the_uncached_function_and_the_reference_plan():
+    steps = []
+    previous = sys.gettrace()
+    sys.settrace(_record_expansions(steps))
+    try:
+        _walk_all_families(20)
+    finally:
+        sys.settrace(previous)
+    met = set(steps)
+    assert len(met) > 100 and any(m == 1 for _, m, _ in met)
+    # finite exponents are ints on the stack, infinite ones Ordinals
+    assert {type(exp) for exp, _, _ in met} == {int, Ordinal}
+    for exp, m, run in met:
+        if isinstance(exp, Ordinal):
+            assert run == _expand(exp, m) == _expand.__wrapped__(exp, m), (exp, m)
+        low = run[0]
+        assert isinstance(low, int) or not low.is_finite, (exp, m, run)
+        plan = _reference_plan(omega_power(from_int(exp) if isinstance(exp, int) else exp), m)
         if m == 1:
             # a copy at minimum 1 is that one element, however deep exp is
-            assert run == (ZERO, 1) and len(plan) == 1, (exp, m)
+            assert run == (0, 1) and len(plan) == 1, (exp, m)
         else:
-            assert plan == [omega_power(run[0])] * run[1], (exp, m)
+            low = from_int(low) if isinstance(low, int) else low
+            assert plan == [omega_power(low)] * run[1], (exp, m)
+
+
+def test_expand_is_met_only_at_ordinal_exponents(monkeypatch):
+    # a finite exponent expands by arithmetic, so _expand is met at xi's
+    # own exponents and at infinite ones, never at an int
+    calls = []
+
+    def counted(exp, m):
+        calls.append(exp)
+        return _expand(exp, m)
+
+    monkeypatch.setattr(schreier, "_expand", counted)
+    w2 = parse_ordinal("w^2")
+    met = 0
+    for s in powerset(range(1, 11)):
+        # under w^2 once per block: the block's minimum expands the one
+        # copy of w^2, and the copies of w^1 it leaves take their elements
+        del calls[:]
+        is_member(s, w2)
+        assert len(calls) <= 1, s
+        if s:
+            dec = canonical_decompose(s, w2)
+            assert len(calls) <= 1 + len(dec.blocks) + (dec.remainder is not None), s
+        assert calls == [w2.terms[0][0]] * len(calls), s
+        met += len(calls)
+    assert met > 1000
+    xi = parse_ordinal("w^(w+1)*2+w^3")
+    own = {exp for exp, _ in xi.terms}
+    del calls[:]
+    for s in powerset(range(1, 11)):
+        is_member(s, xi)
+        is_proper_initial(s, xi)
+        if s:
+            canonical_decompose(s, xi)
+    assert len(calls) > 100
+    assert all(isinstance(exp, Ordinal) and (exp in own or not exp.is_finite)
+               for exp in calls)
+    assert _expand.cache_info().maxsize == 256
 
 
 def test_results_are_the_same_cold_warm_and_uncached(monkeypatch):
@@ -349,6 +426,26 @@ def test_expand_cache_stays_bounded():
     info = _expand.cache_info()
     assert info.currsize == info.maxsize
     assert is_member((2, 3, 4, 5, 6, 7), w2) and is_member((1,), w2)
+
+
+def test_parse_and_walk_agree_on_a_larger_ground():
+    # {1..20} is past the grounds the references check, and there w*3 and
+    # w*4 give runs of three and more copies: every member the walk lists
+    # is a member to the parse, its proper prefixes are open, and seeded
+    # subsets are members exactly when listed
+    rng = random.Random(20)
+    for text in ("w^2", "w*3", "w*4", "w^2*2", "w^2+w", "w^w"):
+        xi = parse_ordinal(text)
+        members = enumerate_members(xi, 20)
+        assert len(members) > 100, text
+        for s in members:
+            assert is_member(s, xi) and not is_proper_initial(s, xi), (text, s)
+            assert is_proper_initial(s[:-1], xi) or not s[:-1], (text, s)
+            assert str(canonical_decompose(s, xi)) == "[%s]" % format_set(s), (text, s)
+        listed = set(members)
+        for _ in range(2000):
+            s = tuple(sorted(rng.sample(range(1, 21), rng.randint(1, 20))))
+            assert is_member(s, xi) == (s in listed), (text, s)
 
 
 def test_set_check_matches_the_generator_reference():
