@@ -375,12 +375,13 @@ def hereditary_closure(family: WordFamily, pool: Iterable[LocatedWord]) -> WordF
     """Close under pool-relative extraction tuples of members.  Each
     chain steps along R1 successors through one member's extractions,
     which are core words of that member's profile, so its tuple is built
-    directly.  The closure's keys are kept on the compiled pool, in place
-    of the last closure's, for the heredity walks of later calls."""
+    directly.  The closure's keys replace the last closure's on the
+    compiled pool, for the heredity walks of later calls, as a new set
+    that is never changed: a walk that holds the last one reads one
+    closure throughout."""
     keys, table = _pool_keys(family, pool)
     closed = {()}.union(*(_extraction_chains(key, table) for key in keys))
-    table.closed.clear()
-    table.closed.update(closed)
+    table.closed = closed
     return WordFamily(OrderlyTuple(tuple(table.words[i] for i in chain)) for chain in closed)
 
 

@@ -10,21 +10,22 @@ position, serialization), so results are reproducible.
 What a search lays out before it colors anything, its candidate counts,
 its side pools and its xi block plans, is kept across searches in bounded
 caches, each sized to hold one search of radius 6 whole.  Above them, each
-shell a search reads is a visit kept across searches: its splits with
-their plans, and for each candidate visited so far its text, side choices,
-plans, side texts, the slice texts read so far and, once it is a witness,
-its rank.  A search reads a total's shells from its half, rounded up, as
-the inner ones are empty, and a shell with no planned split keeps no
-split, as it holds no witness.  So a sweep of colorings over one window
-lays the window out once, and a later search replays the kept candidates
-with color lookups alone; one that goes past them merges the shell's
-splits again and skips the kept prefix.  The visits are bounded twice: the
-last VISITS (64) are kept, and one keeps at most VISIT_TEXTS (128) texts,
-side and slice texts, and the candidates that read them, after which it
-keeps nothing more and searches go on past it with their side texts kept
-for the call.  Colors depend on the coloring, so they are kept for the
-call only.  A visit is extended in place, so searches of one process run
-one at a time, not from several threads at once.
+shell a search reads is a visit kept across searches, laid out once when
+it is first read and never changed: its splits with their plans, and a
+prefix of its candidates, each with its text, side choices, plans, side
+texts and all its slice texts.  A search reads a total's shells from its
+half, rounded up, as the inner ones are empty, and a shell with no planned
+split keeps no split, as it holds no witness.  So a sweep of colorings
+over one window lays the window out once, and a later search replays the
+kept candidates with color lookups alone; one that goes past them merges
+the shell's splits again, skips the prefix and streams on with its side
+texts kept for the call.  The visits are bounded twice: the last VISITS
+(64) are kept, and one keeps at most VISIT_TEXTS (128) texts, counting
+each side text and every slice text of each kept candidate.  Colors
+depend on the coloring, so they are kept for the call only.  A search
+writes nothing into a visit but a kept witness's rank, the same int
+whoever writes it, so searches run from several threads give the reports
+they give one at a time.
 """
 
 from __future__ import annotations
@@ -502,52 +503,57 @@ class SearchReport(Record):
         return self.witness is not None
 
 
-class _Kept:
-    """A candidate a shell visit keeps: its text, side choices, plans and
-    side texts, and the slice texts searches have read, `whole` once they
-    are all of them.  `rank` is its rank over the shell's splits without
-    plans (_rank), once some search has found it a witness: it depends on
-    the candidate alone, so it is worked out once and kept as one int, not
-    as the pools it was read from."""
-
-    __slots__ = ("text", "combo", "plans", "sides", "texts", "whole", "rank")
-
-    def __init__(self, text: str, combo: tuple, plans: Plans, sides: list[list[str]]) -> None:
-        self.text, self.combo, self.plans, self.sides = text, combo, plans, sides
-        self.texts: list[str] = []
-        self.whole = False
-        self.rank: int | None = None
-
-
 class _Visit:
-    """All a search does in one shell but read colors: the shell's splits
-    with plans, each with its block plans, the splits without (read only
-    to rank a witness, so kept only beside splits with plans), and the
-    candidates visited so far (`kept`) with their side texts, memoised per
-    slot by side key in `memos`, and the slice texts read so far.  `inner`
-    is the count of the shell's total in the window one shell smaller,
-    once a witness asks for it.
+    """All a search does in one shell but read colors, laid out once when
+    the visit is made and never changed: the shell's splits with plans,
+    each with its block plans, the splits without (read only to rank a
+    witness, so kept only beside splits with plans), and its first
+    candidates in serialization order (`kept`), each as (text, side
+    choices, plans, side texts, slice texts), with their side texts
+    memoised per slot by side key in `memos`.  `inner` is the count of the
+    shell's total in the window one shell smaller, which a witness's place
+    reads.
 
-    `room` is what the visit may still keep, in texts: each side or slice
-    text kept counts one.  A candidate is kept only if its new side texts
-    leave room, and a slice text only while room is left; a search reads
-    a candidate's first slice text before the next candidate, so a visit
-    keeps at most VISIT_TEXTS candidates too.  Once a candidate is refused
-    the visit is `full` and keeps nothing more; it is `complete` once it
-    keeps every candidate of its splits with plans.  A visit holds no
-    iterator: a search past its kept candidates merges the splits again."""
+    The prefix is laid out until the next candidate's new side texts and
+    all its slice texts would pass VISIT_TEXTS; each side or slice text
+    kept counts one.  The layout counts a side's texts (_side_top) before
+    it builds them and stops at a side over the window's cap, so it never
+    raises, and a search that goes past the prefix is refused there.  The
+    visit is `complete` when the prefix is every candidate of its splits
+    with plans.  It holds no iterator: a search past the prefix merges the
+    splits again.  The one write after it is made is `ranks`, a memo of a
+    kept candidate's rank over the splits without plans (_rank), found
+    once it is a witness; it is a pure function of the candidate, so
+    searches from several threads write the same int."""
 
-    __slots__ = ("planned", "plans", "planless", "kept", "memos", "room", "full", "complete",
-                 "inner")
+    __slots__ = ("planned", "plans", "planless", "kept", "memos", "complete", "inner", "ranks")
 
     def __init__(self, planned: tuple[Split, ...], plans: tuple[Plans, ...],
-                 planless: tuple[Split, ...], width: int) -> None:
-        self.planned, self.plans, self.planless = planned, plans, planless
-        self.kept: list[_Kept] = []
-        self.memos: list[dict[str, list[str]]] = [{} for _ in range(width)]
-        self.room = VISIT_TEXTS
-        self.full = self.complete = False
-        self.inner: int | None = None
+                 planless: tuple[Split, ...], inner: int, slots: Sequence[tuple[int, int]],
+                 window: SearchWindow) -> None:
+        self.planned, self.plans, self.planless, self.inner = planned, plans, planless, inner
+        self.ranks: dict[str, int] = {}
+        profile, cap = window.profile, window.max_candidates
+        memos: list[dict[str, list[str]]] = [{} for _ in slots]
+        kept, room, complete = [], VISIT_TEXTS, False
+        for text, combo, own in _shell_candidates(zip(planned, plans), profile):
+            new = [i for i, (memo, (key, _)) in enumerate(zip(memos, combo)) if key not in memo]
+            counts = [len(memo[key]) if key in memo else _side_top(entries, top, profile)
+                      for memo, (key, entries), (_, top) in zip(memos, combo, slots)]
+            need = sum(counts[i] for i in new) + sum(
+                prod(counts[2 * i] * counts[2 * i + 1] for run in plan for i in run)
+                for plan in own)
+            if max(counts) > cap or need > room:
+                break
+            for i in new:
+                (key, entries), (side, top) = combo[i], slots[i]
+                memos[i][key] = _side_texts(entries, side, top, window)
+            sides = [memo[key] for memo, (key, _) in zip(memos, combo)]
+            kept.append((text, combo, own, sides, tuple(_slice_texts(sides, own))))
+            room -= need
+        else:
+            complete = True
+        self.kept, self.memos, self.complete = tuple(kept), memos, complete
 
 
 @lru_cache(maxsize=VISITS)
@@ -556,79 +562,53 @@ def _shell_visit(m: int, total: int, shell: int, profile: DominationProfile,
                  cap: int) -> _Visit:
     """The visit of one shell, keyed by all that a search reads there but
     the coloring (the window's cap too, as side texts past it are
-    refused); searches extend it, and the last 64 are kept.  It builds the
-    shell's splits once and keeps them.  A split's block plans: with no
-    xi, the one plan of a single run of every member, shared by all the
-    splits; under xi, the plans _xi_plans gives for the members' sizes and
-    anchors (least positive positions), which the split fixes.  The splits
-    without plans are kept only when some split has one: only a witness's
-    rank reads them, and a shell with no planned split holds no witness.
-    A search reads only the shells that hold its totals' domains, so a
-    plan-less xi search of radius 8 reads 49 shells, which all stay kept,
-    and the same search run again replays them."""
+    refused); the last 64 are kept.  It builds the shell's splits once and
+    keeps them.  A split's block plans: with no xi, the one plan of a
+    single run of every member, shared by all the splits; under xi, the
+    plans _xi_plans gives for the members' sizes and anchors (least
+    positive positions), which the split fixes.  The splits without plans
+    are kept only when some split has one: only a witness's rank reads
+    them, and a shell with no planned split holds no witness, so it lays
+    nothing out and counts no inner window.  A search reads only the
+    shells that hold its totals' domains, so a plan-less xi search of
+    radius 8 reads 49 shells, which all stay kept, and the same search run
+    again replays them."""
+    window = SearchWindow(shell, profile, cap)
     splits = _shell_splits(m, total, shell)
     if xi is None:
-        return _Visit(splits, (((tuple(range(m)),),),) * len(splits), (), len(slots))
-    plans = [_xi_plans(tuple(map(len, layers)),
-                       tuple([layer[bisect_left(layer, 0)] for layer in layers]), xi, n0)
-             for layers in splits]
-    planned = tuple(compress(splits, plans))
-    return _Visit(planned, tuple(filter(None, plans)), planned and tuple(
-        [layers for layers, own in zip(splits, plans) if not own]), len(slots))
-
-
-def _kept_texts(visit: _Visit, kept: _Kept) -> Iterator[str]:
-    """A kept candidate's slice texts: those the visit keeps, then the
-    rest, each kept while the visit has room."""
-    texts = kept.texts
-    yield from texts
-    keeping = True
-    for text in islice(_slice_texts(kept.sides, kept.plans), len(texts), None):
-        if keeping and visit.room > 0:
-            visit.room -= 1
-            texts.append(text)
-        else:
-            keeping = False
-        yield text
-    kept.whole = keeping
+        planned, plans, planless = splits, (((tuple(range(m)),),),) * len(splits), ()
+    else:
+        shapes = [_xi_plans(tuple(map(len, layers)),
+                            tuple([layer[bisect_left(layer, 0)] for layer in layers]), xi, n0)
+                  for layers in splits]
+        planned, plans = tuple(compress(splits, shapes)), tuple(filter(None, shapes))
+        planless = planned and tuple([layers for layers, own in zip(splits, shapes) if not own])
+    inner = 0 if shell == 1 or not planned else sum(_candidate_counts(
+        m, range(total, total + 1), SearchWindow(shell - 1, profile, cap)))
+    return _Visit(planned, plans, planless, inner, slots, window)
 
 
 def _visit_candidates(visit: _Visit, slots: Sequence[tuple[int, int]],
                       window: SearchWindow) -> Iterator[tuple]:
     """A shell's candidates in serialization order, as (text, side choices,
-    plans, side texts, slice texts, the _Kept or None): the kept ones,
-    then, unless the visit is complete, those past them, merged again from
-    the splits with plans.  A candidate's side texts that the memos lack
-    are built first, so a side over the window's cap raises before
-    anything is memoised or charged.  Each candidate is kept while its new
-    side texts leave room; from the first refused the visit is full, and
-    the side texts of the rest are memoised for the call only."""
-    kept = visit.kept
-    for c in kept:
-        yield c.text, c.combo, c.plans, c.sides, c.texts if c.whole else _kept_texts(visit, c), c
+    plans, side texts, slice texts): the visit's kept prefix, then, unless
+    the visit is complete, those past it, merged again from the splits
+    with plans and streamed.  A side text the visit's memos lack is built
+    when first read and memoised in a dict of the call's own, so the
+    visit is only read."""
+    yield from visit.kept
     if visit.complete:
         return
-    memos = [dict(memo) for memo in visit.memos] if visit.full else visit.memos
+    memos, own = visit.memos, [{} for _ in slots]
     stream = _shell_candidates(zip(visit.planned, visit.plans), window.profile)
-    for text, combo, plans in islice(stream, len(kept), None):
-        new = [(i, key, _side_texts(entries, side, top, window))
-               for i, ((key, entries), (side, top)) in enumerate(zip(combo, slots))
-               if key not in memos[i]]
-        need = sum(len(texts) for _, _, texts in new)
-        if not visit.full and need >= visit.room:
-            visit.full, visit.room = True, 0
-            memos = [dict(memo) for memo in memos]
-        for i, key, texts in new:
-            memos[i][key] = texts
-        sides = [memo[key] for memo, (key, _) in zip(memos, combo)]
-        if visit.full:
-            yield text, combo, plans, sides, _slice_texts(sides, plans), None
-            continue
-        visit.room -= need
-        c = _Kept(text, combo, plans, sides)
-        kept.append(c)
-        yield text, combo, plans, sides, _kept_texts(visit, c), c
-    visit.complete = not visit.full
+    for text, combo, plans in islice(stream, len(visit.kept), None):
+        sides = []
+        for memo, mine, (key, entries), (side, top) in zip(memos, own, combo, slots):
+            texts = memo.get(key) or mine.get(key)
+            if texts is None:
+                texts = mine[key] = _side_texts(entries, side, top, window)
+            sides.append(texts)
+        yield text, combo, plans, sides, _slice_texts(sides, plans)
 
 
 def _first_one_color(coloring: Coloring, m: int, totals: range, counts: Sequence[int],
@@ -644,21 +624,23 @@ def _first_one_color(coloring: Coloring, m: int, totals: range, counts: Sequence
     holds only domains of at most 2s positions, so a total's first shell
     is its half, rounded up, and no empty shell is visited.  `nodes` is the
     witness's place in the canonical order, read from the counts: the
-    earlier totals', this total's in the window one shell smaller, the
-    candidates visited in this shell and the witness's rank in each split
-    of it without plans, which a kept candidate keeps (_Kept.rank).
+    earlier totals', this total's in the window one shell smaller
+    (_Visit.inner), the candidates visited in this shell and the witness's
+    rank in each split of it without plans, which the visit keeps for a
+    kept candidate (_Visit.ranks).
 
-    All but the colors is the shell's visit (_shell_visit), kept across
-    searches: its splits and plans, and each visited candidate's text,
-    side choices, plans, side texts and the slice texts read so far.  A
-    search replays the kept candidates, so under another coloring it only
-    looks colors up, and it extends the visit past them.  The last VISITS
-    visits are kept, and each keeps at most VISIT_TEXTS texts, so a
-    profile with large bounds or an exhaustive search of a wide window
-    keeps no more; past that, the search streams on with its side texts
-    kept for the call.  The colors depend on the coloring, so they stay in
-    a dict local to the call, and table colorings and Coloring subclasses
-    read the same texts."""
+    All but the colors is the shell's visit (_shell_visit), laid out once
+    and kept across searches: its splits and plans, and its first
+    candidates with their side and slice texts, all of each.  A search
+    replays the kept candidates, so under another coloring it only looks
+    colors up, and past an incomplete prefix it streams on with the side
+    texts it builds kept for the call.  The last VISITS visits are kept,
+    and each keeps at most VISIT_TEXTS texts, so a profile with large
+    bounds or an exhaustive search of a wide window keeps no more.  A
+    search writes no visit but a kept witness's rank, so searches from
+    several threads give the reports they give one at a time.  The colors
+    depend on the coloring, so they stay in a dict local to the call, and
+    table colorings and Coloring subclasses read the same texts."""
     profile, cap = window.profile, window.max_candidates
     slots = tuple(slots)
     colors: dict[str, int] = {}
@@ -667,18 +649,17 @@ def _first_one_color(coloring: Coloring, m: int, totals: range, counts: Sequence
             continue  # no split to visit, however large the total
         for shell in range((total + 1) // 2, window.radius + 1):
             visit = _shell_visit(m, total, shell, profile, slots, xi, n0, cap)
-            for visited, (text, combo, plans, sides, texts, kept) in enumerate(
+            for visited, (text, combo, plans, sides, texts) in enumerate(
                     _visit_candidates(visit, slots, window), 1):
                 color = _one_color(coloring, texts, colors)
                 if color is not None:
-                    if visit.inner is None:
-                        visit.inner = 0 if shell == 1 else sum(_candidate_counts(
-                            m, range(total, total + 1), SearchWindow(shell - 1, profile, cap)))
-                    own = kept or _Kept(text, combo, plans, sides)
-                    if own.rank is None:
-                        own.rank = sum(_rank(text, _split_pools(layers, profile))
-                                       for layers in visit.planless)
-                    nodes = sum(counts[:t]) + visit.inner + visited + own.rank
+                    rank = visit.ranks.get(text)
+                    if rank is None:
+                        rank = sum(_rank(text, _split_pools(layers, profile))
+                                   for layers in visit.planless)
+                        if visited <= len(visit.kept):
+                            visit.ranks[text] = rank
+                    nodes = sum(counts[:t]) + visit.inner + visited + rank
                     return nodes, _words(combo, profile), color, sides, plans
     return sum(counts), None, None, [], ()
 

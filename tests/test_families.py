@@ -147,6 +147,19 @@ def test_hereditary_closure_and_largest():
     assert lh.is_hereditary(pool)
 
 
+def test_a_later_closure_leaves_the_kept_closure_unchanged():
+    # the compiled pool keeps the last closure's keys as one set, replaced
+    # by the next closure and never changed, so a heredity walk that holds
+    # the earlier set (one running in another thread) reads one closure
+    # throughout
+    hereditary_closure(family_of([make_tuple([W1, W2])]), CHAIN3)
+    snapshot = _compile(frozenset(CHAIN3)).closed
+    before = set(snapshot)
+    hereditary_closure(family_of([make_tuple([W2, W3])]), CHAIN3)
+    assert snapshot == before
+    assert _compile(frozenset(CHAIN3)).closed not in (before, snapshot)
+
+
 def test_largest_hereditary_is_maximal():
     # every hereditary subfamily is contained in the largest one
     pool = CHAIN3

@@ -1,7 +1,9 @@
+import copy
 import gc
 import hashlib
 import random
 import sys
+import threading
 import time
 import tracemalloc
 from bisect import bisect_left
@@ -803,8 +805,11 @@ def test_a_planless_search_run_again_reads_only_kept_visits():
 
 def test_an_early_hj_search_builds_only_what_it_visits(monkeypatch):
     # the split streams are merged, so a search stops after building its
-    # visited candidates and at most one more per split of its last shell;
-    # each search starts from cold caches, as a kept visit builds nothing
+    # visited candidates and what the layout of each visited shell builds:
+    # its kept prefix, and for a shell laid out only in part, one more
+    # candidate per split, and the prefix and a head per split again when
+    # the search merges the splits past the prefix.  Each search starts
+    # from cold caches, as a kept visit builds nothing
     split_stream = search._split_stream
     built = []
 
@@ -819,14 +824,18 @@ def test_an_early_hj_search_builds_only_what_it_visits(monkeypatch):
         for seed in range(10):
             clear_search_caches()
             built.clear()
-            rep = hj_witness_search(Coloring(arity=2, seed=seed), m, bounds, n, SearchWindow(4))
-            if rep.found:
-                shell = max(max(-w.dom[0], w.dom[-1]) for w in rep.witness)
-                heads = len(list(_shell_splits(m, n, shell)))
-                assert rep.nodes_expanded <= len(built) <= rep.nodes_expanded + heads
-                found += 1
-            else:
-                assert len(built) == rep.nodes_expanded == rep.candidates
+            window = SearchWindow(4)
+            rep = hj_witness_search(Coloring(arity=2, seed=seed), m, bounds, n, window)
+            last = max(max(-w.dom[0], w.dom[-1]) for w in rep.witness) if rep.found else 4
+            slots = tuple(_side_slots(window.profile, bounds))
+            visits = [search._shell_visit(m, n, shell, window.profile, slots, None, n,
+                                          window.max_candidates)
+                      for shell in range((n + 1) // 2, last + 1)]
+            layout = sum(len(v.kept) + (0 if v.complete else 2 * len(v.planned)) for v in visits)
+            assert rep.nodes_expanded <= len(built) <= rep.nodes_expanded + layout
+            found += rep.found
+            if not rep.found:
+                assert rep.nodes_expanded == rep.candidates
     assert found > 15
 
 
@@ -964,9 +973,9 @@ def test_kept_counts_are_the_counts_worked_out_again(monkeypatch):
     keys = sorted(set(asked), key=repr)
     windows = [(m, totals, SearchWindow(radius, profile, cap))
                for m, totals, radius, profile, cap in keys]
-    assert len(keys) == kept.cache_info().misses == 71
+    assert len(keys) == kept.cache_info().misses == 77
     warm = [_candidate_counts(*window) for window in windows]
-    assert kept.cache_info().misses == 71
+    assert kept.cache_info().misses == 77
     for window, counts in zip(windows, warm):
         kept.cache_clear()
         assert _candidate_counts(*window) == counts, window
@@ -1075,12 +1084,12 @@ def report_fields(rep):
 
 
 def test_colour_sweeps_on_kept_visits_match_cold_searches():
-    # 50 colourings swept over shared windows, hj and xi searches taking
-    # turns, so each search replays and extends visits that other
-    # colourings left: seeded ones, seeded ones recoloured, tables over a
-    # seed and whole tables.  Every warm report is the report after every
-    # search cache is cleared, and on the radius-3 windows the report of
-    # the search by definition
+    # 50 colourings (seeded ones, seeded ones recoloured, tables over a
+    # seed and whole tables) swept over shared windows, hj and xi searches
+    # taking turns, so each search replays visits that other colourings
+    # laid out and streams past them.  Every warm report is the report
+    # after every search cache is cleared, and on the radius-3 windows the
+    # report of the search by definition
     specs = [("hj", 1, (2,), 3), ("hj", 2, (1, 2), 4), ("xi", "w", 2, 4), ("xi", "1", 1, 2)]
 
     def run(spec, coloring, window):
@@ -1131,6 +1140,193 @@ def test_colour_sweeps_on_kept_visits_match_cold_searches():
     assert compared == 600 and 200 < found < 600, found
 
 
+def test_searches_change_no_visit_but_its_ranks():
+    # visits are laid out once: 50 searches under other colourings, hj and
+    # xi taking turns over the windows of the visits held, replay their
+    # prefixes, stream past the incomplete ones and find witnesses, yet
+    # every field of every visit but its rank memo is the object it was,
+    # holding the values it held when the visit was made
+    fields = ("kept", "memos", "complete", "planned", "plans", "planless", "inner")
+    runs = [partial(hj_witness_search, m=2, bounds=[1, 2], n=5, window=SearchWindow(4)),
+            partial(hj_witness_search, m=1, bounds=[2], n=3, window=SearchWindow(4)),
+            partial(xi_witness_search, xi=parse_ordinal("w"), l=2, n0=4, window=SearchWindow(4))]
+    clear_search_caches()
+    for run in runs:
+        run(Coloring(arity=2, seed=0))
+    visits = [obj for obj in gc.get_referents(search._shell_visit)
+              if isinstance(obj, search._Visit)]
+    held = [[(getattr(visit, name), copy.deepcopy(getattr(visit, name))) for name in fields]
+            for visit in visits]
+    found = sum(runs[i % 3](Coloring(arity=(2, 3, 40)[i // 3 % 3], seed=100 + i)).found
+                for i in range(50))
+    assert 10 < found < 50 and any(not visit.complete for visit in visits)
+    for visit, before in zip(visits, held):
+        for name, (value, copied) in zip(fields, before):
+            assert getattr(visit, name) is value and value == copied, name
+
+
+def test_searches_from_four_threads_give_the_sequential_reports():
+    # 40 seeds each of CI's colour-sweep hj and xi searches and three seeds
+    # of the exhaustive radius-5 search, run one by one from cleared
+    # caches.  Then six trials, each from cleared caches: the sweep and one
+    # exhaustive search, shuffled over four threads with the interpreter
+    # switching threads every microsecond, so threads lay out, replay and
+    # stream past shared visits at once.  Every report is the sequential
+    # one.  A race on shared visits shows in about half of single trials
+    # of this size, so the test runs six
+    w4, xi = SearchWindow(4), parse_ordinal("w")
+    sweep = [partial(hj_witness_search, Coloring(arity=3, seed=seed), 2, [1, 2], 5, w4)
+             for seed in range(40)]
+    sweep += [partial(xi_witness_search, Coloring(arity=2, seed=seed), xi, 2, 4, w4)
+              for seed in range(40)]
+    exhaustive = [partial(hj_witness_search, Coloring(arity=40, seed=seed), 2, [2, 2], 6,
+                          SearchWindow(5)) for seed in range(3)]
+    clear_search_caches()
+    want = {run: report_fields(run()) for run in sweep + exhaustive}
+    assert sum(rep[0] is not None for rep in want.values()) > 40
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for trial in range(6):
+            runs = sweep + [exhaustive[trial % 3]]
+            random.Random(trial).shuffle(runs)
+            got, errors = {}, []
+
+            def work(chunk):
+                try:
+                    for run in chunk:
+                        got[run] = report_fields(run())
+                except Exception as exc:  # a thread's failure is the test's
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=work, args=(runs[k::4],)) for k in range(4)]
+            clear_search_caches()
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+            assert not any(thread.is_alive() for thread in threads), trial
+            assert not errors, (trial, errors)
+            assert [run for run in runs if got[run] != want[run]] == [], trial
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def reference_prefix(m, total, shell, window, bounds, xi=None, n0=None):
+    """The texts of the candidates a visit lays out, and whether they are
+    all of the shell's, by the rule: the candidates of the shell with a
+    block plan, in serialization order, while each one's new side texts
+    and all its slice texts fit what VISIT_TEXTS leaves, and none of its
+    sides passes the window's cap.  Built from the reference candidates."""
+    slots = _side_slots(window.profile, bounds)
+    room, seen, kept = search.VISIT_TEXTS, set(), []
+    for ws in reference_candidates(m, total, window):
+        if max(max(-w.dom[0], w.dom[-1]) for w in ws) != shell:
+            continue
+        plans = (((tuple(range(m)),),) if xi is None else _xi_plans(
+            tuple(len(w.entries) for w in ws), tuple(w.min_dom_pos for w in ws), xi, n0))
+        if not plans:
+            continue
+        sides = []
+        for w in ws:
+            cut = bisect_left(w.dom, 0)
+            sides += [w.entries[:cut], w.entries[cut:]]
+        try:
+            texts = [_side_texts(entries, side, top, window)
+                     for entries, (side, top) in zip(sides, slots)]
+        except SearchCapExceeded:
+            return kept, False
+        new = set(enumerate(sides)) - seen
+        need = sum(len(texts[i]) for i, _ in new) + len(list(_slice_texts(texts, plans)))
+        if need > room:
+            return kept, False
+        seen |= new
+        room -= need
+        kept.append(serialize_tuple(ws))
+    return kept, True
+
+
+def test_visits_lay_out_the_reference_prefix():
+    # every visit of hj and xi searches over radius-3 windows of four
+    # profiles keeps the reference prefix: those that stop short of their
+    # shell, those that stop exactly at VISIT_TEXTS, and, under a cap of
+    # 10, one whose side of exactly 10 texts is laid out and one whose side
+    # of 50 stops the layout
+    table = "table:-3=3,-2=1,-1=2,1=1,2=3,3=2"
+    cases = [(text, 10 ** 6, bounds, None, None)
+             for text in ("abs", "const:2", table) for bounds in ([1], [2], [1, 2], [2, 1])]
+    cases += [(text, 10 ** 6, [1, 2], parse_ordinal(xi), n0)
+              for text in ("abs", table) for xi, n0 in (("w", 4), ("w", 5), ("2", 4), ("1", 3))]
+    cases += [("table:-3=%d,-2=2,-1=2,1=2,2=2,3=2" % k, 10, [3], None, None) for k in (10, 50)]
+    shells = {True: 0, False: 0}
+    full = 0
+    for text, cap, bounds, xi, n0 in cases:
+        window = SearchWindow(3, parse_profile(text), max_candidates=cap)
+        m = len(bounds)
+        slots = tuple(_side_slots(window.profile, bounds))
+        for total in range(2 * m, 7 if cap > 10 else 3):
+            for shell in range((total + 1) // 2, 4):
+                visit = search._shell_visit(m, total, shell, window.profile, slots, xi,
+                                            n0 if xi else total, cap)
+                kept, complete = reference_prefix(m, total, shell, window, bounds, xi, n0)
+                assert ([c[0] for c in visit.kept], visit.complete) == (kept, complete), \
+                    (text, bounds, xi, n0, total, shell)
+                shells[complete] += 1
+                full += sum(len(texts) for memo in visit.memos for texts in memo.values()) \
+                    + sum(len(c[4]) for c in visit.kept) == search.VISIT_TEXTS
+    at_cap = search._shell_visit(1, 2, 3, parse_profile(cases[-2][0]),
+                                 tuple(_side_slots(parse_profile(cases[-2][0]), [3])), None, 2,
+                                 10)
+    assert at_cap.complete and len(at_cap.kept) == 5
+    assert shells[True] > 20 and shells[False] > 20 and full > 5, (shells, full)
+
+
+def test_a_search_past_a_prefix_builds_each_side_once(monkeypatch):
+    # past an incomplete prefix a search builds a side's texts when it
+    # first reads them in the shell, then reads them from the visit's
+    # memos or its own: the exhaustive radius-5 search with grid tops 1
+    # and 2, its visits laid out, builds no side twice in one shell (the
+    # tops tell the members apart)
+    side_texts, visit_candidates = search._side_texts, search._visit_candidates
+    shells, built = [], []
+
+    def counted(entries, side, top, window):
+        built.append((len(shells), entries, side, top))
+        return side_texts(entries, side, top, window)
+
+    def visiting(visit, slots, window):
+        shells.append(visit)
+        return visit_candidates(visit, slots, window)
+
+    run = partial(hj_witness_search, Coloring(arity=400, seed=3), 2, [1, 2], 6, SearchWindow(5))
+    clear_search_caches()
+    first = report_fields(run())
+    monkeypatch.setattr(search, "_side_texts", counted)
+    monkeypatch.setattr(search, "_visit_candidates", visiting)
+    assert report_fields(run()) == first and first[0] is None
+    assert len(built) == len(set(built)) > 100 and not all(v.complete for v in shells)
+
+
+def test_the_last_kept_candidate_keeps_its_rank(monkeypatch):
+    # the xi search's witness under this seed is the last candidate of its
+    # shell's prefix, in a shell with splits without plans: the rank found
+    # once is kept, so a search that finds it again builds no pool
+    def refuse(*args):
+        raise AssertionError("built again")
+
+    run = partial(xi_witness_search, xi=parse_ordinal("w"), l=2, n0=4, window=SearchWindow(4))
+    clear_search_caches()
+    first = report_fields(run(Coloring(arity=2, seed=6)))
+    shell = max(max(-w.dom[0], w.dom[-1]) for w in first[0])
+    visit = search._shell_visit(2, sum(map(word_length, first[0])), shell, ABS,
+                                tuple(_side_slots(ABS, [1, 2])), parse_ordinal("w"), 4,
+                                search.MAX_CANDIDATES)
+    assert visit.kept[-1][0] == serialize_tuple(first[0]) and visit.planless
+    monkeypatch.setattr(search, "_split_pools", refuse)
+    again = report_fields(run(Recolored(arity=2, seed=6)))
+    assert again == first[:1] + ((first[1] + 1) % 2,) + first[2:]
+
+
 def test_a_repeated_search_builds_nothing_for_its_kept_prefix(monkeypatch):
     # a search under another colouring that reads the same texts replays
     # the kept visits: no candidate, side text or slice text is built, and
@@ -1165,7 +1361,7 @@ def test_kept_visits_hold_no_iterator():
     # searches that stop at an early witness leave visits with kept
     # candidates short of the shell's last; each holds its splits,
     # candidates and texts as values, so no generator or other iterator is
-    # reachable from a kept visit or candidate
+    # reachable from a kept visit
     clear_search_caches()
     found = 0
     for seed in range(6):
@@ -1183,18 +1379,18 @@ def test_kept_visits_hold_no_iterator():
         if id(obj) not in seen:
             seen.add(id(obj))
             assert not isinstance(obj, Iterator), type(obj)
-            if isinstance(obj, (search._Visit, search._Kept, tuple, list, dict)):
+            if isinstance(obj, (search._Visit, tuple, list, dict)):
                 todo += gc.get_referents(obj)
 
 
 def test_a_search_refused_partway_through_a_shell_is_refused_again():
     # the table gives -3 the bound 50 and every other position 2, so of the
     # 9 candidates of radius 3, under a cap of 10, those with -3 have a side
-    # of 50 texts.  The search keeps the two candidates of shell 3 before
-    # the first of them and is refused there; repeated in the process, it
-    # replays them and is refused alike, and the visit keeps no candidate
-    # more; the refused side is built before any room is charged, so the
-    # visit's room stays 118, the 128 less its 10 texts, after each refusal
+    # of 50 texts.  The visit of shell 3 lays out the two candidates before
+    # the first of them and stops there, incomplete, as it counts a side's
+    # texts before it builds them; the search replays the two and is
+    # refused past them, and repeated in the process it is refused alike
+    # from the same visit
     profile = parse_profile("table:-3=50,-2=2,-1=2,1=2,2=2,3=2")
     window = SearchWindow(3, profile, max_candidates=10)
     slots = tuple(_side_slots(profile, [3]))
@@ -1204,20 +1400,21 @@ def test_a_search_refused_partway_through_a_shell_is_refused_again():
         with pytest.raises(SearchCapExceeded) as exc:
             hj_witness_search(Coloring(arity=40, seed=1), 1, [3], 2, window)
         visit = search._shell_visit(1, 2, 3, profile, slots, None, 2, 10)
-        refusals.append((str(exc.value), [c.text for c in visit.kept], visit.room, visit.full))
+        refusals.append((str(exc.value), [c[0] for c in visit.kept], visit.complete))
     assert refusals == [("side substitution texts exceed cap after 11 texts",
-                         ["-1:v,3:v", "-2:v,3:v"], 118, False)] * 3
+                         ["-1:v,3:v", "-2:v,3:v"], False)] * 3
 
 
 def test_an_exhaustive_radius_5_search_keeps_visits_within_their_budget():
     # hj with bounds 2,2 and n = 6 under 40 colours visits all 31,360
     # candidates of radius 5.  Shells 1 and 2 hold no domain of 6 positions
-    # and are never visited; shells 3, 4 and 5 (600 splits) fill their
-    # visits' budget after 47, 37 and 47 candidates, so each visit keeps at
-    # most VISIT_TEXTS texts.  The visits own the shells' 700 splits, traced
-    # alone (about 131 KB); what they keep beyond them, traced with the
-    # lower caches warm (about 96 KB), stays within 320 bytes a text.  The
-    # whole state a search from cold caches retains (about 401 KB) is no
+    # and are never visited; shells 3, 4 and 5 (600 splits) lay out 19, 13
+    # and 13 candidates, each with all its slice texts, and stop short of
+    # the shell, so each visit keeps at most VISIT_TEXTS texts.  The visits
+    # own the shells' 700 splits, traced alone (about 131 KB); what they
+    # keep beyond them, traced with the lower caches warm (about 58 KB),
+    # stays within 320 bytes a text.  The whole state a search from cold
+    # caches retains (about 364 KB) is no
     # more than when a cache of their own kept the splits, as that design
     # read under each Python (3.13's figure on a later one).  Python 3.10
     # also allocates per-function state the first time a function runs
@@ -1249,8 +1446,8 @@ def test_an_exhaustive_radius_5_search_keeps_visits_within_their_budget():
     assert search._shell_visit.cache_info().hits == hits + 3
     for visit in visits:
         texts = sum(len(texts) for memo in visit.memos for texts in memo.values())
-        texts += sum(len(c.texts) for c in visit.kept)
-        assert texts <= search.VISIT_TEXTS and visit.full
+        texts += sum(len(c[4]) for c in visit.kept)
+        assert texts <= search.VISIT_TEXTS and not visit.complete
     assert len(visits[2].planned) == 600 and visits[2].kept
     assert kept - own < len(visits) * search.VISIT_TEXTS * 320, (kept, own)
     split_cache = {(3, 10): 442_984, (3, 11): 412_089, (3, 12): 402_289, (3, 13): 402_361}
