@@ -2,10 +2,12 @@
 
 Data output is line-oriented plain text on stdout (or the same fields as
 JSON with a leading --json); timings go to stderr.  Exit codes: 0
-success, 1 domain error, 2 usage error.  The env var ZW_CAPS, a positive
-integer, overrides the enumeration and search caps.  Each command is read
-from its row of the command table (`_read` says how), and its help and
-usage line are written from the same row.
+success, 1 domain error, 2 usage error.  A domain error is a ValueError
+(the search cap's too) or an unreadable file's OSError, written as one
+`error:` line that quotes outside input as ordinals._echo bounds it.  The
+env var ZW_CAPS, a positive integer, overrides the enumeration and search
+caps.  Each command is read from its row of the command table (`_read`
+says how), and its help and usage line are written from the same row.
 """
 
 from __future__ import annotations
@@ -20,17 +22,7 @@ from . import schreier
 from .ordinals import _echo, classify, compare, format_ordinal, parse_ordinal
 from .ordinals import fundamental_sequence, predecessor_sequence
 
-# every domain error of the modules subclasses ValueError, but for the
-# search cap's refusal, which `_refusals` adds once search is loaded
 DOMAIN_ERRORS = (ValueError, OSError)
-
-
-def _refusals() -> tuple:
-    """The errors a command answers with one `error:` line: DOMAIN_ERRORS,
-    and SearchCapExceeded when search is loaded, since only search raises
-    it.  Any other RuntimeError, RecursionError among them, propagates."""
-    search = sys.modules.get(__package__ + ".search")
-    return DOMAIN_ERRORS if search is None else (*DOMAIN_ERRORS, search.SearchCapExceeded)
 
 
 def _caps(default: int | None = None) -> int | None:
@@ -44,7 +36,7 @@ def _caps(default: int | None = None) -> int | None:
     except ValueError:
         cap = 0
     if cap < 1:
-        raise ValueError("ZW_CAPS must be a positive integer: %r" % raw)
+        raise ValueError("ZW_CAPS must be a positive integer: %s" % _echo(raw))
     return cap
 
 
@@ -60,10 +52,14 @@ def _ints(args, name: str) -> list[int] | None:
 
 
 def _read_text(path: str) -> str:
+    """A file's text, or stdin's for "-"; an OS error quotes the path through _echo."""
     if path == "-":
         return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise OSError("[Errno %s] %s: %s" % (exc.errno, exc.strerror, _echo(path))) from None
 
 
 def _emit(args, answer: tuple) -> None:
@@ -190,6 +186,8 @@ def _cmd_ordinal_classify(args) -> tuple:
 def _load_family(args):
     from . import families
 
+    if args.family == args.pool == "-":
+        raise families.FamilyError("--family - and --pool - both read stdin; give one a file")
     profile = _profile(args)
     fam = families.parse_family(_read_text(args.family), profile)
     pool = None
@@ -515,7 +513,7 @@ def _answer(args) -> int:
         # the answer is written inside the guard: text of an int past
         # Python's int-to-str limit is a ValueError
         _emit(args, args.func(args))
-    except _refusals() as exc:  # evaluated only when something is raised
+    except DOMAIN_ERRORS as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
     return 0

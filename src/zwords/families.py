@@ -69,7 +69,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import prod
 
-from .ordinals import Ordinal
+from .ordinals import Ordinal, _echo
 from .schreier import is_member
 from .words import (
     ABS,
@@ -170,7 +170,8 @@ def l_xi_member(bw: OrderlyTuple, xi: Ordinal, side: str = "positive") -> bool:
     else:
         raise FamilyError("side must be positive or negative")
     if any(a >= b for a, b in zip(anchors, anchors[1:])):
-        raise FamilyError("anchor projection %r is not strictly increasing" % (anchors,))
+        raise FamilyError("anchor projection %s is not strictly increasing"
+                          % _echo(repr(anchors), str))
     return is_member(anchors, xi)
 
 
@@ -221,7 +222,7 @@ def _compile(pool: frozenset[LocatedWord]) -> _Pool:
     bad = [w for w in pool if not _is_core_variable(w)]
     if bad:
         raise FamilyError("pool word %s is not a two-sided variable word"
-                          % format_word(min(bad, key=word_sort_key)))
+                          % _echo(format_word(min(bad, key=word_sort_key)), str))
     words = sorted(pool, key=lambda w: (w.dom[-1] - w.dom[0], word_sort_key(w)))
     by_dom: dict[tuple[DominationProfile, tuple[int, ...]], list[int]] = {}
     one_per_span: dict[tuple[int, int], LocatedWord] = {}
@@ -251,7 +252,7 @@ def _pool_keys(family: WordFamily,
     if any(None in key for key in keys):
         missing = [w for bw in family.members for w in bw if (w.profile, w.entries) not in index]
         raise FamilyError("pool is missing the word %s"
-                          % format_word(min(missing, key=word_sort_key)))
+                          % _echo(format_word(min(missing, key=word_sort_key)), str))
     _check_slots(keys, table)
     return keys, table
 

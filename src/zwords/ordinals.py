@@ -244,7 +244,7 @@ def fundamental_sequence(lam: Ordinal, n: int) -> Ordinal:
     """
     _check_index(n)
     if not lam.is_limit:
-        raise OrdinalError("fundamental sequence undefined for %s" % lam)
+        raise OrdinalError("fundamental sequence undefined for %s" % _echo(str(lam), str))
     prefix, exp = _drop_last_unit(lam)
     if exp.is_successor:
         last = (successor_pred(exp), n)

@@ -53,10 +53,10 @@ class RationalCodecError(ValueError):
 
 
 def _too_large(den: int) -> RationalCodecError:
-    """The refusal of a denominator over the cap.  A denominator past
-    Python's limit on int-to-str conversion is named by its bit length."""
+    """The refusal of a denominator over the cap, quoted as _echo bounds
+    it, or named by its bit length past Python's int-to-str limit."""
     try:
-        text = str(den)
+        text = _echo(str(den), str)
     except ValueError:
         text = "of %d bits" % den.bit_length()
     return RationalCodecError("denominator %s too large" % text)
@@ -422,8 +422,8 @@ def parse_rational(text: str) -> Fraction:
     except (ValueError, ZeroDivisionError) as exc:
         reason = str(exc)
         # a short input's reason quotes it whole, so only a long one's is cut
-        if len(text) > ECHO_LIMIT and len(reason) > ECHO_LIMIT:
-            reason = reason[:ECHO_LIMIT] + "..."
+        if len(text) > ECHO_LIMIT:
+            reason = _echo(reason, str)
         raise RationalCodecError("bad rational %s: %s" % (_echo(text), reason)) from None
 
 

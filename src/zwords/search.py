@@ -25,7 +25,9 @@ each side text and every slice text of each kept candidate.  Colors
 depend on the coloring, so they are kept for the call only.  A search
 writes nothing into a visit but a kept witness's rank, the same int
 whoever writes it, so searches run from several threads give the reports
-they give one at a time.
+they give one at a time.  Every refusal is a SearchError, a ValueError;
+SearchCapExceeded is one.  A coloring line or key that a refusal quotes is
+bounded by ordinals._echo.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from itertools import combinations, compress, islice, product
 from math import comb, prod
 from operator import itemgetter
 
-from .ordinals import Frozen, Ordinal, Record
+from .ordinals import Frozen, Ordinal, Record, _echo
 from .schreier import is_member
 from .words import (
     ABS,
@@ -80,7 +82,7 @@ class SearchError(ValueError):
     pass
 
 
-class SearchCapExceeded(RuntimeError):
+class SearchCapExceeded(SearchError):
     """Raised when a search space outgrows the window's cap; `candidates`
     is the count it stopped at, the cap plus one."""
 
@@ -138,13 +140,13 @@ class Coloring(Record):
         if table is not None:
             for key, color in table.items():
                 if not 0 <= color < arity:
-                    raise SearchError("color %d out of range for %r" % (color, key))
+                    raise SearchError("color %d out of range for %s" % (color, _echo(key)))
 
     def color_key(self, key: str) -> int:
         if self.table is not None and key in self.table:
             return self.table[key]
         if self.seed is None:
-            raise SearchError("coloring is not total: no entry for %r" % key)
+            raise SearchError("coloring is not total: no entry for %s" % _echo(key))
         return _mix64(self.seed, key.encode("utf-8")) % self.arity
 
     def color_tuple(self, ws: Sequence[LocatedWord]) -> int:
@@ -154,7 +156,7 @@ class Coloring(Record):
     def from_text(cls, text: str, arity: int | None = None) -> "Coloring":
         """Parse a coloring file: either a single `seed:<u64>:<r>` line or
         tab-separated `serialized-word<TAB>color` lines; a line of neither
-        form is refused by its number."""
+        form is refused by its number, and quoted as _echo bounds it."""
         stripped = text.strip()
         if stripped.startswith("seed:"):
             fields = stripped.split(":")
@@ -164,7 +166,8 @@ class Coloring(Record):
             except ValueError:
                 pass
             number = text[:len(text) - len(text.lstrip())].count("\n") + 1
-            raise _bad_line(number, stripped, "seed:<u64>:<r>")
+            raise SearchError("bad coloring line %d %s: expected seed:<u64>:<r>"
+                              % (number, _echo(stripped)))
         table = {}
         for number, line in enumerate(text.splitlines(), 1):
             if not line.strip() or line.startswith("#"):
@@ -176,16 +179,11 @@ class Coloring(Record):
                     continue
             except ValueError:
                 pass
-            raise _bad_line(number, line, "text<TAB>colour")
+            raise SearchError("bad coloring line %d %s: expected text<TAB>colour"
+                              % (number, _echo(line)))
         if arity is None:
             arity = max(table.values(), default=0) + 1
         return cls(arity=arity, table=table)
-
-
-def _bad_line(number: int, line: str, form: str) -> SearchError:
-    """The refusal of a coloring file's line, its first 40 characters shown."""
-    shown = line if len(line) <= 40 else line[:40] + "..."
-    return SearchError("bad coloring line %d %r: expected %s" % (number, shown, form))
 
 
 def word_length(w: LocatedWord) -> int:

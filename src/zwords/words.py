@@ -169,7 +169,7 @@ def parse_profile(text: str) -> DominationProfile:
             pos, _, k = item.partition("=")
             pairs.append((int(pos), int(k)))
         return DominationProfile("table", 0, tuple(sorted(pairs)))
-    raise WordError("unknown profile %r" % text)
+    raise WordError("unknown profile %s" % _echo(text))
 
 
 def format_profile(p: DominationProfile) -> str:
@@ -298,12 +298,13 @@ def make_word(entries: Mapping[int, int] | Iterable[tuple[int, int]],
 
 def _require_same_profile(w: LocatedWord, u: LocatedWord) -> None:
     if w.profile != u.profile:
-        raise WordError("profile mismatch: %s vs %s"
-                        % (format_profile(w.profile), format_profile(u.profile)))
+        raise WordError("profile mismatch: %s vs %s" % (_echo(format_profile(w.profile), str),
+                                                        _echo(format_profile(u.profile), str)))
 
 
 def _overlap_error(w: LocatedWord, u: LocatedWord) -> WordError:
-    return WordError("overlapping domains %r and %r" % (w.dom, u.dom))
+    return WordError("overlapping domains %s and %s" % (_echo(repr(w.dom), str),
+                                                        _echo(repr(u.dom), str)))
 
 
 def concat(w: LocatedWord, u: LocatedWord) -> LocatedWord:
@@ -446,10 +447,11 @@ def make_tuple(ws: Iterable[LocatedWord]) -> OrderlyTuple:
         if a.profile != b.profile:
             raise WordError("profile mismatch inside tuple")
         if not rel_r1(a, b):
-            raise WordError("tuple not increasing: %s then %s" % (a, b))
+            raise WordError("tuple not increasing: %s then %s" % (_echo(str(a), str),
+                                                                  _echo(str(b), str)))
     for w in words:
         if not w.is_core:
-            raise WordError("%s is outside the core class" % w)
+            raise WordError("%s is outside the core class" % _echo(str(w), str))
     return OrderlyTuple(words)
 
 

@@ -749,15 +749,16 @@ def _reference_longest_chain(ws) -> int:
 
 def _reference_pool(family, pool):
     """The library's pool checks and error messages; offending words are
-    named least first by word_sort_key."""
+    named least first by word_sort_key, as _reference_echo bounds them."""
     pool = frozenset(pool)
     for w in sorted(pool, key=word_sort_key):
         if not (w.is_variable_word and w.is_core):
             raise FamilyError("pool word %s is not a two-sided variable word"
-                              % format_word(w))
+                              % _reference_echo(format_word(w), str))
     for w in sorted({w for bw in family.members for w in bw}, key=word_sort_key):
         if w not in pool:
-            raise FamilyError("pool is missing the word %s" % format_word(w))
+            raise FamilyError("pool is missing the word %s"
+                              % _reference_echo(format_word(w), str))
     return pool
 
 

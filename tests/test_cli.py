@@ -13,8 +13,8 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from zwords import (FamilyError, OrdinalError, RationalCodecError, SchreierError, SearchError,
-                    WordError, cli)
+from zwords import (FamilyError, OrdinalError, RationalCodecError, SchreierError,
+                    SearchCapExceeded, SearchError, WordError, cli)
 from zwords.cli import main
 from zwords.ordinals import format_ordinal
 from zwords.schreier import format_set
@@ -188,6 +188,126 @@ def test_bad_word_echo_is_bounded(capsys):
         quoted = repr(text) if size <= ECHO_LIMIT else "%r... (%d characters)" % (
             text[:ECHO_LIMIT], size)
         assert run(capsys, "rat", "decode", "--word", text) == (1, "", head + quoted + "\n")
+
+
+def _entries(positions, letter="v"):
+    return ",".join("%d:%s" % (p, letter) for p in positions)
+
+
+def test_every_refusal_bounds_its_echo(tmp_path, capsys, monkeypatch):
+    import ast
+    import errno
+    import os
+
+    from zwords.ordinals import ECHO_LIMIT
+
+    def quoted(text, show=repr):
+        if len(text) <= ECHO_LIMIT:
+            return show(text)
+        return "%s... (%d characters)" % (show(text[:ECHO_LIMIT]), len(text))
+
+    def refusal(kind, value):
+        """(argv, the environment, the error line) of a refusal that quotes
+        value, the outside text of its kind."""
+        pool, coloring = tmp_path / "pool.txt", tmp_path / "coloring.txt"
+        pool.write_text("-1:v,1:v\n")
+        hj = ("search", "hj", "--r", "2", "--coloring", str(coloring), "--bounds", "1",
+              "--n", "2", "--window", "2")
+        if kind == "family path":
+            code = errno.ENOENT if len(value) <= ECHO_LIMIT else errno.ENAMETOOLONG
+            return (("family", "closure", "--op", "tree", "--family", value), {},
+                    "[Errno %d] %s: %s" % (code, os.strerror(code), quoted(value)))
+        if kind == "increasing":
+            return (("word", "ev", "--tuple", value + ";" + value), {},
+                    "tuple not increasing: %s then %s" % (quoted(value, str), quoted(value, str)))
+        if kind == "pool word":
+            family = tmp_path / "family.txt"
+            family.write_text(value + "\n")
+            return (("family", "closure", "--op", "hereditary", "--family", str(family),
+                     "--pool", str(pool)), {}, "pool is missing the word %s" % quoted(value, str))
+        if kind == "domain":
+            word = _entries(ast.literal_eval(value))
+            return (("word", "concat", "--a", word, "--b", "-1:v,1:v"), {},
+                    "overlapping domains %s and (-1, 1)" % quoted(value, str))
+        if kind == "core":
+            return (("word", "ev", "--tuple", value), {},
+                    "%s is outside the core class" % quoted(value, str))
+        if kind == "profile":
+            return (("word", "check", "--word", "-1:v,1:v", "--profile", value), {},
+                    "unknown profile %s" % quoted(value))
+        if kind == "denominator":
+            return (("rat", "precedes", "--a", "1/" + value, "--b", "1"), {},
+                    "denominator %s too large" % quoted(value, str))
+        if kind == "successor":
+            return (("ordinal", "fund", "--lambda", value, "--n", "2"), {},
+                    "fundamental sequence undefined for %s" % quoted(value, str))
+        if kind == "coloring line":
+            coloring.write_text(value + "\n")
+            return hj, {}, "bad coloring line 1 %s: expected text<TAB>colour" % quoted(value)
+        if kind == "coloring key":
+            coloring.write_text(value + "\t7\n")
+            return hj, {}, "color 7 out of range for %s" % quoted(value)
+        assert kind == "ZW_CAPS"
+        return (("schreier", "enum", "--xi", "1", "--n", "3"), {"ZW_CAPS": value},
+                "ZW_CAPS must be a positive integer: %s" % quoted(value))
+
+    # each refusal of a long value is one error: line under 3 * ECHO_LIMIT
+    # bytes: a 55,600-character path, a 4,000-entry variable word, a
+    # 6,000-entry one, a 4,000-entry domain, a 3,000-entry one-sided
+    # constant word, a 5,000-character profile, a 3,002-digit denominator,
+    # a 3,005-character successor ordinal, and a long coloring line,
+    # coloring key and ZW_CAPS
+    var = _entries([*range(-2000, 0), *range(1, 2001)])
+    long_values = {
+        "family path": str(tmp_path / ("f" * 55600)),
+        "increasing": var,
+        "pool word": _entries([*range(-3000, 0), *range(1, 3001)]),
+        "domain": repr((-1, 1, *range(2, 4000))),
+        "core": _entries(range(1, 3001), "1"),
+        "profile": "p" * 5000,
+        "denominator": "10007" + "0" * 2997,
+        "successor": "w*1%s+1" % ("0" * 3000),
+        "coloring line": "x" * 5000,
+        "coloring key": var,
+        "ZW_CAPS": "z" * 5000}
+    # a value of ECHO_LIMIT characters is quoted whole
+    path = str(tmp_path) + "/"
+    short_values = {
+        "family path": path + "f" * (ECHO_LIMIT - len(path)),
+        "increasing": "-1:v,1%s:v" % ("0" * 152),
+        "pool word": "-1:v,1%s:v" % ("0" * 152),
+        "domain": "(-1, 1, 1%s)" % ("0" * 150),
+        "core": "1:1,1%s:1" % ("0" * 153),
+        "profile": "p" * ECHO_LIMIT,
+        "denominator": "10007" + "0" * 155,
+        "successor": "w*1%s+1" % ("0" * 155),
+        "coloring line": "x" * ECHO_LIMIT,
+        "coloring key": "k" * ECHO_LIMIT,
+        "ZW_CAPS": "z" * ECHO_LIMIT}
+    for values in (long_values, short_values):
+        for kind, value in values.items():
+            argv, env, reason = refusal(kind, value)
+            with monkeypatch.context() as m:
+                for name, setting in env.items():
+                    m.setenv(name, setting)
+                code, out, err = run(capsys, *argv)
+            assert (code, out, err) == (1, "", "error: %s\n" % reason), kind
+            if values is long_values:
+                assert len(value) > ECHO_LIMIT and len(err.encode()) < 3 * ECHO_LIMIT, kind
+            else:
+                assert len(value) == ECHO_LIMIT, kind
+
+
+def test_family_and_pool_cannot_both_read_stdin(capsys, monkeypatch):
+    import sys
+
+    # both flags would read the one stdin, and the second would read it
+    # empty; the pair is refused before either is read
+    monkeypatch.setattr("sys.stdin", io.StringIO("-1:v,1:v\n"))
+    for argv in (("family", "closure", "--op", "hereditary"), ("family", "cbindex", "--tau", "2")):
+        assert run(capsys, *argv, "--family", "-", "--pool", "-") \
+            == (1, "", "error: --family - and --pool - both read stdin; give one a file\n")
+    assert sys.stdin.read() == "-1:v,1:v\n"
 
 
 def test_rat_values_past_the_int_to_str_limit(capsys):
@@ -844,13 +964,14 @@ def test_unreadable_input_file_is_a_domain_error(tmp_path, capsys):
 def test_malformed_coloring_files_are_one_error_line(tmp_path, capsys):
     # a coloring file is one seed:<u64>:<r> line or text<TAB>colour lines;
     # a line of neither form is named by its number in one error: line,
-    # its first 40 characters shown, exit code 1 (CLI_PINS holds a seed
-    # line with a field too many and a table line with no tab)
+    # quoted whole up to 160 characters (a longer one is in
+    # test_every_refusal_bounds_its_echo), exit code 1 (CLI_PINS holds a
+    # seed line with a field too many and a table line with no tab)
     cases = [("\n\nseed:x:2\n", "line 3 'seed:x:2': expected seed:<u64>:<r>"),
              ("seed:5\n", "line 1 'seed:5': expected seed:<u64>:<r>"),
              ("# table\n-1:v,1:v\t1\n-1:1,1:1\tx\n",
               "line 3 '-1:1,1:1\\tx': expected text<TAB>colour"),
-             ("%s\n" % ("9" * 60), "line 1 '%s...': expected text<TAB>colour" % ("9" * 40))]
+             ("%s\n" % ("9" * 60), "line 1 '%s': expected text<TAB>colour" % ("9" * 60))]
     coloring = tmp_path / "coloring.txt"
     for text, message in cases:
         coloring.write_text(text)
@@ -978,7 +1099,7 @@ def test_exit_codes(capsys):
     assert code == 1
     # the CLI catches ValueError for every module's domain error
     for error in (OrdinalError, SchreierError, WordError, FamilyError, RationalCodecError,
-                  SearchError):
+                  SearchError, SearchCapExceeded):
         assert issubclass(error, cli.DOMAIN_ERRORS), error
 
 

@@ -604,6 +604,35 @@ def test_pool_errors_do_not_depend_on_the_hash_seed():
                        "pool word -5:-1,5:1 is not a two-sided variable word\n"}
 
 
+def test_long_words_are_named_as_echo_bounds_them():
+    # a refusal names a word, or an anchor projection, of more than
+    # ECHO_LIMIT characters by its first ECHO_LIMIT and its length, and
+    # the reference pool checks name it the same way
+    from zwords.ordinals import ECHO_LIMIT
+    from zwords.words import OrderlyTuple, format_word, parse_word
+
+    def quoted(text):
+        return "%s... (%d characters)" % (text[:ECHO_LIMIT], len(text))
+
+    long_word = make_word({p: VARIABLE for p in range(-3000, 3001) if p})
+    long_constant = make_word({p: 1 if p > 0 else -1 for p in range(-3000, 3001) if p})
+    text = format_word(long_word)
+    missing = family_of([make_tuple([long_word])])
+    for fam, pool, reason in (
+            (missing, CHAIN3, "pool is missing the word %s" % quoted(text)),
+            (family_of([]), [long_constant], "pool word %s is not a two-sided variable word"
+             % quoted(format_word(long_constant)))):
+        assert _outcome(hereditary_closure, fam, pool) == ("FamilyError", reason)
+        assert_closures_match_reference(fam, pool)
+        assert len(reason) < 3 * ECHO_LIMIT
+    flat = OrderlyTuple((parse_word("-1:v,1:v"),) * 300)
+    anchors = repr((1,) * 300)
+    with pytest.raises(FamilyError) as refused:
+        l_xi_member(flat, OMEGA)
+    assert str(refused.value) == "anchor projection %s is not strictly increasing" % quoted(
+        anchors)
+
+
 _TABLE_ERRORS = """
 from zwords.families import cb_index, family_of, hereditary_closure, largest_hereditary
 from zwords.words import WordError, make_tuple, parse_profile, parse_word

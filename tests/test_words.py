@@ -530,6 +530,25 @@ def test_direct_tuples_without_star_products_are_refused_alike():
     assert str(refused.value) == "profile mismatch: abs vs const:2"
 
 
+def test_profile_mismatch_names_long_profiles_as_echo_bounds_them():
+    # a table profile longer than ECHO_LIMIT characters is named by its
+    # first ECHO_LIMIT characters and its length; a shorter one whole
+    from zwords.words import ECHO_LIMIT
+
+    def quoted(text):
+        return text if len(text) <= ECHO_LIMIT else "%s... (%d characters)" % (
+            text[:ECHO_LIMIT], len(text))
+
+    for top in (2, 100):
+        texts = ["table:" + ",".join("%d=%d" % (p, k) for p in range(-top, top + 1) if p)
+                 for k in (1, 2)]
+        w, u = (make_word({-1: VARIABLE, 1: VARIABLE}, parse_profile(t)) for t in texts)
+        with pytest.raises(WordError) as refused:
+            concat(w, u)
+        assert str(refused.value) == "profile mismatch: %s vs %s" % tuple(map(quoted, texts))
+        assert len(str(refused.value)) < 3 * ECHO_LIMIT
+
+
 def test_is_extraction_builds_no_product(monkeypatch):
     # the tuple of test_extracted_sets_product_cap makes 17 products; under
     # a cap of 16 extracted_sets refuses and is_extraction still answers,
