@@ -262,23 +262,16 @@ def _check_slots(keys: Iterable[Key], table: _Pool) -> None:
     yet and keep their allowed entry tuples, a slot once its check passes.
     A slot of any other profile cannot fail, since words._slot_entries
     raises only on a table's missing bound or descent, so _slot_allowed
-    fills it when a walk first reads it.  When a check fails, the slots
-    left are checked again least first by grid index, then word_sort_key
-    (then profile, for equal entries), so the error raised is the least
-    failing slot's and does not follow the hash seed or the calls made
-    before."""
+    fills it when a walk first reads it.  The slots are checked least
+    first by grid index, then word_sort_key (then profile, for equal
+    entries), so the error raised is the least failing slot's and does
+    not follow the hash seed or the calls made before."""
     words, allowed = table.words, table.allowed
     new = {(t, i) for key in keys for i, t in enumerate(key, 1)
            if words[t].profile.kind == "table"} - allowed.keys()
-    try:
-        for slot in new:
-            allowed[slot] = _slot_entries(words[slot[0]], slot[1])
-    except WordError:
-        for t, i in sorted(new - allowed.keys(),
-                           key=lambda s: (s[1], word_sort_key(words[s[0]]),
-                                          repr(words[s[0]].profile))):
-            allowed[t, i] = _slot_entries(words[t], i)
-        raise
+    for t, i in sorted(new, key=lambda s: (s[1], word_sort_key(words[s[0]]),
+                                           repr(words[s[0]].profile))):
+        allowed[t, i] = _slot_entries(words[t], i)
 
 
 def _slot_allowed(slot: tuple[int, int], table: _Pool) -> set[tuple]:

@@ -160,16 +160,24 @@ def parse_profile(text: str) -> DominationProfile:
     if text == "abs":
         return ABS
     if text.startswith("abs+"):
-        return DominationProfile("abs", int(text[4:]))
+        return DominationProfile("abs", _profile_int(text[4:], text))
     if text.startswith("const:"):
-        return DominationProfile("const", int(text[6:]))
+        return DominationProfile("const", _profile_int(text[6:], text))
     if text.startswith("table:"):
         pairs = []
         for item in text[6:].split(","):
             pos, _, k = item.partition("=")
-            pairs.append((int(pos), int(k)))
+            pairs.append((_profile_int(pos, text), _profile_int(k, text)))
         return DominationProfile("table", 0, tuple(sorted(pairs)))
     raise WordError("unknown profile %s" % _echo(text))
+
+
+def _profile_int(number: str, text: str) -> int:
+    """A number of the profile text, which a refusal quotes whole."""
+    try:
+        return int(number)
+    except ValueError:
+        raise WordError("bad number in profile %s" % _echo(text)) from None
 
 
 def format_profile(p: DominationProfile) -> str:

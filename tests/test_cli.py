@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import random
+import re
 import shlex
 import time
 from decimal import Decimal
@@ -235,6 +236,9 @@ def test_every_refusal_bounds_its_echo(tmp_path, capsys, monkeypatch):
         if kind == "profile":
             return (("word", "check", "--word", "-1:v,1:v", "--profile", value), {},
                     "unknown profile %s" % quoted(value))
+        if kind == "profile number":
+            return (("word", "check", "--word", "-1:v,1:v", "--profile", value), {},
+                    "bad number in profile %s" % quoted(value))
         if kind == "denominator":
             return (("rat", "precedes", "--a", "1/" + value, "--b", "1"), {},
                     "denominator %s too large" % quoted(value, str))
@@ -254,9 +258,9 @@ def test_every_refusal_bounds_its_echo(tmp_path, capsys, monkeypatch):
     # each refusal of a long value is one error: line under 3 * ECHO_LIMIT
     # bytes: a 55,600-character path, a 4,000-entry variable word, a
     # 6,000-entry one, a 4,000-entry domain, a 3,000-entry one-sided
-    # constant word, a 5,000-character profile, a 3,002-digit denominator,
-    # a 3,005-character successor ordinal, and a long coloring line,
-    # coloring key and ZW_CAPS
+    # constant word, a 5,000-character profile, one with a bad number, a
+    # 3,002-digit denominator, a 3,005-character successor ordinal, and a
+    # long coloring line, coloring key and ZW_CAPS
     var = _entries([*range(-2000, 0), *range(1, 2001)])
     long_values = {
         "family path": str(tmp_path / ("f" * 55600)),
@@ -265,6 +269,7 @@ def test_every_refusal_bounds_its_echo(tmp_path, capsys, monkeypatch):
         "domain": repr((-1, 1, *range(2, 4000))),
         "core": _entries(range(1, 3001), "1"),
         "profile": "p" * 5000,
+        "profile number": "abs+" + "x" * 4996,
         "denominator": "10007" + "0" * 2997,
         "successor": "w*1%s+1" % ("0" * 3000),
         "coloring line": "x" * 5000,
@@ -279,6 +284,7 @@ def test_every_refusal_bounds_its_echo(tmp_path, capsys, monkeypatch):
         "domain": "(-1, 1, 1%s)" % ("0" * 150),
         "core": "1:1,1%s:1" % ("0" * 153),
         "profile": "p" * ECHO_LIMIT,
+        "profile number": "abs+" + "x" * (ECHO_LIMIT - 4),
         "denominator": "10007" + "0" * 155,
         "successor": "w*1%s+1" % ("0" * 155),
         "coloring line": "x" * ECHO_LIMIT,
@@ -296,6 +302,10 @@ def test_every_refusal_bounds_its_echo(tmp_path, capsys, monkeypatch):
                 assert len(value) > ECHO_LIMIT and len(err.encode()) < 3 * ECHO_LIMIT, kind
             else:
                 assert len(value) == ECHO_LIMIT, kind
+    # a short profile with a bad number is quoted whole too
+    for value in ("table:1=x", "abs+x", "const:", "table:1"):
+        argv, _, reason = refusal("profile number", value)
+        assert run(capsys, *argv) == (1, "", "error: %s\n" % reason), value
 
 
 def test_family_and_pool_cannot_both_read_stdin(capsys, monkeypatch):
@@ -1423,6 +1433,17 @@ def test_readme_cli_examples(capsys):
     for command, _, expected in examples:
         code, out, _ = run(capsys, *shlex.split(command)[1:])
         assert (code, " / ".join(out.splitlines())) == (0, expected.strip()), command
+
+
+def test_every_ci_check_runs_in_one_workflow_step():
+    """Every `python tests/ci_checks.py` line of the workflow names checks
+    that the script has, and every check is run by exactly one step."""
+    from ci_checks import CHECKS
+
+    workflow = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "ci.yml"
+    runs = [line.split() for line in re.findall(r"python tests/ci_checks\.py(.*)",
+                                                workflow.read_text(encoding="utf-8"))]
+    assert all(runs) and sorted(name for names in runs for name in names) == sorted(CHECKS)
 
 
 def test_stdin_input(capsys, monkeypatch):
