@@ -6,12 +6,13 @@ the four- and five-word family pools, one function per check.
     python tests/ci_checks.py NAME...    # the named checks
 
 Each check runs in a fresh child process, since the peak-RSS gates, cold
-caches, -X importtime and -S need one, under its timeout; a check that
-only runs CLI commands has none of its own, since each command is a
-child process under its own timeout.  One PASS or FAIL line is printed
-per check, and the exit code is 1 if any check failed, or 2 for an
-unknown name.  Only the standard library is used, and files are written
-to a temporary directory alone.
+caches, -X importtime and -S need one.  A check that runs code in that
+process runs under its step's timeout and starts no process of its own,
+so a timed-out check leaves nothing running; a check that starts
+processes has no timeout of its own and bounds each command as its step
+did.  One PASS or FAIL line is printed per check, and the exit code is 1
+if any check failed, or 2 for an unknown name.  Only the standard library
+is used, and files are written to a temporary directory alone.
 """
 
 import io
@@ -37,9 +38,8 @@ def check(timeout=None):
 
 
 def python(*argv, timeout=None, code=0, env=None):
-    """Run this interpreter on argv from the repository root as a child
-    process under timeout seconds, check that it exits with code, and
-    return the finished process, whose stdout and stderr are text."""
+    """Run this interpreter on argv from the repository root under timeout
+    seconds, check its exit code and return the finished process."""
     done = subprocess.run([sys.executable, *argv], cwd=ROOT, env=dict(ENV, **(env or {})),
                           capture_output=True, text=True, timeout=timeout)
     assert done.returncode == code, (" ".join(map(str, argv))[:400], done.returncode,
@@ -47,24 +47,22 @@ def python(*argv, timeout=None, code=0, env=None):
     return done
 
 
-def cli(*argv, timeout, code=0, env=None):
-    """python -m zwords.cli argv, run as python() runs it."""
-    return python("-m", "zwords.cli", *argv, timeout=timeout, code=code, env=env)
+def cli(argv, timeout, code=0, env=None):
+    """Run python -m zwords.cli on argv, a list or words split at spaces, as
+    python() does; print and return its stdout, or its stderr if code is
+    not 0."""
+    done = python("-m", "zwords.cli", *(argv.split() if isinstance(argv, str) else argv),
+                  timeout=timeout, code=code, env=env)
+    out = done.stderr if code else done.stdout
+    print(out if len(out) < 2000 else "(%d bytes)\n" % len(out.encode()), end="")
+    return out
 
 
-def answers(*argv, timeout, want):
-    """Run a CLI command, print its answer, and check that it reads want."""
-    out = cli(*argv, timeout=timeout).stdout
-    print(out, end="")
-    assert out.rstrip("\n") == want, out
-
-
-def refused(*argv, timeout):
+def refused(argv, timeout):
     """Run a CLI command that must exit 1 with one error: line under 480
-    bytes on stderr, and print that line."""
-    err = cli(*argv, timeout=timeout, code=1).stderr
-    print(err, end="")
-    assert err.startswith("error: ") and err.count("\n") == 1 and len(err.encode()) < 480, err
+    bytes on stderr."""
+    err = cli(argv, timeout, code=1)
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err.encode()) < 480
 
 
 def pinned(text, sha256):
@@ -82,6 +80,31 @@ def twice(write):
     write(again)
     assert first.getvalue() == again.getvalue(), "the second pass wrote other text"
     return first.getvalue()
+
+
+def sweep(seeds):
+    """The colour sweep's searches of each seed, an hj then an xi search
+    over one radius-4 window, as (name, seed, search) triples."""
+    from functools import partial
+    from zwords.ordinals import parse_ordinal
+    from zwords.search import Coloring, SearchWindow, hj_witness_search, xi_witness_search
+    w4, xi = SearchWindow(4), parse_ordinal("w")
+    return [triple for seed in seeds for triple in (
+        ("hj", seed, partial(hj_witness_search, Coloring(arity=3, seed=seed), 2, [1, 2], 5, w4)),
+        ("xi", seed, partial(xi_witness_search, Coloring(arity=2, seed=seed), xi, 2, 4, w4)))]
+
+
+def exhaustive(seed):
+    """The radius-5 hj search that visits all its candidates."""
+    from zwords.search import Coloring, SearchWindow, hj_witness_search
+    return hj_witness_search(Coloring(arity=40, seed=seed), 2, [2, 2], 6, SearchWindow(5))
+
+
+def tower_base(k):
+    """The tuple of the first k of the words -2:v,-1:v,1:v,2:v, -4:v,-3:v,3:v,4:v, ..."""
+    from zwords.words import VARIABLE, make_tuple, make_word
+    return make_tuple([make_word({-b: VARIABLE, -a: VARIABLE, a: VARIABLE, b: VARIABLE})
+                       for a, b in ((1, 2), (3, 4), (5, 6), (7, 8), (9, 10), (11, 12))[:k]])
 
 
 @check()
@@ -118,20 +141,15 @@ def colour_sweep():
     passes print the same report lines, pinned by SHA-256 (the lines
     of the search that kept no visit)"""
     from zwords import search
-    from zwords.ordinals import parse_ordinal
-    from zwords.search import Coloring, SearchWindow, hj_witness_search, xi_witness_search
     from zwords.words import serialize_tuple
-    window, xi = SearchWindow(4), parse_ordinal("w")
 
-    def sweep(out):
-        for seed in range(100):
-            for name, rep in (
-                    ("hj", hj_witness_search(Coloring(arity=3, seed=seed), 2, [1, 2], 5, window)),
-                    ("xi", xi_witness_search(Coloring(arity=2, seed=seed), xi, 2, 4, window))):
-                witness = serialize_tuple(rep.witness) if rep.witness else "none"
-                print(name, seed, witness, rep.color, rep.grid_size, rep.nodes_expanded,
-                      rep.candidates, file=out)
-    pinned(twice(sweep), "7ca99337d0f0b37d66dcb1fe0cde4046319a677ee861b520ffd2176c694c3595")
+    def write(out):
+        for name, seed, run in sweep(range(100)):
+            rep = run()
+            witness = serialize_tuple(rep.witness) if rep.witness else "none"
+            print(name, seed, witness, rep.color, rep.grid_size, rep.nodes_expanded,
+                  rep.candidates, file=out)
+    pinned(twice(write), "7ca99337d0f0b37d66dcb1fe0cde4046319a677ee861b520ffd2176c694c3595")
     print(search._shell_visit.cache_info())
 
 
@@ -141,15 +159,14 @@ def exhaustive_twice():
     visits of shells 3 to 5 fill their budget of kept texts; run again
     in the process, it replays the kept candidates and merges each
     shell's splits again past them, with the same report"""
-    from zwords.search import Coloring, SearchWindow, hj_witness_search
     from zwords.words import serialize_tuple
 
-    def search(out):
-        rep = hj_witness_search(Coloring(arity=40, seed=3), 2, [2, 2], 6, SearchWindow(5))
+    def write(out):
+        rep = exhaustive(3)
         witness = serialize_tuple(rep.witness) if rep.witness else "none"
         print("witness: %s" % witness, "candidates: %d" % rep.candidates,
               "nodes: %d" % rep.nodes_expanded, sep="\n", file=out)
-    report = twice(search)
+    report = twice(write)
     print(report, end="")
     assert "nodes: 31360" in report.splitlines()
 
@@ -167,8 +184,6 @@ def threaded_searches():
     import threading
     from functools import partial
     from zwords import search
-    from zwords.ordinals import parse_ordinal
-    from zwords.search import Coloring, SearchWindow, hj_witness_search, xi_witness_search
 
     def clear():
         for cache in (search._side_pool, search._xi_plans, search._window_counts,
@@ -177,19 +192,14 @@ def threaded_searches():
 
     def fields(rep):
         return rep.witness, rep.color, rep.grid_size, rep.nodes_expanded, rep.candidates
-    w4, xi = SearchWindow(4), parse_ordinal("w")
-    sweep = [partial(hj_witness_search, Coloring(arity=3, seed=seed), 2, [1, 2], 5, w4)
-             for seed in range(40)]
-    sweep += [partial(xi_witness_search, Coloring(arity=2, seed=seed), xi, 2, 4, w4)
-              for seed in range(40)]
-    exhaustive = [partial(hj_witness_search, Coloring(arity=40, seed=seed), 2, [2, 2], 6,
-                          SearchWindow(5)) for seed in range(3)]
+    searches = [run for _, _, run in sweep(range(40))]
+    exhaustives = [partial(exhaustive, seed) for seed in range(3)]
     clear()
-    want = {run: fields(run()) for run in sweep + exhaustive}
+    want = {run: fields(run()) for run in searches + exhaustives}
     wrong = []
     sys.setswitchinterval(1e-6)
     for trial in range(20):
-        runs = sweep + [exhaustive[trial % 3]]
+        runs = searches + [exhaustives[trial % 3]]
         random.Random(trial).shuffle(runs)
         got = {}
 
@@ -207,13 +217,21 @@ def threaded_searches():
     assert wrong == [0] * 20, wrong
 
 
-@check(timeout=180)  # 60 s for the searches in this process, and 60 s for each CLI command
-def planless_xi():
+@check()
+def planless_xi_cli():
     """no split of this window has a block plan, so the search counts its
     275,427,216 candidates without building a word, in well under a second;
     with xi = w and n0 = 10 no split of totals 4 to 9 has a plan, and
-    the witness, in shell 5 of total 10, reads its nodes from their counts.
-    At radius 8 the same plan-less search counts 5,975,795,367,936
+    the witness, in shell 5 of total 10, reads its nodes from their counts."""
+    for xi, n0, nodes in (("3", "4", "275427216"), ("w", "10", "48072922")):
+        out = cli("search xi --xi %s --l 2 --n0 %s --window 6 --r 2 --seed 1" % (xi, n0), 60,
+                  env={"ZW_CAPS": "300000000"})
+        assert "nodes: " + nodes in out.splitlines()
+
+
+@check(timeout=60)
+def planless_xi():
+    """At radius 8 the same plan-less search counts 5,975,795,367,936
     candidates, and its visits keep no split, so the process stays
     under 80 MB of peak RSS.  It reads only the 49 shells that hold
     its totals' domains, which all stay kept, so run again in the
@@ -236,11 +254,6 @@ def planless_xi():
     assert runs[0][:2] == runs[1][:2] == (5975795367936, 5975795367936)
     assert runs[1][2] < 0.1, runs[1][2]
     assert peak <= 80, peak
-    for xi, n0, nodes in (("3", "4", "275427216"), ("w", "10", "48072922")):
-        out = cli(*("search xi --xi %s --l 2 --n0 %s --window 6 --r 2 --seed 1" % (xi, n0)).split(),
-                  timeout=60, env={"ZW_CAPS": "300000000"}).stdout
-        print(out, end="")
-        assert "nodes: " + nodes in out.splitlines()
 
 
 @check()
@@ -248,11 +261,9 @@ def past_the_window():
     """a total with no candidates is never visited, and the count table
     stops at the largest total, so a total past the window answers
     "none" and a wide window is refused at the cap, both at once"""
-    out = cli(*"search hj --r 2 --seed 1 --bounds 1 --n 9223372036854775808 --window 3".split(),
-              timeout=10).stdout
-    print(out, end="")
+    out = cli("search hj --r 2 --seed 1 --bounds 1 --n 9223372036854775808 --window 3", 10)
     assert "nodes: 0" in out.splitlines()
-    cli(*"search hj --r 2 --seed 1 --bounds 1 --n 2 --window 4000".split(), timeout=10, code=1)
+    refused("search hj --r 2 --seed 1 --bounds 1 --n 2 --window 4000", 10)
 
 
 @check()
@@ -263,15 +274,14 @@ def refusals_before_work():
     each is one error: line under 480 bytes, so a refusal that quotes
     a 4,000-entry word or a 5,000-character path or profile quotes its
     first 160 characters and its length"""
-    refused(*"search xi --r 2 --seed 1 --xi w --l 2 --n0 4 --window 1000".split(), timeout=5)
-    refused(*"search hj --r 2 --seed 1 --bounds 1 --n 2 --window 99999999999999999999".split(),
-            timeout=5)
-    refused("rat", "encode", "1e10000000", timeout=5)
-    refused("rat", "encode", "1e200000", timeout=5)
     long = ",".join("%d:v" % p for p in range(-2000, 2001) if p)
-    refused("word", "concat", "--a", long, "--b", "-1:v,1:v", timeout=5)
-    refused("family", "closure", "--op", "tree", "--family", "f" * 5000, timeout=5)
-    refused("word", "check", "--word", "-1:v,1:v", "--profile", "abs+" + "x" * 4996, timeout=5)
+    for argv in ("search xi --r 2 --seed 1 --xi w --l 2 --n0 4 --window 1000",
+                 "search hj --r 2 --seed 1 --bounds 1 --n 2 --window 99999999999999999999",
+                 "rat encode 1e10000000", "rat encode 1e200000",
+                 "word concat --a %s --b -1:v,1:v" % long,
+                 "family closure --op tree --family " + "f" * 5000,
+                 "word check --word -1:v,1:v --profile abs+" + "x" * 4996):
+        refused(argv, 5)
 
 
 @check()
@@ -282,21 +292,17 @@ def deep_towers():
     10,000 steps (w^(w^w) takes 4,064 at n = 5, 57,544 at n = 6; the
     n = 5 output is pinned by its size and SHA-256), and the parser
     refuses exponents nested more than 100 deep"""
-    pred5 = cli(*"ordinal pred --xi w^(w^w) --n 5".split(), timeout=10).stdout
-    assert len(pred5.encode()) == 77250, len(pred5.encode())
+    pred5 = cli("ordinal pred --xi w^(w^w) --n 5", 10)
+    assert len(pred5.encode()) == 77250
     pinned(pred5, "e97d6ccaf97a7c738a7e0df16e50023e31d50a29ee4661cf7e2969111256d8de")
-    cli(*"ordinal pred --xi w^(w^w) --n 6".split(), timeout=10, code=1)
-    answers(*"schreier check-restriction --xi w^(w^w) --n 5 --max 12".split(), timeout=10,
-            want="true")
-    cli("ordinal", "classify", "--xi", "w^(" * 400 + "1" + ")" * 400, timeout=10, code=1)
-    answers(*"schreier member --xi w^(w^w) --set 5,6,7,8,9,10,11,12,13,14".split(), timeout=60,
-            want="false")
-    answers("schreier", "member", "--xi", "w^(w^(w^w))", "--set", ",".join(map(str, range(2, 201))),
-            timeout=60, want="false")
-    answers(*"schreier enum --xi w^(w^w) --n 20".split(), timeout=60, want="1")
-    lines = cli(*"schreier enum --xi w^2 --n 20".split(), timeout=60).stdout.count("\n")
-    print(lines)
-    assert lines == 21181
+    refused("ordinal pred --xi w^(w^w) --n 6", 10)
+    assert cli("schreier check-restriction --xi w^(w^w) --n 5 --max 12", 10) == "true\n"
+    refused("ordinal classify --xi " + "w^(" * 400 + "1" + ")" * 400, 10)
+    assert cli("schreier member --xi w^(w^w) --set 5,6,7,8,9,10,11,12,13,14", 60) == "false\n"
+    tower = "schreier member --xi w^(w^(w^w)) --set " + ",".join(map(str, range(2, 201)))
+    assert cli(tower, 60) == "false\n"
+    assert cli("schreier enum --xi w^(w^w) --n 20", 60) == "1\n"
+    assert cli("schreier enum --xi w^2 --n 20", 60).count("\n") == 21181
 
 
 @check()
@@ -305,8 +311,7 @@ def restriction_lock_step():
     cost follows the members, not the 2^(N - n) subsets of {n+1..N}"""
     for xi, n in (("w^w", 2), ("w^2", 3), ("w^(w+1)*2+w^3", 1)):
         print("%s at n = %d:" % (xi, n))
-        answers("schreier", "check-restriction", "--xi", xi, "--n", str(n), "--max", "20",
-                timeout=10, want="true")
+        assert cli("schreier check-restriction --xi %s --n %d --max 20" % (xi, n), 10) == "true\n"
 
 
 @check(timeout=60)
@@ -340,11 +345,9 @@ def extraction_counts():
     of its variable positions, so the product cap refuses a 1,000-word
     abs tuple before any image or grid pair is made, and a far grid
     index reads no more than k = 3 does for a word bounded by 3"""
-    cli("word", "ev", "--tuple", ";".join("-%d:v,%d:v" % (i, i) for i in range(1, 1001)),
-        timeout=10, code=1)
-    far = cli(*"word ev --tuple -1:v,1:v;-3:v,3:v --indices 1,100000".split(), timeout=10).stdout
-    near = cli(*"word ev --tuple -1:v,1:v;-3:v,3:v --indices 1,3".split(), timeout=10).stdout
-    assert far == near
+    refused("word ev --tuple " + ";".join("-%d:v,%d:v" % (i, i) for i in range(1, 1001)), 10)
+    far = cli("word ev --tuple -1:v,1:v;-3:v,3:v --indices 1,100000", 10)
+    assert far == cli("word ev --tuple -1:v,1:v;-3:v,3:v --indices 1,3", 10)
 
 
 @check(timeout=10)
@@ -352,10 +355,8 @@ def six_word_base():
     """is_extraction reads each word against the members' domains and
     images, so it answers on the six-word base at once, while
     extracted_sets refuses to build its 3,656,663 star products"""
-    from zwords.words import (VARIABLE, WordError, extracted_sets, is_extraction, make_tuple,
-                              make_word, parse_word)
-    base = make_tuple([make_word({-b: VARIABLE, -a: VARIABLE, a: VARIABLE, b: VARIABLE})
-                       for a, b in ((1, 2), (3, 4), (5, 6), (7, 8), (9, 10), (11, 12))])
+    from zwords.words import WordError, extracted_sets, is_extraction, make_tuple, parse_word
+    base = tower_base(6)
     assert is_extraction(make_tuple(base[:1]), base)
     assert not is_extraction(make_tuple([parse_word("-3:v,-2:v,2:v,3:v")]), base)
     try:
@@ -373,10 +374,9 @@ def longest_codec_word():
     one pass, so the longest words, those of the largest accepted prime
     denominator, go out and back as whole processes in well under a second"""
     for value, length in (("1/9973", 114480), ("-5000/9973", 114478)):
-        word = cli("rat", "encode", value, timeout=10).stdout.rstrip("\n")
-        print("%s: %d characters" % (value, len(word)))
-        assert len(word) == length
-        answers("rat", "decode", "--word", word, timeout=10, want=value)
+        word = cli(["rat", "encode", value], 10).rstrip("\n")
+        assert len(word) == length, len(word)
+        assert cli(["rat", "decode", "--word", word], 10) == value + "\n"
 
 
 @check()
@@ -386,13 +386,12 @@ def cli_routing():
     rows, so a stray token after a command is refused under that
     command's usage and prog; a position past the codec bound is one
     error: line"""
-    cli("--help", timeout=10)
-    assert cli(*"rat decode -h".split(), timeout=10).stdout.startswith("usage: zwords rat decode")
-    answers(*"--json rat decode --word 2:2,3:1".split(), timeout=10, want='{"value": "2"}')
-    err = cli(*"rat decode --word 1:1 extra".split(), timeout=10, code=2).stderr
-    print(err, end="")
+    cli("--help", 10)
+    assert cli("rat decode -h", 10).startswith("usage: zwords rat decode")
+    assert cli("--json rat decode --word 2:2,3:1", 10) == '{"value": "2"}\n'
+    err = cli("rat decode --word 1:1 extra", 10, code=2)
     assert err.splitlines()[-1] == "zwords rat decode: error: unrecognized arguments: extra"
-    refused(*"rat decode --word 99999999999999999999:1".split(), timeout=10)
+    refused("rat decode --word 99999999999999999999:1", 10)
 
 
 @check(timeout=10)
@@ -419,9 +418,8 @@ def four_word_pool():
     compiled pool, and answers as the index on a cold pool does"""
     from zwords.families import (_compile, cb_index, family_of, hereditary_closure,
                                  largest_hereditary)
-    from zwords.words import VARIABLE, extracted_sets, make_tuple, make_word
-    base = make_tuple([make_word({-b: VARIABLE, -a: VARIABLE, a: VARIABLE, b: VARIABLE})
-                       for a, b in ((1, 2), (3, 4), (5, 6), (7, 8))])
+    from zwords.words import extracted_sets
+    base = tower_base(4)
     pool = extracted_sets(base).variables
     closed = hereditary_closure(family_of([base]), pool)
     print(len(pool), len(closed))
@@ -455,9 +453,8 @@ def five_word_pool():
     import tracemalloc
     from zwords.families import (_compile, cb_index, family_of, hereditary_closure,
                                  largest_hereditary)
-    from zwords.words import VARIABLE, extracted_sets, make_tuple, make_word
-    base = make_tuple([make_word({-b: VARIABLE, -a: VARIABLE, a: VARIABLE, b: VARIABLE})
-                       for a, b in ((1, 2), (3, 4), (5, 6), (7, 8), (9, 10))])
+    from zwords.words import extracted_sets
+    base = tower_base(5)
     pool = extracted_sets(base).variables
     closed = hereditary_closure(family_of([base]), pool)
     print(len(pool), len(closed))
@@ -485,7 +482,7 @@ def family_closure_cli():
     closure (2,540 members, pinned by SHA-256) is already a tree, so
     the tree closure of that output prints the same bytes"""
     base = "-2:v,-1:v,1:v,2:v;-4:v,-3:v,3:v,4:v;-6:v,-5:v,5:v,6:v;-8:v,-7:v,7:v,8:v"
-    ev = cli("word", "ev", "--tuple", base, timeout=20).stdout
+    ev = cli("word ev --tuple " + base, 20)
     pinned(ev, "c4e3f9c6a201e60e9f4403d30ff452439ae4e7e1a1ce0b9ee35b729684d21c81")
     pool = "".join(line[2:] + "\n" for line in ev.splitlines() if line.startswith("V\t"))
     assert pool.count("\n") == 1864
@@ -493,15 +490,14 @@ def family_closure_cli():
         base_txt, pool_txt, closed_txt = (Path(tmp, name) for name in ("base", "pool", "closed"))
         base_txt.write_text(base + "\n")
         pool_txt.write_text(pool)
-        closed = cli("family", "closure", "--op", "hereditary", "--family", base_txt,
-                     "--pool", pool_txt, timeout=20).stdout
+        closed = cli(["family", "closure", "--op", "hereditary", "--family", base_txt, "--pool",
+                      pool_txt], 20)
         assert closed.count("\n") == 2540
         pinned(closed, "980cb6ca7e4babaec95ac81b226d1c049f17931d088ad8796682123dba15c853")
         closed_txt.write_text(closed)
-        tree = cli("family", "closure", "--op", "tree", "--family", closed_txt, timeout=20).stdout
-        assert tree == closed
-        answers("family", "cbindex", "--tau", "2", "--family", closed_txt, "--pool", pool_txt,
-                timeout=20, want="2")
+        assert cli(["family", "closure", "--op", "tree", "--family", closed_txt], 20) == closed
+        cbindex = ["family", "cbindex", "--tau", "2", "--family", closed_txt, "--pool", pool_txt]
+        assert cli(cbindex, 20) == "2\n"
 
 
 def main(names):
@@ -514,8 +510,9 @@ def main(names):
     failed = 0
     for name in names or CHECKS:
         try:
-            code = subprocess.run([sys.executable, "-c", "import ci_checks; ci_checks.%s()" % name],
-                                  cwd=ROOT, env=ENV, timeout=CHECKS[name]).returncode
+            run = "import ci_checks; ci_checks.%s()" % name
+            code = subprocess.run([sys.executable, "-c", run], cwd=ROOT, env=ENV,
+                                  timeout=CHECKS[name]).returncode
             failure = code and "exit code %d" % code
         except subprocess.TimeoutExpired:
             failure = "timed out after %d s" % CHECKS[name]

@@ -1437,13 +1437,20 @@ def test_readme_cli_examples(capsys):
 
 def test_every_ci_check_runs_in_one_workflow_step():
     """Every `python tests/ci_checks.py` line of the workflow names checks
-    that the script has, and every check is run by exactly one step."""
-    from ci_checks import CHECKS
+    that the script has, and every check is run by exactly one step.  A
+    check under a timeout starts no process, since a timeout stops the
+    check's own process alone."""
+    import inspect
+    import ci_checks
 
     workflow = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "ci.yml"
     runs = [line.split() for line in re.findall(r"python tests/ci_checks\.py(.*)",
                                                 workflow.read_text(encoding="utf-8"))]
-    assert all(runs) and sorted(name for names in runs for name in names) == sorted(CHECKS)
+    checks = sorted(ci_checks.CHECKS)
+    assert all(runs) and sorted(name for names in runs for name in names) == checks
+    for name in checks:
+        source = inspect.getsource(getattr(ci_checks, name))
+        assert ci_checks.CHECKS[name] is None or not re.search(r"\b(python|cli|refused)\(", source)
 
 
 def test_stdin_input(capsys, monkeypatch):
