@@ -25,9 +25,10 @@ validated, each in one pass over its entries, and indexed, and the
 compiled pool keeps every slot's images and every subtuple's matches,
 keyed by pool indices and filled as calls reach them.  Only `table:`
 slots are checked up front, since only a table's missing bound or
-descent can fail a slot; when a check fails, the slots left are checked
-again least first by grid index and word_sort_key, so that errors do not
-follow the hash seed.  Every other slot's images are built when a walk
+descent can fail a slot: those a call's members reach and the pool has
+not checked yet are checked in one pass, least first by grid index and
+word_sort_key, so the error raised is the least failing slot's and does
+not follow the hash seed.  Every other slot's images are built when a walk
 first reads them, each side's variants built once and joined, so a call
 builds the images of the slots it reads and no others: 5 of the five-word
 closure's 62,975.  Every distinct subtuple is matched against the pool

@@ -14,16 +14,20 @@ Both directions are exact mixed-radix conversions.  Multiplied by
 (top+1)!, the fractional digits are the digits of an integer in which
 position s has radix s+1, s = top the least significant; the integer
 digits are factorial-base digits, position r with radix r+1 and weight
-r!.  `_mixed_value` and `_mixed_digits` convert by divide and conquer:
-they split a run of positions at its middle and join or separate the
-halves with one multiply or one divmod by the falling factorial of the
-less significant half's radices, so one big-integer step spans half the
-number instead of one digit.  `evaluate` joins both parts that way and
-`integer_alt_factorial` splits the integer part that way, while `encode`
-reads the fractional digits off the fraction part one at a time, on
-integers the size of the denominator.  The alternating signs are folded into a
-constant: a digit d at a negative position of radix s+1 is the plain
-digit s - d less s.
+r!.  Both conversions divide and conquer, splitting a run of positions
+at its middle, so one big-integer step spans half the number instead of
+one digit.  `_mixed_tree` joins digits by one product tree: each node
+returns its value and the product of its radices, its value being the
+more significant half's value times the less significant half's product
+plus that half's value, so the fractional part's root product is
+(top+1)!, the denominator `evaluate` needs, and no falling factorial is
+built twice.  `_mixed_digits` separates them with one divmod per node
+by the falling factorial of the less significant half's radices.
+`evaluate` joins both parts by the tree and `integer_alt_factorial`
+splits the integer part by divmod, while `encode` reads the fractional
+digits off the fraction part one at a time, on integers the size of the
+denominator.  The alternating signs are folded into a constant: a digit
+d at a negative position of radix s+1 is the plain digit s - d less s.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from collections.abc import Sequence
 from decimal import MAX_EMAX, MAX_PREC, Decimal, Inexact, localcontext
 from fractions import Fraction
 from math import factorial, lgamma, log, log2, perm
+from operator import itemgetter
 
 from .ordinals import ECHO_LIMIT, Ordinal, _echo
 from .schreier import is_member
@@ -69,39 +74,44 @@ def _require_abs_profile(w: LocatedWord) -> None:
 
 # A run of at most this many digit positions is converted by a plain loop.
 _LEAF = 48
+_LETTER = itemgetter(1)
 
 
 def _radix_product(a: int, b: int) -> int:
     """The product of the radices t+1 over the positions t from a to b,
     in either order: a falling factorial."""
-    lo, hi = min(a, b), max(a, b)
-    return perm(hi + 1, hi - lo + 1)
+    return perm(max(a, b) + 1, abs(a - b) + 1)
 
 
-def _mixed_value(digits: Sequence[int], last: int, first: int) -> int:
+def _mixed_tree(digits: Sequence[int], last: int, first: int,
+                product: bool = True) -> tuple[int, int]:
     """The integer whose digit at position s is digits[s], reading the
-    positions from first, the most significant, to last, the least;
+    positions from first, the most significant, to last, the least, and
+    the product of their radices (False when `product` is false);
     position s has radix s+1.  `first` lies on either side of `last`.
 
-    The value is linear in the digits, so they may take any sign.  The
-    more significant half is multiplied by the falling factorial of the
-    less significant half's radices, and skipped when it is zero."""
+    One product tree: a run of positions splits at its middle, and a node
+    joins its halves with one multiply for the value, the more
+    significant value times the less significant product, and one for
+    its own product.  A leaf reads its digits in one loop and takes its
+    product from perm.  Only the less significant half's product is
+    needed for the value, so a caller that wants the value alone skips
+    every product along the most significant edge.  The value is linear
+    in the digits, so they may take any sign."""
     step = 1 if last >= first else -1
     if abs(last - first) < _LEAF:
         value = 0
         for s in range(first, last + step, step):
             value = value * (s + 1) + digits[s]
-        return value
+        return value, product and _radix_product(first, last)
     mid = (first + last) // 2
-    high = _mixed_value(digits, mid, first)
-    low = _mixed_value(digits, last, mid + step)
-    if high:
-        high *= _radix_product(mid + step, last)
-    return high + low
+    high, high_radices = _mixed_tree(digits, mid, first, product)
+    low, low_radices = _mixed_tree(digits, last, mid + step)
+    return high * low_radices + low, product and high_radices * low_radices
 
 
 def _mixed_digits(m: int, last: int, first: int, out: list[int]) -> int:
-    """The inverse of `_mixed_value`: writes the digits of m at the
+    """The inverse of `_mixed_tree`: writes the digits of m at the
     positions from last, the least significant, to first into out, each
     in 0..s, and returns what is left above `first`."""
     step = 1 if last >= first else -1
@@ -119,9 +129,9 @@ def evaluate(w: LocatedWord) -> Fraction:
     """The exact rational value of a word; variables contribute digit 0.
 
     The signed digits (-1)^(r+1) q_r and (-1)^s q_{-s} are evaluated by
-    `_mixed_value`: the integer part in factorial base, the fractional
-    part as one numerator over (top+1)!, -top the outermost negative
-    position (top = 1 when there is none)."""
+    `_mixed_tree`: the integer part in factorial base, the fractional
+    part as one numerator over the product of its radices, (top+1)!,
+    -top the outermost negative position (top = 1 when there is none)."""
     _require_abs_profile(w)
     entries = w.entries
     top, r_top = max(-entries[0][0], 1), max(entries[-1][0], 0)
@@ -132,10 +142,9 @@ def evaluate(w: LocatedWord) -> Fraction:
             whole[pos] = signed
         else:
             frac[-pos] = signed
-    den = factorial(top + 1)
-    num = _mixed_value(frac, top, 1)
+    num, den = _mixed_tree(frac, top, 1)
     if r_top:
-        num += _mixed_value(whole, 1, r_top) * den
+        num += _mixed_tree(whole, 1, r_top, False)[0] * den
     return Fraction(num, den)
 
 
@@ -151,9 +160,9 @@ def decode(w: LocatedWord) -> Fraction:
     if highest > POSITION_CAP:
         raise RationalCodecError("position %d is above %d, the highest a codec word reaches"
                                  % (highest, POSITION_CAP))
-    for pos, letter in w.entries:
-        if letter == VARIABLE:
-            raise RationalCodecError("cannot decode a variable word: variable at %d" % pos)
+    if not all(map(_LETTER, w.entries)):  # VARIABLE is 0, the one false letter
+        pos = next(pos for pos, letter in w.entries if letter == VARIABLE)
+        raise RationalCodecError("cannot decode a variable word: variable at %d" % pos)
     return evaluate(w)
 
 
@@ -171,7 +180,7 @@ def integer_alt_factorial(value: int) -> tuple[int, ...]:
         top += 1
         log_fact += log2(top)
     digits = [0 if r % 2 else r for r in range(top + 1)]
-    _mixed_digits(value + _mixed_value(digits, 1, top), 1, top, digits)
+    _mixed_digits(value + _mixed_tree(digits, 1, top, False)[0], 1, top, digits)
     for r in range(2, top + 1, 2):
         digits[r] = r - digits[r]
     while not digits[top]:
@@ -429,7 +438,7 @@ def parse_rational(text: str) -> Fraction:
 
 def format_rational(q: Fraction | int) -> str:
     """The text of q, as str(q) writes it, at any length."""
-    text = ("-" if q < 0 else "") + _decimal(abs(q.numerator))
+    text = ("-" if q.numerator < 0 else "") + _decimal(abs(q.numerator))
     return text if q.denominator == 1 else text + "/" + _decimal(q.denominator)
 
 

@@ -557,7 +557,9 @@ CLI_PINS = {
         (("--xi", "w", "--n", "0"), 1, "", "", "error: index must be >= 1\n")],
     ("ordinal", "classify"): [
         (("--xi", "w+1"), 0, "successor\n", '{"kind": "successor"}\n', ""),
-        (("--xi", "("), 1, "", "", "error: expected 'w' at 0 in '('\n")],
+        (("--xi", "("), 1, "", "", "error: expected 'w' at 0 in '('\n"),
+        (("--xi", "w*"), 1, "", "", "error: expected number at 2 in 'w*'\n"),
+        (("--xi", "0+w"), 1, "", "", "error: zero term in sum: '0+w'\n")],
     ("family", "closure"): [
         (("--op", "tree", "--family", "-"), 0, "\n-1:v,1:v\n-1:v,1:v;-3:v,3:v\n",
          '{"members": ["", "-1:v,1:v", "-1:v,1:v;-3:v,3:v"]}\n', ""),
@@ -607,7 +609,9 @@ CLI_PINS = {
         (("--r", "2", "--coloring", "{tmp}/table.txt", "--bounds", "1", "--n", "2", "--window",
           "2"), 1, "", "", "error: bad coloring line 1 'foo': expected text<TAB>colour\n"),
         (("--r", "2", "--seed", "1", "--bounds", "1", "--n", "2", "--window", "2", "--coloring",
-          ""), 1, "", "", "error: [Errno 2] No such file or directory: ''\n")],
+          ""), 1, "", "", "error: [Errno 2] No such file or directory: ''\n"),
+        (("--r", "2", "--bounds", "2", "--n", "3", "--window", "3"), 1, "", "",
+         "error: need --seed or --coloring\n")],
     ("search", "xi"): [
         (("--r", "2", "--seed", "7", "--xi", "w", "--l", "2", "--n0", "4", "--window", "3"), 0,
          "witness: -1:v,2:v;-3:v,3:v\ncolor: 1\ngrid: 4\nnodes: 6\n",

@@ -18,7 +18,7 @@ from zwords.rationals import (
     RationalCodecError,
     _kempner,
     _mixed_digits,
-    _mixed_value,
+    _mixed_tree,
     decode,
     encode,
     evaluate,
@@ -432,7 +432,8 @@ def test_kernels_invert_each_other_on_every_split_shape():
                 for s in range(last, first + step, step):
                     expected += digits[s] * weight
                     weight *= s + 1
-                assert _mixed_value(digits, last, first) == expected
+                assert _mixed_tree(digits, last, first) == (expected, weight)
+                assert _mixed_tree(digits, last, first, False) == (expected, False)
                 out = [0] * (hi + 1)
                 assert _mixed_digits(expected + 5 * weight, last, first, out) == 5
                 assert out == digits

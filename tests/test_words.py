@@ -1020,6 +1020,41 @@ def test_parse_word_matches_reference_on_a_sweep():
     for text in (good + ",x", good + ",1:1", "1:1," + "x" * 500, good + ",-1:" + "7" * 200):
         got = _parsed(parse_word, text, ABS)
         assert got == _parsed(reference_parse_word, text, ABS) and "characters)" in got, text
+    # text of _ONE_PASS_MIN characters or more is offered to the one-pass
+    # read: every sweep shape after a long canonical prefix, and the words
+    # of two prime denominators spelled canonically, in each other
+    # spelling int() reads, and with a malformed entry
+    prefix = ",".join("%d:-1" % p for p in range(-300, -240)) + ","
+    assert len(prefix) > words._ONE_PASS_MIN
+    for profile in map(parse_profile, _TEXT_PROFILES):
+        for text in texts:
+            text = prefix + text
+            assert _parsed(parse_word, text, profile) == _parsed(reference_parse_word, text,
+                                                                profile), (text, profile)
+    from zwords.rationals import encode
+    for q in (Fraction(1, 1009), Fraction(-5000, 1093)):
+        canonical = format_word(encode(q))
+        items = canonical.split(",")
+        middle = len(items) // 2
+        spelled = [" %s\n" % canonical,
+                   canonical.replace(items[0], items[0][:2] + "_" + items[0][2:], 1),
+                   canonical.replace("," + items[middle], ",-0" + items[middle][1:], 1),
+                   canonical.replace(items[middle], items[middle][:-1]
+                                     + chr(0x660 + int(items[middle][-1])), 1)]
+        spelled += [canonical.replace("," + item, ",+" + item, 1)
+                    for item in items if not item.startswith("-")][:1]
+        malformed = [canonical.replace(items[middle], items[middle].replace(":", ""), 1),
+                     canonical.replace(items[middle], items[middle] + ":1", 1)]
+        assert words._read_canonical(canonical) is not None
+        assert parse_word(canonical) == reference_parse_word(canonical) == encode(q)
+        for text in spelled + malformed:
+            # only the spaced text is canonical once stripped
+            assert (words._read_canonical(text.strip()) is None) is (text is not spelled[0])
+            got = _parsed(parse_word, text, ABS)
+            assert got == _parsed(reference_parse_word, text, ABS), text[:80]
+            assert got == encode(q) if text in spelled else got.startswith("error: bad entry")
+    # the + spelling needs a positive position, which 1/1009 lacks
+    assert len(spelled) == 5
 
 
 def test_parse_word_builds_in_range_text_without_make_word(monkeypatch):
